@@ -9,20 +9,24 @@ advances all K at once, so every numpy kernel runs over K clients'
 worth of data per python op.
 
 Equivalence with the sequential path is by construction, not by luck:
+both planes call the same kernels.
 
-* every stacked op broadcasts over the model axis only — a ``(K, B,
-  T, d) @ (K, 1, d, h)`` matmul batch-loops the *same* inner GEMM the
-  sequential ``(B, T, d) @ (d, h)`` runs, and every reduction
-  (layer-norm stats, softmax rows, loss sums, gradient unbroadcasts)
-  reduces the same contiguous axes in the same order slice by slice;
+* the stacked forward calls the fused ops of :mod:`repro.tensor.ops`
+  that ``nn/`` calls — :func:`~repro.tensor.ops.linear` and
+  :func:`~repro.tensor.ops.causal_attention` take the model axis as an
+  outer loop around the *same* per-model GEMMs on the same shapes, and
+  every reduction (layer-norm stats, softmax rows, loss sums, bias
+  gradients) reduces the same contiguous axes in the same order slice
+  by slice;
 * :func:`~repro.tensor.ops.batched_cross_entropy` returns per-client
   losses, so ``loss.sum().backward()`` seeds every client's graph
   with gradient 1.0 exactly like K independent ``backward()`` calls
   — gradients cannot flow between clients;
-* the stacked AdamW and the global-norm clip replicate the scalar
-  implementations elementwise, with per-client learning rates and
-  clip scales applied as float32 broadcasts (multiplying an unclipped
-  client's gradients by exactly 1.0 is a bitwise identity).
+* the stacked AdamW and the global-norm clip run the scalar path's
+  kernels (:func:`~repro.optim.optimizers.adamw_update`,
+  :func:`~repro.optim.clip.clip_grads`), with per-client learning rates
+  and clip scales applied as float32 broadcasts (multiplying an
+  unclipped client's gradients by exactly 1.0 is a bitwise identity).
 
 The result is bit-exact against client-by-client training on the same
 BLAS (property-tested in ``tests/test_local_plane.py``), so the
@@ -39,6 +43,8 @@ import numpy as np
 
 from ..config import ModelConfig
 from ..nn.attention import _alibi_bias, _causal_bias
+from ..optim.clip import clip_grads
+from ..optim.optimizers import adamw_update
 from ..tensor import Parameter, Tensor, ops
 from ..utils.serialization import StateDict, tree_sub
 from .client import LLMClient
@@ -95,49 +101,26 @@ def batch_group_key(client: LLMClient, round_info: RoundInfo):
 # Stacked model
 # ----------------------------------------------------------------------
 
-def _param_roles(names: list[str]) -> dict[str, str]:
-    """Map state-dict names to stacking roles.
-
-    ``DecoderLM``'s parameter names are fixed by our own module code:
-    the embedding table (and untied head) stack flat as ``(K, V, d)``,
-    2-D linear weights gain a broadcast axis ``(K, 1, in, out)`` so
-    the batched matmul reduces over clients' own weights only, and
-    1-D vectors (biases, layer-norm affines) become ``(K, 1, 1, n)``.
-    """
-    roles = {}
-    for name in names:
-        if name in ("tok_emb.weight", "lm_head_weight"):
-            roles[name] = "table"
-        elif name.endswith(".weight"):
-            roles[name] = "matrix"
-        else:  # .bias / .gamma / .beta
-            roles[name] = "vector"
-    return roles
-
-
 class _BatchedDecoderLM:
     """K stacked :class:`~repro.nn.DecoderLM` workspaces sharing one
-    autograd graph.  Mirrors the sequential forward op for op — same
-    fused kernels, one extra leading axis."""
+    autograd graph: every parameter gains a leading model axis and the
+    forward calls the same fused ops as the sequential model."""
 
     def __init__(self, config: ModelConfig, states: list[StateDict]):
         self.config = config
         self.k = len(states)
-        self._names = list(states[0])
-        self._roles = _param_roles(self._names)
+        self._shapes = {name: np.shape(value) for name, value in states[0].items()}
         self.params: dict[str, Parameter] = {}
-        for name in self._names:
+        for name in self._shapes:
             stacked = np.stack([np.asarray(s[name], dtype=np.float32)
                                 for s in states])
-            if self._roles[name] == "matrix":
-                stacked = stacked.reshape(self.k, 1, *stacked.shape[1:])
-            elif self._roles[name] == "vector":
-                stacked = stacked.reshape(self.k, 1, 1, stacked.shape[1])
+            if name.endswith((".gamma", ".beta")):
+                # layer_norm broadcasts its affine against (K, B, T, d).
+                stacked = stacked[:, None, None, :]
             self.params[name] = Parameter(stacked)
         self.param_list = list(self.params.values())
-        bias = (_alibi_bias(config.n_heads, config.seq_len) if config.alibi
-                else _causal_bias(config.seq_len))
-        self._bias_full = bias
+        self._bias_full = (_alibi_bias(config.n_heads, config.seq_len)
+                           if config.alibi else _causal_bias(config.seq_len))
         self._scale = 1.0 / math.sqrt(config.head_dim)
 
     # ------------------------------------------------------------------
@@ -146,30 +129,18 @@ class _BatchedDecoderLM:
             p.grad = None
 
     def _linear(self, x: Tensor, prefix: str) -> Tensor:
-        out = x @ self.params[prefix + ".weight"]
-        bias = self.params.get(prefix + ".bias")
-        if bias is not None:
-            out = out + bias
-        return out
+        return ops.linear(x, self.params[prefix + ".weight"],
+                          self.params.get(prefix + ".bias"))
 
     def _layer_norm(self, x: Tensor, prefix: str) -> Tensor:
         return ops.layer_norm(x, self.params[prefix + ".gamma"],
                               self.params[prefix + ".beta"], eps=1e-5)
 
     def _attention(self, x: Tensor, prefix: str) -> Tensor:
-        k, batch, seq_len, _ = x.shape
-        heads, head_dim = self.config.n_heads, self.config.head_dim
-        qkv = self._linear(x, prefix + ".qkv")  # (K, B, T, 3D)
-        qkv = qkv.reshape(k, batch, seq_len, 3, heads, head_dim)
-        qkv = qkv.transpose(3, 0, 1, 4, 2, 5)  # (3, K, B, H, T, hd)
-        q, key, v = qkv[0], qkv[1], qkv[2]
-        scores = (q @ key.swapaxes(-1, -2)) * self._scale  # (K, B, H, T, T)
-        # The (H, T, T) bias broadcasts over the model and batch axes.
-        scores = scores + Tensor(self._bias_full[:, :seq_len, :seq_len])
-        weights = ops.softmax(scores, axis=-1)
-        context = weights @ v  # (K, B, H, T, hd)
-        context = context.transpose(0, 1, 3, 2, 4).reshape(
-            k, batch, seq_len, self.config.d_model)
+        seq_len = x.shape[-2]
+        context = ops.causal_attention(
+            self._linear(x, prefix + ".qkv"), self.config.n_heads,
+            self._bias_full[:, :seq_len, :seq_len], self._scale)
         return self._linear(context, prefix + ".proj")
 
     def loss(self, tokens: np.ndarray, targets: np.ndarray) -> Tensor:
@@ -195,32 +166,17 @@ class _BatchedDecoderLM:
     # ------------------------------------------------------------------
     def unstack(self) -> list[StateDict]:
         """Per-client state dicts (fresh copies, original shapes)."""
-        states: list[StateDict] = []
-        for j in range(self.k):
-            state: StateDict = {}
-            for name in self._names:
-                data = self.params[name].data[j]
-                if self._roles[name] == "matrix":
-                    data = data.reshape(data.shape[1:])
-                elif self._roles[name] == "vector":
-                    data = data.reshape(data.shape[-1])
-                state[name] = data.copy()
-            states.append(state)
-        return states
+        return [
+            {name: self.params[name].data[j].reshape(shape).copy()
+             for name, shape in self._shapes.items()}
+            for j in range(self.k)
+        ]
 
-
-# ----------------------------------------------------------------------
-# Stacked optimizer + clip
-# ----------------------------------------------------------------------
 
 class _BatchedAdamW:
-    """AdamW over stacked parameters with a per-client learning rate.
-
-    Elementwise identical to :class:`repro.optim.AdamW` run per client:
-    the shared scalars (betas, eps, weight decay, bias corrections)
-    are python floats exactly as in the scalar path, and the per-client
-    ``lr`` enters as a float32 broadcast — the same float32 value the
-    scalar path's weak-scalar promotion produces."""
+    """AdamW over stacked parameters with a per-client learning rate:
+    :func:`~repro.optim.optimizers.adamw_update` with each client's
+    ``lr`` broadcast along the model axis."""
 
     def __init__(self, params: list[Parameter], betas: tuple[float, float],
                  eps: float, weight_decay: float):
@@ -238,44 +194,16 @@ class _BatchedAdamW:
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        lr32 = lrs.astype(np.float32)
-        lrwd32 = (lrs * self.weight_decay).astype(np.float32)
-        for i, p in enumerate(self.params):
+        lr = lrs.astype(np.float32)
+        lr_decay = ((lrs * self.weight_decay).astype(np.float32)
+                    if self.weight_decay else None)
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            g = p.grad
-            shape = (len(lrs),) + (1,) * (g.ndim - 1)
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bias1
-            v_hat = self.v[i] / bias2
-            p.data -= lrwd32.reshape(shape) * p.data
-            p.data -= lr32.reshape(shape) * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def _clip_grad_norm_batched(params: list[Parameter], k: int,
-                            max_norm: float) -> np.ndarray:
-    """Per-client global-norm clip over stacked gradients.
-
-    Accumulates per-client squared norms in float64 across parameters
-    in parameter order — the same accumulation the scalar
-    :func:`~repro.optim.clip_grad_norm` performs — then scales each
-    client's gradients by float32(``max_norm / (norm + 1e-12)``) when
-    over the limit and by exactly 1.0 (a bitwise no-op) otherwise."""
-    totals = np.zeros(k, dtype=np.float64)
-    for p in params:
-        if p.grad is None:
-            continue
-        g = p.grad.astype(np.float64)
-        totals = totals + np.sum(g * g, axis=tuple(range(1, g.ndim)))
-    norms = np.sqrt(totals)
-    if np.any(norms > max_norm):
-        scales = np.where(norms > max_norm,
-                          max_norm / (norms + 1e-12), 1.0).astype(np.float32)
-        for p in params:
-            if p.grad is not None:
-                p.grad *= scales.reshape((k,) + (1,) * (p.grad.ndim - 1))
-    return norms
+            shape = (-1,) + (1,) * (p.data.ndim - 1)
+            adamw_update(p.data, p.grad, m, v, lr.reshape(shape),
+                         None if lr_decay is None else lr_decay.reshape(shape),
+                         self.beta1, self.beta2, self.eps, bias1, bias2)
 
 
 # ----------------------------------------------------------------------
@@ -320,7 +248,8 @@ def train_clients_batched(clients: list[LLMClient],
         model.zero_grad()
         loss = model.loss(np.stack(xs), np.stack(ys))
         loss.sum().backward()
-        _clip_grad_norm_batched(model.param_list, k, optim.grad_clip)
+        clip_grads([p.grad for p in model.param_list if p.grad is not None],
+                   optim.grad_clip, k)
         optimizer.step(lrs)
         losses[:, i] = [float(v) for v in loss.data]
 

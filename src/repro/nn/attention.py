@@ -94,16 +94,7 @@ class CausalSelfAttention(Module):
         return cached
 
     def forward(self, x: Tensor) -> Tensor:
-        batch, seq_len, _ = x.shape
-        qkv = self.qkv(x)  # (B, T, 3D)
-        qkv = qkv.reshape(batch, seq_len, 3, self.n_heads, self.head_dim)
-        qkv = qkv.transpose(2, 0, 3, 1, 4)  # (3, B, H, T, hd)
-        q, k, v = qkv[0], qkv[1], qkv[2]
-
-        scale = 1.0 / math.sqrt(self.head_dim)
-        scores = (q @ k.swapaxes(-1, -2)) * scale  # (B, H, T, T)
-        scores = scores + Tensor(self._bias(seq_len))
-        weights = ops.softmax(scores, axis=-1)
-        context = weights @ v  # (B, H, T, hd)
-        context = context.transpose(0, 2, 1, 3).reshape(batch, seq_len, self.d_model)
+        context = ops.causal_attention(
+            self.qkv(x), self.n_heads, self._bias(x.shape[-2]),
+            1.0 / math.sqrt(self.head_dim))
         return self.proj(context)

@@ -27,6 +27,7 @@ import math
 
 import numpy as np
 
+from ..tensor.kernels import gelu
 from .attention import alibi_slopes
 from .lora import LoRALinear
 from .transformer import DecoderLM
@@ -39,11 +40,6 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + eps) * gamma + beta
-
-
-def _gelu(x: np.ndarray) -> np.ndarray:
-    c = math.sqrt(2.0 / math.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -175,7 +171,7 @@ class InferenceEngine:
             context = context.transpose(1, 0, 2).reshape(t, -1)
             x = x + context @ w.proj_w + w.proj_b
             h = _layer_norm(x, w.ln2_g, w.ln2_b)
-            x = x + _gelu(h @ w.up_w + w.up_b) @ w.down_w + w.down_b
+            x = x + gelu(h @ w.up_w + w.up_b) @ w.down_w + w.down_b
         x = _layer_norm(x, self.ln_f_g, self.ln_f_b)
         self.position += t
         return x @ self.head.T

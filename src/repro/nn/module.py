@@ -16,6 +16,13 @@ from ..tensor import Parameter
 
 __all__ = ["Module"]
 
+# Bumped whenever any module registers a parameter or submodule.  A
+# module does not know its owners, so a cached parameter list cannot be
+# invalidated from below (``apply_lora`` swaps a Linear three levels
+# under the model); an unchanged epoch is the cheapest sound proof that
+# no registry anywhere moved since the list was built.
+_registry_epoch = 0
+
 
 class Module:
     """Base class for all layers and models."""
@@ -26,10 +33,13 @@ class Module:
         object.__setattr__(self, "training", True)
 
     def __setattr__(self, name: str, value) -> None:
+        global _registry_epoch
         if isinstance(value, Parameter):
             self._parameters[name] = value
+            _registry_epoch += 1
         elif isinstance(value, Module):
             self._modules[name] = value
+            _registry_epoch += 1
         object.__setattr__(self, name, value)
 
     # ------------------------------------------------------------------
@@ -50,7 +60,14 @@ class Module:
             yield from module._named_parameters(f"{prefix}{name}.", seen)
 
     def parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters()]
+        """The deduplicated parameter list, cached per module until a
+        parameter or submodule is (re)assigned anywhere; the training
+        loop asks for it several times per step."""
+        cached = self.__dict__.get("_parameter_cache")
+        if cached is None or cached[0] != _registry_epoch:
+            cached = (_registry_epoch, [p for _, p in self.named_parameters()])
+            object.__setattr__(self, "_parameter_cache", cached)
+        return list(cached[1])
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())

@@ -14,7 +14,38 @@ import numpy as np
 
 from ..tensor import Parameter
 
-__all__ = ["Optimizer", "AdamW", "SGD"]
+__all__ = ["Optimizer", "AdamW", "SGD", "adamw_update"]
+
+
+def adamw_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                 lr, lr_decay, beta1: float, beta2: float, eps: float,
+                 bias1: float, bias2: float) -> None:
+    """One AdamW update of ``p`` and its moments, all in place.
+
+    ``lr`` and ``lr_decay`` (``lr * weight_decay``; ``None`` skips the
+    decay) are python floats, or float32 arrays that broadcast one
+    value per stacked model along ``p``'s leading axis — NumPy rounds a
+    python float to the same float32, so K stacked models update
+    exactly as each would alone.
+    """
+    if lr_decay is not None:
+        # Decoupled weight decay: applied directly to weights, not
+        # folded into the gradient.
+        p -= lr_decay * p
+    tmp = g * (1.0 - beta1)
+    m *= beta1
+    m += tmp
+    np.multiply(g, g, out=tmp)
+    tmp *= 1.0 - beta2
+    v *= beta2
+    v += tmp
+    np.divide(v, bias2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += eps
+    step = m / bias1
+    step *= lr
+    step /= tmp
+    p -= step
 
 
 class Optimizer:
@@ -65,18 +96,11 @@ class AdamW(Optimizer):
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / bias1
-            v_hat = self.v[i] / bias2
-            # Decoupled weight decay: applied directly to weights, not
-            # folded into the gradient.
-            p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        lr_decay = self.lr * self.weight_decay if self.weight_decay else None
+        for p, m, v in zip(self.params, self.m, self.v):
+            if p.grad is not None:
+                adamw_update(p.data, p.grad, m, v, self.lr, lr_decay,
+                             self.beta1, self.beta2, self.eps, bias1, bias2)
 
     def state_dict(self) -> dict:
         return {

@@ -25,8 +25,9 @@ import math
 
 import numpy as np
 
-from ..nn.inference import _gelu, _layer_norm, _softmax
+from ..nn.inference import _layer_norm, _softmax
 from ..nn.transformer import DecoderLM
+from ..tensor.kernels import gelu
 
 __all__ = ["split_columns", "split_rows", "TensorParallelEngine"]
 
@@ -153,7 +154,7 @@ class TensorParallelEngine:
             mlp_partials = []
             for w in range(self.n_workers):
                 ws = shard["workers"][w]
-                hidden = _gelu(h @ ws["up_w"] + ws["up_b"])
+                hidden = gelu(h @ ws["up_w"] + ws["up_b"])
                 mlp_partials.append(hidden @ ws["down_w"])
             self.allreduce_count += 1
             x = x + np.sum(mlp_partials, axis=0) + shard["down_b"]

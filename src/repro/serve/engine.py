@@ -31,10 +31,11 @@ import math
 import numpy as np
 
 from ..nn.attention import alibi_slopes
-from ..nn.inference import _BlockWeights, _causal_attend, _gelu, _layer_norm
+from ..nn.inference import _BlockWeights, _causal_attend, _layer_norm
 from ..nn.lora import LoRALinear, _iter_linear_slots
 from ..nn.transformer import DecoderLM
 from ..obs.trace import NULL_TRACER
+from ..tensor.kernels import gelu
 from .adapters import Adapter
 
 __all__ = ["MultiAdapterEngine", "StaleAdapterError", "sample_token"]
@@ -238,7 +239,7 @@ class MultiAdapterEngine:
             h = _layer_norm(x, w.ln2_g, w.ln2_b)
             up = h @ w.up_w + w.up_b
             self._apply_adapters(h, up, groups, 4 * layer + 2)
-            gated = _gelu(up)
+            gated = gelu(up)
             down = gated @ w.down_w + w.down_b
             self._apply_adapters(gated, down, groups, 4 * layer + 3)
             x = x + down

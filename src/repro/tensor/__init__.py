@@ -1,7 +1,9 @@
 """Pure-NumPy reverse-mode autograd: the compute substrate.
 
-See :mod:`repro.tensor.autograd` for the engine and
-:mod:`repro.tensor.ops` for the fused transformer ops.
+See :mod:`repro.tensor.autograd` for the engine,
+:mod:`repro.tensor.ops` for the fused transformer ops and
+:mod:`repro.tensor.kernels` for the array-level kernels training and
+inference share.
 """
 
 from .autograd import (

@@ -22,10 +22,11 @@ Design notes
 from __future__ import annotations
 
 import contextlib
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .kernels import gelu_backward, gelu_forward
 
 __all__ = [
     "Tensor",
@@ -191,7 +192,8 @@ class Tensor:
             raise ValueError(f"seed gradient shape {grad.shape} != tensor shape {self.shape}")
 
         # Iterative topological sort (avoids recursion limits on deep
-        # transformer graphs).
+        # transformer graphs).  Leaves are not visited: they accumulate
+        # as soon as a consumer's backward runs.
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -205,17 +207,25 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if parent.requires_grad and id(parent) not in visited:
+                if parent._backward is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
         # Seed and propagate in reverse topological order.  Gradients
         # for intermediate nodes live in a side table so they can be
-        # freed as soon as the node's backward has run.
+        # freed as soon as the node's backward has run.  A backward may
+        # hand the same array (or views of one) to several parents, so
+        # the engine never writes into an array it did not allocate:
+        # a first contribution is held by reference, the second adds
+        # out of place into a buffer the engine owns, later ones add
+        # into that buffer in place.
         grads: dict[int, np.ndarray] = {id(self): grad}
+        owned: set[int] = set()
         for node in reversed(topo):
-            node_grad = grads.pop(id(node), None)
+            key = id(node)
+            node_grad = grads.pop(key, None)
             if node_grad is None:
                 continue
+            owned.discard(key)
             if node._backward is None:
                 node._accumulate(node_grad)
                 continue
@@ -226,10 +236,13 @@ class Tensor:
                 key = id(parent)
                 if parent._backward is None:
                     parent._accumulate(pgrad)
-                elif key in grads:
+                elif key not in grads:
+                    grads[key] = pgrad.astype(np.float32, copy=False)
+                elif key in owned:
                     grads[key] += pgrad
                 else:
-                    grads[key] = pgrad.astype(np.float32, copy=False)
+                    grads[key] = np.add(grads[key], pgrad, dtype=np.float32)
+                    owned.add(key)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -374,7 +387,15 @@ class Tensor:
 
         def backward(grad):
             full = np.zeros(original_shape, dtype=np.float32)
-            np.add.at(full, index, grad)
+            # Ints, slices, ``...`` and ``None`` select each element at
+            # most once; only integer/boolean arrays can repeat one.
+            items = index if isinstance(index, tuple) else (index,)
+            if all(item is None or item is Ellipsis
+                   or isinstance(item, (int, np.integer, slice))
+                   for item in items):
+                full[index] = grad
+            else:
+                np.add.at(full, index, grad)
             return (full,)
 
         return Tensor._make(out_data, (self,), backward)
@@ -457,17 +478,12 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """GELU with the tanh approximation used by MPT/GPT models."""
         x = self.data
-        c = math.sqrt(2.0 / math.pi)
-        inner = c * (x + 0.044715 * x**3)
-        t = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + t)
+        out_data, t = gelu_forward(x)
 
         def backward(grad):
-            dinner = c * (1.0 + 3 * 0.044715 * x**2)
-            local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-            return (grad * local.astype(np.float32),)
+            return (gelu_backward(grad, x, t),)
 
-        return Tensor._make(out_data.astype(np.float32), (self,), backward)
+        return Tensor._make(out_data, (self,), backward)
 
 
 class Parameter(Tensor):

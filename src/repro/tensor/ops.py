@@ -4,6 +4,14 @@ Each function here has a hand-derived backward pass instead of being a
 composition of primitive ops.  This keeps the autograd graph shallow
 (important: our models run thousands of steps per experiment) and keeps
 all the arithmetic inside vectorized NumPy kernels.
+
+:func:`linear` and :func:`causal_attention` are rank-polymorphic: the
+per-model work is always the same BLAS call on the same shapes, and an
+optional leading model axis only adds an outer loop over it.  The
+sequential plane (``nn/``) and the stacked plane (``fed/batched.py``)
+therefore call the *same* kernels, which is what makes K stacked
+clients bit-identical to K sequential ones; :func:`batched_embedding`
+and :func:`batched_cross_entropy` keep that property slice by slice.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ __all__ = [
     "embedding",
     "batched_embedding",
     "dropout",
+    "linear",
+    "causal_attention",
 ]
 
 
@@ -169,15 +179,35 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return Tensor._make(out_data.astype(np.float32), (x, gamma, beta), backward)
 
 
+def _scatter_rows(keys: np.ndarray, rows: np.ndarray, n_keys: int) -> np.ndarray:
+    """``out[key] += row`` over ``(key, row)`` pairs with keys in
+    ``[0, n_keys)``, as a sorted-segment reduction: a stable argsort
+    groups equal keys in order of occurrence and ``np.add.reduceat``
+    sums each run.  A run's sum depends only on the run, so stacked
+    models (keys offset per model) reduce exactly as each would alone."""
+    out = np.zeros((n_keys, rows.shape[-1]), dtype=np.float32)
+    if keys.size == 0:
+        return out
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    out[keys[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
+
+
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Lookup rows of ``weight`` at integer ``indices``."""
     indices = np.asarray(indices)
     out_data = weight.data[indices]
+    vocab, dim = weight.shape
 
     def backward(grad):
-        full = np.zeros_like(weight.data)
-        np.add.at(full, indices.reshape(-1), grad.reshape(-1, weight.shape[-1]))
-        return (full,)
+        # Negative indices wrap, as they do in the lookup.
+        return (_scatter_rows(indices.reshape(-1) % vocab,
+                              grad.reshape(-1, dim), vocab),)
 
     return Tensor._make(out_data, (weight,), backward)
 
@@ -188,21 +218,19 @@ def batched_embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
     ``weight`` has shape ``(K, vocab, dim)`` — one table per stacked
     model — and ``indices`` has shape ``(K, ...)``; model ``k`` gathers
     only from table ``k``, so gradients never mix between models.  The
-    backward ``np.add.at`` scatters per model in the same row-major
-    order the scalar :func:`embedding` uses, keeping the accumulation
-    order (and hence the float32 sums) identical slice by slice.
+    backward offsets each model's indices into its own key range and
+    runs the scalar :func:`embedding`'s segment reduction once, so every
+    row's sum is the one that model would compute alone.
     """
     indices = np.asarray(indices)
-    k = weight.shape[0]
+    k, vocab, dim = weight.shape
     model_idx = np.arange(k).reshape((k,) + (1,) * (indices.ndim - 1))
     out_data = weight.data[model_idx, indices]
 
     def backward(grad):
-        full = np.zeros_like(weight.data)
-        flat_models = np.broadcast_to(model_idx, indices.shape).reshape(-1)
-        np.add.at(full, (flat_models, indices.reshape(-1)),
-                  grad.reshape(-1, weight.shape[-1]))
-        return (full,)
+        keys = (indices % vocab + model_idx * vocab).reshape(-1)
+        full = _scatter_rows(keys, grad.reshape(-1, dim), k * vocab)
+        return (full.reshape(weight.shape),)
 
     return Tensor._make(out_data, (weight,), backward)
 
@@ -221,3 +249,79 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True
         return (grad * mask,)
 
     return Tensor._make(out_data, (x,), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """Affine map ``x @ w + b`` as one node.
+
+    ``w`` is ``(in, out)``, or ``(K, in, out)`` with a leading model
+    axis that ``x`` ``(K, ..., in)`` and ``b`` ``(K, out)`` then share.
+    Every other axis of ``x`` is folded into one row dimension, so the
+    forward, the input gradient and the weight gradient are each a
+    single GEMM per model (no per-batch-row GEMM loop, no broadcast
+    weight gradient summed afterwards) and the bias gradient is one
+    row sum.
+    """
+    x_data, w_data = x.data, w.data
+    rows = x_data.reshape(w_data.shape[:-2] + (-1, w_data.shape[-2]))
+    out = rows @ w_data
+    if b is not None:
+        out += b.data[..., None, :]
+
+    def backward(grad):
+        grad = grad.reshape(out.shape)
+        gx = (grad @ np.swapaxes(w_data, -1, -2)).reshape(x_data.shape)
+        gw = np.swapaxes(rows, -1, -2) @ grad
+        if b is None:
+            return (gx, gw)
+        return (gx, gw, grad.sum(axis=-2))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor._make(out.reshape(x_data.shape[:-1] + out.shape[-1:]),
+                        parents, backward)
+
+
+def causal_attention(qkv: Tensor, n_heads: int, bias: np.ndarray,
+                     scale: float) -> Tensor:
+    """Multi-head attention over packed projections, as one node.
+
+    ``qkv`` is ``(..., T, 3·D)`` — the fused query/key/value projection,
+    every leading axis (batch, or model and batch) a batch axis.
+    ``bias`` is added to the scaled scores and carries the causal mask
+    (plus ALiBi); it must broadcast against ``(n_heads, T, T)``.
+    Returns the ``(..., T, D)`` context, heads re-merged.
+    """
+    data = qkv.data
+    lead, (seq, width) = data.shape[:-2], data.shape[-2:]
+    d_model = width // 3
+    head_dim = d_model // n_heads
+    n = len(lead)
+    heads = lead + (seq, n_heads, head_dim)
+    packed = lead + (seq, 3, n_heads, head_dim)
+    # (..., T, 3, H, hd) -> (3, ..., H, T, hd): q, k, v are views.
+    perm = (n + 1, *range(n), n + 2, n, n + 3)
+    q, k, v = data.reshape(packed).transpose(perm)
+
+    weights = q @ k.swapaxes(-1, -2)  # (..., H, T, T)
+    weights *= scale
+    weights += bias
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    context = (weights @ v).swapaxes(-2, -3)  # (..., T, H, hd)
+
+    def backward(grad):
+        grad = grad.reshape(heads).swapaxes(-2, -3)  # (..., H, T, hd)
+        gqkv = np.empty(packed, dtype=np.float32)
+        gq, gk, gv = gqkv.transpose(perm)
+        gv[...] = weights.swapaxes(-1, -2) @ grad
+        # Softmax backward s * (g - sum(g * s)), then the score scale.
+        gs = grad @ v.swapaxes(-1, -2)
+        gs -= (gs * weights).sum(axis=-1, keepdims=True)
+        gs *= weights
+        gs *= scale
+        gq[...] = gs @ k
+        gk[...] = gs.swapaxes(-1, -2) @ q
+        return (gqkv.reshape(data.shape),)
+
+    return Tensor._make(context.reshape(lead + (seq, d_model)), (qkv,), backward)

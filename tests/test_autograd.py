@@ -95,6 +95,30 @@ class TestShapes:
         a = rng.normal(size=(4, 5))
         check_gradients(lambda x: x[1:3, ::2], [a])
 
+    def test_getitem_strided_and_newaxis(self, rng):
+        """Basic indices take the plain-assignment backward."""
+        a = rng.normal(size=(6, 5, 4))
+        check_gradients(lambda x: x[::-2, 1, None, ..., 1::2], [a])
+        t = Tensor(a, requires_grad=True)
+        t[4:0:-3].sum().backward()
+        expected = np.zeros_like(a)
+        expected[[4, 1]] = 1.0
+        np.testing.assert_array_equal(t.grad, expected)
+
+    def test_getitem_duplicate_fancy_indices_accumulate(self):
+        """Integer-array indices can repeat an element: the backward
+        must add every occurrence, not keep the last one."""
+        t = Tensor(np.zeros((4, 3)), requires_grad=True)
+        rows = np.array([1, 1, 3, 1])
+        (t[rows] * Tensor([[1.0], [2.0], [4.0], [8.0]])).sum().backward()
+        expected = np.zeros((4, 3), dtype=np.float32)
+        expected[1] = 11.0
+        expected[3] = 4.0
+        np.testing.assert_array_equal(t.grad, expected)
+        t.zero_grad()
+        t[rows, np.array([0, 0, 2, 0])].sum().backward()
+        assert t.grad[1, 0] == 3.0 and t.grad[3, 2] == 1.0 and t.grad.sum() == 4.0
+
     def test_concatenate(self, rng):
         a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 2))
         check_gradients(lambda x, y: concatenate([x, y], axis=1), [a, b])
@@ -187,6 +211,70 @@ class TestGraphMechanics:
         (x * 2).sum().backward()
         (x * 2).sum().backward()
         np.testing.assert_allclose(x.grad, [4.0])
+
+
+def _linear_dag(program):
+    """Build a DAG of adds, subs, constant muls and reshapes over three
+    leaves from ``program`` (``(op, i, j)`` triples over earlier
+    nodes); returns the leaves, the nodes and each node's exact integer
+    coefficients with respect to the leaves."""
+    leaves = [Tensor(np.ones(3), requires_grad=True) for _ in range(3)]
+    nodes = [leaf * 1.0 for leaf in leaves]
+    coeffs = [np.eye(3, dtype=np.int64)[i] for i in range(3)]
+    for op, i, j in program:
+        a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+        ca, cb = coeffs[i % len(nodes)], coeffs[j % len(nodes)]
+        if op == "add":
+            nodes.append(a + b)
+            coeffs.append(ca + cb)
+        elif op == "sub":
+            nodes.append(a - b)
+            coeffs.append(ca - cb)
+        elif op == "double_add":
+            nodes.append(a * 2.0 + b)
+            coeffs.append(2 * ca + cb)
+        else:  # a reshape backward hands its parent a view
+            nodes.append(a.reshape(3, 1).reshape(3) + b)
+            coeffs.append(ca + cb)
+    return leaves, nodes, coeffs
+
+
+class TestSharedSubexpressions:
+    """A backward may hand one array to several parents (``__add__``,
+    ``__sub__``, ``reshape``); accumulating into it in place would
+    corrupt a gradient slot that is still pending."""
+
+    def test_aliased_parent_gradients_are_not_mutated(self):
+        leaves = [Tensor(np.ones(3), requires_grad=True) for _ in range(3)]
+        n = [x * 1.0 for x in leaves]
+        n3 = n[0] * 2.0 + n[1]
+        n4 = n3 * 2.0 + n[2]
+        n5 = n[2] * 2.0 + n3
+        (n5 + n3 + n4).sum().backward()
+        for leaf, expected in zip(leaves, (8.0, 4.0, 3.0)):
+            np.testing.assert_array_equal(leaf.grad, np.full(3, expected))
+
+    @given(
+        program=st.lists(
+            st.tuples(st.sampled_from(["add", "sub", "double_add", "reshape"]),
+                      st.integers(0, 11), st.integers(0, 11)),
+            min_size=2, max_size=9),
+        outputs=st.lists(st.integers(0, 11), min_size=1, max_size=5),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_linear_dag_matches_closed_form(self, program, outputs):
+        """Every node is an integer combination of the leaves, so the
+        exact gradient is the summed coefficient — no tolerance."""
+        leaves, nodes, coeffs = _linear_dag(program)
+        picked = [k % len(nodes) for k in outputs]
+        loss = nodes[picked[0]]
+        for k in picked[1:]:
+            loss = loss + nodes[k]
+        loss.sum().backward()
+        expected = sum(coeffs[k] for k in picked)
+        for leaf, c in zip(leaves, expected):
+            got = np.zeros(3) if leaf.grad is None else leaf.grad
+            np.testing.assert_array_equal(got, np.full(3, float(c)))
 
 
 class TestUnbroadcast:
