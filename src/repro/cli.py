@@ -16,9 +16,14 @@ import argparse
 import sys
 
 from .config import (
+    CLIENT_PLANES,
+    DROP_POLICIES,
+    LOCAL_PLANES,
+    MODES,
     PAPER_MODELS,
     PAPER_RESOURCES,
     PAPER_THROUGHPUTS,
+    SELECTION_POLICIES,
     TINY_MODELS,
     FedConfig,
     OptimConfig,
@@ -51,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--server-opt", default="fedavg",
                        choices=["fedavg", "fedmom", "fedadam"])
     train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--mode", choices=["sync", "async"], default="sync",
+    train.add_argument("--mode", choices=MODES, default="sync",
                        help="round engine: Algorithm-1 barrier or buffered async")
     train.add_argument("--buffer-size", type=int, default=None,
                        help="async: updates per server step (default: cohort size)")
@@ -68,8 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="async: simulated seconds a client cycle may take "
                             "before the drop policy applies")
     train.add_argument("--drop-policy", default=None,
-                       choices=["drop", "requeue", "admit_partial",
-                                "admit_stale"],
+                       choices=DROP_POLICIES,
                        help="async: what happens to over-deadline work "
                             "(default with --deadline: drop; admit_partial "
                             "salvages the finished steps)")
@@ -80,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-(client, round) crash probability "
                             "(seeded fault injection)")
     train.add_argument("--selection", default="random",
-                       choices=["random", "fastest", "utility"],
+                       choices=SELECTION_POLICIES,
                        help="client-selection policy (random = legacy "
                             "behavior; utility = Oort/REFL-style "
                             "deadline-aware score with a fairness floor)")
@@ -93,14 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--stat-utility-weight", type=float, default=0.0,
                        help="utility selection: weight of the recent "
                             "loss-improvement term (true Oort; 0 = off)")
-    train.add_argument("--client-plane", choices=["eager", "vector"],
+    train.add_argument("--client-plane", choices=CLIENT_PLANES,
                        default="eager",
                        help="control-plane layout: eager keeps one live "
                             "object per client (legacy); vector keeps "
                             "per-client state in arrays and materializes "
                             "clients lazily (million-client scale)")
-    train.add_argument("--local-plane",
-                       choices=["sequential", "batched", "procpool"],
+    train.add_argument("--local-plane", choices=LOCAL_PLANES,
                        default="sequential",
                        help="local-training execution: sequential runs "
                             "clients one by one (legacy, bit-exact anchor); "

@@ -30,7 +30,31 @@ __all__ = [
     "PAPER_THROUGHPUTS",
     "PAPER_RESOURCES",
     "model_config",
+    "MODES",
+    "DROP_POLICIES",
+    "SELECTION_POLICIES",
+    "CLIENT_PLANES",
+    "LOCAL_PLANES",
+    "check_choice",
 ]
+
+# Enumerated option values, spelled once: FedConfig, the fed package
+# (which re-exports them under their historical names), the engine and
+# the CLI ``choices=`` all read these tuples.
+MODES = ("sync", "async")
+DROP_POLICIES = ("drop", "requeue", "admit_partial", "admit_stale")
+SELECTION_POLICIES = ("random", "fastest", "utility")
+CLIENT_PLANES = ("eager", "vector")
+LOCAL_PLANES = ("sequential", "batched", "procpool")
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    """Reject ``value`` unless it is one of ``choices`` (``"name must
+    be 'a', 'b' or 'c', got ..."``)."""
+    if value not in choices:
+        listed = ", ".join(repr(c) for c in choices[:-1])
+        raise ValueError(
+            f"{name} must be {listed} or {choices[-1]!r}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -258,8 +282,7 @@ class FedConfig:
                 f"clients_per_round={self.clients_per_round} exceeds "
                 f"population={self.population}"
             )
-        if self.mode not in ("sync", "async"):
-            raise ValueError(f"mode must be 'sync' or 'async', got {self.mode!r}")
+        check_choice("mode", self.mode, MODES)
         if self.buffer_size is not None and self.mode != "async":
             raise ValueError("buffer_size only applies to mode='async'")
         if self.buffer_size is not None and self.buffer_size < 1:
@@ -276,20 +299,16 @@ class FedConfig:
             raise ValueError(f"deadline must be positive, got {self.deadline}")
         if self.drop_policy is not None and self.deadline is None:
             raise ValueError("drop_policy needs a deadline to enforce")
-        # Canonical list lives in repro.fed.faults.DROP_POLICIES
-        # (duplicated here: config must not import the fed package).
-        if self.drop_policy is not None and self.drop_policy not in (
-                "drop", "requeue", "admit_partial", "admit_stale"):
+        if self.drop_policy is not None and self.drop_policy not in DROP_POLICIES:
             raise ValueError(
-                "drop_policy must be one of ('drop', 'requeue', "
-                f"'admit_partial', 'admit_stale'), got {self.drop_policy!r}"
+                f"drop_policy must be one of {DROP_POLICIES}, "
+                f"got {self.drop_policy!r}"
             )
         if self.adaptive_local_steps and self.mode != "async":
             raise ValueError("adaptive_local_steps only applies to mode='async'")
-        # Canonical list lives in repro.fed.scheduler.SELECTION_POLICIES.
-        if self.selection not in ("random", "fastest", "utility"):
+        if self.selection not in SELECTION_POLICIES:
             raise ValueError(
-                "selection must be one of ('random', 'fastest', 'utility'), "
+                f"selection must be one of {SELECTION_POLICIES}, "
                 f"got {self.selection!r}"
             )
         jitter_values = (
@@ -328,15 +347,8 @@ class FedConfig:
             if self.checkpoint_codec != "none":
                 raise ValueError("checkpoint_codec needs a checkpoint_dir")
         _check_compression_spec(self.checkpoint_codec)
-        if self.client_plane not in ("eager", "vector"):
-            raise ValueError(
-                f"client_plane must be 'eager' or 'vector', got {self.client_plane!r}"
-            )
-        if self.local_plane not in ("sequential", "batched", "procpool"):
-            raise ValueError(
-                f"local_plane must be 'sequential', 'batched' or 'procpool', "
-                f"got {self.local_plane!r}"
-            )
+        check_choice("client_plane", self.client_plane, CLIENT_PLANES)
+        check_choice("local_plane", self.local_plane, LOCAL_PLANES)
         if self.local_plane == "procpool" and self.compress_broadcast:
             raise ValueError(
                 "local_plane='procpool' is incompatible with "

@@ -1,6 +1,5 @@
 """Federated core: Photon, its components, and the baselines."""
 
-from .aggregator import Aggregator
 from .engine import (
     AsyncAggregator,
     PolynomialStaleness,
@@ -12,7 +11,6 @@ from .centralized import CentralizedResult, CentralizedTrainer
 from .checkpoint import CheckpointManager
 from .client import LLMClient
 from .continual import PersonalizationResult, continue_pretraining, personalize
-from .contrib import ContributionTracker, PowerOfChoiceSampler, cosine_alignment
 from .edge import EdgeReport, EdgeTier, Region, paper_regions, round_robin_assign
 from .failover import FailoverController, ReplicaSet
 from .faults import (
@@ -22,7 +20,6 @@ from .faults import (
     FailureModel,
     FaultPolicy,
 )
-from .ties import TiesAggregator, ties_merge
 from .diloco import DILOCO_SERVER_LRS, build_diloco
 from .hyperopt import Candidate, TrialResult, successive_halving
 from .link import Link, Message, SecureAggregator
@@ -63,6 +60,9 @@ from .server_opt import (
     make_server_opt,
 )
 from .types import ClientUpdate, RoundInfo
+
+#: The synchronous engine under its historical name.
+Aggregator = SyncAggregator
 
 __all__ = [
     "Photon",
@@ -111,9 +111,6 @@ __all__ = [
     "CentralizedResult",
     "build_diloco",
     "DILOCO_SERVER_LRS",
-    "ContributionTracker",
-    "PowerOfChoiceSampler",
-    "cosine_alignment",
     "Candidate",
     "TrialResult",
     "successive_halving",
@@ -129,8 +126,6 @@ __all__ = [
     "round_robin_assign",
     "ReplicaSet",
     "FailoverController",
-    "TiesAggregator",
-    "ties_merge",
     "PersonalizationResult",
     "personalize",
     "continue_pretraining",

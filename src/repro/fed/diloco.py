@@ -20,8 +20,8 @@ from __future__ import annotations
 from ..config import FedConfig, ModelConfig, OptimConfig
 from ..data.stream import BatchStream
 from ..optim import LRSchedule, WarmupCosine
-from .aggregator import Aggregator
 from .client import LLMClient
+from .engine import SyncAggregator
 from .sampler import FullParticipation
 from .server_opt import NesterovOuter
 
@@ -39,7 +39,7 @@ def build_diloco(model_config: ModelConfig,
                  server_lr: float = 0.1,
                  server_momentum: float = 0.9,
                  schedule: LRSchedule | None = None,
-                 init_seed: int = 0) -> Aggregator:
+                 init_seed: int = 0) -> SyncAggregator:
     """Assemble a DiLoCo aggregator over the given client streams."""
     if not client_streams:
         raise ValueError("DiLoCo needs at least one client stream")
@@ -58,7 +58,7 @@ def build_diloco(model_config: ModelConfig,
         )
         for cid, stream in client_streams.items()
     }
-    return Aggregator(
+    return SyncAggregator(
         model_config=model_config,
         clients=clients,
         server_opt=NesterovOuter(lr=server_lr, momentum=server_momentum),

@@ -1,19 +1,43 @@
 """Round engines: how the federation executes rounds.
 
-The paper's Algorithm 1 is a synchronous barrier: every round samples a
-cohort, waits for *all* survivors and applies ``ServerOpt`` once.  That
-barrier is exactly what the wall-time tables identify as the system
-bottleneck — one straggler paces the whole cohort.  This module splits
-the orchestration loop of :class:`~repro.fed.aggregator.Aggregator`
-into a reusable :class:`RoundEngine` base with two implementations:
+The paper's Algorithm 1 is a dozen lines — sample, broadcast, τ local
+steps, average, ``ServerOpt``, checkpoint.  This module runs it with
+one split: :class:`RoundEngine` owns every *mechanism* exactly once,
+its two subclasses own *policy* only.
 
-* :class:`SyncAggregator` — the original barrier semantics (Algorithm
-  1 L.3–11), unchanged;
-* :class:`AsyncAggregator` — a FedBuff-style buffered asynchronous
-  engine: clients train continuously against whatever global version
-  they last pulled, the server aggregates as soon as ``buffer_size``
-  updates arrive, and stale deltas are down-weighted by a staleness
-  function (default ``1 / (1 + s)^alpha``).
+Mechanisms (``RoundEngine``):
+
+* **one wave path** — :meth:`RoundEngine._train_wave` is the only
+  place clients train: decode the broadcast, run the configured local
+  plane (``sequential`` / ``batched`` / ``procpool``, all bit-exact
+  against each other), move the delta back over the Link with error
+  feedback;
+* **one server-update path** — :meth:`RoundEngine._server_update`
+  merges, steps ``ServerOpt``, saves the weights checkpoint, builds
+  the one :class:`~repro.utils.metrics.RoundRecord` (Link byte window,
+  deadline ledger window, edge-tier report, simulated wall time) and
+  appends it to the history;
+* **one round loop** — :meth:`RoundEngine.run` numbers rounds from the
+  history length, snapshots the run state at update boundaries and
+  takes the failover controller's crash/replicate step as its
+  boundary hook;
+* **collaborators, not branches** — tracing goes through one
+  :class:`~repro.obs.observer.EngineObserver` called unconditionally
+  (a shared null object when tracing is off), and both client planes
+  present the same registry surface (``lease``/``sorted_ids``/
+  ``state_dict``).
+
+Policies:
+
+* :class:`SyncAggregator` — the paper's barrier (Algorithm 1 L.3–11):
+  who is in the cohort, what a client crash does to the round
+  (partial aggregation or a full redo with the error-feedback
+  residuals rewound), how long the barrier took;
+* :class:`AsyncAggregator` — a FedBuff-style buffered event loop:
+  clients train continuously against whatever global version they
+  last pulled, the server flushes as soon as ``buffer_size`` updates
+  arrive (or a deadline closes the window), and stale deltas are
+  down-weighted by a staleness function (default ``1 / (1 + s)^alpha``).
 
 The async engine is event-driven: a priority queue orders simulated
 client-completion events, with per-client durations supplied by a
@@ -56,17 +80,18 @@ from typing import NamedTuple
 import numpy as np
 
 from ..compress.error_feedback import ErrorFeedback
-from ..config import ModelConfig
+from ..config import LOCAL_PLANES, ModelConfig, check_choice
 from ..data.stream import BatchStream
 from ..eval.perplexity import evaluate_perplexity
 from ..net.walltime import JitterModel, WallTimeModel
 from ..nn import DecoderLM
+from ..obs.observer import engine_observer
 from ..obs.trace import NULL_TRACER
 from ..utils.metrics import History, RoundRecord, aggregate_metrics
 from ..utils.serialization import StateDict, tree_mean, tree_norm
 from .batched import batch_eligible, batch_group_key, train_clients_batched
 from .checkpoint import CheckpointManager
-from .client import LLMClient
+from .client import ClientDict, LLMClient
 from .faults import ClientFailure, DeadlinePolicy, DropLedger, FailureModel, FaultPolicy
 from .link import Link, Message
 from .procpool import ProcPool, share_state
@@ -83,33 +108,6 @@ __all__ = [
     "adaptive_step_weights",
     "check_deadline_feasible",
 ]
-
-
-def _planned_steps_for(walltime: WallTimeModel | None, client_id: str,
-                       nominal_steps: int, adaptive: bool) -> int:
-    """Local steps a dispatch to ``client_id`` would plan."""
-    if adaptive and walltime is not None:
-        return walltime.adaptive_local_steps(client_id, nominal_steps)
-    return nominal_steps
-
-
-def _cycle_salvage_steps(walltime: WallTimeModel | None, deadline_s: float,
-                         client_id: str, planned: int, duration: float) -> int:
-    """Whole local steps a cancelled cycle finishes *and uploads* by
-    the deadline, on its realized (possibly jittered) timeline: the
-    download and upload keep their share of the cycle, training stops
-    early enough for the upload to land at the deadline."""
-    if walltime is None:
-        return 0
-    timing = walltime.client_timing(client_id, planned)
-    if timing.total_s <= 0 or timing.compute_s <= 0:
-        return 0
-    realized = duration / timing.total_s  # jitter factor of this cycle
-    per_step = timing.compute_s * realized / planned
-    budget = deadline_s - timing.comm_s * realized
-    if budget <= 0 or per_step <= 0:
-        return 0
-    return max(0, min(planned - 1, int(budget / per_step)))
 
 
 def check_deadline_feasible(deadline: DeadlinePolicy | None,
@@ -131,7 +129,8 @@ def check_deadline_feasible(deadline: DeadlinePolicy | None,
         if fastest <= deadline.deadline_s:
             return
         # No wall-time model means no salvage either (see
-        # _cycle_salvage_steps); a sub-unit deadline is fatal.
+        # AsyncAggregator._salvageable_steps); a sub-unit deadline is
+        # fatal.
         raise ValueError(
             f"deadline_s={deadline.deadline_s} is shorter than the "
             f"fastest client cycle ({fastest:.3g}s): no update could "
@@ -140,8 +139,8 @@ def check_deadline_feasible(deadline: DeadlinePolicy | None,
 
     # One whole-population array pass instead of a per-client timing
     # loop: elementwise bit-exact vs client_timing / adaptive_local_
-    # steps / _cycle_salvage_steps, so the error fires on exactly the
-    # same configs as the legacy walk.
+    # steps / AsyncAggregator._salvageable_steps, so the error fires on
+    # exactly the same configs as the per-client walk.
     if adaptive_local_steps:
         steps = walltime.adaptive_steps_array(client_ids, local_steps)
     else:
@@ -189,63 +188,14 @@ def adaptive_step_weights(steps: list[int]) -> list[float]:
     return [s / total for s in steps]
 
 
+
 # ----------------------------------------------------------------------
-# Checkpoint serialization helpers (repro.fed.runstate): plain-data
-# forms of the value objects the async event loop holds between server
-# updates.  Message payloads are opaque bytes (already Link-encoded),
-# so an in-flight broadcast resumes without re-encoding — the client
-# will decode exactly the bytes the crashed run put on the wire.
+# Checkpoint serialization (repro.fed.runstate): plain-data forms of
+# the value objects the async event loop holds between server updates.
+# Message payloads are opaque bytes (already Link-encoded), so an
+# in-flight broadcast resumes without re-encoding — the client will
+# decode exactly the bytes the crashed run put on the wire.
 # ----------------------------------------------------------------------
-
-def _message_state(message: Message) -> dict:
-    return {
-        "sender": message.sender,
-        "receiver": message.receiver,
-        "payload": message.payload,
-        "metadata": dict(message.metadata),
-    }
-
-
-def _message_from(state: dict) -> Message:
-    return Message(state["sender"], state["receiver"], state["payload"],
-                   dict(state["metadata"]))
-
-
-def _update_state(update: ClientUpdate) -> dict:
-    return {
-        "client_id": update.client_id,
-        "delta": dict(update.delta),
-        "num_steps": update.num_steps,
-        "num_tokens": update.num_tokens,
-        "metrics": dict(update.metrics),
-    }
-
-
-def _update_from(state: dict) -> ClientUpdate:
-    return ClientUpdate(
-        client_id=state["client_id"],
-        delta=dict(state["delta"]),
-        num_steps=int(state["num_steps"]),
-        num_tokens=int(state["num_tokens"]),
-        metrics=dict(state["metrics"]),
-    )
-
-
-def _outcome_state(outcome) -> dict:
-    """An arrival is either a crash or a ``(pulled version, update)``
-    pair awaiting buffer admission."""
-    if isinstance(outcome, ClientFailure):
-        return {"failure": [outcome.client_id, outcome.round_idx]}
-    version, update = outcome
-    return {"version": version, "update": _update_state(update)}
-
-
-def _outcome_from(state: dict):
-    if "failure" in state:
-        client_id, round_idx = state["failure"]
-        return ClientFailure(client_id, int(round_idx))
-    return int(state["version"]), _update_from(state["update"])
-
 
 class _InFlight(NamedTuple):
     """Server-side state of one dispatched pull–train–push cycle."""
@@ -257,6 +207,89 @@ class _InFlight(NamedTuple):
     late: bool  # cycle outlives the deadline (any drop policy)
     timed_out: bool  # cancelled at the deadline instead of completing
     salvaged: bool  # admit_partial: cancelled, but finished steps admitted
+
+
+def _plain(obj) -> dict:
+    """Field dict of a ``Message``/``ClientUpdate`` dataclass."""
+    return dict(vars(obj))
+
+
+def _inflight_state(entry: _InFlight) -> dict:
+    return {**entry._asdict(), "message": _plain(entry.message)}
+
+
+def _inflight_from(state: dict) -> _InFlight:
+    return _InFlight(**{**state, "message": Message(**state["message"])})
+
+
+def _outcome_state(outcome) -> dict:
+    """An arrival is either a crash or a ``(pulled version, update)``
+    pair awaiting buffer admission."""
+    if isinstance(outcome, ClientFailure):
+        return {"failure": [outcome.client_id, outcome.round_idx]}
+    version, update = outcome
+    return {"version": version, "update": _plain(update)}
+
+
+def _outcome_from(state: dict):
+    if "failure" in state:
+        return ClientFailure(*state["failure"])
+    return state["version"], ClientUpdate(**state["update"])
+
+
+def _heap_from(events: list) -> list[tuple[float, int, str]]:
+    heap = [(float(t), int(seq), cid) for t, seq, cid in events]
+    heapq.heapify(heap)
+    return heap
+
+
+def _opt_int(value) -> int | None:
+    return None if value is None else int(value)
+
+
+#: The async event loop's durable state, one row per entry of the
+#: RunState tree: ``(state key, attribute, dump, load)``; a ``None``
+#: dump stores the attribute as it is.  Key order and value shapes are
+#: the ``RUNSTATE_VERSION`` 1 layout (guarded by
+#: ``tests/test_runstate.py``) — change them only with the version.
+_ASYNC_STATE = (
+    ("buffer_size", "buffer_size", None, _opt_int),
+    ("concurrency", "concurrency", None, _opt_int),
+    ("version", "version", None, int),
+    ("clock_s", "clock_s", None, float),
+    ("seq", "_seq", None, int),
+    ("events", "_events", lambda events: [list(e) for e in events], _heap_from),
+    ("inflight", "_inflight",
+     lambda inflight: {c: _inflight_state(e) for c, e in inflight.items()},
+     lambda state: {c: _inflight_from(e) for c, e in state.items()}),
+    ("buffer", "_buffer",
+     lambda buffer: [[pulled, _plain(u)] for pulled, u in buffer],
+     lambda state: [(pulled, ClientUpdate(**u)) for pulled, u in state]),
+    ("idle", "_idle", list, deque),
+    ("availability_deferred", "_availability_deferred", sorted, set),
+    ("failure_streak", "_failure_streak", dict, dict),
+    ("window_retries", "_window_retries", None, int),
+    ("arrivals", "_arrivals",
+     lambda arrivals: [[c, _outcome_state(o)] for c, o in arrivals],
+     lambda state: deque((c, _outcome_from(o)) for c, o in state)),
+    ("failed_pending", "_failed_pending", list, list),
+    ("local_steps", "_local_steps", None, _opt_int),
+    ("last_flush_clock", "_last_flush_clock", None, float),
+    ("bytes_up_mark", "_bytes_up_mark", None, int),
+    ("bytes_down_mark", "_bytes_down_mark", None, int),
+    ("raw_up_mark", "_raw_up_mark", None, int),
+    ("raw_down_mark", "_raw_down_mark", None, int),
+    ("started", "_started", None, bool),
+)
+
+#: ``RoundRecord`` byte field, the Link counter it windows, and the
+#: engine attribute holding the counter's value at the window's start.
+_LINK_WINDOW = (
+    ("comm_bytes_up", "bytes_received", "_bytes_up_mark"),
+    ("comm_bytes_down", "bytes_sent", "_bytes_down_mark"),
+    ("raw_bytes_up", "raw_bytes_received", "_raw_up_mark"),
+    ("raw_bytes_down", "raw_bytes_sent", "_raw_down_mark"),
+)
 
 
 class PolynomialStaleness:
@@ -279,17 +312,75 @@ class PolynomialStaleness:
         return f"PolynomialStaleness(alpha={self.alpha})"
 
 
+
 class RoundEngine:
-    """Shared server state and client plumbing for round engines.
+    """The mechanisms of a federated run, each implemented once.
 
     Owns the global model state, evaluation workspace, Link, sampler,
-    fault machinery and run history; subclasses decide *when* client
-    updates are folded into the global model by implementing
-    :meth:`run_round`.
+    fault machinery and run history, and the three things every
+    engine does the same way: train a wave of clients
+    (:meth:`_train_wave`), turn client updates into a global step and
+    a :class:`RoundRecord` (:meth:`_server_update`), and loop over
+    rounds (:meth:`run`).  Subclasses decide *who* trains and *when*
+    updates are folded in by implementing :meth:`run_round`.
 
-    Parameters mirror the original ``Aggregator`` — see
-    :class:`~repro.fed.aggregator.Aggregator` for their meaning.
+    Parameters
+    ----------
+    model_config:
+        Global model architecture; the initial state comes from a
+        seeded :class:`~repro.nn.DecoderLM` (Algorithm 1 L.2,
+        ``InitModel``) unless ``initial_state`` warm-starts it.
+    clients:
+        The training population keyed by client id — a plain mapping
+        (eager plane) or a
+        :class:`~repro.fed.population.LazyClientPool` (vector plane).
+    server_opt:
+        Aggregation policy (default FedAvg, server lr 1.0).
+    sampler / scheduler / availability:
+        Cohort size, selection policy (default ``random`` reproduces
+        the sampler's draw bit-exactly) and per-round reachability.
+    val_stream / eval_batches:
+        Held-out stream for global-model perplexity.
+    link:
+        Wire transport with byte accounting; ``error_feedback`` keeps
+        per-client compression residuals and engages only when the
+        Link runs a lossy uplink codec, so a lossless run stays
+        bit-exact.
+    walltime / comm_topology:
+        Optional analytic wall-time accounting per server update.
+    weighted:
+        Weight client updates by token counts instead of the paper's
+        uniform mean.
+    max_workers / local_plane:
+        How a wave of local training executes: client-by-client
+        (``sequential``, the bit-exact anchor; threads when
+        ``max_workers > 1``), K stacked homogeneous clients per fused
+        step (``batched``), or a persistent fork pool with
+        shared-memory broadcast buffers (``procpool``).  All three
+        produce identical results — they differ only in throughput.
+    failure_model / fault_policy:
+        Client crash injection and the reaction to it.
+    checkpointer:
+        Weights-only :class:`CheckpointManager`, saved every update.
+    run_checkpointer / checkpoint_every:
+        Full-run durability (:mod:`repro.fed.runstate`): the ENTIRE
+        federation — weights, ServerOpt moments, event queue,
+        scheduler counters, EF residuals, RNG streams — is snapshot
+        every ``checkpoint_every`` server updates, at the boundary.
+    edge_tier:
+        Hierarchical federation (:mod:`repro.fed.edge`): the merge
+        runs region-by-region with an edge→root backhaul hop per
+        region instead of one flat ``tree_mean``.
+    tracer:
+        Flight recorder (:mod:`repro.obs`).  The default
+        ``NULL_TRACER`` consumes no RNG and adds no branches to the
+        math, so traced and untraced runs produce bit-exact histories;
+        trace state is diagnostic and never enters ``state_dict()``.
     """
+
+    #: Discriminator written into checkpoints so a sync artifact
+    #: cannot be restored into an async engine (or vice versa).
+    mode = "sync"
 
     def __init__(self, model_config: ModelConfig, clients: dict[str, LLMClient],
                  server_opt: ServerOpt | None = None,
@@ -305,7 +396,6 @@ class RoundEngine:
                  max_workers: int = 1,
                  failure_model: FailureModel | None = None,
                  fault_policy: FaultPolicy | None = None,
-                 merge_fn=None,
                  initial_state: StateDict | None = None,
                  scheduler: ClientScheduler | None = None,
                  error_feedback: ErrorFeedback | None = None,
@@ -319,13 +409,13 @@ class RoundEngine:
             raise ValueError("the federation needs at least one client")
         self.model_config = model_config
         # A LazyClientPool (vector plane) is kept as-is — copying it
-        # into a dict would materialize the whole population, the
-        # exact thing the pool exists to avoid.
-        self.clients = clients if hasattr(clients, "lease") else dict(clients)
+        # would materialize the whole population, the exact thing the
+        # pool exists to avoid.  A plain mapping becomes a ClientDict,
+        # which answers the same lease/sorted_ids/state_dict calls.
+        self.clients = (clients if hasattr(clients, "lease")
+                        else ClientDict(clients))
         self.server_opt = server_opt or FedAvg(lr=1.0)
         self.sampler = sampler or FullParticipation()
-        # Selection policy; the default ``random`` scheduler reproduces
-        # the pre-scheduler behavior bit-exactly.
         self.scheduler = scheduler or ClientScheduler()
         self.val_stream = val_stream
         self.link = link or Link()
@@ -342,61 +432,29 @@ class RoundEngine:
         # kernels release the GIL.  Results are deterministic either
         # way because each client's RNG stream is its own.
         self.max_workers = max_workers
-        if local_plane not in ("sequential", "batched", "procpool"):
-            raise ValueError(
-                f"local_plane must be 'sequential', 'batched' or "
-                f"'procpool', got {local_plane!r}"
-            )
-        # How a wave of local-training work is executed: client-by-
-        # client ("sequential", the bit-exact anchor), K stacked
-        # homogeneous clients per fused step ("batched"), or a
-        # persistent fork pool with shared-memory broadcast buffers
-        # ("procpool").  All three produce identical results — the
-        # planes differ only in throughput.
+        check_choice("local_plane", local_plane, LOCAL_PLANES)
         self.local_plane = local_plane
         # Engine-lifetime worker resources, created lazily on first
-        # use and torn down on run completion / state_dict() (the old
-        # code built and destroyed a ThreadPoolExecutor per dispatch
-        # batch).
+        # use and torn down on run completion / state_dict().
         self._executor: ThreadPoolExecutor | None = None
         self._procpool: ProcPool | None = None
         self.failure_model = failure_model
         self.fault_policy = fault_policy or FaultPolicy.for_topology(comm_topology)
-        # Custom delta merging (e.g. TIES for heterogeneous clients,
-        # Section 6); None means the paper's uniform/weighted mean.
-        self.merge_fn = merge_fn
-        # Hierarchical federation (repro.fed.edge): when set, the
-        # round merge runs region-by-region with an edge→root backhaul
-        # hop per region instead of one flat tree_mean.  Both rewire
-        # the same merge step, so they are mutually exclusive.
-        if edge_tier is not None and merge_fn is not None:
-            raise ValueError("edge_tier and merge_fn both replace the merge "
-                             "step; configure one or the other")
         self.edge_tier = edge_tier
-        # Compression-residual memory (EF/EF21): engaged only when the
-        # Link actually runs a lossy uplink codec, so a lossless run
-        # with error feedback configured stays bit-exact.
         self.error_feedback = error_feedback
-        # Full-run durability (repro.fed.runstate): a
-        # RunStateCheckpointer snapshots the ENTIRE federation —
-        # weights, ServerOpt moments, event queue, scheduler counters,
-        # EF residuals, RNG streams — every ``checkpoint_every``
-        # server updates, at the server-update boundary.
         if checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
         self.run_checkpointer = run_checkpointer
         self.checkpoint_every = checkpoint_every
-        # Flight recorder (repro.obs): the default NULL_TRACER is a
-        # no-op singleton — it consumes no RNG and adds no branches to
-        # the math, so a traced and an untraced run produce bit-exact
-        # histories (a hypothesis-tested regression anchor).  Trace
-        # state is diagnostic only and never enters state_dict().
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        # Per-region backhaul hops of the last edge merge, stashed by
-        # _consume_edge_report for span emission (enabled tracer only).
-        self._last_region_hops: list = []
+        self.observer = engine_observer(self.tracer)
+        # Deadline accounting and the simulated event clock: only the
+        # async policy keeps a ledger or advances the clock, but the
+        # server-update path and the observer read both.
+        self.drop_ledger: DropLedger | None = None
+        self.clock_s = 0.0
 
         # Algorithm 1 L.2: initialize fresh, or warm-start from a
         # provided state (continual pre-training, Section 6).
@@ -415,6 +473,7 @@ class RoundEngine:
         self.history = History()
         self.total_steps_done = 0
         self.simulated_wall_time_s = 0.0
+        self._open_link_window()
 
     # ------------------------------------------------------------------
     def evaluate(self) -> float:
@@ -424,14 +483,6 @@ class RoundEngine:
         self._eval_model.load_state_dict(self.global_state)
         return evaluate_perplexity(self._eval_model, self.val_stream, self.eval_batches)
 
-    # ------------------------------------------------------------------
-    def _population_ids(self) -> list[str]:
-        """The population in lexicographic id order — precomputed by a
-        LazyClientPool, sorted per call for a plain dict (legacy)."""
-        if hasattr(self.clients, "lease"):
-            return self.clients.sorted_ids()
-        return sorted(self.clients)
-
     def _ef_version(self) -> int:
         """The global version error-feedback residuals are banked
         against (staleness decay's clock).  The sync barrier advances
@@ -440,131 +491,55 @@ class RoundEngine:
         return len(self.history)
 
     # ------------------------------------------------------------------
-    def _merge(self, updates: list[ClientUpdate],
-               deltas: list[StateDict] | None = None,
-               weights: list[float] | None = None) -> StateDict:
-        """Combine client deltas into the round pseudo-gradient (L.8):
-        uniform/token-weighted mean, or the custom ``merge_fn``.
-        ``deltas`` overrides the updates' own deltas (the async engine
-        passes staleness-scaled copies); an explicit ``weights`` takes
-        precedence over token weighting (adaptive local steps)."""
-        if deltas is None:
-            deltas = [u.delta for u in updates]
-        if weights is None:
-            weights = [float(u.num_tokens) for u in updates] if self.weighted else None
-        if self.merge_fn is not None:
-            return self.merge_fn(deltas, weights)
-        if self.edge_tier is not None:
-            return self.edge_tier.aggregate(
-                [u.client_id for u in updates], deltas, weights,
-                version=self._ef_version())
-        return tree_mean(deltas, weights)
-
-    def _consume_edge_report(self, record: RoundRecord) -> None:
-        """Fold the edge tier's per-merge accounting into the round's
-        record (backhaul volume, slowest hop, crash losses)."""
-        report = self.edge_tier.pop_report()
-        record.backhaul_wire_bytes = report.wire_bytes
-        record.backhaul_raw_bytes = report.raw_bytes
-        record.backhaul_hop_s = report.hop_s
-        record.edge_updates_lost = report.updates_lost
-        record.edge_crashes = report.crashes
-        if self.tracer.enabled:
-            self._last_region_hops = report.region_hops
-            meters = self.tracer.meters
-            meters.counter("edge/crashes").inc(report.crashes)
-            meters.counter("edge/updates_lost").inc(report.updates_lost)
-            for region in report.crashed_regions:
-                self.tracer.instant_sim(f"backhaul:{region}", "edge crash",
-                                        self.simulated_wall_time_s,
-                                        region=region)
-
+    # The wave path: the only place clients train
     # ------------------------------------------------------------------
-    # Flight recorder (repro.obs) — every method below is reached only
-    # when ``self.tracer.enabled``; none of them touches an RNG.
-    # ------------------------------------------------------------------
-    def _trace_backhaul(self, sim_end: float, record: RoundRecord) -> None:
-        """Per-region backhaul hop spans at the tail of the server
-        update window (regions transfer in parallel)."""
-        if record.backhaul_hop_s <= 0 or not self._last_region_hops:
-            self._last_region_hops = []
-            return
-        hop_start = sim_end - record.backhaul_hop_s
-        for region, hop_s, wire in self._last_region_hops:
-            self.tracer.span_sim(f"backhaul:{region}", "backhaul hop",
-                                 hop_start, hop_s, wire_bytes=wire)
-        self._last_region_hops = []
+    def _train_wave(self, tasks: list[tuple[str, Message, RoundInfo]]
+                    ) -> list[ClientUpdate]:
+        """Train a wave of (client, broadcast, round-info) tasks
+        through the configured local plane; updates come back in task
+        order (L.6–7).
 
-    def _sample_meters(self, server_update: int) -> None:
-        """Publish component counters into the meter registry and let
-        the tracer flush a periodic metrics line."""
-        meters = self.tracer.meters
-        link = self.link
-        for name in ("bytes_sent", "bytes_received", "raw_bytes_sent",
-                     "raw_bytes_received", "uplink_wire_bytes",
-                     "uplink_raw_bytes", "downlink_wire_bytes",
-                     "downlink_raw_bytes", "messages_sent"):
-            meters.gauge(f"link/{name}").set(getattr(link, name))
-        ledger = getattr(self, "drop_ledger", None)
-        if ledger is not None:
-            meters.gauge("ledger/dropped_steps").set(ledger.total_dropped_steps)
-            meters.gauge("ledger/dropped_bytes").set(ledger.total_dropped_bytes)
-            meters.gauge("ledger/deadline_misses").set(
-                ledger.total_deadline_misses)
-            meters.gauge("ledger/salvaged_steps").set(
-                ledger.total_salvaged_steps)
-            meters.gauge("ledger/cancelled_cycles").set(
-                ledger.total_cancelled_cycles)
-        pool = self.clients
-        if hasattr(pool, "lease"):
-            meters.gauge("pool/materializations").set(pool.materializations)
-            meters.gauge("pool/evictions").set(pool.evictions)
-            meters.gauge("pool/hits").set(pool.hits)
-            meters.gauge("pool/live").set(pool.live_count())
-        if self.edge_tier is not None:
-            tier = self.edge_tier
-            meters.gauge("edge/backhaul_wire_bytes").set(
-                tier.backhaul.uplink_wire_bytes)
-            meters.gauge("edge/backhaul_raw_bytes").set(
-                tier.backhaul.uplink_raw_bytes)
-        ef = self.error_feedback
-        if ef is not None and self.link.uplink_codec is not None:
-            meters.histogram("ef/residual_norm").observe(
-                ef.total_residual_norm())
-        self.tracer.tick(server_update)
-
-    # ------------------------------------------------------------------
-    def _collect_update(self, client_id: str, message: Message,
-                        round_info: RoundInfo) -> ClientUpdate:
-        """The client half of the exchange both engines share: decode
-        the broadcast, run local training, move the delta back over
-        the Link (L.6–7).
-
-        The delta the aggregator folds in is what came *off the wire*
-        — with a lossy uplink codec that is the reconstruction, and
-        error feedback (when configured) adds the client's residual
-        before encoding and banks whatever this cycle's encode lost.
+        Every plane decodes each broadcast, trains, then moves the
+        delta over the Link (:meth:`_finish_update`).  The Link's
+        codec streams and the EF residuals are per client channel, so
+        the wire phase is byte-identical whether a wave trains client
+        by client, stacked, or across processes.
         """
+        if not tasks:
+            return []
+        with self.tracer.host_span("engine", f"wave[{self.local_plane}]",
+                                   jobs=len(tasks)):
+            if self.local_plane == "sequential":
+                if self.max_workers > 1 and len(tasks) > 1:
+                    return list(self._get_executor().map(self._train_task, tasks))
+                return [self._train_task(task) for task in tasks]
+            states = [self.link.recv_state(message)[0]
+                      for _, message, _ in tasks]
+            train = (self._train_states_batched
+                     if self.local_plane == "batched"
+                     else self._train_states_procpool)
+            return [self._finish_update(task[0], update)
+                    for task, update in zip(tasks, train(tasks, states))]
+
+    def _train_task(self, task: tuple[str, Message, RoundInfo]) -> ClientUpdate:
+        """The sequential plane's whole exchange for one client.  The
+        broadcast is decoded here, not up front: one decoded state is
+        alive per worker, however large the wave."""
+        client_id, message, round_info = task
         state, _ = self.link.recv_state(message)
-        if hasattr(self.clients, "lease"):
-            # Vector plane: pin the lazily-materialized client for the
-            # duration of training so LRU eviction cannot park it
-            # mid-step (worker threads train concurrently).
-            with self.clients.lease(client_id) as client:
-                update = client.train(state, round_info)
-        else:
-            update = self.clients[client_id].train(state, round_info)
+        # Leased so LRU eviction cannot park a lazily-materialized
+        # client mid-step (worker threads train concurrently).
+        with self.clients.lease(client_id) as client:
+            update = client.train(state, round_info)
         return self._finish_update(client_id, update)
 
     def _finish_update(self, client_id: str,
                        update: ClientUpdate) -> ClientUpdate:
-        """Move a trained delta back over the Link (the wire half of
-        :meth:`_collect_update`): error feedback adds the banked
-        residual before encoding, the aggregator keeps what came off
-        the wire.  Each (client, agg) channel has its own codec RNG
-        stream, so replaying the wire phase per task in a fixed order
-        is byte-identical whether training ran sequentially, stacked,
-        or across processes."""
+        """Move a trained delta back over the Link.  The delta the
+        server folds in is what came *off the wire* — with a lossy
+        uplink codec that is the reconstruction, and error feedback
+        (when configured) adds the client's banked residual before
+        encoding and banks whatever this cycle's encode lost."""
         outbound = update.delta
         ef = (self.error_feedback
               if self.link.uplink_codec is not None else None)
@@ -581,67 +556,15 @@ class RoundEngine:
         update.delta = delta
         return update
 
-    # ------------------------------------------------------------------
-    # Parallel local planes
-    # ------------------------------------------------------------------
-    def _get_executor(self) -> ThreadPoolExecutor:
-        """The persistent dispatch thread pool (lazy; reused across
-        every flush until :meth:`_shutdown_workers`)."""
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def _get_procpool(self) -> ProcPool:
-        if self._procpool is None:
-            self._procpool = ProcPool(self.clients, self.max_workers,
-                                      tracer=self.tracer)
-        return self._procpool
-
-    def _shutdown_workers(self) -> None:
-        """Tear down the lazy worker resources.  Called when a run
-        completes and before serializing engine state — a checkpoint
-        must never capture live pool handles, and a procpool fork must
-        be re-taken after a resume mutates the parent's clients."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-        if self._procpool is not None:
-            self._procpool.close()
-            self._procpool = None
-
-    def _train_wave(self, tasks: list[tuple[str, Message, RoundInfo]]
-                    ) -> list[ClientUpdate]:
-        """Run a wave of (client, broadcast, round-info) tasks through
-        the configured non-sequential local plane.
-
-        Broadcast decodes happen serially in task order, training runs
-        through the plane, and the uplink wire phase replays serially
-        in task order — so meters, codec streams and EF residuals are
-        byte-identical to the sequential plane.
-        """
-        with self.tracer.host_span("engine", f"wave[{self.local_plane}]",
-                                   jobs=len(tasks)):
-            states = [self.link.recv_state(message)[0]
-                      for _, message, _ in tasks]
-            if self.local_plane == "batched":
-                updates = self._train_states_batched(tasks, states)
-            else:
-                updates = self._train_states_procpool(tasks, states)
-            return [self._finish_update(task[0], update)
-                    for task, update in zip(tasks, updates)]
-
     def _train_states_batched(self, tasks, states) -> list[ClientUpdate]:
         """Group shape/hyperparameter-homogeneous clients and train
         each group in one fused stacked step; ineligible clients fall
-        back to the sequential path inside the same wave."""
+        back to a solo ``train`` inside the same wave."""
         with ExitStack() as stack:
-            if hasattr(self.clients, "lease"):
-                clients = [
-                    stack.enter_context(self.clients.lease(client_id))
-                    for client_id, _, _ in tasks
-                ]
-            else:
-                clients = [self.clients[client_id] for client_id, _, _ in tasks]
+            # Leased for the whole wave: LRU eviction must not park a
+            # lazily-materialized client mid-step.
+            clients = [stack.enter_context(self.clients.lease(client_id))
+                       for client_id, _, _ in tasks]
             updates: list[ClientUpdate | None] = [None] * len(tasks)
             groups: dict = {}
             for idx, client in enumerate(clients):
@@ -673,8 +596,9 @@ class RoundEngine:
         the job and back with the result, so the parent stays
         authoritative and results do not depend on worker assignment.
         """
-        pool = self._get_procpool()
-        lease = hasattr(self.clients, "lease")
+        if self._procpool is None:
+            self._procpool = ProcPool(self.clients, self.max_workers,
+                                      tracer=self.tracer)
         segments: dict = {}
         jobs = []
         for (client_id, _, round_info), state in zip(tasks, states):
@@ -685,16 +609,13 @@ class RoundEngine:
             if key not in segments:
                 segments[key] = share_state(state)
             shm, layout = segments[key]
-            if lease:
-                with self.clients.lease(client_id) as client:
-                    client_state = client.state_dict()
-            else:
-                client_state = self.clients[client_id].state_dict()
+            with self.clients.lease(client_id) as client:
+                client_state = client.state_dict()
             jobs.append((client_id, client_state, round_info.round_idx,
                          round_info.local_steps, round_info.global_step_base,
                          shm.name, layout))
         try:
-            results = pool.train(jobs)
+            results = self._procpool.train(jobs)
         finally:
             for shm, _ in segments.values():
                 shm.close()
@@ -704,34 +625,152 @@ class RoundEngine:
             delta, new_state, metrics, num_tokens, num_steps = result
             # Fold the worker's durable state (stream RNG positions,
             # counters, retained momenta) back into the parent client.
-            if lease:
-                with self.clients.lease(client_id) as client:
-                    client.load_state_dict(new_state)
-            else:
-                self.clients[client_id].load_state_dict(new_state)
+            with self.clients.lease(client_id) as client:
+                client.load_state_dict(new_state)
             updates.append(ClientUpdate(
                 client_id=client_id, delta=delta, num_steps=num_steps,
                 num_tokens=num_tokens, metrics=metrics,
             ))
         return updates
 
+    def _get_executor(self) -> ThreadPoolExecutor:
+        """The persistent dispatch thread pool (lazy; reused across
+        every wave until :meth:`_shutdown_workers`)."""
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
+        return self._executor
+
+    def _shutdown_workers(self) -> None:
+        """Tear down the lazy worker resources.  Called when a run
+        completes and before serializing engine state — a checkpoint
+        must never capture live pool handles, and a procpool fork must
+        be re-taken after a resume mutates the parent's clients."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+            self._executor = None
+        if self._procpool is not None:
+            self._procpool.close()
+            self._procpool = None
+
+    # ------------------------------------------------------------------
+    # The server-update path: the only place a RoundRecord is built
+    # ------------------------------------------------------------------
+    def _open_link_window(self) -> None:
+        """Mark the Link's byte counters: everything the Link moves
+        from here on is billed to the next server update."""
+        for _, counter, mark in _LINK_WINDOW:
+            setattr(self, mark, getattr(self.link, counter))
+
+    def _close_link_window(self) -> dict[str, int]:
+        """Bytes moved since the mark, per ``RoundRecord`` field; the
+        next window opens where this one closes."""
+        window = {field: getattr(self.link, counter) - getattr(self, mark)
+                  for field, counter, mark in _LINK_WINDOW}
+        self._open_link_window()
+        return window
+
+    def _server_update(self, round_idx: int, updates: list[ClientUpdate],
+                       local_steps: int, *, elapsed_s: float,
+                       failed, retries: int,
+                       deltas: list[StateDict] | None = None,
+                       weights: list[float] | None = None,
+                       metrics: list[dict] | None = None,
+                       cohort: list[str] | None = None) -> RoundRecord:
+        """Fold client updates into the global model and record the
+        round (Algorithm 1 L.8–11): merge, ``ServerOpt``, weights
+        checkpoint, the ``RoundRecord``, history.
+
+        The policy supplies what only it knows: ``deltas`` override
+        the updates' own (the async engine passes staleness-scaled
+        copies), explicit ``weights`` take precedence over token
+        weighting (unequal local steps), ``metrics`` are the per-update
+        dicts to aggregate, ``failed``/``retries`` the crash outcome,
+        ``elapsed_s`` the simulated time the update waited for clients
+        and ``cohort`` everyone a barrier round asked to train.
+        """
+        if deltas is None:
+            deltas = [u.delta for u in updates]
+        if weights is None and self.weighted:
+            weights = [float(u.num_tokens) for u in updates]
+        clients = [u.client_id for u in updates]
+        if self.edge_tier is not None:
+            pseudo_grad = self.edge_tier.aggregate(
+                clients, deltas, weights, version=self._ef_version())
+        else:
+            pseudo_grad = tree_mean(deltas, weights)
+        self.global_state = self.server_opt.step(self.global_state, pseudo_grad)
+        self.total_steps_done += local_steps
+        if self.checkpointer is not None:
+            self.checkpointer.save(
+                round_idx, self.global_state,
+                metadata={"clients": clients if cohort is None else cohort})
+
+        record = RoundRecord(
+            round_idx=round_idx,
+            val_perplexity=self.evaluate(),
+            train_loss=float(np.mean([u.metrics["train_loss_mean"] for u in updates])),
+            clients=clients,
+            pseudo_grad_norm=tree_norm(pseudo_grad),
+            client_metrics=aggregate_metrics(
+                metrics if metrics is not None else [u.metrics for u in updates]),
+            failed_clients=sorted(set(failed)),
+            retries=retries,
+            **self._close_link_window(),
+            **(self.drop_ledger.flush() if self.drop_ledger is not None else {}),
+        )
+        if self.edge_tier is not None:
+            # Backhaul volume, slowest hop and crash losses of the
+            # hierarchical merge above.
+            report = self.edge_tier.pop_report()
+            record.backhaul_wire_bytes = report.wire_bytes
+            record.backhaul_raw_bytes = report.raw_bytes
+            record.backhaul_hop_s = report.hop_s
+            record.edge_updates_lost = report.updates_lost
+            record.edge_crashes = report.crashes
+            self.observer.edge_merged(report, self.simulated_wall_time_s)
+        # Without a wall-time model the clocks tick placeholder units;
+        # leave the public timing fields at 0.0 rather than reporting
+        # fake seconds.  With one, the update additionally waits for
+        # the slowest edge→root backhaul hop (zero on the flat path).
+        if self.walltime is not None:
+            record.wall_time_s = elapsed_s + record.backhaul_hop_s
+            self.simulated_wall_time_s += record.wall_time_s
+        self.history.append(record)
+        self.observer.server_update(self, record, elapsed_s, cohort, local_steps)
+        return record
+
+    # ------------------------------------------------------------------
+    # The round loop
+    # ------------------------------------------------------------------
     def run_round(self, round_idx: int, local_steps: int) -> RoundRecord:
         """Advance the federation by one server update."""
         raise NotImplementedError
 
     def run(self, rounds: int, local_steps: int,
             target_perplexity: float | None = None,
-            start_round: int = 0) -> History:
-        """Run ``rounds`` federated rounds; optionally stop early once
-        the validation perplexity reaches ``target_perplexity``.
-        ``start_round`` offsets the round numbering — a resumed run
-        continues the indices of the run it restored."""
+            boundary=None) -> History:
+        """Run ``rounds`` more server updates; optionally stop early
+        once the validation perplexity reaches ``target_perplexity``.
+
+        Rounds are numbered from the history length, so a resumed run
+        — or a second ``run`` call — continues the indices (and the
+        failure/availability draws and checkpoint steps keyed on them)
+        where the history stops.  ``boundary(completed) -> bool`` is
+        called after every update; returning True means it rolled the
+        engine back (a server crash recovered from a replica,
+        :class:`~repro.fed.failover.FailoverController`) and the loop
+        replays from the restored history.
+        """
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
+        target = len(self.history) + rounds
         try:
-            for t in range(start_round, start_round + rounds):
+            while len(self.history) < target:
+                t = len(self.history)
                 with self.tracer.host_span("engine", f"round {t}"):
                     record = self.run_round(t, local_steps)
+                if boundary is not None and boundary(len(self.history)):
+                    continue
                 self._maybe_checkpoint()
                 if (target_perplexity is not None
                         and record.val_perplexity <= target_perplexity):
@@ -751,9 +790,13 @@ class RoundEngine:
     # ------------------------------------------------------------------
     # Checkpoint protocol (repro.fed.runstate)
     # ------------------------------------------------------------------
-    #: Discriminator written into checkpoints so a sync artifact
-    #: cannot be restored into an async engine (or vice versa).
-    mode = "sync"
+    def _components(self):
+        """Optional stateful collaborators, by state key."""
+        return (("availability", self.availability),
+                ("failure_model", self.failure_model),
+                ("error_feedback", self.error_feedback),
+                ("walltime", self.walltime),
+                ("edge_tier", self.edge_tier))
 
     def state_dict(self) -> dict:
         """Full durable state of the federation this engine runs.
@@ -766,10 +809,6 @@ class RoundEngine:
         Subclasses extend with their own event-loop state.
         """
         self._shutdown_workers()
-
-        def opt(component):
-            return None if component is None else component.state_dict()
-
         return {
             "mode": self.mode,
             "global_state": {k: v.copy() for k, v in self.global_state.items()},
@@ -779,20 +818,12 @@ class RoundEngine:
             "scheduler": self.scheduler.state_dict(),
             "sampler": self.sampler.state_dict(),
             "link": self.link.state_dict(),
-            "availability": opt(self.availability),
-            "failure_model": opt(self.failure_model),
-            "error_feedback": opt(self.error_feedback),
-            "walltime": opt(self.walltime),
-            "edge_tier": opt(self.edge_tier),
-            "clients": (
-                self.clients.state_dict()
-                if hasattr(self.clients, "lease")
-                else {cid: c.state_dict() for cid, c in self.clients.items()}
-            ),
+            **{key: None if component is None else component.state_dict()
+               for key, component in self._components()},
+            "clients": self.clients.state_dict(),
             "val_stream": (
                 self.val_stream.state_dict()
-                if self.val_stream is not None
-                and hasattr(self.val_stream, "state_dict") else None
+                if hasattr(self.val_stream, "state_dict") else None
             ),
             "history": [asdict(r) for r in self.history],
         }
@@ -816,30 +847,20 @@ class RoundEngine:
         self.scheduler.load_state_dict(state["scheduler"])
         self.sampler.load_state_dict(state["sampler"])
         self.link.load_state_dict(state["link"])
-        for component, key in ((self.availability, "availability"),
-                               (self.failure_model, "failure_model"),
-                               (self.error_feedback, "error_feedback"),
-                               (self.walltime, "walltime"),
-                               (self.edge_tier, "edge_tier")):
+        for key, component in self._components():
             if component is not None and state.get(key) is not None:
                 component.load_state_dict(state[key])
-        if hasattr(self.clients, "lease"):
-            # Pool checkpoints carry only the touched clients; the
-            # pool validates every id against its population.
-            self.clients.load_state_dict(state["clients"])
-        else:
-            if state["clients"].keys() != self.clients.keys():
-                raise KeyError("checkpoint clients do not match the federation")
-            for cid, client_state in state["clients"].items():
-                self.clients[cid].load_state_dict(client_state)
-        if (self.val_stream is not None and state.get("val_stream") is not None
+        # A pool checkpoint carries only the touched clients; either
+        # registry validates the ids against its own population.
+        self.clients.load_state_dict(state["clients"])
+        if (state.get("val_stream") is not None
                 and hasattr(self.val_stream, "load_state_dict")):
             self.val_stream.load_state_dict(state["val_stream"])
         self.history = History([RoundRecord(**r) for r in state["history"]])
 
 
 class SyncAggregator(RoundEngine):
-    """Synchronous barrier engine — Algorithm 1 exactly as published.
+    """Synchronous barrier policy — Algorithm 1 exactly as published.
 
     Per round: sample a cohort, broadcast the global model, wait for
     *every* survivor, average, apply ``ServerOpt``.  Fault handling
@@ -847,10 +868,35 @@ class SyncAggregator(RoundEngine):
     partial updates; RAR redoes the round).
     """
 
-    # ------------------------------------------------------------------
+    def _run_cohort(self, cohort: list[str], round_info: RoundInfo
+                    ) -> tuple[list[ClientUpdate], list[str]]:
+        """One attempt at the round: broadcast to and train everyone
+        who does not crash; returns ``(survivors' updates, crashed
+        ids)``, both in cohort order."""
+        # Failure draws happen serially, in cohort order, so the
+        # FailureModel's RNG stream is consumed identically for any
+        # max_workers (np.random.Generator is not thread-safe).
+        doomed = {
+            cid for cid in cohort
+            if self.failure_model is not None
+            and self.failure_model.should_fail(cid, round_info.round_idx)
+        }
+        # Broadcasts go out serially in cohort order (L.5–6); the
+        # survivors then train as one wave (L.7).
+        tasks = [
+            (cid,
+             self.link.send_state(
+                 self.global_state, sender="agg", receiver=cid,
+                 metadata={"round": round_info.round_idx,
+                           "local_steps": round_info.local_steps}),
+             round_info)
+            for cid in cohort if cid not in doomed
+        ]
+        return self._train_wave(tasks), [cid for cid in cohort if cid in doomed]
+
     def run_round(self, round_idx: int, local_steps: int) -> RoundRecord:
         """Execute one federated round (Algorithm 1 L.3–11)."""
-        population = self._population_ids()
+        population = self.clients.sorted_ids()
         if self.availability is not None:
             population = self.availability.available(population, round_idx)
         # Selection routes through the scheduler: ``random`` returns
@@ -868,77 +914,13 @@ class SyncAggregator(RoundEngine):
                 if self.walltime is not None else None
             ),
         )
-        self.tracer.meters.counter("scheduler/cohorts").inc()
-        self.tracer.meters.counter("scheduler/selected").inc(len(selected))
-
-        bytes_up_before = self.link.bytes_received
-        bytes_down_before = self.link.bytes_sent
-        raw_up_before = self.link.raw_bytes_received
-        raw_down_before = self.link.raw_bytes_sent
-
+        self.observer.cohort(len(selected))
+        self._open_link_window()
         round_info = RoundInfo(
             round_idx=round_idx,
             local_steps=local_steps,
             global_step_base=self.total_steps_done,
         )
-        def run_client(client_id: str):
-            # Broadcast global parameters (L.5–6), then run the shared
-            # train-and-upload exchange (L.7).
-            message = self.link.send_state(
-                self.global_state, sender="agg", receiver=client_id,
-                metadata={"round": round_idx, "local_steps": local_steps},
-            )
-            return self._collect_update(client_id, message, round_info)
-
-        def run_cohort(cohort: list[str]):
-            """Run every client, separating survivors from failures."""
-            survivors, failed = [], []
-            # Failure draws happen serially, in cohort order, so the
-            # FailureModel's RNG stream is consumed identically for
-            # any max_workers (np.random.Generator is not thread-safe).
-            doomed = {
-                cid for cid in cohort
-                if self.failure_model is not None
-                and self.failure_model.should_fail(cid, round_idx)
-            }
-
-            def guarded(client_id: str):
-                if client_id in doomed:
-                    return ClientFailure(client_id, round_idx)
-                return run_client(client_id)
-
-            if self.local_plane != "sequential":
-                # Batched / procpool: broadcasts go out serially in
-                # cohort order, the survivors train as one wave, and
-                # the wire phase replays in the same order — identical
-                # Link/EF behavior to the sequential plane.
-                tasks = [
-                    (cid,
-                     self.link.send_state(
-                         self.global_state, sender="agg", receiver=cid,
-                         metadata={"round": round_idx,
-                                   "local_steps": local_steps},
-                     ),
-                     round_info)
-                    for cid in cohort if cid not in doomed
-                ]
-                trained = {task[0]: update for task, update
-                           in zip(tasks, self._train_wave(tasks))}
-                outcomes = [
-                    ClientFailure(cid, round_idx) if cid in doomed
-                    else trained[cid]
-                    for cid in cohort
-                ]
-            elif self.max_workers > 1 and len(cohort) > 1:
-                outcomes = list(self._get_executor().map(guarded, cohort))
-            else:
-                outcomes = [guarded(cid) for cid in cohort]
-            for outcome in outcomes:
-                if isinstance(outcome, ClientFailure):
-                    failed.append(outcome.client_id)
-                else:
-                    survivors.append(outcome)
-            return survivors, failed
 
         # Execute with the configured fault policy (Section 4: PS/AR
         # aggregate partial updates; RAR must redo the round).  A
@@ -950,7 +932,7 @@ class SyncAggregator(RoundEngine):
               if self.link.uplink_codec is not None else None)
         ef_snapshot = ef.snapshot() if ef is not None else None
         retries = 0
-        updates, failed = run_cohort(selected)
+        updates, failed = self._run_cohort(selected, round_info)
         while failed:
             if self.fault_policy.mode == "strict":
                 raise ClientFailure(failed[0], round_idx)
@@ -967,7 +949,7 @@ class SyncAggregator(RoundEngine):
             retries += 1
             if ef is not None:
                 ef.restore(ef_snapshot)
-            updates, failed = run_cohort(selected)
+            updates, failed = self._run_cohort(selected, round_info)
 
         # Scheduler feedback for the stat-utility term (serial, in
         # cohort completion order — a no-op at weight 0).
@@ -975,84 +957,17 @@ class SyncAggregator(RoundEngine):
             self.scheduler.note_result(
                 update.client_id, update.metrics.get("train_loss_mean"))
 
-        # Aggregate (L.8): uniform mean by default, or a custom merge
-        # (e.g. TIES) when configured.
-        pseudo_grad = self._merge(updates)
-        self.global_state = self.server_opt.step(self.global_state, pseudo_grad)
-        self.total_steps_done += local_steps
-
-        if self.checkpointer is not None:
-            self.checkpointer.save(round_idx, self.global_state,
-                                   metadata={"clients": selected})
-
-        record = RoundRecord(
-            round_idx=round_idx,
-            val_perplexity=self.evaluate(),
-            train_loss=float(np.mean([u.metrics["train_loss_mean"] for u in updates])),
-            clients=[u.client_id for u in updates],
-            comm_bytes_up=self.link.bytes_received - bytes_up_before,
-            comm_bytes_down=self.link.bytes_sent - bytes_down_before,
-            raw_bytes_up=self.link.raw_bytes_received - raw_up_before,
-            raw_bytes_down=self.link.raw_bytes_sent - raw_down_before,
-            pseudo_grad_norm=tree_norm(pseudo_grad),
-            client_metrics=aggregate_metrics([u.metrics for u in updates]),
-            failed_clients=sorted(set(selected) - {u.client_id for u in updates}),
-            retries=retries,
-        )
-        if self.edge_tier is not None:
-            self._consume_edge_report(record)
+        # The barrier is timed over everyone *asked* to train — failed
+        # clients consumed barrier time before dropping out — and a
+        # redone round (RAR dropout semantics) costs full wall time per
+        # attempt.
+        elapsed_s = 0.0
         if self.walltime is not None:
-            # Timed over everyone *asked* to train: failed clients
-            # consumed barrier time before dropping out.
-            timing = self.walltime.cohort_timing(
-                self.comm_topology, selected, local_steps,
-            )
-            # Redone rounds (RAR dropout semantics) cost full wall time
-            # per attempt.
-            # ... plus the slowest edge→root backhaul hop when a tier
-            # is configured (zero on the flat path).
-            record.wall_time_s = (timing.total_s * (1 + retries)
-                                  + record.backhaul_hop_s)
-            self.simulated_wall_time_s += record.wall_time_s
-        self.history.append(record)
-        if self.tracer.enabled:
-            self._trace_round(record, selected, local_steps, retries)
-            self._sample_meters(len(self.history))
-        return record
-
-    def _trace_round(self, record: RoundRecord, selected: list[str],
-                     local_steps: int, retries: int) -> None:
-        """Simulated-clock spans for one barrier round: the round span
-        on the server track, per-client cycle spans (with train/comm
-        children) per attempt, and the backhaul hops at the tail.
-        ``client_timing`` is deterministic, so re-deriving the
-        per-client split here consumes no RNG."""
-        sim_end = self.simulated_wall_time_s
-        start = sim_end - record.wall_time_s
-        self.tracer.span_sim(
-            "server", f"round {record.round_idx}", start, record.wall_time_s,
-            clients=len(record.clients), failed=len(record.failed_clients),
-            retries=retries)
-        if self.walltime is not None and record.wall_time_s > 0:
-            attempt_s = ((record.wall_time_s - record.backhaul_hop_s)
-                         / (1 + retries))
-            for attempt in range(1 + retries):
-                a0 = start + attempt * attempt_s
-                for cid in selected:
-                    timing = self.walltime.client_timing(cid, local_steps)
-                    dur = min(timing.total_s, attempt_s)
-                    track = f"client:{cid}"
-                    self.tracer.span_sim(
-                        track, "cycle", a0, dur, client=cid,
-                        steps=local_steps, compute_s=timing.compute_s,
-                        comm_s=timing.comm_s, base_s=timing.total_s,
-                        outcome=("failed" if cid in record.failed_clients
-                                 else "ok"))
-                    compute = min(timing.compute_s, dur)
-                    self.tracer.span_sim(track, "local train", a0, compute)
-                    self.tracer.span_sim(track, "uplink+broadcast",
-                                         a0 + compute, dur - compute)
-        self._trace_backhaul(sim_end, record)
+            elapsed_s = (1 + retries) * self.walltime.cohort_timing(
+                self.comm_topology, selected, local_steps).total_s
+        return self._server_update(
+            round_idx, updates, local_steps, elapsed_s=elapsed_s,
+            failed=failed, retries=retries, cohort=selected)
 
 
 class AsyncAggregator(RoundEngine):
@@ -1131,6 +1046,8 @@ class AsyncAggregator(RoundEngine):
     whenever it fills), the staleness pattern just becomes periodic.
     """
 
+    mode = "async"
+
     def __init__(self, *args, buffer_size: int | None = None,
                  staleness_fn=None, staleness_alpha: float = 0.5,
                  concurrency: int | None = None,
@@ -1151,7 +1068,6 @@ class AsyncAggregator(RoundEngine):
         self.drop_ledger = DropLedger()
 
         self.version = 0  # server updates applied so far
-        self.clock_s = 0.0  # simulated wall clock
         self._events: list[tuple[float, int, str]] = []  # (time, seq, client)
         self._seq = 0
         self._inflight: dict[str, _InFlight] = {}
@@ -1172,17 +1088,7 @@ class AsyncAggregator(RoundEngine):
         self._failed_pending: list[str] = []
         self._local_steps: int | None = None
         self._last_flush_clock = 0.0
-        self._bytes_up_mark = 0
-        self._bytes_down_mark = 0
-        self._raw_up_mark = 0
-        self._raw_down_mark = 0
         self._started = False
-        # Flight-recorder bookkeeping (repro.obs), populated only when
-        # the tracer is enabled and never checkpointed: dispatch-time
-        # cycle info (start clock, base compute/comm split, queueing
-        # wait) and the clock at which each idle client last arrived.
-        self._trace_dispatch: dict[str, tuple] = {}
-        self._trace_idle_since: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Dispatch / completion machinery
@@ -1227,15 +1133,28 @@ class AsyncAggregator(RoundEngine):
     def _planned_steps(self, client_id: str) -> int:
         """Local steps for the next pull: nominal, or scaled down by
         the client's compute slowdown under ``adaptive_local_steps``."""
-        return _planned_steps_for(self.walltime, client_id,
-                                  self._local_steps, self.adaptive_local_steps)
+        if self.adaptive_local_steps and self.walltime is not None:
+            return self.walltime.adaptive_local_steps(client_id,
+                                                      self._local_steps)
+        return self._local_steps
 
     def _salvageable_steps(self, client_id: str, planned: int,
                            duration: float) -> int:
-        """Whole local steps this cancelled cycle finishes and uploads
-        by the deadline (see :func:`_cycle_salvage_steps`)."""
-        return _cycle_salvage_steps(self.walltime, self.deadline.deadline_s,
-                                    client_id, planned, duration)
+        """Whole local steps a cancelled cycle finishes *and uploads*
+        by the deadline, on its realized (possibly jittered) timeline:
+        the download and upload keep their share of the cycle, training
+        stops early enough for the upload to land at the deadline."""
+        if self.walltime is None:
+            return 0
+        timing = self.walltime.client_timing(client_id, planned)
+        if timing.total_s <= 0 or timing.compute_s <= 0:
+            return 0
+        realized = duration / timing.total_s  # jitter factor of this cycle
+        per_step = timing.compute_s * realized / planned
+        budget = self.deadline.deadline_s - timing.comm_s * realized
+        if budget <= 0 or per_step <= 0:
+            return 0
+        return max(0, min(planned - 1, int(budget / per_step)))
 
     def _dispatch(self, client_id: str, planned: int | None = None,
                   duration: float | None = None) -> None:
@@ -1272,18 +1191,7 @@ class AsyncAggregator(RoundEngine):
         heapq.heappush(self._events, (self.clock_s + duration, self._seq, client_id))
         self._seq += 1
         self.scheduler.note_selected(client_id, self.version)
-        if self.tracer.enabled:
-            if self.walltime is not None:
-                timing = self.walltime.client_timing(client_id, steps)
-                compute, comm = timing.compute_s, timing.comm_s
-            else:
-                compute, comm = 1.0, 0.0
-            self._trace_dispatch[client_id] = (
-                self.clock_s, compute, comm,
-                self.clock_s - self._trace_idle_since.pop(client_id,
-                                                          self.clock_s),
-            )
-            self.tracer.meters.counter("scheduler/dispatches").inc()
+        self.observer.dispatched(self, client_id, steps)
 
     def _dispatch_batch(self, dispatch: list[str]) -> None:
         """Dispatch one wave with planned steps, base durations and
@@ -1370,15 +1278,12 @@ class AsyncAggregator(RoundEngine):
                 )
             return
         self._local_steps = local_steps
-        # Byte-accounting marks: every byte the Link moves between two
-        # flushes (including the dispatches that seeded the buffer) is
-        # attributed to the flush that closes the window.  Only work
-        # still in flight when the run ends goes unattributed.
-        self._bytes_up_mark = self.link.bytes_received
-        self._bytes_down_mark = self.link.bytes_sent
-        self._raw_up_mark = self.link.raw_bytes_received
-        self._raw_down_mark = self.link.raw_bytes_sent
-        population = self._population_ids()
+        # Every byte the Link moves between two flushes (including the
+        # dispatches that seeded the buffer) is attributed to the flush
+        # that closes the window.  Only work still in flight when the
+        # run ends goes unattributed.
+        self._open_link_window()
+        population = self.clients.sorted_ids()
         selected = self.sampler.sample(population, 0)
         if self.buffer_size is None:
             self.buffer_size = len(selected)
@@ -1409,21 +1314,6 @@ class AsyncAggregator(RoundEngine):
             batch.append(heapq.heappop(self._events)[2])
         self.clock_s = t
         return batch
-
-    def _train_completed(self, client_id: str):
-        """Materialize the training a client finished at this event:
-        run its local steps from the state it pulled and move the
-        delta over the Link."""
-        entry = self._inflight.pop(client_id)
-        round_info = RoundInfo(
-            round_idx=entry.version,
-            local_steps=entry.steps,
-            # The LR schedule stays synchronized on the *nominal* step
-            # count even when adaptive steps shrink a slow client's τ.
-            global_step_base=entry.version * self._local_steps,
-        )
-        update = self._collect_update(client_id, entry.message, round_info)
-        return entry.version, update
 
     def _draw_failures(self, batch: list[str]) -> dict[str, ClientFailure]:
         """Serial failure draws for a completion batch (in batch order,
@@ -1467,14 +1357,12 @@ class AsyncAggregator(RoundEngine):
         self.drop_ledger.record_drop(
             entry.planned, entry.message.nbytes + Link.METADATA_OVERHEAD
         )
-        if self.tracer.enabled:
-            self._trace_cycle(client_id, entry, "timeout")
+        self.observer.cycle_ended(client_id, entry, "timeout", self.clock_s)
         if self.deadline.drop_policy == "requeue":
             self._requeue(client_id)
         else:
             self._idle.append(client_id)
-            if self.tracer.enabled:
-                self._trace_idle_since[client_id] = self.clock_s
+            self.observer.idle(client_id, self.clock_s)
 
     def _requeue(self, client_id: str) -> None:
         """Give the freed dispatch slot back through the selection
@@ -1562,7 +1450,6 @@ class AsyncAggregator(RoundEngine):
         update (it is NOT renormalized away; with ``buffer_size == 1``
         a stale delta really does shrink).
         """
-        round_idx = self.version  # one history record per server update
         staleness = [self.version - pulled for pulled, _ in self._buffer]
         weights = [self.staleness_fn(s) for s in staleness]
         updates = [u for _, u in self._buffer]
@@ -1579,111 +1466,25 @@ class AsyncAggregator(RoundEngine):
             self.deadline is not None
             and self.deadline.drop_policy == "admit_partial"
         )
-        merge_weights = (
-            adaptive_step_weights([u.num_steps for u in updates])
-            if unequal_steps else None
+        # One history record per server update: round_idx == version.
+        record = self._server_update(
+            self.version, updates, self._local_steps,
+            elapsed_s=self.clock_s - self._last_flush_clock,
+            failed=self._failed_pending, retries=self._window_retries,
+            deltas=scaled,
+            weights=(adaptive_step_weights([u.num_steps for u in updates])
+                     if unequal_steps else None),
+            metrics=[
+                {**u.metrics, "staleness": float(s), "staleness_weight": float(w)}
+                for u, s, w in zip(updates, staleness, weights)
+            ],
         )
-        pseudo_grad = self._merge(updates, deltas=scaled, weights=merge_weights)
-        self.global_state = self.server_opt.step(self.global_state, pseudo_grad)
         self.version += 1
-        self.total_steps_done += self._local_steps
         self._buffer.clear()
-
-        if self.checkpointer is not None:
-            self.checkpointer.save(round_idx, self.global_state,
-                                   metadata={"clients": [u.client_id for u in updates]})
-
-        client_metrics = aggregate_metrics([
-            {**u.metrics, "staleness": float(s), "staleness_weight": float(w)}
-            for u, s, w in zip(updates, staleness, weights)
-        ])
-        window = self.drop_ledger.flush()
-        record = RoundRecord(
-            round_idx=round_idx,
-            val_perplexity=self.evaluate(),
-            train_loss=float(np.mean([u.metrics["train_loss_mean"] for u in updates])),
-            clients=[u.client_id for u in updates],
-            comm_bytes_up=self.link.bytes_received - self._bytes_up_mark,
-            comm_bytes_down=self.link.bytes_sent - self._bytes_down_mark,
-            raw_bytes_up=self.link.raw_bytes_received - self._raw_up_mark,
-            raw_bytes_down=self.link.raw_bytes_sent - self._raw_down_mark,
-            pseudo_grad_norm=tree_norm(pseudo_grad),
-            client_metrics=client_metrics,
-            failed_clients=sorted(set(self._failed_pending)),
-            retries=self._window_retries,
-            dropped_steps=window["dropped_steps"],
-            dropped_bytes=window["dropped_bytes"],
-            deadline_misses=window["deadline_misses"],
-            salvaged_steps=window["salvaged_steps"],
-        )
-        if self.edge_tier is not None:
-            self._consume_edge_report(record)
         self._failed_pending.clear()
         self._window_retries = 0
-        # Without a wall-time model the event clock ticks placeholder
-        # units; leave the public timing fields at 0.0 like the sync
-        # engine rather than reporting fake seconds.
-        if self.walltime is not None:
-            # The flush additionally waits for the slowest edge→root
-            # backhaul hop (zero on the flat path).
-            record.wall_time_s = (self.clock_s - self._last_flush_clock
-                                  + record.backhaul_hop_s)
-            self.simulated_wall_time_s += record.wall_time_s
-        prev_flush_clock = self._last_flush_clock
         self._last_flush_clock = self.clock_s
-        self._bytes_up_mark = self.link.bytes_received
-        self._bytes_down_mark = self.link.bytes_sent
-        self._raw_up_mark = self.link.raw_bytes_received
-        self._raw_down_mark = self.link.raw_bytes_sent
-        self.history.append(record)
-        if self.tracer.enabled:
-            self._trace_flush(record, prev_flush_clock)
         return record
-
-    def _trace_flush(self, record: RoundRecord,
-                     prev_flush_clock: float) -> None:
-        """Emit the server-update span (and its backhaul hops) for one
-        flush.  With a wall-time model the span sits in cumulative
-        simulated seconds; without one the raw event clock is used so
-        updates still tile the timeline."""
-        if self.walltime is not None:
-            end = self.simulated_wall_time_s
-            start = end - record.wall_time_s
-        else:
-            start, end = prev_flush_clock, self.clock_s
-        self.tracer.span_sim(
-            "server", f"update {record.round_idx}", start, end - start,
-            clients=len(record.clients),
-            dropped_steps=record.dropped_steps,
-            deadline_misses=record.deadline_misses,
-            retries=record.retries)
-        self._trace_backhaul(end, record)
-        self._sample_meters(self.version)
-
-    def _trace_cycle(self, client_id: str, entry: _InFlight,
-                     outcome: str) -> None:
-        """Emit one client pull→train→push cycle span at event-pop
-        time, with the dispatch-time base compute/comm split so the
-        analyzer can attribute the excess to jitter and the wait before
-        dispatch to queueing."""
-        info = self._trace_dispatch.pop(client_id, None)
-        if info is None:
-            return  # dispatched before the tracer attached (resume)
-        start, compute, comm, queue_s = info
-        dur = self.clock_s - start
-        track = f"client:{client_id}"
-        base = compute + comm
-        self.tracer.span_sim(
-            track, "cycle", start, dur, client=client_id,
-            steps=entry.steps, version=entry.version, outcome=outcome,
-            compute_s=compute, comm_s=comm, base_s=base, queue_s=queue_s)
-        if outcome in ("ok", "salvaged") and base > 0 and dur > 0:
-            # Realized split: scale the base decomposition to the
-            # actual duration (jitter stretches both phases).
-            realized = compute * (dur / base)
-            self.tracer.span_sim(track, "local train", start, realized)
-            self.tracer.span_sim(track, "uplink+broadcast",
-                                 start + realized, dur - realized)
 
     # ------------------------------------------------------------------
     def _consume_arrivals(self) -> RoundRecord | None:
@@ -1695,8 +1496,7 @@ class AsyncAggregator(RoundEngine):
         while self._arrivals and record is None:
             client_id, outcome = self._arrivals.popleft()
             self._idle.append(client_id)
-            if self.tracer.enabled:
-                self._trace_idle_since[client_id] = self.clock_s
+            self.observer.idle(client_id, self.clock_s)
             if isinstance(outcome, ClientFailure):
                 self._failed_pending.append(outcome.client_id)
                 continue
@@ -1768,53 +1568,45 @@ class AsyncAggregator(RoundEngine):
             retried = set()
             for client_id in doomed:
                 entry = self._inflight.pop(client_id)
-                if self.tracer.enabled:
-                    self._trace_cycle(client_id, entry, "crash")
+                self.observer.cycle_ended(client_id, entry, "crash", self.clock_s)
                 if self._retry_crash(client_id):
                     retried.add(client_id)
             survivors = [cid for cid in completed if cid not in doomed]
-            # Ledger entries for surviving-but-late cycles (serial —
-            # the drop ledger is not thread-safe): admit_partial
-            # salvages split the planned steps into done/dropped,
-            # admit_stale late admits only count a miss.  Under drop/
-            # requeue a late request is timed out, never a survivor.
+            # Pop the survivors' in-flight entries in arrival order and
+            # train them as one wave (clients in a wave may have pulled
+            # different versions; the batched grouping keys on local
+            # steps, and per-client LR bases handle the version skew).
+            tasks = []
             for client_id in survivors:
-                entry = self._inflight[client_id]
-                if self.tracer.enabled:
-                    self._trace_cycle(
-                        client_id, entry,
-                        "salvaged" if entry.salvaged else "ok")
+                entry = self._inflight.pop(client_id)
+                self.observer.cycle_ended(
+                    client_id, entry, "salvaged" if entry.salvaged else "ok",
+                    self.clock_s)
+                # Ledger entries for surviving-but-late cycles:
+                # admit_partial salvages split the planned steps into
+                # done/dropped, admit_stale late admits only count a
+                # miss.  Under drop/requeue a late request is timed
+                # out, never a survivor.
                 if entry.salvaged:
                     self.drop_ledger.record_salvage(
                         entry.steps, entry.planned - entry.steps
                     )
                 elif entry.late:
                     self.drop_ledger.record_late()
-            if self.local_plane != "sequential" and survivors:
-                # Pop in-flight entries in arrival order and train the
-                # survivors as one wave through the configured plane
-                # (clients in a wave may have pulled different
-                # versions; the batched grouping keys on local steps,
-                # and per-client LR bases handle the version skew).
-                tasks = []
-                versions = []
-                for client_id in survivors:
-                    entry = self._inflight.pop(client_id)
-                    versions.append(entry.version)
-                    tasks.append((client_id, entry.message, RoundInfo(
-                        round_idx=entry.version,
-                        local_steps=entry.steps,
-                        global_step_base=entry.version * self._local_steps,
-                    )))
-                trained = list(zip(versions, self._train_wave(tasks)))
-            elif self.max_workers > 1 and len(survivors) > 1:
-                trained = list(self._get_executor().map(
-                    self._train_completed, survivors))
-            else:
-                trained = [self._train_completed(cid) for cid in survivors]
-            for client_id in survivors:  # a delivery clears the streak
-                self._failure_streak.pop(client_id, None)
-            outcomes = {**doomed, **dict(zip(survivors, trained))}
+                tasks.append((client_id, entry.message, RoundInfo(
+                    round_idx=entry.version,
+                    local_steps=entry.steps,
+                    # The LR schedule stays synchronized on the
+                    # *nominal* step count even when adaptive steps
+                    # shrink a slow client's τ.
+                    global_step_base=entry.version * self._local_steps,
+                )))
+                self._failure_streak.pop(client_id, None)  # a delivery clears the streak
+            # A delivered arrival is its (pulled version, update) pair.
+            outcomes = {**doomed, **{
+                task[0]: (task[2].round_idx, update)
+                for task, update in zip(tasks, self._train_wave(tasks))
+            }}
             self._arrivals.extend(
                 (cid, outcomes[cid]) for cid in completed if cid not in retried
             )
@@ -1822,102 +1614,25 @@ class AsyncAggregator(RoundEngine):
     # ------------------------------------------------------------------
     # Checkpoint protocol (repro.fed.runstate)
     # ------------------------------------------------------------------
-    mode = "async"
-
     def state_dict(self) -> dict:
-        """Everything the event loop holds between two server updates:
-        the priority queue, in-flight broadcasts (as the exact wire
-        bytes), the staleness buffer, queued arrivals, the idle pool,
-        retry streaks and the drop ledger — a resume replays the next
-        event as if the crash never happened."""
+        """Everything the event loop holds between two server updates
+        (:data:`_ASYNC_STATE`): the priority queue, in-flight
+        broadcasts (as the exact wire bytes), the staleness buffer,
+        queued arrivals, the idle pool, retry streaks and the drop
+        ledger — a resume replays the next event as if the crash never
+        happened."""
         state = super().state_dict()
-        state.update({
-            "buffer_size": self.buffer_size,
-            "concurrency": self.concurrency,
-            "version": self.version,
-            "clock_s": self.clock_s,
-            "seq": self._seq,
-            "events": [[t, seq, cid] for t, seq, cid in self._events],
-            "inflight": {
-                cid: {
-                    "message": _message_state(entry.message),
-                    "version": entry.version,
-                    "steps": entry.steps,
-                    "planned": entry.planned,
-                    "late": entry.late,
-                    "timed_out": entry.timed_out,
-                    "salvaged": entry.salvaged,
-                }
-                for cid, entry in self._inflight.items()
-            },
-            "buffer": [[pulled, _update_state(u)] for pulled, u in self._buffer],
-            "idle": list(self._idle),
-            "availability_deferred": sorted(self._availability_deferred),
-            "failure_streak": dict(self._failure_streak),
-            "window_retries": self._window_retries,
-            "arrivals": [[cid, _outcome_state(o)] for cid, o in self._arrivals],
-            "failed_pending": list(self._failed_pending),
-            "local_steps": self._local_steps,
-            "last_flush_clock": self._last_flush_clock,
-            "bytes_up_mark": self._bytes_up_mark,
-            "bytes_down_mark": self._bytes_down_mark,
-            "raw_up_mark": self._raw_up_mark,
-            "raw_down_mark": self._raw_down_mark,
-            "started": self._started,
-            "jitter": None if self.jitter is None else self.jitter.state_dict(),
-            "drop_ledger": self.drop_ledger.state_dict(),
-        })
+        for key, attr, dump, _ in _ASYNC_STATE:
+            value = getattr(self, attr)
+            state[key] = value if dump is None else dump(value)
+        state["jitter"] = None if self.jitter is None else self.jitter.state_dict()
+        state["drop_ledger"] = self.drop_ledger.state_dict()
         return state
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
-        self.buffer_size = (
-            None if state["buffer_size"] is None else int(state["buffer_size"])
-        )
-        self.concurrency = (
-            None if state["concurrency"] is None else int(state["concurrency"])
-        )
-        self.version = int(state["version"])
-        self.clock_s = float(state["clock_s"])
-        self._seq = int(state["seq"])
-        self._events = [
-            (float(t), int(seq), cid) for t, seq, cid in state["events"]
-        ]
-        heapq.heapify(self._events)
-        self._inflight = {
-            cid: _InFlight(
-                message=_message_from(entry["message"]),
-                version=int(entry["version"]),
-                steps=int(entry["steps"]),
-                planned=int(entry["planned"]),
-                late=bool(entry["late"]),
-                timed_out=bool(entry["timed_out"]),
-                salvaged=bool(entry["salvaged"]),
-            )
-            for cid, entry in state["inflight"].items()
-        }
-        self._buffer = [
-            (int(pulled), _update_from(u)) for pulled, u in state["buffer"]
-        ]
-        self._idle = deque(state["idle"])
-        self._availability_deferred = set(state["availability_deferred"])
-        self._failure_streak = {
-            cid: int(n) for cid, n in state["failure_streak"].items()
-        }
-        self._window_retries = int(state["window_retries"])
-        self._arrivals = deque(
-            (cid, _outcome_from(o)) for cid, o in state["arrivals"]
-        )
-        self._failed_pending = list(state["failed_pending"])
-        self._local_steps = (
-            None if state["local_steps"] is None else int(state["local_steps"])
-        )
-        self._last_flush_clock = float(state["last_flush_clock"])
-        self._bytes_up_mark = int(state["bytes_up_mark"])
-        self._bytes_down_mark = int(state["bytes_down_mark"])
-        self._raw_up_mark = int(state["raw_up_mark"])
-        self._raw_down_mark = int(state["raw_down_mark"])
-        self._started = bool(state["started"])
+        for key, attr, _, load in _ASYNC_STATE:
+            setattr(self, attr, load(state[key]))
         if self.jitter is not None and state.get("jitter") is not None:
             self.jitter.load_state_dict(state["jitter"])
         self.drop_ledger.load_state_dict(state["drop_ledger"])

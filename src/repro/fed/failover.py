@@ -37,6 +37,7 @@ import zlib
 
 import numpy as np
 
+from ..obs.trace import NULL_TRACER
 from .faults import FailureModel
 from .link import Link
 from .runstate import pack_tree, unpack_tree
@@ -134,13 +135,14 @@ class ReplicaSet:
 class FailoverController:
     """Run an engine to completion through server crashes.
 
-    Wraps the engine's round loop: after every server update the crash
-    model draws for the root (key ``server_id``); on a crash the
-    controller promotes the newest surviving replica (or cold-restarts
-    from the version-0 snapshot), measures the staleness and recovery
-    time, and resumes the deterministic replay.  Without crashes and
-    with ``replicas=0`` the loop degenerates to ``engine.run``'s
-    round-for-round behaviour.
+    Plugs into the engine's round loop as its boundary hook
+    (:meth:`~repro.fed.engine.RoundEngine.run`): after every server
+    update the crash model draws for the root (key ``server_id``); on
+    a crash the controller promotes the newest surviving replica (or
+    cold-restarts from the version-0 snapshot), measures the staleness
+    and recovery time, and the loop replays deterministically from the
+    restored history.  Without crashes and with ``replicas=0`` the
+    hook does nothing and the run is ``engine.run`` round for round.
 
     Parameters
     ----------
@@ -173,22 +175,17 @@ class FailoverController:
         self.updates_lost: list[int] = []
         self.recovery_s: list[float] = []
         self._cold: tuple[int, bytes] | None = None
-        if tracer is None:
-            from ..obs.trace import NULL_TRACER
-            tracer = NULL_TRACER
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else NULL_TRACER
 
     # ------------------------------------------------------------------
-    def _recover(self, completed: int) -> int:
+    def _recover(self, completed: int) -> None:
         """Promote (or cold-restart) after a crash at ``completed``
-        server updates; returns the version the run resumes from."""
+        server updates, restoring the engine to the snapshot."""
         started = time.perf_counter()
         self.crashes += 1
-        if self.tracer.enabled:
-            self.tracer.instant_sim(
-                "server", "server crash",
-                getattr(self.engine, "simulated_wall_time_s", 0.0),
-                server=self.server_id, at_update=completed)
+        self.tracer.instant_sim(
+            "server", "server crash", self.engine.simulated_wall_time_s,
+            server=self.server_id, at_update=completed)
         with self.tracer.host_span("failover", "recover",
                                    at_update=completed):
             promoted = self.replica_set.promote(self.failure_model, completed)
@@ -200,59 +197,46 @@ class FailoverController:
             self.engine.load_state_dict(tree)
         self.updates_lost.append(completed - version)
         self.recovery_s.append(time.perf_counter() - started)
-        if self.tracer.enabled:
-            meters = self.tracer.meters
-            meters.counter("failover/crashes").inc()
-            meters.counter("failover/updates_lost").inc(completed - version)
-            meters.histogram("failover/recovery_s").observe(
-                self.recovery_s[-1])
-            self.tracer.instant_sim(
-                "server", "promotion",
-                getattr(self.engine, "simulated_wall_time_s", 0.0),
-                resumed_from=version, promoted=promoted is not None)
-        return version
+        meters = self.tracer.meters
+        meters.counter("failover/crashes").inc()
+        meters.counter("failover/updates_lost").inc(completed - version)
+        meters.histogram("failover/recovery_s").observe(self.recovery_s[-1])
+        self.tracer.instant_sim(
+            "server", "promotion", self.engine.simulated_wall_time_s,
+            resumed_from=version, promoted=promoted is not None)
+
+    def _boundary(self, completed: int) -> bool:
+        """The crash/replicate step after server update ``completed``;
+        True when a crash rolled the engine back."""
+        # The crash lands at the round boundary, before this update's
+        # snapshot ships — a replicated server at cadence 1 therefore
+        # loses exactly the round that died (the ≤ replicate_every
+        # staleness bound).
+        if (self.failure_model is not None
+                and self.failure_model.should_fail(
+                    self.server_id, completed - 1)):
+            self._recover(completed)
+            return True
+        if ((completed - self._cold[0]) % self.replicate_every == 0
+                and self.replica_set.n_replicas > 0):
+            with self.tracer.host_span("failover", "replicate",
+                                       version=completed):
+                self.replica_set.replicate(completed,
+                                           self.engine.state_dict())
+            self.tracer.meters.counter("failover/replications").inc()
+        return False
 
     def run(self, rounds: int, local_steps: int,
             target_perplexity: float | None = None):
-        """Drive ``rounds`` total server updates through crashes.
+        """Drive ``rounds`` more server updates through crashes.
         Returns the engine's history."""
-        engine = self.engine
-        base = len(engine.history)
         # Version-0 snapshot: serialized immediately (the packed tree
         # references the engine's live arrays) so a crash before the
         # first replication still has something to restart from.
-        payload, _ = serialize_tree(engine.state_dict())
-        self._cold = (base, payload)
-        try:
-            completed = base
-            while completed < base + rounds:
-                with self.tracer.host_span("engine", f"round {completed}"):
-                    engine.run_round(completed, local_steps)
-                completed += 1
-                # The crash lands at the round boundary, before this
-                # update's snapshot ships — a replicated server at
-                # cadence 1 therefore loses exactly the round that
-                # died (the ≤ replicate_every staleness bound).
-                if (self.failure_model is not None
-                        and self.failure_model.should_fail(
-                            self.server_id, completed - 1)):
-                    completed = self._recover(completed)
-                    continue
-                if ((completed - base) % self.replicate_every == 0
-                        and self.replica_set.n_replicas > 0):
-                    with self.tracer.host_span("failover", "replicate",
-                                               version=completed):
-                        self.replica_set.replicate(completed,
-                                                   engine.state_dict())
-                    self.tracer.meters.counter("failover/replications").inc()
-                engine._maybe_checkpoint()
-                if (target_perplexity is not None and engine.history.records
-                        and engine.history.records[-1].val_perplexity
-                        <= target_perplexity):
-                    break
-        finally:
-            engine._shutdown_workers()
-        return engine.history
+        payload, _ = serialize_tree(self.engine.state_dict())
+        self._cold = (len(self.engine.history), payload)
+        return self.engine.run(rounds, local_steps, target_perplexity,
+                               boundary=self._boundary)
 
     # ------------------------------------------------------------------
     @property

@@ -20,7 +20,7 @@ This module makes those semantics testable:
   cancels (local steps and broadcast bytes) or salvages, so reports
   can show what the policy cost.
 
-The :class:`~repro.fed.aggregator.Aggregator` consumes the first two
+The :class:`~repro.fed.engine.RoundEngine` consumes the first two
 via its ``failure_model``/``fault_policy`` arguments; the async
 :class:`~repro.fed.engine.AsyncAggregator` additionally takes a
 ``deadline`` and keeps a :class:`DropLedger`.
@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from ..config import DROP_POLICIES
 
 __all__ = [
     "ClientFailure",
@@ -43,7 +45,6 @@ __all__ = [
 ]
 
 FAULT_POLICIES = ("partial", "retry_round", "strict")
-DROP_POLICIES = ("drop", "requeue", "admit_partial", "admit_stale")
 
 
 class ClientFailure(RuntimeError):

@@ -25,6 +25,7 @@ to the math, so it is represented by a flag on the channel.
 from __future__ import annotations
 
 import threading
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,7 +165,7 @@ class Link:
             self.raw_bytes_received += state_bytes(state) + self.METADATA_OVERHEAD
         return state, message.metadata
 
-    _COUNTER_FIELDS = (
+    COUNTER_FIELDS = (
         "bytes_sent", "bytes_received", "raw_bytes_sent",
         "raw_bytes_received", "uplink_wire_bytes", "uplink_raw_bytes",
         "downlink_wire_bytes", "downlink_raw_bytes", "messages_sent",
@@ -175,7 +176,7 @@ class Link:
     # stages hold per-channel RNG streams; both must survive a resume
     # for the replayed records to match the uninterrupted run.
     def state_dict(self) -> dict:
-        state: dict = {f: getattr(self, f) for f in self._COUNTER_FIELDS}
+        state: dict = {f: getattr(self, f) for f in self.COUNTER_FIELDS}
         if self.uplink_codec is not None:
             state["uplink_codec"] = self.uplink_codec.state_dict()
         if self.downlink_codec is not None:
@@ -184,7 +185,7 @@ class Link:
 
     def load_state_dict(self, state: dict) -> None:
         with self._lock:
-            for f in self._COUNTER_FIELDS:
+            for f in self.COUNTER_FIELDS:
                 setattr(self, f, int(state[f]))
         if self.uplink_codec is not None and "uplink_codec" in state:
             self.uplink_codec.load_state_dict(state["uplink_codec"])
@@ -192,15 +193,8 @@ class Link:
             self.downlink_codec.load_state_dict(state["downlink_codec"])
 
     def reset_counters(self) -> None:
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.raw_bytes_sent = 0
-        self.raw_bytes_received = 0
-        self.uplink_wire_bytes = 0
-        self.uplink_raw_bytes = 0
-        self.downlink_wire_bytes = 0
-        self.downlink_raw_bytes = 0
-        self.messages_sent = 0
+        for f in self.COUNTER_FIELDS:
+            setattr(self, f, 0)
 
 
 class SecureAggregator:
@@ -222,9 +216,11 @@ class SecureAggregator:
         self.mask_scale = mask_scale
 
     def _pair_rng(self, a: str, b: str) -> np.random.Generator:
-        lo, hi = sorted((a, b))
-        pair_seed = abs(hash((self.seed, lo, hi))) % (2**32)
-        return np.random.default_rng(pair_seed)
+        # crc32, not hash(): both ends of a pair must derive the same
+        # mask in their own processes, whatever PYTHONHASHSEED each has
+        # (the codec channel streams are seeded the same way).
+        pair = repr((self.seed, *sorted((a, b)))).encode()
+        return np.random.default_rng(zlib.crc32(pair))
 
     def mask(self, client_id: str, state: StateDict) -> StateDict:
         """Return ``state`` plus this client's net pairwise mask."""

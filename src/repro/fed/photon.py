@@ -34,9 +34,13 @@ from ..net.walltime import JitterModel, WallTimeModel
 from ..obs import NULL_TRACER, MetricsSink, Tracer
 from ..optim import LRSchedule, WarmupCosine
 from ..utils.metrics import History
-from .aggregator import Aggregator
 from .edge import EdgeTier, paper_regions, round_robin_assign
-from .engine import AsyncAggregator, RoundEngine, check_deadline_feasible
+from .engine import (
+    AsyncAggregator,
+    RoundEngine,
+    SyncAggregator,
+    check_deadline_feasible,
+)
 from .client import LLMClient
 from .failover import FailoverController
 from .faults import DeadlinePolicy, FailureModel, FaultPolicy
@@ -171,7 +175,6 @@ class Photon:
                  failure_model: FailureModel | None = None,
                  fault_policy: FaultPolicy | None = None,
                  weighted: bool = False,
-                 merge_fn=None,
                  initial_state=None,
                  max_workers: int = 1,
                  client_speed_spread: float = 1.0,
@@ -431,7 +434,6 @@ class Photon:
             comm_topology=comm_topology,
             eval_batches=val_batches,
             weighted=weighted,
-            merge_fn=merge_fn,
             initial_state=initial_state,
             max_workers=max_workers,
             failure_model=failure_model,
@@ -458,7 +460,7 @@ class Photon:
                 **engine_kwargs,
             )
         else:
-            self.aggregator = Aggregator(**engine_kwargs)
+            self.aggregator = SyncAggregator(**engine_kwargs)
         if fed_config.resume:
             self.resumed_from_round = self.run_checkpointer.restore(
                 self.aggregator
@@ -600,27 +602,12 @@ class Photon:
         rounds = rounds if rounds is not None else self.fed_config.rounds
         try:
             if self.resumed_from_round is not None:
-                completed = len(self.aggregator.history)
-                if rounds - completed < 1:
-                    return self.aggregator.history
-                if self.failover is not None:
-                    return self.failover.run(
-                        rounds - completed, self.fed_config.local_steps,
-                        target_perplexity=target_perplexity,
-                    )
-                return self.aggregator.run(
-                    rounds - completed, self.fed_config.local_steps,
-                    target_perplexity=target_perplexity, start_round=completed,
-                )
-            if self.failover is not None:
-                return self.failover.run(
-                    rounds, self.fed_config.local_steps,
-                    target_perplexity=target_perplexity,
-                )
-            return self.aggregator.run(
-                rounds, self.fed_config.local_steps,
-                target_perplexity=target_perplexity,
-            )
+                rounds -= len(self.history)
+                if rounds < 1:
+                    return self.history
+            runner = self.failover if self.failover is not None else self.aggregator
+            return runner.run(rounds, self.fed_config.local_steps,
+                              target_perplexity=target_perplexity)
         finally:
             # Export the trace (and the metrics summary line) even on
             # a crashed run — that is when a flight recorder matters.
@@ -635,11 +622,7 @@ class Photon:
             history=history,
             total_comm_bytes=wire,
             simulated_wall_time_s=self.aggregator.simulated_wall_time_s,
-            tokens_processed=(
-                self.clients.total_tokens_processed()
-                if hasattr(self.clients, "total_tokens_processed")
-                else sum(c.tokens_processed for c in self.clients.values())
-            ),
+            tokens_processed=self.clients.total_tokens_processed(),
             final_perplexity=ppls[-1] if ppls else float("nan"),
             best_perplexity=min(ppls) if ppls else float("nan"),
             dropped_steps=sum(r.dropped_steps for r in history),

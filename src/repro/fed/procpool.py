@@ -3,15 +3,15 @@
 The batched plane (:mod:`repro.fed.batched`) removes python overhead
 for *homogeneous* clients; this module is the complementary attack for
 heterogeneous ones — true multi-core parallelism that the GIL denies
-the thread pool.  It follows the multiprocessing-stack client model
-costed in :mod:`repro.parallel.memory`:
+the thread pool.  It follows the paper's multiprocessing-stack client
+model (Appendix B.3):
 
 * **one long-lived fork pool per engine** — workers inherit the client
   registry copy-on-write at fork time, so the model workspaces are
   never pickled;
 * **one shared-memory segment per distinct broadcast version per
   wave** — K clients pulling the same global weights map the same
-  read-only buffer (the ``sharing_factor`` win in the memory model)
+  read-only buffer (Appendix B.3's sharing factor)
   instead of receiving K pickled copies;
 * **durable client state stays parent-authoritative** — stream RNG
   positions and counters ship to the worker with the job and ship

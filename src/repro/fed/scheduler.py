@@ -49,9 +49,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["ClientScheduler", "SELECTION_POLICIES", "normal_quantile"]
+from ..config import SELECTION_POLICIES
 
-SELECTION_POLICIES = ("random", "fastest", "utility")
+__all__ = ["ClientScheduler", "SELECTION_POLICIES", "normal_quantile"]
 
 #: Recency normalizer when the fairness floor is disabled.
 _DEFAULT_HORIZON = 8

@@ -1,7 +1,6 @@
 """Network topology, wall-time model and communication accounting."""
 
 from .comm import CommVolume, ddp_volume, federated_volume, reduction_factor
-from .selection import TopologyRequirements, select_topology
 from .simulation import (
     ClientProfile,
     FederationSimulator,
@@ -42,6 +41,4 @@ __all__ = [
     "FederationSimulator",
     "RoundEvent",
     "SimulationReport",
-    "TopologyRequirements",
-    "select_topology",
 ]

@@ -8,8 +8,10 @@ Always available, zero overhead when off:
   on the **simulated clock** (dispatch → train → uplink → aggregate →
   broadcast, backhaul hops, checkpoints, crashes/promotions) and on the
   host wall clock, exported as Chrome trace-event JSON (Perfetto);
+* :mod:`repro.obs.observer` — the one place the round engines' spans
+  and meters are emitted (a shared null object when tracing is off);
 * :mod:`repro.obs.sink` — periodic JSONL metrics flush plus an
-  end-of-run summary merged into the JSON/markdown report;
+  end-of-run summary line;
 * :mod:`repro.obs.analyze` — ``python -m repro.obs.analyze`` computes
   the critical path, straggler attribution, and per-tier/per-worker
   utilization from a trace.
@@ -25,6 +27,7 @@ from .meters import (
     MeterRegistry,
     NULL_METERS,
 )
+from .observer import NULL_OBSERVER, EngineObserver, engine_observer
 from .sink import MetricsSink
 from .trace import (
     HOST_PID,
@@ -36,14 +39,17 @@ from .trace import (
 
 __all__ = [
     "Counter",
+    "EngineObserver",
     "Gauge",
     "Histogram",
     "MeterRegistry",
     "MetricsSink",
     "NULL_METERS",
+    "NULL_OBSERVER",
     "NULL_TRACER",
     "NullTracer",
     "Tracer",
     "SIM_PID",
     "HOST_PID",
+    "engine_observer",
 ]

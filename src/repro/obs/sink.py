@@ -4,8 +4,7 @@ Each :meth:`MetricsSink.write` appends one self-contained JSON line
 ``{"server_update": N, "host_s": t, "meters": {...}}`` and flushes, so
 a crashed or killed run still leaves every completed sample on disk.
 :meth:`MetricsSink.close` appends a final ``{"summary": {...}}`` line —
-the same digest :meth:`repro.obs.trace.Tracer.summary` merges into the
-JSON/markdown run report.
+the :meth:`repro.obs.trace.Tracer.summary` digest.
 """
 
 from __future__ import annotations

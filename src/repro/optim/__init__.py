@@ -1,12 +1,6 @@
 """Optimizers, LR schedules and gradient clipping."""
 
-from .accumulate import GradientAccumulator
 from .clip import clip_grad_norm, global_grad_norm
-from .noise_scale import (
-    NoiseScaleEstimate,
-    gradient_noise_scale,
-    measure_noise_scale,
-)
 from .optimizers import SGD, AdamW, Optimizer
 from .schedules import (
     ConstantLR,
@@ -29,8 +23,4 @@ __all__ = [
     "linear_lr_scaling",
     "clip_grad_norm",
     "global_grad_norm",
-    "GradientAccumulator",
-    "NoiseScaleEstimate",
-    "gradient_noise_scale",
-    "measure_noise_scale",
 ]

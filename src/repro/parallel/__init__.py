@@ -2,9 +2,6 @@
 
 from .ddp import DDPEngine
 from .fsdp import FSDPEngine, ShardLayout
-from .memory import ClientMemoryModel, MemoryFootprint
-from .pp import PipelineEngine, StageSlot, bubble_fraction, partition_stages
-from .tp import TensorParallelEngine, split_columns, split_rows
 from .hardware import (
     A100_40GB,
     H100,
@@ -31,13 +28,4 @@ __all__ = [
     "DDPEngine",
     "FSDPEngine",
     "ShardLayout",
-    "ClientMemoryModel",
-    "MemoryFootprint",
-    "PipelineEngine",
-    "StageSlot",
-    "bubble_fraction",
-    "partition_stages",
-    "TensorParallelEngine",
-    "split_columns",
-    "split_rows",
 ]

@@ -1,7 +1,6 @@
 """Shared utilities: serialization, tree math, metrics, history."""
 
 from .metrics import History, RoundRecord, aggregate_metrics
-from .report import format_markdown, history_to_dict, save_report
 from .serialization import (
     decode_state,
     encode_state,
@@ -33,7 +32,4 @@ __all__ = [
     "tree_mean",
     "tree_zeros_like",
     "tree_norm",
-    "history_to_dict",
-    "format_markdown",
-    "save_report",
 ]

@@ -1,6 +1,5 @@
-"""Extension features: contribution tracking, power-of-choice,
-proximal clients, comm overlap, int8 codec, parallel aggregation,
-hyperopt, repetition source, cross-perplexity."""
+"""Extension features: proximal clients, comm overlap, int8 codec,
+parallel aggregation, hyperopt, repetition source, cross-perplexity."""
 
 from __future__ import annotations
 
@@ -18,12 +17,9 @@ from repro.data.synthetic import (
 from repro.fed import (
     Aggregator,
     Candidate,
-    ContributionTracker,
     LLMClient,
     Link,
     Photon,
-    PowerOfChoiceSampler,
-    cosine_alignment,
     successive_halving,
 )
 from repro.fed.types import RoundInfo
@@ -41,79 +37,6 @@ def make_stream(shard=0, seed=0):
     c4 = SyntheticC4(num_shards=4, vocab=CFG.vocab_size, seed=1)
     return CachedTokenStream(c4.shard(shard), batch_size=4, seq_len=CFG.seq_len,
                              cache_tokens=2048, seed=seed)
-
-
-class TestCosineAlignment:
-    def test_identical_updates_align(self, rng):
-        u = {"w": rng.normal(size=8).astype(np.float32)}
-        assert cosine_alignment(u, u) == pytest.approx(1.0, abs=1e-5)
-
-    def test_opposite_updates_anti_align(self, rng):
-        u = {"w": rng.normal(size=8).astype(np.float32)}
-        neg = {"w": -u["w"]}
-        assert cosine_alignment(u, neg) == pytest.approx(-1.0, abs=1e-5)
-
-    def test_zero_update_is_zero(self):
-        z = {"w": np.zeros(4, dtype=np.float32)}
-        assert cosine_alignment(z, z) == 0.0
-
-
-class TestContributionTracker:
-    def test_aligned_client_scores_higher(self, rng):
-        tracker = ContributionTracker()
-        aggregate = {"w": np.ones(8, dtype=np.float32)}
-        updates = {
-            "aligned": {"w": np.ones(8, dtype=np.float32)},
-            "orthogonal": {"w": np.array([1, -1] * 4, dtype=np.float32)},
-        }
-        scores = tracker.record_round(updates, aggregate)
-        assert scores["aligned"] > scores["orthogonal"]
-
-    def test_ranking_order(self, rng):
-        tracker = ContributionTracker(decay=0.5)
-        aggregate = {"w": np.ones(4, dtype=np.float32)}
-        for _ in range(3):
-            tracker.record_round(
-                {"good": {"w": np.ones(4, dtype=np.float32)},
-                 "bad": {"w": np.full(4, -1.0, dtype=np.float32)}},
-                aggregate,
-            )
-        ranking = tracker.ranking()
-        assert ranking[0][0] == "good"
-        assert tracker.rounds_seen["good"] == 3
-
-    def test_empty_round_rejected(self):
-        with pytest.raises(ValueError):
-            ContributionTracker().record_round({}, {"w": np.ones(1)})
-
-    def test_invalid_decay(self):
-        with pytest.raises(ValueError):
-            ContributionTracker(decay=0.0)
-
-
-class TestPowerOfChoice:
-    POP = [f"c{i}" for i in range(8)]
-
-    def test_selects_k(self):
-        sampler = PowerOfChoiceSampler(k=2, candidates=4, seed=0)
-        assert len(sampler.sample(self.POP, 0)) == 2
-
-    def test_prefers_high_loss_clients(self):
-        sampler = PowerOfChoiceSampler(k=1, candidates=8, seed=0)
-        sampler.update_losses({c: 0.1 for c in self.POP})
-        sampler.update_losses({"c3": 9.9})
-        assert sampler.sample(self.POP, 0) == ["c3"]
-
-    def test_unknown_losses_explored_first(self):
-        sampler = PowerOfChoiceSampler(k=1, candidates=8, seed=0)
-        sampler.update_losses({c: 1.0 for c in self.POP if c != "c5"})
-        assert sampler.sample(self.POP, 0) == ["c5"]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PowerOfChoiceSampler(k=3, candidates=2)
-        with pytest.raises(ValueError):
-            PowerOfChoiceSampler(k=1, candidates=1).sample([], 0)
 
 
 class TestProximalClient:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.config import FedConfig, ModelConfig, OptimConfig
-from repro.fed import FailureModel, Photon, ReplicaSet
+from repro.fed import CheckpointManager, FailureModel, Photon, ReplicaSet
 from repro.fed.failover import deserialize_tree, serialize_tree
 from repro.fed.link import Link
 
@@ -40,6 +40,23 @@ def make_photon(mode="sync", rounds=4, seed=0, crashes=None, **overrides):
     fm = FailureModel(scripted=set(crashes)) if crashes else None
     return Photon(CFG, fed, OPTIM, num_shards=4, val_batches=2,
                   server_failure_model=fm)
+
+
+class TestRepeatedTrain:
+    """One round loop: a second ``train()`` continues the numbering
+    whether or not the failover controller wraps the engine."""
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_second_call_continues_round_indices(self, tmp_path, mode, replicas):
+        photon = make_photon(mode, replicas=replicas)
+        photon.aggregator.checkpointer = CheckpointManager(tmp_path, keep=3)
+        photon.train(2)
+        photon.train(2)
+        assert [r.round_idx for r in photon.history] == [0, 1, 2, 3]
+        # Both calls' weights checkpoints live inside the keep budget;
+        # the second call must not overwrite step 0.
+        assert photon.aggregator.checkpointer.list_checkpoints() == [1, 2, 3]
 
 
 class TestSerializeTree:

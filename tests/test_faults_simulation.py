@@ -1,12 +1,10 @@
 """Fault injection, dropout policies, the federation simulator,
-gradient accumulation, noise scale, memory model, async checkpoints."""
+async checkpoints."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.config import ModelConfig, OptimConfig
 from repro.data import CachedTokenStream, SyntheticC4
@@ -19,15 +17,7 @@ from repro.fed import (
     LLMClient,
 )
 from repro.net import ClientProfile, FederationSimulator
-from repro.nn import DecoderLM
-from repro.optim import (
-    SGD,
-    ConstantLR,
-    GradientAccumulator,
-    gradient_noise_scale,
-    measure_noise_scale,
-)
-from repro.parallel import ClientMemoryModel
+from repro.optim import ConstantLR
 
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32, seq_len=16)
 OPTIM = OptimConfig(max_lr=3e-3, warmup_steps=2, schedule_steps=64, batch_size=4,
@@ -225,104 +215,6 @@ class TestFederationSimulator:
         sim = FederationSimulator(self.profiles(), 10.0, 100.0)
         with pytest.raises(ValueError):
             sim.simulate(0, 1)
-
-
-class TestGradientAccumulation:
-    def test_matches_full_batch_step(self):
-        model_a = DecoderLM(CFG, seed=0)
-        model_b = DecoderLM(CFG, seed=0)
-        stream = make_stream(batch=8)
-        x, y = stream.next_batch()
-
-        # Full-batch single step.
-        opt_a = SGD(model_a.parameters(), lr=0.1)
-        acc_a = GradientAccumulator(model_a, opt_a, micro_batches=1, grad_clip=None)
-        loss_a = acc_a.step(x, y)
-
-        # Four accumulated micro-batches.
-        opt_b = SGD(model_b.parameters(), lr=0.1)
-        acc_b = GradientAccumulator(model_b, opt_b, micro_batches=4, grad_clip=None)
-        loss_b = acc_b.step(x, y)
-
-        np.testing.assert_allclose(loss_a, loss_b, rtol=1e-4)
-        for (_, pa), (_, pb) in zip(model_a.named_parameters(),
-                                    model_b.named_parameters()):
-            np.testing.assert_allclose(pa.data, pb.data, rtol=1e-3, atol=1e-5)
-
-    def test_indivisible_batch_rejected(self):
-        model = DecoderLM(CFG, seed=0)
-        acc = GradientAccumulator(model, SGD(model.parameters(), lr=0.1), 3)
-        stream = make_stream(batch=4)
-        with pytest.raises(ValueError):
-            acc.step(*stream.next_batch())
-
-    def test_invalid_micro_batches(self):
-        model = DecoderLM(CFG, seed=0)
-        with pytest.raises(ValueError):
-            GradientAccumulator(model, SGD(model.parameters(), lr=0.1), 0)
-
-
-class TestNoiseScale:
-    def test_solver_recovers_known_values(self):
-        # Construct measurements from known |G|^2 = 4, tr(Σ) = 100.
-        grad_sq, trace = 4.0, 100.0
-        small = grad_sq + trace / 2
-        big = grad_sq + trace / 32
-        est = gradient_noise_scale(small, big, small_batch=2, big_batch=32)
-        assert est.grad_sq_norm == pytest.approx(grad_sq, rel=1e-6)
-        assert est.trace_sigma == pytest.approx(trace, rel=1e-6)
-        assert est.noise_scale == pytest.approx(25.0, rel=1e-6)
-
-    def test_efficiency_curve(self):
-        est = gradient_noise_scale(54.0, 7.125, 2, 32)  # B_noise = 25
-        assert est.efficiency_at(25) == pytest.approx(0.5)
-        assert est.efficiency_at(1) < est.efficiency_at(100)
-
-    def test_measured_on_model_is_positive(self):
-        model = DecoderLM(CFG, seed=0)
-        stream = make_stream(batch=16)
-        est = measure_noise_scale(model, stream, small_batch=2, big_batch=16,
-                                  n_estimates=3)
-        assert est.noise_scale > 0
-        assert np.isfinite(est.noise_scale)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            gradient_noise_scale(1.0, 1.0, 4, 4)
-        model = DecoderLM(CFG, seed=0)
-        with pytest.raises(ValueError):
-            measure_noise_scale(model, make_stream(batch=4), 2, 16)
-
-    @given(st.floats(0.1, 10.0), st.floats(1.0, 1000.0))
-    @settings(max_examples=20, deadline=None)
-    def test_solver_inverse_property(self, grad_sq, trace):
-        small = grad_sq + trace / 4
-        big = grad_sq + trace / 64
-        est = gradient_noise_scale(small, big, 4, 64)
-        assert est.grad_sq_norm == pytest.approx(grad_sq, rel=1e-4)
-        assert est.trace_sigma == pytest.approx(trace, rel=1e-4)
-
-
-class TestMemoryModel:
-    def test_sharing_factor_approaches_workers_plus_one(self):
-        model = ClientMemoryModel(model_bytes=10**12, n_workers=7,
-                                  process_overhead=0)
-        assert model.sharing_factor() == pytest.approx(8.0)
-
-    def test_paper_8x_claim_band(self):
-        # 7B bf16 params (~14 GB) staged for 8 workers: the shared
-        # segment saves close to the paper's "up to 8x".
-        model = ClientMemoryModel(model_bytes=14 * 2**30, n_workers=8)
-        assert model.sharing_factor() > 8.0
-
-    def test_footprints_ordered(self):
-        model = ClientMemoryModel(model_bytes=2**30, n_workers=4)
-        assert (model.footprint(True).total_bytes
-                < model.footprint(False).total_bytes)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ClientMemoryModel(model_bytes=0, n_workers=1)
 
 
 class TestAsyncCheckpointing:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +136,28 @@ class TestSecureAggregation:
         masked = agg.mask("a", state)
         # The masked update is far from the raw one.
         assert np.abs(masked["w"] - state["w"]).mean() > 1.0
+
+    def test_masks_identical_across_hash_seeds(self):
+        """Both ends of a pair derive the mask in their own process:
+        it must not depend on the interpreter's string-hash salt."""
+        script = (
+            "import numpy as np\n"
+            "from repro.fed import SecureAggregator\n"
+            "agg = SecureAggregator(['a', 'b', 'c'], seed=3)\n"
+            "state = {'w': np.zeros(16, dtype=np.float32)}\n"
+            "print(agg.mask('b', state)['w'].tobytes().hex())\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        masks = {
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, text=True,
+                capture_output=True,
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "PYTHONHASHSEED": hash_seed},
+            ).stdout
+            for hash_seed in ("1", "2")
+        }
+        assert len(masks) == 1
 
     def test_needs_two_clients(self):
         with pytest.raises(ValueError):

@@ -278,13 +278,6 @@ class TestEdgeUnits:
             tier.aggregate(["c0"], [{"w": np.zeros(2, np.float32)}],
                            weights=None, version=0)
 
-    def test_edge_tier_conflicts_with_merge_fn(self):
-        photon = make_photon(tiers=1)
-        engine = photon.aggregator
-        with pytest.raises(ValueError, match="merge_fn"):
-            type(engine)(CFG, engine.clients, merge_fn=lambda d, w: d[0],
-                         edge_tier=engine.edge_tier)
-
 
 class TestHierarchyConfig:
     @pytest.mark.parametrize("bad", [

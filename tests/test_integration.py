@@ -6,8 +6,6 @@ single unit: the kind of path a downstream adopter would actually run.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -25,14 +23,13 @@ from repro.fed import (
     LLMClient,
     Link,
     Photon,
-    PowerOfChoiceSampler,
-    TiesAggregator,
+    UniformSampler,
     personalize,
 )
 from repro.net import WallTimeModel
 from repro.nn import DecoderLM, InferenceEngine
 from repro.optim import ConstantLR, WarmupCosine, federated_schedule_steps
-from repro.utils import save_report, state_to_vector
+from repro.utils import state_to_vector
 
 CFG = ModelConfig("int", n_blocks=1, d_model=16, n_heads=2, vocab_size=32, seq_len=16)
 OPTIM = OptimConfig(max_lr=4e-3, warmup_steps=2, schedule_steps=128,
@@ -74,30 +71,12 @@ class TestFullLifecycle:
             out, model.generate(np.array([3, 4]), 5, temperature=0.0)
         )
 
-    @pytest.mark.slow
-    def test_report_pipeline(self, tmp_path):
-        """History -> JSON/markdown artifacts round-trip."""
-        photon = Photon(
-            CFG,
-            FedConfig(population=2, clients_per_round=2, local_steps=4, rounds=2),
-            OPTIM, data_seed=3,
-            walltime_config=WallTimeConfig(throughput=2.0, bandwidth_mbps=312.0,
-                                           model_mb=0.05),
-        )
-        history = photon.train()
-        path = save_report(history, tmp_path / "run.json",
-                           metadata={"model": CFG.name})
-        doc = json.loads(path.read_text())
-        assert doc["summary"]["rounds"] == 2
-        assert doc["rounds"][0]["wall_time_s"] > 0
-        assert doc["summary"]["total_comm_bytes"] == history.total_comm_bytes
-
 
 class TestHardenedDeployment:
     def test_everything_on_stack(self, tmp_path):
         """Crashing clients + partial-update policy + DP clipping +
-        power-of-choice sampling + quantized link + wall-time model,
-        all in one federation — and it still converges."""
+        client sampling + quantized link + wall-time model, all in one
+        federation — and it still converges."""
         c4 = SyntheticC4(num_shards=4, vocab=CFG.vocab_size, seed=1)
         post = Compose([ClipUpdate(50.0),
                         DPGaussianNoise(clip_norm=50.0, noise_multiplier=1e-4,
@@ -110,10 +89,9 @@ class TestHardenedDeployment:
             )
             for i in range(4)
         }
-        sampler = PowerOfChoiceSampler(k=3, candidates=4, seed=0)
         agg = Aggregator(
             CFG, clients,
-            sampler=sampler,
+            sampler=UniformSampler(3, seed=0),
             val_stream=CachedTokenStream(c4.validation(), 4, CFG.seq_len, seed=99),
             link=Link(quantize_int8=True),
             failure_model=FailureModel(crash_prob=0.1, seed=7),
@@ -122,23 +100,18 @@ class TestHardenedDeployment:
             comm_topology="ps",
         )
         for r in range(4):
-            record = agg.run_round(r, 8)
-            sampler.update_losses(
-                {cid: record.client_metrics.get("train_loss_mean", 1.0)
-                 for cid in record.clients}
-            )
+            agg.run_round(r, 8)
         ppls = agg.history.val_perplexities
         assert ppls[-1] < ppls[0]
         assert agg.simulated_wall_time_s > 0
 
-    def test_ties_on_heterogeneous_with_personalization(self):
-        """Heterogeneous pre-training with TIES merging, then
-        per-client personalization on the hardest source."""
+    def test_heterogeneous_pretraining_with_personalization(self):
+        """Heterogeneous pre-training, then per-client personalization
+        on the hardest source."""
         photon = Photon(
             CFG,
             FedConfig(population=4, clients_per_round=4, local_steps=8, rounds=3),
-            OPTIM, corpus="pile", heterogeneity=0.5,
-            merge_fn=TiesAggregator(density=0.5), data_seed=3,
+            OPTIM, corpus="pile", heterogeneity=0.5, data_seed=3,
         )
         history = photon.train()
         assert history.val_perplexities[-1] < history.val_perplexities[0]

@@ -25,7 +25,6 @@ from repro.nn import inference as nn_inference
 from repro.nn.attention import _alibi_bias, _causal_bias
 from repro.optim import AdamW, clip_grad_norm, global_grad_norm
 from repro.optim.clip import clip_grads
-from repro.parallel import tp
 from repro.serve import engine as serve_engine
 from repro.tensor import Parameter, Tensor, kernels, ops
 
@@ -88,7 +87,6 @@ class TestGelu:
     def test_training_and_every_inference_engine_share_one_function(self, rng):
         assert nn_inference.gelu is kernels.gelu
         assert serve_engine.gelu is kernels.gelu
-        assert tp.gelu is kernels.gelu
         x = f32(rng, 6, 9)
         np.testing.assert_array_equal(Tensor(x).gelu().data, kernels.gelu(x))
 

@@ -1,5 +1,4 @@
-"""LoRA adapters, TIES merging, continual pre-training, KV-cached
-inference."""
+"""LoRA adapters, continual pre-training, KV-cached inference."""
 
 from __future__ import annotations
 
@@ -10,10 +9,8 @@ from repro.config import FedConfig, ModelConfig, OptimConfig
 from repro.data import CachedTokenStream, SyntheticC4
 from repro.fed import (
     Photon,
-    TiesAggregator,
     continue_pretraining,
     personalize,
-    ties_merge,
 )
 from repro.nn import (
     DecoderLM,
@@ -139,55 +136,6 @@ class TestLoRA:
         load_lora_state_dict(global_model, merged)
         for k in merged:
             assert np.isfinite(merged[k]).all()
-
-
-class TestTiesMerge:
-    def test_agreeing_updates_pass_through(self):
-        deltas = [{"w": np.array([1.0, 2.0], dtype=np.float32)},
-                  {"w": np.array([3.0, 4.0], dtype=np.float32)}]
-        merged = ties_merge(deltas, density=1.0)
-        np.testing.assert_allclose(merged["w"], [2.0, 3.0])
-
-    def test_conflicting_sign_resolved_by_mass(self):
-        deltas = [{"w": np.array([10.0], dtype=np.float32)},
-                  {"w": np.array([-1.0], dtype=np.float32)}]
-        merged = ties_merge(deltas, density=1.0)
-        # Elected sign +, only the agreeing update contributes.
-        np.testing.assert_allclose(merged["w"], [10.0])
-
-    def test_trimming_zeroes_small_coordinates(self):
-        deltas = [{"w": np.array([100.0, 0.001, 0.001, 0.001], dtype=np.float32)}]
-        merged = ties_merge(deltas, density=0.25)
-        assert merged["w"][0] == pytest.approx(100.0)
-        np.testing.assert_array_equal(merged["w"][1:], np.zeros(3))
-
-    def test_interference_reduced_vs_mean(self):
-        """TIES preserves a strong minority direction that plain
-        averaging dilutes toward zero."""
-        strong = {"w": np.array([8.0, 0.0], dtype=np.float32)}
-        noise1 = {"w": np.array([-1.0, 0.1], dtype=np.float32)}
-        noise2 = {"w": np.array([-1.0, -0.1], dtype=np.float32)}
-        merged = ties_merge([strong, noise1, noise2], density=1.0)
-        mean = (8.0 - 1.0 - 1.0) / 3
-        assert merged["w"][0] > mean
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ties_merge([], density=0.5)
-        with pytest.raises(ValueError):
-            ties_merge([{"w": np.ones(2, dtype=np.float32)}], density=0.0)
-        with pytest.raises(ValueError):
-            TiesAggregator(density=2.0)
-
-    def test_aggregator_integration(self):
-        photon = Photon(
-            CFG,
-            FedConfig(population=4, clients_per_round=4, local_steps=4, rounds=2),
-            OPTIM, corpus="pile", heterogeneity=0.5,
-            merge_fn=TiesAggregator(density=0.5),
-        )
-        history = photon.train()
-        assert history.val_perplexities[-1] < history.val_perplexities[0]
 
 
 class TestContinual:

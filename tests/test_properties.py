@@ -21,7 +21,6 @@ from repro.fed import (
     FedAvg,
     PolynomialStaleness,
     adaptive_step_weights,
-    ties_merge,
 )
 from repro.net import WallTimeModel
 from repro.nn import DecoderLM
@@ -31,7 +30,6 @@ from repro.tensor import no_grad
 from repro.utils import (
     decode_state,
     encode_state,
-    state_to_vector,
     tree_mean,
     tree_scale,
 )
@@ -109,23 +107,6 @@ class TestAggregationProperties:
         out = FedAvg(lr=1.0).step(state, zero)
         for k in state:
             np.testing.assert_array_equal(out[k], state[k])
-
-    @given(st.integers(0, 50))
-    @settings(max_examples=15, deadline=None)
-    def test_ties_single_client_full_density_identity(self, seed):
-        state = self._states(seed, n=1)[0]
-        merged = ties_merge([state], density=1.0)
-        np.testing.assert_allclose(state_to_vector(merged),
-                                   state_to_vector(state), rtol=1e-5)
-
-    @given(st.integers(2, 6), st.integers(0, 50))
-    @settings(max_examples=15, deadline=None)
-    def test_ties_identical_clients_identity(self, n, seed):
-        state = self._states(seed, n=1)[0]
-        merged = ties_merge([state] * n, density=1.0)
-        np.testing.assert_allclose(state_to_vector(merged),
-                                   state_to_vector(state), rtol=1e-4,
-                                   atol=1e-5)
 
 
 class TestWallTimeProperties:

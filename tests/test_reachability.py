@@ -1,0 +1,102 @@
+"""Reachability rule (ROADMAP item 3c): every module under ``src/``
+is reachable from the CLI, the trace analyzer, an example or a
+benchmark — code that only its own unit test imports is a liability.
+
+The walk is pure ``ast`` (it imports and executes nothing).  A package
+``__init__`` is a namespace, not an edge: ``from repro.fed import
+Photon`` reaches the module that *defines* ``Photon``, not everything
+``repro/fed/__init__.py`` happens to re-export.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+from functools import cache
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+ENTRY_MODULES = ("repro.cli", "repro.__main__", "repro.obs.analyze")
+SCRIPTS = sorted([*ROOT.glob("examples/*.py"), *ROOT.glob("benchmarks/**/*.py")])
+
+
+def path_of(module: str) -> Path | None:
+    base = SRC.joinpath(*module.split("."))
+    return next((p for p in (base.with_suffix(".py"), base / "__init__.py")
+                 if p.is_file()), None)
+
+
+@cache
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+def source_of(node: ast.ImportFrom, module: str, path: Path) -> str:
+    """Absolute name of the module an ``ImportFrom`` reads."""
+    if not node.level:
+        return node.module
+    package = module.split(".")
+    package = package[:len(package) - node.level + (path.name == "__init__.py")]
+    return ".".join(package + ([node.module] if node.module else []))
+
+
+def reexports(module: str) -> dict[str, tuple[str, str]]:
+    """Top-level names ``module`` takes from elsewhere, as ``(source
+    module, source name)``: from-imports and plain ``A = B`` aliases."""
+    path, names = path_of(module), {}
+    for node in parse(path).body:
+        if isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                names[a.asname or a.name] = (source_of(node, module, path), a.name)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            names.update({t.id: (module, node.value.id) for t in node.targets})
+    return names
+
+
+def origin(module: str, name: str) -> str:
+    """The module ``from <module> import <name>`` really reaches: a
+    submodule, or — through a package's re-exports — the definer."""
+    if path_of(f"{module}.{name}") is not None:
+        return f"{module}.{name}"
+    path = path_of(module)
+    if path is None or path.name != "__init__.py" or name not in reexports(module):
+        return module
+    return origin(*reexports(module)[name])
+
+
+def imports(path: Path, module: str):
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = source_of(node, module, path)
+            if source.split(".")[0] == "repro" and path_of(source) is not None:
+                yield from (origin(source, a.name) for a in node.names)
+
+
+def test_every_module_is_reachable():
+    frontier = list(ENTRY_MODULES)
+    for script in SCRIPTS:  # also proves every example/benchmark parses
+        frontier.extend(imports(script, ""))
+    reached: set[str] = set()
+    while frontier:
+        module = frontier.pop()
+        path = path_of(module) if module.split(".")[0] == "repro" else None
+        if path is None or module in reached:
+            continue
+        reached.add(module)
+        if path.name != "__init__.py":  # a package is a namespace, not an edge
+            frontier.extend(imports(path, module))
+    modules = {".".join(p.relative_to(SRC).with_suffix("").parts)
+               for p in SRC.rglob("*.py") if p.name != "__init__.py"}
+    orphans = sorted(modules - reached)
+    assert not orphans, (
+        f"reachable only from their own tests — wire in or delete: {orphans}")
+
+
+def test_every_exported_name_resolves():
+    for init in SRC.rglob("__init__.py"):
+        package = importlib.import_module(".".join(init.parent.relative_to(SRC).parts))
+        missing = [n for n in getattr(package, "__all__", []) if not hasattr(package, n)]
+        assert not missing, f"{package.__name__}.__all__ names unbound {missing}"
