@@ -8,7 +8,7 @@ same federated run:
 
 * raw (no compression),
 * zlib (the lossless default),
-* int8 quantization + zlib (lossy, ~4x smaller).
+* the ``int8`` codec both ways + zlib (lossy, ~4x smaller).
 
 Shape asserted: zlib <= raw payloads; int8 < half of raw; all three
 runs converge, with the lossy run within 15% of the lossless one.
@@ -16,6 +16,7 @@ runs converge, with the lossy run within 15% of the lossless one.
 
 from __future__ import annotations
 
+from repro.compress import make_codec
 from repro.config import FedConfig, OptimConfig
 from repro.fed import Link, Photon
 
@@ -26,15 +27,16 @@ LOCAL_STEPS = 8
 ROUNDS = 6
 
 MODES = {
-    "raw": dict(compress=False),
-    "zlib": dict(compress=True),
-    "int8+zlib": dict(compress=True, quantize_int8=True),
+    "raw": lambda: Link(compress=False),
+    "zlib": lambda: Link(compress=True),
+    "int8+zlib": lambda: Link(uplink_codec=make_codec("int8"),
+                              downlink_codec=make_codec("int8")),
 }
 
 
 def run_modes() -> dict[str, dict]:
     results = {}
-    for name, link_kwargs in MODES.items():
+    for name, make_link in MODES.items():
         optim = OptimConfig(max_lr=4e-3, warmup_steps=4,
                             schedule_steps=ROUNDS * LOCAL_STEPS,
                             batch_size=4, weight_decay=0.0)
@@ -44,7 +46,7 @@ def run_modes() -> dict[str, dict]:
                       local_steps=LOCAL_STEPS, rounds=ROUNDS),
             optim, data_seed=3,
         )
-        photon.aggregator.link = Link(**link_kwargs)
+        photon.aggregator.link = make_link()
         history = photon.train()
         results[name] = {
             "ppl": history.val_perplexities,

@@ -2,7 +2,7 @@
 
 The subsystem the Link plugs in for lossy pseudo-gradient transport:
 quantization (fp16/int8/int4, stochastic rounding) and sparsification
-(top-k/rand-k) stages composed behind the lossless zlib container,
+(top-k/rand-k) stages composed behind the lossless zlib,
 with per-client error-feedback memory so biased codecs stay
 convergent.  ``make_codec("none")`` returns ``None`` — the untouched
 lossless path — so existing behavior is byte-exact by default.
@@ -14,15 +14,10 @@ from .codec import (
     Codec,
     CodecRegistry,
     CodecStage,
-    Fp16Codec,
     Fp16Stage,
-    Int4Codec,
     Int4Stage,
-    Int8Codec,
     Int8Stage,
-    RandKCodec,
     RandKStage,
-    TopKCodec,
     TopKStage,
     make_codec,
 )
@@ -32,11 +27,6 @@ __all__ = [
     "Codec",
     "CodecStage",
     "CodecRegistry",
-    "Fp16Codec",
-    "Int8Codec",
-    "Int4Codec",
-    "TopKCodec",
-    "RandKCodec",
     "Fp16Stage",
     "Int8Stage",
     "Int4Stage",

@@ -17,14 +17,15 @@ lossless zlib:
     index + value arrays (rand-k draws its support from a seeded
     per-channel stream).
 
-A :class:`Codec` is a named list of stages plus the zlib container:
-``encode`` runs the stages forward over the state dict's arrays,
-serializes whatever arrays the last stage produced (compact binary
-container) and zlib-compresses the result; ``decode`` inverts the container and runs
-the stages backward.  Stages communicate through key suffixes
-(``key::i`` indices, ``key::q8`` int8 codes, …), and every stage
-leaves non-float arrays alone — so ``topk:0.05+fp16`` quantizes the
-*values* of the sparse representation, never its indices.
+A :class:`Codec` is a named list of stages behind the lossless zlib:
+``encode`` runs the stages forward over the state dict's arrays, packs
+whatever arrays the last stage produced
+(:func:`~repro.utils.serialization.pack_tree`) and zlib-compresses the
+result; ``decode`` unpacks and runs the stages backward.  Stages
+communicate through key suffixes (``key::i`` indices, ``key::q8`` int8
+codes, …), and every stage leaves non-float arrays alone — so
+``topk:0.05+fp16`` quantizes the *values* of the sparse
+representation, never its indices.
 
 Seeding and determinism: stochastic stages draw from a dedicated
 stream per ``(sender, receiver)`` channel, created from a CRC of the
@@ -37,19 +38,18 @@ Construction is name-based through :class:`CodecRegistry` /
 :func:`make_codec`: ``"none"``, ``"fp16"``, ``"int8"``, ``"int4"``,
 ``"topk:<frac>"``, ``"randk:<frac>"``, chained with ``+``
 (``"topk:0.05+fp16"``).  ``"none"`` resolves to ``None`` — the Link's
-original lossless path, kept byte-exact as the regression anchor.
+codec-free lossless path, the regression anchor.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 import threading
 import zlib
 
 import numpy as np
 
-from ..utils.serialization import StateDict
+from ..utils.serialization import StateDict, pack_tree, unpack_tree
 
 __all__ = [
     "Codec",
@@ -60,11 +60,6 @@ __all__ = [
     "Int4Stage",
     "TopKStage",
     "RandKStage",
-    "Fp16Codec",
-    "Int8Codec",
-    "Int4Codec",
-    "TopKCodec",
-    "RandKCodec",
     "make_codec",
     "DEFAULT_REGISTRY",
     "COMPRESSION_SPECS",
@@ -347,67 +342,14 @@ class RandKStage(_SparseStage):
         return rng.choice(flat.size, size=k, replace=False)
 
 
-def _pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
-    """Compact array container: ``[count | per-array (name, dtype,
-    shape, data)]``.  npz spends ~230 bytes of zip/npy headers per
-    entry, which at small payload sizes erases exactly the margin a
-    1-byte-per-element codec fights for; this framing spends ~40.
-    """
-    parts = [struct.pack("<I", len(arrays))]
-    for name, array in arrays.items():
-        array = np.asarray(array)
-        if not array.flags["C_CONTIGUOUS"]:
-            # (0-d arrays are always contiguous, so this never runs
-            # np.ascontiguousarray's 0-d -> 1-d promotion.)
-            array = np.ascontiguousarray(array)
-        name_b = name.encode()
-        dtype_b = array.dtype.str.encode()
-        parts.append(struct.pack("<H", len(name_b)))
-        parts.append(name_b)
-        parts.append(struct.pack("<B", len(dtype_b)))
-        parts.append(dtype_b)
-        parts.append(struct.pack("<B", array.ndim))
-        parts.append(struct.pack(f"<{array.ndim}I", *array.shape))
-        parts.append(array.tobytes())
-    return b"".join(parts)
-
-
-def _unpack_arrays(body: bytes) -> dict[str, np.ndarray]:
-    """Inverse of :func:`_pack_arrays`."""
-    (count,), offset = struct.unpack_from("<I", body), 4
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", body, offset)
-        offset += 2
-        name = body[offset:offset + name_len].decode()
-        offset += name_len
-        (dtype_len,) = struct.unpack_from("<B", body, offset)
-        offset += 1
-        dtype = np.dtype(body[offset:offset + dtype_len].decode())
-        offset += dtype_len
-        (ndim,) = struct.unpack_from("<B", body, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", body, offset)
-        offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
-        nbytes = size * dtype.itemsize
-        arrays[name] = np.frombuffer(
-            body[offset:offset + nbytes], dtype=dtype).reshape(shape).copy()
-        offset += nbytes
-    return arrays
-
-
 class Codec:
-    """Named stage chain behind the lossless zlib container.
+    """Named stage chain behind the lossless zlib.
 
     ``encode`` casts the state dict to float32 arrays, runs the stages
-    forward, and ships the resulting arrays in a compact binary
-    container, zlib-compressed, with a 4-byte magic; ``decode``
-    inverts.  With an empty stage list the codec is lossless (zlib
-    over fp32 — same math as the Link default, different framing).
+    forward, packs the resulting arrays and zlib-compresses them;
+    ``decode`` inverts.  With an empty stage list the codec is lossless
+    (the Link default at this codec's zlib level).
     """
-
-    MAGIC = b"CPX1"
 
     def __init__(self, name: str, stages: list[CodecStage], level: int = 6):
         self.name = name
@@ -431,19 +373,15 @@ class Codec:
         channel = (sender, receiver)
         for stage in self.stages:
             arrays = stage.forward(arrays, channel)
-        return _pack_arrays(arrays)
+        return pack_tree({k: np.asarray(v) for k, v in arrays.items()})
 
     def encode(self, state: StateDict, sender: str = "",
                receiver: str = "") -> bytes:
         payload = self.stage_payload(state, sender, receiver)
-        return self.MAGIC + zlib.compress(payload, self.level)
+        return zlib.compress(payload, self.level)
 
     def decode(self, payload: bytes) -> StateDict:
-        if payload[:4] != self.MAGIC:
-            raise ValueError(
-                f"payload magic {payload[:4]!r} is not a codec payload"
-            )
-        arrays = _unpack_arrays(zlib.decompress(payload[4:]))
+        arrays = unpack_tree(payload)
         for stage in reversed(self.stages):
             arrays = stage.backward(arrays)
         return arrays
@@ -470,31 +408,6 @@ class Codec:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Codec({self.name!r}, stages={self.stages!r})"
-
-
-# ----------------------------------------------------------------------
-# Convenience single-stage constructors (what the registry builds).
-# ----------------------------------------------------------------------
-
-def Fp16Codec(level: int = 6) -> Codec:
-    return Codec("fp16", [Fp16Stage()], level=level)
-
-
-def Int8Codec(seed: int = 0, level: int = 6) -> Codec:
-    return Codec("int8", [Int8Stage(seed)], level=level)
-
-
-def Int4Codec(seed: int = 0, level: int = 6) -> Codec:
-    return Codec("int4", [Int4Stage(seed)], level=level)
-
-
-def TopKCodec(fraction: float, seed: int = 0, level: int = 6) -> Codec:
-    return Codec(f"topk:{fraction:g}", [TopKStage(fraction, seed)], level=level)
-
-
-def RandKCodec(fraction: float, seed: int = 0, level: int = 6) -> Codec:
-    return Codec(f"randk:{fraction:g}", [RandKStage(fraction, seed)],
-                 level=level)
 
 
 # ----------------------------------------------------------------------

@@ -38,12 +38,7 @@ from .postprocess import (
     PostProcessor,
     TopKSparsify,
 )
-from .runstate import (
-    RUNSTATE_VERSION,
-    RunStateCheckpointer,
-    pack_tree,
-    unpack_tree,
-)
+from .runstate import RUNSTATE_VERSION, RunStateCheckpointer
 from .sampler import (
     AvailabilityModel,
     ClientSampler,
@@ -82,8 +77,6 @@ __all__ = [
     "CheckpointManager",
     "RunStateCheckpointer",
     "RUNSTATE_VERSION",
-    "pack_tree",
-    "unpack_tree",
     "ServerOpt",
     "FedAvg",
     "FedMom",

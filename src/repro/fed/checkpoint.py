@@ -1,20 +1,22 @@
 """Checkpointing for fast recovery (Algorithm 1 L.11 and L.26).
 
 The aggregator checkpoints the global model every round; clients may
-checkpoint their local state for quick recovery.  Checkpoints are NumPy
-``.npz`` archives with a tiny JSON sidecar of metadata, and the
-manager keeps a bounded number of recent checkpoints.
+checkpoint their local state for quick recovery.  A checkpoint is one
+``{state, metadata}`` tree container
+(:func:`~repro.utils.serialization.pack_tree`) per step, written to a
+temporary file and renamed into place, and the manager keeps a bounded
+number of recent checkpoints.
 """
 
 from __future__ import annotations
 
-import json
+import os
 import threading
 from pathlib import Path
 
 import numpy as np
 
-from ..utils.serialization import StateDict
+from ..utils.serialization import PayloadError, StateDict, pack_tree, unpack_tree
 
 __all__ = ["CheckpointManager"]
 
@@ -47,26 +49,33 @@ class CheckpointManager:
         # resurrect a retired checkpoint (it would sit on disk outside
         # the keep budget until some future save pruned it again).
         self._retired_step = None
+        #: Size of the most recent container written.
+        self.last_nbytes = 0
 
     def _path(self, step: int) -> Path:
-        return self.directory / f"{self.prefix}_{step:08d}.npz"
+        return self.directory / f"{self.prefix}_{step:08d}.ckpt"
 
-    def save(self, step: int, state: StateDict, metadata: dict | None = None) -> Path:
+    def save(self, step: int, state, metadata: dict | None = None) -> Path:
         """Write a checkpoint and prune old ones.
 
-        Dtypes are preserved exactly — fp64 moments, integer counters
-        and uint8 payload blobs round-trip bit-for-bit (the historical
-        float32 cast silently destroyed them).  A write for a step the
-        rotation has already pruned past is skipped (see
-        :meth:`save_async`).
+        ``state`` is any tree :func:`pack_tree` accepts (a flat state
+        dict, or a whole RunState); dtypes round-trip exactly.  The
+        file appears under its final name only once complete.  A write
+        for a step the rotation has already pruned past is skipped
+        (see :meth:`save_async`).
         """
         path = self._path(step)
         with self._io_lock:
             if self._retired_step is not None and step <= self._retired_step:
                 return path  # stale async write: already rotated out
-            np.savez(path, **{k: np.asarray(v) for k, v in state.items()})
-            meta = {"step": step, **(metadata or {})}
-            path.with_suffix(".json").write_text(json.dumps(meta))
+            blob = pack_tree({
+                "state": state,
+                "metadata": {"step": step, **(metadata or {})},
+            })
+            partial = path.with_suffix(".tmp")
+            partial.write_bytes(blob)
+            os.replace(partial, path)
+            self.last_nbytes = len(blob)
             self._prune()
         return path
 
@@ -103,7 +112,6 @@ class CheckpointManager:
         checkpoints = self.list_checkpoints()
         for step in checkpoints[: -self.keep]:
             self._path(step).unlink(missing_ok=True)
-            self._path(step).with_suffix(".json").unlink(missing_ok=True)
         if len(checkpoints) > self.keep:
             retired = checkpoints[-self.keep - 1]
             if self._retired_step is None or retired > self._retired_step:
@@ -112,15 +120,21 @@ class CheckpointManager:
     def list_checkpoints(self) -> list[int]:
         """Available checkpoint steps, oldest first."""
         steps = []
-        for path in self.directory.glob(f"{self.prefix}_*.npz"):
+        for path in self.directory.glob(f"{self.prefix}_*.ckpt"):
             try:
                 steps.append(int(path.stem.split("_")[-1]))
             except ValueError:
                 continue
+        if not steps and any(self.directory.glob(f"{self.prefix}_*.npz")):
+            raise ValueError(
+                f"{self.directory} holds only {self.prefix}_*.npz (+ .json) "
+                "checkpoints, the pre-container format this build cannot "
+                "read; start a fresh run or use a fresh directory")
         return sorted(steps)
 
-    def load(self, step: int | None = None) -> tuple[int, StateDict, dict]:
-        """Load a checkpoint (latest if ``step`` is None)."""
+    def load(self, step: int | None = None) -> tuple[int, dict, dict]:
+        """Load a checkpoint (latest if ``step`` is None); returns
+        ``(step, state, metadata)``."""
         available = self.list_checkpoints()
         if not available:
             raise FileNotFoundError(f"no checkpoints under {self.directory}")
@@ -129,8 +143,10 @@ class CheckpointManager:
         if step not in available:
             raise FileNotFoundError(f"no checkpoint for step {step}; have {available}")
         path = self._path(step)
-        with np.load(path) as archive:
-            state = {k: archive[k].copy() for k in archive.files}
-        meta_path = path.with_suffix(".json")
-        metadata = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-        return step, state, metadata
+        try:
+            tree = unpack_tree(path.read_bytes())
+        except PayloadError as exc:
+            raise PayloadError(f"{path}: {exc}") from None
+        if not (isinstance(tree, dict) and tree.keys() == {"state", "metadata"}):
+            raise PayloadError(f"{path}: not a {{state, metadata}} checkpoint tree")
+        return step, tree["state"], tree["metadata"]

@@ -5,9 +5,10 @@ component serializes into a RunState artifact and a resumed run
 replays bit-exactly.  This module takes the carried-over follow-up to
 its production conclusion (ROADMAP item 3): the root server streams
 the same versioned state tree to standby **replicas over the wire**
-(:meth:`Link.send_blob` — dtype-exact, metered like any other
-payload), a seeded :class:`FailureModel` kills the server at a round
-boundary, and a surviving replica **promotes** with bounded staleness:
+(:func:`~repro.utils.serialization.pack_tree` behind zlib, shipped by
+:meth:`Link.send_blob` and metered like any other payload), a seeded
+:class:`FailureModel` kills the server at a round boundary, and a
+surviving replica **promotes** with bounded staleness:
 
     updates lost per crash ≤ replicate_every (= 1 by default, i.e.
     at most the round that died before its snapshot shipped)
@@ -30,50 +31,15 @@ scripted crash fires exactly once).
 
 from __future__ import annotations
 
-import io
-import json
 import time
 import zlib
 
-import numpy as np
-
 from ..obs.trace import NULL_TRACER
+from ..utils.serialization import pack_tree, unpack_tree
 from .faults import FailureModel
 from .link import Link
-from .runstate import pack_tree, unpack_tree
 
-__all__ = ["ReplicaSet", "FailoverController",
-           "serialize_tree", "deserialize_tree"]
-
-
-def serialize_tree(tree) -> tuple[bytes, int]:
-    """Pack a state tree into one dtype-preserving wire payload.
-
-    Returns ``(payload, raw_nbytes)`` — the zlib-compressed container
-    and its uncompressed size (for the Link's raw-volume column).
-    ``encode_state`` is unusable here: it casts every array to
-    float32, which would corrupt the tree's int64 counters and RNG
-    pool bytes.
-    """
-    arrays, structure = pack_tree(tree)
-    buffer = io.BytesIO()
-    np.savez(buffer, **arrays)
-    blob = buffer.getvalue()
-    doc = json.dumps(structure).encode()
-    container = len(doc).to_bytes(8, "big") + doc + blob
-    return zlib.compress(container, 1), len(container)
-
-
-def deserialize_tree(payload: bytes):
-    """Inverse of :func:`serialize_tree`.  ``np.load`` materializes
-    fresh arrays, so the result shares no memory with the engine that
-    produced the snapshot."""
-    container = zlib.decompress(payload)
-    doc_len = int.from_bytes(container[:8], "big")
-    structure = json.loads(container[8:8 + doc_len].decode())
-    with np.load(io.BytesIO(container[8 + doc_len:]), allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    return unpack_tree(structure, arrays)
+__all__ = ["ReplicaSet", "FailoverController"]
 
 
 class ReplicaSet:
@@ -99,7 +65,8 @@ class ReplicaSet:
         """Stream snapshot ``version`` to every replica."""
         if not self.n_replicas:
             return
-        payload, raw = serialize_tree(tree)
+        container = pack_tree(tree)
+        payload, raw = zlib.compress(container, 1), len(container)
         for i in range(self.n_replicas):
             message = self.link.send_blob(
                 payload, sender=self.server_id,
@@ -125,7 +92,7 @@ class ReplicaSet:
                 best = held
         if best is None:
             return None
-        return best[0], deserialize_tree(best[1])
+        return best[0], unpack_tree(best[1])
 
     @property
     def held_versions(self) -> list[int | None]:
@@ -191,7 +158,7 @@ class FailoverController:
             promoted = self.replica_set.promote(self.failure_model, completed)
             if promoted is None:
                 version, payload = self._cold
-                tree = deserialize_tree(payload)
+                tree = unpack_tree(payload)
             else:
                 version, tree = promoted
             self.engine.load_state_dict(tree)
@@ -230,11 +197,11 @@ class FailoverController:
             target_perplexity: float | None = None):
         """Drive ``rounds`` more server updates through crashes.
         Returns the engine's history."""
-        # Version-0 snapshot: serialized immediately (the packed tree
-        # references the engine's live arrays) so a crash before the
-        # first replication still has something to restart from.
-        payload, _ = serialize_tree(self.engine.state_dict())
-        self._cold = (len(self.engine.history), payload)
+        # Version-0 snapshot: packed immediately (state_dict references
+        # the engine's live arrays) so a crash before the first
+        # replication still has something to restart from.
+        self._cold = (len(self.engine.history),
+                      pack_tree(self.engine.state_dict()))
         return self.engine.run(rounds, local_steps, target_perplexity,
                                boundary=self._boundary)
 

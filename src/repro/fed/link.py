@@ -15,11 +15,7 @@ codecs from :mod:`repro.compress`: ``uplink_codec`` compresses client
 → server pseudo-gradients, ``downlink_codec`` optionally compresses
 the server broadcast.  Alongside the wire counters the Link tracks the
 **raw** (uncompressed float32) volume of every payload, so reports can
-state exactly what the codec saved.  With no codecs configured the
-original byte stream is reproduced bit-exactly.
-
-Encryption itself (TLS) is connection-level and contributes nothing
-to the math, so it is represented by a flag on the channel.
+state exactly what the codec saved.
 """
 
 from __future__ import annotations
@@ -60,17 +56,13 @@ class Link:
 
     METADATA_OVERHEAD = 256  # bytes budgeted for the message envelope
 
-    def __init__(self, compress: bool = True, tls: bool = True,
-                 compression_level: int = 1, quantize_int8: bool = False,
+    def __init__(self, compress: bool = True,
                  uplink_codec: Codec | None = None,
                  downlink_codec: Codec | None = None):
         self.compress = compress
-        self.tls = tls
-        self.compression_level = compression_level
-        self.quantize_int8 = quantize_int8
         # Lossy transport (repro.compress): client→server uploads ride
         # the uplink codec, server broadcasts the downlink codec; None
-        # keeps the legacy lossless path byte-exactly.
+        # is the paper's lossless path.
         self.uplink_codec = uplink_codec
         self.downlink_codec = downlink_codec
         self.bytes_sent = 0
@@ -97,18 +89,11 @@ class Link:
         uploads the uplink codec."""
         return self.downlink_codec if sender == "agg" else self.uplink_codec
 
-    def send_state(self, state: StateDict, sender: str, receiver: str,
-                   metadata: dict | None = None) -> Message:
-        codec = self._codec_for(sender)
-        if codec is None:
-            payload = encode_state(state, compress=self.compress,
-                                   level=self.compression_level,
-                                   quantize_int8=self.quantize_int8)
-        else:
-            payload = codec.encode(state, sender=sender, receiver=receiver)
-        message = Message(sender, receiver, payload, metadata or {})
-        raw = state_bytes(state) + self.METADATA_OVERHEAD
-        wire = message.nbytes + self.METADATA_OVERHEAD
+    def _meter(self, sender: str, wire: int, raw: int) -> None:
+        """Count one sent message: ``wire`` payload bytes on the wire,
+        ``raw`` bytes of what it carried uncompressed."""
+        wire += self.METADATA_OVERHEAD
+        raw += self.METADATA_OVERHEAD
         with self._lock:
             self.bytes_sent += wire
             self.raw_bytes_sent += raw
@@ -119,34 +104,25 @@ class Link:
                 self.uplink_wire_bytes += wire
                 self.uplink_raw_bytes += raw
             self.messages_sent += 1
-        return message
+
+    def send_state(self, state: StateDict, sender: str, receiver: str,
+                   metadata: dict | None = None) -> Message:
+        codec = self._codec_for(sender)
+        payload = (encode_state(state, compress=self.compress) if codec is None
+                   else codec.encode(state, sender=sender, receiver=receiver))
+        self._meter(sender, len(payload), state_bytes(state))
+        return Message(sender, receiver, payload, metadata or {})
 
     def send_blob(self, payload: bytes, sender: str, receiver: str,
                   metadata: dict | None = None,
                   raw_nbytes: int | None = None) -> Message:
-        """Ship an opaque byte payload with the usual metering.
-
-        Used for artifacts that must survive the wire dtype-exactly
-        (packed ``RunState`` trees carry int64 counters and RNG pool
-        bytes, which ``encode_state`` would cast to float32).  The
-        caller owns serialization; the Link only meters.  ``raw_nbytes``
-        is the pre-compression size for the raw-volume column
-        (defaults to the payload size).
-        """
-        message = Message(sender, receiver, payload, metadata or {})
-        raw = (len(payload) if raw_nbytes is None else raw_nbytes) + self.METADATA_OVERHEAD
-        wire = message.nbytes + self.METADATA_OVERHEAD
-        with self._lock:
-            self.bytes_sent += wire
-            self.raw_bytes_sent += raw
-            if sender == "agg":
-                self.downlink_wire_bytes += wire
-                self.downlink_raw_bytes += raw
-            else:
-                self.uplink_wire_bytes += wire
-                self.uplink_raw_bytes += raw
-            self.messages_sent += 1
-        return message
+        """Ship an opaque byte payload with the usual metering.  The
+        caller owns serialization; ``raw_nbytes`` is the
+        pre-compression size for the raw-volume column (defaults to
+        the payload size)."""
+        self._meter(sender, len(payload),
+                    len(payload) if raw_nbytes is None else raw_nbytes)
+        return Message(sender, receiver, payload, metadata or {})
 
     def recv_blob(self, message: Message,
                   raw_nbytes: int | None = None) -> tuple[bytes, dict]:

@@ -14,10 +14,8 @@ This module makes the whole run durable:
   ``load_state_dict()`` (engines, scheduler, server optimizers,
   samplers, availability/failure models, jitter clocks, codec RNG
   streams, EF residuals, data streams, clients, Link counters);
-* :func:`pack_tree` / :func:`unpack_tree` flatten the nested state
-  tree into a flat ``{name: ndarray}`` dict (persisted through the
-  existing :class:`~repro.fed.checkpoint.CheckpointManager`, dtypes
-  preserved) plus a JSON-able structure document;
+* the nested state tree is persisted dtype-exactly, one file per
+  step, by :class:`~repro.fed.checkpoint.CheckpointManager`;
 * :class:`RunStateCheckpointer` versions the artifact and optionally
   runs the **ServerOpt moments** through a :mod:`repro.compress`
   codec (``FedConfig(checkpoint_codec="int8")`` ships FedAdam's m/v
@@ -39,12 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from ..compress.codec import Codec, make_codec
+from ..obs.trace import NULL_TRACER
 from .checkpoint import CheckpointManager
 
 __all__ = [
     "RUNSTATE_VERSION",
-    "pack_tree",
-    "unpack_tree",
     "RunStateCheckpointer",
 ]
 
@@ -52,12 +49,6 @@ __all__ = [
 #: incompatible change to the tree layout so a stale checkpoint fails
 #: loudly instead of restoring garbage.
 RUNSTATE_VERSION = 1
-
-# Node tags of the packed structure document.  A packed node is a
-# one-key dict: {"__nd__": <array name>} array leaf,
-# {"__b__": <array name>} bytes leaf (stored as uint8),
-# {"__d__": {...}} dict, {"__l__": [...]} list, {"__v__": scalar}.
-_ND, _BYTES, _DICT, _LIST, _VAL = "__nd__", "__b__", "__d__", "__l__", "__v__"
 
 #: Marker for a codec-compressed float state dict (ServerOpt moments).
 _CODEC_PAYLOAD = "__codec_payload__"
@@ -102,8 +93,7 @@ def _sqrt_wrap(node):
 
 def _sqrt_unwrap(node):
     """Inverse of :func:`_sqrt_wrap`: square tagged moment trees back
-    into the linear domain.  Checkpoints written before the sqrt
-    transform carry no marker and pass through unchanged."""
+    into the linear domain."""
     if isinstance(node, dict):
         if set(node) == {_SQRT_MOMENT}:
             return {k: np.square(v) for k, v in node[_SQRT_MOMENT].items()}
@@ -111,68 +101,6 @@ def _sqrt_unwrap(node):
     if isinstance(node, list):
         return [_sqrt_unwrap(v) for v in node]
     return node
-
-
-def pack_tree(tree) -> tuple[dict[str, np.ndarray], dict]:
-    """Flatten a nested state tree into ``(arrays, structure)``.
-
-    ``tree`` may nest dicts (string keys), lists/tuples, NumPy arrays
-    (dtype preserved), ``bytes``, and JSON scalars (None/bool/int/
-    float/str; NumPy scalars are coerced).  ``arrays`` maps synthetic
-    names to the array leaves — safe for ``np.savez`` regardless of
-    what characters the tree's keys contain — and ``structure`` is a
-    JSON-able document referencing them by name.
-    """
-    arrays: dict[str, np.ndarray] = {}
-
-    def walk(obj, path: str):
-        if isinstance(obj, np.ndarray):
-            name = f"a{len(arrays)}"
-            arrays[name] = obj
-            return {_ND: name}
-        if isinstance(obj, (bytes, bytearray, memoryview)):
-            name = f"a{len(arrays)}"
-            arrays[name] = np.frombuffer(bytes(obj), dtype=np.uint8)
-            return {_BYTES: name}
-        if isinstance(obj, dict):
-            packed = {}
-            for key, value in obj.items():
-                if not isinstance(key, str):
-                    raise TypeError(
-                        f"non-string dict key {key!r} at {path or '<root>'}"
-                    )
-                packed[key] = walk(value, f"{path}/{key}")
-            return {_DICT: packed}
-        if isinstance(obj, (list, tuple)):
-            return {_LIST: [walk(v, f"{path}[{i}]") for i, v in enumerate(obj)]}
-        if isinstance(obj, (np.integer, np.floating, np.bool_)):
-            obj = obj.item()
-        if obj is None or isinstance(obj, (bool, int, float, str)):
-            return {_VAL: obj}
-        raise TypeError(
-            f"cannot pack {type(obj).__name__} at {path or '<root>'}"
-        )
-
-    return arrays, walk(tree, "")
-
-
-def unpack_tree(structure: dict, arrays: dict[str, np.ndarray]):
-    """Inverse of :func:`pack_tree` (tuples come back as lists)."""
-
-    def walk(node):
-        if _ND in node:
-            return np.asarray(arrays[node[_ND]])
-        if _BYTES in node:
-            return arrays[node[_BYTES]].tobytes()
-        if _DICT in node:
-            return {k: walk(v) for k, v in node[_DICT].items()}
-        if _LIST in node:
-            return [walk(v) for v in node[_LIST]]
-        if _VAL in node:
-            return node[_VAL]
-        raise ValueError(f"malformed runstate node: {sorted(node)}")
-
-    return walk(structure)
 
 
 def _is_float_state_dict(node) -> bool:
@@ -219,8 +147,8 @@ class RunStateCheckpointer:
     """Versioned full-run checkpoints over a :class:`CheckpointManager`.
 
     ``save`` captures ``engine.state_dict()`` — the *entire*
-    federation, not just the weights — packs it, and writes one
-    rotating ``runstate_*.npz`` artifact (+ JSON structure sidecar).
+    federation, not just the weights — and writes one rotating
+    ``runstate_*.ckpt`` artifact.
     ``restore`` loads the latest (or a chosen) artifact back into a
     freshly-built engine of the same configuration.
 
@@ -240,13 +168,10 @@ class RunStateCheckpointer:
 
     def __init__(self, directory: str | Path, codec: str = "none",
                  keep: int = 3, seed: int = 0, prefix: str = "runstate",
-                 tracer=None):
+                 tracer=NULL_TRACER):
         self.codec_spec = codec
         self.codec = make_codec(codec, seed=seed)
         self.manager = CheckpointManager(directory, keep=keep, prefix=prefix)
-        if tracer is None:
-            from ..obs.trace import NULL_TRACER
-            tracer = NULL_TRACER
         self.tracer = tracer
 
     @property
@@ -266,33 +191,25 @@ class RunStateCheckpointer:
                 # touches them.
                 tree["server_opt"] = _codec_wrap(
                     _sqrt_wrap(tree["server_opt"]), self.codec)
-            arrays, structure = pack_tree(tree)
-            path = self.manager.save(step, arrays, metadata={
+            path = self.manager.save(step, tree, metadata={
                 "runstate_version": RUNSTATE_VERSION,
                 "codec": self.codec_spec,
-                "tree": structure,
             })
-        if self.tracer.enabled:
-            meters = self.tracer.meters
-            meters.counter("checkpoint/saves").inc()
-            try:
-                meters.gauge("checkpoint/last_bytes").set(
-                    path.stat().st_size)
-            except OSError:
-                pass
+        meters = self.tracer.meters
+        meters.counter("checkpoint/saves").inc()
+        meters.gauge("checkpoint/last_bytes").set(self.manager.last_nbytes)
         return path
 
     # ------------------------------------------------------------------
     def load_tree(self, step: int | None = None) -> tuple[int, dict]:
         """Load a checkpoint's state tree (latest if ``step`` is None)."""
-        step, arrays, metadata = self.manager.load(step)
+        step, tree, metadata = self.manager.load(step)
         version = metadata.get("runstate_version")
         if version != RUNSTATE_VERSION:
             raise ValueError(
                 f"checkpoint at step {step} has runstate version "
                 f"{version!r}; this build reads version {RUNSTATE_VERSION}"
             )
-        tree = unpack_tree(metadata["tree"], arrays)
         spec = metadata.get("codec", "none")
         codec = make_codec(spec)
         if codec is not None and tree.get("server_opt"):

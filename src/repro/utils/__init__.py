@@ -2,17 +2,19 @@
 
 from .metrics import History, RoundRecord, aggregate_metrics
 from .serialization import (
+    PayloadError,
     decode_state,
     encode_state,
+    pack_tree,
     state_bytes,
     state_to_vector,
     tree_add,
-    tree_map,
     tree_mean,
     tree_norm,
     tree_scale,
     tree_sub,
     tree_zeros_like,
+    unpack_tree,
     vector_to_state,
 )
 
@@ -23,9 +25,11 @@ __all__ = [
     "state_to_vector",
     "vector_to_state",
     "state_bytes",
+    "PayloadError",
+    "pack_tree",
+    "unpack_tree",
     "encode_state",
     "decode_state",
-    "tree_map",
     "tree_add",
     "tree_sub",
     "tree_scale",

@@ -1,18 +1,23 @@
 """Parameter (de)serialization shared by Link and checkpoints.
 
-State dicts travel between Photon components in two forms:
+State travels between Photon components in three forms:
 
 * flat ``float32`` vectors — for arithmetic (averaging, masking,
   pseudo-gradients) and for the FSDP parameter sharding;
-* compressed byte payloads — what the Link actually "transmits",
-  enabling exact accounting of communication volume.  The default is
-  lossless zlib per the paper ("Photon uses lossless compression
-  techniques without pruning").
+* the tree container (:func:`pack_tree` / :func:`unpack_tree`) — the
+  only bytes ⇄ state-tree code in the repository: Link and codec
+  payloads, RunState and weights checkpoints and replica snapshots are
+  all this one dtype-exact, checksummed format;
+* compressed byte payloads — a float32 state dict in that container
+  behind zlib: what the Link actually "transmits", enabling exact
+  accounting of communication volume.  Lossless per the paper ("Photon
+  uses lossless compression techniques without pruning").
 """
 
 from __future__ import annotations
 
-import io
+import math
+import struct
 import zlib
 
 import numpy as np
@@ -21,9 +26,11 @@ __all__ = [
     "state_to_vector",
     "vector_to_state",
     "state_bytes",
+    "PayloadError",
+    "pack_tree",
+    "unpack_tree",
     "encode_state",
     "decode_state",
-    "tree_map",
     "tree_add",
     "tree_scale",
     "tree_sub",
@@ -65,68 +72,237 @@ def state_bytes(state: StateDict, bytes_per_param: int = 4) -> int:
     return bytes_per_param * sum(np.asarray(v).size for v in state.values())
 
 
-def encode_state(state: StateDict, compress: bool = True, level: int = 1,
-                 quantize_int8: bool = False) -> bytes:
-    """Serialize a state dict to bytes.
+class PayloadError(ValueError):
+    """A serialized tree that cannot be decoded: wrong magic, checksum
+    mismatch, truncation, a length that overruns the payload, an
+    unknown tag or dtype, or a corrupt zlib stream."""
 
-    ``compress`` applies lossless zlib (the paper's default Link
-    behaviour).  ``quantize_int8`` applies symmetric per-tensor int8
-    quantization first — the lossy compression hook Section 4 leaves
-    open ("model compression and pruning techniques"); payloads shrink
-    ~4× at a small reconstruction error (bounded by scale/2 per
-    element).
+
+#: Container magic; the trailing digit versions the byte format.  Must
+#: not begin with 0x78 — that is how :func:`unpack_tree` tells a bare
+#: container from a zlib-deflated one.
+MAGIC = b"PTC1"
+
+_HEADER = struct.Struct("<4sII")  # magic, crc32, n (node-section bytes)
+_CHECKED_FROM = 8  # the CRC32 covers every byte after itself
+_U8 = struct.Struct("<B")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_F64 = struct.Struct("<d")
+_ARRAY = struct.Struct("<cBB")  # dtype kind, itemsize, ndim
+
+#: dtype kinds the container carries (bool, signed, unsigned, float,
+#: complex), always little-endian.  Object arrays would need pickle.
+_KINDS = b"biufc"
+
+_CONSTANTS = {b"N": None, b"T": True, b"F": False}
+
+#: Decoder nesting bound: a hostile payload of nested list tags must
+#: fail typed, not by exhausting the interpreter stack.
+_MAX_DEPTH = 64
+
+
+def _write(obj, nodes: list[bytes], data: list[np.ndarray], path: str) -> None:
+    if isinstance(obj, np.ndarray):
+        kind = obj.dtype.kind.encode()
+        if kind not in _KINDS:
+            raise TypeError(
+                f"cannot pack dtype {obj.dtype} at {path or '<root>'}")
+        obj = obj.astype(obj.dtype.newbyteorder("<"), copy=False)
+        nodes.append(b"a" + _ARRAY.pack(kind, obj.dtype.itemsize, obj.ndim)
+                     + struct.pack(f"<{obj.ndim}I", *obj.shape))
+        # C-order bytes whatever the memory layout; contiguous arrays
+        # are joined straight from their own buffer, uncopied.
+        data.append(np.ascontiguousarray(obj).reshape(-1).view(np.uint8))
+    elif isinstance(obj, (bytes, bytearray, memoryview)):
+        nodes.append(b"b" + _U32.pack(len(obj)))
+        nodes.append(bytes(obj))
+    elif isinstance(obj, dict):
+        nodes.append(b"d" + _U32.pack(len(obj)))
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"non-string dict key {key!r} at {path or '<root>'}")
+            encoded = key.encode()
+            nodes.append(_U16.pack(len(encoded)) + encoded)
+            _write(value, nodes, data, f"{path}/{key}")
+    elif isinstance(obj, (list, tuple)):
+        nodes.append(b"l" + _U32.pack(len(obj)))
+        for i, value in enumerate(obj):
+            _write(value, nodes, data, f"{path}[{i}]")
+    elif obj is None:
+        nodes.append(b"N")
+    elif isinstance(obj, (bool, np.bool_)):
+        nodes.append(b"T" if obj else b"F")
+    elif isinstance(obj, (int, np.integer)):
+        obj = int(obj)
+        encoded = obj.to_bytes(obj.bit_length() // 8 + 1, "little", signed=True)
+        nodes.append(b"i" + _U8.pack(len(encoded)) + encoded)
+    elif isinstance(obj, (float, np.floating)):
+        nodes.append(b"f" + _F64.pack(obj))
+    elif isinstance(obj, str):
+        encoded = obj.encode()
+        nodes.append(b"s" + _U32.pack(len(encoded)) + encoded)
+    else:
+        raise TypeError(
+            f"cannot pack {type(obj).__name__} at {path or '<root>'}")
+
+
+def pack_tree(tree) -> bytes:
+    """Serialize a state tree into the one container every wire payload
+    and checkpoint in this repository uses.
+
+    ``tree`` nests dicts (string keys, order kept), lists/tuples (come
+    back as lists), NumPy arrays (bool/int/uint/float/complex of any
+    width, any shape and memory layout — dtype, shape and bits
+    round-trip exactly), ``bytes``, and None/bool/int/float/str (NumPy
+    scalars come back as Python scalars).  Layout::
+
+        container := MAGIC crc32:u32 n:u32 node data
+        node := "N" | "T" | "F"
+              | "i" k:u8 two's-complement[k] | "f" float64
+              | "s" k:u32 utf8[k]            | "b" k:u32 raw[k]
+              | "l" k:u32 node*k
+              | "d" k:u32 (m:u16 utf8[m] node)*k
+              | "a" kind:char itemsize:u8 ndim:u8 dim:u32*ndim
+
+    all little-endian; ``node`` is ``n`` bytes and ``data`` is every
+    array's ``prod(dims) * itemsize`` bytes, C order, in node order
+    (structure first, one contiguous body: adjacent array headers
+    deflate better than interleaved ones, and the body is the only
+    part that scales with the model).  A flat state dict therefore
+    costs exactly ``17 + sum(6 + len(name) + 4 * ndim + nbytes)`` bytes.
     """
-    buffer = io.BytesIO()
-    if quantize_int8:
-        arrays: dict[str, np.ndarray] = {}
-        for key, value in state.items():
-            value = np.asarray(value, dtype=np.float32)
-            scale = float(np.abs(value).max()) / 127.0 if value.size else 0.0
-            if scale == 0.0:
-                quantized = np.zeros(value.shape, dtype=np.int8)
-                scale = 1.0
-            else:
-                quantized = np.clip(np.round(value / scale), -127, 127).astype(np.int8)
-            arrays[f"{key}::q"] = quantized
-            arrays[f"{key}::s"] = np.float32(scale)
-        np.savez(buffer, **arrays)
-        raw = buffer.getvalue()
-        magic = b"Q8Z0" if compress else b"Q8R0"
-        return magic + (zlib.compress(raw, level) if compress else raw)
-    np.savez(buffer, **{k: np.asarray(v, dtype=np.float32) for k, v in state.items()})
-    raw = buffer.getvalue()
-    if not compress:
-        return b"RAW0" + raw
-    return b"ZLB0" + zlib.compress(raw, level)
+    nodes: list[bytes] = []
+    data: list[np.ndarray] = []
+    _write(tree, nodes, data, "")
+    parts = [_U32.pack(sum(map(len, nodes))), *nodes, *data]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return b"".join([MAGIC, _U32.pack(crc), *parts])
+
+
+class _Cursor:
+    """Bounds-checked reader over one section of a container."""
+
+    def __init__(self, section: memoryview):
+        self.section, self.pos = section, 0
+
+    @property
+    def left(self) -> int:
+        return len(self.section) - self.pos
+
+    def take(self, n: int) -> memoryview:
+        if n > self.left:
+            raise PayloadError(
+                f"truncated container: {n} bytes wanted, {self.left} left")
+        chunk = self.section[self.pos:self.pos + n]
+        self.pos += n
+        return chunk
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
+
+    def text(self, length: struct.Struct) -> str:
+        try:
+            return str(self.take(*self.unpack(length)), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise PayloadError(f"malformed container: {exc}") from None
+
+
+def _read(nodes: _Cursor, data: _Cursor, depth: int):
+    if depth > _MAX_DEPTH:
+        raise PayloadError(
+            f"malformed container: nested deeper than {_MAX_DEPTH}")
+    tag = bytes(nodes.take(1))
+    if tag == b"a":
+        kind, itemsize, ndim = nodes.unpack(_ARRAY)
+        shape = struct.unpack(f"<{ndim}I", nodes.take(4 * ndim))
+        if kind not in _KINDS:
+            raise PayloadError(
+                f"malformed container: unknown dtype kind {kind!r}")
+        # Python ints: a hostile shape cannot overflow the product, and
+        # take() refuses it before anything is allocated.
+        raw = data.take(math.prod(shape) * itemsize)
+        try:
+            # Copied out: aligned, writable and independent of the
+            # payload and of every sibling array.
+            return np.frombuffer(
+                raw, dtype=f"<{kind.decode()}{itemsize}").reshape(shape).copy()
+        except (TypeError, ValueError) as exc:  # itemsize, ndim > 64
+            raise PayloadError(f"malformed container: {exc}") from None
+    if tag == b"d":
+        return {nodes.text(_U16): _read(nodes, data, depth + 1)
+                for _ in range(*nodes.unpack(_U32))}
+    if tag == b"l":
+        return [_read(nodes, data, depth + 1)
+                for _ in range(*nodes.unpack(_U32))]
+    if tag == b"b":
+        return bytes(nodes.take(*nodes.unpack(_U32)))
+    if tag == b"s":
+        return nodes.text(_U32)
+    if tag == b"i":
+        return int.from_bytes(nodes.take(*nodes.unpack(_U8)), "little",
+                              signed=True)
+    if tag == b"f":
+        return nodes.unpack(_F64)[0]
+    if tag in _CONSTANTS:
+        return _CONSTANTS[tag]
+    raise PayloadError(f"malformed container: unknown tag {tag!r}")
+
+
+def unpack_tree(payload) -> object:
+    """Inverse of :func:`pack_tree`, for a bare or a zlib-deflated
+    container.  Checks the magic, the CRC32 and every length before it
+    allocates, rejects trailing bytes, and raises :class:`PayloadError`
+    for anything else than a well-formed container."""
+    if bytes(payload[:len(MAGIC)]) != MAGIC:
+        try:
+            payload = zlib.decompress(payload)
+        except zlib.error as exc:
+            raise PayloadError(
+                f"neither a {MAGIC.decode()} container nor a zlib stream "
+                f"of one: {exc}") from None
+    whole = memoryview(payload)
+    if len(whole) < _HEADER.size or whole[:len(MAGIC)] != MAGIC:
+        raise PayloadError(f"not a {MAGIC.decode()} container")
+    _, crc, n = _HEADER.unpack_from(whole)
+    if zlib.crc32(whole[_CHECKED_FROM:]) != crc:
+        raise PayloadError(
+            "container checksum mismatch (truncated or corrupted payload)")
+    rest = _Cursor(whole[_HEADER.size:])
+    nodes, data = _Cursor(rest.take(n)), _Cursor(rest.take(rest.left))
+    tree = _read(nodes, data, 0)
+    if nodes.left or data.left:
+        raise PayloadError(
+            f"malformed container: {nodes.left} node and {data.left} data "
+            "bytes left over")
+    return tree
+
+
+def encode_state(state: StateDict, compress: bool = True) -> bytes:
+    """Serialize a state dict for the Link: cast to float32 (the wire
+    contract — the container itself is dtype-exact), pack, and apply
+    the paper's lossless zlib unless ``compress`` is off."""
+    raw = pack_tree({k: np.asarray(v, dtype=np.float32)
+                     for k, v in state.items()})
+    return zlib.compress(raw, 1) if compress else raw
 
 
 def decode_state(payload: bytes) -> StateDict:
-    """Inverse of :func:`encode_state` (dequantizes int8 payloads)."""
-    magic, body = payload[:4], payload[4:]
-    if magic in (b"ZLB0", b"Q8Z0"):
-        body = zlib.decompress(body)
-    elif magic not in (b"RAW0", b"Q8R0"):
-        raise ValueError(f"unknown payload magic {magic!r}")
-    with np.load(io.BytesIO(body)) as archive:
-        if magic in (b"Q8Z0", b"Q8R0"):
-            out: StateDict = {}
-            for name in archive.files:
-                if not name.endswith("::q"):
-                    continue
-                key = name[:-3]
-                scale = float(archive[f"{key}::s"])
-                out[key] = archive[name].astype(np.float32) * scale
-            return out
-        return {k: archive[k].copy() for k in archive.files}
+    """Inverse of :func:`encode_state`."""
+    state = unpack_tree(payload)
+    if not (isinstance(state, dict) and all(
+            isinstance(v, np.ndarray) and v.dtype == np.float32
+            for v in state.values())):
+        raise PayloadError("payload is not a float32 state dict")
+    return state
 
 
 # ----------------------------------------------------------------------
 # Tree arithmetic on state dicts (the server-side pseudo-gradient math)
 # ----------------------------------------------------------------------
-
-def tree_map(fn, state: StateDict) -> StateDict:
-    return {k: fn(v) for k, v in state.items()}
-
 
 def tree_add(a: StateDict, b: StateDict) -> StateDict:
     _check_keys(a, b)

@@ -176,11 +176,15 @@ class TestCli:
         assert "resume" in capsys.readouterr().err
 
     def test_resume_empty_dir_is_usage_error(self, capsys, tmp_path):
-        assert main(["train", "--model", "tiny", "--clients", "2",
-                     "--local-steps", "1", "--rounds", "1",
-                     "--batch-size", "2",
-                     "--resume", str(tmp_path)]) == 2
+        argv = ["train", "--model", "tiny", "--clients", "2",
+                "--local-steps", "1", "--rounds", "1", "--batch-size", "2",
+                "--resume", str(tmp_path)]
+        assert main(argv) == 2
         assert "no checkpoints" in capsys.readouterr().err
+        # Only pre-container checkpoints: named as such, not "empty".
+        (tmp_path / "runstate_00000002.npz").write_bytes(b"PK")
+        assert main(argv) == 2
+        assert "pre-container format" in capsys.readouterr().err
 
     def test_checkpoint_codec_without_dir_is_usage_error(self, capsys):
         assert main(["train", "--checkpoint-codec", "int8"]) == 2

@@ -16,17 +16,12 @@ from repro.compress import (
     Codec,
     CodecRegistry,
     ErrorFeedback,
-    Fp16Codec,
-    Int4Codec,
-    Int8Codec,
-    RandKCodec,
-    TopKCodec,
     make_codec,
 )
 from repro.config import FedConfig, ModelConfig, OptimConfig
 from repro.fed import Photon
 from repro.fed.link import Link
-from repro.utils.serialization import state_bytes
+from repro.utils.serialization import state_bytes, unpack_tree
 
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32,
                   seq_len=16)
@@ -133,12 +128,6 @@ class TestRegistry:
         registry.register("x", lambda arg, seed: None)
         with pytest.raises(ValueError):
             registry.register("x", lambda arg, seed: None)
-
-    def test_convenience_constructors(self):
-        for codec in (Fp16Codec(), Int8Codec(seed=1), Int4Codec(seed=1),
-                      TopKCodec(0.2, seed=1), RandKCodec(0.2, seed=1)):
-            back = codec.roundtrip(make_state(), "c", "a")
-            assert set(back) == {"t0", "t1", "t2"}
 
     def test_chain_seeds_differ_per_stage(self):
         # Two stochastic stages in one chain must not mirror draws:
@@ -275,8 +264,8 @@ class TestLinkCodecs:
         link = Link(downlink_codec=make_codec("fp16"))
         down = link.send_state(state, sender="agg", receiver="c0")
         up = link.send_state(state, sender="c0", receiver="agg")
-        assert down.payload[:4] == Codec.MAGIC
-        assert up.payload[:4] != Codec.MAGIC
+        assert unpack_tree(down.payload)["t0"].dtype == np.float16
+        assert unpack_tree(up.payload)["t0"].dtype == np.float32
         assert link.downlink_wire_bytes < link.uplink_wire_bytes
 
     def test_reset_counters_clears_direction_meters(self):

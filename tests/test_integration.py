@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compress import make_codec
 from repro.config import FedConfig, ModelConfig, OptimConfig, WallTimeConfig
 from repro.data import CachedTokenStream, MixedStream, SyntheticC4, SyntheticPile
 from repro.eval import BigramTask, score_task
@@ -93,7 +94,8 @@ class TestHardenedDeployment:
             CFG, clients,
             sampler=UniformSampler(3, seed=0),
             val_stream=CachedTokenStream(c4.validation(), 4, CFG.seq_len, seed=99),
-            link=Link(quantize_int8=True),
+            link=Link(uplink_codec=make_codec("int8"),
+                      downlink_codec=make_codec("int8")),
             failure_model=FailureModel(crash_prob=0.1, seed=7),
             fault_policy=FaultPolicy(mode="partial"),
             walltime=WallTimeModel(WallTimeConfig(2.0, 312.0, 0.05)),

@@ -100,3 +100,11 @@ def test_every_exported_name_resolves():
         package = importlib.import_module(".".join(init.parent.relative_to(SRC).parts))
         missing = [n for n in getattr(package, "__all__", []) if not hasattr(package, n)]
         assert not missing, f"{package.__name__}.__all__ names unbound {missing}"
+
+
+def test_one_tree_serializer():
+    """Bytes <-> state tree is ``utils/serialization.py``'s job alone: a
+    fourth serializer (npz, an in-memory file) cannot quietly return."""
+    for path in SRC.rglob("*.py"):
+        hits = [w for w in ("savez", "np.load(", "BytesIO") if w in path.read_text()]
+        assert not hits, f"{path.relative_to(ROOT)} brings back {hits}"

@@ -1,10 +1,9 @@
-"""RunState subsystem: pack/unpack round trips, per-component
-``state_dict`` identity, checkpoint-codec error bounds, and the
-CheckpointManager dtype/concurrency fixes (PR 5)."""
+"""RunState subsystem: per-component ``state_dict`` identity,
+checkpoint-codec error bounds, and the CheckpointManager failure modes
+and concurrency fixes (PR 5)."""
 
 from __future__ import annotations
 
-import json
 import threading
 
 import numpy as np
@@ -27,18 +26,18 @@ from repro.fed import (
     NesterovOuter,
     RunStateCheckpointer,
     UniformSampler,
-    pack_tree,
-    unpack_tree,
 )
 from repro.fed import runstate
 from repro.fed.runstate import RUNSTATE_VERSION
 from repro.net.walltime import JitterModel
+from repro.utils import PayloadError, pack_tree, unpack_tree
 
 from helpers import assert_states_equal
 
 
 # ----------------------------------------------------------------------
-# pack_tree / unpack_tree
+# pack_tree / unpack_tree on RunState-shaped trees (the container's own
+# properties live in test_serialization.py::TestTreeContainer)
 # ----------------------------------------------------------------------
 
 class TestPackTree:
@@ -51,59 +50,26 @@ class TestPackTree:
             "flags": {"started": True, "steps": None, "alpha": 0.5},
             "name": "run",
         }
-        arrays, structure = pack_tree(tree)
-        json.dumps(structure)  # the structure must be a JSON document
-        out = unpack_tree(structure, arrays)
+        out = unpack_tree(pack_tree(tree))
         assert out["weights"]["w"].dtype == np.float64
         np.testing.assert_array_equal(out["weights"]["w"], tree["weights"]["w"])
         assert out["codes"].dtype == np.int8
-        assert out["payload"] == tree["payload"]
-        assert out["events"] == tree["events"]
-        assert out["flags"] == tree["flags"]
-        assert out["name"] == "run"
+        assert {k: out[k] for k in ("payload", "events", "flags", "name")} == \
+            {k: tree[k] for k in ("payload", "events", "flags", "name")}
 
     def test_rng_state_survives_json(self):
         rng = np.random.default_rng(7)
         rng.random(13)
-        arrays, structure = pack_tree({"rng": rng.bit_generator.state})
-        restored = unpack_tree(json.loads(json.dumps(structure)), arrays)
+        restored = unpack_tree(pack_tree({"rng": rng.bit_generator.state}))
         other = np.random.default_rng()
         other.bit_generator.state = restored["rng"]
         np.testing.assert_array_equal(rng.random(5), other.random(5))
 
     def test_rejects_non_string_keys_and_objects(self):
-        with pytest.raises(TypeError):
-            pack_tree({1: "x"})
-        with pytest.raises(TypeError):
-            pack_tree({"x": object()})
-
-    @given(st.recursive(
-        st.one_of(
-            st.none(), st.booleans(), st.integers(-2**40, 2**40),
-            st.floats(allow_nan=False), st.text(max_size=8),
-            st.binary(max_size=16),
-        ),
-        lambda leaf: st.one_of(
-            st.lists(leaf, max_size=4),
-            st.dictionaries(st.text(max_size=6), leaf, max_size=4),
-        ),
-        max_leaves=12,
-    ))
-    @settings(max_examples=25, deadline=None)
-    def test_round_trip_property(self, tree):
-        arrays, structure = pack_tree(tree)
-        out = unpack_tree(json.loads(json.dumps(structure)), arrays)
-
-        def normalize(node):
-            if isinstance(node, tuple):
-                return [normalize(v) for v in node]
-            if isinstance(node, list):
-                return [normalize(v) for v in node]
-            if isinstance(node, dict):
-                return {k: normalize(v) for k, v in node.items()}
-            return node
-
-        assert out == normalize(tree)
+        for bad in ({1: "x"}, {"x": object()},
+                    {"x": np.array(["s"])}, {"x": np.array([None])}):
+            with pytest.raises(TypeError):
+                pack_tree(bad)
 
 
 # ----------------------------------------------------------------------
@@ -343,25 +309,18 @@ class TestRunStateCheckpointer:
 
     def test_premigration_checkpoint_without_sqrt_marker_loads(self, tmp_path,
                                                                rng):
-        """Artifacts written before the sqrt transform carry no marker
-        and must restore unchanged (no RUNSTATE_VERSION bump)."""
+        """A codec-wrapped ServerOpt tree without the sqrt marker
+        restores unchanged."""
         opt = _stepped_fedadam(rng)
         ckpt = RunStateCheckpointer(tmp_path, codec="fp16")
-        # Re-create the old artifact layout: codec-wrap the raw tree
-        # without the sqrt transform.
         tree = {"server_opt": runstate._codec_wrap(
             opt.state_dict(), ckpt.codec)}
-        arrays, structure = runstate.pack_tree(tree)
-        ckpt.manager.save(1, arrays, metadata={
-            "runstate_version": RUNSTATE_VERSION,
-            "codec": "fp16",
-            "tree": structure,
-        })
+        ckpt.manager.save(1, tree, metadata={
+            "runstate_version": RUNSTATE_VERSION, "codec": "fp16"})
         twin = _OptOnlyEngine(FedAdam(lr=0.02))
         assert ckpt.restore(twin) == 1
-        original = opt.state_dict()
-        restored = twin.server_opt.state_dict()
-        np.testing.assert_allclose(restored["v"]["w"], original["v"]["w"],
+        np.testing.assert_allclose(twin.server_opt.state_dict()["v"]["w"],
+                                   opt.state_dict()["v"]["w"],
                                    rtol=1.5e-3, atol=1e-7)
 
     def test_sqrt_transform_skips_velocity_trees(self, tmp_path):
@@ -389,13 +348,10 @@ class TestRunStateCheckpointer:
         np.testing.assert_array_equal(
             twin.server_opt.state_dict()["velocity"]["w"], velocity)
 
-    def test_version_mismatch_fails_loudly(self, tmp_path, rng):
+    def test_version_mismatch_fails_loudly(self, tmp_path):
         ckpt = RunStateCheckpointer(tmp_path, codec="none")
-        ckpt.save(_OptOnlyEngine(_stepped_fedadam(rng)), step=1)
-        sidecar = next(tmp_path.glob("runstate_*.json"))
-        meta = json.loads(sidecar.read_text())
-        meta["runstate_version"] = RUNSTATE_VERSION + 1
-        sidecar.write_text(json.dumps(meta))
+        ckpt.manager.save(1, {}, metadata={
+            "runstate_version": RUNSTATE_VERSION + 1, "codec": "none"})
         with pytest.raises(ValueError, match="runstate version"):
             ckpt.load_tree()
 
@@ -415,11 +371,35 @@ class TestRunStateCheckpointer:
 
 
 # ----------------------------------------------------------------------
-# CheckpointManager regressions: dtype preservation (historically
-# force-cast to float32) and async-write vs prune-rotation races.
+# CheckpointManager: unreadable directories and files fail loudly and
+# locally; async writes are safe against the prune rotation.
 # ----------------------------------------------------------------------
 
 class TestCheckpointManagerFixes:
+    def test_legacy_npz_directory_is_named_not_reported_empty(self, tmp_path):
+        np.savez(tmp_path / "runstate_00000003.npz", a0=np.zeros(2))
+        (tmp_path / "runstate_00000003.json").write_text("{}")
+        with pytest.raises(ValueError, match=r"\.npz.*pre-container format"):
+            RunStateCheckpointer(tmp_path).load_tree()
+
+    @pytest.mark.parametrize("damage", ["truncate", "bitflip", "wrong tree"])
+    def test_damaged_newest_file_raises_payload_error_naming_it(
+            self, tmp_path, damage):
+        manager = CheckpointManager(tmp_path, keep=2)
+        for step in (1, 2):
+            path = manager.save(step, {"w": np.arange(64, dtype=np.float32)})
+        blob = bytearray(path.read_bytes())
+        if damage == "truncate":
+            blob = blob[:len(blob) // 2]
+        elif damage == "bitflip":
+            blob[len(blob) // 2] ^= 0x10
+        else:
+            blob = pack_tree({"state": {}})
+        path.write_bytes(blob)
+        with pytest.raises(PayloadError, match=path.name):
+            manager.load()
+        assert manager.load(1)[0] == 1  # the older file is untouched
+
     def test_save_preserves_dtypes(self, tmp_path):
         manager = CheckpointManager(tmp_path)
         state = {
@@ -428,8 +408,12 @@ class TestCheckpointManagerFixes:
             "u8": np.array([0, 255], dtype=np.uint8),
             "f16": np.array([0.5], dtype=np.float16),
         }
-        manager.save(0, state)
-        _, loaded, _ = manager.load()
+        path = manager.save(4, state, metadata={"who": ["c0"]})
+        # One complete file under its final name, nothing beside it.
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert manager.last_nbytes == path.stat().st_size
+        _, loaded, metadata = manager.load()
+        assert metadata == {"step": 4, "who": ["c0"]}
         for key, value in state.items():
             assert loaded[key].dtype == value.dtype, key
             np.testing.assert_array_equal(loaded[key], value)
