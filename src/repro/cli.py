@@ -475,7 +475,7 @@ def _cmd_serve(args) -> int:
                                  scale=args.adapter_scale, seed=args.seed)
 
     engine = MultiAdapterEngine(model, base_version=base_version,
-                                max_streams=args.batch_size, tracer=tracer)
+                                max_streams=args.batch_size)
     cache = AdapterCache(args.cache_capacity, meters=tracer.meters)
     replayer = RequestReplayer(engine, cache, adapter_source,
                                batch_size=args.batch_size,

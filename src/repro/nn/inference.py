@@ -1,15 +1,18 @@
-"""KV-cached incremental decoding.
+"""KV-cached incremental decoding: the one inference forward.
 
 ``DecoderLM.generate`` recomputes the full prefix every step —
-O(T²·d) per generated token.  This engine snapshots a model's weights
-into plain arrays and decodes incrementally with per-block key/value
-caches, which is how the models are actually served (and what the
-downstream evaluation uses for long suites).
+O(T²·d) per generated token.  :class:`IncrementalDecoder` snapshots a
+model's weights into plain arrays and decodes incrementally over
+**slot-addressed** key/value buffers, which is how the models are
+actually served: :class:`InferenceEngine` is its one-slot
+configuration, :class:`repro.serve.MultiAdapterEngine` its K-slot one
+with a LoRA adapter per slot.  There is no second forward.
 
-The implementation is deliberately independent of the autograd graph;
-``tests/test_inference.py`` asserts bit-level agreement (to float32
-tolerance) with ``DecoderLM.forward`` on every architecture in the
-tiny family.
+The implementation is deliberately independent of the autograd graph
+(its array pieces live in :mod:`repro.tensor.kernels`);
+``tests/test_lora_inference.py`` asserts agreement with
+``DecoderLM.forward`` to float32 tolerance and with
+``DecoderLM.generate`` token for token, on ALiBi and non-ALiBi models.
 
 Snapshot semantics: construction **copies** every weight array, so a
 model that keeps training (continual or personalization rounds) never
@@ -27,49 +30,31 @@ import math
 
 import numpy as np
 
-from ..tensor.kernels import gelu
-from .attention import alibi_slopes
+from ..tensor.kernels import cached_attention, gelu, layer_norm
+from .attention import _NEG_INF, alibi_slopes
 from .lora import LoRALinear
 from .transformer import DecoderLM
 
-__all__ = ["InferenceEngine"]
+__all__ = ["IncrementalDecoder", "InferenceEngine", "sample_token"]
 
 
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gamma + beta
+def sample_token(logits: np.ndarray, temperature: float,
+                 rng: np.random.Generator | None = None) -> int:
+    """Greedy at ``temperature<=0``, else a softmax sample from ``rng``.
 
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _causal_attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                   scale: float, slopes: np.ndarray | None) -> np.ndarray:
-    """Attend the trailing ``t_new`` queries to the full key/value run.
-
-    Shapes: ``q`` is ``(heads, t_new, head_dim)``; ``k``/``v`` are
-    ``(heads, t_total, head_dim)`` with the new positions last.
-    ``slopes`` enables ALiBi when not None.  Shared by the single-
-    stream engine and the multi-adapter serving engine so both decode
-    with bit-identical masking and softmax.
+    Matches :meth:`DecoderLM.generate` semantics; callers that sample
+    should pass a per-request generator so batch composition never
+    changes a request's output.
     """
-    t_new, t_total = q.shape[1], k.shape[1]
-    scores = (q @ k.transpose(0, 2, 1)) * scale  # (H, t_new, t_total)
-    q_pos = np.arange(t_total - t_new, t_total)
-    k_pos = np.arange(t_total)
-    relative = k_pos[None, :] - q_pos[:, None]  # (t_new, t_total), <=0 visible
-    if slopes is not None:
-        bias = slopes[:, None, None] * relative[None, :, :]
-    else:
-        bias = np.zeros((1, t_new, t_total), dtype=np.float32)
-    scores = scores + np.where(relative[None, :, :] > 0, -1e9, bias)
-    weights = _softmax(scores.astype(np.float32))
-    return weights @ v  # (H, t_new, head_dim)
+    if temperature <= 0:
+        return int(logits.argmax())
+    if rng is None:
+        rng = np.random.default_rng()
+    scaled = logits / temperature
+    scaled = scaled - scaled.max()
+    probs = np.exp(scaled)
+    probs /= probs.sum()
+    return int(rng.choice(probs.size, p=probs))
 
 
 def _snapshot_linear(layer) -> tuple[np.ndarray, np.ndarray]:
@@ -95,32 +80,38 @@ class _BlockWeights:
     def __init__(self, block):
         self.ln1_g = block.ln1.gamma.data.copy()
         self.ln1_b = block.ln1.beta.data.copy()
-        self.qkv_w, self.qkv_b = _snapshot_linear(block.attn.qkv)
-        self.proj_w, self.proj_b = _snapshot_linear(block.attn.proj)
         self.ln2_g = block.ln2.gamma.data.copy()
         self.ln2_b = block.ln2.beta.data.copy()
-        self.up_w, self.up_b = _snapshot_linear(block.mlp.up)
-        self.down_w, self.down_b = _snapshot_linear(block.mlp.down)
+        #: ``(weight, bias)`` of qkv, proj, up, down — adapter slot order.
+        self.linears = [_snapshot_linear(layer) for layer in (
+            block.attn.qkv, block.attn.proj, block.mlp.up, block.mlp.down)]
 
 
-class InferenceEngine:
-    """Incremental decoder over a trained :class:`DecoderLM`.
+class IncrementalDecoder:
+    """A weight snapshot of a :class:`DecoderLM` plus ``n_slots``
+    independent sequences decoded over it in shared steps.
 
-    Not thread-safe (one KV cache per engine); create one engine per
-    concurrent generation stream.
+    A slot is a position and one row of the K/V buffers
+    ``(layer, slot, head, seq_len, head_dim)``, allocated once and
+    written in place; :meth:`assign` hands a slot to a new sequence,
+    optionally with factored LoRA deltas, and :meth:`advance` moves any
+    subset of slots forward by their new tokens — one token each for
+    decode, the padded prompt block for prefill, the same code.  What
+    is left in a slot beyond its position (a previous occupant's tail)
+    is never read: the causal mask hides every key a query's own
+    sequence has not written.  Not thread-safe.
     """
 
-    def __init__(self, model: DecoderLM):
+    def __init__(self, model: DecoderLM, n_slots: int = 1):
         cfg = model.config
         if any(not hasattr(block.attn, "qkv") for block in model.blocks):
-            raise ValueError("InferenceEngine requires standard dense blocks")
+            raise ValueError(
+                f"{type(self).__name__} requires standard dense blocks")
         self.config = cfg
-        self.n_heads = cfg.n_heads
-        self.head_dim = cfg.head_dim
         self.scale = 1.0 / math.sqrt(cfg.head_dim)
-        self.alibi = cfg.alibi
-        self.slopes = alibi_slopes(cfg.n_heads) if cfg.alibi else None
-
+        # A zero slope is no ALiBi: the bias is then the causal mask alone.
+        slopes = alibi_slopes(cfg.n_heads) if cfg.alibi else np.zeros(1)
+        self.slopes = slopes[:, None, None]
         self.emb = model.tok_emb.weight.data.copy()
         self.blocks = [_BlockWeights(b) for b in model.blocks]
         self.ln_f_g = model.ln_f.gamma.data.copy()
@@ -128,69 +119,166 @@ class InferenceEngine:
         head = (model.lm_head_weight.data if model.lm_head_weight is not None
                 else model.tok_emb.weight.data)
         self.head = head.copy()
-        self.reset()
+
+        # One allocation so a layer's keys and values are written, and
+        # read back for the active slots, in one indexing call each.
+        self._kv = np.zeros((2, len(self.blocks), n_slots, cfg.n_heads,
+                             cfg.seq_len, cfg.head_dim), dtype=np.float32)
+        self.k, self.v = self._kv
+        self.positions = np.zeros(n_slots, dtype=np.int64)
+        self._steps = np.arange(cfg.seq_len)
+        # LoRA: per slot the factors assigned to it; per linear layer
+        # one (A, B) stack over slots at the widest rank in flight; and
+        # the stacks' rows for the slot set of the last step, which
+        # lockstep decoding repeats for many steps.
+        self._factors: list[list | None] = [None] * n_slots
+        self._stacks: list[tuple[np.ndarray, np.ndarray]] = []
+        self._width = 0
+        self._gathered: tuple[bytes | None, list] = (None, [])
 
     # ------------------------------------------------------------------
+    def assign(self, slot: int, factors: list | None = None) -> None:
+        """Start a new sequence in ``slot``.
+
+        ``factors`` is None or one ``(A, B·α/r)`` pair per linear layer
+        (block-major: qkv, proj, up, down).  The stacks are rebuilt
+        only when the widest rank among assigned slots changes, and do
+        not exist while no slot carries an adapter.
+        """
+        self.positions[slot] = 0
+        self._factors[slot] = factors
+        self._gathered = (None, [])
+        width = max((a.shape[1] for held in self._factors if held
+                     for a, _ in held), default=0)
+        refill = [slot]
+        if width != self._width:
+            n_slots = len(self._factors)
+            self._width = width
+            self._stacks = [
+                (np.zeros((n_slots, w.shape[0], width), dtype=np.float32),
+                 np.zeros((n_slots, width, w.shape[1]), dtype=np.float32))
+                for block in self.blocks for w, _ in block.linears
+            ] if width else []
+            refill = range(n_slots)
+        for held in refill:
+            for i, (a_stack, b_stack) in enumerate(self._stacks):
+                a_stack[held] = 0.0
+                b_stack[held] = 0.0
+                if self._factors[held] is not None:
+                    a, b = self._factors[held][i]
+                    a_stack[held, :, :a.shape[1]] = a
+                    b_stack[held, :b.shape[0]] = b
+
+    def advance(self, slots: list[int], prompts: list,
+                labels: list[str]) -> np.ndarray:
+        """Advance ``slots[i]`` by the token ids ``prompts[i]``; returns
+        the logits after each slot's last token, ``(len(slots), vocab)``.
+
+        The whole call is validated before any slot is written: a
+        ``ValueError`` opening with ``labels[i]`` for a prompt that is
+        empty, not integer-typed, out of vocabulary or too long for
+        its slot leaves every slot as it was.
+        """
+        cfg = self.config
+        rows = [np.asarray(prompt).reshape(-1) for prompt in prompts]
+        sizes = [row.size for row in rows]
+        tokens = np.zeros((len(rows), max(sizes)), dtype=np.int64)
+        for i, row in enumerate(rows):
+            if row.dtype.kind not in "iu":
+                raise ValueError(f"{labels[i]}: token ids must be integers, "
+                                 f"got {row.dtype}")
+            tokens[i, :row.size] = row
+        lengths = np.array(sizes)
+        slots = np.asarray(slots)
+        start = self.positions[slots]
+        problems = {
+            "empty prompt": lengths == 0,
+            f"token ids must lie in [0, {cfg.vocab_size})":
+                ((tokens < 0) | (tokens >= cfg.vocab_size)).any(axis=1),
+            f"exceeds the model's sequence length ({cfg.seq_len})":
+                start + lengths > cfg.seq_len,
+        }
+        for why, failed in problems.items():
+            if failed.any():
+                raise ValueError(f"{labels[int(failed.argmax())]}: {why}")
+        return self._step(slots, tokens, start, lengths)
+
+    def _step(self, slots: np.ndarray, tokens: np.ndarray,
+              start: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """One forward over ``tokens`` ``(n, t_new)``, row ``i`` real up
+        to ``lengths[i]`` and continuing its slot from ``start[i]``.
+        No loop over rows: attention, the K/V write and each LoRA delta
+        are one batched call per layer."""
+        cfg = self.config
+        n, t_new = tokens.shape
+        if self._gathered[0] != slots.tobytes():
+            self._gathered = (slots.tobytes(), [(a[slots], b[slots])
+                                                for a, b in self._stacks])
+        stacks = self._gathered[1]
+        total = start + lengths
+        span = int(total.max())
+        q_pos = start[:, None] + self._steps[:t_new]  # (n, t_new)
+        # Causal + ALiBi bias from the slots' positions, shared by every
+        # layer.  Keys past a row's own length — its padding, other
+        # rows' longer contexts, the slot's stale tail — all sit at
+        # positions greater than any real query of that row.
+        relative = self._steps[:span] - q_pos[:, None, :, None]
+        bias = np.where(relative > 0, _NEG_INF,
+                        self.slopes * relative).astype(np.float32)
+        # Only real tokens are written (padding could run past seq_len).
+        row, col = np.nonzero(self._steps[:t_new] < lengths[:, None])
+        dst_slot, dst_pos = slots[row], q_pos[row, col]
+
+        def linear(x, layer, i):
+            weight, b = self.blocks[layer].linears[i]
+            y = x @ weight
+            y += b
+            if stacks:
+                lora_a, lora_b = stacks[4 * layer + i]
+                y += (x @ lora_a) @ lora_b
+            return y
+
+        x = self.emb[tokens]  # (n, t_new, d)
+        for layer, w in enumerate(self.blocks):
+            qkv = linear(layer_norm(x, w.ln1_g, w.ln1_b), layer, 0).reshape(
+                n, t_new, 3, cfg.n_heads, cfg.head_dim)
+            self._kv[:, layer, dst_slot, :, dst_pos] = qkv[row, col, 1:]
+            k, v = self._kv[:, layer, slots, :, :span]
+            context = cached_attention(qkv[:, :, 0].swapaxes(1, 2), k, v,
+                                       bias, self.scale)
+            x = x + linear(context.swapaxes(1, 2).reshape(n, t_new, -1),
+                           layer, 1)
+            hidden = gelu(linear(layer_norm(x, w.ln2_g, w.ln2_b), layer, 2))
+            x = x + linear(hidden, layer, 3)
+        self.positions[slots] = total
+        last = layer_norm(x[np.arange(n), lengths - 1],
+                          self.ln_f_g, self.ln_f_b)
+        return last @ self.head.T
+
+
+class InferenceEngine(IncrementalDecoder):
+    """The one-slot, adapter-less decoder over a trained
+    :class:`DecoderLM`; create one engine per concurrent generation
+    stream (or serve them from one
+    :class:`~repro.serve.MultiAdapterEngine`)."""
+
     def reset(self) -> None:
-        """Clear the KV caches (start a new sequence)."""
-        self._k = [np.zeros((self.n_heads, 0, self.head_dim), dtype=np.float32)
-                   for _ in self.blocks]
-        self._v = [np.zeros((self.n_heads, 0, self.head_dim), dtype=np.float32)
-                   for _ in self.blocks]
-        self.position = 0
+        """Start a new sequence (the K/V buffer is reused in place)."""
+        self.assign(0)
 
     @property
-    def cache_len(self) -> int:
-        return self.position
+    def position(self) -> int:
+        return int(self.positions[0])
 
-    # ------------------------------------------------------------------
-    def _attend(self, layer: int, q: np.ndarray, k_new: np.ndarray,
-                v_new: np.ndarray) -> np.ndarray:
-        """Append new K/V and attend the new queries to the full cache.
+    cache_len = position
 
-        Shapes: ``q, k_new, v_new`` are ``(heads, t_new, head_dim)``.
-        """
-        self._k[layer] = np.concatenate([self._k[layer], k_new], axis=1)
-        self._v[layer] = np.concatenate([self._v[layer], v_new], axis=1)
-        return _causal_attend(q, self._k[layer], self._v[layer],
-                              self.scale, self.slopes)
-
-    def _forward_tokens(self, tokens: np.ndarray) -> np.ndarray:
-        """Run ``tokens`` (1-D) through the stack, extending the cache;
-        returns logits for every new position, shape (len, vocab)."""
-        x = self.emb[tokens]  # (t, d)
-        t = x.shape[0]
-        for layer, w in enumerate(self.blocks):
-            h = _layer_norm(x, w.ln1_g, w.ln1_b)
-            qkv = h @ w.qkv_w + w.qkv_b  # (t, 3d)
-            qkv = qkv.reshape(t, 3, self.n_heads, self.head_dim)
-            q = qkv[:, 0].transpose(1, 0, 2)
-            k = qkv[:, 1].transpose(1, 0, 2)
-            v = qkv[:, 2].transpose(1, 0, 2)
-            context = self._attend(layer, q, k, v)  # (H, t, hd)
-            context = context.transpose(1, 0, 2).reshape(t, -1)
-            x = x + context @ w.proj_w + w.proj_b
-            h = _layer_norm(x, w.ln2_g, w.ln2_b)
-            x = x + gelu(h @ w.up_w + w.up_b) @ w.down_w + w.down_b
-        x = _layer_norm(x, self.ln_f_g, self.ln_f_b)
-        self.position += t
-        return x @ self.head.T
-
-    # ------------------------------------------------------------------
     def prefill(self, prompt: np.ndarray) -> np.ndarray:
         """Process a prompt; returns the last position's logits."""
-        prompt = np.asarray(prompt).reshape(-1)
-        if prompt.size == 0:
-            raise ValueError("empty prompt")
-        if self.position + prompt.size > self.config.seq_len:
-            raise ValueError("prompt exceeds the model's sequence length")
-        return self._forward_tokens(prompt)[-1]
+        return self.advance([0], [prompt], ["prompt"])[0]
 
     def decode_step(self, token: int) -> np.ndarray:
         """Feed one token; returns next-token logits."""
-        if self.position >= self.config.seq_len:
-            raise ValueError("KV cache is full (sequence length reached)")
-        return self._forward_tokens(np.array([token], dtype=np.int64))[-1]
+        return self.advance([0], [token], ["token"])[0]
 
     def generate(self, prompt: np.ndarray, max_new_tokens: int,
                  temperature: float = 1.0,
@@ -205,18 +293,10 @@ class InferenceEngine:
         self.reset()
         tokens = list(np.asarray(prompt).reshape(-1))
         budget = min(max_new_tokens, self.config.seq_len - len(tokens))
-        logits = self.prefill(np.array(tokens))
+        logits = self.prefill(prompt)
         for _ in range(budget):
-            if temperature <= 0:
-                nxt = int(logits.argmax())
-            else:
-                scaled = logits / temperature
-                scaled -= scaled.max()
-                probs = np.exp(scaled)
-                probs /= probs.sum()
-                nxt = int(rng.choice(probs.size, p=probs))
-            tokens.append(nxt)
+            tokens.append(sample_token(logits, temperature, rng))
             if len(tokens) >= self.config.seq_len:
                 break
-            logits = self.decode_step(nxt)
+            logits = self.decode_step(tokens[-1])
         return np.array(tokens, dtype=np.int64)

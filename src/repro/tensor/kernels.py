@@ -2,9 +2,11 @@
 
 Plain ``float32`` NumPy in, plain NumPy out — no :class:`Tensor`, no
 graph.  :meth:`Tensor.gelu` wraps the forward/backward pair for
-autograd; the inference engines (``nn/inference.py``,
-``serve/engine.py``, ``parallel/tp.py``) call :func:`gelu` directly, so
-training and serving can never disagree on the activation.
+autograd; the incremental decoder of ``nn/inference.py`` — the one
+forward behind both ``InferenceEngine`` and the serving engine — calls
+:func:`gelu`, :func:`layer_norm` and :func:`cached_attention`
+directly, so training and serving can never disagree on the
+activation.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import math
 
 import numpy as np
 
-__all__ = ["gelu", "gelu_forward", "gelu_backward"]
+__all__ = ["gelu", "gelu_forward", "gelu_backward", "layer_norm",
+           "cached_attention"]
 
 _C = math.sqrt(2.0 / math.pi)
 _A = 0.044715
@@ -58,3 +61,42 @@ def gelu_backward(grad: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 def gelu(x: np.ndarray) -> np.ndarray:
     """Forward-only GELU for the inference engines."""
     return gelu_forward(x)[0]
+
+
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+               eps: float = 1e-5) -> np.ndarray:
+    """Forward-only layer normalization over the last axis with
+    affine parameters (``ops.layer_norm`` is the autograd one).
+
+    The reductions are ``np.add.reduce``: ``ndarray.mean`` is the same
+    sum and divide behind ~5 us of Python wrapper, which at decode
+    shapes (a few rows of ``d_model``) is most of the call.
+    """
+    width = x.shape[-1]
+    out = x - np.add.reduce(x, axis=-1, keepdims=True) / width
+    var = np.add.reduce(out * out, axis=-1, keepdims=True)
+    var /= width
+    var += eps
+    out /= np.sqrt(var, out=var)
+    out *= gamma
+    out += beta
+    return out
+
+
+def cached_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                     bias: np.ndarray, scale: float) -> np.ndarray:
+    """Attend queries ``(..., t_new, head_dim)`` to a key/value run
+    ``(..., t_total, head_dim)``; returns ``(..., t_new, head_dim)``.
+
+    ``bias`` is added to the scaled scores and carries every mask
+    (causal, ALiBi, padding); it must broadcast against
+    ``(..., t_new, t_total)``.  The softmax is the in-place sequence of
+    ``ops.causal_attention``'s forward.
+    """
+    weights = q @ k.swapaxes(-1, -2)
+    weights *= scale
+    weights += bias
+    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    return weights @ v

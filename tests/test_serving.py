@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import ModelConfig, OptimConfig
 from repro.data import CachedTokenStream, SyntheticC4
@@ -47,11 +49,15 @@ def base_model():
     return DecoderLM(CFG, seed=0)
 
 
+def lora_template(rank):
+    probe = DecoderLM(CFG, seed=0)
+    apply_lora(probe, rank=rank, seed=1)
+    return lora_state_dict(probe)
+
+
 @pytest.fixture(scope="module")
 def template():
-    probe = DecoderLM(CFG, seed=0)
-    apply_lora(probe, rank=RANK, seed=1)
-    return lora_state_dict(probe)
+    return lora_template(RANK)
 
 
 def make_adapter(template, user, version=VERSION, **kw):
@@ -62,7 +68,7 @@ def merged_reference(adapter):
     """The sequential path: fold the adapter densely, one engine per
     request (what serving replaces)."""
     model = DecoderLM(CFG, seed=0)
-    apply_lora(model, rank=RANK, seed=1)
+    apply_lora(model, rank=adapter.rank, seed=1)
     names = ("qkv", "proj", "up", "down")
     load_lora_state_dict(model, {
         f"lora{i}.{names[i % 4]}.{part}": arr
@@ -133,8 +139,9 @@ class TestMultiAdapterEngine:
         np.testing.assert_allclose(factored, merged, rtol=1e-4, atol=1e-4)
 
     def test_shared_adapter_rows_grouped(self, base_model, template, rng):
-        """Two requests from the same tenant share one adapter group
-        and still decode exactly like separate merged engines."""
+        """Two requests from the same tenant (the same factors in two
+        rows of the stacks) decode exactly like separate merged
+        engines."""
         engine = MultiAdapterEngine(base_model, base_version=VERSION,
                                     max_streams=2)
         adapter = make_adapter(template, 7)
@@ -205,6 +212,252 @@ class TestMultiAdapterEngine:
         engine.close("r")
         engine.open("r", make_adapter(template, 0))
         np.testing.assert_array_equal(engine.prefill("r", prompt), before)
+
+
+    def test_malformed_adapter_rejected_before_a_slot_is_taken(
+            self, base_model, template):
+        """An Adapter built directly (not through ``from_state_dict``)
+        with factors that disagree on the inner rank, are not 2-D, or
+        hold NaN/inf used to pass ``open()`` and fail — or poison the
+        shared K/V buffers — in the middle of a wave."""
+        engine = MultiAdapterEngine(base_model, base_version=VERSION,
+                                    max_streams=3)
+        engine.open("held", make_adapter(template, 0))
+        good = make_adapter(template, 1)
+        a, b = good.pairs[5]
+
+        def broken(pair):
+            pairs = list(good.pairs)
+            pairs[5] = pair
+            return Adapter("userX", VERSION, good.alpha, tuple(pairs))
+
+        poisoned = a.copy()
+        poisoned[3, 1] = np.nan
+        overflowed = b.copy()
+        overflowed[0, 0] = np.inf
+        free = list(engine._free)
+        for pair in [(a, b[:1]),               # inner ranks 2 and 1
+                     (a[:, 0], b),             # 1-D factor
+                     (a[None], b),             # 3-D factor
+                     (poisoned, b), (a, overflowed)]:
+            with pytest.raises(ValueError, match=r"'userX' slot 5"):
+                engine.open("r", broken(pair))
+            assert engine.active == 1
+            assert engine._free == free
+        engine.open("r", good)  # the id and the slot are still available
+        assert engine.active == 2
+
+
+class TestTokenValidation:
+    """Token ids are checked at the engine boundary, over the whole
+    call, before any slot is written."""
+
+    #: (prompt, the same fault as a single decode token)
+    BAD = [
+        ([-1, 3], -1),                        # decoded as emb[-1] before
+        ([3, CFG.vocab_size], CFG.vocab_size),  # numpy's bare IndexError
+        (np.array([1.0, 2.0]), 2.0),          # float ids
+        (np.array([True, False]), True),      # bools are not ids
+    ]
+
+    @pytest.mark.parametrize("prompt, token", BAD)
+    def test_serving_engine_names_the_request(self, base_model, prompt,
+                                              token):
+        engine = MultiAdapterEngine(base_model, max_streams=2)
+        engine.open("a")
+        engine.open("b")
+        with pytest.raises(ValueError, match="request 'a'"):
+            engine.prefill("a", prompt)
+        with pytest.raises(ValueError, match="request 'b'"):
+            engine.prefill_batch({"a": [1, 2], "b": prompt})
+        engine.prefill_batch({"a": [1, 2], "b": [3]})
+        with pytest.raises(ValueError, match="request 'b'"):
+            engine.decode({"a": 1, "b": token})
+
+    @pytest.mark.parametrize("prompt, token", BAD)
+    def test_inference_engine(self, base_model, prompt, token):
+        engine = InferenceEngine(base_model)
+        with pytest.raises(ValueError):
+            engine.prefill(prompt)
+        with pytest.raises(ValueError):
+            engine.generate(prompt, max_new_tokens=2, temperature=0.0)
+        engine.reset()
+        engine.prefill([1, 2])
+        with pytest.raises(ValueError):
+            engine.decode_step(token)
+        assert engine.position == 2
+
+    def test_rejected_call_moves_no_stream(self, base_model, template):
+        """Every way a call can be refused — bad ids, an empty prompt,
+        a full context, an unknown request — leaves every open stream's
+        position and next logits as a twin engine that never saw the
+        call has them."""
+        engines = [MultiAdapterEngine(base_model, base_version=VERSION,
+                                      max_streams=3) for _ in range(2)]
+        for engine in engines:
+            engine.open("a", make_adapter(template, 0))
+            engine.open("b", None)
+            engine.prefill_batch({"a": [5, 6, 7], "b": [8, 9]})
+        engine, twin = engines
+        room = CFG.seq_len - 2
+        for error, call in [
+            (ValueError, lambda: engine.decode({"a": 3, "b": 99})),
+            (ValueError, lambda: engine.decode({"a": 3, "b": -1})),
+            (ValueError, lambda: engine.decode({"a": 3, "b": 2.5})),
+            (ValueError, lambda: engine.prefill_batch({"a": [1, 2], "b": []})),
+            (ValueError, lambda: engine.prefill_batch(
+                {"a": [1], "b": [1] * (room + 1)})),
+            (KeyError, lambda: engine.decode({"a": 3, "ghost": 1})),
+        ]:
+            with pytest.raises(error):
+                call()
+            np.testing.assert_array_equal(engine.positions, twin.positions)
+        feed = {"a": 3, "b": 4}
+        got, want = engine.decode(feed), twin.decode(feed)
+        for rid in feed:
+            np.testing.assert_array_equal(got[rid], want[rid])
+
+
+class TestSlotAddressedDecoding:
+    """The hazards of sharing one set of K/V buffers and one attention
+    call between requests: none of them may show in a request's output."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_logits_independent_of_batch_composition(self, base_model,
+                                                     template, data):
+        """Teacher-forced: a request's logits alone in a one-slot
+        engine equal its logits among random co-runners that open,
+        prefill, decode and close around it, whatever slot it lands in."""
+        draw = data.draw
+        rng = np.random.default_rng(draw(st.integers(0, 2**16), label="seed"))
+        user = draw(st.one_of(st.none(), st.integers(0, 3)), label="user")
+        adapter = None if user is None else make_adapter(template, user)
+        prompt = rng.integers(0, CFG.vocab_size,
+                              size=draw(st.integers(1, 6), label="prompt"))
+        forced = rng.integers(0, CFG.vocab_size,
+                              size=draw(st.integers(1, 8), label="steps"))
+
+        alone = MultiAdapterEngine(base_model, base_version=VERSION,
+                                   max_streams=1)
+        alone.open("x", adapter)
+        want = [alone.prefill("x", prompt)]
+        want += [alone.decode({"x": int(t)})["x"] for t in forced]
+
+        engine = MultiAdapterEngine(base_model, base_version=VERSION,
+                                    max_streams=4)
+        held: dict[str, int] = {}  # co-runner -> tokens in its slot
+
+        def churn() -> dict:
+            """Open, close or keep each co-runner; returns what to feed
+            the open ones — a prompt if new, else one token."""
+            feed = {}
+            for rid in "abc":
+                move = draw(st.sampled_from(["open", "close", "keep"]),
+                            label=rid)
+                if rid in held and (move == "close"
+                                    or held[rid] >= CFG.seq_len - 1):
+                    engine.close(rid)
+                    del held[rid]
+                elif rid not in held and move == "open":
+                    engine.open(rid, draw(st.sampled_from(
+                        [None, make_adapter(template, 4)]), label="adapter"))
+                    held[rid] = 0
+                if rid in held:
+                    size = 1 if held[rid] else int(rng.integers(1, 9))
+                    feed[rid] = rng.integers(0, CFG.vocab_size, size=size)
+                    held[rid] += size
+            return feed
+
+        engine.prefill_batch(churn())  # the request's slot varies with this
+        engine.open("x", adapter)
+        for step, tokens in enumerate([prompt, *forced[:, None]]):
+            got = engine.prefill_batch({**churn(), "x": tokens})["x"]
+            np.testing.assert_allclose(got, want[step], rtol=1e-5, atol=1e-5)
+
+    def test_slot_reuse_never_leaks(self, base_model, template, rng):
+        """Requests decoded in slots whose previous occupants held
+        longer contexts (under another adapter) equal a fresh engine
+        bit for bit: a slot's stale tail is masked, never read."""
+        def wave(engine):
+            engine.open("a", make_adapter(template, 1))
+            engine.open("b", None)
+            out = [engine.prefill_batch({"a": [4, 5, 6, 7, 8], "b": [9, 10]})]
+            out += [engine.decode({"a": t, "b": t + 1}) for t in range(6)]
+            return out
+
+        fresh = MultiAdapterEngine(base_model, base_version=VERSION,
+                                   max_streams=2)
+        reused = MultiAdapterEngine(base_model, base_version=VERSION,
+                                    max_streams=2)
+        for rid in ("old0", "old1"):
+            reused.open(rid, make_adapter(template, 2))
+        reused.prefill_batch({
+            rid: rng.integers(0, CFG.vocab_size, size=CFG.seq_len)
+            for rid in ("old0", "old1")})
+        reused.close("old0")
+        reused.close("old1")
+        assert np.abs(reused.k[:, :, :, 12:]).min() > 0  # tails are dirty
+        for got, want in zip(wave(reused), wave(fresh)):
+            for rid in want:
+                np.testing.assert_array_equal(got[rid], want[rid])
+
+    def test_mixed_ranks_and_no_adapter_in_one_wave(self, base_model, rng):
+        """Ranks 2 and 8 and an adapter-less row share the stacked LoRA
+        product (zero-padded to rank 8, zero rows for the bare request);
+        each decodes its own merged engine's tokens."""
+        narrow = synthetic_adapter(lora_template(2), 1, VERSION)
+        wide = synthetic_adapter(lora_template(8), 2, VERSION)
+        requests = {
+            "narrow": (narrow, rng.integers(2, CFG.vocab_size, size=5)),
+            "wide": (wide, rng.integers(2, CFG.vocab_size, size=7)),
+            "bare": (None, rng.integers(2, CFG.vocab_size, size=3)),
+        }
+        engine = MultiAdapterEngine(base_model, base_version=VERSION,
+                                    max_streams=3)
+        out = engine.generate_batch(requests, max_new_tokens=8)
+        for rid, (adapter, prompt) in requests.items():
+            reference = (InferenceEngine(base_model) if adapter is None
+                         else merged_reference(adapter))
+            np.testing.assert_array_equal(
+                out[rid], reference.generate(prompt, max_new_tokens=8,
+                                             temperature=0.0))
+
+    def test_kv_buffers_never_reallocated(self, template):
+        """The K/V buffers after 100 decode steps are the memory the
+        engine was built with — written in place, not regrown per token."""
+        model = DecoderLM(CFG.scaled(seq_len=128), seed=0)
+        engine = MultiAdapterEngine(model, base_version=VERSION, max_streams=2)
+        k, v = engine.k, engine.v
+        assert k.shape == v.shape == (CFG.n_blocks, 2, CFG.n_heads, 128,
+                                      CFG.head_dim)
+        engine.open("a", make_adapter(template, 0))
+        engine.open("b", None)
+        engine.prefill_batch({"a": [1, 2, 3, 4], "b": [5, 6]})
+        for step in range(100):
+            engine.decode({"a": step % 7, "b": step % 5})
+        for now, then in ((engine.k, k), (engine.v, v)):
+            assert now.shape == then.shape and np.shares_memory(now, then)
+            assert now.__array_interface__["data"] == then.__array_interface__["data"]
+        assert engine.positions.tolist() == [104, 102]
+        assert np.abs(k[:, 0, :, :104]).min() > 0  # and they were written
+
+    def test_inference_engine_is_the_one_slot_configuration(self, base_model,
+                                                            rng):
+        """``InferenceEngine`` and the serving engine at
+        ``max_streams=1`` without adapter are the same decoder: equal
+        logits bit for bit, prefill and decode."""
+        single = InferenceEngine(base_model)
+        serving = MultiAdapterEngine(base_model, max_streams=1)
+        serving.open("r")
+        prompt = rng.integers(0, CFG.vocab_size, size=7)
+        np.testing.assert_array_equal(single.prefill(prompt),
+                                      serving.prefill("r", prompt))
+        for token in rng.integers(0, CFG.vocab_size, size=10):
+            np.testing.assert_array_equal(
+                single.decode_step(int(token)),
+                serving.decode({"r": int(token)})["r"])
+        assert single.position == serving.positions[0] == 17
 
 
 class TestAdapterCache:
@@ -305,7 +558,7 @@ class TestReplayer:
     def run_replay(self, base_model, template, *, capacity=3, batch=4,
                    n_requests=12, tracer=None, temperature=0.0, seed=0):
         engine = MultiAdapterEngine(base_model, base_version=VERSION,
-                                    max_streams=batch, tracer=tracer)
+                                    max_streams=batch)
         cache = AdapterCache(capacity,
                              meters=tracer.meters if tracer else None)
         replayer = RequestReplayer(
