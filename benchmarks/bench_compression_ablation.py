@@ -72,8 +72,10 @@ def _photon(mode: str, compression: str, error_feedback: bool) -> Photon:
 
 
 #: Entropy coders compared over the *same* post-stage byte stream.
-#: All three are stdlib; zlib level 6 is what ``Codec.encode`` ships.
+#: All three are stdlib; zlib level 1 is what ``Codec.encode`` ships
+#: (``repro.utils.serialization.ZLIB_LEVEL``), chosen from these rows.
 ENTROPY_CODERS = [
+    ("zlib-1", lambda b: zlib.compress(b, 1), zlib.decompress),
     ("zlib-6", lambda b: zlib.compress(b, 6), zlib.decompress),
     ("zlib-9", lambda b: zlib.compress(b, 9), zlib.decompress),
     ("lzma-6", lambda b: lzma.compress(b, preset=6), lzma.decompress),

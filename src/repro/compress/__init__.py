@@ -2,7 +2,9 @@
 
 The subsystem the Link plugs in for lossy pseudo-gradient transport:
 quantization (fp16/int8/int4, stochastic rounding) and sparsification
-(top-k/rand-k) stages composed behind the lossless zlib,
+(top-k/rand-k) stages composed behind the lossless zlib — one deflate
+level for every codec and every other wire payload
+(:data:`repro.utils.serialization.ZLIB_LEVEL`), not a codec setting —
 with per-client error-feedback memory so biased codecs stay
 convergent.  ``make_codec("none")`` returns ``None`` — the untouched
 lossless path — so existing behavior is byte-exact by default.

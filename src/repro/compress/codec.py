@@ -20,12 +20,13 @@ lossless zlib:
 A :class:`Codec` is a named list of stages behind the lossless zlib:
 ``encode`` runs the stages forward over the state dict's arrays, packs
 whatever arrays the last stage produced
-(:func:`~repro.utils.serialization.pack_tree`) and zlib-compresses the
-result; ``decode`` unpacks and runs the stages backward.  Stages
-communicate through key suffixes (``key::i`` indices, ``key::q8`` int8
-codes, …), and every stage leaves non-float arrays alone — so
-``topk:0.05+fp16`` quantizes the *values* of the sparse
-representation, never its indices.
+(:func:`~repro.utils.serialization.pack_tree`) and deflates the result
+at the wire's one level (:data:`~repro.utils.serialization.ZLIB_LEVEL`,
+the same for every codec); ``decode`` unpacks and runs the stages
+backward.  Stages communicate through key suffixes (``key::i``
+indices, ``key::q8`` int8 codes, …), and every stage leaves non-float
+arrays alone — so ``topk:0.05+fp16`` quantizes the *values* of the
+sparse representation, never its indices.
 
 Seeding and determinism: stochastic stages draw from a dedicated
 stream per ``(sender, receiver)`` channel, created from a CRC of the
@@ -49,7 +50,7 @@ import zlib
 
 import numpy as np
 
-from ..utils.serialization import StateDict, pack_tree, unpack_tree
+from ..utils.serialization import ZLIB_LEVEL, StateDict, pack_tree, unpack_tree
 
 __all__ = [
     "Codec",
@@ -165,12 +166,29 @@ class Fp16Stage(CodecStage):
         }
 
 
-def _stochastic_codes(value: np.ndarray, levels: int,
+def _finite_scales(arrays: dict[str, np.ndarray], levels: int, stage: str,
+                   channel: tuple[str, str]) -> dict[str, float]:
+    """Quantization step ``max|x| / levels`` of every value array,
+    all computed before the stage touches its RNG: one NaN or inf makes
+    the step non-finite, every code of that tensor would decode to NaN
+    and error feedback would bank a NaN residual for good — so the
+    encode is rejected here, having advanced no stream."""
+    scales: dict[str, float] = {}
+    for key, v in arrays.items():
+        if _is_value_array(v):
+            value = np.asarray(v, dtype=np.float32)
+            scales[key] = float(np.abs(value).max(initial=0.0)) / levels
+            if not np.isfinite(scales[key]):
+                raise ValueError(f"{stage} stage: non-finite value in tensor "
+                                 f"{key!r} on channel {channel}")
+    return scales
+
+
+def _stochastic_codes(value: np.ndarray, scale: float, levels: int,
                       rng: np.random.Generator) -> tuple[np.ndarray, np.float32]:
     """Symmetric per-tensor quantization to ``[-levels, levels]`` with
     stochastic rounding: ``q = floor(x / scale + u)``, ``u ~ U[0, 1)``,
     so ``E[q · scale] = x`` and ``|q · scale − x| < scale``."""
-    scale = float(np.abs(value).max()) / levels if value.size else 0.0
     if scale == 0.0:
         return np.zeros(value.shape, dtype=np.int16), np.float32(1.0)
     noise = rng.random(value.shape, dtype=np.float64)
@@ -185,14 +203,15 @@ class Int8Stage(_SeededStage):
     name = "int8"
 
     def forward(self, arrays, channel):
+        scales = _finite_scales(arrays, 127, self.name, channel)
         rng = self._rng(channel)
         out: dict[str, np.ndarray] = {}
         for key, v in arrays.items():
-            if not _is_value_array(v):
+            if key not in scales:
                 out[key] = v
                 continue
             codes, scale = _stochastic_codes(
-                np.asarray(v, dtype=np.float32), 127, rng)
+                np.asarray(v, dtype=np.float32), scales[key], 127, rng)
             out[f"{key}::q8"] = codes.astype(np.int8)
             out[f"{key}::s8"] = scale
         return out
@@ -222,14 +241,15 @@ class Int4Stage(_SeededStage):
     name = "int4"
 
     def forward(self, arrays, channel):
+        scales = _finite_scales(arrays, 7, self.name, channel)
         rng = self._rng(channel)
         out: dict[str, np.ndarray] = {}
         for key, v in arrays.items():
-            if not _is_value_array(v):
+            if key not in scales:
                 out[key] = v
                 continue
             value = np.asarray(v, dtype=np.float32)
-            codes, scale = _stochastic_codes(value, 7, rng)
+            codes, scale = _stochastic_codes(value, scales[key], 7, rng)
             shifted = (codes.reshape(-1) + np.int16(8)).astype(np.uint8)
             if shifted.size % 2:
                 shifted = np.concatenate(
@@ -346,15 +366,15 @@ class Codec:
     """Named stage chain behind the lossless zlib.
 
     ``encode`` casts the state dict to float32 arrays, runs the stages
-    forward, packs the resulting arrays and zlib-compresses them;
-    ``decode`` inverts.  With an empty stage list the codec is lossless
-    (the Link default at this codec's zlib level).
+    forward, packs the resulting arrays and deflates them at
+    ``ZLIB_LEVEL`` — the wire's one level, which no codec chooses;
+    ``decode`` inverts (whatever level the payload was written at).
+    With an empty stage list the codec is the Link's lossless default.
     """
 
-    def __init__(self, name: str, stages: list[CodecStage], level: int = 6):
+    def __init__(self, name: str, stages: list[CodecStage]):
         self.name = name
         self.stages = list(stages)
-        self.level = level
 
     @property
     def lossless(self) -> bool:
@@ -378,7 +398,7 @@ class Codec:
     def encode(self, state: StateDict, sender: str = "",
                receiver: str = "") -> bytes:
         payload = self.stage_payload(state, sender, receiver)
-        return zlib.compress(payload, self.level)
+        return zlib.compress(payload, ZLIB_LEVEL)
 
     def decode(self, payload: bytes) -> StateDict:
         arrays = unpack_tree(payload)
@@ -436,7 +456,7 @@ class CodecRegistry:
     def names(self) -> list[str]:
         return sorted(self._factories) + ["none"]
 
-    def build(self, spec: str, seed: int = 0, level: int = 6) -> Codec | None:
+    def build(self, spec: str, seed: int = 0) -> Codec | None:
         tokens = [t.strip() for t in str(spec).split("+")]
         if "none" in tokens:
             if tokens != ["none"]:
@@ -453,7 +473,7 @@ class CodecRegistry:
             # Per-stage seed offset: two stochastic stages in one
             # chain must not share a stream.
             stages.append(self._factories[name](arg or None, seed + 1000 * i))
-        return Codec(spec, stages, level=level)
+        return Codec(spec, stages)
 
 
 def _fraction(arg: str | None, what: str) -> float:
@@ -486,6 +506,6 @@ DEFAULT_REGISTRY.register(
     "randk", lambda arg, seed: RandKStage(_fraction(arg, "randk"), seed))
 
 
-def make_codec(spec: str, seed: int = 0, level: int = 6) -> Codec | None:
+def make_codec(spec: str, seed: int = 0) -> Codec | None:
     """Build a codec from a spec string (``None`` for ``"none"``)."""
-    return DEFAULT_REGISTRY.build(spec, seed=seed, level=level)
+    return DEFAULT_REGISTRY.build(spec, seed=seed)

@@ -458,16 +458,14 @@ class RoundEngine:
 
         # Algorithm 1 L.2: initialize fresh, or warm-start from a
         # provided state (continual pre-training, Section 6).
+        state = DecoderLM(model_config, seed=init_seed).state_dict()
         if initial_state is not None:
-            template = DecoderLM(model_config, seed=init_seed).state_dict()
-            if template.keys() != initial_state.keys():
+            if state.keys() != initial_state.keys():
                 raise KeyError("initial_state keys do not match the model")
-            self.global_state = {
-                k: np.asarray(v, dtype=np.float32).copy()
-                for k, v in initial_state.items()
-            }
-        else:
-            self.global_state = DecoderLM(model_config, seed=init_seed).state_dict()
+            # Copied: the caller's arrays stay theirs, and writable.
+            state = {k: np.array(v, dtype=np.float32)
+                     for k, v in initial_state.items()}
+        self.global_state = state
         # Evaluation workspace reused across rounds.
         self._eval_model = DecoderLM(model_config, seed=init_seed)
         self.history = History()
@@ -476,6 +474,21 @@ class RoundEngine:
         self._open_link_window()
 
     # ------------------------------------------------------------------
+    @property
+    def global_state(self) -> StateDict:
+        """The current global model.  Every server update, restore and
+        warm start assigns a fresh dict and the arrays are read-only
+        from then on: the Link encodes a lossless broadcast once per
+        state object (:meth:`Link.send_state`), which is only sound if
+        a broadcast state is never written in place."""
+        return self._global_state
+
+    @global_state.setter
+    def global_state(self, state: StateDict) -> None:
+        for value in state.values():
+            value.flags.writeable = False
+        self._global_state = state
+
     def evaluate(self) -> float:
         """Validation perplexity of the current global model."""
         if self.val_stream is None:
@@ -590,7 +603,7 @@ class RoundEngine:
     def _train_states_procpool(self, tasks, states) -> list[ClientUpdate]:
         """Fan a wave out across the persistent fork pool.
 
-        Global weights travel once per distinct broadcast version as a
+        Global weights travel once per distinct broadcast payload as a
         shared-memory segment (clients pulling the same version map
         the same read-only buffer); durable client state ships with
         the job and back with the result, so the parent stays
@@ -601,11 +614,11 @@ class RoundEngine:
                                       tracer=self.tracer)
         segments: dict = {}
         jobs = []
-        for (client_id, _, round_info), state in zip(tasks, states):
-            # One segment per broadcast version — unless a lossy
-            # downlink codec makes each client's decode distinct.
-            key = (round_info.round_idx
-                   if self.link.downlink_codec is None else len(jobs))
+        for (client_id, message, round_info), state in zip(tasks, states):
+            # One segment per distinct broadcast payload: a lossless
+            # broadcast is one payload per global state, a lossy
+            # downlink codec makes each client's its own.
+            key = message.payload
             if key not in segments:
                 segments[key] = share_state(state)
             shm, layout = segments[key]

@@ -35,7 +35,7 @@ import time
 import zlib
 
 from ..obs.trace import NULL_TRACER
-from ..utils.serialization import pack_tree, unpack_tree
+from ..utils.serialization import ZLIB_LEVEL, pack_tree, unpack_tree
 from .faults import FailureModel
 from .link import Link
 
@@ -66,7 +66,7 @@ class ReplicaSet:
         if not self.n_replicas:
             return
         container = pack_tree(tree)
-        payload, raw = zlib.compress(container, 1), len(container)
+        payload, raw = zlib.compress(container, ZLIB_LEVEL), len(container)
         for i in range(self.n_replicas):
             message = self.link.send_blob(
                 payload, sender=self.server_id,

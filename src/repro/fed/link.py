@@ -2,7 +2,9 @@
 
 Responsibilities reproduced from the paper:
 
-* serialize model payloads with lossless compression (default zlib);
+* serialize model payloads with lossless compression (zlib, at the one
+  level every wire payload shares:
+  :data:`~repro.utils.serialization.ZLIB_LEVEL`);
 * carry metadata (round instructions, metrics) alongside parameters;
 * count every byte in both directions so experiments can report
   communication volume exactly;
@@ -16,6 +18,13 @@ codecs from :mod:`repro.compress`: ``uplink_codec`` compresses client
 the server broadcast.  Alongside the wire counters the Link tracks the
 **raw** (uncompressed float32) volume of every payload, so reports can
 state exactly what the codec saved.
+
+A lossless broadcast is encoded **once per global state**, not once per
+receiver: the aggregator's payload is kept while the same state object
+keeps being broadcast, every receiver is metered for it and decodes its
+own copy.  With a downlink codec nothing is kept — stochastic stages
+draw from per-(sender, receiver) streams, so each client's payload is
+its own.
 """
 
 from __future__ import annotations
@@ -80,6 +89,12 @@ class Link:
         self.downlink_wire_bytes = 0
         self.downlink_raw_bytes = 0
         self.messages_sent = 0
+        # The last lossless broadcast: (state object, its payload).
+        # Matched by identity, never by a version number — a retried
+        # round, a promoted replica and a resumed run all reuse version
+        # numbers for other weights — and holding the state keeps its
+        # id from being recycled.  Broadcasts go out serially.
+        self._broadcast: tuple[StateDict | None, bytes] = (None, b"")
         # Clients may run on a thread pool (Aggregator max_workers);
         # counter updates must stay exact.
         self._lock = threading.Lock()
@@ -107,9 +122,21 @@ class Link:
 
     def send_state(self, state: StateDict, sender: str, receiver: str,
                    metadata: dict | None = None) -> Message:
+        """Encode and meter one message.  A lossless broadcast (sender
+        ``"agg"``) is encoded the first time its state object is sent
+        and the same payload handed to every later receiver of it, until
+        another state is broadcast — so the caller must never write to
+        a broadcast state in place (the engines' ``global_state`` arrays
+        are read-only to enforce that)."""
         codec = self._codec_for(sender)
-        payload = (encode_state(state, compress=self.compress) if codec is None
-                   else codec.encode(state, sender=sender, receiver=receiver))
+        if codec is not None:
+            payload = codec.encode(state, sender=sender, receiver=receiver)
+        elif sender == "agg" and self._broadcast[0] is state:
+            payload = self._broadcast[1]
+        else:
+            payload = encode_state(state, compress=self.compress)
+            if sender == "agg":
+                self._broadcast = (state, payload)
         self._meter(sender, len(payload), state_bytes(state))
         return Message(sender, receiver, payload, metadata or {})
 

@@ -78,6 +78,15 @@ class PayloadError(ValueError):
     unknown tag or dtype, or a corrupt zlib stream."""
 
 
+#: The one deflate level of every wire payload (state broadcasts, codec
+#: payloads, replica snapshots).  Measured on the ledger model (README
+#: "Wire and checkpoint format", *Coder*): float32 bodies barely
+#: deflate at any level, and on the most compressible payload in the
+#: repository (tau=1 int8 codes) level 6 costs 8x level 1's time for
+#: 8 % fewer bytes.  A zlib stream records no level, so payloads
+#: written at any other still decode.
+ZLIB_LEVEL = 1
+
 #: Container magic; the trailing digit versions the byte format.  Must
 #: not begin with 0x78 — that is how :func:`unpack_tree` tells a bare
 #: container from a zlib-deflated one.
@@ -287,7 +296,7 @@ def encode_state(state: StateDict, compress: bool = True) -> bytes:
     the paper's lossless zlib unless ``compress`` is off."""
     raw = pack_tree({k: np.asarray(v, dtype=np.float32)
                      for k, v in state.items()})
-    return zlib.compress(raw, 1) if compress else raw
+    return zlib.compress(raw, ZLIB_LEVEL) if compress else raw
 
 
 def decode_state(payload: bytes) -> StateDict:

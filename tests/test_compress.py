@@ -246,6 +246,49 @@ class TestErrorFeedback:
             assert np.array_equal(v, kept[k])
 
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spec", ["int8", "int4"])
+    def test_non_finite_update_is_rejected_before_any_draw(self, spec, poison):
+        """One non-finite coordinate made the tensor's quantization
+        step non-finite: all of its codes decoded to NaN and the
+        client's residual was NaN from then on, with a RuntimeWarning
+        as the only sign.  The encode is refused instead, naming the
+        tensor, and a refused encode moves neither a rounding stream
+        nor the residual bank."""
+        codec = make_codec(spec, seed=1)
+        link = Link(uplink_codec=codec)
+        ef = ErrorFeedback()
+
+        def exchange(delta):  # the engine's _finish_update
+            sent = ef.apply("c0", delta)
+            decoded, _ = link.recv_state(link.send_state(sent, "c0", "agg"))
+            ef.record("c0", sent, decoded)
+            return decoded
+
+        exchange(make_state(0))
+        streams = codec.state_dict()
+        residual = {k: v.copy() for k, v in ef.residual("c0").items()}
+        meters = link.state_dict()
+
+        bad = make_state(1)
+        bad["t1"][3] = poison  # t0, before it, is clean and would draw
+        for sender in ("c0", "c1"):  # a used and a never-opened channel
+            with pytest.raises(ValueError, match=rf"{spec} stage.*'t1'.*{sender}"):
+                link.send_state(ef.apply(sender, bad), sender, "agg")
+        assert codec.state_dict() == streams
+        assert link.state_dict() == meters
+        assert ef.residual("c0").keys() == residual.keys()
+        for k, v in residual.items():
+            assert np.array_equal(ef.residual("c0")[k], v)
+        # The channel carries on as if the bad update never happened.
+        twin = make_codec(spec, seed=1)
+        twin.encode(make_state(0), "c0", "agg")
+        follow_up = ef.apply("c0", make_state(2))
+        assert (codec.encode(follow_up, "c0", "agg")
+                == twin.encode(follow_up, "c0", "agg"))
+        assert all(np.isfinite(v).all() for v in exchange(make_state(3)).values())
+
+
 class TestLinkCodecs:
     def test_uplink_codec_shrinks_wire_not_raw(self):
         state = make_state(0, shapes=((64, 32),))
