@@ -11,7 +11,6 @@ lossless path — so existing behavior is byte-exact by default.
 """
 
 from .codec import (
-    COMPRESSION_SPECS,
     DEFAULT_REGISTRY,
     Codec,
     CodecRegistry,
@@ -37,5 +36,4 @@ __all__ = [
     "ErrorFeedback",
     "make_codec",
     "DEFAULT_REGISTRY",
-    "COMPRESSION_SPECS",
 ]

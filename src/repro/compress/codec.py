@@ -63,14 +63,7 @@ __all__ = [
     "RandKStage",
     "make_codec",
     "DEFAULT_REGISTRY",
-    "COMPRESSION_SPECS",
 ]
-
-#: Canonical spec grammar (the CLI help and config errors cite this).
-COMPRESSION_SPECS = (
-    "none", "fp16", "int8", "int4", "topk:<frac>", "randk:<frac>",
-)
-
 
 def _is_value_array(array: np.ndarray) -> bool:
     """Stages only transform floating payload arrays; integer

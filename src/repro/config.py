@@ -21,7 +21,6 @@ __all__ = [
     "ModelConfig",
     "OptimConfig",
     "FedConfig",
-    "DataConfig",
     "WallTimeConfig",
     "PAPER_MODELS",
     "TINY_MODELS",
@@ -188,11 +187,16 @@ class FedConfig:
     one byte per element, trading bit-exactness of the moments for a
     ~4x smaller optimizer footprint).
 
-    Population-scale knobs: ``client_plane`` selects how per-client
-    state is held — ``"eager"`` (legacy; every client materialized up
-    front) or ``"vector"`` (numpy arrays keyed by client index, with
-    clients materialized lazily only while training; bit-exact vs
-    eager at equal configs).  Under the vector plane ``cohorts``
+    Population-scale knobs: ``client_plane`` selects *when* clients
+    are built and which scheduler / wall-time class runs — ``"eager"``
+    (every client up front; dict-backed ``ClientScheduler`` /
+    ``WallTimeModel``) or ``"vector"`` (clients materialized lazily
+    only while training; array-backed ``VectorScheduler`` /
+    ``PopulationWallTime``).  It does not select what a client *is*:
+    its data, speed, region and cycle clock have one definition both
+    planes read, so the planes are bit-exact against each other at
+    equal configs, ``tiers`` included (regions are dealt round-robin
+    over lexicographic id order).  Under the vector plane ``cohorts``
     optionally shares timing archetypes across ``cohorts`` groups
     (O(cohorts) parameter memory) and ``max_live_clients`` bounds how
     many :class:`~repro.fed.client.LLMClient` objects exist at once.
@@ -450,18 +454,6 @@ def _check_compression_spec(spec: str) -> None:
     from .compress.codec import make_codec
 
     make_codec(spec)
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """Synthetic corpus configuration (C4/Pile substitutes)."""
-
-    corpus: str = "c4"
-    num_shards: int = 64
-    seq_len: int = 64
-    vocab: str = "char"
-    heterogeneity: float = 0.0
-    seed: int = 1234
 
 
 @dataclass(frozen=True)

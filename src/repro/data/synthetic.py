@@ -297,22 +297,29 @@ class SyntheticPile:
             for name in PILE_SOURCE_NAMES
         }
 
-    def client_sources(self, n_clients: int) -> list[MarkovSource]:
-        """Assign sources to clients per the Section 5.1 recipe."""
+    def splits(self, n_clients: int) -> int:
+        """Parts each source is cut into for ``n_clients`` clients."""
         if n_clients % len(PILE_SOURCE_NAMES) != 0:
             raise ValueError(
                 f"n_clients must be a multiple of {len(PILE_SOURCE_NAMES)}, got {n_clients}"
             )
-        splits = n_clients // len(PILE_SOURCE_NAMES)
-        clients = []
-        for name in PILE_SOURCE_NAMES:
-            kernel = self.sources[name].kernel
-            for j in range(splits):
-                clients.append(
-                    MarkovSource(kernel, seed=5000 + self.seed * 131 + len(clients),
-                                 name=f"{name}-part{j}")
-                )
-        return clients
+        return n_clients // len(PILE_SOURCE_NAMES)
+
+    def client_source(self, i: int, n_clients: int) -> MarkovSource:
+        """Client ``i``'s source per the Section 5.1 recipe: clients
+        are dealt to the sources in blocks of ``splits(n_clients)``,
+        each an independently-seeded part of its source — built alone,
+        so a lazily materialized client costs one source, not
+        ``n_clients``."""
+        source, part = divmod(i, self.splits(n_clients))
+        name = PILE_SOURCE_NAMES[source]
+        return MarkovSource(self.sources[name].kernel,
+                            seed=5000 + self.seed * 131 + i,
+                            name=f"{name}-part{part}")
+
+    def client_sources(self, n_clients: int) -> list[MarkovSource]:
+        """Every client's source, in client order."""
+        return [self.client_source(i, n_clients) for i in range(n_clients)]
 
     def validation(self) -> MarkovSource:
         """C4-distribution validation stream (the paper evaluates the

@@ -83,7 +83,7 @@ from ..compress.error_feedback import ErrorFeedback
 from ..config import LOCAL_PLANES, ModelConfig, check_choice
 from ..data.stream import BatchStream
 from ..eval.perplexity import evaluate_perplexity
-from ..net.walltime import JitterModel, WallTimeModel
+from ..net.walltime import JitterModel, WallTimeModel, steps_by_deadline
 from ..nn import DecoderLM
 from ..obs.observer import engine_observer
 from ..obs.trace import NULL_TRACER
@@ -110,6 +110,25 @@ __all__ = [
 ]
 
 
+def _plan_cycles(walltime: WallTimeModel | None, client_ids: list[str],
+                 local_steps: int, adaptive_local_steps: bool = False
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The clock of each client's next pull–train–push cycle, as
+    ``(planned steps, compute_s, comm_s)`` arrays: nominal steps (or
+    ``τ / slowdown`` under ``adaptive_local_steps``) and their
+    unjittered Eq. 1 / ``2·S/B_i`` split.  ``compute_s + comm_s`` is
+    the cycle time selection ranks on and a dispatch is planned from.
+    Without a wall-time model every cycle is one indivisible time
+    unit."""
+    planned = np.full(len(client_ids), local_steps, dtype=np.int64)
+    if walltime is None:
+        return planned, np.ones(len(planned)), np.zeros(len(planned))
+    if adaptive_local_steps:
+        planned = walltime.adaptive_steps_array(client_ids, local_steps)
+    return (planned,
+            *walltime.client_compute_comm_arrays(client_ids, planned))
+
+
 def check_deadline_feasible(deadline: DeadlinePolicy | None,
                             walltime: WallTimeModel | None,
                             client_ids: list[str], local_steps: int,
@@ -119,56 +138,23 @@ def check_deadline_feasible(deadline: DeadlinePolicy | None,
     (unjittered) durations — jitter can rescue a borderline cycle, but
     a federation that needs luck to flush is still a config error, and
     the check must not consume RNG.  Under ``admit_partial`` the run
-    is viable as long as *some* client can salvage at least one step.
+    is viable as long as *some* client can salvage at least one step
+    (which takes a wall-time model: a unit cycle has no steps to cut).
     """
     if deadline is None or not deadline.enforcing:
         return
-
-    if walltime is None:
-        fastest = 1.0
-        if fastest <= deadline.deadline_s:
-            return
-        # No wall-time model means no salvage either (see
-        # AsyncAggregator._salvageable_steps); a sub-unit deadline is
-        # fatal.
+    planned, compute, comm = _plan_cycles(walltime, client_ids, local_steps,
+                                          adaptive_local_steps)
+    durations = compute + comm
+    done = steps_by_deadline(planned, compute, comm, durations,
+                             deadline.deadline_s)
+    salvage = deadline.drop_policy == "admit_partial" and walltime is not None
+    if not (done >= (1 if salvage else planned)).any():
         raise ValueError(
             f"deadline_s={deadline.deadline_s} is shorter than the "
-            f"fastest client cycle ({fastest:.3g}s): no update could "
-            "ever be admitted"
+            f"fastest client cycle ({durations.min():.3g}s): no "
+            "update could ever be admitted"
         )
-
-    # One whole-population array pass instead of a per-client timing
-    # loop: elementwise bit-exact vs client_timing / adaptive_local_
-    # steps / AsyncAggregator._salvageable_steps, so the error fires on
-    # exactly the same configs as the per-client walk.
-    if adaptive_local_steps:
-        steps = walltime.adaptive_steps_array(client_ids, local_steps)
-    else:
-        steps = local_steps
-    compute, comm = walltime.client_compute_comm_arrays(client_ids, steps)
-    durations = compute + comm
-    fastest = float(durations.min())
-    if fastest <= deadline.deadline_s:
-        return
-    if deadline.drop_policy == "admit_partial":
-        # Unjittered check, so each cycle's realized duration equals
-        # its predicted total and the salvage reduces to: whole steps
-        # fitting the post-communication budget, capped at planned-1.
-        planned = np.broadcast_to(np.asarray(steps, dtype=np.float64),
-                                  (len(client_ids),))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_step = compute / planned
-            budget = deadline.deadline_s - comm
-            salvage = np.minimum(planned - 1, np.floor(budget / per_step))
-        viable = ((durations > 0) & (compute > 0) & (budget > 0)
-                  & (per_step > 0) & (salvage >= 1))
-        if bool(viable.any()):
-            return
-    raise ValueError(
-        f"deadline_s={deadline.deadline_s} is shorter than the "
-        f"fastest client cycle ({fastest:.3g}s): no update could "
-        "ever be admitted"
-    )
 
 
 def adaptive_step_weights(steps: list[int]) -> list[float]:
@@ -488,6 +474,19 @@ class RoundEngine:
         for value in state.values():
             value.flags.writeable = False
         self._global_state = state
+
+    #: Whether slow clients plan proportionally fewer local steps (an
+    #: async-policy knob; the barrier trains everyone the same τ).
+    adaptive_local_steps = False
+
+    def _predict_cycles(self, client_ids: list[str],
+                        local_steps: int) -> np.ndarray:
+        """Predicted pull+train+push seconds of each client's next
+        cycle (planned steps, no jitter) — what selection policies
+        rank on, read off the same plan a dispatch is made from."""
+        _, compute, comm = _plan_cycles(self.walltime, client_ids, local_steps,
+                                        self.adaptive_local_steps)
+        return compute + comm
 
     def evaluate(self) -> float:
         """Validation perplexity of the current global model."""
@@ -918,14 +917,7 @@ class SyncAggregator(RoundEngine):
         selected = self.scheduler.select_cohort(
             population, round_idx,
             default=self.sampler.sample(population, round_idx),
-            duration_fn=lambda cid: (
-                self.walltime.client_timing(cid, local_steps).total_s
-                if self.walltime is not None else 1.0
-            ),
-            duration_array_fn=(
-                (lambda ids: self.walltime.client_total_s_array(ids, local_steps))
-                if self.walltime is not None else None
-            ),
+            durations_of=lambda ids: self._predict_cycles(ids, local_steps),
         )
         self.observer.cohort(len(selected))
         self._open_link_window()
@@ -1111,128 +1103,59 @@ class AsyncAggregator(RoundEngine):
         # reference), not the flush-history length.
         return self.version
 
-    def _base_duration_s(self, client_id: str, local_steps: int) -> float:
-        """Deterministic (unjittered) cycle duration — also the
-        scheduler's prediction of a pull–train–push cycle."""
-        if self.walltime is None:
-            return 1.0
-        return self.walltime.client_timing(client_id, local_steps).total_s
+    def _predict_next_cycles(self, client_ids: list[str]) -> np.ndarray:
+        """The scheduler's ``durations_of`` at the run's fixed τ."""
+        return self._predict_cycles(client_ids, self._local_steps)
 
-    def _client_duration_s(self, client_id: str, local_steps: int) -> float:
-        """Realized cycle duration: the prediction times one jitter
-        draw (consumed exactly once per dispatch, in dispatch order)."""
-        duration = self._base_duration_s(client_id, local_steps)
+    def _dispatch(self, *client_ids: str) -> None:
+        """Send the current global model to a wave of clients and
+        schedule each one's completion event — or, when an enforcing
+        deadline already knows the cycle cannot finish in time, its
+        cancellation (or ``admit_partial`` salvage) event at the
+        deadline.
+
+        The wave is planned once, as arrays: planned steps and their
+        compute/comm split, the realized duration (one jitter draw per
+        cycle, consumed in dispatch order), the deadline verdict, and
+        the steps a cancelled cycle still delivers."""
+        if not client_ids:
+            return
+        planned, compute, comm = _plan_cycles(
+            self.walltime, client_ids, self._local_steps,
+            self.adaptive_local_steps)
+        durations = compute + comm
         if self.jitter is not None:
-            duration *= self.jitter.factor(client_id)
-        return duration
-
-    def _predict_cycle_s(self, client_id: str) -> float:
-        """Predicted pull+train+push time of the client's *next* cycle
-        (planned steps, no jitter) — what selection policies rank on."""
-        return self._base_duration_s(client_id, self._planned_steps(client_id))
-
-    def _predict_cycle_array(self, client_ids: list[str]) -> np.ndarray:
-        """Batch :meth:`_predict_cycle_s` — the scheduler's
-        ``duration_array_fn`` fast path, elementwise bit-exact."""
-        if self.walltime is None:
-            return np.ones(len(client_ids), dtype=np.float64)
-        if self.adaptive_local_steps:
-            steps = self.walltime.adaptive_steps_array(
-                client_ids, self._local_steps)
-        else:
-            steps = self._local_steps
-        return self.walltime.client_total_s_array(client_ids, steps)
-
-    def _planned_steps(self, client_id: str) -> int:
-        """Local steps for the next pull: nominal, or scaled down by
-        the client's compute slowdown under ``adaptive_local_steps``."""
-        if self.adaptive_local_steps and self.walltime is not None:
-            return self.walltime.adaptive_local_steps(client_id,
-                                                      self._local_steps)
-        return self._local_steps
-
-    def _salvageable_steps(self, client_id: str, planned: int,
-                           duration: float) -> int:
-        """Whole local steps a cancelled cycle finishes *and uploads*
-        by the deadline, on its realized (possibly jittered) timeline:
-        the download and upload keep their share of the cycle, training
-        stops early enough for the upload to land at the deadline."""
-        if self.walltime is None:
-            return 0
-        timing = self.walltime.client_timing(client_id, planned)
-        if timing.total_s <= 0 or timing.compute_s <= 0:
-            return 0
-        realized = duration / timing.total_s  # jitter factor of this cycle
-        per_step = timing.compute_s * realized / planned
-        budget = self.deadline.deadline_s - timing.comm_s * realized
-        if budget <= 0 or per_step <= 0:
-            return 0
-        return max(0, min(planned - 1, int(budget / per_step)))
-
-    def _dispatch(self, client_id: str, planned: int | None = None,
-                  duration: float | None = None) -> None:
-        """Send the current global model to ``client_id`` and schedule
-        its completion event — or, when an enforcing deadline already
-        knows the cycle cannot finish in time, its cancellation (or
-        ``admit_partial`` salvage) event at the deadline.
-
-        ``planned``/``duration`` let :meth:`_dispatch_batch` hand in
-        values computed as whole-wave array ops; when omitted they are
-        computed per client exactly as before."""
-        if planned is None:
-            planned = self._planned_steps(client_id)
-        if duration is None:
-            duration = self._client_duration_s(client_id, planned)
+            durations = durations * self.jitter.factors(client_ids)
         steps = planned
-        late = (self.deadline is not None
-                and duration > self.deadline.deadline_s)
-        timed_out = late and self.deadline.enforcing
-        salvaged = False
-        if timed_out:
-            if self.deadline.drop_policy == "admit_partial":
-                done = self._salvageable_steps(client_id, planned, duration)
-                if done >= 1:
-                    steps, salvaged, timed_out = done, True, False
-            duration = self.deadline.deadline_s
-        message = self.link.send_state(
-            self.global_state, sender="agg", receiver=client_id,
-            metadata={"version": self.version, "local_steps": steps},
-        )
-        self._inflight[client_id] = _InFlight(
-            message, self.version, steps, planned, late, timed_out, salvaged
-        )
-        heapq.heappush(self._events, (self.clock_s + duration, self._seq, client_id))
-        self._seq += 1
-        self.scheduler.note_selected(client_id, self.version)
-        self.observer.dispatched(self, client_id, steps)
-
-    def _dispatch_batch(self, dispatch: list[str]) -> None:
-        """Dispatch one wave with planned steps, base durations and
-        jitter factors computed as whole-wave array ops.
-
-        Bit-exact vs per-client :meth:`_dispatch`: the timing math is
-        elementwise-identical, and the batch jitter draw consumes the
-        RNG stream exactly like the scalar draws in dispatch order
-        (:meth:`~repro.net.walltime.JitterModel.factors`).
-        """
-        if not dispatch:
-            return
-        if len(dispatch) == 1 or self.walltime is None:
-            # Small waves (and the unit clock) gain nothing from the
-            # array path; the scalar path is the reference anyway.
-            for client_id in dispatch:
-                self._dispatch(client_id)
-            return
-        if self.adaptive_local_steps:
-            planned = self.walltime.adaptive_steps_array(
-                dispatch, self._local_steps)
-        else:
-            planned = np.full(len(dispatch), self._local_steps, dtype=np.int64)
-        durations = self.walltime.client_total_s_array(dispatch, planned)
-        if self.jitter is not None:
-            durations = durations * self.jitter.factors(dispatch)
-        for client_id, p, d in zip(dispatch, planned, durations):
-            self._dispatch(client_id, planned=int(p), duration=float(d))
+        late = timed_out = salvaged = np.zeros(len(client_ids), dtype=bool)
+        if self.deadline is not None:
+            done = steps_by_deadline(planned, compute, comm, durations,
+                                     self.deadline.deadline_s)
+            late = done < planned  # the cycle outlives the deadline
+            if self.deadline.enforcing:
+                # Without a wall-time model a cycle is one indivisible
+                # unit: there are no finished steps to salvage.
+                if (self.deadline.drop_policy == "admit_partial"
+                        and self.walltime is not None):
+                    salvaged = late & (done >= 1)
+                    steps = np.where(salvaged, done, planned)
+                timed_out = late & ~salvaged
+                durations = np.where(late, self.deadline.deadline_s, durations)
+        cycles = zip(steps.tolist(), planned.tolist(), late.tolist(),
+                     timed_out.tolist(), salvaged.tolist())
+        for client_id, cycle, compute_s, comm_s, duration in zip(
+                client_ids, cycles, compute.tolist(), comm.tolist(),
+                durations.tolist()):
+            message = self.link.send_state(
+                self.global_state, sender="agg", receiver=client_id,
+                metadata={"version": self.version, "local_steps": cycle[0]},
+            )
+            self._inflight[client_id] = _InFlight(message, self.version, *cycle)
+            heapq.heappush(self._events,
+                           (self.clock_s + duration, self._seq, client_id))
+            self._seq += 1
+            self.scheduler.note_selected(client_id, self.version)
+            self.observer.dispatched(client_id, self.clock_s, compute_s, comm_s)
 
     def _refill(self, slots: int) -> None:
         """Issue up to ``slots`` dispatches from the idle queue, with
@@ -1255,9 +1178,8 @@ class AsyncAggregator(RoundEngine):
                 # lists per wave.  Bit-exact vs select_async with an
                 # all-reachable pool (FIFO order, no RNG consumed).
                 self._availability_deferred = set()
-                dispatch = [self._idle.popleft()
-                            for _ in range(min(slots, len(self._idle)))]
-                self._dispatch_batch(dispatch)
+                self._dispatch(*(self._idle.popleft()
+                                 for _ in range(min(slots, len(self._idle)))))
             else:
                 if self.availability is not None:
                     reachable = set(
@@ -1270,13 +1192,12 @@ class AsyncAggregator(RoundEngine):
                 # the scheduler was built without one of its own.
                 dispatch, leftover = self.scheduler.select_async(
                     list(self._idle), reachable, slots, self.version,
-                    self._predict_cycle_s,
+                    self._predict_next_cycles,
                     deadline_s=(self.deadline.deadline_s
                                 if self.deadline is not None else None),
-                    duration_array_fn=self._predict_cycle_array,
                 )
                 self._idle = deque(leftover)
-                self._dispatch_batch(dispatch)
+                self._dispatch(*dispatch)
         if not self._events and self._idle:
             # Nobody reachable and nothing in flight: keep one client
             # training (mirrors AvailabilityModel's floor).
@@ -1408,9 +1329,8 @@ class AsyncAggregator(RoundEngine):
             pool_idle = [c for c in self._idle if c in reachable]
         pool = [client_id] + pool_idle
         dispatch, _ = self.scheduler.select_async(
-            pool, set(pool), 1, self.version, self._predict_cycle_s,
+            pool, set(pool), 1, self.version, self._predict_next_cycles,
             deadline_s=self.deadline.deadline_s,
-            duration_array_fn=self._predict_cycle_array,
         )
         chosen = set(dispatch)
         # Rebuild the idle pool in order, keeping deferred clients in
@@ -1418,8 +1338,7 @@ class AsyncAggregator(RoundEngine):
         self._idle = deque(
             c for c in [client_id] + list(self._idle) if c not in chosen
         )
-        for cid in dispatch:
-            self._dispatch(cid)
+        self._dispatch(*dispatch)
 
     def _check_requeue_liveness(self) -> None:
         """Fail fast on a provable requeue livelock.
@@ -1440,13 +1359,11 @@ class AsyncAggregator(RoundEngine):
         if (self.deadline is None or self.deadline.drop_policy != "requeue"
                 or self.scheduler.policy != "random" or not self._inflight):
             return
-
-        def rescuable(cid: str) -> bool:
-            return self.jitter is not None and self.jitter.scale_for(cid) > 0
-
-        if all(not rescuable(cid)
-               and self._base_duration_s(cid, self._inflight[cid].planned)
-               > self.deadline.deadline_s for cid in self._inflight):
+        inflight = list(self._inflight)
+        doomed = self._predict_next_cycles(inflight) > self.deadline.deadline_s
+        if self.jitter is not None:
+            doomed &= self.jitter.scales_for(inflight) == 0
+        if doomed.all():
             raise ValueError(
                 "drop_policy='requeue' with random selection has every "
                 "in-flight client over the deadline; their slots can "

@@ -23,12 +23,7 @@ from ..compress import ErrorFeedback, make_codec
 from ..config import FedConfig, ModelConfig, OptimConfig, WallTimeConfig
 from ..data.sharding import assign_shards
 from ..data.stream import BatchStream, CachedTokenStream, MixedStream
-from ..data.synthetic import (
-    PILE_SOURCE_NAMES,
-    MarkovSource,
-    SyntheticC4,
-    SyntheticPile,
-)
+from ..data.synthetic import SyntheticC4, SyntheticPile
 from ..net.comm import federated_volume, reduction_factor
 from ..net.walltime import JitterModel, WallTimeModel
 from ..obs import NULL_TRACER, MetricsSink, Tracer
@@ -136,29 +131,11 @@ class Photon:
         federation equipollent).  This is what makes the async engine's
         event clock interesting — stragglers no longer pace a barrier.
 
-    Scheduling rides on ``fed_config``: ``selection`` picks the
-    :class:`~repro.fed.scheduler.ClientScheduler` policy (``random``
-    is the legacy behavior, bit-exact), ``exploration`` scales the
-    ``utility`` recency bonus, ``stat_utility_weight`` folds recent
-    loss improvement into the score, and ``jitter`` (scalar or
-    per-client mapping) adds seeded lognormal per-cycle duration
-    noise to the async clock.
-
-    Update compression rides on ``fed_config`` too: ``compression``
-    names a :mod:`repro.compress` codec for the pseudo-gradient
-    upload (``error_feedback`` keeps per-client EF residuals,
-    ``compress_broadcast`` also compresses the server broadcast);
-    ``"none"`` is the paper's lossless zlib, byte-exact.
-
-    Hierarchy & failover ride on ``fed_config`` as well: ``tiers``
-    inserts region-level edge aggregators between the clients and the
-    root (``tiers=1`` is the bit-exact identity tier), with
-    ``tier_compression`` as the edge→root backhaul codec;
-    ``replicas``/``replicate_every``/``server_crash_prob`` wrap the
-    run in a :class:`~repro.fed.failover.FailoverController` that
-    streams RunState snapshots to standbys and promotes one after a
-    root crash.  ``server_failure_model`` injects a scripted crash
-    model instead (deterministic failover tests/benchmarks).
+    Scheduling, update compression, hierarchy and failover all ride on
+    ``fed_config``; :class:`~repro.config.FedConfig` documents each
+    knob.  ``server_failure_model`` injects a scripted root-crash model
+    instead of the one ``server_crash_prob`` builds (deterministic
+    failover tests/benchmarks).
     """
 
     def __init__(self, model_config: ModelConfig, fed_config: FedConfig,
@@ -233,16 +210,21 @@ class Photon:
                     seed=fed_config.seed,
                 )
 
-        # Client ids are fixed by the corpus shape, so the wall-time
-        # model and the deadline feasibility check can run *before*
-        # the (much more expensive) data build — an impossible
-        # deadline fails in milliseconds, not after caching every
-        # shard stream.
-        client_ids = (
-            list(self.population.sorted_ids) if self.population is not None
-            else sorted(corpus) if isinstance(corpus, dict)
-            else sorted(f"client{i}" for i in range(fed_config.population))
-        )
+        # Client identity is fixed by the corpus shape — client ``i``
+        # of a named corpus is ``client{i}`` on either plane — so the
+        # wall-time model and the deadline feasibility check can run
+        # *before* the (much more expensive) data build: an impossible
+        # deadline fails in milliseconds, not after caching every shard
+        # stream.  ``client_ids`` is the lexicographic order every
+        # per-client draw and deal (slowdowns, regions) is made in.
+        if self.population is not None:
+            ids, client_ids = self.population.ids, self.population.sorted_ids
+            index_of = self.population.index_of
+        else:
+            ids = (list(corpus) if isinstance(corpus, dict)
+                   else [f"client{i}" for i in range(fed_config.population)])
+            client_ids = sorted(ids)
+            index_of = {cid: i for i, cid in enumerate(ids)}.__getitem__
         walltime = None
         if walltime_config is not None:
             if self.population is not None:
@@ -305,46 +287,33 @@ class Photon:
                     "to resume from"
                 )
 
-        if self.population is not None:
-            stream_factory, val_stream = self._build_stream_factory(
-                corpus, heterogeneity, num_shards, data_seed
+        stream_of, val_stream = self._build_data(
+            corpus, heterogeneity, num_shards, data_seed, index_of
+        )
+
+        def make_client(cid: str) -> LLMClient:
+            return LLMClient(
+                client_id=cid,
+                model_config=model_config,
+                streams=stream_of(cid),
+                optim=self.optim_config,
+                schedule=self.schedule,
+                stateless=fed_config.stateless_clients,
+                post_process=post_process,
+                seed=init_seed,
             )
-            population = self.population
 
-            def make_client(cid: str) -> LLMClient:
-                return LLMClient(
-                    client_id=cid,
-                    model_config=model_config,
-                    streams=stream_factory(population.index_of(cid)),
-                    optim=self.optim_config,
-                    schedule=self.schedule,
-                    stateless=fed_config.stateless_clients,
-                    post_process=post_process,
-                    seed=init_seed,
-                )
-
-            clients: LazyClientPool | dict[str, LLMClient] = LazyClientPool(
-                population, make_client,
+        # The one thing the client plane decides about a client is
+        # *when* it is built: all of them here, or each on first use.
+        clients: LazyClientPool | dict[str, LLMClient]
+        if self.population is not None:
+            clients = LazyClientPool(
+                self.population, make_client,
                 max_live=(fed_config.max_live_clients
                           or max(64, 2 * fed_config.clients_per_round)),
             )
         else:
-            client_streams, val_stream = self._build_data(
-                corpus, heterogeneity, num_shards, data_seed
-            )
-            clients = {
-                cid: LLMClient(
-                    client_id=cid,
-                    model_config=model_config,
-                    streams=stream,
-                    optim=self.optim_config,
-                    schedule=self.schedule,
-                    stateless=fed_config.stateless_clients,
-                    post_process=post_process,
-                    seed=init_seed,
-                )
-                for cid, stream in client_streams.items()
-            }
+            clients = {cid: make_client(cid) for cid in ids}
         sampler = (
             FullParticipation()
             if fed_config.clients_per_round >= fed_config.population
@@ -399,15 +368,11 @@ class Photon:
         # topology's England backhaul through their own codec channel.
         edge_tier = None
         if fed_config.tiers is not None:
-            if self.population is not None:
-                population, n_tiers = self.population, fed_config.tiers
-                assign = (lambda cid: population.index_of(cid) % n_tiers)
-            else:
-                assign = round_robin_assign(client_ids, fed_config.tiers)
             tier_codec = make_codec(fed_config.tier_compression,
                                     seed=fed_config.seed + 1)
             edge_tier = EdgeTier(
-                paper_regions(fed_config.tiers), assign,
+                paper_regions(fed_config.tiers),
+                round_robin_assign(client_ids, fed_config.tiers),
                 backhaul=Link(uplink_codec=tier_codec),
                 error_feedback=(
                     ErrorFeedback(staleness_gamma=fed_config.ef_staleness_gamma)
@@ -480,106 +445,55 @@ class Photon:
 
     # ------------------------------------------------------------------
     def _build_data(self, corpus, heterogeneity: float, num_shards: int,
-                    data_seed: int) -> tuple[dict[str, BatchStream], BatchStream]:
-        batch = self.optim_config.batch_size
-        seq_len = self.model_config.seq_len
+                    data_seed: int, index_of):
+        """``(stream_of, val_stream)``: ``stream_of(client_id)`` builds
+        that client's training stream — the eager plane calls it for
+        every client up front, the vector plane when a client first
+        trains, so both see the same sources and seeds and an untrained
+        lazy client costs no memory.  ``index_of`` maps a named
+        corpus's client id to its index."""
         vocab = self.model_config.vocab_size
         population = self.fed_config.population
+
+        def cached(source, seed: int) -> CachedTokenStream:
+            return CachedTokenStream(source, self.optim_config.batch_size,
+                                     self.model_config.seq_len, seed=seed)
 
         if isinstance(corpus, dict):
             if len(corpus) != population:
                 raise ValueError(
                     f"corpus provides {len(corpus)} streams for a population of {population}"
                 )
-            streams = dict(corpus)
             # Validation falls back to a fresh C4-style stream.
             val_source = SyntheticC4(num_shards=1, vocab=vocab, seed=data_seed).validation()
-            return streams, CachedTokenStream(val_source, batch, seq_len, seed=data_seed)
-
-        if corpus == "c4":
-            c4 = SyntheticC4(num_shards=num_shards, vocab=vocab, seed=data_seed)
-            groups = assign_shards(num_shards, population, seed=data_seed)
-            streams = {}
-            for i, shard_ids in enumerate(groups):
-                components = [
-                    CachedTokenStream(c4.shard(s), batch, seq_len, seed=data_seed + s)
-                    for s in shard_ids
-                ]
-                streams[f"client{i}"] = (
-                    components[0] if len(components) == 1
-                    else MixedStream(components, seed=data_seed + i)
-                )
-            val = CachedTokenStream(c4.validation(), batch, seq_len, seed=data_seed - 1)
-            return streams, val
-
-        if corpus == "pile":
-            pile = SyntheticPile(vocab=vocab, seed=data_seed, heterogeneity=heterogeneity)
-            sources = pile.client_sources(population)
-            streams = {
-                f"client{i}": CachedTokenStream(src, batch, seq_len, seed=data_seed + i)
-                for i, src in enumerate(sources)
-            }
-            val = CachedTokenStream(pile.validation(), batch, seq_len, seed=data_seed - 1)
-            return streams, val
-
-        raise ValueError(f"unknown corpus {corpus!r}; use 'c4', 'pile' or a stream dict")
-
-    def _build_stream_factory(self, corpus: str, heterogeneity: float,
-                              num_shards: int, data_seed: int):
-        """Lazy analogue of :meth:`_build_data`: returns
-        ``(factory, val_stream)`` where ``factory(i)`` builds client
-        ``i``'s stream on demand — stream-for-stream identical to the
-        eager build (same sources, same seeds), but O(1) memory until
-        a client actually trains."""
-        batch = self.optim_config.batch_size
-        seq_len = self.model_config.seq_len
-        vocab = self.model_config.vocab_size
-        population = self.fed_config.population
+            return dict(corpus).__getitem__, cached(val_source, data_seed)
 
         if corpus == "c4":
             c4 = SyntheticC4(num_shards=num_shards, vocab=vocab, seed=data_seed)
             groups = assign_shards(num_shards, population, seed=data_seed)
 
-            def factory(i: int) -> BatchStream:
-                components = [
-                    CachedTokenStream(c4.shard(s), batch, seq_len,
-                                      seed=data_seed + s)
-                    for s in groups[i]
-                ]
+            def stream_of(cid: str) -> BatchStream:
+                i = index_of(cid)
+                components = [cached(c4.shard(s), data_seed + s)
+                              for s in groups[i]]
                 return (components[0] if len(components) == 1
                         else MixedStream(components, seed=data_seed + i))
 
-            val = CachedTokenStream(c4.validation(), batch, seq_len,
-                                    seed=data_seed - 1)
-            return factory, val
+            return stream_of, cached(c4.validation(), data_seed - 1)
 
         if corpus == "pile":
-            pile = SyntheticPile(vocab=vocab, seed=data_seed,
-                                 heterogeneity=heterogeneity)
-            if population % len(PILE_SOURCE_NAMES) != 0:
-                raise ValueError(
-                    f"population must be a multiple of "
-                    f"{len(PILE_SOURCE_NAMES)}, got {population}"
-                )
-            splits = population // len(PILE_SOURCE_NAMES)
+            pile = SyntheticPile(vocab=vocab, seed=data_seed, heterogeneity=heterogeneity)
+            # Reject a population the recipe cannot split here, not at
+            # a lazy client's first build.
+            pile.splits(population)
 
-            def factory(i: int) -> BatchStream:
-                # Replicates SyntheticPile.client_sources(population)[i]
-                # without materializing the other population-1 sources.
-                name = PILE_SOURCE_NAMES[i // splits]
-                src = MarkovSource(
-                    pile.sources[name].kernel,
-                    seed=5000 + data_seed * 131 + i,
-                    name=f"{name}-part{i % splits}",
-                )
-                return CachedTokenStream(src, batch, seq_len,
-                                         seed=data_seed + i)
+            def stream_of(cid: str) -> BatchStream:
+                i = index_of(cid)
+                return cached(pile.client_source(i, population), data_seed + i)
 
-            val = CachedTokenStream(pile.validation(), batch, seq_len,
-                                    seed=data_seed - 1)
-            return factory, val
+            return stream_of, cached(pile.validation(), data_seed - 1)
 
-        raise ValueError(f"unknown corpus {corpus!r}; use 'c4' or 'pile'")
+        raise ValueError(f"unknown corpus {corpus!r}; use 'c4', 'pile' or a stream dict")
 
     # ------------------------------------------------------------------
     @property

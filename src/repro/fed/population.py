@@ -1,11 +1,14 @@
 """Vectorized million-client control plane (ROADMAP item 1).
 
 The eager plane materializes one :class:`~repro.fed.client.LLMClient`
-per population member and loops over Python dicts for every selection,
-jitter draw and feasibility check — fine at hundreds of clients, three
-orders of magnitude short of the paper's fleet-scale ambitions.  This
-module is the MLSYSIM-style alternative: model the fleet without
-running the fleet.
+per population member and keeps scheduler counters and slowdown
+factors in Python dicts — fine at hundreds of clients, three orders of
+magnitude short of the paper's fleet-scale ambitions.  This module is
+the MLSYSIM-style alternative: model the fleet without running the
+fleet.  It changes *how* per-client state is held, never what a client
+is: data, region, slowdown draws and the cycle clock have one
+definition (:mod:`repro.fed.photon`, :mod:`repro.fed.engine`) that both
+planes read.
 
 * :class:`ClientPopulation` — per-client *parameters* (timing
   slowdowns, cohort membership) as numpy arrays keyed by client
@@ -50,14 +53,13 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..config import WallTimeConfig
-from ..net.walltime import WallTimeModel
+from ..net.walltime import WallTimeModel, slowdown_factors
 from .client import LLMClient
 from .scheduler import (
     _DEFAULT_HORIZON,
     _SELECTION_LOG_MAXLEN,
     ClientScheduler,
-    DurationArrayFn,
-    DurationFn,
+    DurationsOf,
 )
 
 __all__ = [
@@ -125,20 +127,11 @@ class ClientPopulation:
         :meth:`~repro.net.walltime.WallTimeModel.heterogeneous` over
         the lexicographically sorted ids (the eager plane's draw
         order), so eager and vector planes see the same federation."""
-        if compute_spread < 1.0 or bandwidth_spread < 1.0:
-            raise ValueError("spreads must be >= 1 (1 = homogeneous)")
         pop = cls(n, prefix=prefix)
         rng = np.random.default_rng(seed)
         order = np.argsort(pop.lex_rank)  # indices in sorted-id order
-
-        def draw(spread: float, target: np.ndarray) -> None:
-            if spread == 1.0:
-                return  # eager path consumes no RNG either
-            logs = rng.uniform(0.0, np.log(spread), size=n)
-            target[order] = np.exp(logs)
-
-        draw(compute_spread, pop.compute_factors)
-        draw(bandwidth_spread, pop.bandwidth_factors)
+        pop.compute_factors[order] = slowdown_factors(rng, compute_spread, n)
+        pop.bandwidth_factors[order] = slowdown_factors(rng, bandwidth_spread, n)
         return pop
 
     @classmethod
@@ -152,20 +145,12 @@ class ClientPopulation:
         fleet-scale regime, not a legacy anchor."""
         if not 1 <= k <= n:
             raise ValueError(f"cohorts must be in [1, {n}], got {k}")
-        if compute_spread < 1.0 or bandwidth_spread < 1.0:
-            raise ValueError("spreads must be >= 1 (1 = homogeneous)")
         rng = np.random.default_rng(seed)
         cohort_of = np.arange(n, dtype=np.int64) % k
-
-        def draw(spread: float) -> np.ndarray:
-            if spread == 1.0:
-                return np.ones(k, dtype=np.float64)
-            return np.exp(rng.uniform(0.0, np.log(spread), size=k))
-
         return cls(
             n, prefix=prefix,
-            compute_factors=draw(compute_spread)[cohort_of],
-            bandwidth_factors=draw(bandwidth_spread)[cohort_of],
+            compute_factors=slowdown_factors(rng, compute_spread, k)[cohort_of],
+            bandwidth_factors=slowdown_factors(rng, bandwidth_spread, k)[cohort_of],
             cohort_of=cohort_of,
         )
 
@@ -199,10 +184,10 @@ class PopulationWallTime(WallTimeModel):
     """Wall-time model whose per-client factors are array gathers.
 
     Scalar lookups (:meth:`compute_factor` / :meth:`bandwidth_factor`)
-    stay available and bit-exact — the legacy per-client code paths
-    (e.g. salvage-step computation) keep working against a population
-    model — while batch consumers go through the array methods without
-    ever building a dict.
+    stay available and bit-exact — the barrier's ``cohort_timing`` and
+    the observer's ``client_timing`` read them — while the engines'
+    cycle plans go through the array methods without ever building a
+    dict.
     """
 
     def __init__(self, config: WallTimeConfig, population: ClientPopulation):
@@ -434,27 +419,16 @@ class VectorScheduler(ClientScheduler):
     def _waited(self, client_id: str, version: int) -> int:
         return int(version - self._last_selected[self.population.index_of(client_id)])
 
-    def selections_of(self, client_id: str) -> int:
-        """Dispatch count for one client (diagnostic accessor standing
-        in for the scalar scheduler's ``selections`` dict)."""
-        return int(self._selections[self.population.index_of(client_id)])
-
     # ------------------------------------------------------------------
     def _rank(self, candidates: list[str], version: int,
-              duration_fn: DurationFn,
-              deadline_s: float | None,
-              duration_array_fn: DurationArrayFn | None = None) -> list[str]:
+              durations_of: DurationsOf,
+              deadline_s: float | None) -> list[str]:
         if not candidates:
             return []
         pop = self.population
         idx = pop.indices_of(candidates)
         lex = pop.lex_rank[idx]
-        if duration_array_fn is not None:
-            durations = np.asarray(duration_array_fn(candidates),
-                                   dtype=np.float64).copy()
-        else:
-            durations = np.array([duration_fn(c) for c in candidates],
-                                 dtype=np.float64)
+        durations = np.asarray(durations_of(candidates), dtype=np.float64)
         if self._margin_active:
             scales = np.asarray(self.jitter.scales_for(candidates),
                                 dtype=np.float64)

@@ -60,12 +60,10 @@ _DEFAULT_HORIZON = 8
 #: a long simulation must not grow memory linearly forever).
 _SELECTION_LOG_MAXLEN = 65_536
 
-DurationFn = Callable[[str], float]
-
-#: Batch variant: maps a list of client ids to an ndarray of predicted
-#: cycle durations, same order.  ``None`` means "no batch path" and the
-#: scalar ``DurationFn`` is called per client.
-DurationArrayFn = Callable[[Sequence[str]], "object"]
+#: Maps a list of client ids to an ndarray of predicted cycle
+#: durations, same order — the engines' one clock, so the scheduler
+#: ranks on exactly the prediction a dispatch is then planned from.
+DurationsOf = Callable[[Sequence[str]], np.ndarray]
 
 
 def normal_quantile(p: float) -> float:
@@ -304,18 +302,12 @@ class ClientScheduler:
         return float(np.exp(self._margin_z * scale))
 
     def _rank(self, candidates: list[str], version: int,
-              duration_fn: DurationFn,
-              deadline_s: float | None,
-              duration_array_fn: DurationArrayFn | None = None) -> list[str]:
-        """Order ``candidates`` best-first under the active policy.
-
-        ``duration_array_fn`` is the batch fast path used by the
-        vectorized subclass; the base implementation ignores it.
-        """
+              durations_of: DurationsOf,
+              deadline_s: float | None) -> list[str]:
+        """Order ``candidates`` best-first under the active policy."""
+        durations = dict(zip(candidates, durations_of(candidates).tolist()))
         if self._margin_active:
-            durations = {c: duration_fn(c) * self._margin(c) for c in candidates}
-        else:
-            durations = {c: duration_fn(c) for c in candidates}
+            durations = {c: d * self._margin(c) for c, d in durations.items()}
         if self.policy == "fastest":
             return sorted(candidates, key=lambda c: (durations[c], c))
         # utility: fairness-floor clients first, then feasible clients
@@ -356,9 +348,8 @@ class ClientScheduler:
     # Async engine: which idle clients fill the open dispatch slots.
     # ------------------------------------------------------------------
     def select_async(self, idle: Sequence[str], reachable: set[str],
-                     slots: int, version: int, duration_fn: DurationFn,
+                     slots: int, version: int, durations_of: DurationsOf,
                      deadline_s: float | None = None,
-                     duration_array_fn: DurationArrayFn | None = None,
                      ) -> tuple[list[str], list[str]]:
         """Choose up to ``slots`` clients to dispatch now.
 
@@ -394,9 +385,8 @@ class ClientScheduler:
                     deferred.append(client_id)
             return dispatch, queue[pos:] + deferred
         candidates = [c for c in idle if c in reachable]
-        ranked = self._rank(candidates, version, duration_fn,
-                            self._effective_deadline(deadline_s),
-                            duration_array_fn)
+        ranked = self._rank(candidates, version, durations_of,
+                            self._effective_deadline(deadline_s))
         dispatch = ranked[:slots]
         chosen = set(dispatch)
         leftover = [c for c in idle if c not in chosen]
@@ -406,8 +396,7 @@ class ClientScheduler:
     # Sync engine: which clients form the round's cohort.
     # ------------------------------------------------------------------
     def select_cohort(self, population: Sequence[str], round_idx: int,
-                      default: list[str], duration_fn: DurationFn,
-                      duration_array_fn: DurationArrayFn | None = None,
+                      default: list[str], durations_of: DurationsOf,
                       ) -> list[str]:
         """Choose the synchronous round's cohort.
 
@@ -420,9 +409,8 @@ class ClientScheduler:
         if self.policy == "random":
             cohort = list(default)
         else:
-            cohort = self._rank(list(population), round_idx, duration_fn,
-                                self._effective_deadline(None),
-                                duration_array_fn)[:len(default)]
+            cohort = self._rank(list(population), round_idx, durations_of,
+                                self._effective_deadline(None))[:len(default)]
             cohort.sort()  # rounds treat the cohort as a set
         for client_id in cohort:
             self.note_selected(client_id, round_idx)

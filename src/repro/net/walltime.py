@@ -35,6 +35,8 @@ __all__ = [
     "WallTimeModel",
     "gbps_to_mbps",
     "hop_seconds",
+    "slowdown_factors",
+    "steps_by_deadline",
 ]
 
 VALID_TOPOLOGIES = ("ps", "ar", "rar")
@@ -55,6 +57,45 @@ def hop_seconds(nbytes: int, gbps: float) -> float:
     if gbps <= 0:
         raise ValueError("link bandwidth must be positive")
     return nbytes * 8.0 / (gbps * 1e9)
+
+
+def slowdown_factors(rng: np.random.Generator, spread: float,
+                     n: int) -> np.ndarray:
+    """``n`` per-client slowdown factors drawn log-uniformly from
+    ``[1, spread]`` — the one straggler draw every heterogeneous
+    federation (per client or per cohort archetype, either plane)
+    takes.  A spread of 1 is exactly ones and consumes no RNG."""
+    if spread < 1.0:
+        raise ValueError("spreads must be >= 1 (1 = homogeneous)")
+    if spread == 1.0:
+        return np.ones(n, dtype=np.float64)
+    return np.exp(rng.uniform(0.0, np.log(spread), size=n))
+
+
+def steps_by_deadline(planned: np.ndarray, compute_s: np.ndarray,
+                      comm_s: np.ndarray, duration_s: np.ndarray,
+                      deadline_s: float) -> np.ndarray:
+    """Whole local steps each cycle finishes *and uploads* within
+    ``deadline_s`` — the deadline rule, for a whole wave at once.
+
+    A cycle that fits (``duration_s <= deadline_s``) delivers all its
+    ``planned`` steps.  A late one is judged on its realized (possibly
+    jittered) timeline: ``compute_s``/``comm_s`` are the unjittered
+    split, ``duration_s`` what the cycle really takes; the download
+    and upload keep their share, training stops early enough for the
+    upload to land at the deadline, and what is left is the salvageable
+    prefix, at most ``planned - 1`` steps and 0 when not even one fits.
+    """
+    planned = np.asarray(planned, dtype=np.int64)
+    total = compute_s + comm_s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        realized = duration_s / total  # jitter factor of each cycle
+        per_step = compute_s * realized / planned
+        budget = deadline_s - comm_s * realized
+        prefix = np.minimum(planned - 1, np.floor(budget / per_step))
+    cuttable = (total > 0) & (compute_s > 0) & (budget > 0) & (per_step > 0)
+    prefix = np.where(cuttable, prefix, 0.0).astype(np.int64)
+    return np.where(duration_s > deadline_s, prefix, planned)
 
 
 @dataclass(frozen=True)
@@ -236,15 +277,12 @@ class WallTimeModel:
         ``[1, bandwidth_spread]``); a spread of 1 keeps that dimension
         equipollent.
         """
-        if compute_spread < 1.0 or bandwidth_spread < 1.0:
-            raise ValueError("spreads must be >= 1 (1 = homogeneous)")
         rng = np.random.default_rng(seed)
 
         def draw(spread: float) -> dict[str, float]:
-            if spread == 1.0:
-                return {}
-            logs = rng.uniform(0.0, np.log(spread), size=len(client_ids))
-            return {cid: float(np.exp(v)) for cid, v in zip(client_ids, logs)}
+            factors = slowdown_factors(rng, spread, len(client_ids)).tolist()
+            # An equipollent dimension lists nobody (all nominal).
+            return {} if spread == 1.0 else dict(zip(client_ids, factors))
 
         return cls(config, client_compute_factors=draw(compute_spread),
                    client_bandwidth_factors=draw(bandwidth_spread))
@@ -294,12 +332,6 @@ class WallTimeModel:
                    / self.config.throughput) * cf
         comm = 2.0 * self.config.model_mb / (self.config.bandwidth_mbps / bf)
         return compute, comm
-
-    def client_total_s_array(self, client_ids: list[str],
-                             local_steps: "int | np.ndarray") -> np.ndarray:
-        """Batch ``client_timing(...).total_s`` (no overlap)."""
-        compute, comm = self.client_compute_comm_arrays(client_ids, local_steps)
-        return compute + comm
 
     def adaptive_steps_array(self, client_ids: list[str],
                              nominal_steps: int) -> np.ndarray:
@@ -440,10 +472,3 @@ class WallTimeModel:
         compute = steps / nu
         comm = steps * self.comm_s("rar", workers)
         return RoundTiming(compute_s=compute, comm_s=comm)
-
-    def communication_reduction(self, local_steps: int) -> float:
-        """Ratio of DDP sync events to federated sync events at equal
-        optimizer steps — the paper's 64×–512× factor equals τ."""
-        if local_steps < 1:
-            raise ValueError("local_steps must be >= 1")
-        return float(local_steps)

@@ -9,10 +9,10 @@ unconditionally; with tracing off it holds :data:`NULL_OBSERVER`, a
 shared no-op singleton (the ``NULL_TRACER`` pattern), so the engine
 carries neither tracing branches nor tracing-only state.
 
-Nothing here touches an RNG or mutates the engine: ``client_timing``
-is deterministic, so re-deriving a cycle's compute/comm split for a
-span consumes no draws and a traced run stays bit-exact against an
-untraced one.  Observer state is diagnostic and never checkpointed —
+Nothing here touches an RNG or mutates the engine: the async engine
+hands over the compute/comm split its dispatch planned, the barrier
+spans read the deterministic ``client_timing``, so a traced run stays
+bit-exact against an untraced one.  Observer state is diagnostic and never checkpointed —
 a cycle dispatched before a resume simply has no span.
 """
 
@@ -45,14 +45,11 @@ class EngineObserver:
         meters.counter("scheduler/cohorts").inc()
         meters.counter("scheduler/selected").inc(size)
 
-    def dispatched(self, engine, client_id: str, steps: int) -> None:
-        """The async engine dispatched a pull–train–push cycle."""
-        if engine.walltime is not None:
-            timing = engine.walltime.client_timing(client_id, steps)
-            compute, comm = timing.compute_s, timing.comm_s
-        else:
-            compute, comm = 1.0, 0.0
-        now = engine.clock_s
+    def dispatched(self, client_id: str, now: float, compute: float,
+                   comm: float) -> None:
+        """The async engine dispatched a pull–train–push cycle at
+        clock ``now``, planned to take ``compute + comm`` seconds
+        before jitter."""
         self._dispatch[client_id] = (
             now, compute, comm, now - self._idle_since.pop(client_id, now))
         self.tracer.meters.counter("scheduler/dispatches").inc()
@@ -191,7 +188,7 @@ class NullEngineObserver:
     def cohort(self, size) -> None:
         pass
 
-    def dispatched(self, engine, client_id, steps) -> None:
+    def dispatched(self, client_id, now, compute, comm) -> None:
         pass
 
     def idle(self, client_id, clock_s) -> None:

@@ -10,10 +10,8 @@ from .autograd import (
     Parameter,
     Tensor,
     concatenate,
-    is_grad_enabled,
     no_grad,
     ones,
-    randn,
     stack,
     tensor,
     unbroadcast,
@@ -26,12 +24,10 @@ __all__ = [
     "Tensor",
     "Parameter",
     "no_grad",
-    "is_grad_enabled",
     "unbroadcast",
     "tensor",
     "zeros",
     "ones",
-    "randn",
     "concatenate",
     "stack",
     "where",

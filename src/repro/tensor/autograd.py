@@ -32,12 +32,10 @@ __all__ = [
     "Tensor",
     "Parameter",
     "no_grad",
-    "is_grad_enabled",
     "unbroadcast",
     "tensor",
     "zeros",
     "ones",
-    "randn",
     "concatenate",
     "stack",
     "where",
@@ -60,11 +58,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    """Return whether new ops will be recorded on the tape."""
-    return _GRAD_ENABLED
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -511,11 +504,6 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
-
-
-def randn(shape, rng: np.random.Generator | None = None, scale: float = 1.0, requires_grad: bool = False) -> Tensor:
-    rng = rng or np.random.default_rng()
-    return Tensor(rng.normal(0.0, scale, size=shape).astype(np.float32), requires_grad=requires_grad)
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:

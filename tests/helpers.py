@@ -43,6 +43,12 @@ def run_crash_resume(build_photon, rounds: int, kill_at: int, **checkpoint_overr
     return full, resumed
 
 
+def per_client(fn):
+    """Adapt a per-client ``fn(client_id) -> seconds`` to the
+    schedulers' ``durations_of(ids) -> ndarray`` callback."""
+    return lambda ids: np.array([fn(c) for c in ids], dtype=np.float64)
+
+
 def assert_states_equal(a: dict, b: dict) -> None:
     """Bit-exact equality of two state dicts (dtypes included)."""
     assert a.keys() == b.keys()

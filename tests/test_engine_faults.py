@@ -18,6 +18,7 @@ from repro.fed import (
     Photon,
     adaptive_step_weights,
 )
+from repro.fed.engine import _plan_cycles
 
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32, seq_len=16)
 OPTIM = OptimConfig(max_lr=3e-3, warmup_steps=2, schedule_steps=64, batch_size=2,
@@ -177,10 +178,8 @@ class TestAsyncDeadline:
         history = photon.train()
         # Windows are bounded by the deadline plus at most one cycle
         # (an empty buffer waits for its first arrival).
-        fastest = min(
-            photon.aggregator._client_duration_s(c, 4)
-            for c in photon.aggregator.clients
-        )
+        agg = photon.aggregator
+        fastest = agg._predict_cycles(sorted(agg.clients), 4).min()
         assert all(r.wall_time_s <= 3.0 + fastest + 1e-9 for r in history)
 
     # Tier-2: the requeue arm gates every PR via the CI
@@ -344,7 +343,8 @@ class TestAdaptiveLocalSteps:
         photon = make_photon(adaptive_local_steps=True, local_steps=8)
         history = photon.train()
         agg = photon.aggregator
-        planned = {c: agg._planned_steps(c) for c in agg.clients}
+        ids = sorted(agg.clients)
+        planned = dict(zip(ids, _plan_cycles(agg.walltime, ids, 8, True)[0]))
         factors = agg.walltime.client_compute_factors
         slowest = max(factors, key=factors.get)
         assert planned[slowest] < 8
@@ -356,8 +356,9 @@ class TestAdaptiveLocalSteps:
         photon = make_photon(adaptive_local_steps=True, walltime_config=None,
                              spread=1.0)
         photon.aggregator._ensure_started(4)
-        assert all(photon.aggregator._planned_steps(c) == 4
-                   for c in photon.aggregator.clients)
+        inflight = photon.aggregator._inflight
+        assert len(inflight) == 5
+        assert all(cycle.planned == 4 for cycle in inflight.values())
 
     def test_homogeneous_adaptive_matches_sync(self):
         """The equivalence anchor survives the adaptive path: equal

@@ -11,12 +11,13 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.compress import ErrorFeedback
 from repro.config import FedConfig, ModelConfig, OptimConfig, WallTimeConfig
 from repro.fed import (
+    ClientFailure,
     ClientPopulation,
     ClientScheduler,
     LazyClientPool,
@@ -27,7 +28,7 @@ from repro.fed import (
 )
 from repro.net.walltime import JitterModel, WallTimeModel
 
-from helpers import assert_bit_exact_resume, run_crash_resume
+from helpers import assert_bit_exact_resume, per_client, run_crash_resume
 
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32,
                   seq_len=16)
@@ -83,7 +84,7 @@ class TestClientPopulation:
             WALLTIME, pop.sorted_ids, compute_spread=spread,
             bandwidth_spread=spread, seed=seed)
         ids = pop.sorted_ids
-        arr = vec.client_total_s_array(ids, 16)
+        arr = np.add(*vec.client_compute_comm_arrays(ids, 16))
         for j, cid in enumerate(ids):
             assert vec.compute_factor(cid) == eager.compute_factor(cid)
             assert arr[j] == eager.client_timing(cid, 16).total_s
@@ -131,7 +132,8 @@ class TestFeasibilityMargin:
         def rank(fq):
             sched = ClientScheduler("utility", deadline_s=10.0,
                                     feasibility_quantile=fq, jitter=jitter)
-            return sched._rank(["a", "b"], 0, lambda c: durations[c], 10.0)
+            return sched._rank(["a", "b"], 0,
+                               per_client(durations.__getitem__), 10.0)
 
         assert rank(None) == ["a", "b"]   # a is faster, both feasible
         assert rank(0.95) == ["b", "a"]   # a's q95 cycle misses the deadline
@@ -191,17 +193,11 @@ def test_select_async_vector_equals_scalar(n, policy, seed, fairness,
     version = int(rng.integers(0, 10))
     deadline = float(rng.uniform(2.0, 25.0)) if rng.random() < 0.7 else None
 
-    def duration_fn(c):
-        return dur[c]
-
-    def duration_array_fn(ids):
-        return np.array([dur[c] for c in ids], dtype=np.float64)
-
+    durations_of = per_client(dur.__getitem__)
     got_scalar = scalar.select_async(idle, reachable, slots, version,
-                                     duration_fn, deadline_s=deadline)
+                                     durations_of, deadline_s=deadline)
     got_vector = vector.select_async(idle, reachable, slots, version,
-                                     duration_fn, deadline_s=deadline,
-                                     duration_array_fn=duration_array_fn)
+                                     durations_of, deadline_s=deadline)
     assert got_vector == got_scalar
 
 
@@ -219,17 +215,11 @@ def test_select_cohort_vector_equals_scalar(n, policy, seed, fq):
                                 replace=False))
     round_idx = int(rng.integers(0, 10))
 
-    def duration_fn(c):
-        return dur[c]
-
-    def duration_array_fn(ids):
-        return np.array([dur[c] for c in ids], dtype=np.float64)
-
+    durations_of = per_client(dur.__getitem__)
     got_scalar = scalar.select_cohort(pop.sorted_ids, round_idx, default,
-                                      duration_fn)
+                                      durations_of)
     got_vector = vector.select_cohort(pop.sorted_ids, round_idx, default,
-                                      duration_fn,
-                                      duration_array_fn=duration_array_fn)
+                                      durations_of)
     assert got_vector == got_scalar
     assert list(scalar.selection_log) == list(vector.selection_log)
 
@@ -464,6 +454,25 @@ class TestEagerVectorEquivalence:
         assert tight.clients.evictions > 0
         assert tight.clients.live_count() <= 2 + 1  # leased overshoot
 
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("tier_compression", ["none", "int8"])
+    @pytest.mark.parametrize("population", [12, 16])
+    def test_tiers_deal_regions_identically(self, population,
+                                            tier_compression, mode):
+        """Past ten clients numeric and lexicographic id order part
+        ways (``client10`` sorts before ``client2``), so a plane that
+        dealt regions by client index put clients behind different
+        backhaul links than the eager plane's sorted-id deal: other
+        backhaul bytes and hop time always, and with a lossy backhaul
+        other weights.  Regions have one definition now."""
+        pe, pv = (vector_photon(plane=plane, population=population, mode=mode,
+                                tiers=3, tier_compression=tier_compression)
+                  for plane in ("eager", "vector"))
+        pe.train()
+        pv.train()
+        _assert_same_run(pe, pv)
+        assert any(r.backhaul_wire_bytes for r in pv.history)
+
     @pytest.mark.slow
     def test_equivalence_sweep(self):
         for mode in ("sync", "async"):
@@ -476,6 +485,85 @@ class TestEagerVectorEquivalence:
                     pe.train()
                     pv.train()
                     _assert_same_run(pe, pv)
+
+
+# ----------------------------------------------------------------------
+# The plane axis of the guarantee lattice (ROADMAP 3a, minimal slice):
+# client_plane against every other axis at once, instead of the
+# hand-picked cells above.
+# ----------------------------------------------------------------------
+@st.composite
+def lattice_cells(draw):
+    """One valid federation, as ``(FedConfig kwargs, Photon kwargs)``
+    without the plane: async-only knobs are drawn only under async, a
+    backhaul codec only with tiers."""
+    def pick(*values):
+        return draw(st.sampled_from(values))
+
+    compression, error_feedback = pick(
+        ("none", False), ("int8", False), ("int8", True), ("topk:0.25", True))
+    fed = dict(mode=pick("sync", "async"), population=pick(4, 8, 12, 16),
+               clients_per_round=pick(2, 4), local_steps=2, rounds=2,
+               seed=pick(0, 3), selection=pick("random", "fastest", "utility"),
+               compression=compression, error_feedback=error_feedback,
+               tiers=pick(None, 1, 3))
+    if fed["tiers"] is not None:
+        fed["tier_compression"] = pick("none", "int8")
+    if fed["mode"] == "async":
+        fed.update(buffer_size=pick(None, 2), jitter=pick(0.0, 0.3),
+                   adaptive_local_steps=pick(False, True))
+        drop_policy = pick(None, "drop", "requeue", "admit_partial",
+                           "admit_stale")
+        if drop_policy is not None:
+            # Nominal cycle is 1 s (one unit without a wall-time model):
+            # impossible, borderline and loose.
+            fed.update(drop_policy=drop_policy, deadline=pick(0.5, 1.5, 60.0))
+    walltime, spread = pick((None, 1.0), (WALLTIME, 1.0), (WALLTIME, 4.0))
+    photon = dict(corpus=pick("c4", "pile"), uptime=pick(1.0, 0.8),
+                  walltime_config=walltime, client_speed_spread=spread)
+    return fed, photon
+
+
+def _run_plane(plane, fed, photon):
+    """The finished run, or the error the federation was refused or
+    aborted with."""
+    try:
+        run = Photon(CFG, FedConfig(client_plane=plane, **fed), OPTIM,
+                     num_shards=fed["population"], val_batches=2, **photon)
+        run.train()
+    except (ValueError, ClientFailure) as err:
+        return type(err), str(err)
+    return run
+
+
+def _assert_planes_agree(cell):
+    eager, vector = (_run_plane(plane, *cell) for plane in ("eager", "vector"))
+    if isinstance(eager, tuple) or isinstance(vector, tuple):
+        assert eager == vector
+    else:
+        _assert_same_run(eager, vector)
+
+
+_LATTICE = dict(derandomize=True, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@given(cell=lattice_cells())
+@settings(max_examples=15, **_LATTICE)
+def test_plane_lattice(cell):
+    """Eager ≡ vector on any cell of mode × selection × codec/EF ×
+    tiers × deadline policy × jitter × adaptive steps × corpus ×
+    population × uptime × clock: both planes refuse the federation
+    with the same error, or both run it to the same history, selection
+    log and drop ledger."""
+    _assert_planes_agree(cell)
+
+
+@pytest.mark.slow
+@given(cell=lattice_cells())
+@settings(max_examples=150, **_LATTICE)
+def test_plane_lattice_deep(cell):
+    _assert_planes_agree(cell)
 
 
 class TestVectorPlaneCheckpointResume:

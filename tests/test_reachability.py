@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from functools import cache
 from pathlib import Path
 
@@ -100,6 +101,38 @@ def test_every_exported_name_resolves():
         package = importlib.import_module(".".join(init.parent.relative_to(SRC).parts))
         missing = [n for n in getattr(package, "__all__", []) if not hasattr(package, n)]
         assert not missing, f"{package.__name__}.__all__ names unbound {missing}"
+
+
+def exported(path: Path) -> list[str]:
+    """The module's literal ``__all__`` (empty when it has none)."""
+    for node in parse(path).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_exported_name_is_mentioned():
+    """The name-level rule: a non-``__init__`` module's ``__all__``
+    entry is mentioned somewhere in ``src/``, ``tests/``,
+    ``benchmarks/``, ``examples/`` or the README besides its own
+    definition, its ``__all__`` line and ``__init__`` re-exports — an
+    export nothing reads is dead weight with a public name."""
+    files = [p for d in ("src", "tests", "benchmarks", "examples")
+             for p in (ROOT / d).rglob("*.py") if p.name != "__init__.py"]
+    words = {p: re.findall(r"\w+", p.read_text())
+             for p in [*files, ROOT / "README.md"]}
+    dead = []
+    for path in SRC.rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for name in exported(path):
+            # Its own module spends two mentions on exporting it.
+            mentions = sum(w.count(name) - 2 * (p == path)
+                           for p, w in words.items())
+            if mentions < 1:
+                dead.append(f"{path.relative_to(SRC)}:{name}")
+    assert not dead, f"exported but never mentioned — use or delete: {sorted(dead)}"
 
 
 def test_one_tree_serializer():

@@ -32,7 +32,7 @@ from repro.fed.runstate import RUNSTATE_VERSION
 from repro.net.walltime import JitterModel
 from repro.utils import PayloadError, pack_tree, unpack_tree
 
-from helpers import assert_states_equal
+from helpers import assert_states_equal, per_client
 
 
 # ----------------------------------------------------------------------
@@ -131,8 +131,9 @@ class TestComponentRoundTrips:
                                stat_utility_weight=0.5)
         twin.load_state_dict(scheduler.state_dict())
         assert twin.state_dict() == scheduler.state_dict()
-        ranked = scheduler._rank(["a", "b", "c"], 4, lambda c: 1.0, 5.0)
-        assert twin._rank(["a", "b", "c"], 4, lambda c: 1.0, 5.0) == ranked
+        unit = per_client(lambda c: 1.0)
+        ranked = scheduler._rank(["a", "b", "c"], 4, unit, 5.0)
+        assert twin._rank(["a", "b", "c"], 4, unit, 5.0) == ranked
 
     def test_drop_ledger_window(self):
         ledger = DropLedger()

@@ -21,6 +21,8 @@ from repro.config import FedConfig, ModelConfig, OptimConfig, WallTimeConfig
 from repro.fed import ClientScheduler, Photon, SELECTION_POLICIES
 from repro.net import JitterModel
 
+from helpers import per_client
+
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32,
                   seq_len=16)
 OPTIM = OptimConfig(max_lr=3e-3, warmup_steps=2, schedule_steps=64,
@@ -95,14 +97,15 @@ class TestSchedulerPolicies:
         the back, the scan stops when the slots are filled."""
         sched = ClientScheduler("random")
         dispatch, leftover = sched.select_async(
-            ["a", "b", "c", "d"], {"a", "c", "d"}, 2, 0, lambda c: 1.0)
+            ["a", "b", "c", "d"], {"a", "c", "d"}, 2, 0,
+            per_client(lambda c: 1.0))
         assert dispatch == ["a", "c"]
         assert leftover == ["d", "b"]
 
     def test_random_all_unreachable_keeps_queue(self):
         sched = ClientScheduler("random")
         dispatch, leftover = sched.select_async(
-            ["a", "b"], set(), 2, 0, lambda c: 1.0)
+            ["a", "b"], set(), 2, 0, per_client(lambda c: 1.0))
         assert dispatch == []
         assert leftover == ["a", "b"]
 
@@ -111,7 +114,7 @@ class TestSchedulerPolicies:
         durations = {"slow": 9.0, "mid": 3.0, "quick": 1.0}
         dispatch, leftover = sched.select_async(
             ["slow", "mid", "quick"], {"slow", "mid", "quick"}, 2, 0,
-            durations.__getitem__)
+            per_client(durations.__getitem__))
         assert dispatch == ["quick", "mid"]
         assert leftover == ["slow"]
 
@@ -122,12 +125,12 @@ class TestSchedulerPolicies:
         durations = {"doomed": 9.0, "fits": 4.0, "quick": 1.0}
         dispatch, _ = sched.select_async(
             ["doomed", "fits", "quick"], set(durations), 2, 0,
-            durations.__getitem__)
+            per_client(durations.__getitem__))
         assert dispatch == ["quick", "fits"]
         # With no feasible alternative, the infeasible client still runs
         # (the federation must not stall).
         dispatch, _ = sched.select_async(
-            ["doomed"], {"doomed"}, 1, 0, durations.__getitem__)
+            ["doomed"], {"doomed"}, 1, 0, per_client(durations.__getitem__))
         assert dispatch == ["doomed"]
 
     def test_exploration_rotates_slow_clients_in(self):
@@ -135,7 +138,7 @@ class TestSchedulerPolicies:
         sched = ClientScheduler("utility", exploration=5.0,
                                 fairness_every_k=None)
         durations = {"slow": 4.0, "quick": 1.0}
-        fn = durations.__getitem__
+        fn = per_client(durations.__getitem__)
         # Fresh state: the quick client wins the single slot.
         dispatch, _ = sched.select_async(["slow", "quick"], set(durations),
                                          1, 0, fn)
@@ -166,7 +169,7 @@ class TestSchedulerPolicies:
         sched = ClientScheduler("utility", deadline_s=5.0, exploration=0.0,
                                 fairness_every_k=2)
         durations = {"doomed": 9.0, "quick": 1.0}
-        fn = durations.__getitem__
+        fn = per_client(durations.__getitem__)
         sched.note_selected("quick", 0)
         sched.note_selected("doomed", 0)
         # version 3: doomed has waited 3 >= K=2 -> due, selected first.
@@ -178,13 +181,13 @@ class TestSchedulerPolicies:
         sched = ClientScheduler("random")
         default = ["c1", "c3"]
         assert sched.select_cohort(["c1", "c2", "c3"], 0, default,
-                                   lambda c: 1.0) == default
+                                   per_client(lambda c: 1.0)) == default
 
     def test_cohort_selection_fastest_keeps_size(self):
         sched = ClientScheduler("fastest")
         durations = {"a": 3.0, "b": 1.0, "c": 2.0}
         cohort = sched.select_cohort(["a", "b", "c"], 0, ["a", "c"],
-                                     durations.__getitem__)
+                                     per_client(durations.__getitem__))
         assert cohort == ["b", "c"]
 
 
@@ -422,8 +425,9 @@ class TestSchedulerAwareRequeue:
         hanging."""
         probe = self.make_requeue_photon("random").aggregator
         clients = sorted(probe.clients)
-        feasible = [c for c in clients if probe._base_duration_s(c, 4) <= 3.0]
-        doomed = [c for c in clients if probe._base_duration_s(c, 4) > 3.0]
+        cycle_s = dict(zip(clients, probe._predict_cycles(clients, 4)))
+        feasible = [c for c in clients if cycle_s[c] <= 3.0]
+        doomed = [c for c in clients if cycle_s[c] > 3.0]
         assert feasible and doomed  # the scenario needs both kinds
         photon = self.make_requeue_photon(
             "random", jitter={feasible[0]: 0.5, doomed[0]: 0.0})
@@ -486,7 +490,8 @@ class TestStatUtility:
                 for loss in losses:
                     sched.note_result(cid, loss)
             picks[weight], _ = sched.select_async(
-                ["a", "b", "c"], {"a", "b", "c"}, 1, 0, lambda c: 1.0)
+                ["a", "b", "c"], {"a", "b", "c"}, 1, 0,
+                per_client(lambda c: 1.0))
         assert picks[0.0] == ["a"]
         assert picks[2.0] == ["b"]
 
