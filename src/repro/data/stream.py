@@ -203,7 +203,7 @@ def partition_stream(source: MarkovSource, n_parts: int, batch_size: int,
         raise ValueError("n_parts must be >= 1")
     parts: list[BatchStream] = []
     for i in range(n_parts):
-        node_source = MarkovSource(source.kernel, seed=seed * 1009 + i,
+        node_source = source.spawn(seed=seed * 1009 + i,
                                    name=f"{source.name}/node{i}")
         if cached:
             parts.append(CachedTokenStream(node_source, batch_size, seq_len, seed=seed + i))

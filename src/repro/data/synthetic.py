@@ -22,7 +22,7 @@ baseline.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import copy
 
 import numpy as np
 
@@ -87,6 +87,140 @@ def kernel_divergence(a: np.ndarray, b: np.ndarray, specials: int = 2) -> float:
     return float(0.5 * np.abs(a[rows] - b[rows]).sum(axis=1).mean())
 
 
+#: Constants of the lane-parallel walk, fixed by measurement (README,
+#: "Client data at fleet scale"), not parameters: tokens per lane, the
+#: predecessor positions a lane pre-walks to find its start, the cells
+#: of the bin prefilter (a power of two, so ``u * cells`` is exact),
+#: and the request size below which lanes do not pay for themselves.
+_LANE_TOKENS = 256
+_PREWALK_TOKENS = 192
+_PREFILTER_CELLS = 4096
+_MIN_LANE_REQUEST = 4096
+
+
+class _WalkTable:
+    """A transition kernel tabulated for walking.
+
+    ``breaks`` is the sorted set of distinct values in the kernel's
+    cumulative rows.  Every ``cum[s, j]`` is one of them, so a uniform
+    draw ``u`` acts on *every* state only through its bin
+    ``g(u) = #{b in breaks : b <= u}``:
+    ``bisect_right(cum[s], u) == next[g(u), s]`` exactly.  The table is
+    bin-major and flat: a step of the chain is
+    ``table[g * vocab + state]``.
+
+    One table serves every source spawned from the same kernel, and
+    carries the walk's fallback counters (plain ints; sources walked
+    from several threads may lose an increment, never a token).
+    """
+
+    def __init__(self, kernel: np.ndarray):
+        cum = np.cumsum(kernel, axis=1)
+        vocab = cum.shape[0]
+        self.vocab = vocab
+        self.breaks = np.unique(cum)
+        table = np.zeros((self.breaks.size + 1, vocab), dtype=np.int64)
+        for state in range(vocab):
+            table[1:, state] = cum[state].searchsorted(self.breaks, side="right")
+        np.minimum(table, vocab - 1, out=table)
+        self.table = table.reshape(-1)
+        self._steps = self.table.tolist()  # the sequential walk's copy
+        # Prefilter: cell q holds the draws in [q, q + 1) / cells.  If
+        # as many breaks lie at or below its lower edge as strictly
+        # below its upper edge, every draw in it has that bin; the
+        # other cells are marked -1 and their draws searched one by one.
+        edges = np.arange(_PREFILTER_CELLS + 1) / _PREFILTER_CELLS
+        low = self.breaks.searchsorted(edges[:-1], side="right")
+        high = self.breaks.searchsorted(edges[1:], side="left")
+        self._cell_bin = np.where(low == high, low, -1)
+        #: speculative lanes walked / lanes a sequential re-walk entered
+        #: / speculative tokens it replaced.
+        self.lanes_walked = 0
+        self.lanes_rewalked = 0
+        self.tokens_rewalked = 0
+
+    def _bins(self, uniforms: np.ndarray) -> np.ndarray:
+        """``g(u)`` per draw, through the prefilter."""
+        cells = (uniforms * _PREFILTER_CELLS).astype(np.intp)
+        bins = self._cell_bin.take(cells)
+        mixed = np.flatnonzero(bins < 0)
+        bins[mixed] = self.breaks.searchsorted(uniforms[mixed], "right")
+        return bins
+
+    def _walk(self, state: int, bins: np.ndarray) -> list[int]:
+        """The chain from ``state``, one step at a time."""
+        steps, vocab = self._steps, self.vocab
+        tokens = []
+        for g in bins.tolist():
+            state = steps[g * vocab + state]
+            tokens.append(state)
+        return tokens
+
+    def walk(self, state: int, uniforms: np.ndarray) -> np.ndarray:
+        """The tokens of the chain started in ``state`` and driven by
+        ``uniforms``: ``token[i] = next[g(uniforms[i]), token[i - 1]]``.
+
+        A long request is cut into lanes of ``_LANE_TOKENS`` that step
+        in lockstep.  Lane ``k >= 1`` does not know its start, so it
+        first walks the last ``_PREWALK_TOKENS`` positions of lane
+        ``k - 1`` from a guess (``state``, which the chain can at least
+        reach).  The map is deterministic: two walks over the same
+        draws that agree at one position agree ever after.  So a lane
+        whose pre-walk ends on its predecessor's last token walked the
+        true chain if the predecessor did, and lane 0 did by
+        construction; any other lane is re-walked one step at a time
+        from its predecessor's (by then exact) last token until it
+        meets its own speculative tokens.
+        """
+        n = uniforms.size
+        if n < _MIN_LANE_REQUEST:
+            bins = self.breaks.searchsorted(uniforms, "right")
+            return np.array(self._walk(state, bins), dtype=np.int64)
+        bins = self._bins(uniforms)
+        lane = _LANE_TOKENS
+        lanes = n // lane
+        body = lanes * lane
+        # Row j: ``g * vocab`` of step j of every lane.
+        by_step = np.empty((lane, lanes), dtype=np.int64)
+        np.multiply(bins[:body].reshape(lanes, lane).T, self.vocab, out=by_step)
+        table = self.table
+        guess = np.full(lanes - 1, state, dtype=np.int64)
+        for step in by_step[lane - _PREWALK_TOKENS:, :-1]:
+            guess = table[guess + step]
+        speculative = np.empty((lane, lanes), dtype=np.int64)
+        index = np.empty(lanes, dtype=np.int64)
+        current = np.concatenate(([state], guess))
+        for step, row in zip(by_step, speculative):
+            np.add(current, step, out=index)
+            # clip never clips (every index is in the table) but lets
+            # take write straight into the row.
+            current = table.take(index, out=row, mode="clip")
+        tokens = np.empty(n, dtype=np.int64)
+        tokens[:body].reshape(lanes, lane)[...] = speculative.T
+        self.lanes_walked += lanes - 1
+
+        unproved = np.flatnonzero(speculative[-1, :-1] != guess) + 1
+        rejoined = 0  # where the last re-walk met its speculative tokens
+        for start in (unproved * lane).tolist():
+            if start < rejoined:
+                continue  # that re-walk ran on through this lane
+            for at in range(start, body, lane):
+                ahead = tokens[at:at + lane]
+                exact = np.array(self._walk(int(tokens[at - 1]),
+                                            bins[at:at + lane]))
+                met = np.flatnonzero(exact == ahead)
+                wrong = int(met[0]) if met.size else lane
+                ahead[:wrong] = exact[:wrong]
+                self.lanes_rewalked += 1
+                self.tokens_rewalked += wrong
+                if wrong < lane:
+                    break
+            rejoined = at + wrong + 1
+        if body < n:
+            tokens[body:] = self._walk(int(tokens[body - 1]), bins[body:])
+        return tokens
+
+
 class MarkovSource:
     """A text source: a Markov kernel plus a seeded sampling stream.
 
@@ -100,6 +234,8 @@ class MarkovSource:
         kernel = np.asarray(kernel, dtype=np.float64)
         if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1]:
             raise ValueError("kernel must be square")
+        if (kernel < 0).any():
+            raise ValueError("kernel entries must be non-negative")
         row_sums = kernel.sum(axis=1)
         if not np.allclose(row_sums, 1.0, atol=1e-8):
             raise ValueError("kernel rows must sum to 1")
@@ -107,32 +243,33 @@ class MarkovSource:
         self.name = name
         self.specials = specials
         self._rng = np.random.default_rng(seed)
-        self._cum = np.cumsum(kernel, axis=1)
-        # Python-list rows for the sampling walk: bisect on a list is
-        # an order of magnitude faster than scalar np.searchsorted
-        # calls, with identical results (same comparisons, same
-        # side='right' semantics) — this is the hot path when lazily
-        # materialized clients rebuild their token caches.
-        self._cum_rows = self._cum.tolist()
+        self._table = _WalkTable(kernel)
         self.vocab = kernel.shape[0]
 
+    def spawn(self, seed: int, name: str) -> "MarkovSource":
+        """An independently-seeded source over the same distribution:
+        a shard, part or validation stream.  It shares this source's
+        validated kernel and walk table instead of rebuilding them."""
+        sibling = copy.copy(self)
+        sibling.name = name
+        sibling._rng = np.random.default_rng(seed)
+        return sibling
+
     def sample_tokens(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Sample ``n`` tokens by walking the chain (bisect over
-        cumulative rows, one lookup per step)."""
+        """Sample ``n`` tokens by walking the chain."""
         rng = rng or self._rng
-        out = np.empty(n, dtype=np.int64)
         state = int(rng.integers(self.specials, self.vocab))
-        # .tolist() keeps the exact float64 values; bisect_right on a
-        # Python list == np.searchsorted(row, u, side="right").
-        uniforms = rng.random(n).tolist()
-        rows = self._cum_rows
-        last = self.vocab - 1
-        for i, u in enumerate(uniforms):
-            state = bisect_right(rows[state], u)
-            if state > last:
-                state = last
-            out[i] = state
-        return out
+        return self._table.walk(state, rng.random(n))
+
+    @property
+    def walk_stats(self) -> dict[str, int]:
+        """The walk's fallback counters, shared by every source spawned
+        from this kernel: speculative lanes walked, lanes re-walked one
+        step at a time, and the speculative tokens that replaced."""
+        table = self._table
+        return {"lanes_walked": table.lanes_walked,
+                "lanes_rewalked": table.lanes_rewalked,
+                "tokens_rewalked": table.tokens_rewalked}
 
     def entropy_rate(self) -> float:
         """Entropy rate in nats under the stationary distribution —
@@ -224,6 +361,23 @@ class RepetitionSource:
         return np.concatenate(pieces)[:n]
 
 
+def _base_kernel(vocab: int | None) -> np.ndarray:
+    """The kernel every named source shares at heterogeneity 0, over
+    ``vocab`` tokens (the char tokenizer's by default)."""
+    vocab = vocab or CharTokenizer(DEFAULT_ALPHABET).vocab_size
+    return make_kernel(seed=7, vocab=vocab, successors=4, concentration=0.6)
+
+
+def _named_source(name: str, base: np.ndarray, seed_offset: int,
+                  heterogeneity: float) -> MarkovSource:
+    if name not in _SOURCE_SEEDS:
+        raise KeyError(f"unknown source {name!r}; available: {sorted(_SOURCE_SEEDS)}")
+    specific = make_kernel(seed=_SOURCE_SEEDS[name], vocab=base.shape[0],
+                           successors=4, concentration=0.6)
+    kernel = mixed_kernel(base, specific, heterogeneity)
+    return MarkovSource(kernel, seed=_SOURCE_SEEDS[name] + seed_offset, name=name)
+
+
 def make_source(name: str, vocab: int | None = None, seed_offset: int = 0,
                 heterogeneity: float = 1.0) -> MarkovSource:
     """Construct one of the named sources.
@@ -239,14 +393,7 @@ def make_source(name: str, vocab: int | None = None, seed_offset: int = 0,
         0 makes every source identical to the shared base kernel
         (IID control); 1 keeps sources fully distinct.
     """
-    if name not in _SOURCE_SEEDS:
-        raise KeyError(f"unknown source {name!r}; available: {sorted(_SOURCE_SEEDS)}")
-    vocab = vocab or CharTokenizer(DEFAULT_ALPHABET).vocab_size
-    base = make_kernel(seed=7, vocab=vocab, successors=4, concentration=0.6)
-    specific = make_kernel(seed=_SOURCE_SEEDS[name], vocab=vocab,
-                            successors=4, concentration=0.6)
-    kernel = mixed_kernel(base, specific, heterogeneity)
-    return MarkovSource(kernel, seed=_SOURCE_SEEDS[name] + seed_offset, name=name)
+    return _named_source(name, _base_kernel(vocab), seed_offset, heterogeneity)
 
 
 class SyntheticC4:
@@ -269,14 +416,13 @@ class SyntheticC4:
         """Return shard ``index`` as an independently-seeded source."""
         if not 0 <= index < self.num_shards:
             raise IndexError(f"shard index {index} out of range [0, {self.num_shards})")
-        return MarkovSource(self.source.kernel, seed=1000 + self.seed * 97 + index,
-                            name=f"c4-shard{index}")
+        return self.source.spawn(seed=1000 + self.seed * 97 + index,
+                                 name=f"c4-shard{index}")
 
     def validation(self) -> MarkovSource:
         """Held-out stream (distinct RNG stream, same distribution) —
         the stand-in for the C4 validation set."""
-        return MarkovSource(self.source.kernel, seed=999_983 + self.seed,
-                            name="c4-validation")
+        return self.source.spawn(seed=999_983 + self.seed, name="c4-validation")
 
 
 class SyntheticPile:
@@ -291,9 +437,9 @@ class SyntheticPile:
                  heterogeneity: float = 1.0):
         self.seed = seed
         self.heterogeneity = heterogeneity
+        base = _base_kernel(vocab)
         self.sources = {
-            name: make_source(name, vocab=vocab, seed_offset=seed,
-                              heterogeneity=heterogeneity)
+            name: _named_source(name, base, seed, heterogeneity)
             for name in PILE_SOURCE_NAMES
         }
 
@@ -313,9 +459,8 @@ class SyntheticPile:
         ``n_clients``."""
         source, part = divmod(i, self.splits(n_clients))
         name = PILE_SOURCE_NAMES[source]
-        return MarkovSource(self.sources[name].kernel,
-                            seed=5000 + self.seed * 131 + i,
-                            name=f"{name}-part{part}")
+        return self.sources[name].spawn(seed=5000 + self.seed * 131 + i,
+                                        name=f"{name}-part{part}")
 
     def client_sources(self, n_clients: int) -> list[MarkovSource]:
         """Every client's source, in client order."""
@@ -324,5 +469,5 @@ class SyntheticPile:
     def validation(self) -> MarkovSource:
         """C4-distribution validation stream (the paper evaluates the
         Pile runs on the C4 validation set)."""
-        c4 = self.sources["c4"]
-        return MarkovSource(c4.kernel, seed=888_887 + self.seed, name="pile-validation")
+        return self.sources["c4"].spawn(seed=888_887 + self.seed,
+                                        name="pile-validation")

@@ -117,9 +117,10 @@ def _plan_cycles(walltime: WallTimeModel | None, client_ids: list[str],
     ``(planned steps, compute_s, comm_s)`` arrays: nominal steps (or
     ``τ / slowdown`` under ``adaptive_local_steps``) and their
     unjittered Eq. 1 / ``2·S/B_i`` split.  ``compute_s + comm_s`` is
-    the cycle time selection ranks on and a dispatch is planned from.
-    Without a wall-time model every cycle is one indivisible time
-    unit."""
+    the cycle time selection ranks on and a dispatch is planned from
+    (``client_ids`` is whatever handle the wall-time model resolves:
+    the vector plane's ranking passes population indices).  Without a
+    wall-time model every cycle is one indivisible time unit."""
     planned = np.full(len(client_ids), local_steps, dtype=np.int64)
     if walltime is None:
         return planned, np.ones(len(planned)), np.zeros(len(planned))
@@ -1181,17 +1182,17 @@ class AsyncAggregator(RoundEngine):
                 self._dispatch(*(self._idle.popleft()
                                  for _ in range(min(slots, len(self._idle)))))
             else:
+                idle = list(self._idle)
+                reachable = None  # everyone
+                self._availability_deferred = set()
                 if self.availability is not None:
                     reachable = set(
-                        self.availability.available(list(self._idle), self.version)
-                    )
-                else:
-                    reachable = set(self._idle)
-                self._availability_deferred = set(self._idle) - reachable
+                        self.availability.available(idle, self.version))
+                    self._availability_deferred = set(idle) - reachable
                 # The engine's deadline is the feasibility fallback when
                 # the scheduler was built without one of its own.
                 dispatch, leftover = self.scheduler.select_async(
-                    list(self._idle), reachable, slots, self.version,
+                    idle, reachable, slots, self.version,
                     self._predict_next_cycles,
                     deadline_s=(self.deadline.deadline_s
                                 if self.deadline is not None else None),
@@ -1329,7 +1330,7 @@ class AsyncAggregator(RoundEngine):
             pool_idle = [c for c in self._idle if c in reachable]
         pool = [client_id] + pool_idle
         dispatch, _ = self.scheduler.select_async(
-            pool, set(pool), 1, self.version, self._predict_next_cycles,
+            pool, None, 1, self.version, self._predict_next_cycles,
             deadline_s=self.deadline.deadline_s,
         )
         chosen = set(dispatch)

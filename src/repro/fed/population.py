@@ -91,6 +91,7 @@ class ClientPopulation:
         self.n = n
         self.prefix = prefix
         self.ids: list[str] = [f"{prefix}{i}" for i in range(n)]
+        self._index = {cid: i for i, cid in enumerate(self.ids)}
         order = np.argsort(np.array(self.ids))  # lexicographic, like str
         self.lex_rank = np.empty(n, dtype=np.int64)
         self.lex_rank[order] = np.arange(n, dtype=np.int64)
@@ -156,20 +157,19 @@ class ClientPopulation:
 
     # ------------------------------------------------------------------
     def index_of(self, client_id: str) -> int:
-        """Client index for an id (KeyError on anything malformed —
-        ``"client007"`` is not ``"client7"``)."""
-        if not client_id.startswith(self.prefix):
-            raise KeyError(client_id)
-        suffix = client_id[len(self.prefix):]
-        if not suffix.isdigit():
-            raise KeyError(client_id)
-        i = int(suffix)
-        if i >= self.n or self.ids[i] != client_id:
-            raise KeyError(client_id)
-        return i
+        """Client index for an id (KeyError on anything that is not
+        exactly an id of this population — ``"client007"`` is not
+        ``"client7"``, and neither is ``7``)."""
+        try:
+            return self._index[client_id]
+        except TypeError:  # unhashable, so not an id
+            raise KeyError(client_id) from None
 
     def indices_of(self, client_ids: Sequence[str]) -> np.ndarray:
-        return np.fromiter((self.index_of(c) for c in client_ids),
+        """Indices of ``client_ids``, in order: one table gather.  An
+        entry that is not an id raises before anything is returned
+        (KeyError; TypeError if it is not even hashable)."""
+        return np.fromiter(map(self._index.__getitem__, client_ids),
                            dtype=np.int64, count=len(client_ids))
 
     def __len__(self) -> int:
@@ -204,8 +204,12 @@ class PopulationWallTime(WallTimeModel):
             self.population.bandwidth_factors[self.population.index_of(client_id)]
         )
 
-    def _factor_arrays(self, client_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.population.indices_of(client_ids)
+    def _factor_arrays(self, client_ids: Sequence[str] | np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """``client_ids`` is a sequence of ids or the population index
+        array a :class:`VectorScheduler` ranking already resolved."""
+        idx = (client_ids if isinstance(client_ids, np.ndarray)
+               else self.population.indices_of(client_ids))
         return (self.population.compute_factors[idx],
                 self.population.bandwidth_factors[idx])
 
@@ -274,7 +278,7 @@ class LazyClientPool(Mapping):
     def __contains__(self, client_id) -> bool:
         try:
             self.population.index_of(client_id)
-        except (KeyError, AttributeError):
+        except KeyError:
             return False
         return True
 
@@ -420,15 +424,16 @@ class VectorScheduler(ClientScheduler):
         return int(version - self._last_selected[self.population.index_of(client_id)])
 
     # ------------------------------------------------------------------
-    def _rank(self, candidates: list[str], version: int,
-              durations_of: DurationsOf,
-              deadline_s: float | None) -> list[str]:
+    def _rank(self, candidates: Sequence[str], version: int,
+              durations_of: DurationsOf, deadline_s: float | None,
+              k: int | None = None) -> list[str]:
         if not candidates:
             return []
         pop = self.population
+        # The ranking's one id resolution: the clock is asked by index.
         idx = pop.indices_of(candidates)
         lex = pop.lex_rank[idx]
-        durations = np.asarray(durations_of(candidates), dtype=np.float64)
+        durations = np.asarray(durations_of(idx), dtype=np.float64)
         if self._margin_active:
             scales = np.asarray(self.jitter.scales_for(candidates),
                                 dtype=np.float64)
@@ -438,8 +443,8 @@ class VectorScheduler(ClientScheduler):
                 margins[nz] = np.exp(self._margin_z * scales[nz])
                 durations = durations * margins
         if self.policy == "fastest":
-            order = np.lexsort((lex, durations))
-            return [candidates[int(j)] for j in order]
+            ordered = np.lexsort((lex, durations))
+            return [candidates[j] for j in ordered[:k].tolist()]
         # utility
         waited = version - self._last_selected[idx]
         if self.fairness_every_k is not None:
@@ -473,7 +478,7 @@ class VectorScheduler(ClientScheduler):
             )
         else:
             ordered = np.concatenate([due_order, rest_order])
-        return [candidates[int(j)] for j in ordered]
+        return [candidates[j] for j in ordered[:k].tolist()]
 
     # ------------------------------------------------------------------
     # Checkpoint protocol (repro.fed.runstate): arrays, not dicts — a

@@ -60,10 +60,12 @@ _DEFAULT_HORIZON = 8
 #: a long simulation must not grow memory linearly forever).
 _SELECTION_LOG_MAXLEN = 65_536
 
-#: Maps a list of client ids to an ndarray of predicted cycle
+#: Maps the clients a scheduler ranks to an ndarray of predicted cycle
 #: durations, same order — the engines' one clock, so the scheduler
 #: ranks on exactly the prediction a dispatch is then planned from.
-DurationsOf = Callable[[Sequence[str]], np.ndarray]
+#: :class:`ClientScheduler` asks by id; the vector plane's scheduler
+#: asks by the population index array it has already resolved.
+DurationsOf = Callable[["Sequence[str] | np.ndarray"], np.ndarray]
 
 
 def normal_quantile(p: float) -> float:
@@ -301,15 +303,16 @@ class ClientScheduler:
         # np.exp but NOT to libm's math.exp.
         return float(np.exp(self._margin_z * scale))
 
-    def _rank(self, candidates: list[str], version: int,
-              durations_of: DurationsOf,
-              deadline_s: float | None) -> list[str]:
-        """Order ``candidates`` best-first under the active policy."""
+    def _rank(self, candidates: Sequence[str], version: int,
+              durations_of: DurationsOf, deadline_s: float | None,
+              k: int | None = None) -> list[str]:
+        """The best ``k`` of ``candidates`` (all of them by default),
+        best first under the active policy."""
         durations = dict(zip(candidates, durations_of(candidates).tolist()))
         if self._margin_active:
             durations = {c: d * self._margin(c) for c, d in durations.items()}
         if self.policy == "fastest":
-            return sorted(candidates, key=lambda c: (durations[c], c))
+            return sorted(candidates, key=lambda c: (durations[c], c))[:k]
         # utility: fairness-floor clients first, then feasible clients
         # by score, then deadline-infeasible ones (never dispatched
         # while a feasible alternative exists).
@@ -334,8 +337,8 @@ class ClientScheduler:
                                if durations[c] <= deadline_s), key=score_key)
             infeasible = sorted((c for c in rest
                                  if durations[c] > deadline_s), key=score_key)
-            return due + feasible + infeasible
-        return due + sorted(rest, key=score_key)
+            return (due + feasible + infeasible)[:k]
+        return (due + sorted(rest, key=score_key))[:k]
 
     def _effective_deadline(self, fallback_s: float | None) -> float | None:
         """The scheduler's own ``deadline_s`` (explicit user choice)
@@ -347,20 +350,21 @@ class ClientScheduler:
     # ------------------------------------------------------------------
     # Async engine: which idle clients fill the open dispatch slots.
     # ------------------------------------------------------------------
-    def select_async(self, idle: Sequence[str], reachable: set[str],
+    def select_async(self, idle: Sequence[str], reachable: set[str] | None,
                      slots: int, version: int, durations_of: DurationsOf,
                      deadline_s: float | None = None,
                      ) -> tuple[list[str], list[str]]:
         """Choose up to ``slots`` clients to dispatch now.
 
-        Returns ``(dispatch, leftover)``: the clients to issue work
-        to, in dispatch order, and the new idle-pool order.  The
-        ``random`` policy replays the legacy FIFO rotation bit-exactly
-        (unreachable clients move to the back of the pool); the ranked
-        policies preserve the relative idle order of everyone not
-        dispatched.  ``deadline_s`` is the engine's per-cycle deadline,
-        used as the feasibility bound when the scheduler was built
-        without one of its own.
+        ``reachable`` is the set of idle clients that can be reached,
+        ``None`` for everyone.  Returns ``(dispatch, leftover)``: the
+        clients to issue work to, in dispatch order, and the new
+        idle-pool order.  The ``random`` policy replays the legacy
+        FIFO rotation bit-exactly (unreachable clients move to the
+        back of the pool); the ranked policies preserve the relative
+        idle order of everyone not dispatched.  ``deadline_s`` is the
+        engine's per-cycle deadline, used as the feasibility bound when
+        the scheduler was built without one of its own.
         """
         if slots <= 0 or not idle:
             return [], list(idle)
@@ -379,15 +383,15 @@ class ClientScheduler:
                     break
                 client_id = queue[pos]
                 pos += 1
-                if client_id in reachable:
+                if reachable is None or client_id in reachable:
                     dispatch.append(client_id)
                 else:
                     deferred.append(client_id)
             return dispatch, queue[pos:] + deferred
-        candidates = [c for c in idle if c in reachable]
-        ranked = self._rank(candidates, version, durations_of,
-                            self._effective_deadline(deadline_s))
-        dispatch = ranked[:slots]
+        candidates = (idle if reachable is None
+                      else [c for c in idle if c in reachable])
+        dispatch = self._rank(candidates, version, durations_of,
+                              self._effective_deadline(deadline_s), slots)
         chosen = set(dispatch)
         leftover = [c for c in idle if c not in chosen]
         return dispatch, leftover
@@ -409,8 +413,8 @@ class ClientScheduler:
         if self.policy == "random":
             cohort = list(default)
         else:
-            cohort = self._rank(list(population), round_idx, durations_of,
-                                self._effective_deadline(None))[:len(default)]
+            cohort = self._rank(population, round_idx, durations_of,
+                                self._effective_deadline(None), len(default))
             cohort.sort()  # rounds treat the cohort as a set
         for client_id in cohort:
             self.note_selected(client_id, round_idx)

@@ -1,9 +1,11 @@
-"""Shared test utilities: finite-difference gradient checking and the
-crash-injection checkpoint/resume harness."""
+"""Shared test utilities: finite-difference gradient checking, the
+crash-injection checkpoint/resume harness and the Markov walk's
+oracle."""
 
 from __future__ import annotations
 
 import tempfile
+from bisect import bisect_right
 from dataclasses import asdict
 
 import numpy as np
@@ -45,8 +47,28 @@ def run_crash_resume(build_photon, rounds: int, kill_at: int, **checkpoint_overr
 
 def per_client(fn):
     """Adapt a per-client ``fn(client_id) -> seconds`` to the
-    schedulers' ``durations_of(ids) -> ndarray`` callback."""
-    return lambda ids: np.array([fn(c) for c in ids], dtype=np.float64)
+    schedulers' ``durations_of`` callback, which a ``ClientScheduler``
+    calls with ids and a ``VectorScheduler`` with the indices of its
+    default-prefix population."""
+    return lambda handles: np.array(
+        [fn(h if isinstance(h, str) else f"client{h}") for h in handles],
+        dtype=np.float64)
+
+
+def reference_walk(kernel: np.ndarray, specials: int, n: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """``MarkovSource.sample_tokens`` as it was before the table walk:
+    one ``bisect_right`` over the state's cumulative row per token.
+    The oracle the product's walk must match token for token, leaving
+    ``rng`` in the same state."""
+    rows = np.cumsum(np.asarray(kernel, dtype=np.float64), axis=1).tolist()
+    last = len(rows) - 1
+    out = np.empty(n, dtype=np.int64)
+    state = int(rng.integers(specials, len(rows)))
+    for i, u in enumerate(rng.random(n).tolist()):
+        state = min(bisect_right(rows[state], u), last)
+        out[i] = state
+    return out
 
 
 def assert_states_equal(a: dict, b: dict) -> None:

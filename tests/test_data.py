@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import time
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
@@ -24,7 +27,15 @@ from repro.data import (
     partition_stream,
     shards_per_client,
 )
-from repro.data.synthetic import PILE_SOURCE_NAMES
+from repro.data.synthetic import (
+    _LANE_TOKENS,
+    _MIN_LANE_REQUEST,
+    _PREWALK_TOKENS,
+    PILE_SOURCE_NAMES,
+    make_kernel,
+)
+
+from helpers import reference_walk
 
 
 class TestCharTokenizer:
@@ -124,6 +135,205 @@ class TestMarkovSource:
             MarkovSource(np.ones((3, 3)), seed=0)
         with pytest.raises(ValueError):
             MarkovSource(np.ones((2, 3)) / 3, seed=0)
+
+
+def _cyclic_kernel(vocab: int, specials: int = 2) -> np.ndarray:
+    """A cyclic permutation of the emittable states: deterministic, so
+    two walks that start apart never merge."""
+    kernel = np.zeros((vocab, vocab))
+    kernel[np.arange(specials), np.arange(specials)] = 1.0
+    states = np.arange(specials, vocab)
+    kernel[states, np.roll(states, -1)] = 1.0
+    return kernel
+
+
+_WALK_KERNELS = ("sparse", "mixed", "dense", "cyclic", "absorbing", "blocks",
+                 "zero_runs", "loose_sums")
+
+
+def _walk_kernel(family: str, vocab: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if family == "sparse":
+        return make_kernel(seed, vocab, int(rng.integers(1, 9)), 0.6)
+    if family == "mixed":
+        return mixed_kernel(make_kernel(7, vocab, 4, 0.6),
+                            make_kernel(seed, vocab, 4, 0.6),
+                            float(rng.random()))
+    if family == "dense":
+        return rng.dirichlet(np.ones(vocab), size=vocab)
+    if family == "cyclic":
+        return _cyclic_kernel(vocab)
+    kernel = make_kernel(seed, vocab, 3, 0.6)
+    if family == "absorbing":
+        kernel[vocab // 2] = 0.0
+        kernel[vocab // 2, vocab // 2] = 1.0
+    elif family == "blocks":
+        # No path between the two halves of the emittable states.
+        half = vocab // 2
+        kernel = np.zeros((vocab, vocab))
+        kernel[:half, :half] = make_kernel(seed, half, 3, 0.6)
+        kernel[half:, half:] = make_kernel(seed + 1, vocab - half, 3, 0.6,
+                                           specials=0)
+    elif family == "zero_runs":
+        # Mass on the first and last emittable states only: the
+        # cumulative row repeats one value across the whole middle.
+        kernel[2:] = 0.0
+        kernel[2:, 2] = rng.random(vocab - 2)
+        kernel[2:, -1] = 1.0 - kernel[2:, 2]
+    elif family == "loose_sums":
+        kernel *= 1.0 + rng.uniform(-1e-9, 1e-9, size=(vocab, 1))
+    return kernel
+
+
+_WALK_SIZES = (0, 1, 8, _LANE_TOKENS - 1, _LANE_TOKENS, _LANE_TOKENS + 1,
+               _MIN_LANE_REQUEST - 1, _MIN_LANE_REQUEST,
+               _MIN_LANE_REQUEST + 1, _MIN_LANE_REQUEST + _LANE_TOKENS - 1,
+               65_536, 65_537)
+_WALK = dict(derandomize=True, deadline=None, database=None,
+             suppress_health_check=[HealthCheck.too_slow])
+_walk_cells = dict(
+    family=st.sampled_from(_WALK_KERNELS),
+    vocab=st.integers(8, 96),
+    n=st.one_of(st.sampled_from(_WALK_SIZES), st.sampled_from(_WALK_SIZES),
+                st.integers(0, 3 * _MIN_LANE_REQUEST)),
+    seed=st.integers(0, 2**31 - 1),
+)
+
+
+def _assert_walk_exact(family, vocab, n, seed):
+    kernel = _walk_kernel(family, vocab, seed)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = reference_walk(kernel, 2, n, want_rng)
+    got = MarkovSource(kernel, seed=0).sample_tokens(n, rng=got_rng)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestMarkovWalk:
+    """The table walk is the ``bisect_right`` walk, token for token."""
+
+    @given(**_walk_cells)
+    @settings(max_examples=120, **_WALK)
+    def test_walk_equals_reference(self, family, vocab, n, seed):
+        _assert_walk_exact(family, vocab, n, seed)
+
+    @pytest.mark.slow
+    @given(**_walk_cells)
+    @settings(max_examples=500, **_WALK)
+    def test_walk_equals_reference_deep(self, family, vocab, n, seed):
+        _assert_walk_exact(family, vocab, n, seed)
+
+    def test_never_merging_kernel_rewalks_every_lane(self):
+        """The re-walk is a fallback, so it is counted — and bounded:
+        a kernel on which no speculative lane is ever right costs no
+        more than 1.25x the walk it replaced."""
+        n = 65_536
+        lanes = n // _LANE_TOKENS
+        # A period no lane's guess can hit by luck: lane k guesses the
+        # start state advanced _PREWALK_TOKENS times where the chain
+        # has advanced k * _LANE_TOKENS times.
+        period = next(
+            p for p in range(24, 200)
+            if all((k * _LANE_TOKENS - _PREWALK_TOKENS) % p
+                   for k in range(1, lanes)))
+        kernel = _cyclic_kernel(period + 2)
+        source = MarkovSource(kernel, seed=0)
+        walk_s, reference_s = [], []
+        for seed in range(3):
+            start = time.perf_counter()
+            got = source.sample_tokens(n, rng=np.random.default_rng(seed))
+            walk_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            want = reference_walk(kernel, 2, n, np.random.default_rng(seed))
+            reference_s.append(time.perf_counter() - start)
+            np.testing.assert_array_equal(got, want)
+        stats = source.walk_stats
+        assert stats["lanes_walked"] == 3 * (lanes - 1)
+        assert stats["lanes_rewalked"] == stats["lanes_walked"]
+        assert stats["tokens_rewalked"] == 3 * (n - _LANE_TOKENS)
+        assert min(walk_s) <= 1.25 * min(reference_s)
+
+    def test_pile_kernel_rarely_rewalks(self):
+        pile = SyntheticPile(vocab=32)
+        for seed in range(12):  # three parts of each of the four sources
+            part = pile.client_source(seed * 1_000, 12_000)
+            part.sample_tokens(65_536, rng=np.random.default_rng(seed))
+        for source in pile.sources.values():
+            stats = source.walk_stats
+            assert stats["lanes_walked"] == 3 * (65_536 // _LANE_TOKENS - 1)
+            assert stats["lanes_rewalked"] < 0.05 * stats["lanes_walked"]
+        # Parts of one source share its table, hence its totals.
+        assert (pile.client_source(0, 12_000).walk_stats
+                == pile.sources["arxiv"].walk_stats)
+
+    def test_short_requests_walk_no_lanes(self):
+        source = make_source("c4", vocab=32)
+        source.sample_tokens(_MIN_LANE_REQUEST - 1)
+        assert source.walk_stats == {"lanes_walked": 0, "lanes_rewalked": 0,
+                                     "tokens_rewalked": 0}
+
+    def test_negative_kernel_rejected(self):
+        kernel = np.eye(4)
+        kernel[2] = [0.0, 0.0, 1.5, -0.5]
+        with pytest.raises(ValueError, match="non-negative"):
+            MarkovSource(kernel, seed=0)
+
+
+# sha256 of each cell's 65,536-token cache and of its first batch
+# (inputs stacked on targets), taken on the commit before the table
+# walk: the walk may change how the tokens are produced, never which.
+_TOKEN_DIGESTS = {
+    "pile-part0-of-12000": (
+        "3696a508fafbe615da6ac326615b36445c0b1f2d2a06c3abc11840ea60dcccc0",
+        "def04a22fcb19ddeae92624f3b4358c65dbd4e296da44627581e81aae1bd9463"),
+    "pile-part11999-of-12000": (
+        "f968b02304b9c654ed4ffbdfef7ea63114246f00ff867bf4327d8e121b5d4466",
+        "ad8265e84c8dd0597ecaf5005719d62e2e4b805dea95da0d0fdebfc3b4811401"),
+    "pile-het0.5-v64-client5-of-8": (
+        "2a34a0ae27da45677dcb10132b97d5b9b0f8cf29ea23105cf5908e2e903303ec",
+        "94cb8b7903e2f5d5257b748928fa604355af7293c291d9b3199719dbe9ea6364"),
+    "c4-shard3-of-64": (
+        "794fbeee8c2d0a1c20ded59efc27bab0b5068e4bdbbb0ad7a86c82e3b047f0e2",
+        "5c73703a1ebe315a205ef84b79f87d8adbd1d564bc872d4139d5fa9fcc3752ec"),
+    "c4-validation": (
+        "5bde72b97b8cf56ec775aa5680f6c758a85f753ede38ee1bf05a9c0a7b8b64a5",
+        "7a60403ed50c2f5767afc45bf0a07e2a7a8fcd51f694468c9960f56efa748ff0"),
+    "pile-validation": (
+        "3273f740be838c42b9992934edb6bfeb4976ab9fa4fd1187c32a0e4c4e6f9be2",
+        "04afeb3718b07c6f725c164e7d7b3664b3b719c58bc5ea599564909fb6781f23"),
+}
+
+
+def _digest_cells():
+    """``name -> (source, stream seed)`` for the pinned cells."""
+    pile = SyntheticPile(vocab=32, seed=0)
+    mixed = SyntheticPile(vocab=64, seed=0, heterogeneity=0.5)
+    c4 = SyntheticC4(num_shards=64, vocab=32, seed=0)
+    return {
+        "pile-part0-of-12000": (pile.client_source(0, 12_000), 0),
+        "pile-part11999-of-12000": (pile.client_source(11_999, 12_000), 11_999),
+        "pile-het0.5-v64-client5-of-8": (mixed.client_source(5, 8), 5),
+        "c4-shard3-of-64": (c4.shard(3), 3),
+        "c4-validation": (c4.validation(), 7),
+        "pile-validation": (pile.validation(), 8),
+    }
+
+
+def _sha256(tokens: np.ndarray) -> str:
+    assert tokens.dtype == np.int64
+    return hashlib.sha256(np.ascontiguousarray(tokens).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("cell", sorted(_TOKEN_DIGESTS))
+def test_token_data_is_pinned(cell):
+    """The token data itself, not only the perplexities three layers
+    downstream of it."""
+    source, seed = _digest_cells()[cell]
+    stream = CachedTokenStream(source, batch_size=4, seq_len=16, seed=seed)
+    cache, batch = _TOKEN_DIGESTS[cell]
+    assert _sha256(stream._cache) == cache
+    assert _sha256(np.stack(stream.next_batch())) == batch
 
 
 class TestKernelMixing:

@@ -52,12 +52,25 @@ class TestClientPopulation:
         for rank, cid in enumerate(pop.sorted_ids):
             assert pop.lex_rank[pop.index_of(cid)] == rank
 
-    @pytest.mark.parametrize("bad", ["client007", "client-1", "clientx",
-                                     "client99", "other3", ""])
+    @pytest.mark.parametrize("bad", [
+        "client007", "client-1", "clientx", "client99", "other3", "",
+        "client\uff11",  # full-width digit: isdigit() is true
+        " client3", "client3 ", "client12", "client12000", "Client3",
+        3, None, 3.0, pytest.param(b"client3", id="bytes"),
+        pytest.param(("client3",), id="tuple"),
+        pytest.param(["client3"], id="unhashable"),
+    ])
     def test_malformed_or_foreign_ids_rejected(self, bad):
         pop = ClientPopulation.uniform(12)
         with pytest.raises(KeyError):
             pop.index_of(bad)
+        # One bad id fails the whole batch, before anything is returned
+        # (an unhashable one as the TypeError of the table lookup).
+        with pytest.raises((KeyError, TypeError)):
+            pop.indices_of(["client3", bad, "client4"])
+        pool = LazyClientPool(pop, factory=lambda cid: None)
+        assert bad not in pool
+        assert "client3" in pool
 
     def test_heterogeneous_matches_eager_walltime_draws(self):
         """The population's factor draws must be bit-identical to
@@ -181,10 +194,13 @@ def _build_pair(n, policy, seed, fairness, exploration, stat_w, fq):
     exploration=st.sampled_from([0.0, 1.0]),
     stat_w=st.sampled_from([0.0, 0.5]),
     fq=st.sampled_from([None, 0.95]),
+    everyone=st.booleans(),
+    winners=st.sampled_from(["one", "slots", "all", None]),
 )
 @settings(max_examples=60, deadline=None)
 def test_select_async_vector_equals_scalar(n, policy, seed, fairness,
-                                           exploration, stat_w, fq):
+                                           exploration, stat_w, fq,
+                                           everyone, winners):
     pop, scalar, vector, dur, rng = _build_pair(
         n, policy, seed, fairness, exploration, stat_w, fq)
     idle = list(rng.permutation(pop.ids))
@@ -194,11 +210,51 @@ def test_select_async_vector_equals_scalar(n, policy, seed, fairness,
     deadline = float(rng.uniform(2.0, 25.0)) if rng.random() < 0.7 else None
 
     durations_of = per_client(dur.__getitem__)
+    if policy != "random":
+        # Asking for the k best is asking for everyone and keeping k.
+        k = {"one": 1, "slots": slots, "all": n, None: None}[winners]
+        for scheduler in (scalar, vector):
+            ranked = scheduler._rank(idle, version, durations_of, deadline)
+            assert sorted(ranked) == sorted(idle)
+            assert scheduler._rank(idle, version, durations_of, deadline,
+                                   k) == ranked[:k]
+    if everyone:
+        # reachable=None means the whole idle pool.
+        for scheduler in (scalar, vector):
+            assert (scheduler.select_async(idle, None, slots, version,
+                                           durations_of, deadline_s=deadline)
+                    == scheduler.select_async(idle, set(idle), slots, version,
+                                              durations_of,
+                                              deadline_s=deadline))
+        reachable = None
     got_scalar = scalar.select_async(idle, reachable, slots, version,
                                      durations_of, deadline_s=deadline)
     got_vector = vector.select_async(idle, reachable, slots, version,
                                      durations_of, deadline_s=deadline)
     assert got_vector == got_scalar
+
+
+def test_select_async_resolves_each_candidate_once():
+    """A ranking holds the index array it resolved: the clock behind
+    ``durations_of`` is asked by index, not made to resolve the ids a
+    second time."""
+    calls = []
+
+    class CountingPopulation(ClientPopulation):
+        def indices_of(self, client_ids):
+            calls.append(len(client_ids))
+            return super().indices_of(client_ids)
+
+    pop = CountingPopulation(2_000)
+    walltime = PopulationWallTime(WALLTIME, pop)
+    scheduler = VectorScheduler(pop, "utility")
+    idle = pop.sorted_ids[:1_990]
+    dispatch, leftover = scheduler.select_async(
+        idle, None, 8, 0,
+        lambda handles: np.add(
+            *walltime.client_compute_comm_arrays(handles, 16)))
+    assert len(dispatch) == 8 and len(leftover) == 1_982
+    assert calls == [len(idle)]
 
 
 @given(
