@@ -1,9 +1,13 @@
-"""Local-training throughput: sequential vs batched vs procpool.
+"""Local-training throughput: sequential vs threads vs batched vs
+procpool.
 
-The pure-numpy autograd is python-bound at micro scale, so the GIL
-makes the thread-dispatch path a no-op — cohort wall time scales
-linearly with cohort size (ROADMAP item 2).  The two new local planes
-attack that directly:
+The pure-numpy autograd is python-bound at micro scale, so the
+sequential plane's thread dispatch (``max_workers > 1``, the
+``threads`` arm) buys nothing — a training step is mostly small numpy
+calls that hold the GIL, and two threads read slower than one (the
+committed baseline holds the number) — and cohort wall time scales
+linearly with cohort size (ROADMAP item 5).  The two other local
+planes attack that directly:
 
 * ``batched`` stacks the cohort's homogeneous clients along a leading
   model axis and advances all of them through ONE fused forward/
@@ -14,7 +18,7 @@ attack that directly:
   (scales with cores; ≥4x on 8 cores).
 
 This bench measures REAL wall time (no simulated clock) at
-``bench_async_vs_sync`` scale, checks all three planes produce
+``bench_async_vs_sync`` scale, checks all four arms produce
 bit-identical final weights, and gates ``s_per_client`` — wall
 seconds per trained client cycle — per arm through
 ``check_regression.py`` (threshold 1.0: the guarded failure mode is a
@@ -63,6 +67,7 @@ def run_planes() -> dict[str, dict]:
     finals = {}
     for name, plane, workers in [
         ("sequential", "sequential", 1),
+        ("threads", "sequential", 2),
         ("batched", "batched", 1),
         ("procpool", "procpool", PROC_WORKERS),
     ]:

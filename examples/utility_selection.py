@@ -63,7 +63,7 @@ def main() -> None:
         sched = photon.aggregator.scheduler
         counts = ", ".join(
             f"{cid.removeprefix('client')}:{n}"
-            for cid, n in sorted(sched.selections.items()))
+            for cid, n in zip(photon.population.ids, sched.selections) if n)
         print(f"  dispatches per client -> {counts}")
     print(
         "\nUtility selection reaches the same number of server updates in\n"

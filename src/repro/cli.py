@@ -99,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "loss-improvement term (true Oort; 0 = off)")
     train.add_argument("--client-plane", choices=CLIENT_PLANES,
                        default="eager",
-                       help="control-plane layout: eager keeps one live "
-                            "object per client (legacy); vector keeps "
-                            "per-client state in arrays and materializes "
-                            "clients lazily (million-client scale)")
+                       help="when clients are built: eager builds every "
+                            "one up front; vector builds each on first use "
+                            "and evicts beyond --max-live-clients "
+                            "(million-client scale)")
     train.add_argument("--local-plane", choices=LOCAL_PLANES,
                        default="sequential",
                        help="local-training execution: sequential runs "

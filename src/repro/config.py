@@ -188,18 +188,18 @@ class FedConfig:
     ~4x smaller optimizer footprint).
 
     Population-scale knobs: ``client_plane`` selects *when* clients
-    are built and which scheduler / wall-time class runs — ``"eager"``
-    (every client up front; dict-backed ``ClientScheduler`` /
-    ``WallTimeModel``) or ``"vector"`` (clients materialized lazily
-    only while training; array-backed ``VectorScheduler`` /
-    ``PopulationWallTime``).  It does not select what a client *is*:
-    its data, speed, region and cycle clock have one definition both
-    planes read, so the planes are bit-exact against each other at
-    equal configs, ``tiers`` included (regions are dealt round-robin
-    over lexicographic id order).  Under the vector plane ``cohorts``
-    optionally shares timing archetypes across ``cohorts`` groups
-    (O(cohorts) parameter memory) and ``max_live_clients`` bounds how
-    many :class:`~repro.fed.client.LLMClient` objects exist at once.
+    are built and nothing else — ``"eager"`` builds every client
+    inside ``Photon.__init__``, ``"vector"`` builds each on its first
+    use and keeps at most ``max_live_clients``
+    :class:`~repro.fed.client.LLMClient` objects alive, parking the
+    rest as their state dicts.  There is one scheduler
+    (``ClientScheduler``), one wall-time model (``WallTimeModel``) and
+    one client registry (``LazyClientPool``), all over one
+    ``ClientPopulation``, so the two values are bit-exact against each
+    other at equal configs and a run checkpointed under one resumes
+    under the other.  ``cohorts`` (vector only) shares timing
+    archetypes across ``cohorts`` groups (O(cohorts) parameter
+    memory).
 
     Local-plane knobs: ``local_plane`` selects how a wave of local
     training executes — ``"sequential"`` (legacy client-by-client, the

@@ -24,12 +24,7 @@ from .diloco import DILOCO_SERVER_LRS, build_diloco
 from .hyperopt import Candidate, TrialResult, successive_halving
 from .link import Link, Message, SecureAggregator
 from .photon import Photon, PhotonResult
-from .population import (
-    ClientPopulation,
-    LazyClientPool,
-    PopulationWallTime,
-    VectorScheduler,
-)
+from .population import ClientPopulation, LazyClientPool
 from .postprocess import (
     ClipUpdate,
     Compose,
@@ -92,8 +87,6 @@ __all__ = [
     "normal_quantile",
     "ClientPopulation",
     "LazyClientPool",
-    "PopulationWallTime",
-    "VectorScheduler",
     "PostProcessor",
     "Identity",
     "Compose",

@@ -13,8 +13,6 @@ the pseudo-gradient ``θ_t − θ_k`` through its post-processing pipeline.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from ..config import ModelConfig, OptimConfig
@@ -26,7 +24,7 @@ from ..utils.serialization import StateDict, tree_mean, tree_sub
 from .postprocess import Identity, PostProcessor
 from .types import ClientUpdate, RoundInfo
 
-__all__ = ["LLMClient", "ClientDict"]
+__all__ = ["LLMClient"]
 
 
 class LLMClient:
@@ -247,30 +245,3 @@ class LLMClient:
         }
         return averaged, metrics, total_tokens
 
-
-class ClientDict(dict):
-    """The eager client plane: a plain ``id -> client`` dict carrying
-    the registry surface the engine uses, so engine code is written
-    once against this and the vector plane's
-    :class:`~repro.fed.population.LazyClientPool`."""
-
-    @contextmanager
-    def lease(self, client_id: str):
-        """Hold ``client_id`` for a training step.  Every eager client
-        is always live, so there is nothing to pin."""
-        yield self[client_id]
-
-    def sorted_ids(self) -> list[str]:
-        return sorted(self)
-
-    def total_tokens_processed(self) -> int:
-        return sum(c.tokens_processed for c in self.values())
-
-    def state_dict(self) -> dict:
-        return {cid: client.state_dict() for cid, client in self.items()}
-
-    def load_state_dict(self, state: dict) -> None:
-        if state.keys() != self.keys():
-            raise KeyError("checkpoint clients do not match the federation")
-        for cid, client_state in state.items():
-            self[cid].load_state_dict(client_state)

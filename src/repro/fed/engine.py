@@ -23,9 +23,9 @@ Mechanisms (``RoundEngine``):
   boundary hook;
 * **collaborators, not branches** — tracing goes through one
   :class:`~repro.obs.observer.EngineObserver` called unconditionally
-  (a shared null object when tracing is off), and both client planes
-  present the same registry surface (``lease``/``sorted_ids``/
-  ``state_dict``).
+  (a shared null object when tracing is off), and clients are held
+  in one registry (:class:`~repro.fed.population.LazyClientPool`)
+  whose population the scheduler and the wall-time model share.
 
 Policies:
 
@@ -91,9 +91,10 @@ from ..utils.metrics import History, RoundRecord, aggregate_metrics
 from ..utils.serialization import StateDict, tree_mean, tree_norm
 from .batched import batch_eligible, batch_group_key, train_clients_batched
 from .checkpoint import CheckpointManager
-from .client import ClientDict, LLMClient
+from .client import LLMClient
 from .faults import ClientFailure, DeadlinePolicy, DropLedger, FailureModel, FaultPolicy
 from .link import Link, Message
+from .population import LazyClientPool
 from .procpool import ProcPool, share_state
 from .sampler import AvailabilityModel, ClientSampler, FullParticipation
 from .scheduler import ClientScheduler
@@ -119,8 +120,8 @@ def _plan_cycles(walltime: WallTimeModel | None, client_ids: list[str],
     unjittered Eq. 1 / ``2·S/B_i`` split.  ``compute_s + comm_s`` is
     the cycle time selection ranks on and a dispatch is planned from
     (``client_ids`` is whatever handle the wall-time model resolves:
-    the vector plane's ranking passes population indices).  Without a
-    wall-time model every cycle is one indivisible time unit."""
+    a ranking passes the population indices it already holds).  Without
+    a wall-time model every cycle is one indivisible time unit."""
     planned = np.full(len(client_ids), local_steps, dtype=np.int64)
     if walltime is None:
         return planned, np.ones(len(planned)), np.zeros(len(planned))
@@ -237,7 +238,7 @@ def _opt_int(value) -> int | None:
 #: The async event loop's durable state, one row per entry of the
 #: RunState tree: ``(state key, attribute, dump, load)``; a ``None``
 #: dump stores the attribute as it is.  Key order and value shapes are
-#: the ``RUNSTATE_VERSION`` 1 layout (guarded by
+#: part of the ``RUNSTATE_VERSION`` layout (guarded by
 #: ``tests/test_runstate.py``) — change them only with the version.
 _ASYNC_STATE = (
     ("buffer_size", "buffer_size", None, _opt_int),
@@ -318,9 +319,11 @@ class RoundEngine:
         seeded :class:`~repro.nn.DecoderLM` (Algorithm 1 L.2,
         ``InitModel``) unless ``initial_state`` warm-starts it.
     clients:
-        The training population keyed by client id — a plain mapping
-        (eager plane) or a
-        :class:`~repro.fed.population.LazyClientPool` (vector plane).
+        The training population keyed by client id: a
+        :class:`~repro.fed.population.LazyClientPool`, or a plain
+        mapping of built clients (a pool that is already full).  Its
+        population is the engine's: a ``scheduler`` or a heterogeneous
+        ``walltime`` built over another is refused.
     server_opt:
         Aggregation policy (default FedAvg, server lr 1.0).
     sampler / scheduler / availability:
@@ -395,15 +398,20 @@ class RoundEngine:
         if not clients:
             raise ValueError("the federation needs at least one client")
         self.model_config = model_config
-        # A LazyClientPool (vector plane) is kept as-is — copying it
-        # would materialize the whole population, the exact thing the
-        # pool exists to avoid.  A plain mapping becomes a ClientDict,
-        # which answers the same lease/sorted_ids/state_dict calls.
-        self.clients = (clients if hasattr(clients, "lease")
-                        else ClientDict(clients))
+        self.clients = LazyClientPool.of(clients)
+        population = self.clients.population
         self.server_opt = server_opt or FedAvg(lr=1.0)
         self.sampler = sampler or FullParticipation()
-        self.scheduler = scheduler or ClientScheduler()
+        self.scheduler = scheduler or ClientScheduler(population)
+        # One population per engine.  (A wall-time model without one is
+        # nominal for whoever it is asked about.)
+        if self.scheduler.population is not population or (
+                walltime is not None
+                and walltime.population not in (None, population)):
+            raise ValueError(
+                "the scheduler and the wall-time model must be built over "
+                "the population of the engine's clients"
+            )
         self.val_stream = val_stream
         self.link = link or Link()
         self.availability = availability
@@ -415,9 +423,12 @@ class RoundEngine:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         # Clients are independent within a round (Algorithm 1 L.5 "in
-        # parallel"), so they can run on a thread pool; NumPy's BLAS
-        # kernels release the GIL.  Results are deterministic either
-        # way because each client's RNG stream is its own.
+        # parallel"), so the sequential plane can run them on a thread
+        # pool.  Results are deterministic either way because each
+        # client's RNG stream is its own — but a training step is
+        # mostly small numpy calls that hold the GIL, so two threads
+        # read 0.3-0.8x of one worker (ROADMAP item 5; benchmarks/
+        # baselines/local_plane.json, ``threads`` arm).
         self.max_workers = max_workers
         check_choice("local_plane", local_plane, LOCAL_PLANES)
         self.local_plane = local_plane
@@ -863,8 +874,8 @@ class RoundEngine:
         for key, component in self._components():
             if component is not None and state.get(key) is not None:
                 component.load_state_dict(state[key])
-        # A pool checkpoint carries only the touched clients; either
-        # registry validates the ids against its own population.
+        # Carries only the touched clients; the pool validates the ids
+        # against its population.
         self.clients.load_state_dict(state["clients"])
         if (state.get("val_stream") is not None
                 and hasattr(self.val_stream, "load_state_dict")):
@@ -909,7 +920,7 @@ class SyncAggregator(RoundEngine):
 
     def run_round(self, round_idx: int, local_steps: int) -> RoundRecord:
         """Execute one federated round (Algorithm 1 L.3–11)."""
-        population = self.clients.sorted_ids()
+        population = list(self.clients.population.sorted_ids)
         if self.availability is not None:
             population = self.availability.available(population, round_idx)
         # Selection routes through the scheduler: ``random`` returns
@@ -1218,7 +1229,7 @@ class AsyncAggregator(RoundEngine):
         # that closes the window.  Only work still in flight when the
         # run ends goes unattributed.
         self._open_link_window()
-        population = self.clients.sorted_ids()
+        population = list(self.clients.population.sorted_ids)
         selected = self.sampler.sample(population, 0)
         if self.buffer_size is None:
             self.buffer_size = len(selected)

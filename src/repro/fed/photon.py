@@ -40,12 +40,7 @@ from .client import LLMClient
 from .failover import FailoverController
 from .faults import DeadlinePolicy, FailureModel, FaultPolicy
 from .link import Link
-from .population import (
-    ClientPopulation,
-    LazyClientPool,
-    PopulationWallTime,
-    VectorScheduler,
-)
+from .population import ClientPopulation, LazyClientPool
 from .postprocess import PostProcessor
 from .runstate import RunStateCheckpointer
 from .sampler import AvailabilityModel, FullParticipation, UniformSampler
@@ -181,70 +176,38 @@ class Photon:
             self.optim_config.alpha_min,
         )
 
-        # Vectorized control plane (repro.fed.population): per-client
-        # state lives in arrays keyed by client index, clients are
-        # materialized lazily, and scheduling runs as whole-population
-        # array ops — O(cohorts + active clients) memory.
-        vector_plane = fed_config.client_plane == "vector"
-        self.population: ClientPopulation | None = None
-        if vector_plane:
-            if isinstance(corpus, dict):
-                raise ValueError(
-                    "client_plane='vector' needs a named corpus ('c4' or "
-                    "'pile'); a prebuilt stream dict is inherently eager"
-                )
-            if fed_config.cohorts is not None:
-                self.population = ClientPopulation.cohorts(
-                    fed_config.population, fed_config.cohorts,
-                    compute_spread=client_speed_spread,
-                    bandwidth_spread=client_speed_spread,
-                    seed=fed_config.seed,
-                )
-            else:
-                # Bit-exact anchor: same factor draws as the eager
-                # plane's WallTimeModel.heterogeneous over sorted ids.
-                self.population = ClientPopulation.heterogeneous(
-                    fed_config.population,
-                    compute_spread=client_speed_spread,
-                    bandwidth_spread=client_speed_spread,
-                    seed=fed_config.seed,
-                )
-
+        # The one thing client_plane decides: whether every client is
+        # built here, up front, or each on its first use.
+        build_up_front = fed_config.client_plane == "eager"
+        if not build_up_front and isinstance(corpus, dict):
+            raise ValueError(
+                "client_plane='vector' needs a named corpus ('c4' or "
+                "'pile'); a prebuilt stream dict is inherently eager"
+            )
         # Client identity is fixed by the corpus shape — client ``i``
-        # of a named corpus is ``client{i}`` on either plane — so the
-        # wall-time model and the deadline feasibility check can run
-        # *before* the (much more expensive) data build: an impossible
-        # deadline fails in milliseconds, not after caching every shard
-        # stream.  ``client_ids`` is the lexicographic order every
-        # per-client draw and deal (slowdowns, regions) is made in.
-        if self.population is not None:
-            ids, client_ids = self.population.ids, self.population.sorted_ids
-            index_of = self.population.index_of
-        else:
-            ids = (list(corpus) if isinstance(corpus, dict)
-                   else [f"client{i}" for i in range(fed_config.population)])
-            client_ids = sorted(ids)
-            index_of = {cid: i for i, cid in enumerate(ids)}.__getitem__
-        walltime = None
-        if walltime_config is not None:
-            if self.population is not None:
-                walltime = PopulationWallTime(walltime_config, self.population)
-            elif client_speed_spread > 1.0:
-                walltime = WallTimeModel.heterogeneous(
-                    walltime_config, client_ids,
-                    compute_spread=client_speed_spread,
-                    bandwidth_spread=client_speed_spread,
-                    seed=fed_config.seed,
-                )
-            else:
-                walltime = WallTimeModel(walltime_config)
+        # of a named corpus is ``client{i}``, a stream dict brings its
+        # own names — so the population, the wall-time model and the
+        # deadline feasibility check can run *before* the (much more
+        # expensive) data build: an impossible deadline fails in
+        # milliseconds, not after caching every shard stream.
+        ids = list(corpus) if isinstance(corpus, dict) else fed_config.population
+        spreads = dict(compute_spread=client_speed_spread,
+                       bandwidth_spread=client_speed_spread,
+                       seed=fed_config.seed)
+        self.population = (
+            ClientPopulation.heterogeneous(ids, **spreads)
+            if fed_config.cohorts is None
+            else ClientPopulation.cohorts(ids, fed_config.cohorts, **spreads)
+        )
+        walltime = (WallTimeModel(walltime_config, self.population)
+                    if walltime_config is not None else None)
         deadline = None
         if fed_config.mode == "async" and fed_config.deadline is not None:
             deadline = DeadlinePolicy(
                 deadline_s=fed_config.deadline,
                 drop_policy=fed_config.drop_policy or "drop",
             )
-            check_deadline_feasible(deadline, walltime, client_ids,
+            check_deadline_feasible(deadline, walltime, self.population.ids,
                                     fed_config.local_steps,
                                     fed_config.adaptive_local_steps)
 
@@ -288,7 +251,7 @@ class Photon:
                 )
 
         stream_of, val_stream = self._build_data(
-            corpus, heterogeneity, num_shards, data_seed, index_of
+            corpus, heterogeneity, num_shards, data_seed
         )
 
         def make_client(cid: str) -> LLMClient:
@@ -303,17 +266,12 @@ class Photon:
                 seed=init_seed,
             )
 
-        # The one thing the client plane decides about a client is
-        # *when* it is built: all of them here, or each on first use.
-        clients: LazyClientPool | dict[str, LLMClient]
-        if self.population is not None:
-            clients = LazyClientPool(
-                self.population, make_client,
-                max_live=(fed_config.max_live_clients
-                          or max(64, 2 * fed_config.clients_per_round)),
-            )
-        else:
-            clients = {cid: make_client(cid) for cid in ids}
+        clients = LazyClientPool(
+            self.population, make_client,
+            max_live=(len(self.population) if build_up_front
+                      else fed_config.max_live_clients
+                      or max(64, 2 * fed_config.clients_per_round)),
+        )
         sampler = (
             FullParticipation()
             if fed_config.clients_per_round >= fed_config.population
@@ -329,18 +287,13 @@ class Photon:
             JitterModel(fed_config.jitter, seed=fed_config.seed)
             if fed_config.jitter_active else None
         )
-        scheduler_kwargs = dict(
+        scheduler = ClientScheduler(
+            self.population, fed_config.selection,
             deadline_s=fed_config.deadline,
             exploration=fed_config.exploration,
             stat_utility_weight=fed_config.stat_utility_weight,
             feasibility_quantile=fed_config.feasibility_quantile,
             jitter=jitter_model,
-        )
-        scheduler = (
-            VectorScheduler(self.population, fed_config.selection,
-                            **scheduler_kwargs)
-            if self.population is not None
-            else ClientScheduler(fed_config.selection, **scheduler_kwargs)
         )
         # Lossy update transport (repro.compress): uploads always ride
         # the codec, the broadcast only when asked; "none" keeps the
@@ -372,7 +325,9 @@ class Photon:
                                     seed=fed_config.seed + 1)
             edge_tier = EdgeTier(
                 paper_regions(fed_config.tiers),
-                round_robin_assign(client_ids, fed_config.tiers),
+                # Regions are dealt over lexicographic id order.
+                round_robin_assign(self.population.sorted_ids,
+                                   fed_config.tiers),
                 backhaul=Link(uplink_codec=tier_codec),
                 error_feedback=(
                     ErrorFeedback(staleness_gamma=fed_config.ef_staleness_gamma)
@@ -430,6 +385,11 @@ class Photon:
             self.resumed_from_round = self.run_checkpointer.restore(
                 self.aggregator
             )
+        if build_up_front:
+            # After the restore, so a resumed client is built once,
+            # straight into its checkpointed state.
+            for cid in self.population.ids:
+                clients[cid]
         # Failover wrapper (repro.fed.failover): replicates the full
         # RunState to standbys over its own metered Link and survives
         # root crashes by promoting the newest surviving snapshot.
@@ -445,15 +405,14 @@ class Photon:
 
     # ------------------------------------------------------------------
     def _build_data(self, corpus, heterogeneity: float, num_shards: int,
-                    data_seed: int, index_of):
+                    data_seed: int):
         """``(stream_of, val_stream)``: ``stream_of(client_id)`` builds
-        that client's training stream — the eager plane calls it for
-        every client up front, the vector plane when a client first
-        trains, so both see the same sources and seeds and an untrained
-        lazy client costs no memory.  ``index_of`` maps a named
-        corpus's client id to its index."""
+        that client's training stream when the client is built — up
+        front or on first use, the sources and seeds are the same, and
+        a client never built costs no memory."""
         vocab = self.model_config.vocab_size
         population = self.fed_config.population
+        index_of = self.population.index_of
 
         def cached(source, seed: int) -> CachedTokenStream:
             return CachedTokenStream(source, self.optim_config.batch_size,
@@ -497,7 +456,7 @@ class Photon:
 
     # ------------------------------------------------------------------
     @property
-    def clients(self) -> "dict[str, LLMClient] | LazyClientPool":
+    def clients(self) -> LazyClientPool:
         return self.aggregator.clients
 
     @property

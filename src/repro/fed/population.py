@@ -1,101 +1,94 @@
-"""Vectorized million-client control plane (ROADMAP item 1).
+"""The client control plane's data: one population, one registry.
 
-The eager plane materializes one :class:`~repro.fed.client.LLMClient`
-per population member and keeps scheduler counters and slowdown
-factors in Python dicts — fine at hundreds of clients, three orders of
-magnitude short of the paper's fleet-scale ambitions.  This module is
-the MLSYSIM-style alternative: model the fleet without running the
-fleet.  It changes *how* per-client state is held, never what a client
-is: data, region, slowdown draws and the cycle clock have one
-definition (:mod:`repro.fed.photon`, :mod:`repro.fed.engine`) that both
-planes read.
+MLSYSIM's argument — model the fleet without running the fleet — only
+holds when a fleet quantity has one definition, whatever the fleet's
+size.  This module holds the two containers every federation is built
+on, four clients or a million:
 
-* :class:`ClientPopulation` — per-client *parameters* (timing
-  slowdowns, cohort membership) as numpy arrays keyed by client
-  index, with the id <-> index mapping and the lexicographic rank
-  table that keeps vectorized sorts identical to the legacy
-  string-sorted orderings.  Cohort archetypes
-  (:meth:`ClientPopulation.cohorts`) store O(cohorts) distinct
-  parameters gathered out to the population.
-* :class:`PopulationWallTime` — a
-  :class:`~repro.net.walltime.WallTimeModel` whose per-client factors
-  are array gathers instead of dict lookups.
-* :class:`LazyClientPool` — a read-through Mapping of client id to
-  ``LLMClient`` that materializes clients only while they train and
-  parks an evicted client's durable state (stream RNG position,
-  counters, stateful optimizer moments) as a plain state dict.  The
-  model workspace is overwritten by every broadcast, so
-  evict-and-rematerialize is bit-exact by construction.
-* :class:`VectorScheduler` — a
-  :class:`~repro.fed.scheduler.ClientScheduler` whose counters live
-  in arrays and whose ranking is whole-population numpy ops,
-  bit-exact against the scalar implementation (same selections, same
-  tie-breaks) — the property the equivalence tests pin down.
+* :class:`ClientPopulation` — the one per-client table: ids, the
+  id -> index mapping, the lexicographic rank that keeps array sorts
+  identical to ``sorted(ids)``, the wall-time slowdown factors and the
+  optional cohort map.  Ids are any unique strings: ``client{i}`` when
+  generated, a user's own names when a stream dict supplies the
+  corpus.  Cohort archetypes (:meth:`ClientPopulation.cohorts`) store
+  O(cohorts) distinct parameters gathered out to the population.
+  :class:`~repro.fed.scheduler.ClientScheduler` keeps its counters in
+  arrays indexed by it and
+  :class:`~repro.net.walltime.WallTimeModel` gathers its factors from
+  it.
+* :class:`LazyClientPool` — the one client registry: a read-through
+  Mapping of client id to ``LLMClient`` that builds a client on first
+  use and parks an evicted client's durable state (stream RNG
+  position, counters, stateful optimizer moments) as a plain state
+  dict.  The model workspace is overwritten by every broadcast, so
+  evict-and-rematerialize is bit-exact by construction.  *When*
+  clients are built is the only thing ``FedConfig.client_plane``
+  selects: ``eager`` fills a pool as large as the population inside
+  ``Photon.__init__``, ``vector`` builds on first use and evicts
+  beyond ``max_live_clients``.
 
-Bit-exactness notes baked into the implementation (each is load-
-bearing and covered by tests): ``np.exp`` over an array equals scalar
-``np.exp`` per element (but NOT libm's ``math.exp``); vectorized
-elementwise divide/multiply/add equal their scalar counterparts;
-``np.lexsort((lex_rank, -score))`` equals Python's stable sort on
-``(-score, client_id)`` because ``lex_rank`` orders ids exactly like
-``str`` comparison; and ``Generator.normal(0, sigma_array)`` consumes
-the RNG stream exactly like the equivalent sequence of scalar draws.
+Bit-exactness notes baked into the array code here and in the
+scheduler (each is load-bearing and covered by tests against the
+scalar oracle ``tests/helpers.py::reference_rank``): ``np.exp`` over
+an array equals scalar ``np.exp`` per element (but NOT libm's
+``math.exp``); vectorized elementwise divide/multiply/add equal their
+scalar counterparts; ``np.lexsort((lex_rank, -score))`` equals
+Python's stable sort on ``(-score, client_id)`` because ``lex_rank``
+*is* Python's ``str`` order; and ``Generator.normal(0, sigma_array)``
+consumes the RNG stream exactly like the equivalent sequence of scalar
+draws.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from collections.abc import Mapping
 from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..config import WallTimeConfig
-from ..net.walltime import WallTimeModel, slowdown_factors
+from ..net.walltime import slowdown_factors
 from .client import LLMClient
-from .scheduler import (
-    _DEFAULT_HORIZON,
-    _SELECTION_LOG_MAXLEN,
-    ClientScheduler,
-    DurationsOf,
-)
 
 __all__ = [
     "ClientPopulation",
     "LazyClientPool",
-    "PopulationWallTime",
-    "VectorScheduler",
 ]
 
 
 class ClientPopulation:
     """Index-keyed per-client parameters plus the id mapping.
 
-    Client ``i`` is named ``f"{prefix}{i}"``.  ``lex_rank[i]`` is the
-    position of client ``i`` in lexicographic id order — the order
-    every legacy code path iterates in (``sorted(self.clients)``), so
-    vectorized consumers sort by ``lex_rank`` to reproduce legacy
-    orderings exactly.  ``compute_factors`` / ``bandwidth_factors``
-    are the wall-time slowdowns (1.0 = nominal), and ``cohort_of``
-    (optional) maps each client to its parameter archetype.
+    ``ids`` is the population's size — client ``i`` is then named
+    ``f"client{i}"`` — or the unique names themselves, in index order.
+    ``lex_rank[i]`` is the position of client ``i`` in ``sorted(ids)``
+    — the order every per-client draw and deal is made in — so array
+    consumers sort by ``lex_rank`` to reproduce string-sorted orderings
+    exactly.  ``compute_factors`` / ``bandwidth_factors`` are the
+    wall-time slowdowns (1.0 = nominal), and ``cohort_of`` (optional)
+    maps each client to its parameter archetype.
     """
 
-    def __init__(self, n: int, prefix: str = "client",
+    def __init__(self, ids: int | Sequence[str],
                  compute_factors: np.ndarray | None = None,
                  bandwidth_factors: np.ndarray | None = None,
                  cohort_of: np.ndarray | None = None):
+        self.ids: list[str] = ([f"client{i}" for i in range(ids)]
+                               if isinstance(ids, int) else list(ids))
+        self.n = n = len(self.ids)
         if n < 1:
             raise ValueError(f"population size must be >= 1, got {n}")
-        self.n = n
-        self.prefix = prefix
-        self.ids: list[str] = [f"{prefix}{i}" for i in range(n)]
         self._index = {cid: i for i, cid in enumerate(self.ids)}
-        order = np.argsort(np.array(self.ids))  # lexicographic, like str
+        if len(self._index) != n:
+            raise ValueError("client ids must be unique")
+        # Python's own str order, not numpy's: a unicode array drops
+        # trailing NULs, so "a\x00" and "a" would change places.
+        order = sorted(range(n), key=self.ids.__getitem__)
+        self.sorted_ids: list[str] = [self.ids[i] for i in order]
         self.lex_rank = np.empty(n, dtype=np.int64)
-        self.lex_rank[order] = np.arange(n, dtype=np.int64)
-        self.sorted_ids: list[str] = [self.ids[int(i)] for i in order]
+        self.lex_rank[order] = np.arange(n)
         self.compute_factors = self._checked_factors(compute_factors)
         self.bandwidth_factors = self._checked_factors(bandwidth_factors)
         if cohort_of is not None:
@@ -116,44 +109,39 @@ class ClientPopulation:
 
     # ------------------------------------------------------------------
     @classmethod
-    def uniform(cls, n: int, prefix: str = "client") -> "ClientPopulation":
-        """Equipollent population (all factors 1.0)."""
-        return cls(n, prefix=prefix)
-
-    @classmethod
-    def heterogeneous(cls, n: int, compute_spread: float = 1.0,
-                      bandwidth_spread: float = 1.0, seed: int = 0,
-                      prefix: str = "client") -> "ClientPopulation":
-        """Per-client log-uniform slowdowns, byte-identical to
-        :meth:`~repro.net.walltime.WallTimeModel.heterogeneous` over
-        the lexicographically sorted ids (the eager plane's draw
-        order), so eager and vector planes see the same federation."""
-        pop = cls(n, prefix=prefix)
+    def heterogeneous(cls, ids: int | Sequence[str],
+                      compute_spread: float = 1.0,
+                      bandwidth_spread: float = 1.0,
+                      seed: int = 0) -> "ClientPopulation":
+        """Per-client log-uniform slowdowns — the federation's one
+        straggler draw, made over the lexicographically sorted ids (a
+        spread of 1 is equipollent and draws nothing)."""
+        pop = cls(ids)
         rng = np.random.default_rng(seed)
         order = np.argsort(pop.lex_rank)  # indices in sorted-id order
-        pop.compute_factors[order] = slowdown_factors(rng, compute_spread, n)
-        pop.bandwidth_factors[order] = slowdown_factors(rng, bandwidth_spread, n)
+        pop.compute_factors[order] = slowdown_factors(rng, compute_spread, pop.n)
+        pop.bandwidth_factors[order] = slowdown_factors(rng, bandwidth_spread, pop.n)
         return pop
 
     @classmethod
-    def cohorts(cls, n: int, k: int, compute_spread: float = 1.0,
-                bandwidth_spread: float = 1.0, seed: int = 0,
-                prefix: str = "client") -> "ClientPopulation":
+    def cohorts(cls, ids: int | Sequence[str], k: int,
+                compute_spread: float = 1.0, bandwidth_spread: float = 1.0,
+                seed: int = 0) -> "ClientPopulation":
         """``k`` timing archetypes shared round-robin across the
         population (client ``i`` belongs to cohort ``i % k``): the
         O(cohorts) parameter memory model.  Not comparable draw-for-
-        draw with :meth:`heterogeneous` — cohort mode is the new
-        fleet-scale regime, not a legacy anchor."""
-        if not 1 <= k <= n:
-            raise ValueError(f"cohorts must be in [1, {n}], got {k}")
+        draw with :meth:`heterogeneous` — cohort mode is the
+        fleet-scale regime, not a per-client anchor."""
+        pop = cls(ids)
+        if not 1 <= k <= pop.n:
+            raise ValueError(f"cohorts must be in [1, {pop.n}], got {k}")
         rng = np.random.default_rng(seed)
-        cohort_of = np.arange(n, dtype=np.int64) % k
-        return cls(
-            n, prefix=prefix,
-            compute_factors=slowdown_factors(rng, compute_spread, k)[cohort_of],
-            bandwidth_factors=slowdown_factors(rng, bandwidth_spread, k)[cohort_of],
-            cohort_of=cohort_of,
-        )
+        pop.cohort_of = np.arange(pop.n, dtype=np.int64) % k
+        pop.compute_factors = slowdown_factors(
+            rng, compute_spread, k)[pop.cohort_of]
+        pop.bandwidth_factors = slowdown_factors(
+            rng, bandwidth_spread, k)[pop.cohort_of]
+        return pop
 
     # ------------------------------------------------------------------
     def index_of(self, client_id: str) -> int:
@@ -178,60 +166,6 @@ class ClientPopulation:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         k = "none" if self.cohort_of is None else int(self.cohort_of.max()) + 1
         return f"ClientPopulation(n={self.n}, cohorts={k})"
-
-
-class PopulationWallTime(WallTimeModel):
-    """Wall-time model whose per-client factors are array gathers.
-
-    Scalar lookups (:meth:`compute_factor` / :meth:`bandwidth_factor`)
-    stay available and bit-exact — the barrier's ``cohort_timing`` and
-    the observer's ``client_timing`` read them — while the engines'
-    cycle plans go through the array methods without ever building a
-    dict.
-    """
-
-    def __init__(self, config: WallTimeConfig, population: ClientPopulation):
-        super().__init__(config)
-        self.population = population
-
-    def compute_factor(self, client_id: str) -> float:
-        return float(
-            self.population.compute_factors[self.population.index_of(client_id)]
-        )
-
-    def bandwidth_factor(self, client_id: str) -> float:
-        return float(
-            self.population.bandwidth_factors[self.population.index_of(client_id)]
-        )
-
-    def _factor_arrays(self, client_ids: Sequence[str] | np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """``client_ids`` is a sequence of ids or the population index
-        array a :class:`VectorScheduler` ranking already resolved."""
-        idx = (client_ids if isinstance(client_ids, np.ndarray)
-               else self.population.indices_of(client_ids))
-        return (self.population.compute_factors[idx],
-                self.population.bandwidth_factors[idx])
-
-    # Checkpoint protocol (repro.fed.runstate): arrays instead of the
-    # base class's per-client dicts — O(N) floats, not O(N) dict
-    # entries with string keys.
-    def state_dict(self) -> dict:
-        return {
-            "compute_factors": self.population.compute_factors.copy(),
-            "bandwidth_factors": self.population.bandwidth_factors.copy(),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        for key, attr in (("compute_factors", "compute_factors"),
-                          ("bandwidth_factors", "bandwidth_factors")):
-            factors = np.asarray(state[key], dtype=np.float64)
-            if factors.shape != (self.population.n,):
-                raise ValueError(
-                    f"checkpoint {key} has shape {factors.shape}, expected "
-                    f"({self.population.n},)"
-                )
-            setattr(self.population, attr, factors.copy())
 
 
 class LazyClientPool(Mapping):
@@ -268,6 +202,18 @@ class LazyClientPool(Mapping):
         self.evictions = 0
         self.hits = 0
 
+    @classmethod
+    def of(cls, clients: "Mapping[str, LLMClient]") -> "LazyClientPool":
+        """The registry an engine trains from: a pool as it is, a plain
+        mapping of built clients as a pool that is already full and
+        never evicts."""
+        if isinstance(clients, cls):
+            return clients
+        pool = cls(ClientPopulation(list(clients)), dict(clients).__getitem__,
+                   max_live=len(clients))
+        pool._live.update(clients)
+        return pool
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self.population.n
@@ -281,11 +227,6 @@ class LazyClientPool(Mapping):
         except KeyError:
             return False
         return True
-
-    def sorted_ids(self) -> list[str]:
-        """Population in lexicographic id order (what the engines'
-        ``sorted(self.clients)`` used to compute per call)."""
-        return list(self.population.sorted_ids)
 
     # ------------------------------------------------------------------
     def _materialize_locked(self, client_id: str) -> LLMClient:
@@ -354,8 +295,8 @@ class LazyClientPool(Mapping):
 
     # Checkpoint protocol (repro.fed.runstate): only *touched* clients
     # are persisted — an untouched client is recreatable from the
-    # factory, which is exactly the lazy plane's memory argument
-    # applied to the checkpoint artifact.
+    # factory, which is exactly the pool's memory argument applied to
+    # the checkpoint artifact.
     def state_dict(self) -> dict:
         with self._lock:
             touched = {cid: dict(s) for cid, s in self._parked.items()}
@@ -367,7 +308,9 @@ class LazyClientPool(Mapping):
     def load_state_dict(self, state: dict) -> None:
         touched = state["touched"]
         for cid in touched:
-            self.population.index_of(cid)  # reject foreign checkpoints
+            if cid not in self:
+                raise KeyError(
+                    f"checkpoint client {cid!r} is not in this federation")
         with self._lock:
             self._live.clear()
             self._leases.clear()
@@ -377,140 +320,3 @@ class LazyClientPool(Mapping):
         return (f"LazyClientPool(n={self.population.n}, "
                 f"live={len(self._live)}/{self.max_live}, "
                 f"parked={len(self._parked)})")
-
-
-class VectorScheduler(ClientScheduler):
-    """Array-backed :class:`~repro.fed.scheduler.ClientScheduler`.
-
-    Selection counters, the fairness clock and the statistical-utility
-    memory live in length-N arrays keyed by client index; ranking is
-    whole-candidate-set numpy ops.  The output ordering — including
-    every tie-break — is bit-identical to the scalar implementation,
-    which the hypothesis equivalence properties assert directly.
-    """
-
-    def __init__(self, population: ClientPopulation, policy: str = "random",
-                 **kwargs):
-        super().__init__(policy, **kwargs)
-        self.population = population
-        n = population.n
-        self._last_selected = np.full(n, -1, dtype=np.int64)
-        self._selections = np.zeros(n, dtype=np.int64)
-        self._last_loss_arr = np.full(n, np.nan, dtype=np.float64)
-        self._improvement = np.zeros(n, dtype=np.float64)
-        # The base class's dict counters stay empty; the arrays above
-        # are this subclass's single source of truth.
-        del self.last_selected, self.selections
-        del self._last_loss, self.loss_improvement
-
-    # ------------------------------------------------------------------
-    def note_selected(self, client_id: str, version: int) -> None:
-        i = self.population.index_of(client_id)
-        self._last_selected[i] = version
-        self._selections[i] += 1
-        self.selection_log.append((version, client_id))
-
-    def note_result(self, client_id: str, train_loss: float | None) -> None:
-        if train_loss is None:
-            return
-        train_loss = float(train_loss)
-        i = self.population.index_of(client_id)
-        previous = self._last_loss_arr[i]
-        if not np.isnan(previous):
-            self._improvement[i] = previous - train_loss
-        self._last_loss_arr[i] = train_loss
-
-    def _waited(self, client_id: str, version: int) -> int:
-        return int(version - self._last_selected[self.population.index_of(client_id)])
-
-    # ------------------------------------------------------------------
-    def _rank(self, candidates: Sequence[str], version: int,
-              durations_of: DurationsOf, deadline_s: float | None,
-              k: int | None = None) -> list[str]:
-        if not candidates:
-            return []
-        pop = self.population
-        # The ranking's one id resolution: the clock is asked by index.
-        idx = pop.indices_of(candidates)
-        lex = pop.lex_rank[idx]
-        durations = np.asarray(durations_of(idx), dtype=np.float64)
-        if self._margin_active:
-            scales = np.asarray(self.jitter.scales_for(candidates),
-                                dtype=np.float64)
-            nz = scales > 0
-            if nz.any():
-                margins = np.ones(len(candidates), dtype=np.float64)
-                margins[nz] = np.exp(self._margin_z * scales[nz])
-                durations = durations * margins
-        if self.policy == "fastest":
-            ordered = np.lexsort((lex, durations))
-            return [candidates[j] for j in ordered[:k].tolist()]
-        # utility
-        waited = version - self._last_selected[idx]
-        if self.fairness_every_k is not None:
-            due_mask = waited >= self.fairness_every_k
-        else:
-            due_mask = np.zeros(len(candidates), dtype=bool)
-        due_idx = np.flatnonzero(due_mask)
-        due_order = due_idx[np.lexsort((lex[due_idx], -waited[due_idx]))]
-        rest_idx = np.flatnonzero(~due_mask)
-        fastest_s = float(durations.min())
-        imp = self._improvement[idx]
-        stat_norm = float(imp.max())
-        d_rest = durations[rest_idx]
-        speed = np.ones(len(rest_idx), dtype=np.float64)
-        positive = d_rest > 0
-        speed[positive] = fastest_s / d_rest[positive]
-        horizon = self.fairness_every_k or _DEFAULT_HORIZON
-        recency = np.minimum(waited[rest_idx], horizon) / horizon
-        score = speed + self.exploration * recency
-        if self.stat_utility_weight and stat_norm > 0:
-            score = score + (self.stat_utility_weight
-                             * np.maximum(0.0, imp[rest_idx]) / stat_norm)
-        rest_order = rest_idx[np.lexsort((lex[rest_idx], -score))]
-        if deadline_s is not None:
-            # Stable partition of the already-scored ordering: sorting
-            # the union then splitting by feasibility equals sorting
-            # the two sides independently (same key, stable sort).
-            feasible = durations[rest_order] <= deadline_s
-            ordered = np.concatenate(
-                [due_order, rest_order[feasible], rest_order[~feasible]]
-            )
-        else:
-            ordered = np.concatenate([due_order, rest_order])
-        return [candidates[j] for j in ordered[:k].tolist()]
-
-    # ------------------------------------------------------------------
-    # Checkpoint protocol (repro.fed.runstate): arrays, not dicts — a
-    # million-client checkpoint carries four ndarrays instead of
-    # millions of string-keyed entries.
-    def state_dict(self) -> dict:
-        return {
-            "last_selected": self._last_selected.copy(),
-            "selections": self._selections.copy(),
-            "last_loss": self._last_loss_arr.copy(),
-            "loss_improvement": self._improvement.copy(),
-            "selection_log": [[v, c] for v, c in self.selection_log],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        n = self.population.n
-        for key in ("last_selected", "selections", "last_loss",
-                    "loss_improvement"):
-            arr = np.asarray(state[key])
-            if arr.shape != (n,):
-                raise ValueError(
-                    f"checkpoint {key} has shape {arr.shape}, expected ({n},)"
-                )
-        self._last_selected = np.asarray(
-            state["last_selected"], dtype=np.int64).copy()
-        self._selections = np.asarray(
-            state["selections"], dtype=np.int64).copy()
-        self._last_loss_arr = np.asarray(
-            state["last_loss"], dtype=np.float64).copy()
-        self._improvement = np.asarray(
-            state["loss_improvement"], dtype=np.float64).copy()
-        self.selection_log = deque(
-            ((int(v), c) for v, c in state["selection_log"]),
-            maxlen=_SELECTION_LOG_MAXLEN,
-        )

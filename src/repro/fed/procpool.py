@@ -48,8 +48,8 @@ def _resolve_client(client_id: str):
     registry = _FORK_CONTEXT
     if registry is None:
         raise RuntimeError("procpool worker has no inherited client registry")
-    # Works for plain dicts and for LazyClientPool (a Mapping that
-    # materializes on demand from the fork-inherited factory).
+    # A LazyClientPool: materializes on demand from the fork-inherited
+    # factory.
     return registry[client_id]
 
 

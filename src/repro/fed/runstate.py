@@ -48,7 +48,7 @@ __all__ = [
 #: Version stamp written into every run-state artifact; bumped on any
 #: incompatible change to the tree layout so a stale checkpoint fails
 #: loudly instead of restoring garbage.
-RUNSTATE_VERSION = 1
+RUNSTATE_VERSION = 2
 
 #: Marker for a codec-compressed float state dict (ServerOpt moments).
 _CODEC_PAYLOAD = "__codec_payload__"

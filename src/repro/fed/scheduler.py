@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -63,9 +63,9 @@ _SELECTION_LOG_MAXLEN = 65_536
 #: Maps the clients a scheduler ranks to an ndarray of predicted cycle
 #: durations, same order — the engines' one clock, so the scheduler
 #: ranks on exactly the prediction a dispatch is then planned from.
-#: :class:`ClientScheduler` asks by id; the vector plane's scheduler
-#: asks by the population index array it has already resolved.
-DurationsOf = Callable[["Sequence[str] | np.ndarray"], np.ndarray]
+#: The scheduler asks by the population index array its ranking has
+#: already resolved.
+DurationsOf = Callable[[np.ndarray], np.ndarray]
 
 
 def normal_quantile(p: float) -> float:
@@ -103,8 +103,18 @@ def normal_quantile(p: float) -> float:
 class ClientScheduler:
     """Pluggable selection policy shared by both round engines.
 
+    Selection counters, the fairness clock and the statistical-utility
+    memory live in length-N arrays indexed by ``population``; ranking
+    is whole-candidate-set numpy ops whose output ordering — every
+    tie-break included — is that of the per-client scalar definition
+    (``tests/helpers.py::reference_rank``, property-tested).
+
     Parameters
     ----------
+    population:
+        The :class:`~repro.fed.population.ClientPopulation` whose
+        clients are scheduled (the engine's own: an engine refuses a
+        scheduler built over another).
     policy:
         One of :data:`SELECTION_POLICIES`.
     deadline_s:
@@ -138,12 +148,12 @@ class ClientScheduler:
         prediction bit-exactly.
     jitter:
         The :class:`~repro.net.walltime.JitterModel` supplying
-        per-client scales for the margin (only ``scale_for`` /
-        ``scales_for`` are consulted — the margin never draws from the
-        model's RNG).  Ignored unless ``feasibility_quantile`` is set.
+        per-client scales for the margin (only ``scales_for`` is
+        consulted — the margin never draws from the model's RNG).
+        Ignored unless ``feasibility_quantile`` is set.
     """
 
-    def __init__(self, policy: str = "random", *,
+    def __init__(self, population, policy: str = "random", *,
                  deadline_s: float | None = None,
                  exploration: float = 1.0,
                  stat_utility_weight: float = 0.0,
@@ -172,6 +182,7 @@ class ClientScheduler:
             raise ValueError(
                 f"feasibility_quantile must be in (0, 1), got {feasibility_quantile}"
             )
+        self.population = population
         self.policy = policy
         self.deadline_s = deadline_s
         self.exploration = exploration
@@ -181,14 +192,17 @@ class ClientScheduler:
         self.jitter = jitter
         self._margin_z = (normal_quantile(feasibility_quantile)
                           if feasibility_quantile is not None else 0.0)
-        #: server version at each client's most recent selection.
-        self.last_selected: dict[str, int] = {}
+        n = population.n
+        #: server version at each client's most recent selection (-1:
+        #: never — waiting since before version 0).
+        self.last_selected = np.full(n, -1, dtype=np.int64)
         #: total dispatches per client (includes retries/requeues).
-        self.selections: dict[str, int] = {}
-        #: last reported train loss and last observed improvement per
-        #: client (the ``utility`` statistical term's inputs).
-        self._last_loss: dict[str, float] = {}
-        self.loss_improvement: dict[str, float] = {}
+        self.selections = np.zeros(n, dtype=np.int64)
+        #: last reported train loss (NaN: none yet) and last observed
+        #: improvement per client (the ``utility`` statistical term's
+        #: inputs).
+        self.last_loss = np.full(n, np.nan, dtype=np.float64)
+        self.loss_improvement = np.zeros(n, dtype=np.float64)
         #: recent (version, client) selections, in order — test/debug
         #: aid, bounded so long simulations don't grow without limit.
         self.selection_log: deque[tuple[int, str]] = deque(
@@ -203,24 +217,27 @@ class ClientScheduler:
     # ------------------------------------------------------------------
     # Checkpoint protocol (repro.fed.runstate): the fairness clock,
     # selection counters and statistical-utility memory all steer
-    # future selections, so a resume without them diverges.
+    # future selections, so a resume without them diverges.  Arrays,
+    # not dicts — a million-client checkpoint carries four ndarrays
+    # instead of millions of string-keyed entries.
     # ------------------------------------------------------------------
+    _STATE = ("last_selected", "selections", "last_loss", "loss_improvement")
+
     def state_dict(self) -> dict:
         return {
-            "last_selected": dict(self.last_selected),
-            "selections": dict(self.selections),
-            "last_loss": dict(self._last_loss),
-            "loss_improvement": dict(self.loss_improvement),
+            **{key: getattr(self, key).copy() for key in self._STATE},
             "selection_log": [[v, c] for v, c in self.selection_log],
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self.last_selected = {c: int(v) for c, v in state["last_selected"].items()}
-        self.selections = {c: int(v) for c, v in state["selections"].items()}
-        self._last_loss = {c: float(v) for c, v in state["last_loss"].items()}
-        self.loss_improvement = {
-            c: float(v) for c, v in state["loss_improvement"].items()
-        }
+        n = self.population.n
+        for key in self._STATE:
+            values = np.array(state[key], dtype=getattr(self, key).dtype)
+            if values.shape != (n,):
+                raise ValueError(
+                    f"checkpoint {key} has shape {values.shape}, expected ({n},)"
+                )
+            setattr(self, key, values)
         self.selection_log = deque(
             ((int(v), c) for v, c in state["selection_log"]),
             maxlen=_SELECTION_LOG_MAXLEN,
@@ -231,8 +248,9 @@ class ClientScheduler:
         """Record a dispatch (the engines call this on every issue,
         including requeues and crash retries, so the fairness clock
         reflects actual work given to the client)."""
-        self.last_selected[client_id] = version
-        self.selections[client_id] = self.selections.get(client_id, 0) + 1
+        i = self.population.index_of(client_id)
+        self.last_selected[i] = version
+        self.selections[i] += 1
         self.selection_log.append((version, client_id))
 
     def note_result(self, client_id: str, train_loss: float | None) -> None:
@@ -244,101 +262,84 @@ class ClientScheduler:
         if train_loss is None:
             return
         train_loss = float(train_loss)
-        previous = self._last_loss.get(client_id)
-        if previous is not None:
-            self.loss_improvement[client_id] = previous - train_loss
-        self._last_loss[client_id] = train_loss
-
-    def _waited(self, client_id: str, version: int) -> int:
-        """Server versions since the client was last selected (clients
-        never seen count as waiting since before version 0)."""
-        return version - self.last_selected.get(client_id, -1)
-
-    def _due(self, candidates: Iterable[str], version: int) -> list[str]:
-        """Fairness floor: clients owed a selection, longest-waiting
-        first (ties broken by id for determinism)."""
-        if self.fairness_every_k is None:
-            return []
-        due = [c for c in candidates
-               if self._waited(c, version) >= self.fairness_every_k]
-        return sorted(due, key=lambda c: (-self._waited(c, version), c))
-
-    def utility(self, client_id: str, version: int, cycle_s: float,
-                fastest_s: float, stat_norm: float = 0.0) -> float:
-        """Oort/REFL-style score: throughput + recency + statistics.
-
-        ``fastest_s / cycle_s`` is in (0, 1] (1 for the fastest
-        client); the recency term grows linearly with the versions a
-        client has waited, saturating at the fairness horizon, scaled
-        by ``exploration``; the statistical term (true Oort) is the
-        client's last observed loss improvement, clamped at 0 and
-        normalized by ``stat_norm`` (the candidate set's largest
-        improvement, supplied by :meth:`_rank`), scaled by
-        ``stat_utility_weight``.
-        """
-        speed = fastest_s / cycle_s if cycle_s > 0 else 1.0
-        horizon = self.fairness_every_k or _DEFAULT_HORIZON
-        recency = min(self._waited(client_id, version), horizon) / horizon
-        score = speed + self.exploration * recency
-        if self.stat_utility_weight and stat_norm > 0:
-            improvement = max(0.0, self.loss_improvement.get(client_id, 0.0))
-            score += self.stat_utility_weight * improvement / stat_norm
-        return score
+        i = self.population.index_of(client_id)
+        previous = self.last_loss[i]
+        if not np.isnan(previous):
+            self.loss_improvement[i] = previous - train_loss
+        self.last_loss[i] = train_loss
 
     # ------------------------------------------------------------------
-    @property
-    def _margin_active(self) -> bool:
-        return self.feasibility_quantile is not None and self.jitter is not None
-
-    def _margin(self, client_id: str) -> float:
-        """Multiplicative jitter-quantile inflation of a predicted
-        duration: ``exp(z_q * scale)`` (1.0 for jitter-free clients)."""
-        if not self._margin_active:
-            return 1.0
-        scale = self.jitter.scale_for(client_id)
-        if scale <= 0:
-            return 1.0
-        # np.exp, not math.exp: the vectorized plane computes margins
-        # as whole-array np.exp, which is bit-identical to scalar
-        # np.exp but NOT to libm's math.exp.
-        return float(np.exp(self._margin_z * scale))
-
     def _rank(self, candidates: Sequence[str], version: int,
               durations_of: DurationsOf, deadline_s: float | None,
               k: int | None = None) -> list[str]:
         """The best ``k`` of ``candidates`` (all of them by default),
-        best first under the active policy."""
-        durations = dict(zip(candidates, durations_of(candidates).tolist()))
-        if self._margin_active:
-            durations = {c: d * self._margin(c) for c, d in durations.items()}
+        best first under the active policy (module docstring).
+
+        The ``utility`` score is throughput + recency + statistics:
+        ``fastest / cycle`` is in (0, 1]; the recency term grows
+        linearly with the versions a client has waited, saturating at
+        the fairness horizon, scaled by ``exploration``; the
+        statistical term (true Oort) is the client's last observed
+        loss improvement, clamped at 0 and normalized by the candidate
+        set's largest, scaled by ``stat_utility_weight``.
+        """
+        if not candidates:
+            return []
+        pop = self.population
+        # The ranking's one id resolution: the clock is asked by index.
+        idx = pop.indices_of(candidates)
+        lex = pop.lex_rank[idx]
+        durations = np.asarray(durations_of(idx), dtype=np.float64)
+        if self.feasibility_quantile is not None and self.jitter is not None:
+            # Inflate each prediction to its jitter quantile:
+            # ``exp(z_q * scale)``, 1.0 for jitter-free clients.
+            scales = np.asarray(self.jitter.scales_for(candidates),
+                                dtype=np.float64)
+            nz = scales > 0
+            if nz.any():
+                margins = np.ones(len(candidates), dtype=np.float64)
+                margins[nz] = np.exp(self._margin_z * scales[nz])
+                durations = durations * margins
         if self.policy == "fastest":
-            return sorted(candidates, key=lambda c: (durations[c], c))[:k]
-        # utility: fairness-floor clients first, then feasible clients
-        # by score, then deadline-infeasible ones (never dispatched
-        # while a feasible alternative exists).
-        due = self._due(candidates, version)
-        due_set = set(due)
-        rest = [c for c in candidates if c not in due_set]
-        fastest_s = min(durations.values(), default=1.0)
+            ordered = np.lexsort((lex, durations))
+            return [candidates[j] for j in ordered[:k].tolist()]
+        # utility
+        waited = version - self.last_selected[idx]
+        if self.fairness_every_k is not None:
+            due_mask = waited >= self.fairness_every_k
+        else:
+            due_mask = np.zeros(len(candidates), dtype=bool)
+        due_idx = np.flatnonzero(due_mask)
+        due_order = due_idx[np.lexsort((lex[due_idx], -waited[due_idx]))]
+        rest_idx = np.flatnonzero(~due_mask)
+        fastest_s = float(durations.min())
         # Candidate-relative normalizer for the statistical term: the
         # best recent improvement maps to 1, so the term is unitless
         # like the speed and recency terms.
-        stat_norm = max(
-            (self.loss_improvement.get(c, 0.0) for c in candidates),
-            default=0.0,
-        )
-
-        def score_key(c: str):
-            return (-self.utility(c, version, durations[c], fastest_s,
-                                  stat_norm), c)
-
+        imp = self.loss_improvement[idx]
+        stat_norm = float(imp.max())
+        d_rest = durations[rest_idx]
+        speed = np.ones(len(rest_idx), dtype=np.float64)
+        positive = d_rest > 0
+        speed[positive] = fastest_s / d_rest[positive]
+        horizon = self.fairness_every_k or _DEFAULT_HORIZON
+        recency = np.minimum(waited[rest_idx], horizon) / horizon
+        score = speed + self.exploration * recency
+        if self.stat_utility_weight and stat_norm > 0:
+            score = score + (self.stat_utility_weight
+                             * np.maximum(0.0, imp[rest_idx]) / stat_norm)
+        rest_order = rest_idx[np.lexsort((lex[rest_idx], -score))]
         if deadline_s is not None:
-            feasible = sorted((c for c in rest
-                               if durations[c] <= deadline_s), key=score_key)
-            infeasible = sorted((c for c in rest
-                                 if durations[c] > deadline_s), key=score_key)
-            return (due + feasible + infeasible)[:k]
-        return (due + sorted(rest, key=score_key))[:k]
+            # Stable partition of the already-scored ordering: sorting
+            # the union then splitting by feasibility equals sorting
+            # the two sides independently (same key, stable sort).
+            feasible = durations[rest_order] <= deadline_s
+            ordered = np.concatenate(
+                [due_order, rest_order[feasible], rest_order[~feasible]]
+            )
+        else:
+            ordered = np.concatenate([due_order, rest_order])
+        return [candidates[j] for j in ordered[:k].tolist()]
 
     def _effective_deadline(self, fallback_s: float | None) -> float | None:
         """The scheduler's own ``deadline_s`` (explicit user choice)

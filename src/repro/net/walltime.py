@@ -23,6 +23,7 @@ communication-reduction claims come from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -241,87 +242,67 @@ class WallTimeModel:
     """Evaluate Eqs. 1–7 for a given hardware/bandwidth configuration.
 
     Beyond the paper's equipollent-client assumption, the model can
-    carry **per-client heterogeneity**: ``client_compute_factors`` and
-    ``client_bandwidth_factors`` map client ids to slowdown factors
-    (``1.0`` = nominal, ``4.0`` = four times slower compute / link).
-    Unlisted clients run at nominal speed, so both the per-client
-    timings (:meth:`client_timing`, used by the asynchronous engine's
-    event clock) and the barrier timing (:meth:`cohort_timing`, used
-    by the synchronous engine) reduce exactly to Eqs. 1–5 when no
-    factors are supplied.
+    carry **per-client heterogeneity**: ``population`` (a
+    :class:`~repro.fed.population.ClientPopulation`) supplies each
+    client's compute and bandwidth slowdown factor (``1.0`` = nominal,
+    ``4.0`` = four times slower compute / link).  Without a population
+    every client is nominal, so both the per-client timings
+    (:meth:`client_timing`, the asynchronous engine's event clock) and
+    the barrier timing (:meth:`cohort_timing`, used by the synchronous
+    engine) are exactly Eqs. 1–5 as published.
     """
 
-    def __init__(self, config: WallTimeConfig,
-                 client_compute_factors: dict[str, float] | None = None,
-                 client_bandwidth_factors: dict[str, float] | None = None):
+    def __init__(self, config: WallTimeConfig, population=None):
         if config.throughput <= 0 or config.bandwidth_mbps <= 0 or config.model_mb <= 0:
             raise ValueError("throughput, bandwidth and model size must be positive")
         self.config = config
-        self.client_compute_factors = dict(client_compute_factors or {})
-        self.client_bandwidth_factors = dict(client_bandwidth_factors or {})
-        for factors in (self.client_compute_factors, self.client_bandwidth_factors):
-            for cid, f in factors.items():
-                if f <= 0:
-                    raise ValueError(
-                        f"slowdown factor for client {cid!r} must be positive, got {f}"
-                    )
-
-    @classmethod
-    def heterogeneous(cls, config: WallTimeConfig, client_ids: list[str],
-                      compute_spread: float = 1.0, bandwidth_spread: float = 1.0,
-                      seed: int = 0) -> "WallTimeModel":
-        """Build a model with seeded log-uniform per-client slowdowns.
-
-        Each client's compute (resp. link) slowdown is drawn
-        log-uniformly from ``[1, compute_spread]`` (resp.
-        ``[1, bandwidth_spread]``); a spread of 1 keeps that dimension
-        equipollent.
-        """
-        rng = np.random.default_rng(seed)
-
-        def draw(spread: float) -> dict[str, float]:
-            factors = slowdown_factors(rng, spread, len(client_ids)).tolist()
-            # An equipollent dimension lists nobody (all nominal).
-            return {} if spread == 1.0 else dict(zip(client_ids, factors))
-
-        return cls(config, client_compute_factors=draw(compute_spread),
-                   client_bandwidth_factors=draw(bandwidth_spread))
+        self.population = population
 
     # Checkpoint protocol (repro.fed.runstate): the per-client factors
     # are drawn once at construction, so they are reproducible from
     # the config seed — persisting them guards a resumed run against
     # seed/config drift rather than against lost RNG state.
     def state_dict(self) -> dict:
+        if self.population is None:
+            return {}
         return {
-            "client_compute_factors": dict(self.client_compute_factors),
-            "client_bandwidth_factors": dict(self.client_bandwidth_factors),
+            "compute_factors": self.population.compute_factors.copy(),
+            "bandwidth_factors": self.population.bandwidth_factors.copy(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self.client_compute_factors = {
-            c: float(f) for c, f in state["client_compute_factors"].items()
-        }
-        self.client_bandwidth_factors = {
-            c: float(f) for c, f in state["client_bandwidth_factors"].items()
-        }
+        if self.population is None:
+            return  # every client nominal: nothing was saved
+        for key in ("compute_factors", "bandwidth_factors"):
+            factors = np.array(state[key], dtype=np.float64)
+            if factors.shape != (self.population.n,):
+                raise ValueError(
+                    f"checkpoint {key} has shape {factors.shape}, expected "
+                    f"({self.population.n},)"
+                )
+            setattr(self.population, key, factors)
 
     def compute_factor(self, client_id: str) -> float:
-        return self.client_compute_factors.get(client_id, 1.0)
+        return float(self._factor_arrays([client_id])[0][0])
 
     def bandwidth_factor(self, client_id: str) -> float:
-        return self.client_bandwidth_factors.get(client_id, 1.0)
+        return float(self._factor_arrays([client_id])[1][0])
 
-    def _factor_arrays(self, client_ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def _factor_arrays(self, client_ids: "Sequence[str] | np.ndarray"
+                       ) -> tuple[np.ndarray, np.ndarray]:
         """(compute, bandwidth) slowdown factors as arrays, in order.
-        Subclasses backed by index arrays override this with a gather."""
-        compute = np.array([self.compute_factor(c) for c in client_ids],
-                           dtype=np.float64)
-        bandwidth = np.array([self.bandwidth_factor(c) for c in client_ids],
-                             dtype=np.float64)
-        return compute, bandwidth
+        ``client_ids`` is a sequence of ids or the population index
+        array a scheduler's ranking already resolved."""
+        if self.population is None:
+            ones = np.ones(len(client_ids), dtype=np.float64)
+            return ones, ones
+        idx = (client_ids if isinstance(client_ids, np.ndarray)
+               else self.population.indices_of(client_ids))
+        return (self.population.compute_factors[idx],
+                self.population.bandwidth_factors[idx])
 
     def client_compute_comm_arrays(
-            self, client_ids: list[str],
+            self, client_ids: "Sequence[str] | np.ndarray",
             local_steps: "int | np.ndarray") -> tuple[np.ndarray, np.ndarray]:
         """Batch :meth:`client_timing`: per-client (compute_s, comm_s)
         arrays, elementwise bit-exact vs the scalar path.
@@ -333,7 +314,7 @@ class WallTimeModel:
         comm = 2.0 * self.config.model_mb / (self.config.bandwidth_mbps / bf)
         return compute, comm
 
-    def adaptive_steps_array(self, client_ids: list[str],
+    def adaptive_steps_array(self, client_ids: "Sequence[str] | np.ndarray",
                              nominal_steps: int) -> np.ndarray:
         """Batch :meth:`adaptive_local_steps` (``np.rint`` rounds
         half-to-even exactly like Python's ``round``)."""
@@ -440,12 +421,9 @@ class WallTimeModel:
         this equals :meth:`round_timing` for ``len(client_ids)``."""
         if not client_ids:
             raise ValueError("cohort_timing needs at least one client")
-        compute = self.local_compute_s(local_steps) * max(
-            self.compute_factor(c) for c in client_ids
-        )
-        comm = self.comm_s(topology, len(client_ids)) * max(
-            self.bandwidth_factor(c) for c in client_ids
-        )
+        cf, bf = self._factor_arrays(client_ids)
+        compute = self.local_compute_s(local_steps) * float(cf.max())
+        comm = self.comm_s(topology, len(client_ids)) * float(bf.max())
         return RoundTiming(compute_s=compute, comm_s=comm, overlapped=overlap)
 
     def total_wall_time_s(self, topology: str | CommTopology, clients: int,

@@ -164,11 +164,10 @@ class EngineObserver:
                 meters.gauge(f"ledger/{name}").set(
                     getattr(ledger, f"total_{name}"))
         pool = engine.clients
-        if hasattr(pool, "materializations"):  # LazyClientPool only
-            meters.gauge("pool/materializations").set(pool.materializations)
-            meters.gauge("pool/evictions").set(pool.evictions)
-            meters.gauge("pool/hits").set(pool.hits)
-            meters.gauge("pool/live").set(pool.live_count())
+        meters.gauge("pool/materializations").set(pool.materializations)
+        meters.gauge("pool/evictions").set(pool.evictions)
+        meters.gauge("pool/hits").set(pool.hits)
+        meters.gauge("pool/live").set(pool.live_count())
         if engine.edge_tier is not None:
             backhaul = engine.edge_tier.backhaul
             meters.gauge("edge/backhaul_wire_bytes").set(

@@ -1,6 +1,6 @@
 """Shared test utilities: finite-difference gradient checking, the
-crash-injection checkpoint/resume harness and the Markov walk's
-oracle."""
+crash-injection checkpoint/resume harness and the oracles of the
+Markov walk and of the scheduler's ranking."""
 
 from __future__ import annotations
 
@@ -45,14 +45,89 @@ def run_crash_resume(build_photon, rounds: int, kill_at: int, **checkpoint_overr
     return full, resumed
 
 
-def per_client(fn):
+def per_client(fn, population):
     """Adapt a per-client ``fn(client_id) -> seconds`` to the
-    schedulers' ``durations_of`` callback, which a ``ClientScheduler``
-    calls with ids and a ``VectorScheduler`` with the indices of its
-    default-prefix population."""
+    ``durations_of`` callback, which the product scheduler calls with
+    the ``population`` indices its ranking resolved and
+    :func:`reference_rank` with ids."""
     return lambda handles: np.array(
-        [fn(h if isinstance(h, str) else f"client{h}") for h in handles],
+        [fn(h if isinstance(h, str) else population.ids[h]) for h in handles],
         dtype=np.float64)
+
+
+def reference_rank(scheduler, candidates, version, durations_of, deadline_s,
+                   k=None) -> list[str]:
+    """``ClientScheduler._rank`` as it was while the scheduler kept
+    per-client dicts: one Python comparison key per candidate, Python's
+    stable sort, ids compared as ``str``.  The oracle the product's
+    array ranking must match winner for winner, tie-breaks included.
+    Reads ``scheduler``'s configuration and counters, moves nothing."""
+    index_of = scheduler.population.index_of
+    margin_active = (scheduler.feasibility_quantile is not None
+                     and scheduler.jitter is not None)
+
+    def waited(client_id: str) -> int:
+        """Server versions since the client was last selected (clients
+        never seen count as waiting since before version 0)."""
+        return version - int(scheduler.last_selected[index_of(client_id)])
+
+    def improvement(client_id: str) -> float:
+        return float(scheduler.loss_improvement[index_of(client_id)])
+
+    def due() -> list[str]:
+        """Fairness floor: clients owed a selection, longest-waiting
+        first (ties broken by id for determinism)."""
+        if scheduler.fairness_every_k is None:
+            return []
+        owed = [c for c in candidates
+                if waited(c) >= scheduler.fairness_every_k]
+        return sorted(owed, key=lambda c: (-waited(c), c))
+
+    def utility(client_id: str, cycle_s: float, fastest_s: float,
+                stat_norm: float) -> float:
+        """Oort/REFL-style score: throughput + recency + statistics."""
+        speed = fastest_s / cycle_s if cycle_s > 0 else 1.0
+        horizon = scheduler.fairness_every_k or 8
+        recency = min(waited(client_id), horizon) / horizon
+        score = speed + scheduler.exploration * recency
+        if scheduler.stat_utility_weight and stat_norm > 0:
+            score += (scheduler.stat_utility_weight
+                      * max(0.0, improvement(client_id)) / stat_norm)
+        return score
+
+    def margin(client_id: str) -> float:
+        """Multiplicative jitter-quantile inflation of a predicted
+        duration: ``exp(z_q * scale)`` (1.0 for jitter-free clients)."""
+        scale = scheduler.jitter.scale_for(client_id)
+        if scale <= 0:
+            return 1.0
+        # np.exp, not math.exp: whole-array np.exp is bit-identical to
+        # scalar np.exp but NOT to libm's math.exp.
+        return float(np.exp(scheduler._margin_z * scale))
+
+    durations = dict(zip(candidates, durations_of(candidates).tolist()))
+    if margin_active:
+        durations = {c: d * margin(c) for c, d in durations.items()}
+    if scheduler.policy == "fastest":
+        return sorted(candidates, key=lambda c: (durations[c], c))[:k]
+    # utility: fairness-floor clients first, then feasible clients by
+    # score, then deadline-infeasible ones.
+    owed = due()
+    owed_set = set(owed)
+    rest = [c for c in candidates if c not in owed_set]
+    fastest_s = min(durations.values(), default=1.0)
+    stat_norm = max((improvement(c) for c in candidates), default=0.0)
+
+    def score_key(c: str):
+        return (-utility(c, durations[c], fastest_s, stat_norm), c)
+
+    if deadline_s is not None:
+        feasible = sorted((c for c in rest
+                           if durations[c] <= deadline_s), key=score_key)
+        infeasible = sorted((c for c in rest
+                             if durations[c] > deadline_s), key=score_key)
+        return (owed + feasible + infeasible)[:k]
+    return (owed + sorted(rest, key=score_key))[:k]
 
 
 def reference_walk(kernel: np.ndarray, specials: int, n: int,

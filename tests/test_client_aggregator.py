@@ -11,8 +11,11 @@ from repro.fed import (
     Aggregator,
     AvailabilityModel,
     CheckpointManager,
+    ClientPopulation,
+    ClientScheduler,
     ClipUpdate,
     FedAvg,
+    LazyClientPool,
     LLMClient,
     UniformSampler,
 )
@@ -263,6 +266,37 @@ class TestAggregator:
         agg = Aggregator(CFG, clients, val_stream=val_stream(), weighted=True)
         record = agg.run_round(0, 2)
         assert np.isfinite(record.val_perplexity)
+
+    def test_built_clients_are_a_full_pool(self):
+        """A plain dict of clients is a pool with nothing to build and
+        nothing to evict, over a population of the dict's own names;
+        a foreign checkpoint is refused naming the stranger."""
+        agg = self.make_aggregator(n_clients=3)
+        pool = agg.clients
+        assert isinstance(pool, LazyClientPool)
+        assert list(pool) == pool.population.ids == ["c0", "c1", "c2"]
+        agg.run_round(0, 1)
+        assert (pool.live_count(), pool.materializations, pool.evictions) \
+            == (3, 0, 0)
+        state = agg.state_dict()
+        state["clients"]["touched"]["c7"] = {}
+        with pytest.raises(KeyError, match="'c7' is not in this federation"):
+            agg.load_state_dict(state)
+
+    def test_one_population_per_engine(self):
+        """The scheduler and a heterogeneous wall-time model must be
+        built over the population of the engine's own clients."""
+        agg = self.make_aggregator()
+        ours, theirs = agg.clients.population, ClientPopulation(["c0", "c1"])
+        WALLTIME = WallTimeConfig(throughput=2.0, bandwidth_mbps=1250.0,
+                                  model_mb=0.05)
+        self.make_aggregator(clients=agg.clients,
+                             scheduler=ClientScheduler(ours, "fastest"),
+                             walltime=WallTimeModel(WALLTIME, ours))
+        for kwargs in (dict(scheduler=ClientScheduler(theirs)),
+                       dict(walltime=WallTimeModel(WALLTIME, theirs))):
+            with pytest.raises(ValueError, match="population"):
+                self.make_aggregator(clients=agg.clients, **kwargs)
 
     def test_empty_federation_rejected(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ from repro.config import FedConfig, ModelConfig, OptimConfig, WallTimeConfig
 from repro.fed import (
     AsyncAggregator,
     ClientFailure,
+    ClientPopulation,
     FailureModel,
     FaultPolicy,
     Photon,
@@ -69,7 +70,8 @@ class TestWallTimeHeterogeneity:
         assert cohort.comm_s == analytic.comm_s
 
     def test_straggler_paces_the_cohort(self):
-        wt = WallTimeModel(WALLTIME, client_compute_factors={"slow": 4.0})
+        wt = WallTimeModel(WALLTIME, ClientPopulation(
+            ["fast", "slow"], compute_factors=[1.0, 4.0]))
         cohort = wt.cohort_timing("rar", ["fast", "slow"], 8)
         assert cohort.compute_s == 4.0 * wt.local_compute_s(8)
         # The straggler only pays its own price on the async clock.
@@ -77,24 +79,26 @@ class TestWallTimeHeterogeneity:
         assert wt.client_timing("slow", 8).compute_s == 4.0 * wt.local_compute_s(8)
 
     def test_slow_link_scales_client_comm(self):
-        wt = WallTimeModel(WALLTIME, client_bandwidth_factors={"far": 2.0})
+        wt = WallTimeModel(WALLTIME, ClientPopulation(
+            ["near", "far"], bandwidth_factors=[1.0, 2.0]))
         assert wt.client_timing("far", 1).comm_s == 2.0 * wt.client_timing("near", 1).comm_s
 
     def test_heterogeneous_factory_bounds_and_seed(self):
         ids = [f"c{i}" for i in range(16)]
-        wt = WallTimeModel.heterogeneous(WALLTIME, ids, compute_spread=4.0,
-                                         bandwidth_spread=2.0, seed=5)
+        pop = ClientPopulation.heterogeneous(ids, compute_spread=4.0,
+                                             bandwidth_spread=2.0, seed=5)
+        wt = WallTimeModel(WALLTIME, pop)
         assert all(1.0 <= wt.compute_factor(c) <= 4.0 for c in ids)
         assert all(1.0 <= wt.bandwidth_factor(c) <= 2.0 for c in ids)
-        again = WallTimeModel.heterogeneous(WALLTIME, ids, compute_spread=4.0,
-                                            bandwidth_spread=2.0, seed=5)
-        assert wt.client_compute_factors == again.client_compute_factors
+        again = ClientPopulation.heterogeneous(ids, compute_spread=4.0,
+                                               bandwidth_spread=2.0, seed=5)
+        assert (pop.compute_factors == again.compute_factors).all()
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WallTimeModel(WALLTIME, client_compute_factors={"c": 0.0})
+            ClientPopulation(["c"], compute_factors=[0.0])
         with pytest.raises(ValueError):
-            WallTimeModel.heterogeneous(WALLTIME, ["a"], compute_spread=0.5)
+            ClientPopulation.heterogeneous(["a"], compute_spread=0.5)
         with pytest.raises(ValueError):
             WallTimeModel(WALLTIME).cohort_timing("rar", [], 4)
 

@@ -345,8 +345,7 @@ class TestAdaptiveLocalSteps:
         agg = photon.aggregator
         ids = sorted(agg.clients)
         planned = dict(zip(ids, _plan_cycles(agg.walltime, ids, 8, True)[0]))
-        factors = agg.walltime.client_compute_factors
-        slowest = max(factors, key=factors.get)
+        slowest = max(ids, key=agg.walltime.compute_factor)
         assert planned[slowest] < 8
         assert all(1 <= s <= 8 for s in planned.values())
         # Per-flush mean steps (client metric) reflects the mix.

@@ -251,6 +251,17 @@ class TestMeters:
         assert snap["c"] == {"count": 3, "sum": 6.0, "min": 1.0,
                              "max": 3.0, "mean": 2.0}
 
+    def test_pool_gauges_on_every_traced_run(self, tmp_path):
+        """One registry, so one set of gauges: the default plane
+        builds its whole population up front and evicts nobody."""
+        photon = make_photon(trace_path=str(tmp_path / "t.json"))
+        photon.train()
+        snap = photon.tracer.meters.snapshot()
+        assert snap["pool/materializations"] == 4
+        assert snap["pool/live"] == 4
+        assert snap["pool/evictions"] == 0
+        assert snap["pool/hits"] > 0
+
     def test_type_collision_rejected(self):
         reg = MeterRegistry()
         reg.counter("x")

@@ -1,8 +1,9 @@
-"""Vectorized control plane (repro.fed.population): the array-backed
-scheduler, lazy client pool and population wall-time model must be
-bit-exact drop-ins for the eager per-client objects at small N — same
-selections, jitter draws, drop ledgers and round histories — while
-scaling to million-client federations in O(cohorts + active clients)
+"""The client control plane (repro.fed.population, repro.fed.scheduler):
+the array scheduler must rank exactly like its per-client scalar
+definition (``helpers.reference_rank``), and building clients up front
+or lazily with eviction must not change a run — same selections,
+jitter draws, drop ledgers and round histories — while the plane
+scales to million-client federations in O(cohorts + active clients)
 memory."""
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from repro.fed import (
     ClientScheduler,
     LazyClientPool,
     Photon,
-    PopulationWallTime,
-    VectorScheduler,
     normal_quantile,
 )
-from repro.net.walltime import JitterModel, WallTimeModel
+from repro.net.walltime import JitterModel, WallTimeModel, slowdown_factors
 
-from helpers import assert_bit_exact_resume, per_client, run_crash_resume
+from helpers import (
+    assert_bit_exact_resume,
+    per_client,
+    reference_rank,
+    run_crash_resume,
+)
 
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32,
                   seq_len=16)
@@ -37,12 +41,29 @@ OPTIM = OptimConfig(max_lr=3e-3, warmup_steps=2, schedule_steps=64,
 WALLTIME = WallTimeConfig(throughput=2.0, bandwidth_mbps=312.5, model_mb=0.05)
 
 
+#: Ids the way users write them: mixed length, digits, spaces,
+#: non-ASCII and astral-plane characters, a trailing NUL, the empty
+#: string — and, from so small an alphabet, ids that are prefixes of
+#: one another in most draws.
+_ID_ALPHABET = "ab01 -é\u03a9\U0001d518\x00"
+
+
+@st.composite
+def client_ids(draw):
+    """Three to ten of them."""
+    ids = draw(st.lists(st.text(_ID_ALPHABET, max_size=5), unique=True,
+                        min_size=2, max_size=9))
+    # Always at least one id that is a proper prefix of another.
+    longer = ids[0] + draw(st.text(_ID_ALPHABET, min_size=1, max_size=2))
+    return ids + [longer] if longer not in ids else ids + [ids[0] + "\x00z"]
+
+
 # ----------------------------------------------------------------------
 # ClientPopulation: the indexed id space + factor arrays
 # ----------------------------------------------------------------------
 class TestClientPopulation:
     def test_ids_and_index_roundtrip(self):
-        pop = ClientPopulation.uniform(12)
+        pop = ClientPopulation(12)
         assert len(pop) == 12
         for i, cid in enumerate(pop.ids):
             assert cid == f"client{i}"
@@ -61,7 +82,7 @@ class TestClientPopulation:
         pytest.param(["client3"], id="unhashable"),
     ])
     def test_malformed_or_foreign_ids_rejected(self, bad):
-        pop = ClientPopulation.uniform(12)
+        pop = ClientPopulation(12)
         with pytest.raises(KeyError):
             pop.index_of(bad)
         # One bad id fails the whole batch, before anything is returned
@@ -72,38 +93,61 @@ class TestClientPopulation:
         assert bad not in pool
         assert "client3" in pool
 
+    def test_rank_is_python_str_order_not_numpys(self):
+        """A numpy unicode array drops trailing NULs, so ranking ids
+        through ``np.argsort(np.array(ids))`` put ``"a\\x00"`` and
+        ``"a"`` in the order they were given; ``sorted`` does not."""
+        pop = ClientPopulation(["a\x00", "a", ""])
+        assert pop.sorted_ids == ["", "a", "a\x00"]
+        assert pop.lex_rank.tolist() == [2, 1, 0]
+        with pytest.raises(ValueError, match="unique"):
+            ClientPopulation(["a", "b", "a"])
+        with pytest.raises(ValueError, match=">= 1"):
+            ClientPopulation([])
+
+    @given(ids=client_ids())
+    @settings(max_examples=60, deadline=None)
+    def test_any_unique_strings_are_a_population(self, ids):
+        pop = ClientPopulation(ids)
+        assert pop.ids == ids and len(pop) == len(ids)
+        assert pop.sorted_ids == sorted(ids)
+        assert [ids[i] for i in np.argsort(pop.lex_rank)] == sorted(ids)
+        assert [pop.index_of(cid) for cid in ids] == list(range(len(ids)))
+        assert pop.indices_of(ids[::-1]).tolist() == list(range(len(ids)))[::-1]
+
     def test_heterogeneous_matches_eager_walltime_draws(self):
-        """The population's factor draws must be bit-identical to
-        WallTimeModel.heterogeneous over sorted ids — the eager
-        plane's construction — so both planes simulate the same
-        federation."""
+        """The population's factor draws are the one straggler draw
+        (``slowdown_factors``, compute then bandwidth from one seeded
+        stream) dealt over sorted ids — the order the federation has
+        always drawn in."""
         n, spread, seed = 11, 5.0, 7
         pop = ClientPopulation.heterogeneous(
             n, compute_spread=spread, bandwidth_spread=spread, seed=seed)
-        eager = WallTimeModel.heterogeneous(
-            WALLTIME, sorted(f"client{i}" for i in range(n)),
-            compute_spread=spread, bandwidth_spread=spread, seed=seed)
+        rng = np.random.default_rng(seed)
+        compute = dict(zip(pop.sorted_ids, slowdown_factors(rng, spread, n)))
+        bandwidth = dict(zip(pop.sorted_ids, slowdown_factors(rng, spread, n)))
         for cid in pop.ids:
             i = pop.index_of(cid)
-            assert pop.compute_factors[i] == eager.client_compute_factors[cid]
-            assert pop.bandwidth_factors[i] == eager.client_bandwidth_factors[cid]
+            assert pop.compute_factors[i] == compute[cid]
+            assert pop.bandwidth_factors[i] == bandwidth[cid]
 
     def test_population_walltime_matches_eager_model(self):
+        """The array clock equals the scalar one, client by client."""
         n, spread, seed = 9, 4.0, 3
         pop = ClientPopulation.heterogeneous(
             n, compute_spread=spread, bandwidth_spread=spread, seed=seed)
-        vec = PopulationWallTime(WALLTIME, pop)
-        eager = WallTimeModel.heterogeneous(
-            WALLTIME, pop.sorted_ids, compute_spread=spread,
-            bandwidth_spread=spread, seed=seed)
+        model = WallTimeModel(WALLTIME, pop)
         ids = pop.sorted_ids
-        arr = np.add(*vec.client_compute_comm_arrays(ids, 16))
-        for j, cid in enumerate(ids):
-            assert vec.compute_factor(cid) == eager.compute_factor(cid)
-            assert arr[j] == eager.client_timing(cid, 16).total_s
-        steps = vec.adaptive_steps_array(ids, 16)
-        for j, cid in enumerate(ids):
-            assert steps[j] == eager.adaptive_local_steps(cid, 16)
+        for handles in (ids, pop.indices_of(ids)):
+            arr = np.add(*model.client_compute_comm_arrays(handles, 16))
+            steps = model.adaptive_steps_array(handles, 16)
+            for j, cid in enumerate(ids):
+                assert arr[j] == model.client_timing(cid, 16).total_s
+                assert steps[j] == model.adaptive_local_steps(cid, 16)
+        # No population: every client nominal, whoever is asked about.
+        nominal = WallTimeModel(WALLTIME)
+        assert (np.add(*nominal.client_compute_comm_arrays(ids, 16))
+                == nominal.client_timing("anyone", 16).total_s).all()
 
     def test_cohorts_share_archetypes(self):
         pop = ClientPopulation.cohorts(20, 4, compute_spread=8.0, seed=1)
@@ -141,12 +185,13 @@ class TestFeasibilityMargin:
         quantile margin is active."""
         durations = {"a": 9.5, "b": 9.9}
         jitter = JitterModel({"a": 0.5, "b": 0.0}, seed=0)
+        pop = ClientPopulation(["a", "b"])
 
         def rank(fq):
-            sched = ClientScheduler("utility", deadline_s=10.0,
+            sched = ClientScheduler(pop, "utility", deadline_s=10.0,
                                     feasibility_quantile=fq, jitter=jitter)
             return sched._rank(["a", "b"], 0,
-                               per_client(durations.__getitem__), 10.0)
+                               per_client(durations.__getitem__, pop), 10.0)
 
         assert rank(None) == ["a", "b"]   # a is faster, both feasible
         assert rank(0.95) == ["b", "a"]   # a's q95 cycle misses the deadline
@@ -154,40 +199,49 @@ class TestFeasibilityMargin:
     def test_margin_requires_quantile_in_unit_interval(self):
         for bad in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                ClientScheduler("fastest", feasibility_quantile=bad)
+                ClientScheduler(ClientPopulation(2), "fastest",
+                                feasibility_quantile=bad)
 
     def test_no_jitter_means_no_margin(self):
-        sched = ClientScheduler("fastest", feasibility_quantile=0.95)
-        assert sched._margin("a") == 1.0
+        """A quantile without a jitter model has no scales to inflate
+        by: the ranking is the plain one."""
+        pop = ClientPopulation(["a", "b"])
+        sched = ClientScheduler(pop, "fastest", feasibility_quantile=0.95)
+        durations = {"a": 1.0, "b": 1.0 + 1e-9}
+        assert sched._rank(["b", "a"], 0,
+                           per_client(durations.__getitem__, pop),
+                           None) == ["a", "b"]
 
 
 # ----------------------------------------------------------------------
-# S4: vectorized scheduler == scalar scheduler, property-tested
+# S4: the array scheduler == its scalar definition, property-tested
 # ----------------------------------------------------------------------
-def _build_pair(n, policy, seed, fairness, exploration, stat_w, fq):
-    pop = ClientPopulation.uniform(n)
-    jitter = JitterModel(0.4, seed=seed) if fq is not None else None
-    kwargs = dict(fairness_every_k=fairness, exploration=exploration,
-                  stat_utility_weight=stat_w, feasibility_quantile=fq,
-                  jitter=jitter)
-    scalar = ClientScheduler(policy, **kwargs)
-    vector = VectorScheduler(pop, policy, **kwargs)
+def _build(ids, policy, seed, fairness, exploration, stat_w, fq):
+    """A scheduler over ``ids`` with a drawn selection/result history,
+    and a per-client duration table."""
+    pop = ClientPopulation(ids)
+    n = pop.n
     rng = np.random.default_rng(seed)
-    durations = rng.uniform(0.5, 20.0, size=n)
-    dur = {cid: float(durations[pop.index_of(cid)]) for cid in pop.ids}
-    # Shared selection/result history, applied identically to both.
+    jitter = None
+    if fq is not None:
+        jitter = JitterModel(
+            0.4 if seed % 2 else {c: float(rng.choice([0.0, 0.2, 0.6]))
+                                  for c in ids}, seed=seed)
+    scheduler = ClientScheduler(
+        pop, policy, fairness_every_k=fairness, exploration=exploration,
+        stat_utility_weight=stat_w, feasibility_quantile=fq, jitter=jitter)
+    # Few distinct durations, so ties (broken by id) are common.
+    durations = rng.choice(rng.uniform(0.5, 20.0, size=4), size=n)
+    dur = dict(zip(pop.ids, durations.tolist()))
     for version in range(int(rng.integers(0, 6))):
-        for cid in rng.choice(pop.ids, size=rng.integers(1, n), replace=False):
-            scalar.note_selected(cid, version)
-            vector.note_selected(cid, version)
-            loss = float(rng.uniform(1.0, 5.0))
-            scalar.note_result(cid, loss)
-            vector.note_result(cid, loss)
-    return pop, scalar, vector, dur, rng
+        for i in rng.choice(n, size=rng.integers(1, n), replace=False):
+            scheduler.note_selected(pop.ids[i], version)
+            scheduler.note_result(pop.ids[i], float(rng.uniform(1.0, 5.0)))
+    return pop, scheduler, per_client(dur.__getitem__, pop), rng
 
 
 @given(
-    n=st.integers(3, 10),
+    ids=client_ids(),
     policy=st.sampled_from(["random", "fastest", "utility"]),
     seed=st.integers(0, 10_000),
     fairness=st.sampled_from([None, 2, 8]),
@@ -198,40 +252,50 @@ def _build_pair(n, policy, seed, fairness, exploration, stat_w, fq):
     winners=st.sampled_from(["one", "slots", "all", None]),
 )
 @settings(max_examples=60, deadline=None)
-def test_select_async_vector_equals_scalar(n, policy, seed, fairness,
+def test_select_async_vector_equals_scalar(ids, policy, seed, fairness,
                                            exploration, stat_w, fq,
                                            everyone, winners):
-    pop, scalar, vector, dur, rng = _build_pair(
-        n, policy, seed, fairness, exploration, stat_w, fq)
-    idle = list(rng.permutation(pop.ids))
-    reachable = set(rng.choice(idle, size=rng.integers(1, n), replace=False))
+    pop, scheduler, durations_of, rng = _build(
+        ids, policy, seed, fairness, exploration, stat_w, fq)
+    n = pop.n
+    idle = [pop.ids[i] for i in rng.permutation(n)]
+    reachable = {pop.ids[i]
+                 for i in rng.choice(n, size=rng.integers(1, n), replace=False)}
     slots = int(rng.integers(1, n + 1))
     version = int(rng.integers(0, 10))
     deadline = float(rng.uniform(2.0, 25.0)) if rng.random() < 0.7 else None
 
-    durations_of = per_client(dur.__getitem__)
     if policy != "random":
+        ranked = scheduler._rank(idle, version, durations_of, deadline)
+        assert ranked == reference_rank(scheduler, idle, version,
+                                        durations_of, deadline)
+        assert sorted(ranked) == sorted(idle)
         # Asking for the k best is asking for everyone and keeping k.
         k = {"one": 1, "slots": slots, "all": n, None: None}[winners]
-        for scheduler in (scalar, vector):
-            ranked = scheduler._rank(idle, version, durations_of, deadline)
-            assert sorted(ranked) == sorted(idle)
-            assert scheduler._rank(idle, version, durations_of, deadline,
-                                   k) == ranked[:k]
+        assert scheduler._rank(idle, version, durations_of, deadline,
+                               k) == ranked[:k]
     if everyone:
         # reachable=None means the whole idle pool.
-        for scheduler in (scalar, vector):
-            assert (scheduler.select_async(idle, None, slots, version,
-                                           durations_of, deadline_s=deadline)
-                    == scheduler.select_async(idle, set(idle), slots, version,
-                                              durations_of,
-                                              deadline_s=deadline))
+        assert (scheduler.select_async(idle, None, slots, version,
+                                       durations_of, deadline_s=deadline)
+                == scheduler.select_async(idle, set(idle), slots, version,
+                                          durations_of, deadline_s=deadline))
         reachable = None
-    got_scalar = scalar.select_async(idle, reachable, slots, version,
-                                     durations_of, deadline_s=deadline)
-    got_vector = vector.select_async(idle, reachable, slots, version,
-                                     durations_of, deadline_s=deadline)
-    assert got_vector == got_scalar
+    dispatch, leftover = scheduler.select_async(
+        idle, reachable, slots, version, durations_of, deadline_s=deadline)
+    candidates = [c for c in idle if reachable is None or c in reachable]
+    if policy == "random":
+        # FIFO: the first reachable clients in queue order; whoever
+        # the scan passed over as unreachable rotates to the back.
+        assert dispatch == candidates[:slots]
+        scanned = len(idle) if len(dispatch) < slots else (
+            idle.index(dispatch[-1]) + 1)
+        assert leftover == idle[scanned:] + [
+            c for c in idle[:scanned] if c not in dispatch]
+    else:
+        assert dispatch == reference_rank(scheduler, candidates, version,
+                                          durations_of, deadline, slots)
+        assert leftover == [c for c in idle if c not in dispatch]
 
 
 def test_select_async_resolves_each_candidate_once():
@@ -246,8 +310,8 @@ def test_select_async_resolves_each_candidate_once():
             return super().indices_of(client_ids)
 
     pop = CountingPopulation(2_000)
-    walltime = PopulationWallTime(WALLTIME, pop)
-    scheduler = VectorScheduler(pop, "utility")
+    walltime = WallTimeModel(WALLTIME, pop)
+    scheduler = ClientScheduler(pop, "utility")
     idle = pop.sorted_ids[:1_990]
     dispatch, leftover = scheduler.select_async(
         idle, None, 8, 0,
@@ -258,40 +322,49 @@ def test_select_async_resolves_each_candidate_once():
 
 
 @given(
-    n=st.integers(3, 10),
+    ids=client_ids(),
     policy=st.sampled_from(["random", "fastest", "utility"]),
     seed=st.integers(0, 10_000),
     fq=st.sampled_from([None, 0.9]),
 )
 @settings(max_examples=40, deadline=None)
-def test_select_cohort_vector_equals_scalar(n, policy, seed, fq):
-    pop, scalar, vector, dur, rng = _build_pair(
-        n, policy, seed, 8, 1.0, 0.0, fq)
-    default = sorted(rng.choice(pop.ids, size=rng.integers(1, n),
-                                replace=False))
+def test_select_cohort_vector_equals_scalar(ids, policy, seed, fq):
+    pop, scheduler, durations_of, rng = _build(
+        ids, policy, seed, 8, 1.0, 0.0, fq)
+    n = pop.n
+    default = sorted(pop.ids[i] for i in rng.choice(
+        n, size=rng.integers(1, n), replace=False))
     round_idx = int(rng.integers(0, 10))
-
-    durations_of = per_client(dur.__getitem__)
-    got_scalar = scalar.select_cohort(pop.sorted_ids, round_idx, default,
-                                      durations_of)
-    got_vector = vector.select_cohort(pop.sorted_ids, round_idx, default,
-                                      durations_of)
-    assert got_vector == got_scalar
-    assert list(scalar.selection_log) == list(vector.selection_log)
+    expected = default if policy == "random" else sorted(reference_rank(
+        scheduler, pop.sorted_ids, round_idx, durations_of, None,
+        len(default)))
+    logged = len(scheduler.selection_log)
+    assert scheduler.select_cohort(pop.sorted_ids, round_idx, default,
+                                   durations_of) == expected
+    assert list(scheduler.selection_log)[logged:] == [
+        (round_idx, cid) for cid in expected]
 
 
 def test_vector_scheduler_state_roundtrip():
-    pop = ClientPopulation.uniform(6)
-    a = VectorScheduler(pop, "utility")
-    for v in range(4):
-        a.note_selected(f"client{v}", v)
-        a.note_result(f"client{v}", 3.0 - 0.1 * v)
-    b = VectorScheduler(pop, "utility")
+    pop = ClientPopulation(["", "a", "a\x00", "ab", "\U0001d518", "client10"])
+    a = ClientScheduler(pop, "utility")
+    for v, cid in enumerate(pop.ids[:4]):
+        a.note_selected(cid, v)
+        a.note_result(cid, 3.0)
+        a.note_result(cid, 3.0 - 0.1 * v)
+    b = ClientScheduler(pop, "utility")
     b.load_state_dict(a.state_dict())
-    np.testing.assert_array_equal(a._last_selected, b._last_selected)
-    np.testing.assert_array_equal(a._selections, b._selections)
-    np.testing.assert_array_equal(a._improvement, b._improvement)
+    np.testing.assert_array_equal(a.last_selected, b.last_selected)
+    np.testing.assert_array_equal(a.selections, b.selections)
+    np.testing.assert_array_equal(a.last_loss, b.last_loss)
+    np.testing.assert_array_equal(a.loss_improvement, b.loss_improvement)
     assert list(a.selection_log) == list(b.selection_log)
+    unit = per_client(lambda c: 1.0, pop)
+    assert b._rank(pop.ids, 5, unit, None) == a._rank(pop.ids, 5, unit, None)
+    # A checkpoint of another population size is refused whole.
+    with pytest.raises(ValueError, match="shape"):
+        ClientScheduler(ClientPopulation(5), "utility").load_state_dict(
+            a.state_dict())
 
 
 # ----------------------------------------------------------------------
@@ -386,15 +459,15 @@ class TestStalenessErrorFeedback:
 # ----------------------------------------------------------------------
 class TestLazyClientPool:
     def test_mapping_protocol(self):
-        pop = ClientPopulation.uniform(5)
+        pop = ClientPopulation(5)
         pool = LazyClientPool(pop, lambda cid: object(), max_live=2)
         assert len(pool) == 5
-        assert sorted(pool) == pool.sorted_ids()
+        assert sorted(pool) == pop.sorted_ids
         assert "client3" in pool and "client9" not in pool
         assert pool.live_count() == 0  # nothing materialized yet
 
     def test_eviction_respects_cap_and_leases(self):
-        pop = ClientPopulation.uniform(4)
+        pop = ClientPopulation(4)
 
         class FakeClient:
             def __init__(self):
@@ -423,7 +496,7 @@ class TestLazyClientPool:
         assert pool.evictions > 0
 
     def test_state_dict_only_touched_clients(self):
-        pop = ClientPopulation.uniform(100)
+        pop = ClientPopulation(100)
 
         class FakeClient:
             tokens_processed = 0
@@ -479,11 +552,12 @@ class TestEagerVectorEquivalence:
         margin + availability + heterogeneous clock, utility policy."""
         pe = vector_photon(plane="eager")
         pv = vector_photon(plane="vector")
+        # The one difference: every client built up front, or none yet.
+        assert (pe.clients.live_count(), pv.clients.live_count()) == (8, 0)
         pe.train()
         pv.train()
         _assert_same_run(pe, pv)
-        # The vector plane actually ran lazily.
-        assert hasattr(pv.clients, "lease")
+        assert pe.clients.materializations == 8 and pe.clients.evictions == 0
 
     def test_async_random_legacy_anchor(self):
         pe = vector_photon(plane="eager", selection="random")
@@ -627,7 +701,30 @@ class TestVectorPlaneCheckpointResume:
         full, resumed = run_crash_resume(
             lambda **kw: vector_photon(rounds=4, **kw), rounds=4, kill_at=2)
         assert_bit_exact_resume(full, resumed)
-        assert hasattr(resumed.clients, "lease")
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("planes", [("eager", "vector"),
+                                        ("vector", "eager")])
+    def test_checkpoint_crosses_planes(self, planes, mode):
+        """One checkpoint layout: a run checkpointed while building
+        clients up front resumes bit-exactly building them on demand,
+        and the other way round (utility selection, int8 + EF)."""
+        written, resumed_under = planes
+
+        def build(checkpoint_dir=None, resume=False, **overrides):
+            plane = (resumed_under if resume
+                     else written if checkpoint_dir else "eager")
+            return vector_photon(
+                rounds=4, mode=mode, plane=plane, compression="int8",
+                error_feedback=True, checkpoint_dir=checkpoint_dir,
+                resume=resume, max_live_clients=(3 if plane == "vector"
+                                                 else None), **overrides)
+
+        full, resumed = run_crash_resume(build, rounds=4, kill_at=2)
+        assert resumed.fed_config.client_plane == resumed_under
+        assert_bit_exact_resume(full, resumed)
+        assert (list(full.aggregator.scheduler.selection_log)
+                == list(resumed.aggregator.scheduler.selection_log))
 
 
 class TestVectorPlaneConfig:

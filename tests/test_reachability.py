@@ -141,3 +141,22 @@ def test_one_tree_serializer():
     for path in SRC.rglob("*.py"):
         hits = [w for w in ("savez", "np.load(", "BytesIO") if w in path.read_text()]
         assert not hits, f"{path.relative_to(ROOT)} brings back {hits}"
+
+
+def test_one_client_control_plane():
+    """Selection, ranking, the factor gather and the client lease each
+    have one definition: a second scheduler, wall-time model or client
+    registry cannot quietly return beside the first."""
+    owners: dict[str, list[str]] = {}
+    for path in SRC.rglob("*.py"):
+        for cls in ast.walk(parse(path)):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        owners.setdefault(node.name, []).append(cls.name)
+    forked = {name: owners.get(name, [])
+              for name in ("select_async", "select_cohort", "_rank",
+                           "_factor_arrays", "lease")
+              if len(owners.get(name, [])) != 1}
+    assert not forked, f"each has exactly one home, but: {forked}"
+

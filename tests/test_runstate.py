@@ -16,6 +16,7 @@ from repro.data import CachedTokenStream, MixedStream, SyntheticC4, TokenStream
 from repro.fed import (
     AvailabilityModel,
     CheckpointManager,
+    ClientPopulation,
     ClientScheduler,
     DropLedger,
     FailureModel,
@@ -122,16 +123,18 @@ class TestComponentRoundTrips:
                 avail_twin.available(population, i)
 
     def test_scheduler_counters(self):
-        scheduler = ClientScheduler("utility", deadline_s=5.0,
+        pop = ClientPopulation(["a", "b", "c"])
+        scheduler = ClientScheduler(pop, "utility", deadline_s=5.0,
                                     stat_utility_weight=0.5)
         for v, cid in enumerate(["a", "b", "a", "c"]):
             scheduler.note_selected(cid, v)
             scheduler.note_result(cid, 2.0 - 0.1 * v)
-        twin = ClientScheduler("utility", deadline_s=5.0,
+        twin = ClientScheduler(pop, "utility", deadline_s=5.0,
                                stat_utility_weight=0.5)
-        twin.load_state_dict(scheduler.state_dict())
-        assert twin.state_dict() == scheduler.state_dict()
-        unit = per_client(lambda c: 1.0)
+        # Through the container, as a checkpoint carries it.
+        twin.load_state_dict(unpack_tree(pack_tree(scheduler.state_dict())))
+        assert pack_tree(twin.state_dict()) == pack_tree(scheduler.state_dict())
+        unit = per_client(lambda c: 1.0, pop)
         ranked = scheduler._rank(["a", "b", "c"], 4, unit, 5.0)
         assert twin._rank(["a", "b", "c"], 4, unit, 5.0) == ranked
 
@@ -350,11 +353,14 @@ class TestRunStateCheckpointer:
             twin.server_opt.state_dict()["velocity"]["w"], velocity)
 
     def test_version_mismatch_fails_loudly(self, tmp_path):
-        ckpt = RunStateCheckpointer(tmp_path, codec="none")
-        ckpt.manager.save(1, {}, metadata={
-            "runstate_version": RUNSTATE_VERSION + 1, "codec": "none"})
-        with pytest.raises(ValueError, match="runstate version"):
-            ckpt.load_tree()
+        """A newer layout, and version 1 (per-client dicts in the
+        scheduler, wall-time and client subtrees): no shim reads it."""
+        for step, version in enumerate((RUNSTATE_VERSION + 1, 1), start=1):
+            ckpt = RunStateCheckpointer(tmp_path, codec="none")
+            ckpt.manager.save(step, {}, metadata={
+                "runstate_version": version, "codec": "none"})
+            with pytest.raises(ValueError, match="runstate version"):
+                ckpt.load_tree()
 
     def test_latest_step_and_rotation(self, tmp_path, rng):
         engine = _OptOnlyEngine(_stepped_fedadam(rng))

@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from repro.cli import build_parser, main
 from repro.config import FedConfig, ModelConfig, OptimConfig, WallTimeConfig
-from repro.fed import ClientScheduler, Photon, SELECTION_POLICIES
+from repro.fed import (
+    SELECTION_POLICIES,
+    ClientPopulation,
+    ClientScheduler,
+    Photon,
+)
 from repro.net import JitterModel
 
 from helpers import per_client
@@ -44,6 +49,14 @@ def make_photon(*, population=4, rounds=2, local_steps=2, spread=4.0,
     return Photon(CFG, fed, OPTIM, num_shards=population, val_batches=2,
                   walltime_config=walltime_config, client_speed_spread=spread,
                   **kwargs)
+
+
+def scheduler_over(ids, policy, **kwargs):
+    """A scheduler over a population of exactly ``ids``, and the
+    ``durations_of`` adapter for a per-client duration function."""
+    population = ClientPopulation(ids)
+    return (ClientScheduler(population, policy, **kwargs),
+            lambda fn: per_client(fn, population))
 
 
 def trace(history):
@@ -81,64 +94,66 @@ class TestJitterModel:
 
 class TestSchedulerPolicies:
     def test_validation(self):
+        pop = ClientPopulation(2)
         with pytest.raises(ValueError):
-            ClientScheduler("banana")
+            ClientScheduler(pop, "banana")
         with pytest.raises(ValueError):
-            ClientScheduler("utility", deadline_s=0.0)
+            ClientScheduler(pop, "utility", deadline_s=0.0)
         with pytest.raises(ValueError):
-            ClientScheduler("utility", exploration=-1.0)
+            ClientScheduler(pop, "utility", exploration=-1.0)
         with pytest.raises(ValueError):
-            ClientScheduler("utility", fairness_every_k=0)
+            ClientScheduler(pop, "utility", fairness_every_k=0)
         assert set(SELECTION_POLICIES) == {"random", "fastest", "utility"}
 
     def test_random_replays_fifo_rotation(self):
         """The legacy idle-pool semantics, bit for bit: reachable
         clients dispatch in queue order, unreachable ones rotate to
         the back, the scan stops when the slots are filled."""
-        sched = ClientScheduler("random")
+        sched, timed = scheduler_over("abcd", "random")
         dispatch, leftover = sched.select_async(
             ["a", "b", "c", "d"], {"a", "c", "d"}, 2, 0,
-            per_client(lambda c: 1.0))
+            timed(lambda c: 1.0))
         assert dispatch == ["a", "c"]
         assert leftover == ["d", "b"]
 
     def test_random_all_unreachable_keeps_queue(self):
-        sched = ClientScheduler("random")
+        sched, timed = scheduler_over("ab", "random")
         dispatch, leftover = sched.select_async(
-            ["a", "b"], set(), 2, 0, per_client(lambda c: 1.0))
+            ["a", "b"], set(), 2, 0, timed(lambda c: 1.0))
         assert dispatch == []
         assert leftover == ["a", "b"]
 
     def test_fastest_ranks_by_predicted_cycle(self):
-        sched = ClientScheduler("fastest")
         durations = {"slow": 9.0, "mid": 3.0, "quick": 1.0}
+        sched, timed = scheduler_over(durations, "fastest")
         dispatch, leftover = sched.select_async(
             ["slow", "mid", "quick"], {"slow", "mid", "quick"}, 2, 0,
-            per_client(durations.__getitem__))
+            timed(durations.__getitem__))
         assert dispatch == ["quick", "mid"]
         assert leftover == ["slow"]
 
     def test_utility_skips_deadline_infeasible(self):
         """A client whose predicted cycle exceeds the deadline is not
         dispatched while a feasible alternative exists."""
-        sched = ClientScheduler("utility", deadline_s=5.0, exploration=0.0)
         durations = {"doomed": 9.0, "fits": 4.0, "quick": 1.0}
+        sched, timed = scheduler_over(durations, "utility", deadline_s=5.0,
+                                      exploration=0.0)
         dispatch, _ = sched.select_async(
             ["doomed", "fits", "quick"], set(durations), 2, 0,
-            per_client(durations.__getitem__))
+            timed(durations.__getitem__))
         assert dispatch == ["quick", "fits"]
         # With no feasible alternative, the infeasible client still runs
         # (the federation must not stall).
         dispatch, _ = sched.select_async(
-            ["doomed"], {"doomed"}, 1, 0, per_client(durations.__getitem__))
+            ["doomed"], {"doomed"}, 1, 0, timed(durations.__getitem__))
         assert dispatch == ["doomed"]
 
     def test_exploration_rotates_slow_clients_in(self):
         """The recency bonus eventually outweighs the speed gap."""
-        sched = ClientScheduler("utility", exploration=5.0,
-                                fairness_every_k=None)
         durations = {"slow": 4.0, "quick": 1.0}
-        fn = per_client(durations.__getitem__)
+        sched, timed = scheduler_over(durations, "utility", exploration=5.0,
+                                      fairness_every_k=None)
+        fn = timed(durations.__getitem__)
         # Fresh state: the quick client wins the single slot.
         dispatch, _ = sched.select_async(["slow", "quick"], set(durations),
                                          1, 0, fn)
@@ -154,8 +169,8 @@ class TestSchedulerPolicies:
             chosen.append(dispatch[0])
         assert "slow" in chosen
         # Without exploration the slow client never wins on score.
-        greedy = ClientScheduler("utility", exploration=0.0,
-                                 fairness_every_k=None)
+        greedy, _ = scheduler_over(durations, "utility", exploration=0.0,
+                                   fairness_every_k=None)
         greedy.note_selected("quick", 0)
         for version in range(1, 7):
             dispatch, _ = greedy.select_async(["slow", "quick"],
@@ -166,10 +181,10 @@ class TestSchedulerPolicies:
     def test_fairness_floor_jumps_the_queue(self):
         """A client unselected for K versions is due and outranks even
         an infeasible prediction."""
-        sched = ClientScheduler("utility", deadline_s=5.0, exploration=0.0,
-                                fairness_every_k=2)
         durations = {"doomed": 9.0, "quick": 1.0}
-        fn = per_client(durations.__getitem__)
+        sched, timed = scheduler_over(durations, "utility", deadline_s=5.0,
+                                      exploration=0.0, fairness_every_k=2)
+        fn = timed(durations.__getitem__)
         sched.note_selected("quick", 0)
         sched.note_selected("doomed", 0)
         # version 3: doomed has waited 3 >= K=2 -> due, selected first.
@@ -178,16 +193,16 @@ class TestSchedulerPolicies:
         assert dispatch == ["doomed"]
 
     def test_cohort_selection_random_returns_default(self):
-        sched = ClientScheduler("random")
+        sched, timed = scheduler_over(["c1", "c2", "c3"], "random")
         default = ["c1", "c3"]
         assert sched.select_cohort(["c1", "c2", "c3"], 0, default,
-                                   per_client(lambda c: 1.0)) == default
+                                   timed(lambda c: 1.0)) == default
 
     def test_cohort_selection_fastest_keeps_size(self):
-        sched = ClientScheduler("fastest")
         durations = {"a": 3.0, "b": 1.0, "c": 2.0}
+        sched, timed = scheduler_over(durations, "fastest")
         cohort = sched.select_cohort(["a", "b", "c"], 0, ["a", "c"],
-                                     per_client(durations.__getitem__))
+                                     timed(durations.__getitem__))
         assert cohort == ["b", "c"]
 
 
@@ -263,8 +278,8 @@ class TestEngineIntegration:
                             walltime_config=WALLTIME,
                             client_speed_spread=4.0)
             photon.aggregator.scheduler = ClientScheduler(
-                "utility", deadline_s=2.0, exploration=0.0,
-                fairness_every_k=fairness_every_k)
+                photon.population, "utility", deadline_s=2.0,
+                exploration=0.0, fairness_every_k=fairness_every_k)
             photon.train()
             return photon
 
@@ -277,8 +292,9 @@ class TestEngineIntegration:
         fair_sched = fair.aggregator.scheduler
         starved_sched = starved.aggregator.scheduler
         # The floor produces strictly more attempts for the straggler.
-        assert fair_sched.selections.get(slowest, 0) > \
-            starved_sched.selections.get(slowest, 0)
+        slowest_idx = fair.population.index_of(slowest)
+        assert (fair_sched.selections[slowest_idx]
+                > starved_sched.selections[slowest_idx])
         # Once active, no client waits much past K versions between
         # selections (small slack for slot contention: a due client is
         # picked at the next refill, not instantaneously).
@@ -466,32 +482,34 @@ class TestStatUtility:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ClientScheduler("utility", stat_utility_weight=-0.1)
+            ClientScheduler(ClientPopulation(2), "utility",
+                            stat_utility_weight=-0.1)
         with pytest.raises(ValueError):
             FedConfig(stat_utility_weight=-1.0)
 
     def test_note_result_tracks_improvement(self):
-        sched = ClientScheduler("utility", stat_utility_weight=1.0)
+        sched, _ = scheduler_over(["b", "a"], "utility",
+                                  stat_utility_weight=1.0)
         sched.note_result("a", 3.0)
-        assert "a" not in sched.loss_improvement  # needs two reports
+        assert sched.loss_improvement.tolist() == [0.0, 0.0]  # needs two reports
         sched.note_result("a", 2.5)
-        assert sched.loss_improvement["a"] == pytest.approx(0.5)
+        assert sched.loss_improvement.tolist() == [0.0, pytest.approx(0.5)]
         sched.note_result("a", None)  # missing metric is ignored
-        assert sched.loss_improvement["a"] == pytest.approx(0.5)
+        assert sched.loss_improvement.tolist() == [0.0, pytest.approx(0.5)]
 
     def test_stat_term_reorders_selection(self):
         """Equal predicted cycles: weight 0 breaks the tie by id,
         a positive weight prefers the client whose loss improved."""
         picks = {}
         for weight in (0.0, 2.0):
-            sched = ClientScheduler("utility", exploration=0.0,
-                                    stat_utility_weight=weight)
+            sched, timed = scheduler_over("abc", "utility", exploration=0.0,
+                                          stat_utility_weight=weight)
             for cid, losses in (("a", (3.0, 2.99)), ("b", (3.0, 2.0))):
                 for loss in losses:
                     sched.note_result(cid, loss)
             picks[weight], _ = sched.select_async(
                 ["a", "b", "c"], {"a", "b", "c"}, 1, 0,
-                per_client(lambda c: 1.0))
+                timed(lambda c: 1.0))
         assert picks[0.0] == ["a"]
         assert picks[2.0] == ["b"]
 
@@ -502,7 +520,7 @@ class TestStatUtility:
         explicit = make_photon(selection="utility", stat_utility_weight=0.0)
         assert trace(base.train()) == trace(explicit.train())
         # Feedback was recorded even at weight 0 (pure bookkeeping).
-        assert base.aggregator.scheduler._last_loss
+        assert not np.isnan(base.aggregator.scheduler.last_loss).all()
 
 
 class TestPerClientJitter:

@@ -4,11 +4,14 @@ and on-wire format (``RUNSTATE_VERSION``).
 The recursive key/type skeleton of a sync engine and of an async engine
 caught mid-run — in-flight broadcasts, a buffered update, queued
 arrivals including a crash — is compared against
-``tests/data/runstate_layout_v1.json``, recorded from the commit that
-still serialized the event loop field by field.  A serializer refactor
-that changes a key, a nesting level or a scalar type fails here; a
-deliberate layout change bumps ``RUNSTATE_VERSION`` and re-records
-(``python tests/test_state_layout.py``).
+``tests/data/runstate_layout_v<RUNSTATE_VERSION>.json``.  A serializer
+refactor that changes a key, a nesting level or a scalar type fails
+here; a deliberate layout change bumps ``RUNSTATE_VERSION`` and
+re-records (``python tests/test_state_layout.py``).  Version 2 (PR 21)
+holds the scheduler counters and wall-time factors as arrays indexed
+by the client population and the clients as the pool's ``touched``
+map, whichever ``client_plane`` wrote it; version 1 held per-client
+dicts on the eager plane.
 """
 
 from __future__ import annotations
