@@ -15,6 +15,7 @@ down to run in seconds, used by tests, examples and benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -126,6 +127,13 @@ class OptimConfig:
     batch_size: int = 32
     betas: tuple[float, float] = (0.9, 0.95)
     eps: float = 1.0e-8
+
+    def __post_init__(self) -> None:
+        # A zero limit zeroes every gradient and a negative one flips
+        # its sign; refused here, before any plane builds a stream.
+        if not 0 < self.grad_clip < math.inf:
+            raise ValueError(
+                f"grad_clip must be positive and finite, got {self.grad_clip}")
 
     @property
     def min_lr(self) -> float:

@@ -583,7 +583,9 @@ class RoundEngine:
     def _train_states_batched(self, tasks, states) -> list[ClientUpdate]:
         """Group shape/hyperparameter-homogeneous clients and train
         each group in one fused stacked step; ineligible clients fall
-        back to a solo ``train`` inside the same wave."""
+        back to a solo ``train`` inside the same wave, counted on
+        ``batched/solo_fallbacks`` beside ``batched/stacked_clients``."""
+        meters = self.tracer.meters
         with ExitStack() as stack:
             # Leased for the whole wave: LRU eviction must not park a
             # lazily-materialized client mid-step.
@@ -600,8 +602,10 @@ class RoundEngine:
             for idxs in groups.values():
                 if len(idxs) == 1:
                     i = idxs[0]
+                    meters.counter("batched/solo_fallbacks").inc()
                     updates[i] = clients[i].train(states[i], tasks[i][2])
                 else:
+                    meters.counter("batched/stacked_clients").inc(len(idxs))
                     stacked = train_clients_batched(
                         [clients[i] for i in idxs],
                         [states[i] for i in idxs],

@@ -77,25 +77,39 @@ class DecoderLM(Module):
 
     # ------------------------------------------------------------------
     def forward(self, tokens: np.ndarray) -> Tensor:
-        """Compute logits of shape ``(batch, seq, vocab)``."""
+        """Compute logits of shape ``(batch, seq, vocab)``.
+
+        The parameters may carry a leading model axis (``K`` stacked
+        models: weights ``(K, in, out)``, biases ``(K, out)``, layer-norm
+        affines ``(K, 1, 1, d)``); ``tokens`` is then ``(K, batch, seq)``
+        and the logits ``(K, batch, seq, vocab)``, slice ``j`` being what
+        model ``j`` computes alone.
+        """
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
-        if tokens.shape[1] > self.config.seq_len:
+        if tokens.shape[-1] > self.config.seq_len:
             raise ValueError(
-                f"sequence length {tokens.shape[1]} exceeds configured "
+                f"sequence length {tokens.shape[-1]} exceeds configured "
                 f"maximum {self.config.seq_len}"
             )
         x = self.tok_emb(tokens)
         x = self.blocks(x)
         x = self.ln_f(x)
         head = self.lm_head_weight if self.lm_head_weight is not None else self.tok_emb.weight
-        return x @ head.T
+        head = head.swapaxes(-1, -2)
+        if head.ndim == 3:
+            # One (d, vocab) head per model, broadcast over its batch.
+            head = head.reshape(head.shape[0], 1, *head.shape[1:])
+        return x @ head
 
     def loss(self, tokens: np.ndarray, targets: np.ndarray) -> Tensor:
-        """Mean next-token cross-entropy."""
+        """Mean next-token cross-entropy: a scalar, or one mean per
+        stacked model ``(K,)``."""
         logits = self.forward(tokens)
-        return ops.cross_entropy(logits, targets)
+        weight = self.tok_emb.weight
+        return ops.cross_entropy(
+            logits, targets, k=weight.shape[0] if weight.ndim == 3 else None)
 
     # ------------------------------------------------------------------
     # Evaluation helpers

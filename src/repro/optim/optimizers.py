@@ -23,11 +23,15 @@ def adamw_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     """One AdamW update of ``p`` and its moments, all in place.
 
     ``lr`` and ``lr_decay`` (``lr * weight_decay``; ``None`` skips the
-    decay) are python floats, or float32 arrays that broadcast one
-    value per stacked model along ``p``'s leading axis — NumPy rounds a
+    decay) are python floats, or ``(K,)`` float32 vectors holding one
+    value per model stacked on ``p``'s leading axis — NumPy rounds a
     python float to the same float32, so K stacked models update
     exactly as each would alone.
     """
+    if np.ndim(lr):
+        per_model = (-1,) + (1,) * (p.ndim - 1)
+        lr = lr.reshape(per_model)
+        lr_decay = None if lr_decay is None else lr_decay.reshape(per_model)
     if lr_decay is not None:
         # Decoupled weight decay: applied directly to weights, not
         # folded into the gradient.
@@ -78,7 +82,9 @@ class AdamW(Optimizer):
     """AdamW with decoupled weight decay (Loshchilov & Hutter, 2019).
 
     Matches the paper's local recipe: betas from Table 4, weight decay
-    applied to all parameters, bias-corrected moment estimates.
+    applied to all parameters, bias-corrected moment estimates.  When
+    the parameters carry K stacked models on a leading axis, ``lr`` may
+    be set to a ``(K,)`` float64 vector, one rate per model.
     """
 
     def __init__(self, params: list[Parameter], lr: float = 6e-4,
@@ -96,10 +102,16 @@ class AdamW(Optimizer):
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        lr_decay = self.lr * self.weight_decay if self.weight_decay else None
+        lr = self.lr
+        lr_decay = lr * self.weight_decay if self.weight_decay else None
+        if np.ndim(lr):
+            # One rate per stacked model, rounded to float32 after the
+            # float64 product exactly as a python float would be.
+            lr = lr.astype(np.float32)
+            lr_decay = None if lr_decay is None else lr_decay.astype(np.float32)
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is not None:
-                adamw_update(p.data, p.grad, m, v, self.lr, lr_decay,
+                adamw_update(p.data, p.grad, m, v, lr, lr_decay,
                              self.beta1, self.beta2, self.eps, bias1, bias2)
 
     def state_dict(self) -> dict:

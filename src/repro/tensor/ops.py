@@ -5,13 +5,17 @@ composition of primitive ops.  This keeps the autograd graph shallow
 (important: our models run thousands of steps per experiment) and keeps
 all the arithmetic inside vectorized NumPy kernels.
 
-:func:`linear` and :func:`causal_attention` are rank-polymorphic: the
-per-model work is always the same BLAS call on the same shapes, and an
-optional leading model axis only adds an outer loop over it.  The
-sequential plane (``nn/``) and the stacked plane (``fed/batched.py``)
-therefore call the *same* kernels, which is what makes K stacked
-clients bit-identical to K sequential ones; :func:`batched_embedding`
-and :func:`batched_cross_entropy` keep that property slice by slice.
+:func:`linear`, :func:`causal_attention`, :func:`embedding` and
+:func:`cross_entropy` are rank-polymorphic: the per-model work is the
+same kernel on the same shapes, and an optional leading model axis
+only adds an outer loop over it (or, for the lookup and the loss, a
+per-model index).  There is one training decoder,
+:class:`repro.nn.DecoderLM`; the stacked plane (``fed/batched.py``) is
+that decoder over parameters that carry the model axis, so K stacked
+clients call the *same* kernels as K sequential ones and come out
+bit-identical.  ``batched_embedding`` / ``batched_cross_entropy`` are
+second entry points to the same two bodies, kept for the perf
+ledger's span table and the tests that call them by name.
 """
 
 from __future__ import annotations
@@ -60,7 +64,50 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out_data.astype(np.float32), (x,), backward)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100) -> Tensor:
+def _cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int,
+                   k: int | None) -> Tensor:
+    """Mean token-level cross entropy of ``k`` stacked models, ``(k,)``;
+    ``k=None`` is one model with no model axis and a scalar loss.
+
+    Every reduction runs over one model's contiguous token axis, so a
+    slice of the stacked result is what that model computes alone, bit
+    for bit, and its backward never mixes models.
+    """
+    targets = np.asarray(targets)
+    n = 1 if k is None else k
+    vocab = logits.shape[-1]
+    flat_logits = logits.data.reshape(n, -1, vocab)
+    flat_targets = targets.reshape(n, -1)
+    valid = flat_targets != ignore_index
+    n_valid = valid.sum(axis=1)
+    if not n_valid.all():
+        raise ValueError("cross_entropy received no valid targets")
+
+    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    log_probs = shifted - log_z
+
+    models = np.arange(n)[:, None]
+    rows = np.arange(flat_targets.shape[1])[None, :]
+    safe_targets = np.where(valid, flat_targets, 0)
+    picked = log_probs[models, rows, safe_targets]
+    # A float32 count divides exactly like a weak python-int one.
+    loss = -(picked * valid).sum(axis=1) / n_valid.astype(np.float32)
+
+    def backward(grad):
+        # One seed per model; softmax-minus-onehot, averaged over tokens.
+        soft = np.exp(log_probs)
+        soft[models, rows, safe_targets] -= 1.0
+        soft *= (valid / n_valid[:, None])[:, :, None]
+        out = grad.reshape(n, 1, 1) * soft
+        return (out.reshape(logits.shape).astype(np.float32),)
+
+    return Tensor._make(loss.astype(np.float32).reshape(() if k is None else (k,)),
+                        (logits,), backward)
+
+
+def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100,
+                  k: int | None = None) -> Tensor:
     """Mean token-level cross entropy for causal language modelling.
 
     Parameters
@@ -72,87 +119,26 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100)
         Integer array broadcastable to the leading axes of ``logits``.
     ignore_index:
         Target value to exclude from the loss (used for padding).
+    k:
+        Number of independent models stacked on the leading axis of
+        ``logits`` and ``targets``; the result is then the ``(k,)``
+        vector of per-model means instead of one scalar.
     """
-    targets = np.asarray(targets)
-    vocab = logits.shape[-1]
-    flat_logits = logits.data.reshape(-1, vocab)
-    flat_targets = targets.reshape(-1)
-    valid = flat_targets != ignore_index
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise ValueError("cross_entropy received no valid targets")
-
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
-
-    rows = np.arange(flat_targets.shape[0])
-    safe_targets = np.where(valid, flat_targets, 0)
-    picked = log_probs[rows, safe_targets]
-    loss = -(picked * valid).sum() / n_valid
-
-    def backward(grad):
-        # grad is a scalar; softmax-minus-onehot, averaged over tokens.
-        soft = np.exp(log_probs)
-        soft[rows, safe_targets] -= 1.0
-        soft *= (valid / n_valid)[:, None]
-        return ((grad * soft).reshape(logits.shape).astype(np.float32),)
-
-    return Tensor._make(np.asarray(loss, dtype=np.float32), (logits,), backward)
+    return _cross_entropy(logits, targets, ignore_index, k)
 
 
 def batched_cross_entropy(logits: Tensor, targets: np.ndarray,
                           ignore_index: int = -100) -> Tensor:
-    """Per-model mean cross entropy for ``K`` stacked models.
+    """:func:`cross_entropy` with ``k = logits.shape[0]``: per-model
+    means of ``(K, ..., vocab)`` logits against ``(K, ...)`` targets.
 
-    The leading axis of ``logits`` indexes independent models (the
-    batched client plane stacks K clients' graphs); the result is a
-    ``(K,)`` tensor of per-model mean losses.  Each slice computes
-    exactly what :func:`cross_entropy` computes for that model alone —
-    summing the ``(K,)`` vector and calling ``backward()`` seeds every
-    model's loss with gradient 1.0, so the stacked backward pass is
-    the K sequential backward passes run at once, with no gradient
-    flow between models.
-
-    Parameters
-    ----------
-    logits:
-        Float tensor of shape ``(K, ..., vocab)``.
-    targets:
-        Integer array of shape ``(K, ...)`` matching the leading axes.
+    Summing the ``(K,)`` result and calling ``backward()`` seeds every
+    model's loss with gradient 1.0 — the K sequential backward passes
+    run at once.  (A separate entry point, not a call of
+    :func:`cross_entropy`: the perf ledger wraps both names in one
+    span and would count a nested call twice.)
     """
-    targets = np.asarray(targets)
-    k = logits.shape[0]
-    vocab = logits.shape[-1]
-    flat_logits = logits.data.reshape(k, -1, vocab)
-    flat_targets = targets.reshape(k, -1)
-    valid = flat_targets != ignore_index
-    n_valid = valid.sum(axis=1)
-    if np.any(n_valid == 0):
-        raise ValueError("batched_cross_entropy received a model with no "
-                         "valid targets")
-
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
-
-    models = np.arange(k)[:, None]
-    rows = np.arange(flat_targets.shape[1])[None, :]
-    safe_targets = np.where(valid, flat_targets, 0)
-    picked = log_probs[models, rows, safe_targets]
-    # Per-row reduction over the same contiguous token axis the scalar
-    # op reduces, divided by a float32 count exactly like the scalar
-    # op's weak-scalar division.
-    loss = -(picked * valid).sum(axis=1) / n_valid.astype(np.float32)
-
-    def backward(grad):
-        soft = np.exp(log_probs)
-        soft[models, rows, safe_targets] -= 1.0
-        soft *= (valid / n_valid[:, None])[:, :, None]
-        out = grad.reshape(k, 1, 1) * soft
-        return (out.reshape(logits.shape).astype(np.float32),)
-
-    return Tensor._make(loss.astype(np.float32), (logits,), backward)
+    return _cross_entropy(logits, targets, ignore_index, logits.shape[0])
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -198,41 +184,46 @@ def _scatter_rows(keys: np.ndarray, rows: np.ndarray, n_keys: int) -> np.ndarray
     return out
 
 
-def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Lookup rows of ``weight`` at integer ``indices``."""
+def _embedding(weight: Tensor, indices: np.ndarray, k: int | None) -> Tensor:
+    """Row lookup in ``k`` stacked ``(vocab, dim)`` tables, model ``j``
+    of ``indices`` ``(k, ...)`` reading table ``j`` only; ``k=None`` is
+    one table with no model axis."""
     indices = np.asarray(indices)
-    out_data = weight.data[indices]
-    vocab, dim = weight.shape
+    vocab, dim = weight.shape[-2:]
+    if k is None:
+        models, lookup = 0, indices
+    else:
+        models = np.arange(k).reshape((k,) + (1,) * (indices.ndim - 1))
+        lookup = (models, indices)
+    out_data = weight.data[lookup]
 
     def backward(grad):
-        # Negative indices wrap, as they do in the lookup.
-        return (_scatter_rows(indices.reshape(-1) % vocab,
-                              grad.reshape(-1, dim), vocab),)
-
-    return Tensor._make(out_data, (weight,), backward)
-
-
-def batched_embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Per-model row lookup for ``K`` stacked embedding tables.
-
-    ``weight`` has shape ``(K, vocab, dim)`` — one table per stacked
-    model — and ``indices`` has shape ``(K, ...)``; model ``k`` gathers
-    only from table ``k``, so gradients never mix between models.  The
-    backward offsets each model's indices into its own key range and
-    runs the scalar :func:`embedding`'s segment reduction once, so every
-    row's sum is the one that model would compute alone.
-    """
-    indices = np.asarray(indices)
-    k, vocab, dim = weight.shape
-    model_idx = np.arange(k).reshape((k,) + (1,) * (indices.ndim - 1))
-    out_data = weight.data[model_idx, indices]
-
-    def backward(grad):
-        keys = (indices % vocab + model_idx * vocab).reshape(-1)
-        full = _scatter_rows(keys, grad.reshape(-1, dim), k * vocab)
+        # Negative indices wrap, as they do in the lookup; each model's
+        # keys are offset into its own range, so one segment reduction
+        # sums every row exactly as that model would alone.
+        keys = (indices % vocab + models * vocab).reshape(-1)
+        full = _scatter_rows(keys, grad.reshape(-1, dim), weight.size // dim)
         return (full.reshape(weight.shape),)
 
     return Tensor._make(out_data, (weight,), backward)
+
+
+def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
+    """Lookup rows of ``weight`` at integer ``indices``.
+
+    ``weight`` is ``(vocab, dim)``, or ``(K, vocab, dim)`` with a
+    leading model axis that ``indices`` ``(K, ...)`` then shares.
+    """
+    return _embedding(weight, indices,
+                      weight.shape[0] if weight.ndim == 3 else None)
+
+
+def batched_embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
+    """:func:`embedding` of ``K`` stacked tables ``(K, vocab, dim)``
+    under its own name (a separate entry point for the same reason as
+    :func:`batched_cross_entropy`)."""
+    k, _, _ = weight.shape
+    return _embedding(weight, indices, k)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:

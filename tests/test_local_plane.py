@@ -26,6 +26,7 @@ from repro.fed.batched import batch_eligible, batch_group_key, train_clients_bat
 from repro.fed.engine import SyncAggregator
 from repro.fed.types import RoundInfo
 from repro.nn import DecoderLM
+from repro.obs import Tracer
 from repro.optim import ConstantLR
 from repro.tensor import Tensor, ops
 
@@ -192,6 +193,48 @@ class TestBatchedEqualsSequential:
         later = RoundInfo(round_idx=3, local_steps=2, global_step_base=6)
         assert batch_group_key(a, info) == batch_group_key(a, later)
 
+    def test_equal_but_distinct_model_configs_stack(self):
+        """The key holds the ``ModelConfig`` *value*: user-built clients
+        whose configs are equal but not the same object form one
+        stacked group instead of silently training solo."""
+        def build(plane, tracer=None):
+            clients = {}
+            for i in range(2):
+                cfg = ModelConfig(**vars(CFG))
+                assert cfg == CFG and cfg is not CFG
+                clients[f"c{i}"] = LLMClient(
+                    f"c{i}", cfg, make_stream(cfg, shard=i, seed=i), OPTIM,
+                    ConstantLR(OPTIM.max_lr))
+            engine = SyncAggregator(CFG, clients, local_plane=plane,
+                                    tracer=tracer)
+            engine.run(rounds=2, local_steps=2)
+            return engine
+        tracer = Tracer()
+        ref, bat = build("sequential"), build("batched", tracer)
+        assert_states_equal(ref.global_state, bat.global_state)
+        assert tracer.meters.snapshot()["batched/stacked_clients"] == 4
+        assert "batched/solo_fallbacks" not in tracer.meters.snapshot()
+
+    @pytest.mark.parametrize("bad_id", [-1, CFG.vocab_size])
+    def test_out_of_range_token_id_raises_like_sequential(self, bad_id):
+        """One decoder, one range check: a stacked wave refuses the id
+        ``Embedding.forward`` refuses (a negative one used to wrap)."""
+        info = RoundInfo(round_idx=0, local_steps=1, global_step_base=0)
+        state = DecoderLM(CFG, seed=7).state_dict()
+
+        def poisoned():
+            clients = make_clients(CFG, OPTIM, 2)
+            x, y = clients[1].streams[0].next_batch()
+            x[0, 3] = bad_id
+            clients[1].streams[0].next_batch = lambda: (x, y)
+            return clients
+
+        with pytest.raises(IndexError, match="token id out of range") as seq:
+            train_sequential(poisoned(), state, [info, info])
+        with pytest.raises(IndexError) as bat:
+            train_clients_batched(poisoned(), [state, dict(state)], [info, info])
+        assert str(bat.value) == str(seq.value)
+
 
 # ----------------------------------------------------------------------
 # Engine equivalence: each plane replays the sequential run exactly
@@ -279,18 +322,26 @@ class TestEnginePlaneEquivalence:
     def test_mixed_wave_falls_back_per_client(self):
         """An ineligible (proximal) client inside a batched wave takes
         the sequential path while the rest stack — same result."""
-        def build(plane):
+        def build(plane, tracer=None):
             clients = make_clients(CFG, OPTIM, 3)
             clients.append(LLMClient("p", CFG, make_stream(CFG, shard=3,
                                                            seed=3),
                                      OPTIM, ConstantLR(OPTIM.max_lr),
                                      proximal_mu=0.1))
             engine = SyncAggregator(
-                CFG, {c.client_id: c for c in clients}, local_plane=plane)
+                CFG, {c.client_id: c for c in clients}, local_plane=plane,
+                tracer=tracer)
             engine.run(rounds=2, local_steps=2)
             return engine
-        ref, bat = build("sequential"), build("batched")
+        tracer = Tracer()
+        ref, bat = build("sequential"), build("batched", tracer)
         assert_states_equal(ref.global_state, bat.global_state)
+        # No silent fallback (ROADMAP 7(c)): both outcomes are counted,
+        # and counting them changes nothing (untraced batched == traced).
+        meters = tracer.meters.snapshot()
+        assert meters["batched/solo_fallbacks"] == 2
+        assert meters["batched/stacked_clients"] == 6
+        assert_states_equal(build("batched").global_state, bat.global_state)
 
     def test_vector_client_plane_composes_with_batched(self):
         ref = sync_photon(client_plane="vector", cohorts=2)
@@ -419,6 +470,14 @@ class TestPlaneCheckpointResume:
 # ----------------------------------------------------------------------
 
 class TestPlaneValidation:
+    @pytest.mark.parametrize("grad_clip", [0.0, -1.0, float("nan"), float("inf")])
+    def test_optim_config_rejects_a_clip_that_is_not_positive(self, grad_clip):
+        """A zero limit zeroes gradients and a negative one flips them;
+        ``sequential`` used to raise mid-round and ``batched`` to train.
+        Every plane now refuses the config before a stream is built."""
+        with pytest.raises(ValueError, match="grad_clip must be positive"):
+            OptimConfig(grad_clip=grad_clip)
+
     def test_fed_config_rejects_unknown_plane(self):
         with pytest.raises(ValueError, match="local_plane"):
             FedConfig(local_plane="vectorized")

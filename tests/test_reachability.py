@@ -160,3 +160,20 @@ def test_one_client_control_plane():
               if len(owners.get(name, [])) != 1}
     assert not forked, f"each has exactly one home, but: {forked}"
 
+
+
+def test_one_training_decoder_and_one_incremental():
+    """A decoder forward is where attention is called from.  The fused
+    training attention has one call site (``CausalSelfAttention``, under
+    ``DecoderLM``) and the cached one has one (the incremental decoder):
+    a third forward — the stacked plane once carried its own — cannot
+    reappear unnoticed."""
+    callers: dict[str, list[str]] = {"causal_attention": [], "cached_attention": []}
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in callers:
+                    callers[name].append(str(path.relative_to(SRC)))
+    assert callers == {"causal_attention": ["repro/nn/attention.py"],
+                       "cached_attention": ["repro/nn/inference.py"]}
