@@ -78,6 +78,8 @@ class ModelConfig:
             raise ValueError(
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}"
             )
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def head_dim(self) -> int:

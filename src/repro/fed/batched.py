@@ -24,7 +24,7 @@ sequential path is therefore by construction:
   gradient 1.0 exactly like K independent ``backward()`` calls —
   gradients cannot flow between clients;
 * AdamW takes the K learning rates as a vector and the global-norm
-  clip (:func:`~repro.optim.clip.clip_grads`) takes K as an argument;
+  clip (:func:`~repro.optim.clip.clip_grad_norm`) takes K as an argument;
   both apply per-client values as float32 broadcasts (multiplying an
   unclipped client's gradients by exactly 1.0 is a bitwise identity).
 
@@ -41,7 +41,7 @@ import numpy as np
 
 from ..nn import DecoderLM
 from ..optim import AdamW
-from ..optim.clip import clip_grads
+from ..optim.clip import clip_grad_norm
 from ..utils.serialization import StateDict, tree_sub
 from .client import LLMClient
 from .postprocess import Identity
@@ -139,8 +139,7 @@ def train_clients_batched(clients: list[LLMClient],
         model.zero_grad()
         loss = model.loss(np.stack(xs), np.stack(ys))
         loss.sum().backward()
-        clip_grads([p.grad for p in optimizer.params if p.grad is not None],
-                   optim.grad_clip, k)
+        clip_grad_norm(optimizer.params, optim.grad_clip, k)
         optimizer.step()
         losses[:, i] = loss.data
 

@@ -12,13 +12,11 @@ import math
 
 import numpy as np
 
-from ..tensor import Tensor, ops
+from ..tensor import Tensor, kernels, ops
 from .layers import Linear
 from .module import Module
 
 __all__ = ["alibi_slopes", "CausalSelfAttention"]
-
-_NEG_INF = -1e9
 
 
 def alibi_slopes(n_heads: int) -> np.ndarray:
@@ -41,32 +39,12 @@ def alibi_slopes(n_heads: int) -> np.ndarray:
     return np.array(slopes + extra, dtype=np.float32)
 
 
-def _alibi_bias(n_heads: int, seq_len: int) -> np.ndarray:
-    """Additive bias of shape ``(n_heads, seq_len, seq_len)``.
-
-    Bias is ``-slope * (i - j)`` for keys ``j <= i`` (zero on the
-    diagonal) and ``-inf`` above the diagonal (causal mask folded in).
-    """
-    slopes = alibi_slopes(n_heads)
-    positions = np.arange(seq_len)
-    relative = positions[None, :] - positions[:, None]  # j - i, <= 0 in causal region
-    bias = slopes[:, None, None] * relative[None, :, :]
-    causal_mask = relative > 0
-    bias = np.where(causal_mask[None, :, :], _NEG_INF, bias)
-    return bias.astype(np.float32)
-
-
-def _causal_bias(seq_len: int) -> np.ndarray:
-    """Pure causal mask (no ALiBi) of shape ``(1, seq_len, seq_len)``."""
-    mask = np.triu(np.ones((seq_len, seq_len), dtype=bool), k=1)
-    return np.where(mask, _NEG_INF, 0.0).astype(np.float32)[None, :, :]
-
-
 class CausalSelfAttention(Module):
     """Multi-head causal self-attention.
 
-    The bias matrix (ALiBi + causal mask) is cached per sequence length
-    since it is a pure function of ``(n_heads, seq_len)``.
+    The bias matrix (:func:`~repro.tensor.kernels.attention_bias`:
+    causal mask + ALiBi) is cached per sequence length since it is a
+    pure function of ``(slopes, seq_len)``.
     """
 
     def __init__(self, d_model: int, n_heads: int, alibi: bool = True,
@@ -77,7 +55,9 @@ class CausalSelfAttention(Module):
         self.d_model = d_model
         self.n_heads = n_heads
         self.head_dim = d_model // n_heads
-        self.alibi = alibi
+        # A zero slope is no ALiBi: the bias is then the causal mask alone.
+        slopes = alibi_slopes(n_heads) if alibi else np.zeros(1, dtype=np.float32)
+        self.slopes = slopes[:, None, None]
         self.qkv = Linear(d_model, 3 * d_model, rng=rng)
         self.proj = Linear(d_model, d_model, rng=rng, init_scale=resid_scale)
         self._bias_cache: dict[int, np.ndarray] = {}
@@ -85,12 +65,9 @@ class CausalSelfAttention(Module):
     def _bias(self, seq_len: int) -> np.ndarray:
         cached = self._bias_cache.get(seq_len)
         if cached is None:
-            cached = (
-                _alibi_bias(self.n_heads, seq_len)
-                if self.alibi
-                else _causal_bias(seq_len)
-            )
-            self._bias_cache[seq_len] = cached
+            positions = np.arange(seq_len)
+            cached = self._bias_cache[seq_len] = kernels.attention_bias(
+                self.slopes, positions, positions)
         return cached
 
     def forward(self, x: Tensor) -> Tensor:

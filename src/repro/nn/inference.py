@@ -8,11 +8,14 @@ actually served: :class:`InferenceEngine` is its one-slot
 configuration, :class:`repro.serve.MultiAdapterEngine` its K-slot one
 with a LoRA adapter per slot.  There is no second forward.
 
-The implementation is deliberately independent of the autograd graph
-(its array pieces live in :mod:`repro.tensor.kernels`);
-``tests/test_lora_inference.py`` asserts agreement with
-``DecoderLM.forward`` to float32 tolerance and with
-``DecoderLM.generate`` token for token, on ALiBi and non-ALiBi models.
+The implementation is independent of the autograd graph but not of
+its arithmetic: layer norm, attention, its causal+ALiBi bias and GELU
+are the forwards of :mod:`repro.tensor.kernels` that training binds,
+called as they stand.  What differs from ``DecoderLM.forward`` is the
+shape of the GEMMs (one row block per slot, keys read from the cache),
+so ``tests/test_lora_inference.py`` bounds the logits' distance in
+float32 ULPs and asserts ``DecoderLM.generate`` token for token, on
+ALiBi and non-ALiBi models (README "Exactness contract").
 
 Snapshot semantics: construction **copies** every weight array, so a
 model that keeps training (continual or personalization rounds) never
@@ -30,31 +33,11 @@ import math
 
 import numpy as np
 
-from ..tensor.kernels import cached_attention, gelu, layer_norm
-from .attention import _NEG_INF, alibi_slopes
+from ..tensor import kernels
 from .lora import LoRALinear
-from .transformer import DecoderLM
+from .transformer import DecoderLM, sample_token
 
-__all__ = ["IncrementalDecoder", "InferenceEngine", "sample_token"]
-
-
-def sample_token(logits: np.ndarray, temperature: float,
-                 rng: np.random.Generator | None = None) -> int:
-    """Greedy at ``temperature<=0``, else a softmax sample from ``rng``.
-
-    Matches :meth:`DecoderLM.generate` semantics; callers that sample
-    should pass a per-request generator so batch composition never
-    changes a request's output.
-    """
-    if temperature <= 0:
-        return int(logits.argmax())
-    if rng is None:
-        rng = np.random.default_rng()
-    scaled = logits / temperature
-    scaled = scaled - scaled.max()
-    probs = np.exp(scaled)
-    probs /= probs.sum()
-    return int(rng.choice(probs.size, p=probs))
+__all__ = ["IncrementalDecoder", "InferenceEngine"]
 
 
 def _snapshot_linear(layer) -> tuple[np.ndarray, np.ndarray]:
@@ -109,9 +92,8 @@ class IncrementalDecoder:
                 f"{type(self).__name__} requires standard dense blocks")
         self.config = cfg
         self.scale = 1.0 / math.sqrt(cfg.head_dim)
-        # A zero slope is no ALiBi: the bias is then the causal mask alone.
-        slopes = alibi_slopes(cfg.n_heads) if cfg.alibi else np.zeros(1)
-        self.slopes = slopes[:, None, None]
+        # What the model's own attention hands kernels.attention_bias.
+        self.slopes = next(iter(model.blocks)).attn.slopes
         self.emb = model.tok_emb.weight.data.copy()
         self.blocks = [_BlockWeights(b) for b in model.blocks]
         self.ln_f_g = model.ln_f.gamma.data.copy()
@@ -222,12 +204,12 @@ class IncrementalDecoder:
         # layer.  Keys past a row's own length — its padding, other
         # rows' longer contexts, the slot's stale tail — all sit at
         # positions greater than any real query of that row.
-        relative = self._steps[:span] - q_pos[:, None, :, None]
-        bias = np.where(relative > 0, _NEG_INF,
-                        self.slopes * relative).astype(np.float32)
+        bias = kernels.attention_bias(self.slopes, q_pos, self._steps[:span])
         # Only real tokens are written (padding could run past seq_len).
         row, col = np.nonzero(self._steps[:t_new] < lengths[:, None])
         dst_slot, dst_pos = slots[row], q_pos[row, col]
+
+        layer_norm = kernels.layer_norm_forward
 
         def linear(x, layer, i):
             weight, b = self.blocks[layer].linears[i]
@@ -240,19 +222,20 @@ class IncrementalDecoder:
 
         x = self.emb[tokens]  # (n, t_new, d)
         for layer, w in enumerate(self.blocks):
-            qkv = linear(layer_norm(x, w.ln1_g, w.ln1_b), layer, 0).reshape(
+            qkv = linear(layer_norm(x, w.ln1_g, w.ln1_b)[0], layer, 0).reshape(
                 n, t_new, 3, cfg.n_heads, cfg.head_dim)
             self._kv[:, layer, dst_slot, :, dst_pos] = qkv[row, col, 1:]
             k, v = self._kv[:, layer, slots, :, :span]
-            context = cached_attention(qkv[:, :, 0].swapaxes(1, 2), k, v,
-                                       bias, self.scale)
+            context = kernels.attention_forward(qkv[:, :, 0].swapaxes(1, 2), k, v,
+                                                bias, self.scale)[0]
             x = x + linear(context.swapaxes(1, 2).reshape(n, t_new, -1),
                            layer, 1)
-            hidden = gelu(linear(layer_norm(x, w.ln2_g, w.ln2_b), layer, 2))
+            hidden = kernels.gelu_forward(
+                linear(layer_norm(x, w.ln2_g, w.ln2_b)[0], layer, 2))[0]
             x = x + linear(hidden, layer, 3)
         self.positions[slots] = total
         last = layer_norm(x[np.arange(n), lengths - 1],
-                          self.ln_f_g, self.ln_f_b)
+                          self.ln_f_g, self.ln_f_b)[0]
         return last @ self.head.T
 
 

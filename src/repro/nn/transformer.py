@@ -13,12 +13,30 @@ import math
 import numpy as np
 
 from ..config import ModelConfig
-from ..tensor import Parameter, Tensor, no_grad, ops
+from ..tensor import Parameter, Tensor, kernels, no_grad, ops
 from .attention import CausalSelfAttention
 from .layers import Dropout, Embedding, LayerNorm, MLP
 from .module import Module
 
-__all__ = ["Block", "DecoderLM"]
+__all__ = ["Block", "DecoderLM", "sample_token"]
+
+
+def sample_token(logits: np.ndarray, temperature: float,
+                 rng: np.random.Generator | None = None) -> int:
+    """Greedy at ``temperature<=0``, else a softmax sample from ``rng``.
+
+    The one sampler: :meth:`DecoderLM.generate`, ``InferenceEngine`` and
+    the serving engine all draw through it.  Callers that sample should
+    pass a per-request generator so batch composition never changes a
+    request's output.
+    """
+    if temperature <= 0:
+        return int(logits.argmax())
+    if rng is None:
+        rng = np.random.default_rng()
+    scaled = logits / temperature
+    probs = kernels.softmax_forward(scaled, out=scaled)
+    return int(rng.choice(probs.size, p=probs))
 
 
 class Block(Module):
@@ -117,7 +135,7 @@ class DecoderLM(Module):
     def perplexity(self, tokens: np.ndarray, targets: np.ndarray) -> float:
         """exp(loss) on a batch without building a graph."""
         with no_grad():
-            return float(np.exp(self.loss(tokens, targets).item()))
+            return math.exp(self.loss(tokens, targets).item())
 
     def logprobs(self, tokens: np.ndarray) -> np.ndarray:
         """Per-position log-probabilities of the *next* token.
@@ -130,8 +148,7 @@ class DecoderLM(Module):
             tokens = tokens[None, :]
         with no_grad():
             logits = self.forward(tokens).data
-        log_probs = logits - logits.max(axis=-1, keepdims=True)
-        log_probs = log_probs - np.log(np.exp(log_probs).sum(axis=-1, keepdims=True))
+        log_probs = kernels.log_softmax_forward(logits)
         batch_idx = np.arange(tokens.shape[0])[:, None]
         pos_idx = np.arange(tokens.shape[1] - 1)[None, :]
         return log_probs[batch_idx, pos_idx, tokens[:, 1:]]
@@ -145,14 +162,7 @@ class DecoderLM(Module):
             window = np.array(tokens[-self.config.seq_len:])[None, :]
             with no_grad():
                 logits = self.forward(window).data[0, -1]
-            if temperature <= 0:
-                tokens.append(int(logits.argmax()))
-                continue
-            logits = logits / temperature
-            logits -= logits.max()
-            probs = np.exp(logits)
-            probs /= probs.sum()
-            tokens.append(int(rng.choice(len(probs), p=probs)))
+            tokens.append(sample_token(logits, temperature, rng))
         return np.array(tokens, dtype=np.int64)
 
 

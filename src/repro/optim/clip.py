@@ -45,10 +45,12 @@ def global_grad_norm(params: list[Parameter]) -> float:
     return math.sqrt(_squared_norms(grads, 1)[0])
 
 
-def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
-    """Scale gradients in place so the global norm is at most
-    ``max_norm``; returns the pre-clip norm."""
+def clip_grad_norm(params: list[Parameter], max_norm: float, k: int = 1) -> np.ndarray:
+    """Scale gradients in place so the global norm of each of the ``k``
+    models stacked on the parameters' leading axis (``k=1``: one model,
+    no model axis) is at most ``max_norm``; returns the ``(k,)`` pre-clip
+    norms.  The one clip entry point of every training plane."""
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     grads = [p.grad for p in params if p.grad is not None]
-    return float(clip_grads(grads, max_norm)[0])
+    return clip_grads(grads, max_norm, k)

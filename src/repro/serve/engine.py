@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn.inference import IncrementalDecoder, sample_token
+from ..nn.inference import IncrementalDecoder
 from ..nn.lora import LoRALinear, _iter_linear_slots
-from ..nn.transformer import DecoderLM
+from ..nn.transformer import DecoderLM, sample_token
 from .adapters import Adapter
 
 __all__ = ["MultiAdapterEngine", "StaleAdapterError", "sample_token"]

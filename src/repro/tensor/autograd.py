@@ -13,9 +13,12 @@ Design notes
 * Element-wise ops support full NumPy broadcasting; gradients are
   reduced back to operand shapes by :func:`unbroadcast`.
 * Hot paths of the transformer (softmax, layer norm, cross entropy,
-  embedding lookup, GELU) are fused ops with hand-written backward
-  passes rather than compositions, which keeps graphs small and the
-  arithmetic vectorized per the NumPy performance guidance.
+  embedding lookup, linear, attention, GELU) are fused ops rather than
+  compositions, which keeps graphs small and the arithmetic vectorized
+  per the NumPy performance guidance.  Their arithmetic is not here:
+  each is a named ``<op>_forward`` / ``<op>_backward`` pair in
+  :mod:`repro.tensor.kernels`, bound to the graph by ``tensor/ops.py``
+  (and by :meth:`Tensor.gelu`) and called as it stands by inference.
 * A module-level ``no_grad`` context disables taping for evaluation.
 """
 
@@ -26,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .kernels import gelu_backward, gelu_forward
+from . import kernels
 
 __all__ = [
     "Tensor",
@@ -471,10 +474,10 @@ class Tensor:
     def gelu(self) -> "Tensor":
         """GELU with the tanh approximation used by MPT/GPT models."""
         x = self.data
-        out_data, t = gelu_forward(x)
+        out_data, t = kernels.gelu_forward(x)
 
         def backward(grad):
-            return (gelu_backward(grad, x, t),)
+            return (kernels.gelu_backward(grad, x, t),)
 
         return Tensor._make(out_data, (self,), backward)
 

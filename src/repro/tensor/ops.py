@@ -1,9 +1,17 @@
-"""Fused operations for the transformer hot path.
+"""Autograd bindings of the fused transformer ops.
 
-Each function here has a hand-derived backward pass instead of being a
-composition of primitive ops.  This keeps the autograd graph shallow
-(important: our models run thousands of steps per experiment) and keeps
-all the arithmetic inside vectorized NumPy kernels.
+Every op here is one graph node over a hand-derived forward/backward
+pair of :mod:`repro.tensor.kernels` — the single numeric definition,
+which inference calls as it stands — instead of a composition of
+primitive ops: the graph stays shallow (our models run thousands of
+steps per experiment) and the arithmetic stays inside vectorized NumPy
+kernels.  A binding unpacks ``.data``, calls the forward and hands
+:meth:`Tensor._make` a closure over the *named* backward; what is a
+shape convention rather than arithmetic (the packed QKV split/merge,
+``unbroadcast`` of broadcast affines, the model axis ``k``) lives
+here.  Bindings call kernels, never each other, so no perf-ledger span
+nests inside another.  (:func:`dropout` is the exception: one mask,
+no kernel.)
 
 :func:`linear`, :func:`causal_attention`, :func:`embedding` and
 :func:`cross_entropy` are rank-polymorphic: the per-model work is the
@@ -14,7 +22,7 @@ per-model index).  There is one training decoder,
 that decoder over parameters that carry the model axis, so K stacked
 clients call the *same* kernels as K sequential ones and come out
 bit-identical.  ``batched_embedding`` / ``batched_cross_entropy`` are
-second entry points to the same two bodies, kept for the perf
+second entry points to the same two bindings, kept for the perf
 ledger's span table and the tests that call them by name.
 """
 
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .autograd import Tensor, unbroadcast
 
 __all__ = [
@@ -40,70 +49,38 @@ __all__ = [
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    out_data = exp / exp.sum(axis=axis, keepdims=True)
+    out = kernels.softmax_forward(x.data, axis)
 
     def backward(grad):
-        # dL/dx = s * (g - sum(g * s))
-        dot = (grad * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (grad - dot),)
+        return (kernels.softmax_backward(grad, out, axis),)
 
-    return Tensor._make(out_data.astype(np.float32), (x,), backward)
+    return Tensor._make(out, (x,), backward)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - log_z
-    soft = np.exp(out_data)
+    out = kernels.log_softmax_forward(x.data, axis)
 
     def backward(grad):
-        return (grad - soft * grad.sum(axis=axis, keepdims=True),)
+        return (kernels.log_softmax_backward(grad, out, axis),)
 
-    return Tensor._make(out_data.astype(np.float32), (x,), backward)
+    return Tensor._make(out, (x,), backward)
 
 
 def _cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int,
                    k: int | None) -> Tensor:
     """Mean token-level cross entropy of ``k`` stacked models, ``(k,)``;
-    ``k=None`` is one model with no model axis and a scalar loss.
-
-    Every reduction runs over one model's contiguous token axis, so a
-    slice of the stacked result is what that model computes alone, bit
-    for bit, and its backward never mixes models.
-    """
-    targets = np.asarray(targets)
+    ``k=None`` is one model with no model axis and a scalar loss."""
     n = 1 if k is None else k
-    vocab = logits.shape[-1]
-    flat_logits = logits.data.reshape(n, -1, vocab)
-    flat_targets = targets.reshape(n, -1)
-    valid = flat_targets != ignore_index
-    n_valid = valid.sum(axis=1)
-    if not n_valid.all():
-        raise ValueError("cross_entropy received no valid targets")
-
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
-
-    models = np.arange(n)[:, None]
-    rows = np.arange(flat_targets.shape[1])[None, :]
-    safe_targets = np.where(valid, flat_targets, 0)
-    picked = log_probs[models, rows, safe_targets]
-    # A float32 count divides exactly like a weak python-int one.
-    loss = -(picked * valid).sum(axis=1) / n_valid.astype(np.float32)
+    loss, *saved = kernels.cross_entropy_forward(
+        logits.data.reshape(n, -1, logits.shape[-1]),
+        np.asarray(targets).reshape(n, -1), ignore_index)
 
     def backward(grad):
-        # One seed per model; softmax-minus-onehot, averaged over tokens.
-        soft = np.exp(log_probs)
-        soft[models, rows, safe_targets] -= 1.0
-        soft *= (valid / n_valid[:, None])[:, :, None]
-        out = grad.reshape(n, 1, 1) * soft
-        return (out.reshape(logits.shape).astype(np.float32),)
+        # One seed per model.
+        out = kernels.cross_entropy_backward(grad.reshape(n), *saved)
+        return (out.reshape(logits.shape),)
 
-    return Tensor._make(loss.astype(np.float32).reshape(() if k is None else (k,)),
-                        (logits,), backward)
+    return Tensor._make(loss.reshape(() if k is None else (k,)), (logits,), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100,
@@ -143,69 +120,31 @@ def batched_cross_entropy(logits: Tensor, targets: np.ndarray,
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with affine parameters."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = centered * inv_std
-    out_data = x_hat * gamma.data + beta.data
+    out, x_hat, inv_std = kernels.layer_norm_forward(x.data, gamma.data, beta.data, eps)
 
     def backward(grad):
-        dg = unbroadcast(grad * x_hat, gamma.shape)
-        db = unbroadcast(grad, beta.shape)
-        dxhat = grad * gamma.data
-        # Standard layer-norm backward identity.
-        dx = (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - x_hat * (dxhat * x_hat).mean(axis=-1, keepdims=True)
-        ) * inv_std
-        return (dx.astype(np.float32), dg.astype(np.float32), db.astype(np.float32))
+        dx, dgamma = kernels.layer_norm_backward(grad, x_hat, inv_std, gamma.data)
+        return (dx, unbroadcast(dgamma, gamma.shape), unbroadcast(grad, beta.shape))
 
-    return Tensor._make(out_data.astype(np.float32), (x, gamma, beta), backward)
-
-
-def _scatter_rows(keys: np.ndarray, rows: np.ndarray, n_keys: int) -> np.ndarray:
-    """``out[key] += row`` over ``(key, row)`` pairs with keys in
-    ``[0, n_keys)``, as a sorted-segment reduction: a stable argsort
-    groups equal keys in order of occurrence and ``np.add.reduceat``
-    sums each run.  A run's sum depends only on the run, so stacked
-    models (keys offset per model) reduce exactly as each would alone."""
-    out = np.zeros((n_keys, rows.shape[-1]), dtype=np.float32)
-    if keys.size == 0:
-        return out
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    out[keys[starts]] = np.add.reduceat(rows[order], starts, axis=0)
-    return out
+    return Tensor._make(out, (x, gamma, beta), backward)
 
 
 def _embedding(weight: Tensor, indices: np.ndarray, k: int | None) -> Tensor:
     """Row lookup in ``k`` stacked ``(vocab, dim)`` tables, model ``j``
     of ``indices`` ``(k, ...)`` reading table ``j`` only; ``k=None`` is
     one table with no model axis."""
-    indices = np.asarray(indices)
     vocab, dim = weight.shape[-2:]
-    if k is None:
-        models, lookup = 0, indices
-    else:
-        models = np.arange(k).reshape((k,) + (1,) * (indices.ndim - 1))
-        lookup = (models, indices)
-    out_data = weight.data[lookup]
+    keys = np.asarray(indices) % vocab  # negative indices wrap, as in a lookup
+    if k is not None:
+        # Each model's keys are offset into its own rows of the flat table.
+        keys = keys + vocab * np.arange(k).reshape((k,) + (1,) * (keys.ndim - 1))
+    table = weight.data.reshape(-1, dim)
 
     def backward(grad):
-        # Negative indices wrap, as they do in the lookup; each model's
-        # keys are offset into its own range, so one segment reduction
-        # sums every row exactly as that model would alone.
-        keys = (indices % vocab + models * vocab).reshape(-1)
-        full = _scatter_rows(keys, grad.reshape(-1, dim), weight.size // dim)
+        full = kernels.embedding_backward(grad, keys, len(table))
         return (full.reshape(weight.shape),)
 
-    return Tensor._make(out_data, (weight,), backward)
+    return Tensor._make(kernels.embedding_forward(table, keys), (weight,), backward)
 
 
 def embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
@@ -228,10 +167,10 @@ def batched_embedding(weight: Tensor, indices: np.ndarray) -> Tensor:
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout; identity when ``training`` is False or p == 0."""
-    if not training or p <= 0.0:
-        return x
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not training or p == 0.0:
+        return x
     keep = 1.0 - p
     mask = (rng.random(x.shape) < keep).astype(np.float32) / keep
     out_data = x.data * mask
@@ -247,29 +186,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     ``w`` is ``(in, out)``, or ``(K, in, out)`` with a leading model
     axis that ``x`` ``(K, ..., in)`` and ``b`` ``(K, out)`` then share.
-    Every other axis of ``x`` is folded into one row dimension, so the
-    forward, the input gradient and the weight gradient are each a
-    single GEMM per model (no per-batch-row GEMM loop, no broadcast
-    weight gradient summed afterwards) and the bias gradient is one
-    row sum.
     """
     x_data, w_data = x.data, w.data
-    rows = x_data.reshape(w_data.shape[:-2] + (-1, w_data.shape[-2]))
-    out = rows @ w_data
-    if b is not None:
-        out += b.data[..., None, :]
+    parents = (x, w) if b is None else (x, w, b)
 
     def backward(grad):
-        grad = grad.reshape(out.shape)
-        gx = (grad @ np.swapaxes(w_data, -1, -2)).reshape(x_data.shape)
-        gw = np.swapaxes(rows, -1, -2) @ grad
-        if b is None:
-            return (gx, gw)
-        return (gx, gw, grad.sum(axis=-2))
+        return kernels.linear_backward(grad, x_data, w_data)[:len(parents)]
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor._make(out.reshape(x_data.shape[:-1] + out.shape[-1:]),
-                        parents, backward)
+    return Tensor._make(
+        kernels.linear_forward(x_data, w_data, None if b is None else b.data),
+        parents, backward)
 
 
 def causal_attention(qkv: Tensor, n_heads: int, bias: np.ndarray,
@@ -292,27 +218,15 @@ def causal_attention(qkv: Tensor, n_heads: int, bias: np.ndarray,
     # (..., T, 3, H, hd) -> (3, ..., H, T, hd): q, k, v are views.
     perm = (n + 1, *range(n), n + 2, n, n + 3)
     q, k, v = data.reshape(packed).transpose(perm)
-
-    weights = q @ k.swapaxes(-1, -2)  # (..., H, T, T)
-    weights *= scale
-    weights += bias
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    context = (weights @ v).swapaxes(-2, -3)  # (..., T, H, hd)
+    context, weights = kernels.attention_forward(q, k, v, bias, scale)
 
     def backward(grad):
-        grad = grad.reshape(heads).swapaxes(-2, -3)  # (..., H, T, hd)
-        gqkv = np.empty(packed, dtype=np.float32)
+        gqkv = np.empty(packed, dtype=data.dtype)
         gq, gk, gv = gqkv.transpose(perm)
-        gv[...] = weights.swapaxes(-1, -2) @ grad
-        # Softmax backward s * (g - sum(g * s)), then the score scale.
-        gs = grad @ v.swapaxes(-1, -2)
-        gs -= (gs * weights).sum(axis=-1, keepdims=True)
-        gs *= weights
-        gs *= scale
-        gq[...] = gs @ k
-        gk[...] = gs.swapaxes(-1, -2) @ q
+        gq[...], gk[...], gv[...] = kernels.attention_backward(
+            grad.reshape(heads).swapaxes(-2, -3), q, k, v, weights, scale)
         return (gqkv.reshape(data.shape),)
 
-    return Tensor._make(context.reshape(lead + (seq, d_model)), (qkv,), backward)
+    # (..., H, T, hd) -> (..., T, H·hd)
+    return Tensor._make(context.swapaxes(-2, -3).reshape(lead + (seq, d_model)),
+                        (qkv,), backward)

@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from repro.nn import CausalSelfAttention
 from repro.tensor import Tensor
 
 
@@ -170,6 +171,37 @@ def assert_bit_exact_resume(full, resumed) -> None:
     ra, rb = full.result(), resumed.result()
     assert ra.total_comm_bytes == rb.total_comm_bytes
     assert ra.tokens_processed == rb.tokens_processed
+
+
+EPS32 = float(np.finfo(np.float32).eps)
+
+# The float32-tolerance half of the exactness contract (README
+# "Exactness contract"), in float32 spacings at the scale of the largest
+# reference value; each is ~2x the distance measured when it was set.
+#: Same arithmetic over differently shaped GEMMs: incremental logits vs
+#: ``DecoderLM.forward`` (measured 7.5), a request alone vs among
+#: co-runners (9.2).
+GEMM_SHAPE_ULPS = 16
+#: ``x·W + (x·A)·B·s`` vs ``x·(W + s·A·B)`` through a whole decoder
+#: (measured 18.3).
+FACTORED_LORA_ULPS = 48
+
+
+def assert_within_ulps(got: np.ndarray, want: np.ndarray, ulps: float) -> None:
+    """``|got - want| <= ulps`` float32 spacings at the scale of the
+    largest reference value (per-element spacing is meaningless where
+    a sum cancels to near zero)."""
+    want = np.asarray(want, np.float64)
+    scale = float(np.abs(want).max())
+    worst = float(np.abs(np.asarray(got, np.float64) - want).max())
+    assert worst <= ulps * EPS32 * scale, (
+        f"off by {worst / (EPS32 * scale):.2f} spacings, allowed {ulps}")
+
+
+def causal_bias(n_heads: int, seq: int, alibi: bool = True) -> np.ndarray:
+    """The training attention bias ``(n_heads or 1, seq, seq)``, as the
+    attention module itself builds it."""
+    return CausalSelfAttention(n_heads, n_heads, alibi=alibi)._bias(seq)
 
 
 def numeric_grad(fn, arrays: list[np.ndarray], index: int, eps: float = 1e-3) -> np.ndarray:

@@ -12,6 +12,7 @@ from repro.config import (
     PAPER_THROUGHPUTS,
     TINY_MODELS,
     FedConfig,
+    ModelConfig,
     OptimConfig,
     model_config,
 )
@@ -119,6 +120,15 @@ class TestConfigBehaviour:
         assert model_config("tiny") is TINY_MODELS["tiny"]
         with pytest.raises(KeyError):
             model_config("13B")
+
+    @pytest.mark.parametrize("dropout", [-0.1, 1.0, 1.5, float("nan")])
+    def test_dropout_is_validated_where_it_is_configured(self, dropout):
+        """Not at the first training step, after the data build — and a
+        negative rate is not a silent ``dropout=0``."""
+        with pytest.raises(ValueError, match=r"dropout must be in \[0, 1\)"):
+            ModelConfig("bad", n_blocks=1, d_model=16, n_heads=2, dropout=dropout)
+        with pytest.raises(ValueError, match="dropout"):
+            model_config("tiny").scaled(dropout=dropout)
 
     def test_scaled_override(self):
         cfg = PAPER_MODELS["125M"].scaled(vocab_size=128, seq_len=64)

@@ -1,15 +1,19 @@
-"""The local step's shared kernels: GELU, fused linear/attention,
-in-place AdamW, global-norm clip and the cached parameter list.
+"""The local step's shared kernels: the forward/backward pairs of
+``tensor/kernels.py``, their bindings, in-place AdamW, global-norm clip
+and the cached parameter list.
 
-Three kinds of check.  Gradients are compared with central differences
-of an independent **float64** NumPy reference (``Tensor`` itself only
-computes in float32).  Each fused op is compared with the op-by-op
-composition it replaced — kept here as the oracle — to a stated bound
-in units of float32 spacing at the array's scale, not ``allclose``
-defaults.  And wherever the sequential and the stacked plane share a
-kernel, slice ``k`` of the stacked call must equal the lone call
-**bitwise**: that is what makes K batched clients equal K sequential
-ones.
+Four kinds of check.  Every ``*_forward`` / ``*_backward`` pair that
+``kernels.__all__`` names is run in **float64** straight through the
+kernels against central differences of its own forward (a pair without
+a case fails the discovery).  The float32 bindings are compared with
+central differences of an independent float64 NumPy reference
+(``Tensor`` itself only computes in float32).  Each fused op is
+compared with the op-by-op composition it replaced — kept here as the
+oracle — to a stated bound in units of float32 spacing at the array's
+scale, not ``allclose`` defaults.  And wherever the sequential and the
+stacked plane share a kernel, slice ``k`` of the stacked call must
+equal the lone call **bitwise**: that is what makes K batched clients
+equal K sequential ones.
 """
 
 from __future__ import annotations
@@ -20,31 +24,114 @@ import numpy as np
 import pytest
 
 from repro.config import ModelConfig
-from repro.nn import DecoderLM, apply_lora, merge_lora
-from repro.nn import inference as nn_inference
-from repro.nn.attention import _alibi_bias, _causal_bias
+from repro.nn import DecoderLM, InferenceEngine, apply_lora, merge_lora
+from repro.nn.inference import IncrementalDecoder
 from repro.optim import AdamW, clip_grad_norm, global_grad_norm
 from repro.optim.clip import clip_grads
-from repro.serve import engine as serve_engine
-from repro.tensor import Parameter, Tensor, kernels, ops
+from repro.serve import MultiAdapterEngine
+from repro.tensor import Parameter, Tensor, kernels, no_grad, ops, unbroadcast
 
-from helpers import numeric_grad
-
-EPS32 = float(np.finfo(np.float32).eps)
-
-
-def assert_within_ulps(got: np.ndarray, want: np.ndarray, ulps: float) -> None:
-    """``|got - want| <= ulps`` float32 spacings at the scale of the
-    largest reference value (per-element spacing is meaningless where
-    a sum cancels to near zero)."""
-    scale = float(np.abs(want).max())
-    worst = float(np.abs(np.asarray(got, np.float64) - want).max())
-    assert worst <= ulps * EPS32 * scale, (
-        f"off by {worst / (EPS32 * scale):.2f} spacings, allowed {ulps}")
-
+from helpers import assert_within_ulps, causal_bias, numeric_grad
 
 def f32(rng, *shape):
     return rng.normal(size=shape).astype(np.float32)
+
+
+# ----------------------------------------------------------------------
+# Every forward/backward pair, in float64, straight through the kernels
+# ----------------------------------------------------------------------
+# One entry per pair: a float64 "binding" ``run(*inputs) -> (out,
+# backward)`` and the shapes of its differentiable inputs.  Every entry
+# carries a leading model axis (K = 2), the way the stacked plane calls
+# the pair.
+
+_KEYS = np.array([[[0, 3, 3, 6], [1, 1, 5, 0]],
+                  [[7, 9, 9, 13], [12, 8, 8, 8]]])  # model 1 offset by 7 rows
+_TARGETS = np.array([[1, 4, -100, 0, 2, 2], [-100, -100, 3, 3, 0, 1]])
+
+
+def _gelu(x):
+    y, t = kernels.gelu_forward(x)
+    return y, lambda g: (kernels.gelu_backward(g, x, t),)
+
+
+def _layer_norm(x, gamma, beta):
+    out, x_hat, inv_std = kernels.layer_norm_forward(x, gamma, beta)
+
+    def backward(g):
+        dx, dgamma = kernels.layer_norm_backward(g, x_hat, inv_std, gamma)
+        return dx, unbroadcast(dgamma, gamma.shape), unbroadcast(g, beta.shape)
+
+    return out, backward
+
+
+def _softmax(x):
+    s = kernels.softmax_forward(x, 1)
+    return s, lambda g: (kernels.softmax_backward(g, s, 1),)
+
+
+def _log_softmax(x):
+    log_s = kernels.log_softmax_forward(x, 1)
+    return log_s, lambda g: (kernels.log_softmax_backward(g, log_s, 1),)
+
+
+def _attention(q, k, v):
+    bias = causal_bias(2, 5).astype(np.float64)
+    context, weights = kernels.attention_forward(q, k, v, bias, 0.5)
+    return context, lambda g: kernels.attention_backward(g, q, k, v, weights, 0.5)
+
+
+def _linear(x, w, b):
+    return (kernels.linear_forward(x, w, b),
+            lambda g: kernels.linear_backward(g, x, w))
+
+
+def _embedding(table):
+    return (kernels.embedding_forward(table, _KEYS),
+            lambda g: (kernels.embedding_backward(g, _KEYS, len(table)),))
+
+
+def _cross_entropy(logits):
+    loss, *saved = kernels.cross_entropy_forward(logits, _TARGETS)
+    return loss, lambda g: (kernels.cross_entropy_backward(g, *saved),)
+
+
+PAIRS = {
+    "gelu": (_gelu, [(2, 3, 5)]),
+    "layer_norm": (_layer_norm, [(2, 2, 3, 8), (2, 1, 1, 8), (2, 1, 1, 8)]),
+    "softmax": (_softmax, [(2, 6, 3)]),
+    "log_softmax": (_log_softmax, [(2, 6, 3)]),
+    "attention": (_attention, [(2, 2, 2, 5, 4)] * 3),
+    "linear": (_linear, [(2, 3, 4, 6), (2, 6, 3), (2, 3)]),
+    "embedding": (_embedding, [(14, 4)]),
+    "cross_entropy": (_cross_entropy, [(2, 6, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(
+    {n.rsplit("_", 1)[0] for n in kernels.__all__
+     if n.endswith(("_forward", "_backward"))}))
+def test_every_kernel_pair_in_float64(rng, name):
+    """Discovered from ``kernels.__all__``: a new primitive has no entry
+    in ``PAIRS`` until someone writes its case, and fails here."""
+    assert {f"{name}_forward", f"{name}_backward"} <= set(kernels.__all__)
+    run, shapes = PAIRS[name]
+    inputs = [rng.normal(size=shape) for shape in shapes]
+    held = [a.copy() for a in inputs]
+    out, backward = run(*inputs)
+    assert out.dtype == np.float64  # computes in the dtype it is given
+    cotangent = rng.normal(size=out.shape)
+    seed = cotangent.copy()
+    grads = backward(seed)
+    np.testing.assert_array_equal(seed, cotangent)  # the seed is not theirs
+    for a, b in zip(inputs, held):
+        np.testing.assert_array_equal(a, b)
+    assert len(grads) == len(inputs)
+    for i, got in enumerate(grads):
+        want = numeric_grad(lambda *a: run(*a)[0] * cotangent, inputs, i, eps=1e-5)
+        assert got.dtype == np.float64 and got.shape == inputs[i].shape
+        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6,
+                                   err_msg=f"{name}: operand {i}")
 
 
 # ----------------------------------------------------------------------
@@ -57,7 +144,7 @@ class TestGelu:
         want = x.astype(np.float64)
         want = 0.5 * want * (1.0 + np.tanh(
             math.sqrt(2.0 / math.pi) * (want + 0.044715 * want**3)))
-        assert_within_ulps(kernels.gelu(x), want, ulps=2)
+        assert_within_ulps(kernels.gelu_forward(x)[0], want, ulps=2)
 
     def test_backward_matches_float64_derivative(self, rng):
         x = (3.0 * rng.normal(size=(5, 7))).astype(np.float32)
@@ -84,15 +171,38 @@ class TestGelu:
         assert out.shape == () and t.grad.shape == ()
         assert out.item() == pytest.approx(1.3995715, rel=1e-6)
 
-    def test_training_and_every_inference_engine_share_one_function(self, rng):
-        assert nn_inference.gelu is kernels.gelu
+    def test_training_and_every_inference_engine_share_one_function(
+            self, monkeypatch):
+        """Not only GELU: replacing any one forward of ``kernels`` is
+        seen by the training decoder and by both inference engines, so
+        none of them holds a second definition (or a stale reference)."""
         # Serving has no forward of its own to disagree with: it is the
-        # K-slot configuration of the decoder above.
-        assert issubclass(serve_engine.MultiAdapterEngine,
-                          nn_inference.IncrementalDecoder)
-        assert not hasattr(serve_engine, "gelu")
-        x = f32(rng, 6, 9)
-        np.testing.assert_array_equal(Tensor(x).gelu().data, kernels.gelu(x))
+        # K-slot configuration of the incremental decoder.
+        assert issubclass(MultiAdapterEngine, IncrementalDecoder)
+        model = DecoderLM(MICRO, seed=0)
+        prompt = np.arange(5)
+
+        def serve():
+            engine = MultiAdapterEngine(model, max_streams=2)
+            engine.open("r")
+            engine.prefill_batch({"r": prompt})
+
+        paths = {
+            "DecoderLM": lambda: DecoderLM(MICRO, seed=0).forward(prompt),
+            "InferenceEngine": lambda: InferenceEngine(model).prefill(prompt),
+            "MultiAdapterEngine": serve,
+        }
+        for name in ("gelu_forward", "layer_norm_forward", "attention_forward",
+                     "attention_bias"):
+            original, calls = getattr(kernels, name), []
+            with monkeypatch.context() as patch, no_grad():
+                patch.setattr(
+                    kernels, name,
+                    lambda *a, _f=original, **kw: calls.append(1) or _f(*a, **kw))
+                for path, run in paths.items():
+                    del calls[:]
+                    run()
+                    assert calls, f"{path} does not go through kernels.{name}"
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +337,7 @@ def attention_reference(qkv, n_heads, bias, scale):
 
 
 def _bias(alibi: bool, n_heads: int, seq: int) -> np.ndarray:
-    return _alibi_bias(n_heads, seq) if alibi else _causal_bias(seq)
+    return causal_bias(n_heads, seq, alibi)
 
 
 class TestCausalAttention:
@@ -281,7 +391,7 @@ class TestCausalAttention:
 
     def test_stacked_slices_equal_lone_calls_bitwise(self, rng):
         k, batch, n_heads, seq, d_model = 3, 2, 2, 8, 16
-        bias = _alibi_bias(n_heads, 16)[:, :seq, :seq]  # a strided view
+        bias = causal_bias(n_heads, 16)[:, :seq, :seq]  # a strided view
         qkv = f32(rng, k, batch, seq, 3 * d_model)
         cotangent = f32(rng, k, batch, seq, d_model)
         stacked = Tensor(qkv, requires_grad=True)

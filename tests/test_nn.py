@@ -16,8 +16,9 @@ from repro.nn import (
     Linear,
     alibi_slopes,
 )
-from repro.nn.attention import _alibi_bias, _causal_bias
 from repro.tensor import Tensor
+
+from helpers import causal_bias
 
 
 class TestModuleSystem:
@@ -118,19 +119,19 @@ class TestALiBi:
         assert (slopes > 0).all()
 
     def test_bias_is_causal(self):
-        bias = _alibi_bias(2, 5)
+        bias = causal_bias(2, 5)
         upper = np.triu_indices(5, k=1)
         assert (bias[:, upper[0], upper[1]] <= -1e8).all()
         # Diagonal contributes zero bias.
         np.testing.assert_allclose(np.diagonal(bias, axis1=1, axis2=2), 0.0)
 
     def test_bias_decreases_with_distance(self):
-        bias = _alibi_bias(1, 6)[0]
+        bias = causal_bias(1, 6)[0]
         row = bias[5, :6]  # last query, keys 0..5
         assert (np.diff(row) > 0).all()  # closer keys get higher bias
 
     def test_causal_bias_without_alibi(self):
-        bias = _causal_bias(4)[0]
+        bias = causal_bias(1, 4, alibi=False)[0]
         assert bias[2, 3] <= -1e8
         assert bias[3, 2] == 0.0
 

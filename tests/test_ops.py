@@ -166,6 +166,14 @@ class TestDropout:
         with pytest.raises(ValueError):
             dropout(x, 1.0, np.random.default_rng(0), training=True)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_range_is_checked_before_the_identity_return(self, p, training):
+        """A negative rate used to train silently without dropout, and
+        an eval-mode call never looked at the rate at all."""
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            dropout(Tensor(np.ones(3)), p, np.random.default_rng(0), training=training)
+
     def test_gradient_uses_same_mask(self):
         x = Tensor(np.ones((8, 8)), requires_grad=True)
         out = dropout(x, 0.5, np.random.default_rng(1), training=True)

@@ -163,17 +163,60 @@ def test_one_client_control_plane():
 
 
 def test_one_training_decoder_and_one_incremental():
-    """A decoder forward is where attention is called from.  The fused
-    training attention has one call site (``CausalSelfAttention``, under
-    ``DecoderLM``) and the cached one has one (the incremental decoder):
-    a third forward — the stacked plane once carried its own — cannot
-    reappear unnoticed."""
-    callers: dict[str, list[str]] = {"causal_attention": [], "cached_attention": []}
+    """A decoder forward is where attention is called from.  The shared
+    attention forward has two call sites — its autograd binding
+    (``ops.causal_attention``, itself called only by
+    ``CausalSelfAttention`` under ``DecoderLM``) and the incremental
+    decoder's ``_step``: a third forward — the stacked plane once
+    carried its own — cannot reappear unnoticed."""
+    callers: dict[str, list[str]] = {"causal_attention": [], "attention_forward": []}
     for path in SRC.rglob("*.py"):
-        for node in ast.walk(parse(path)):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if name in callers:
-                    callers[name].append(str(path.relative_to(SRC)))
-    assert callers == {"causal_attention": ["repro/nn/attention.py"],
-                       "cached_attention": ["repro/nn/inference.py"]}
+        for scope in ast.walk(parse(path)):
+            if isinstance(scope, ast.FunctionDef):
+                for node in ast.walk(scope):
+                    name = isinstance(node, ast.Call) and getattr(
+                        node.func, "attr", getattr(node.func, "id", None))
+                    if name in callers:
+                        callers[name].append(
+                            f"{path.relative_to(SRC)}:{scope.name}")
+    assert {name: sorted(sites) for name, sites in callers.items()} == {
+        "causal_attention": ["repro/nn/attention.py:forward"],
+        "attention_forward": ["repro/nn/inference.py:_step",
+                              "repro/tensor/ops.py:causal_attention"]}
+
+
+def test_the_model_layer_holds_no_arithmetic_of_its_own():
+    """Softmax, log-softmax and sampling under ``nn/`` go through
+    ``tensor/kernels.py``: an inline ``np.exp(`` is how a second
+    definition starts."""
+    hits = [str(path.relative_to(SRC)) for path in (SRC / "repro/nn").rglob("*.py")
+            if "np.exp(" in path.read_text()]
+    assert not hits, f"np.exp( under nn/ — call the kernel instead: {hits}"
+
+
+def test_every_bound_backward_is_a_named_kernel():
+    """Each ``Tensor._make`` in ``tensor/ops.py`` and in ``Tensor.gelu``
+    hands the graph a closure whose body calls ``kernels.<op>_backward``:
+    a backward pass that exists only as an anonymous closure is one no
+    profiler, test or ledger span can name.  (``dropout`` is one mask,
+    not a kernel.)"""
+    tensor = SRC / "repro/tensor"
+    gelu = next(n for n in ast.walk(parse(tensor / "autograd.py"))
+                if isinstance(n, ast.FunctionDef) and n.name == "gelu")
+    bindings = [gelu] + [
+        n for n in parse(tensor / "ops.py").body
+        if isinstance(n, ast.FunctionDef) and n.name != "dropout" and any(
+            isinstance(c, ast.Call) and getattr(c.func, "attr", None) == "_make"
+            for c in ast.walk(n))]
+    assert len(bindings) >= 8
+    anonymous = []
+    for binding in bindings:
+        closures = [n for n in binding.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "backward"]
+        named = [c.func.attr for closure in closures for c in ast.walk(closure)
+                 if isinstance(c, ast.Call)
+                 and getattr(c.func, "attr", "").endswith("_backward")
+                 and getattr(c.func.value, "id", None) == "kernels"]
+        if len(closures) != 1 or len(named) != 1:
+            anonymous.append(binding.name)
+    assert not anonymous, f"backward is not one kernels.*_backward call: {anonymous}"
