@@ -8,7 +8,9 @@ merge-and-decode (the *correctness* half lives in
 across arms so the perf numbers are never measuring divergent work).
 
 Both arms replay the same seeded Zipf trace through the same cache
-configuration; only the wave width differs.  CI gates ``p99_ms``
+configuration; only the number of concurrent streams differs (8 slots,
+each taking the next request the moment it frees, against one
+request at a time).  CI gates ``p99_ms``
 (lower is better, ``--threshold 1.0`` for 2x headroom on shared boxes)
 and ``tokens_per_s`` (``--higher-is-better``) against the committed
 baseline in ``benchmarks/baselines/serving.json``.
@@ -89,8 +91,9 @@ def run_serving() -> dict:
             "adapter_bytes": best.adapter_bytes,
         }
 
-    # Output parity across arms: wave width is a scheduling choice, not
-    # a numerics choice — per-request tokens must not depend on it.
+    # Output parity across arms: the stream count is a scheduling
+    # choice, not a numerics choice — per-request tokens must not
+    # depend on it.
     reference = outputs["sequential-1"]
     for arm, out in outputs.items():
         assert out.keys() == reference.keys()
@@ -127,7 +130,7 @@ def test_serving(run_once):
     sequential = results["sequential-1"]
     assert batched["tokens_out"] == sequential["tokens_out"]
     assert batched["cache_hit_rate"] > 0
-    # The headline shape: wave batching amortizes the base forward, so
+    # The headline shape: batching amortizes the base forward, so
     # batched throughput must at least match one-at-a-time serving.
     assert batched["tokens_per_s"] >= sequential["tokens_per_s"], results
 

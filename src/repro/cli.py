@@ -218,7 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("LO", "HI"),
                        help="inclusive generation-budget range")
     serve.add_argument("--batch-size", type=int, default=8,
-                       help="concurrent streams per wave")
+                       help="concurrent streams (a finished request's slot "
+                            "takes the next one)")
     serve.add_argument("--cache-capacity", type=int, default=8,
                        help="adapters resident in the LRU cache")
     serve.add_argument("--rank", type=int, default=4,
@@ -235,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSON of the replay to PATH")
     serve.add_argument("--metrics-every", type=int, default=None,
                        metavar="N",
-                       help="flush a meter snapshot every N waves to "
-                            "<trace>.metrics.jsonl (needs --trace)")
+                       help="flush a meter snapshot every N x batch-size "
+                            "completed requests to <trace>.metrics.jsonl "
+                            "(needs --trace)")
 
     walltime = sub.add_parser("walltime", help="evaluate the wall-time model")
     walltime.add_argument("--model", default="125M")
@@ -489,8 +491,8 @@ def _cmd_serve(args) -> int:
 
     print(f"traffic         : {result.requests} requests, "
           f"{trace.unique_users}/{args.users} users hit "
-          f"(zipf s={args.zipf:g}), {result.waves} waves of "
-          f"{args.batch_size}")
+          f"(zipf s={args.zipf:g}), {args.batch_size} concurrent streams, "
+          f"{result.waves} admission rounds")
     print(f"generated       : {result.tokens_out:,} tokens in "
           f"{result.wall_s:.2f} s ({result.tokens_per_s:,.0f} tok/s)")
     print(f"latency         : p50 {result.p50_ms:.1f} ms, "

@@ -14,7 +14,10 @@ Adapters are never merged, so admitting a request costs no weight
 materialization and the base weights stay shared across all tenants.
 
 What lives here is policy: request id → slot, capacity, adapter
-validation and version pinning.
+validation and version pinning — and the one token loop,
+:meth:`MultiAdapterEngine.serve`, which admits requests into free
+slots as they open (continuous batching) and drives both
+:meth:`~MultiAdapterEngine.generate_batch` and the traffic replayer.
 
 Numerics: the factored delta equals the merged weight
 ``W + α/r·A B`` up to float rounding — ``tests/test_serving.py``
@@ -32,11 +35,14 @@ base.
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 import numpy as np
 
 from ..nn.inference import IncrementalDecoder
 from ..nn.lora import LoRALinear, _iter_linear_slots
 from ..nn.transformer import DecoderLM, sample_token
+from ..obs.trace import NULL_TRACER
 from .adapters import Adapter
 
 __all__ = ["MultiAdapterEngine", "StaleAdapterError", "sample_token"]
@@ -160,50 +166,88 @@ class MultiAdapterEngine(IncrementalDecoder):
         return dict(zip(batch, logits))
 
     # ------------------------------------------------------------------
-    # Convenience: lockstep batched generation
+    # The token loop
     # ------------------------------------------------------------------
+    def serve(self, pending: Iterator[tuple], width: int,
+              done: Callable[[str, np.ndarray], None], *,
+              temperature: float = 0.0, tracer=NULL_TRACER) -> int:
+        """Generate every request ``pending`` yields, at most ``width``
+        at a time; returns the number of admission rounds.
+
+        ``pending`` yields ``(request_id, adapter, prompt,
+        max_new_tokens, rng)`` and is drawn lazily: before each decode
+        step every slot freed since the last one takes the next
+        request, and the requests admitted together are prefilled in
+        one call.  Then one token is sampled per active request
+        (``sample_token`` with the request's own ``rng``); a request
+        whose budget is spent — clipped to the model's sequence length,
+        as ``InferenceEngine.generate`` clips it — is closed and handed
+        to ``done(request_id, tokens)``, and the rest are decoded in one
+        call.  Every stream this call opened is closed on return,
+        including on error.  Host spans ``admit``/``prefill``/``decode``
+        go to ``tracer``.
+        """
+        # request id -> (prompt + sampled tokens, length to stop at, rng)
+        live: dict[str, tuple[list[int], int, np.random.Generator | None]] = {}
+        logits: dict[str, np.ndarray] = {}
+        feed: dict[str, int] = {}
+        rounds = 0
+        try:
+            while True:
+                start = tracer.now_host()
+                prompts = {}
+                while len(live) < width and (job := next(pending, None)) is not None:
+                    request_id, adapter, prompt, max_new_tokens, rng = job
+                    self.open(request_id, adapter)
+                    prompt = np.asarray(prompt).reshape(-1)
+                    live[request_id] = (list(prompt), min(
+                        prompt.size + max_new_tokens, self.config.seq_len), rng)
+                    prompts[request_id] = prompt
+                if prompts:
+                    rounds += 1
+                    tracer.span_host("serve", "admit", start,
+                                     tracer.now_host() - start, round=rounds,
+                                     requests=len(prompts))
+                    with tracer.host_span("serve", "prefill", round=rounds,
+                                          requests=len(prompts)):
+                        logits.update(self.prefill_batch(prompts))
+                if feed:
+                    with tracer.host_span("serve", "decode", requests=len(feed)):
+                        logits.update(self.decode(feed))
+                if not live:
+                    return rounds
+                feed = {}
+                for request_id, (tokens, stop, rng) in list(live.items()):
+                    row = logits.pop(request_id)
+                    if len(tokens) < stop:
+                        tokens.append(sample_token(row, temperature, rng))
+                    if len(tokens) < stop:
+                        feed[request_id] = tokens[-1]
+                    else:
+                        del live[request_id]
+                        self.close(request_id)
+                        done(request_id, np.array(tokens, dtype=np.int64))
+        finally:
+            for request_id in live:
+                self.close(request_id)
+
     def generate_batch(self, requests: dict[str, tuple[Adapter | None, np.ndarray]],
                        max_new_tokens: int | dict[str, int],
                        temperature: float = 0.0,
                        rngs: dict[str, np.random.Generator] | None = None,
                        ) -> dict[str, np.ndarray]:
-        """Open, prefill and decode a batch of requests to completion.
+        """Generate a batch of requests to completion, all admitted at
+        once (:meth:`serve`).
 
         Per-request semantics match ``InferenceEngine.generate`` (one
         merged engine per request): greedy at ``temperature<=0``, the
         generation budget clipped to the model's sequence length.
-        Streams are closed on return, including on error.
         """
         rngs = rngs or {}
-        tokens: dict[str, list[int]] = {}
-        budget: dict[str, int] = {}
-        try:
-            for request_id, (adapter, prompt) in requests.items():
-                self.open(request_id, adapter)
-                prompt = np.asarray(prompt).reshape(-1)
-                tokens[request_id] = list(prompt)
-                want = (max_new_tokens if isinstance(max_new_tokens, int)
-                        else max_new_tokens[request_id])
-                budget[request_id] = min(want,
-                                         self.config.seq_len - prompt.size)
-            logits = self.prefill_batch(
-                {rid: np.array(tokens[rid]) for rid in requests})
-            active = {rid for rid in requests if budget[rid] > 0}
-            while active:
-                feed = {}
-                for request_id in sorted(active):
-                    nxt = sample_token(logits[request_id], temperature,
-                                       rngs.get(request_id))
-                    tokens[request_id].append(nxt)
-                    budget[request_id] -= 1
-                    if (budget[request_id] > 0
-                            and len(tokens[request_id]) < self.config.seq_len):
-                        feed[request_id] = nxt
-                logits.update(self.decode(feed))
-                active = set(feed)
-        finally:
-            for request_id in requests:
-                if request_id in self._slots:
-                    self.close(request_id)
-        return {rid: np.array(seq, dtype=np.int64)
-                for rid, seq in tokens.items()}
+        out: dict[str, np.ndarray] = {}
+        self.serve(((rid, adapter, prompt,
+                     max_new_tokens if isinstance(max_new_tokens, int)
+                     else max_new_tokens[rid], rngs.get(rid))
+                    for rid, (adapter, prompt) in requests.items()),
+                   len(requests), out.__setitem__, temperature=temperature)
+        return {rid: out[rid] for rid in requests}

@@ -8,11 +8,18 @@ configurable prompt/generation lengths — and reports the metrics a
 capacity planner needs: p50/p99 latency, tokens/s, adapter-cache hit
 rate and resident bytes.
 
-Determinism: the trace is fully determined by its seed, and generated
-tokens are determined by ``(seed, user)`` alone — greedy decoding plus
-per-request sampling streams mean batch composition never changes a
-request's output, so ``bench_serving.py`` arms are comparable across
-machines while the latency numbers measure the host.
+The replay is a closed loop: the whole trace is queued at the start
+and a request is admitted the moment a slot frees up (continuous
+batching, :meth:`MultiAdapterEngine.serve`), so latency runs from
+admission, not from arrival — queueing delay is not measured.
+
+Determinism: the trace is fully determined by its seed, and a
+request's tokens by the seed, its user and its position in the trace
+alone — greedy decoding, and at any temperature a sampling stream keyed
+``[seed, user_id, ordinal]``, mean neither ``batch_size`` nor the
+requests it shares steps with change its output, so ``bench_serving.py``
+arms are comparable across machines while the latency numbers measure
+the host.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import numpy as np
 from ..obs.trace import NULL_TRACER
 from .adapters import Adapter
 from .cache import AdapterCache
-from .engine import MultiAdapterEngine, sample_token
+from .engine import MultiAdapterEngine
 
 __all__ = ["Request", "SyntheticTrace", "ReplayResult", "RequestReplayer"]
 
@@ -89,6 +96,8 @@ class ReplayResult:
     """What one replay measured (see :meth:`as_dict` for the artifact)."""
 
     requests: int
+    #: admission rounds: ``prefill_batch`` calls, at least
+    #: ``ceil(requests / batch_size)``
     waves: int
     tokens_out: int
     wall_s: float
@@ -129,18 +138,22 @@ class ReplayResult:
 class RequestReplayer:
     """Drive a :class:`MultiAdapterEngine` from a request trace.
 
-    Requests are admitted in arrival order in waves of ``batch_size``
-    concurrent streams.  Per request: the adapter is looked up in the
-    cache keyed by user (a miss calls ``adapter_source(user_id)`` — the
-    personalization-round stand-in) and pinned for the flight; the wave
-    then prefills in one batched forward and decodes in lockstep, each
-    request completing when its budget is exhausted.  Request latency
-    is admission to completion on the host clock.
+    A closed loop over at most ``batch_size`` concurrent streams:
+    requests are admitted in trace order into the slots finished
+    requests freed, before the next decode step.  Per request:
+    the adapter is looked up in the cache keyed by user (a miss calls
+    ``adapter_source(user_id)`` — the personalization-round stand-in)
+    and pinned until that request completes.  The requests admitted
+    together are prefilled in one batched forward and every active
+    request decodes in one shared step.  Request latency is admission
+    to last token on the host clock; ``ReplayResult.waves`` counts
+    admission rounds (prefill calls).  A run that raises leaves no
+    stream open and no adapter pinned.
 
-    Obs integration: host-clock spans per wave phase
+    Obs integration: host-clock spans per loop phase
     (``admit``/``prefill``/``decode``) plus one span per request
     lifetime, and ``serve/*`` meters; a tracer with a metrics sink
-    flushes one snapshot per wave.
+    flushes one snapshot per ``batch_size`` completed requests.
     """
 
     def __init__(self, engine: MultiAdapterEngine, cache: AdapterCache,
@@ -187,93 +200,53 @@ class RequestReplayer:
         requests = list(trace)
         outputs: dict[str, np.ndarray] = {}
         latencies: list[float] = []
-        tokens_out = 0
-        waves = 0
+        # request id -> (request, ordinal, cache hit, admitted at,
+        # span start); an entry holds its adapter's pin.
+        in_flight: dict[str, tuple] = {}
         run_start = time.perf_counter()
 
-        for wave_start in range(0, len(requests), self.batch_size):
-            wave = requests[wave_start:wave_start + self.batch_size]
-            wave_idx = waves
-            waves += 1
-            admitted_at: dict[str, float] = {}
-            span_start: dict[str, float] = {}
-            hit_by_id: dict[str, bool] = {}
+        def pending():
+            for ordinal, request in enumerate(requests):
+                admitted_at, span_start = time.perf_counter(), tracer.now_host()
+                adapter, hit = self._admit(request)
+                in_flight[request.request_id] = (request, ordinal, hit,
+                                                 admitted_at, span_start)
+                rng = (np.random.default_rng(
+                    [self.seed, request.user_id, ordinal])
+                    if self.temperature > 0 else None)
+                yield (request.request_id, adapter, request.prompt,
+                       request.max_new_tokens, rng)
 
-            with tracer.host_span("serve", "admit", wave=wave_idx,
-                                  requests=len(wave)):
-                for request in wave:
-                    admitted_at[request.request_id] = time.perf_counter()
-                    span_start[request.request_id] = tracer.now_host()
-                    adapter, hit = self._admit(request)
-                    hit_by_id[request.request_id] = hit
-                    self.engine.open(request.request_id, adapter)
+        def done(request_id: str, tokens: np.ndarray) -> None:
+            request, ordinal, hit, admitted_at, span_start = in_flight.pop(
+                request_id)
+            self.cache.unpin(f"user{request.user_id}")
+            latency = time.perf_counter() - admitted_at
+            latencies.append(latency)
+            outputs[request_id] = tokens
+            generated = tokens.size - request.prompt.size
+            meters.histogram("serve/latency_ms").observe(latency * 1e3)
+            meters.counter("serve/requests").inc()
+            meters.counter("serve/tokens_out").inc(generated)
+            if tracer.enabled:
+                tracer.span_host(
+                    "request", f"{request_id}/user{request.user_id}",
+                    span_start, tracer.now_host() - span_start,
+                    user=request.user_id, ordinal=ordinal, cache_hit=hit,
+                    prompt_len=int(request.prompt.size), tokens_out=generated)
+            finished = len(outputs)
+            if finished % self.batch_size == 0 or finished == len(requests):
+                tracer.tick((finished - 1) // self.batch_size)
 
-            with tracer.host_span("serve", "prefill", wave=wave_idx,
-                                  requests=len(wave)):
-                logits = self.engine.prefill_batch(
-                    {r.request_id: r.prompt for r in wave})
-
-            tokens: dict[str, list[int]] = {
-                r.request_id: list(r.prompt) for r in wave}
-            budget = {
-                r.request_id: min(r.max_new_tokens,
-                                  self.engine.config.seq_len - r.prompt.size)
-                for r in wave}
-            rngs = {
-                r.request_id: np.random.default_rng(
-                    [self.seed, r.user_id, wave_start])
-                for r in wave} if self.temperature > 0 else {}
-            by_id = {r.request_id: r for r in wave}
-
-            def finish(request_id: str) -> None:
-                request = by_id[request_id]
-                latency = time.perf_counter() - admitted_at[request_id]
-                latencies.append(latency)
-                meters.histogram("serve/latency_ms").observe(latency * 1e3)
-                outputs[request_id] = np.array(tokens[request_id],
-                                               dtype=np.int64)
-                self.engine.close(request_id)
+        try:
+            waves = self.engine.serve(pending(), self.batch_size, done,
+                                      temperature=self.temperature,
+                                      tracer=tracer)
+        finally:
+            for request, *_ in in_flight.values():
                 self.cache.unpin(f"user{request.user_id}")
-                if tracer.enabled:
-                    tracer.span_host(
-                        "request", f"{request_id}/user{request.user_id}",
-                        span_start[request_id],
-                        tracer.now_host() - span_start[request_id],
-                        user=request.user_id, wave=wave_idx,
-                        cache_hit=hit_by_id[request_id],
-                        prompt_len=int(request.prompt.size),
-                        tokens_out=len(tokens[request_id])
-                        - int(request.prompt.size))
-
-            with tracer.host_span("serve", "decode", wave=wave_idx,
-                                  requests=len(wave)):
-                active = {r.request_id for r in wave if budget[r.request_id] > 0}
-                for request in wave:
-                    if budget[request.request_id] <= 0:
-                        finish(request.request_id)
-                while active:
-                    feed = {}
-                    for request_id in sorted(active):
-                        nxt = sample_token(logits[request_id],
-                                           self.temperature,
-                                           rngs.get(request_id))
-                        tokens[request_id].append(nxt)
-                        tokens_out += 1
-                        budget[request_id] -= 1
-                        if (budget[request_id] > 0
-                                and len(tokens[request_id])
-                                < self.engine.config.seq_len):
-                            feed[request_id] = nxt
-                        else:
-                            finish(request_id)
-                    logits.update(self.engine.decode(feed))
-                    active = set(feed)
-
-            meters.counter("serve/requests").inc(len(wave))
-            meters.counter("serve/tokens_out").inc(
-                sum(len(tokens[r.request_id]) - r.prompt.size for r in wave))
-            tracer.tick(wave_idx)
-
+        tokens_out = sum(outputs[r.request_id].size - r.prompt.size
+                         for r in requests)
         wall_s = time.perf_counter() - run_start
         latencies_ms = np.asarray(latencies) * 1e3
         return ReplayResult(

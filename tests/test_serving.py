@@ -19,11 +19,12 @@ from repro.nn import (
     lora_state_dict,
     merge_lora,
 )
-from repro.obs import MeterRegistry, Tracer
+from repro.obs import MeterRegistry, MetricsSink, Tracer
 from repro.serve import (
     Adapter,
     AdapterCache,
     MultiAdapterEngine,
+    Request,
     RequestReplayer,
     StaleAdapterError,
     SyntheticTrace,
@@ -592,20 +593,57 @@ class TestAdapterCache:
             AdapterCache(capacity=0)
 
 
+def count_calls(engine, name, record=lambda arg: arg):
+    """Wrap ``engine.<name>`` on the instance; returns the list that
+    ``record(first argument)`` is appended to on every call."""
+    calls = []
+    method = getattr(engine, name)
+
+    def counted(arg, *args):
+        calls.append(record(arg))
+        return method(arg, *args)
+
+    setattr(engine, name, counted)
+    return calls
+
+
+def serve_mixed_like(n_waves, model, seed=0):
+    """``serve_mixed``'s shape at test size: per 8 requests, 6 short
+    and 2 long ones at random positions, Zipf users."""
+    rng = np.random.default_rng(seed)
+    zipf = np.arange(1, 25, dtype=np.float64) ** -1.1
+    requests = []
+    for _ in range(n_waves):
+        long = set(rng.choice(8, 2, replace=False).tolist())
+        for pos in range(8):
+            prompt_len, gen = (((8, 16), (96, 128)) if pos in long
+                               else ((4, 8), (8, 16)))
+            requests.append(Request(
+                f"r{len(requests)}", int(rng.choice(24, p=zipf / zipf.sum())),
+                rng.integers(0, model.vocab_size,
+                             size=int(rng.integers(*prompt_len))),
+                int(rng.integers(*gen))))
+    return requests
+
+
 class TestReplayer:
-    def run_replay(self, base_model, template, *, capacity=3, batch=4,
-                   n_requests=12, tracer=None, temperature=0.0, seed=0):
+    def make_replayer(self, base_model, template, *, capacity=3, batch=4,
+                      tracer=None, temperature=0.0, seed=0,
+                      adapter_source=None):
         engine = MultiAdapterEngine(base_model, base_version=VERSION,
                                     max_streams=batch)
         cache = AdapterCache(capacity,
                              meters=tracer.meters if tracer else None)
-        replayer = RequestReplayer(
-            engine, cache, lambda u: make_adapter(template, u),
+        return RequestReplayer(
+            engine, cache,
+            adapter_source or (lambda u: make_adapter(template, u)),
             batch_size=batch, temperature=temperature, seed=seed,
             tracer=tracer)
+
+    def run_replay(self, base_model, template, *, n_requests=12, **kw):
         trace = SyntheticTrace(n_requests, 5, vocab_size=CFG.vocab_size,
                                seed=0)
-        return replayer.run(trace)
+        return self.make_replayer(base_model, template, **kw).run(trace)
 
     def test_trace_seeded_and_zipf_skewed(self):
         t1 = SyntheticTrace(50, 10, vocab_size=CFG.vocab_size, seed=4)
@@ -633,20 +671,28 @@ class TestReplayer:
 
     def test_replay_outputs_match_sequential(self, base_model, template):
         """Every replayed request decodes exactly as its own merged
-        engine would have."""
-        result = self.run_replay(base_model, template, n_requests=8)
-        trace = SyntheticTrace(8, 5, vocab_size=CFG.vocab_size, seed=0)
-        for request in trace:
-            adapter = make_adapter(template, request.user_id)
-            expected = merged_reference(adapter).generate(
-                request.prompt, request.max_new_tokens, temperature=0.0)
-            np.testing.assert_array_equal(result.outputs[request.request_id],
-                                          expected)
+        engine would have, at any number of concurrent streams."""
+        trace = SyntheticTrace(10, 5, vocab_size=CFG.vocab_size, seed=0)
+        expected = {
+            r.request_id: merged_reference(make_adapter(template, r.user_id))
+            .generate(r.prompt, r.max_new_tokens, temperature=0.0)
+            for r in trace}
+        for batch in (1, 3, 8):
+            result = self.run_replay(base_model, template, batch=batch,
+                                     n_requests=10)
+            assert result.outputs.keys() == expected.keys()
+            for rid, want in expected.items():
+                np.testing.assert_array_equal(result.outputs[rid], want)
 
     def test_metrics_populated(self, base_model, template):
-        result = self.run_replay(base_model, template, n_requests=12)
+        replayer = self.make_replayer(base_model, template)
+        prefills = count_calls(replayer.engine, "prefill_batch")
+        result = replayer.run(SyntheticTrace(12, 5, vocab_size=CFG.vocab_size,
+                                             seed=0))
         assert result.requests == 12
-        assert result.waves == 3
+        # Admission rounds: one prefill call each, at least ceil(12 / 4).
+        assert result.waves == len(prefills) >= 3
+        assert sum(len(prompts) for prompts in prefills) == 12
         assert result.tokens_out > 0
         assert result.p99_ms >= result.p50_ms > 0
         assert result.tokens_per_s > 0
@@ -660,24 +706,122 @@ class TestReplayer:
                 "adapter_bytes"} <= d.keys()
 
     def test_tracer_spans_and_meters(self, base_model, template, tmp_path):
-        tracer = Tracer(tmp_path / "serve.json")
-        self.run_replay(base_model, template, tracer=tracer, n_requests=8)
+        sink = MetricsSink(tmp_path / "serve.metrics.jsonl")
+        tracer = Tracer(tmp_path / "serve.json", metrics_every=1, sink=sink)
+        replayer = self.make_replayer(base_model, template, tracer=tracer)
+        decodes = count_calls(replayer.engine, "decode")
+        result = replayer.run(SyntheticTrace(
+            10, 5, vocab_size=CFG.vocab_size, seed=0))
         summary = tracer.summary()
-        assert summary["host_spans"] >= 2 * 3 + 8  # wave phases + requests
+        # admit + prefill per round, one decode per step, one per request
+        assert summary["host_spans"] == 2 * result.waves + len(decodes) + 10
+        assert sink.lines == 3  # one snapshot per 4 completed requests
         meters = summary["meters"]
-        assert meters["serve/requests"] == 8
-        assert meters["serve/latency_ms"]["count"] == 8
-        assert meters["serve/tokens_out"] > 0
+        assert meters["serve/requests"] == 10
+        assert meters["serve/latency_ms"]["count"] == 10
+        assert meters["serve/tokens_out"] == result.tokens_out
         assert tracer.export() is not None
 
     def test_tracing_does_not_change_outputs(self, base_model, template,
                                              tmp_path):
-        plain = self.run_replay(base_model, template)
-        traced = self.run_replay(base_model, template,
-                                 tracer=Tracer(tmp_path / "t.json"))
-        for rid in plain.outputs:
-            np.testing.assert_array_equal(plain.outputs[rid],
-                                          traced.outputs[rid])
+        for temperature in (0.0, 0.9):
+            plain = self.run_replay(base_model, template,
+                                    temperature=temperature)
+            traced = self.run_replay(base_model, template,
+                                     temperature=temperature,
+                                     tracer=Tracer(tmp_path / "t.json"))
+            assert plain.outputs.keys() == traced.outputs.keys()
+            for rid in plain.outputs:
+                np.testing.assert_array_equal(plain.outputs[rid],
+                                              traced.outputs[rid])
+
+    def test_sampled_outputs_independent_of_batch_size(self, base_model,
+                                                       template):
+        """Regression: the sampling stream was keyed on the wave's first
+        index, so at temperature > 0 half the requests of a 16-request
+        trace drew other tokens at batch 4 than at batch 8."""
+        runs = [self.run_replay(base_model, template, batch=batch,
+                                n_requests=16, temperature=0.9, seed=11)
+                for batch in (1, 3, 8)]
+        for run in runs[1:]:
+            assert run.outputs.keys() == runs[0].outputs.keys()
+            for rid in run.outputs:
+                np.testing.assert_array_equal(run.outputs[rid],
+                                              runs[0].outputs[rid])
+
+    def test_same_user_same_prompt_draws_its_own_stream(self, base_model,
+                                                        template):
+        """Regression: two requests of one user in one wave shared a
+        sampling stream, so identical prompts sampled identical text."""
+        prompt = np.arange(5)
+        trace = [Request("a", 2, prompt, 12), Request("b", 2, prompt, 12)]
+        result = self.make_replayer(base_model, template, batch=2,
+                                    temperature=0.9, seed=3).run(trace)
+        assert not np.array_equal(result.outputs["a"], result.outputs["b"])
+        np.testing.assert_array_equal(result.outputs["a"][:5], prompt)
+
+    def test_no_decode_step_while_a_slot_is_free_and_a_request_waits(
+            self, base_model, template):
+        replayer = self.make_replayer(base_model, template, batch=3)
+        engine = replayer.engine
+        opened = count_calls(engine, "open")
+        steps = count_calls(engine, "decode",
+                            lambda feed: (engine.active, len(opened)))
+        replayer.run(SyntheticTrace(14, 5, vocab_size=CFG.vocab_size, seed=0))
+        assert len(opened) == 14 and steps
+        for active, admitted in steps:
+            assert active == 3 or admitted == 14
+
+    def test_run_releases_every_slot_and_pin(self, base_model, template):
+        replayer = self.make_replayer(base_model, template, capacity=2,
+                                      batch=3)
+        replayer.run(SyntheticTrace(14, 5, vocab_size=CFG.vocab_size, seed=0))
+        assert replayer.engine.active == 0
+        assert sorted(replayer.engine._free) == [0, 1, 2]
+        assert not any(replayer.cache.pinned(f"user{u}") for u in range(5))
+        assert replayer.cache.resident <= 2  # pins drained, cache shrank
+
+    @pytest.mark.parametrize("fault", ["raises", "wrong_id", "stale"])
+    def test_failed_admission_leaks_nothing(self, base_model, template,
+                                            fault):
+        """Regression: a fault admitting the third request of a wave
+        left the first two open and pinned, so the engine and cache
+        were unusable afterwards."""
+        def source(user):
+            if user != 2:
+                return make_adapter(template, user)
+            if fault == "raises":
+                raise OSError("personalization store unavailable")
+            if fault == "wrong_id":
+                return make_adapter(template, 0)
+            return make_adapter(template, user, version=VERSION - 1)
+
+        replayer = self.make_replayer(base_model, template, capacity=4,
+                                      adapter_source=source)
+        trace = [Request(f"r{u}", u, np.arange(1, 4 + u), 6)
+                 for u in (0, 1, 2, 3)]
+        with pytest.raises((OSError, ValueError)):
+            replayer.run(trace)
+        assert replayer.engine.active == 0
+        assert not any(replayer.cache.pinned(f"user{u}") for u in range(4))
+        replayer.adapter_source = lambda u: make_adapter(template, u)
+        assert replayer.run(trace).requests == 4  # both still usable
+
+    def test_rows_per_decode_step_on_a_serve_mixed_trace(self, template):
+        """A wave lived as long as its longest request, so a step fed
+        ~2.4 rows of 8; a freed slot now takes the next request."""
+        model = DecoderLM(CFG.scaled(seq_len=160), seed=0)
+        engine = MultiAdapterEngine(model, base_version=VERSION,
+                                    max_streams=8)
+        decodes = count_calls(engine, "decode")
+        trace = serve_mixed_like(24, model.config)
+        result = RequestReplayer(engine, AdapterCache(4),
+                                 lambda u: make_adapter(template, u),
+                                 batch_size=8).run(trace)
+        rows = sum(len(feed) for feed in decodes)
+        assert rows == sum(r.max_new_tokens - 1 for r in trace)
+        assert rows / len(decodes) >= 0.8 * 8
+        assert result.waves > len(trace) // 8
 
     def test_batch_size_validated(self, base_model, template):
         engine = MultiAdapterEngine(base_model, base_version=VERSION,
