@@ -111,7 +111,8 @@ __all__ = [
 ]
 
 
-def _plan_cycles(walltime: WallTimeModel | None, client_ids: list[str],
+def _plan_cycles(walltime: WallTimeModel | None,
+                 client_ids: "list[str] | np.ndarray",
                  local_steps: int, adaptive_local_steps: bool = False
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The clock of each client's next pull–train–push cycle, as
@@ -120,7 +121,7 @@ def _plan_cycles(walltime: WallTimeModel | None, client_ids: list[str],
     unjittered Eq. 1 / ``2·S/B_i`` split.  ``compute_s + comm_s`` is
     the cycle time selection ranks on and a dispatch is planned from
     (``client_ids`` is whatever handle the wall-time model resolves:
-    a ranking passes the population indices it already holds).  Without
+    rankings and dispatch waves pass population indices).  Without
     a wall-time model every cycle is one indivisible time unit."""
     planned = np.full(len(client_ids), local_steps, dtype=np.int64)
     if walltime is None:
@@ -133,7 +134,8 @@ def _plan_cycles(walltime: WallTimeModel | None, client_ids: list[str],
 
 def check_deadline_feasible(deadline: DeadlinePolicy | None,
                             walltime: WallTimeModel | None,
-                            client_ids: list[str], local_steps: int,
+                            client_ids: "list[str] | np.ndarray",
+                            local_steps: int,
                             adaptive_local_steps: bool = False) -> None:
     """Fail fast on a deadline nobody can meet: every request would be
     cancelled and the federation could never flush.  Uses base
@@ -235,6 +237,48 @@ def _opt_int(value) -> int | None:
     return None if value is None else int(value)
 
 
+class _IdleQueue:
+    """The async engine's idle pool: a FIFO of population indices in
+    one preallocated ring of population capacity.  A client is idle at
+    most once, so the ring never overflows, and :meth:`append` and
+    :meth:`popleft` are O(1) — growing an array instead would copy the
+    whole pool on every arrival."""
+
+    def __init__(self, capacity: int):
+        self._ring = np.empty(capacity, dtype=np.int64)
+        self._head = self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def indices(self) -> np.ndarray:
+        """The pool in queue order (a copy)."""
+        end = self._head + self._len
+        if end <= len(self._ring):
+            return self._ring[self._head:end].copy()
+        return np.concatenate([self._ring[self._head:],
+                               self._ring[:end - len(self._ring)]])
+
+    def replace(self, indices: np.ndarray) -> None:
+        """Make ``indices`` the whole pool, in that order."""
+        self._ring[:len(indices)] = indices
+        self._head, self._len = 0, len(indices)
+
+    def append(self, index: int) -> None:
+        if self._len == len(self._ring):
+            raise RuntimeError(f"client {index} is already idle")
+        self._ring[(self._head + self._len) % len(self._ring)] = index
+        self._len += 1
+
+    def popleft(self, k: int = 1) -> np.ndarray:
+        """Remove and return the first ``k`` clients."""
+        out = self._ring.take(np.arange(self._head, self._head + k),
+                              mode="wrap")
+        self._head = (self._head + k) % len(self._ring)
+        self._len -= k
+        return out
+
+
 #: The async event loop's durable state, one row per entry of the
 #: RunState tree: ``(state key, attribute, dump, load)``; a ``None``
 #: dump stores the attribute as it is.  Key order and value shapes are
@@ -253,8 +297,8 @@ _ASYNC_STATE = (
     ("buffer", "_buffer",
      lambda buffer: [[pulled, _plain(u)] for pulled, u in buffer],
      lambda state: [(pulled, ClientUpdate(**u)) for pulled, u in state]),
-    ("idle", "_idle", list, deque),
-    ("availability_deferred", "_availability_deferred", sorted, set),
+    ("idle", "_idle_ids", None, list),
+    ("availability_deferred", "_deferred_ids", None, list),
     ("failure_streak", "_failure_streak", dict, dict),
     ("window_retries", "_window_retries", None, int),
     ("arrivals", "_arrivals",
@@ -1093,11 +1137,14 @@ class AsyncAggregator(RoundEngine):
         self._seq = 0
         self._inflight: dict[str, _InFlight] = {}
         self._buffer: list[tuple[int, ClientUpdate]] = []  # (pull version, update)
-        self._idle: deque[str] = deque()
+        # Idle clients as population indices; ids are formatted only
+        # where a client leaves the loop (link, observer, scheduler
+        # log, history, checkpoint).
+        self._idle = _IdleQueue(self.clients.population.n)
         # Idle clients the most recent availability draw found
         # unreachable: deferred until the next draw, and meanwhile not
         # eligible for a requeue's freed slot either.
-        self._availability_deferred: set[str] = set()
+        self._availability_deferred = np.empty(0, dtype=np.int64)
         # retry_round bookkeeping: consecutive crashes per client (the
         # retry budget) and retries issued since the last flush.
         self._failure_streak: dict[str, int] = {}
@@ -1119,25 +1166,29 @@ class AsyncAggregator(RoundEngine):
         # reference), not the flush-history length.
         return self.version
 
-    def _predict_next_cycles(self, client_ids: list[str]) -> np.ndarray:
+    def _predict_next_cycles(self, client_ids: "list[str] | np.ndarray"
+                             ) -> np.ndarray:
         """The scheduler's ``durations_of`` at the run's fixed τ."""
         return self._predict_cycles(client_ids, self._local_steps)
 
-    def _dispatch(self, *client_ids: str) -> None:
-        """Send the current global model to a wave of clients and
-        schedule each one's completion event — or, when an enforcing
-        deadline already knows the cycle cannot finish in time, its
-        cancellation (or ``admit_partial`` salvage) event at the
-        deadline.
+    def _dispatch(self, idx) -> None:
+        """Send the current global model to a wave of clients
+        (population indices) and schedule each one's completion event
+        — or, when an enforcing deadline already knows the cycle
+        cannot finish in time, its cancellation (or ``admit_partial``
+        salvage) event at the deadline.
 
         The wave is planned once, as arrays: planned steps and their
         compute/comm split, the realized duration (one jitter draw per
         cycle, consumed in dispatch order), the deadline verdict, and
         the steps a cancelled cycle still delivers."""
-        if not client_ids:
+        idx = np.asarray(idx, dtype=np.int64)
+        if not len(idx):
             return
+        ids = self.clients.population.ids
+        client_ids = [ids[i] for i in idx.tolist()]
         planned, compute, comm = _plan_cycles(
-            self.walltime, client_ids, self._local_steps,
+            self.walltime, idx, self._local_steps,
             self.adaptive_local_steps)
         durations = compute + comm
         if self.jitter is not None:
@@ -1190,20 +1241,18 @@ class AsyncAggregator(RoundEngine):
         if self._idle and slots > 0:
             if self.availability is None and self.scheduler.policy == "random":
                 # Fast path for the always-reachable FIFO queue: pop
-                # from the deque instead of rebuilding O(N) candidate
-                # lists per wave.  Bit-exact vs select_async with an
-                # all-reachable pool (FIFO order, no RNG consumed).
-                self._availability_deferred = set()
-                self._dispatch(*(self._idle.popleft()
-                                 for _ in range(min(slots, len(self._idle)))))
+                # from the front instead of copying the pool per wave.
+                # Bit-exact vs select_async with an all-reachable pool
+                # (FIFO order, no RNG consumed).
+                self._availability_deferred = self._availability_deferred[:0]
+                self._dispatch(self._idle.popleft(min(slots, len(self._idle))))
             else:
-                idle = list(self._idle)
+                idle = self._idle.indices()
                 reachable = None  # everyone
-                self._availability_deferred = set()
+                self._availability_deferred = idle[:0]
                 if self.availability is not None:
-                    reachable = set(
-                        self.availability.available(idle, self.version))
-                    self._availability_deferred = set(idle) - reachable
+                    reachable = self._reachable(idle)
+                    self._availability_deferred = idle[~reachable]
                 # The engine's deadline is the feasibility fallback when
                 # the scheduler was built without one of its own.
                 dispatch, leftover = self.scheduler.select_async(
@@ -1212,12 +1261,43 @@ class AsyncAggregator(RoundEngine):
                     deadline_s=(self.deadline.deadline_s
                                 if self.deadline is not None else None),
                 )
-                self._idle = deque(leftover)
-                self._dispatch(*dispatch)
+                self._idle.replace(leftover)
+                self._dispatch(dispatch)
         if not self._events and self._idle:
             # Nobody reachable and nothing in flight: keep one client
             # training (mirrors AvailabilityModel's floor).
             self._dispatch(self._idle.popleft())
+
+    def _reachable(self, idle: np.ndarray) -> np.ndarray:
+        """One availability draw over the idle pool, as a mask over
+        it.  The draw is asked about positions in the pool: it only
+        counts and picks them, so no id is formatted for it."""
+        reachable = np.zeros(len(idle), dtype=bool)
+        reachable[np.asarray(self.availability.available(
+            range(len(idle)), self.version), dtype=np.int64)] = True
+        return reachable
+
+    # The RunState tree keeps the idle pool and the deferred clients
+    # as ids (the layout of ``RUNSTATE_VERSION``); the loop holds them
+    # as population indices.
+    @property
+    def _idle_ids(self) -> list[str]:
+        ids = self.clients.population.ids
+        return [ids[i] for i in self._idle.indices().tolist()]
+
+    @_idle_ids.setter
+    def _idle_ids(self, client_ids: list[str]) -> None:
+        self._idle.replace(self.clients.population.indices_of(client_ids))
+
+    @property
+    def _deferred_ids(self) -> list[str]:
+        ids = self.clients.population.ids
+        return sorted(ids[i] for i in self._availability_deferred.tolist())
+
+    @_deferred_ids.setter
+    def _deferred_ids(self, client_ids: list[str]) -> None:
+        self._availability_deferred = self.clients.population.indices_of(
+            client_ids)
 
     def _ensure_started(self, local_steps: int) -> None:
         if self._started:
@@ -1233,20 +1313,23 @@ class AsyncAggregator(RoundEngine):
         # that closes the window.  Only work still in flight when the
         # run ends goes unattributed.
         self._open_link_window()
-        population = list(self.clients.population.sorted_ids)
-        selected = self.sampler.sample(population, 0)
+        pop = self.clients.population
+        selected = self.sampler.sample(list(pop.sorted_ids), 0)
         if self.buffer_size is None:
             self.buffer_size = len(selected)
         if self.concurrency is None:
             self.concurrency = len(selected)
-        check_deadline_feasible(self.deadline, self.walltime, population,
+        in_id_order = np.empty(pop.n, dtype=np.int64)
+        in_id_order[pop.lex_rank] = np.arange(pop.n)
+        check_deadline_feasible(self.deadline, self.walltime, in_id_order,
                                 self._local_steps, self.adaptive_local_steps)
         # Sampled cohort trains first; the rest of the population joins
-        # the round-robin idle queue behind it.
-        selected_set = set(selected)
-        self._idle = deque(
-            selected + [c for c in population if c not in selected_set]
-        )
+        # the round-robin idle queue behind it, in id order.
+        first = pop.indices_of(selected)
+        rest = np.ones(pop.n, dtype=bool)
+        rest[first] = False
+        self._idle.replace(
+            np.concatenate([first, in_id_order[rest[in_id_order]]]))
         self._refill(min(self.concurrency, len(self._idle)))
         self._started = True
 
@@ -1294,7 +1377,7 @@ class AsyncAggregator(RoundEngine):
             self._failure_streak[client_id] = 0  # fresh budget next pull
             return False
         self._failure_streak[client_id] = streak
-        self._dispatch(client_id)
+        self._dispatch([self.clients.population.index_of(client_id)])
         self._window_retries += 1
         return True
 
@@ -1311,7 +1394,7 @@ class AsyncAggregator(RoundEngine):
         if self.deadline.drop_policy == "requeue":
             self._requeue(client_id)
         else:
-            self._idle.append(client_id)
+            self._idle.append(self.clients.population.index_of(client_id))
             self.observer.idle(client_id, self.clock_s)
 
     def _requeue(self, client_id: str) -> None:
@@ -1327,34 +1410,30 @@ class AsyncAggregator(RoundEngine):
         ineligible (the cancelled client itself was dispatched, hence
         reachable).
         """
+        cancelled = [self.clients.population.index_of(client_id)]
         if self.scheduler.policy == "random":
-            self._dispatch(client_id)
+            self._dispatch(cancelled)
             return
-        pool_idle = [c for c in self._idle
-                     if c not in self._availability_deferred]
-        if not pool_idle and self._idle and self.availability is not None:
+        idle = self._idle.indices()
+        eligible = ~np.isin(idle, self._availability_deferred)
+        if not eligible.any() and len(idle) and self.availability is not None:
             # Every idle client was deferred by the last draw.  A
             # timeout is a completion event, so take the documented
             # "fresh availability draw" here rather than pinning the
             # slot on the cancelled client until something completes
             # (nothing might: this is the requeue-livelock shape).
-            reachable = set(
-                self.availability.available(list(self._idle), self.version)
-            )
-            self._availability_deferred = set(self._idle) - reachable
-            pool_idle = [c for c in self._idle if c in reachable]
-        pool = [client_id] + pool_idle
+            eligible = self._reachable(idle)
+            self._availability_deferred = idle[~eligible]
         dispatch, _ = self.scheduler.select_async(
-            pool, None, 1, self.version, self._predict_next_cycles,
+            np.concatenate([cancelled, idle[eligible]]), None, 1,
+            self.version, self._predict_next_cycles,
             deadline_s=self.deadline.deadline_s,
         )
-        chosen = set(dispatch)
         # Rebuild the idle pool in order, keeping deferred clients in
         # place (select_async never saw them).
-        self._idle = deque(
-            c for c in [client_id] + list(self._idle) if c not in chosen
-        )
-        self._dispatch(*dispatch)
+        pool = np.concatenate([cancelled, idle])
+        self._idle.replace(pool[pool != dispatch[0]])
+        self._dispatch(dispatch)
 
     def _check_requeue_liveness(self) -> None:
         """Fail fast on a provable requeue livelock.
@@ -1441,7 +1520,7 @@ class AsyncAggregator(RoundEngine):
         record = None
         while self._arrivals and record is None:
             client_id, outcome = self._arrivals.popleft()
-            self._idle.append(client_id)
+            self._idle.append(self.clients.population.index_of(client_id))
             self.observer.idle(client_id, self.clock_s)
             if isinstance(outcome, ClientFailure):
                 self._failed_pending.append(outcome.client_id)

@@ -34,9 +34,13 @@ an array equals scalar ``np.exp`` per element (but NOT libm's
 ``math.exp``); vectorized elementwise divide/multiply/add equal their
 scalar counterparts; ``np.lexsort((lex_rank, -score))`` equals
 Python's stable sort on ``(-score, client_id)`` because ``lex_rank``
-*is* Python's ``str`` order; and ``Generator.normal(0, sigma_array)``
-consumes the RNG stream exactly like the equivalent sequence of scalar
-draws.
+*is* Python's ``str`` order; the ranking's head — ``np.partition`` to
+the k-th key, then that lexsort over only the keys ``<=`` it, every
+tie at the cut included — equals the full sort's first k, given
+finite keys (hence finite, positive factors and rates:
+:func:`~repro.net.walltime.check_finite_positive`); and
+``Generator.normal(0, sigma_array)`` consumes the RNG stream exactly
+like the equivalent sequence of scalar draws.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ..net.walltime import slowdown_factors
+from ..net.walltime import check_finite_positive, slowdown_factors
 from .client import LLMClient
 
 __all__ = [
@@ -97,15 +101,14 @@ class ClientPopulation:
                 raise ValueError("cohort_of must have one entry per client")
         self.cohort_of = cohort_of
 
-    def _checked_factors(self, factors: np.ndarray | None) -> np.ndarray:
+    def _checked_factors(self, factors: np.ndarray | None,
+                         name: str = "slowdown factors") -> np.ndarray:
         if factors is None:
             return np.ones(self.n, dtype=np.float64)
         factors = np.asarray(factors, dtype=np.float64)
         if factors.shape != (self.n,):
             raise ValueError("factor arrays must have one entry per client")
-        if not (factors > 0).all():
-            raise ValueError("slowdown factors must be positive")
-        return factors.copy()
+        return check_finite_positive(name, factors).copy()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -198,7 +201,10 @@ class LazyClientPool(Mapping):
         self._parked: dict[str, dict] = {}
         self._leases: dict[str, int] = {}
         self._lock = threading.Lock()
+        #: every build, first or not; ``rematerializations`` counts the
+        #: rebuilds of a parked (evicted) client alone.
         self.materializations = 0
+        self.rematerializations = 0
         self.evictions = 0
         self.hits = 0
 
@@ -240,6 +246,7 @@ class LazyClientPool(Mapping):
         parked = self._parked.pop(client_id, None)
         if parked is not None:
             client.load_state_dict(parked)
+            self.rematerializations += 1
         self._live[client_id] = client
         self.materializations += 1
         return client

@@ -39,6 +39,14 @@ The scheduler is deliberately deterministic given its inputs: it is
 only ever called from the engines' serial sections, so histories stay
 rerun-identical for any ``max_workers`` — the same invariant the rest
 of the simulation maintains.
+
+Clients are population indices here, not id strings: the async idle
+pool, ``select_async`` and ``_rank`` take and return int64 index
+arrays, so a ranking resolves no id at all (ids are formatted only at
+the edges — ``note_selected``/``selection_log``, a per-client jitter
+dict, the sync engine's cohort).  A ranking reaches its first ``k``
+by partition, then sort (:func:`_first`): with finite keys that head
+is exactly the full stable sort's, ties at the cut included.
 """
 
 from __future__ import annotations
@@ -98,6 +106,24 @@ def normal_quantile(p: float) -> float:
     r = q * q
     return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
         (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
+
+
+def _first(positions: np.ndarray, key: np.ndarray, lex: np.ndarray,
+           m: int) -> np.ndarray:
+    """The ``m`` of ``positions`` with the smallest ``(key, lex)``, in
+    that order (``key`` and ``lex`` are indexed by position).
+
+    Partition, then sort: ``np.partition`` finds the m-th smallest key
+    (the cut), and only the members whose key is ``<=`` the cut — every
+    tie at the cut included — are lexsorted.  Anyone left out has a
+    key above the cut, so ranks after all m winners: the head equals
+    the full stable sort's, given finite keys (a NaN compares false
+    and would fall out of the tie closure; the wall-time model refuses
+    non-finite factors and rates for that reason)."""
+    if m < len(positions):
+        keys = key[positions]
+        positions = positions[keys <= np.partition(keys, m - 1)[m - 1]]
+    return positions[np.lexsort((lex[positions], key[positions]))][:m]
 
 
 class ClientScheduler:
@@ -269,11 +295,12 @@ class ClientScheduler:
         self.last_loss[i] = train_loss
 
     # ------------------------------------------------------------------
-    def _rank(self, candidates: Sequence[str], version: int,
+    def _rank(self, idx: np.ndarray, version: int,
               durations_of: DurationsOf, deadline_s: float | None,
-              k: int | None = None) -> list[str]:
-        """The best ``k`` of ``candidates`` (all of them by default),
-        best first under the active policy (module docstring).
+              k: int | None = None) -> np.ndarray:
+        """Positions in ``idx`` (population indices) of its best ``k``
+        clients (all of them by default), best first under the active
+        policy (module docstring).
 
         The ``utility`` score is throughput + recency + statistics:
         ``fastest / cycle`` is in (0, 1]; the recency term grows
@@ -282,64 +309,65 @@ class ClientScheduler:
         statistical term (true Oort) is the client's last observed
         loss improvement, clamped at 0 and normalized by the candidate
         set's largest, scaled by ``stat_utility_weight``.
+
+        The order is three groups, each by (key, id): due clients by
+        ``-waited``, then feasible and then deadline-infeasible ones
+        by ``-score`` (``fastest`` is one group by predicted cycle).
+        :func:`_first` reaches a group's head by partition, then sort,
+        so picking 16 of 12,000 sorts a handful of them.
         """
-        if not candidates:
-            return []
+        idx = np.asarray(idx, dtype=np.int64)
+        if not len(idx):
+            return idx
         pop = self.population
-        # The ranking's one id resolution: the clock is asked by index.
-        idx = pop.indices_of(candidates)
+        # No id is resolved here: the clock is asked by index.
         lex = pop.lex_rank[idx]
         durations = np.asarray(durations_of(idx), dtype=np.float64)
         if self.feasibility_quantile is not None and self.jitter is not None:
             # Inflate each prediction to its jitter quantile:
-            # ``exp(z_q * scale)``, 1.0 for jitter-free clients.
-            scales = np.asarray(self.jitter.scales_for(candidates),
-                                dtype=np.float64)
+            # ``exp(z_q * scale)``, 1.0 for jitter-free clients.  A
+            # per-client scale dict is keyed by id: the edge.
+            scales = np.asarray(self.jitter.scales_for(
+                [pop.ids[i] for i in idx.tolist()]), dtype=np.float64)
             nz = scales > 0
             if nz.any():
-                margins = np.ones(len(candidates), dtype=np.float64)
+                margins = np.ones(len(idx), dtype=np.float64)
                 margins[nz] = np.exp(self._margin_z * scales[nz])
                 durations = durations * margins
+        k = len(idx) if k is None else k
         if self.policy == "fastest":
-            ordered = np.lexsort((lex, durations))
-            return [candidates[j] for j in ordered[:k].tolist()]
+            return _first(np.arange(len(idx)), durations, lex, k)
         # utility
         waited = version - self.last_selected[idx]
         if self.fairness_every_k is not None:
             due_mask = waited >= self.fairness_every_k
         else:
-            due_mask = np.zeros(len(candidates), dtype=bool)
-        due_idx = np.flatnonzero(due_mask)
-        due_order = due_idx[np.lexsort((lex[due_idx], -waited[due_idx]))]
-        rest_idx = np.flatnonzero(~due_mask)
+            due_mask = np.zeros(len(idx), dtype=bool)
         fastest_s = float(durations.min())
         # Candidate-relative normalizer for the statistical term: the
         # best recent improvement maps to 1, so the term is unitless
         # like the speed and recency terms.
         imp = self.loss_improvement[idx]
         stat_norm = float(imp.max())
-        d_rest = durations[rest_idx]
-        speed = np.ones(len(rest_idx), dtype=np.float64)
-        positive = d_rest > 0
-        speed[positive] = fastest_s / d_rest[positive]
+        speed = np.ones(len(idx), dtype=np.float64)
+        positive = durations > 0
+        speed[positive] = fastest_s / durations[positive]
         horizon = self.fairness_every_k or _DEFAULT_HORIZON
-        recency = np.minimum(waited[rest_idx], horizon) / horizon
+        recency = np.minimum(waited, horizon) / horizon
         score = speed + self.exploration * recency
         if self.stat_utility_weight and stat_norm > 0:
             score = score + (self.stat_utility_weight
-                             * np.maximum(0.0, imp[rest_idx]) / stat_norm)
-        rest_order = rest_idx[np.lexsort((lex[rest_idx], -score))]
-        if deadline_s is not None:
-            # Stable partition of the already-scored ordering: sorting
-            # the union then splitting by feasibility equals sorting
-            # the two sides independently (same key, stable sort).
-            feasible = durations[rest_order] <= deadline_s
-            ordered = np.concatenate(
-                [due_order, rest_order[feasible], rest_order[~feasible]]
-            )
-        else:
-            ordered = np.concatenate([due_order, rest_order])
-        return [candidates[j] for j in ordered[:k].tolist()]
+                             * np.maximum(0.0, imp) / stat_norm)
+        key = np.where(due_mask, -waited, -score)
+        fits = (np.ones(len(idx), dtype=bool) if deadline_s is None
+                else durations <= deadline_s)
+        heads = [idx[:0]]
+        for group in (due_mask, ~due_mask & fits, ~due_mask & ~fits):
+            if k <= 0:
+                break
+            heads.append(_first(np.flatnonzero(group), key, lex, k))
+            k -= len(heads[-1])
+        return np.concatenate(heads)
 
     def _effective_deadline(self, fallback_s: float | None) -> float | None:
         """The scheduler's own ``deadline_s`` (explicit user choice)
@@ -351,51 +379,47 @@ class ClientScheduler:
     # ------------------------------------------------------------------
     # Async engine: which idle clients fill the open dispatch slots.
     # ------------------------------------------------------------------
-    def select_async(self, idle: Sequence[str], reachable: set[str] | None,
+    def select_async(self, idle: np.ndarray, reachable: np.ndarray | None,
                      slots: int, version: int, durations_of: DurationsOf,
                      deadline_s: float | None = None,
-                     ) -> tuple[list[str], list[str]]:
-        """Choose up to ``slots`` clients to dispatch now.
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Choose up to ``slots`` of the ``idle`` pool (population
+        indices, in queue order) to dispatch now.
 
-        ``reachable`` is the set of idle clients that can be reached,
-        ``None`` for everyone.  Returns ``(dispatch, leftover)``: the
-        clients to issue work to, in dispatch order, and the new
-        idle-pool order.  The ``random`` policy replays the legacy
-        FIFO rotation bit-exactly (unreachable clients move to the
-        back of the pool); the ranked policies preserve the relative
-        idle order of everyone not dispatched.  ``deadline_s`` is the
-        engine's per-cycle deadline, used as the feasibility bound when
-        the scheduler was built without one of its own.
+        ``reachable`` is a boolean mask over ``idle`` of the clients
+        that can be reached, ``None`` for everyone.  Returns
+        ``(dispatch, leftover)`` index arrays: the clients to issue
+        work to, in dispatch order, and the new idle-pool order.  The
+        ``random`` policy replays the legacy FIFO rotation bit-exactly
+        (unreachable clients move to the back of the pool); the ranked
+        policies preserve the relative idle order of everyone not
+        dispatched.  ``deadline_s`` is the engine's per-cycle deadline,
+        used as the feasibility bound when the scheduler was built
+        without one of its own.
         """
-        if slots <= 0 or not idle:
-            return [], list(idle)
+        idle = np.asarray(idle, dtype=np.int64)
+        if slots <= 0 or not len(idle):
+            return idle[:0], idle
         if self.policy == "random":
-            # Legacy semantics (walk the queue once, dispatch reachable
-            # clients until the slots run out, rotate unreachable ones
-            # to the back) without the old O(N^2) ``pop(0)`` walk: the
-            # cursor sweep below visits the same clients in the same
-            # order and leaves the same queue behind.
-            queue = list(idle)
-            dispatch: list[str] = []
-            deferred: list[str] = []
-            pos = 0
-            while pos < len(queue):
-                if len(dispatch) == slots:
-                    break
-                client_id = queue[pos]
-                pos += 1
-                if reachable is None or client_id in reachable:
-                    dispatch.append(client_id)
-                else:
-                    deferred.append(client_id)
-            return dispatch, queue[pos:] + deferred
-        candidates = (idle if reachable is None
-                      else [c for c in idle if c in reachable])
-        dispatch = self._rank(candidates, version, durations_of,
-                              self._effective_deadline(deadline_s), slots)
-        chosen = set(dispatch)
-        leftover = [c for c in idle if c not in chosen]
-        return dispatch, leftover
+            # Legacy semantics: walk the queue once, dispatch reachable
+            # clients until the slots run out, rotate the unreachable
+            # ones the walk passed to the back.
+            if reachable is None:
+                return idle[:slots], idle[slots:]
+            taken = np.flatnonzero(reachable)[:slots]
+            scanned = taken[-1] + 1 if len(taken) == slots else len(idle)
+            passed = reachable[:scanned]
+            return idle[taken], np.concatenate(
+                [idle[scanned:], idle[:scanned][~passed]])
+        if reachable is None:
+            picked = self._rank(idle, version, durations_of,
+                                self._effective_deadline(deadline_s), slots)
+        else:
+            candidates = np.flatnonzero(reachable)
+            picked = candidates[self._rank(
+                idle[candidates], version, durations_of,
+                self._effective_deadline(deadline_s), slots)]
+        return idle[picked], np.delete(idle, picked)
 
     # ------------------------------------------------------------------
     # Sync engine: which clients form the round's cohort.
@@ -414,9 +438,11 @@ class ClientScheduler:
         if self.policy == "random":
             cohort = list(default)
         else:
-            cohort = self._rank(population, round_idx, durations_of,
+            picked = self._rank(self.population.indices_of(population),
+                                round_idx, durations_of,
                                 self._effective_deadline(None), len(default))
-            cohort.sort()  # rounds treat the cohort as a set
+            # Rounds treat the cohort as a set.
+            cohort = sorted(population[j] for j in picked.tolist())
         for client_id in cohort:
             self.note_selected(client_id, round_idx)
         return cohort

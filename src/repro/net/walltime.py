@@ -30,6 +30,7 @@ import numpy as np
 from ..config import WallTimeConfig
 
 __all__ = [
+    "check_finite_positive",
     "CommTopology",
     "JitterModel",
     "RoundTiming",
@@ -58,6 +59,19 @@ def hop_seconds(nbytes: int, gbps: float) -> float:
     if gbps <= 0:
         raise ValueError("link bandwidth must be positive")
     return nbytes * 8.0 / (gbps * 1e9)
+
+
+def check_finite_positive(name: str, values) -> np.ndarray:
+    """The one rule for every rate and slowdown factor the clock is
+    built from: finite and > 0 (a NaN rate predicts a NaN cycle for
+    every client, and a ranking's partition head needs finite keys).
+    Returns ``values`` as float64; a ``ValueError`` names ``name``."""
+    values = np.asarray(values, dtype=np.float64)
+    bad = ~(np.isfinite(values) & (values > 0))
+    if bad.any():
+        raise ValueError(
+            f"{name} must be finite and > 0, got {values[bad][0]}")
+    return values
 
 
 def slowdown_factors(rng: np.random.Generator, spread: float,
@@ -253,8 +267,9 @@ class WallTimeModel:
     """
 
     def __init__(self, config: WallTimeConfig, population=None):
-        if config.throughput <= 0 or config.bandwidth_mbps <= 0 or config.model_mb <= 0:
-            raise ValueError("throughput, bandwidth and model size must be positive")
+        for name in ("throughput", "bandwidth_mbps", "model_mb"):
+            check_finite_positive(f"WallTimeConfig.{name}",
+                                  getattr(config, name))
         self.config = config
         self.population = population
 
@@ -274,13 +289,14 @@ class WallTimeModel:
         if self.population is None:
             return  # every client nominal: nothing was saved
         for key in ("compute_factors", "bandwidth_factors"):
-            factors = np.array(state[key], dtype=np.float64)
+            factors = np.asarray(state[key], dtype=np.float64)
             if factors.shape != (self.population.n,):
                 raise ValueError(
                     f"checkpoint {key} has shape {factors.shape}, expected "
                     f"({self.population.n},)"
                 )
-            setattr(self.population, key, factors)
+            setattr(self.population, key, self.population._checked_factors(
+                factors, f"checkpoint {key}"))
 
     def compute_factor(self, client_id: str) -> float:
         return float(self._factor_arrays([client_id])[0][0])

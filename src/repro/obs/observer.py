@@ -165,6 +165,7 @@ class EngineObserver:
                     getattr(ledger, f"total_{name}"))
         pool = engine.clients
         meters.gauge("pool/materializations").set(pool.materializations)
+        meters.gauge("pool/rematerializations").set(pool.rematerializations)
         meters.gauge("pool/evictions").set(pool.evictions)
         meters.gauge("pool/hits").set(pool.hits)
         meters.gauge("pool/live").set(pool.live_count())

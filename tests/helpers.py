@@ -56,6 +56,29 @@ def per_client(fn, population):
         dtype=np.float64)
 
 
+def rank_ids(scheduler, candidates, version, durations_of, deadline_s,
+             k=None) -> list[str]:
+    """``ClientScheduler._rank`` over ids: the test's edge resolves
+    them with ``indices_of`` and names the winners again."""
+    idx = scheduler.population.indices_of(candidates)
+    return [candidates[j] for j in scheduler._rank(
+        idx, version, durations_of, deadline_s, k).tolist()]
+
+
+def select_ids(scheduler, idle, reachable, slots, version, durations_of,
+               deadline_s=None) -> tuple[list[str], list[str]]:
+    """``ClientScheduler.select_async`` over ids: ``idle`` in queue
+    order, ``reachable`` a set of ids (``None``: everyone)."""
+    pop = scheduler.population
+    mask = None if reachable is None else np.array(
+        [c in reachable for c in idle], dtype=bool)
+    dispatch, leftover = scheduler.select_async(
+        pop.indices_of(idle), mask, slots, version, durations_of,
+        deadline_s=deadline_s)
+    return ([pop.ids[i] for i in dispatch.tolist()],
+            [pop.ids[i] for i in leftover.tolist()])
+
+
 def reference_rank(scheduler, candidates, version, durations_of, deadline_s,
                    k=None) -> list[str]:
     """``ClientScheduler._rank`` as it was while the scheduler kept

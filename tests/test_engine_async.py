@@ -229,7 +229,8 @@ class TestAsyncEngine:
         # Unreachable clients stay idle (effective concurrency drops)
         # instead of being force-dispatched.
         assert list(agg._inflight) == ["client2"]
-        assert list(agg._idle) == ["client0", "client1"]
+        assert agg._idle.indices().tolist() == \
+            agg.clients.population.indices_of(["client0", "client1"]).tolist()
 
     def test_buffer_size_honored_on_unit_clock(self):
         """Without a wall-time model all completions tie; arrivals must

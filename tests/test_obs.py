@@ -258,6 +258,7 @@ class TestMeters:
         photon.train()
         snap = photon.tracer.meters.snapshot()
         assert snap["pool/materializations"] == 4
+        assert snap["pool/rematerializations"] == 0
         assert snap["pool/live"] == 4
         assert snap["pool/evictions"] == 0
         assert snap["pool/hits"] > 0

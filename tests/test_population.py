@@ -8,7 +8,7 @@ memory."""
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -30,8 +30,10 @@ from repro.net.walltime import JitterModel, WallTimeModel, slowdown_factors
 from helpers import (
     assert_bit_exact_resume,
     per_client,
+    rank_ids,
     reference_rank,
     run_crash_resume,
+    select_ids,
 )
 
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32,
@@ -149,6 +151,31 @@ class TestClientPopulation:
         assert (np.add(*nominal.client_compute_comm_arrays(ids, 16))
                 == nominal.client_timing("anyone", 16).total_s).all()
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -2.0])
+    def test_factors_must_be_finite_and_positive(self, bad):
+        for field in ("compute_factors", "bandwidth_factors"):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                ClientPopulation(3, **{field: [1.0, bad, 2.0]})
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("field", ["throughput", "bandwidth_mbps",
+                                       "model_mb"])
+    def test_walltime_rates_must_be_finite_and_positive(self, field, bad):
+        with pytest.raises(ValueError,
+                           match=f"WallTimeConfig.{field} must be finite"):
+            WallTimeModel(replace(WALLTIME, **{field: bad}))
+
+    def test_checkpoint_factors_obey_the_population_rule(self):
+        pop = ClientPopulation(3)
+        model = WallTimeModel(WALLTIME, pop)
+        for key in ("compute_factors", "bandwidth_factors"):
+            state = model.state_dict()
+            state[key] = np.array([1.0, -3.0, np.nan])
+            with pytest.raises(ValueError,
+                               match=f"checkpoint {key} must be finite"):
+                model.load_state_dict(state)
+            assert (getattr(pop, key) == 1.0).all()  # nothing installed
+
     def test_cohorts_share_archetypes(self):
         pop = ClientPopulation.cohorts(20, 4, compute_spread=8.0, seed=1)
         assert len(set(np.round(pop.compute_factors, 12))) <= 4
@@ -190,8 +217,8 @@ class TestFeasibilityMargin:
         def rank(fq):
             sched = ClientScheduler(pop, "utility", deadline_s=10.0,
                                     feasibility_quantile=fq, jitter=jitter)
-            return sched._rank(["a", "b"], 0,
-                               per_client(durations.__getitem__, pop), 10.0)
+            return rank_ids(sched, ["a", "b"], 0,
+                            per_client(durations.__getitem__, pop), 10.0)
 
         assert rank(None) == ["a", "b"]   # a is faster, both feasible
         assert rank(0.95) == ["b", "a"]   # a's q95 cycle misses the deadline
@@ -208,9 +235,9 @@ class TestFeasibilityMargin:
         pop = ClientPopulation(["a", "b"])
         sched = ClientScheduler(pop, "fastest", feasibility_quantile=0.95)
         durations = {"a": 1.0, "b": 1.0 + 1e-9}
-        assert sched._rank(["b", "a"], 0,
-                           per_client(durations.__getitem__, pop),
-                           None) == ["a", "b"]
+        assert rank_ids(sched, ["b", "a"], 0,
+                        per_client(durations.__getitem__, pop),
+                        None) == ["a", "b"]
 
 
 # ----------------------------------------------------------------------
@@ -266,23 +293,24 @@ def test_select_async_vector_equals_scalar(ids, policy, seed, fairness,
     deadline = float(rng.uniform(2.0, 25.0)) if rng.random() < 0.7 else None
 
     if policy != "random":
-        ranked = scheduler._rank(idle, version, durations_of, deadline)
+        ranked = rank_ids(scheduler, idle, version, durations_of, deadline)
         assert ranked == reference_rank(scheduler, idle, version,
                                         durations_of, deadline)
         assert sorted(ranked) == sorted(idle)
         # Asking for the k best is asking for everyone and keeping k.
         k = {"one": 1, "slots": slots, "all": n, None: None}[winners]
-        assert scheduler._rank(idle, version, durations_of, deadline,
-                               k) == ranked[:k]
+        assert rank_ids(scheduler, idle, version, durations_of, deadline,
+                        k) == ranked[:k]
     if everyone:
         # reachable=None means the whole idle pool.
-        assert (scheduler.select_async(idle, None, slots, version,
-                                       durations_of, deadline_s=deadline)
-                == scheduler.select_async(idle, set(idle), slots, version,
-                                          durations_of, deadline_s=deadline))
+        assert (select_ids(scheduler, idle, None, slots, version,
+                           durations_of, deadline_s=deadline)
+                == select_ids(scheduler, idle, set(idle), slots, version,
+                              durations_of, deadline_s=deadline))
         reachable = None
-    dispatch, leftover = scheduler.select_async(
-        idle, reachable, slots, version, durations_of, deadline_s=deadline)
+    dispatch, leftover = select_ids(
+        scheduler, idle, reachable, slots, version, durations_of,
+        deadline_s=deadline)
     candidates = [c for c in idle if reachable is None or c in reachable]
     if policy == "random":
         # FIFO: the first reachable clients in queue order; whoever
@@ -299,9 +327,8 @@ def test_select_async_vector_equals_scalar(ids, policy, seed, fairness,
 
 
 def test_select_async_resolves_each_candidate_once():
-    """A ranking holds the index array it resolved: the clock behind
-    ``durations_of`` is asked by index, not made to resolve the ids a
-    second time."""
+    """A ranking resolves no id at all: the idle pool is population
+    indices, and the clock behind ``durations_of`` is asked by them."""
     calls = []
 
     class CountingPopulation(ClientPopulation):
@@ -312,13 +339,90 @@ def test_select_async_resolves_each_candidate_once():
     pop = CountingPopulation(2_000)
     walltime = WallTimeModel(WALLTIME, pop)
     scheduler = ClientScheduler(pop, "utility")
-    idle = pop.sorted_ids[:1_990]
+    idle = pop.indices_of(pop.sorted_ids[:1_990])
+    calls.clear()
     dispatch, leftover = scheduler.select_async(
         idle, None, 8, 0,
         lambda handles: np.add(
             *walltime.client_compute_comm_arrays(handles, 16)))
     assert len(dispatch) == 8 and len(leftover) == 1_982
-    assert calls == [len(idle)]
+    assert sorted(dispatch.tolist() + leftover.tolist()) == sorted(idle.tolist())
+    assert calls == []
+
+
+def _tied_fleet(durations, last_selected, fairness, exploration=1.0):
+    """A ``utility`` scheduler over ``len(durations)`` clients whose
+    selection clock reads ``last_selected``, and its ``durations_of``."""
+    pop = ClientPopulation(len(durations))
+    scheduler = ClientScheduler(pop, "utility", exploration=exploration,
+                                fairness_every_k=fairness)
+    scheduler.last_selected[:] = last_selected
+    table = dict(zip(pop.ids, np.asarray(durations, dtype=float).tolist()))
+    return pop, scheduler, per_client(table.__getitem__, pop)
+
+
+@pytest.mark.parametrize("due", [False, True], ids=["no-due", "due"])
+@pytest.mark.parametrize("k", [1, 16, 64, 2_000])
+def test_rank_head_ties_at_the_cut(due, k):
+    """The partition head keeps every tie at the cut.  2,000 clients
+    over three cycle times and no exploration score in three 667-way
+    ties, so the first 1, 16 or 64 are cut out of the fastest tie; with
+    the fairness floor on, 40 clients have waited 11 versions and 40
+    waited 9, and the cut falls inside one of those ties instead."""
+    n, version = 2_000, 10
+    durations = np.array([1.0, 2.5, 6.0])[np.arange(n) % 3]
+    last_selected = np.full(n, 7)
+    if due:
+        last_selected[::50] = -1   # waited 11
+        last_selected[25::50] = 1  # waited 9
+    pop, scheduler, durations_of = _tied_fleet(
+        durations, last_selected, 8 if due else None, exploration=0.0)
+    candidates = [pop.ids[i] for i in np.random.default_rng(k).permutation(n)]
+    assert rank_ids(scheduler, candidates, version, durations_of, 3.0, k) \
+        == reference_rank(scheduler, candidates, version, durations_of,
+                          3.0)[:k]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("deadline", [None, 3.0])
+@pytest.mark.parametrize("fairness", [None, 2, 8])
+def test_rank_head_equals_full_sort_at_fleet_size(fairness, deadline):
+    """Oracle of the partition head at ``train_fleet`` scale: fleets of
+    2k–12k clients over three cycle times and five selection versions,
+    so every key is heavily tied, ranked for k in {1, 16, 64, all}."""
+    rng = np.random.default_rng(fairness or 0)
+    for _ in range(3):
+        n = int(rng.integers(2_000, 12_001))
+        pop, scheduler, durations_of = _tied_fleet(
+            np.array([1.0, 2.5, 6.0])[rng.integers(0, 3, n)],
+            rng.choice([-1, 1, 7, 8, 9], size=n,
+                       p=[0.02, 0.03, 0.3, 0.35, 0.3]),
+            fairness)
+        candidates = [pop.ids[i] for i in rng.permutation(n)[:n - 7]]
+        expected = reference_rank(scheduler, candidates, 10, durations_of,
+                                  deadline)
+        for k in (1, 16, 64, None):
+            assert rank_ids(scheduler, candidates, 10, durations_of,
+                            deadline, k) == expected[:k]
+
+
+def test_async_run_resolves_ids_only_at_the_edges(monkeypatch):
+    """A 2,000-client async ``utility`` run resolves at most one id per
+    client and one per dispatched cycle in total: the idle pool and
+    every ranking over it are population indices."""
+    resolved = []
+    indices_of = ClientPopulation.indices_of
+
+    def counting(self, client_ids):
+        resolved.append(len(client_ids))
+        return indices_of(self, client_ids)
+
+    monkeypatch.setattr(ClientPopulation, "indices_of", counting)
+    photon = vector_photon(population=2_000, rounds=3)
+    photon.train()
+    dispatched = int(photon.aggregator.scheduler.selections.sum())
+    assert len(photon.history) == 3 and dispatched > 0
+    assert sum(resolved) <= 2_000 + dispatched
 
 
 @given(
@@ -360,7 +464,8 @@ def test_vector_scheduler_state_roundtrip():
     np.testing.assert_array_equal(a.loss_improvement, b.loss_improvement)
     assert list(a.selection_log) == list(b.selection_log)
     unit = per_client(lambda c: 1.0, pop)
-    assert b._rank(pop.ids, 5, unit, None) == a._rank(pop.ids, 5, unit, None)
+    assert (rank_ids(b, pop.ids, 5, unit, None)
+            == rank_ids(a, pop.ids, 5, unit, None))
     # A checkpoint of another population size is refused whole.
     with pytest.raises(ValueError, match="shape"):
         ClientScheduler(ClientPopulation(5), "utility").load_state_dict(
@@ -513,6 +618,26 @@ class TestLazyClientPool:
         assert set(pool.state_dict()["touched"]) == {"client5", "client17"}
         with pytest.raises(KeyError):
             pool.load_state_dict({"touched": {"stranger1": {}}})
+
+    def test_rematerializations_count_rebuilds_of_parked_clients(self):
+        """One live slot, two clients leased alternately: after the two
+        first builds, every lease rebuilds the client the last one
+        parked — counted apart from the first builds."""
+        class FakeClient:
+            def state_dict(self):
+                return {"tokens_processed": 0}
+
+            def load_state_dict(self, state):
+                pass
+
+        pool = LazyClientPool(ClientPopulation(2), lambda cid: FakeClient(),
+                              max_live=1)
+        for cid in ["client0", "client1"] * 3:
+            with pool.lease(cid):
+                pass
+        assert pool.materializations == 6
+        assert pool.rematerializations == 4
+        assert pool.evictions == 5
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.fed.runstate import RUNSTATE_VERSION
 from repro.net.walltime import JitterModel
 from repro.utils import PayloadError, pack_tree, unpack_tree
 
-from helpers import assert_states_equal, per_client
+from helpers import assert_states_equal, per_client, rank_ids
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +135,8 @@ class TestComponentRoundTrips:
         twin.load_state_dict(unpack_tree(pack_tree(scheduler.state_dict())))
         assert pack_tree(twin.state_dict()) == pack_tree(scheduler.state_dict())
         unit = per_client(lambda c: 1.0, pop)
-        ranked = scheduler._rank(["a", "b", "c"], 4, unit, 5.0)
-        assert twin._rank(["a", "b", "c"], 4, unit, 5.0) == ranked
+        ranked = rank_ids(scheduler, ["a", "b", "c"], 4, unit, 5.0)
+        assert rank_ids(twin, ["a", "b", "c"], 4, unit, 5.0) == ranked
 
     def test_drop_ledger_window(self):
         ledger = DropLedger()

@@ -26,7 +26,7 @@ from repro.fed import (
 )
 from repro.net import JitterModel
 
-from helpers import per_client
+from helpers import per_client, select_ids
 
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32,
                   seq_len=16)
@@ -110,24 +110,24 @@ class TestSchedulerPolicies:
         clients dispatch in queue order, unreachable ones rotate to
         the back, the scan stops when the slots are filled."""
         sched, timed = scheduler_over("abcd", "random")
-        dispatch, leftover = sched.select_async(
-            ["a", "b", "c", "d"], {"a", "c", "d"}, 2, 0,
+        dispatch, leftover = select_ids(
+            sched, ["a", "b", "c", "d"], {"a", "c", "d"}, 2, 0,
             timed(lambda c: 1.0))
         assert dispatch == ["a", "c"]
         assert leftover == ["d", "b"]
 
     def test_random_all_unreachable_keeps_queue(self):
         sched, timed = scheduler_over("ab", "random")
-        dispatch, leftover = sched.select_async(
-            ["a", "b"], set(), 2, 0, timed(lambda c: 1.0))
+        dispatch, leftover = select_ids(
+            sched, ["a", "b"], set(), 2, 0, timed(lambda c: 1.0))
         assert dispatch == []
         assert leftover == ["a", "b"]
 
     def test_fastest_ranks_by_predicted_cycle(self):
         durations = {"slow": 9.0, "mid": 3.0, "quick": 1.0}
         sched, timed = scheduler_over(durations, "fastest")
-        dispatch, leftover = sched.select_async(
-            ["slow", "mid", "quick"], {"slow", "mid", "quick"}, 2, 0,
+        dispatch, leftover = select_ids(
+            sched, ["slow", "mid", "quick"], {"slow", "mid", "quick"}, 2, 0,
             timed(durations.__getitem__))
         assert dispatch == ["quick", "mid"]
         assert leftover == ["slow"]
@@ -138,14 +138,14 @@ class TestSchedulerPolicies:
         durations = {"doomed": 9.0, "fits": 4.0, "quick": 1.0}
         sched, timed = scheduler_over(durations, "utility", deadline_s=5.0,
                                       exploration=0.0)
-        dispatch, _ = sched.select_async(
-            ["doomed", "fits", "quick"], set(durations), 2, 0,
+        dispatch, _ = select_ids(
+            sched, ["doomed", "fits", "quick"], set(durations), 2, 0,
             timed(durations.__getitem__))
         assert dispatch == ["quick", "fits"]
         # With no feasible alternative, the infeasible client still runs
         # (the federation must not stall).
-        dispatch, _ = sched.select_async(
-            ["doomed"], {"doomed"}, 1, 0, timed(durations.__getitem__))
+        dispatch, _ = select_ids(
+            sched, ["doomed"], {"doomed"}, 1, 0, timed(durations.__getitem__))
         assert dispatch == ["doomed"]
 
     def test_exploration_rotates_slow_clients_in(self):
@@ -155,16 +155,16 @@ class TestSchedulerPolicies:
                                       fairness_every_k=None)
         fn = timed(durations.__getitem__)
         # Fresh state: the quick client wins the single slot.
-        dispatch, _ = sched.select_async(["slow", "quick"], set(durations),
-                                         1, 0, fn)
+        dispatch, _ = select_ids(sched, ["slow", "quick"], set(durations),
+                                 1, 0, fn)
         assert dispatch == ["quick"]
         sched.note_selected("quick", 0)
         # As versions pass, the waiting slow client's recency bonus
         # accumulates until it outranks the 4x-faster one.
         chosen = []
         for version in range(1, 7):
-            dispatch, _ = sched.select_async(["slow", "quick"],
-                                             set(durations), 1, version, fn)
+            dispatch, _ = select_ids(sched, ["slow", "quick"],
+                                     set(durations), 1, version, fn)
             sched.note_selected(dispatch[0], version)
             chosen.append(dispatch[0])
         assert "slow" in chosen
@@ -173,8 +173,8 @@ class TestSchedulerPolicies:
                                    fairness_every_k=None)
         greedy.note_selected("quick", 0)
         for version in range(1, 7):
-            dispatch, _ = greedy.select_async(["slow", "quick"],
-                                              set(durations), 1, version, fn)
+            dispatch, _ = select_ids(greedy, ["slow", "quick"],
+                                     set(durations), 1, version, fn)
             greedy.note_selected(dispatch[0], version)
             assert dispatch == ["quick"]
 
@@ -188,8 +188,8 @@ class TestSchedulerPolicies:
         sched.note_selected("quick", 0)
         sched.note_selected("doomed", 0)
         # version 3: doomed has waited 3 >= K=2 -> due, selected first.
-        dispatch, _ = sched.select_async(["doomed", "quick"], set(durations),
-                                         1, 3, fn)
+        dispatch, _ = select_ids(sched, ["doomed", "quick"], set(durations),
+                                 1, 3, fn)
         assert dispatch == ["doomed"]
 
     def test_cohort_selection_random_returns_default(self):
@@ -456,8 +456,8 @@ class TestSchedulerAwareRequeue:
         photon = self.make_requeue_photon("utility", uptime=0.6)
         history = photon.train()
         assert len(history) == 2
-        deferred = photon.aggregator._availability_deferred
-        assert deferred <= set(photon.clients)
+        deferred = photon.aggregator._deferred_ids
+        assert set(deferred) <= set(photon.clients)
 
     def test_utility_requeue_recontests_the_slot(self):
         """Ranked policies hand the freed slot to the best candidate
@@ -507,8 +507,8 @@ class TestStatUtility:
             for cid, losses in (("a", (3.0, 2.99)), ("b", (3.0, 2.0))):
                 for loss in losses:
                     sched.note_result(cid, loss)
-            picks[weight], _ = sched.select_async(
-                ["a", "b", "c"], {"a", "b", "c"}, 1, 0,
+            picks[weight], _ = select_ids(
+                sched, ["a", "b", "c"], {"a", "b", "c"}, 1, 0,
                 timed(lambda c: 1.0))
         assert picks[0.0] == ["a"]
         assert picks[2.0] == ["b"]
