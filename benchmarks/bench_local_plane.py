@@ -1,13 +1,11 @@
-"""Local-training throughput: sequential vs threads vs batched vs
-procpool.
+"""Local-training throughput: sequential vs batched vs procpool.
 
-The pure-numpy autograd is python-bound at micro scale, so the
-sequential plane's thread dispatch (``max_workers > 1``, the
-``threads`` arm) buys nothing — a training step is mostly small numpy
-calls that hold the GIL, and two threads read slower than one (the
-committed baseline holds the number) — and cohort wall time scales
-linearly with cohort size (ROADMAP item 5).  The two other local
-planes attack that directly:
+The pure-numpy autograd is python-bound at micro scale, so cohort wall
+time scales linearly with cohort size on the sequential plane (a
+thread pool bought nothing under the GIL — 0.5-0.7x of sequential in
+every shape measured on a 2-core host — and was deleted; ROADMAP
+item 8).  The two
+other local planes attack that directly:
 
 * ``batched`` stacks the cohort's homogeneous clients along a leading
   model axis and advances all of them through ONE fused forward/
@@ -18,7 +16,7 @@ planes attack that directly:
   (scales with cores; ≥4x on 8 cores).
 
 This bench measures REAL wall time (no simulated clock) at
-``bench_async_vs_sync`` scale, checks all four arms produce
+``bench_async_vs_sync`` scale, checks all three arms produce
 bit-identical final weights, and gates ``s_per_client`` — wall
 seconds per trained client cycle — per arm through
 ``check_regression.py`` (threshold 1.0: the guarded failure mode is a
@@ -67,7 +65,6 @@ def run_planes() -> dict[str, dict]:
     finals = {}
     for name, plane, workers in [
         ("sequential", "sequential", 1),
-        ("threads", "sequential", 2),
         ("batched", "batched", 1),
         ("procpool", "procpool", PROC_WORKERS),
     ]:

@@ -14,19 +14,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .config import (
-    CLIENT_PLANES,
-    DROP_POLICIES,
-    LOCAL_PLANES,
-    MODES,
     PAPER_MODELS,
     PAPER_RESOURCES,
     PAPER_THROUGHPUTS,
-    SELECTION_POLICIES,
     TINY_MODELS,
     FedConfig,
     OptimConfig,
+    Span,
     WallTimeConfig,
     model_config,
 )
@@ -44,148 +41,36 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="run a federated Photon job")
     train.add_argument("--model", default="tiny",
                        help="model preset name (see `repro info`)")
-    train.add_argument("--clients", type=int, default=4)
-    train.add_argument("--sampled", type=int, default=None,
-                       help="clients per round (default: all)")
-    train.add_argument("--local-steps", type=int, default=16)
-    train.add_argument("--rounds", type=int, default=4)
     train.add_argument("--batch-size", type=int, default=4)
     train.add_argument("--max-lr", type=float, default=4e-3)
     train.add_argument("--corpus", choices=["c4", "pile"], default="c4")
     train.add_argument("--heterogeneity", type=float, default=1.0)
-    train.add_argument("--server-opt", default="fedavg",
-                       choices=["fedavg", "fedmom", "fedadam"])
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--mode", choices=MODES, default="sync",
-                       help="round engine: Algorithm-1 barrier or buffered async")
-    train.add_argument("--buffer-size", type=int, default=None,
-                       help="async: updates per server step (default: cohort size)")
-    train.add_argument("--staleness-alpha", type=float, default=None,
-                       help="async: stale deltas weighted 1/(1+s)^alpha "
-                            "(default 0.5)")
     train.add_argument("--straggler-spread", type=float, default=1.0,
                        help="per-client slowdown spread for the simulated clock "
                             "(> 1 auto-enables --walltime; 1 = equipollent)")
     train.add_argument("--walltime", action="store_true",
                        help="attach the Appendix B.1 wall-time model "
                             "(125M-preset bandwidth/throughput)")
-    train.add_argument("--deadline", type=float, default=None,
-                       help="async: simulated seconds a client cycle may take "
-                            "before the drop policy applies")
-    train.add_argument("--drop-policy", default=None,
-                       choices=DROP_POLICIES,
-                       help="async: what happens to over-deadline work "
-                            "(default with --deadline: drop; admit_partial "
-                            "salvages the finished steps)")
-    train.add_argument("--adaptive-local-steps", action="store_true",
-                       help="async: slow clients train proportionally fewer "
-                            "steps per pull (needs a wall-time model)")
     train.add_argument("--crash-prob", type=float, default=0.0,
                        help="per-(client, round) crash probability "
                             "(seeded fault injection)")
-    train.add_argument("--selection", default="random",
-                       choices=SELECTION_POLICIES,
-                       help="client-selection policy (random = legacy "
-                            "behavior; utility = Oort/REFL-style "
-                            "deadline-aware score with a fairness floor)")
-    train.add_argument("--jitter", type=float, default=0.0,
-                       help="async: scale of seeded lognormal per-cycle "
-                            "duration noise (0 = deterministic clock)")
-    train.add_argument("--exploration", type=float, default=1.0,
-                       help="utility selection: weight of the recency bonus "
-                            "that keeps slow clients from starving")
-    train.add_argument("--stat-utility-weight", type=float, default=0.0,
-                       help="utility selection: weight of the recent "
-                            "loss-improvement term (true Oort; 0 = off)")
-    train.add_argument("--client-plane", choices=CLIENT_PLANES,
-                       default="eager",
-                       help="when clients are built: eager builds every "
-                            "one up front; vector builds each on first use "
-                            "and evicts beyond --max-live-clients "
-                            "(million-client scale)")
-    train.add_argument("--local-plane", choices=LOCAL_PLANES,
-                       default="sequential",
-                       help="local-training execution: sequential runs "
-                            "clients one by one (legacy, bit-exact anchor); "
-                            "batched stacks homogeneous clients into one "
-                            "fused step (bit-exact, ~single-core speedup); "
-                            "procpool trains on a persistent fork pool with "
-                            "shared-memory broadcasts (needs --max-workers)")
     train.add_argument("--max-workers", type=int, default=1,
-                       help="worker parallelism for local training "
-                            "(thread dispatch on the sequential plane, "
-                            "processes under --local-plane procpool)")
-    train.add_argument("--cohorts", type=int, default=None,
-                       help="vector plane: number of timing archetypes "
-                            "shared across the population (O(cohorts) "
-                            "parameter memory; default: per-client draws)")
-    train.add_argument("--max-live-clients", type=int, default=None,
-                       help="vector plane: cap on simultaneously "
-                            "materialized client objects (default "
-                            "max(64, 2x sampled cohort))")
-    train.add_argument("--ef-staleness-gamma", type=float, default=1.0,
-                       help="decay error-feedback residuals by gamma^s for "
-                            "a residual banked s server versions ago "
-                            "(1 = classic EF, no decay)")
-    train.add_argument("--feasibility-quantile", type=float, default=None,
-                       help="fastest/utility selection: fold this jitter "
-                            "quantile into deadline feasibility (e.g. 0.95 "
-                            "plans for 95th-percentile cycle durations)")
-    train.add_argument("--compression", default="none",
-                       help="lossy update codec for client uploads: none, "
-                            "fp16, int8, int4, topk:<frac>, randk:<frac>, "
-                            "chained with '+' (e.g. topk:0.05+fp16)")
-    train.add_argument("--error-feedback", action="store_true",
-                       help="keep a per-client EF residual so lossy "
-                            "compression stays convergent")
-    train.add_argument("--compress-broadcast", action="store_true",
-                       help="also run the server broadcast through the "
-                            "--compression codec")
-    train.add_argument("--checkpoint-dir", default=None, metavar="DIR",
-                       help="write rotating full-run-state checkpoints "
-                            "(weights, ServerOpt moments, event queue, "
-                            "RNG streams) under DIR")
-    train.add_argument("--checkpoint-every", type=int, default=None,
-                       metavar="N",
-                       help="checkpoint cadence in server updates "
-                            "(default 1; needs --checkpoint-dir)")
-    train.add_argument("--checkpoint-codec", default="none",
-                       help="compress the ServerOpt moments inside the "
-                            "checkpoint: none (bit-exact resume), fp16, "
-                            "int8, int4")
-    train.add_argument("--resume", default=None, metavar="DIR",
-                       help="resume from the latest run-state checkpoint "
-                            "under DIR (implies --checkpoint-dir DIR; "
-                            "--rounds is the total target)")
-    train.add_argument("--tiers", type=int, default=None,
-                       help="hierarchical federation: number of region-level "
-                            "edge aggregators between the clients and the "
-                            "root (1 = identity tier, bit-exact vs flat; "
-                            "region 0 is the root site)")
-    train.add_argument("--tier-compression", default="none",
-                       help="edge->root backhaul codec (same grammar as "
-                            "--compression; needs --tiers)")
-    train.add_argument("--replicas", type=int, default=0,
-                       help="standby servers receiving versioned RunState "
-                            "snapshots over the wire; a crashed root "
-                            "promotes the newest surviving one")
-    train.add_argument("--replicate-every", type=int, default=1,
-                       metavar="N",
-                       help="replication cadence in server updates (the "
-                            "staleness bound per crash; needs --replicas)")
-    train.add_argument("--server-crash-prob", type=float, default=0.0,
-                       help="per-(server, round) probability that the seeded "
-                            "crash model kills the root or an edge server "
-                            "at a round boundary")
-    train.add_argument("--trace", default=None, metavar="PATH",
-                       help="flight recorder: write a Chrome trace-event "
-                            "JSON (Perfetto-loadable) of the run to PATH; "
-                            "analyze with python -m repro.obs.analyze")
-    train.add_argument("--metrics-every", type=int, default=None,
-                       metavar="N",
-                       help="flush a component-meter snapshot every N "
-                            "server updates to <trace>.metrics.jsonl "
-                            "(needs --trace)")
+                       help="worker processes of --local-plane procpool "
+                            "(any other plane takes 1)")
+    for f, option, metavar, _ in _fed_flags():
+        domain, help = f.metadata["domain"], f.metadata["help"]
+        if f.name == "resume":  # --resume DIR names the directory to load
+            train.add_argument(option, metavar=metavar, help=help)
+        elif isinstance(f.default, bool):
+            train.add_argument(option, action="store_true", help=help)
+        else:  # the domain gives the value's type and choices
+            train.add_argument(
+                option, default=f.default, metavar=metavar, help=help,
+                type=(int if domain.integer else float) if isinstance(domain, Span) else None,
+                choices=domain if isinstance(domain, tuple) else None)
+    # Where the CLI's defaults differ from the library's; --sampled
+    # unset means the whole population.
+    train.set_defaults(clients=4, sampled=None, local_steps=16, rounds=4)
 
     diloco = sub.add_parser("diloco", help="run the DiLoCo baseline")
     diloco.add_argument("--model", default="tiny")
@@ -264,50 +149,41 @@ def _warmup_for(total_steps: int) -> int:
     return min(max(1, total_steps // 4), total_steps - 1)
 
 
-def _cmd_train(args) -> int:
-    from .fed import FailureModel, Photon
-    from .net import gbps_to_mbps
+def _fed_flags():
+    """``(field, option, metavar, dest)`` of every :class:`FedConfig`
+    field that has a ``repro train`` flag, in declaration order."""
+    for f in fields(FedConfig):
+        if f.metadata["flag"] is not None:
+            option, _, metavar = f.metadata["flag"].partition(" ")
+            yield f, option, metavar or None, option[2:].replace("-", "_")
 
-    model = model_config(args.model)
-    sampled = args.sampled or args.clients
-    if (args.resume is not None and args.checkpoint_dir is not None
-            and args.resume != args.checkpoint_dir):
+
+def _fed_config(args) -> FedConfig:
+    """The :class:`FedConfig` a ``repro train`` command line asks for:
+    every flagged field from its flag, except that ``--sampled`` unset
+    means the whole population and ``--resume DIR`` both resumes and
+    checkpoints under DIR."""
+    if args.resume is not None and args.checkpoint_dir not in (None, args.resume):
         raise ValueError(
             "--resume and --checkpoint-dir point at different "
             "directories; a resumed run keeps checkpointing where it "
             "loads from"
         )
-    checkpoint_dir = args.resume or args.checkpoint_dir
-    fed = FedConfig(population=args.clients, clients_per_round=sampled,
-                    local_steps=args.local_steps, rounds=args.rounds,
-                    server_opt=args.server_opt, seed=args.seed,
-                    mode=args.mode, buffer_size=args.buffer_size,
-                    staleness_alpha=args.staleness_alpha,
-                    deadline=args.deadline, drop_policy=args.drop_policy,
-                    adaptive_local_steps=args.adaptive_local_steps,
-                    selection=args.selection, jitter=args.jitter,
-                    exploration=args.exploration,
-                    stat_utility_weight=args.stat_utility_weight,
-                    client_plane=args.client_plane,
-                    local_plane=args.local_plane,
-                    cohorts=args.cohorts,
-                    max_live_clients=args.max_live_clients,
-                    ef_staleness_gamma=args.ef_staleness_gamma,
-                    feasibility_quantile=args.feasibility_quantile,
-                    compression=args.compression,
-                    error_feedback=args.error_feedback,
-                    compress_broadcast=args.compress_broadcast,
-                    checkpoint_dir=checkpoint_dir,
-                    checkpoint_every=args.checkpoint_every,
-                    checkpoint_codec=args.checkpoint_codec,
-                    resume=args.resume is not None,
-                    tiers=args.tiers,
-                    tier_compression=args.tier_compression,
-                    replicas=args.replicas,
-                    replicate_every=args.replicate_every,
-                    server_crash_prob=args.server_crash_prob,
-                    trace_path=args.trace,
-                    metrics_every=args.metrics_every)
+    values = {f.name: getattr(args, dest) for f, _, _, dest in _fed_flags()}
+    values.update(
+        clients_per_round=args.clients if args.sampled is None else args.sampled,
+        checkpoint_dir=args.resume or args.checkpoint_dir,
+        resume=args.resume is not None,
+    )
+    return FedConfig(**values)
+
+
+def _cmd_train(args) -> int:
+    from .fed import FailureModel, Photon
+    from .net import gbps_to_mbps
+
+    model = model_config(args.model)
+    fed = _fed_config(args)
     optim = OptimConfig(max_lr=args.max_lr,
                         warmup_steps=_warmup_for(fed.total_client_steps),
                         schedule_steps=fed.total_client_steps,
@@ -331,7 +207,7 @@ def _cmd_train(args) -> int:
     history = photon.train()
     if photon.resumed_from_round is not None:
         print(f"resumed         : round {photon.resumed_from_round} "
-              f"from {checkpoint_dir}")
+              f"from {fed.checkpoint_dir}")
     print("round  val_ppl  train_ppl")
     for record in history:
         print(f"{record.round_idx:>5}  {record.val_perplexity:>7.2f}  "
@@ -387,9 +263,9 @@ def _cmd_train(args) -> int:
               f"{result.server_updates_lost} update(s) lost, "
               f"recovery {result.recovery_s_total:.3f} s, "
               f"{result.replication_wire_bytes:,} replication bytes")
-    if checkpoint_dir is not None:
+    if fed.checkpoint_dir is not None:
         latest = photon.run_checkpointer.latest_step()
-        print(f"checkpoints     : {checkpoint_dir} "
+        print(f"checkpoints     : {fed.checkpoint_dir} "
               f"(every {fed.checkpoint_every or 1} round(s), "
               f"codec={fed.checkpoint_codec}, latest step {latest})")
     if args.trace is not None:

@@ -16,7 +16,9 @@ down to run in seconds, used by tests, examples and benchmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 
 __all__ = [
     "ModelConfig",
@@ -36,6 +38,9 @@ __all__ = [
     "CLIENT_PLANES",
     "LOCAL_PLANES",
     "check_choice",
+    "knob",
+    "Span",
+    "PATH",
 ]
 
 # Enumerated option values, spelled once: FedConfig, the fed package
@@ -142,313 +147,52 @@ class OptimConfig:
         return self.alpha_min * self.max_lr
 
 
+# ----------------------------------------------------------------------
+# FedConfig: every field declared once
+# ----------------------------------------------------------------------
+
 @dataclass(frozen=True)
-class FedConfig:
-    """Federated run configuration (paper Table 6 schema).
+class Span:
+    """A numeric domain from ``lo`` to ``hi``, each end open or closed.
 
-    ``mode`` selects the round engine: ``"sync"`` is the paper's
-    Algorithm 1 barrier, ``"async"`` the FedBuff-style buffered engine
-    (:class:`~repro.fed.engine.AsyncAggregator`).  In async mode the
-    server applies ``ServerOpt`` once ``buffer_size`` client deltas
-    have arrived (default: the round cohort size) and down-weights a
-    delta that is ``s`` server versions stale by
-    ``1 / (1 + s)**staleness_alpha`` (default 0.5 when unset).
-
-    Fault-tolerance knobs (all async-only, rejected under
-    ``mode="sync"``): ``deadline`` bounds a client's simulated
-    pull–train–push cycle in seconds and ``drop_policy`` selects the
-    enforcement (``"drop"`` cancel + idle, ``"requeue"`` cancel +
-    immediate re-issue, ``"admit_partial"`` cancel but upload the
-    finished steps, ``"admit_stale"`` measure only — see
-    :class:`~repro.fed.faults.DeadlinePolicy`);
-    ``adaptive_local_steps`` lets slow clients train proportionally
-    fewer steps per pull, renormalized in the aggregation weighting.
-
-    Scheduling knobs: ``selection`` picks the
-    :class:`~repro.fed.scheduler.ClientScheduler` policy (``"random"``
-    is the legacy behavior, bit-exact; ``"fastest"`` ranks by
-    predicted cycle time; ``"utility"`` adds deadline feasibility,
-    recency and a fairness floor, with ``exploration`` scaling the
-    recency bonus and ``stat_utility_weight`` folding each client's
-    recent loss improvement into the score — true Oort, default 0.0
-    for bit-exactness); ``jitter`` (async-only) is the scale of seeded
-    lognormal per-cycle duration noise — one float for the whole
-    federation or a ``client_id → scale`` mapping so hot devices are
-    noisier than racked ones (0 = deterministic clock, bit-exact).
-
-    Compression knobs: ``compression`` names a lossy update codec from
-    :mod:`repro.compress` (``"none"`` keeps the paper's lossless zlib
-    byte-exactly; ``"fp16"``, ``"int8"``, ``"int4"``,
-    ``"topk:<frac>"``, ``"randk:<frac>"``, chained with ``+``) applied
-    to client → server pseudo-gradient uploads; ``error_feedback``
-    keeps a per-client EF residual so biased codecs stay convergent;
-    ``compress_broadcast`` applies the same codec to the server →
-    client broadcast as well.
-
-    Checkpoint knobs (crash-consistent full-run durability, see
-    :mod:`repro.fed.runstate`): ``checkpoint_dir`` enables rotating
-    run-state checkpoints — the whole federation, not just the
-    weights; ``checkpoint_every`` is the cadence in server updates
-    (default 1); ``resume`` restores the latest checkpoint in
-    ``checkpoint_dir`` before training, continuing the interrupted
-    run bit-exactly under ``checkpoint_codec="none"``;
-    ``checkpoint_codec`` optionally quantizes the **ServerOpt
-    moments** inside the artifact (``"int8"`` ships FedAdam's m/v at
-    one byte per element, trading bit-exactness of the moments for a
-    ~4x smaller optimizer footprint).
-
-    Population-scale knobs: ``client_plane`` selects *when* clients
-    are built and nothing else — ``"eager"`` builds every client
-    inside ``Photon.__init__``, ``"vector"`` builds each on its first
-    use and keeps at most ``max_live_clients``
-    :class:`~repro.fed.client.LLMClient` objects alive, parking the
-    rest as their state dicts.  There is one scheduler
-    (``ClientScheduler``), one wall-time model (``WallTimeModel``) and
-    one client registry (``LazyClientPool``), all over one
-    ``ClientPopulation``, so the two values are bit-exact against each
-    other at equal configs and a run checkpointed under one resumes
-    under the other.  ``cohorts`` (vector only) shares timing
-    archetypes across ``cohorts`` groups (O(cohorts) parameter
-    memory).
-
-    Local-plane knobs: ``local_plane`` selects how a wave of local
-    training executes — ``"sequential"`` (legacy client-by-client, the
-    bit-exact anchor), ``"batched"`` (shape-homogeneous clients are
-    stacked along a leading axis and advance through one fused
-    forward/backward/AdamW step; bit-exact vs sequential), or
-    ``"procpool"`` (a persistent fork pool trains clients truly in
-    parallel, with the broadcast weights mapped once per version into
-    shared memory; requires ``max_workers > 1`` to pay off and is
-    incompatible with ``compress_broadcast``).
-
-    Carried bugfix knobs: ``ef_staleness_gamma`` decays a banked EF
-    residual by ``gamma**staleness`` before reuse (1.0 = legacy
-    verbatim replay); ``feasibility_quantile`` folds a lognormal
-    jitter quantile margin into the ranked schedulers'
-    deadline-feasibility check (None = legacy mean-only).
-
-    Hierarchy & failover knobs (see :mod:`repro.fed.edge` and
-    :mod:`repro.fed.failover`): ``tiers`` inserts that many
-    region-level edge aggregators between the clients and the root
-    (region 0 is the root site; ``tiers=1`` is the identity tier,
-    bit-exact vs the flat engine); ``tier_compression`` is the
-    edge→root backhaul codec spec (per-hop error feedback engages
-    automatically when it is lossy and ``error_feedback`` is on);
-    ``replicas`` standby servers receive a versioned RunState snapshot
-    every ``replicate_every`` server updates, bounding the staleness
-    of a failover to ``replicate_every`` updates per crash;
-    ``server_crash_prob`` is the per-(server, round) probability that
-    the seeded crash model kills the root or an edge server at a
-    round boundary.
-
-    Observability knobs (see :mod:`repro.obs`): ``trace_path`` turns
-    on the flight recorder — spans on the simulated and host clocks
-    exported as Chrome trace-event JSON (Perfetto-loadable), analyzed
-    by ``python -m repro.obs.analyze``; ``metrics_every`` additionally
-    flushes a component-meter snapshot every N server updates to
-    ``<trace>.metrics.jsonl``.  Tracing never touches an RNG: a traced
-    and an untraced run produce bit-identical histories.
+    ``hi=inf`` with an open end reads "finite", and NaN fails every
+    comparison, so neither NaN nor an infinity lies in any span.  A
+    ``bool`` is not a number here, and an ``integer`` span takes only
+    integers.
     """
 
-    population: int = 8
-    clients_per_round: int = 8
-    local_steps: int = 64
-    rounds: int = 20
-    server_lr: float = 1.0
-    server_momentum: float = 0.0
-    server_opt: str = "fedavg"
-    stateless_clients: bool = True
-    seed: int = 0
-    mode: str = "sync"
-    buffer_size: int | None = None
-    staleness_alpha: float | None = None
-    deadline: float | None = None
-    drop_policy: str | None = None
-    adaptive_local_steps: bool = False
-    selection: str = "random"
-    jitter: "float | dict[str, float]" = 0.0
-    exploration: float = 1.0
-    stat_utility_weight: float = 0.0
-    compression: str = "none"
-    error_feedback: bool = False
-    compress_broadcast: bool = False
-    checkpoint_dir: str | None = None
-    checkpoint_every: int | None = None
-    checkpoint_codec: str = "none"
-    resume: bool = False
-    client_plane: str = "eager"
-    cohorts: int | None = None
-    max_live_clients: int | None = None
-    ef_staleness_gamma: float = 1.0
-    feasibility_quantile: float | None = None
-    local_plane: str = "sequential"
-    tiers: int | None = None
-    tier_compression: str = "none"
-    replicas: int = 0
-    server_crash_prob: float = 0.0
-    replicate_every: int = 1
-    trace_path: str | None = None
-    metrics_every: int | None = None
+    lo: float
+    hi: float = math.inf
+    lo_open: bool = False
+    hi_open: bool = True
+    integer: bool = False
 
-    def __post_init__(self) -> None:
-        if self.clients_per_round > self.population:
-            raise ValueError(
-                f"clients_per_round={self.clients_per_round} exceeds "
-                f"population={self.population}"
-            )
-        check_choice("mode", self.mode, MODES)
-        if self.buffer_size is not None and self.mode != "async":
-            raise ValueError("buffer_size only applies to mode='async'")
-        if self.buffer_size is not None and self.buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1, got {self.buffer_size}")
-        if self.staleness_alpha is not None and self.mode != "async":
-            raise ValueError("staleness_alpha only applies to mode='async'")
-        if self.staleness_alpha is not None and self.staleness_alpha < 0:
-            raise ValueError(
-                f"staleness_alpha must be non-negative, got {self.staleness_alpha}"
-            )
-        if self.deadline is not None and self.mode != "async":
-            raise ValueError("deadline only applies to mode='async'")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {self.deadline}")
-        if self.drop_policy is not None and self.deadline is None:
-            raise ValueError("drop_policy needs a deadline to enforce")
-        if self.drop_policy is not None and self.drop_policy not in DROP_POLICIES:
-            raise ValueError(
-                f"drop_policy must be one of {DROP_POLICIES}, "
-                f"got {self.drop_policy!r}"
-            )
-        if self.adaptive_local_steps and self.mode != "async":
-            raise ValueError("adaptive_local_steps only applies to mode='async'")
-        if self.selection not in SELECTION_POLICIES:
-            raise ValueError(
-                f"selection must be one of {SELECTION_POLICIES}, "
-                f"got {self.selection!r}"
-            )
-        jitter_values = (
-            tuple(self.jitter.values()) if isinstance(self.jitter, dict)
-            else (self.jitter,)
-        )
-        if any(v < 0 for v in jitter_values):
-            raise ValueError(f"jitter must be non-negative, got {self.jitter}")
-        if any(v > 0 for v in jitter_values) and self.mode != "async":
-            raise ValueError("jitter only applies to mode='async' (the sync "
-                             "barrier has no per-cycle clock)")
-        if self.exploration < 0:
-            raise ValueError(
-                f"exploration must be non-negative, got {self.exploration}"
-            )
-        if self.stat_utility_weight < 0:
-            raise ValueError(
-                f"stat_utility_weight must be non-negative, got "
-                f"{self.stat_utility_weight}"
-            )
-        _check_compression_spec(self.compression)
-        if self.compress_broadcast and self.compression == "none":
-            raise ValueError(
-                "compress_broadcast needs a lossy compression spec "
-                "(compression='none' already runs the lossless default)"
-            )
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-        if self.checkpoint_dir is None:
-            if self.checkpoint_every is not None:
-                raise ValueError("checkpoint_every needs a checkpoint_dir")
-            if self.resume:
-                raise ValueError("resume needs a checkpoint_dir to load from")
-            if self.checkpoint_codec != "none":
-                raise ValueError("checkpoint_codec needs a checkpoint_dir")
-        _check_compression_spec(self.checkpoint_codec)
-        check_choice("client_plane", self.client_plane, CLIENT_PLANES)
-        check_choice("local_plane", self.local_plane, LOCAL_PLANES)
-        if self.local_plane == "procpool" and self.compress_broadcast:
-            raise ValueError(
-                "local_plane='procpool' is incompatible with "
-                "compress_broadcast (each client's lossy downlink decode is "
-                "distinct, which defeats the shared-memory broadcast buffer)"
-            )
-        if self.client_plane == "vector" and isinstance(self.jitter, dict):
-            raise ValueError(
-                "client_plane='vector' takes a scalar jitter (per-client "
-                "dicts defeat the O(cohorts) memory model)"
-            )
-        if self.cohorts is not None:
-            if self.client_plane != "vector":
-                raise ValueError("cohorts only applies to client_plane='vector'")
-            if not 1 <= self.cohorts <= self.population:
-                raise ValueError(
-                    f"cohorts must be in [1, population], got {self.cohorts}"
-                )
-        if self.max_live_clients is not None:
-            if self.client_plane != "vector":
-                raise ValueError(
-                    "max_live_clients only applies to client_plane='vector'"
-                )
-            if self.max_live_clients < 1:
-                raise ValueError(
-                    f"max_live_clients must be >= 1, got {self.max_live_clients}"
-                )
-        if not 0.0 < self.ef_staleness_gamma <= 1.0:
-            raise ValueError(
-                f"ef_staleness_gamma must be in (0, 1], got {self.ef_staleness_gamma}"
-            )
-        if self.feasibility_quantile is not None:
-            if not 0.0 < self.feasibility_quantile < 1.0:
-                raise ValueError(
-                    "feasibility_quantile must be in (0, 1), got "
-                    f"{self.feasibility_quantile}"
-                )
-            if self.selection not in ("fastest", "utility"):
-                raise ValueError(
-                    "feasibility_quantile needs a ranked selection policy "
-                    "('fastest' or 'utility')"
-                )
-        if self.tiers is not None and self.tiers < 1:
-            raise ValueError(f"tiers must be >= 1, got {self.tiers}")
-        if self.tier_compression != "none" and self.tiers is None:
-            raise ValueError("tier_compression needs tiers (it is the "
-                             "edge→root backhaul codec)")
-        _check_compression_spec(self.tier_compression)
-        if self.replicas < 0:
-            raise ValueError(f"replicas must be >= 0, got {self.replicas}")
-        if not 0.0 <= self.server_crash_prob < 1.0:
-            raise ValueError(
-                f"server_crash_prob must be in [0, 1), got "
-                f"{self.server_crash_prob}"
-            )
-        if self.replicate_every < 1:
-            raise ValueError(
-                f"replicate_every must be >= 1, got {self.replicate_every}"
-            )
-        if self.replicate_every > 1 and self.replicas < 1:
-            raise ValueError("replicate_every > 1 needs replicas >= 1 "
-                             "(there is no snapshot cadence without a "
-                             "replica to ship to)")
-        if self.metrics_every is not None:
-            if self.metrics_every < 1:
-                raise ValueError(
-                    f"metrics_every must be >= 1, got {self.metrics_every}"
-                )
-            if self.trace_path is None:
-                raise ValueError("metrics_every needs a trace_path (the "
-                                 "metrics sink lives next to the trace)")
+    def __contains__(self, value) -> bool:
+        if isinstance(value, bool) or not isinstance(
+                value, Integral if self.integer else Real):
+            return False
+        above = self.lo < value if self.lo_open else self.lo <= value
+        return above and (value < self.hi if self.hi_open else value <= self.hi)
 
-    @property
-    def jitter_active(self) -> bool:
-        """Whether any client's cycle durations carry jitter noise."""
-        if isinstance(self.jitter, dict):
-            return any(v > 0 for v in self.jitter.values())
-        return self.jitter > 0
+    def __str__(self) -> str:
+        if self.hi < math.inf:
+            return (f"in {'[('[self.lo_open]}{self.lo:g}, "
+                    f"{self.hi:g}{'])'[self.hi_open]}")
+        if self.integer:
+            return f"an integer >= {self.lo}"
+        return f"{'positive' if self.lo_open else 'non-negative'} and finite"
 
-    @property
-    def participation(self) -> float:
-        return self.clients_per_round / self.population
 
-    @property
-    def total_client_steps(self) -> int:
-        return self.rounds * self.local_steps
+# The closed set of FedConfig domains: a tuple of choices, a Span, PATH
+# (a ``str`` or ``os.PathLike``), or a check delegated to the factory
+# that will build the value (codec specs, server-optimizer names); None
+# for a bool.  A field whose default is None also takes None, and every
+# value of a dict (per-client jitter) must lie in the domain.
+POSITIVE_INT = Span(1, integer=True)
+COUNT = Span(0, integer=True)
+NON_NEGATIVE = Span(0.0)
+POSITIVE = Span(0.0, lo_open=True)
+PATH = "path"
 
 
 def _check_compression_spec(spec: str) -> None:
@@ -464,6 +208,249 @@ def _check_compression_spec(spec: str) -> None:
     from .compress.codec import make_codec
 
     make_codec(spec)
+
+
+def _check_server_opt(name: str) -> None:
+    """Validate a server-optimizer name against
+    :func:`repro.fed.server_opt.make_server_opt`, the factory that will
+    build it (lazy: :mod:`repro.fed` imports this module)."""
+    from .fed.server_opt import make_server_opt
+
+    make_server_opt(name)
+
+
+def knob(default, domain, flag: str | None, help: str):
+    """Declare a :class:`FedConfig` field: its default, its domain, its
+    ``repro train`` flag (``"--name"`` or ``"--name METAVAR"``; None for
+    a field the CLI does not set) and its help text."""
+    return field(default=default,
+                 metadata={"domain": domain, "help": help, "flag": flag})
+
+
+def _check_domain(name: str, value, domain) -> None:
+    """Reject ``value`` unless it lies in ``domain``, one of the kinds
+    above; the one-line error names the field."""
+    if isinstance(domain, tuple):
+        check_choice(name, value, domain)
+    elif isinstance(domain, Span):
+        values = value.values() if isinstance(value, dict) else (value,)
+        if not all(v in domain for v in values):
+            raise ValueError(f"{name} must be {domain}, got {value!r}")
+    elif domain is PATH:
+        if not isinstance(value, (str, os.PathLike)):
+            raise ValueError(f"{name} must be a path, got {value!r}")
+    elif domain is not None:
+        try:
+            domain(value)
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc.args[0]}") from None
+
+
+@dataclass(frozen=True)
+class FedConfig:
+    """Federated run configuration (paper Table 6 schema).
+
+    Every field is declared once, below, by :func:`knob`: its default,
+    its domain, its help text and its ``repro train`` flag.  The CLI's
+    flags are generated from those declarations (``repro train --help``
+    prints the help text), and ``__post_init__`` checks every value
+    against its domain and then the cross-field rules, so a bad
+    configuration fails when it is built, before any data exists.
+
+    The fields come in groups: the paper's Algorithm 1 (population,
+    cohort, τ, rounds, server optimizer); the round engine (``mode``:
+    the sync barrier or the FedBuff-style buffered
+    :class:`~repro.fed.engine.AsyncAggregator`) and its async-only
+    fault tolerance (:class:`~repro.fed.faults.DeadlinePolicy`) and
+    clock noise; client selection
+    (:class:`~repro.fed.scheduler.ClientScheduler`); lossy links
+    (:mod:`repro.compress`); crash-consistent run-state checkpoints
+    (:mod:`repro.fed.runstate`; under ``checkpoint_codec="none"`` a
+    resumed run continues bit-exactly); the client and local-training
+    planes, which change when clients are built and how a wave trains
+    but never the results; hierarchy and failover
+    (:mod:`repro.fed.edge`, :mod:`repro.fed.failover`); and the flight
+    recorder (:mod:`repro.obs`), which touches no RNG, so a traced and
+    an untraced run produce bit-identical histories.  Every default
+    keeps the legacy behaviour bit-exactly.
+    """
+
+    population: int = knob(8, POSITIVE_INT, "--clients", "clients in the federation")
+    clients_per_round: int = knob(
+        8, POSITIVE_INT, "--sampled", "clients sampled per round, K (CLI default: all)")
+    local_steps: int = knob(
+        64, POSITIVE_INT, "--local-steps", "local steps per client per round (tau)")
+    rounds: int = knob(
+        20, POSITIVE_INT, "--rounds", "server updates to run (on a resume, the total)")
+    server_lr: float = knob(1.0, POSITIVE, None, "server learning rate")
+    server_momentum: float = knob(
+        0.0, Span(0.0, 1.0), None, "server momentum of fedmom/nesterov (0 = their 0.9)")
+    server_opt: str = knob(
+        "fedavg", _check_server_opt, "--server-opt",
+        "server optimizer: fedavg (the paper's), fedmom or fedadam")
+    stateless_clients: bool = knob(
+        True, None, None, "clients reset their local optimizer state every round")
+    seed: int = knob(0, COUNT, "--seed", "seed of every random stream of the run")
+    mode: str = knob(
+        "sync", MODES, "--mode", "round engine: the Algorithm-1 barrier or buffered async")
+    buffer_size: int | None = knob(
+        None, POSITIVE_INT, "--buffer-size", "async: updates per server step (default: K)")
+    staleness_alpha: float | None = knob(
+        None, NON_NEGATIVE, "--staleness-alpha",
+        "async: stale deltas weighted 1/(1+s)^alpha (default 0.5)")
+    deadline: float | None = knob(
+        None, POSITIVE, "--deadline",
+        "async: simulated seconds a client cycle may take before the drop policy applies")
+    drop_policy: str | None = knob(
+        None, DROP_POLICIES, "--drop-policy", "async: what happens to over-deadline work "
+        "(default with a deadline: drop; admit_partial salvages the finished steps)")
+    adaptive_local_steps: bool = knob(
+        False, None, "--adaptive-local-steps", "async: slow clients train proportionally "
+        "fewer steps per pull (needs a wall-time model)")
+    selection: str = knob(
+        "random", SELECTION_POLICIES, "--selection", "client-selection policy (random = "
+        "legacy; utility = Oort/REFL-style deadline-aware score with a fairness floor)")
+    jitter: "float | dict[str, float]" = knob(
+        0.0, NON_NEGATIVE, "--jitter", "async: scale of seeded lognormal per-cycle duration "
+        "noise, or a client_id -> scale dict (0 = deterministic clock)")
+    exploration: float = knob(
+        1.0, NON_NEGATIVE, "--exploration", "utility selection: weight of the recency bonus "
+        "that keeps slow clients from starving")
+    stat_utility_weight: float = knob(
+        0.0, NON_NEGATIVE, "--stat-utility-weight", "utility selection: weight of the "
+        "recent loss-improvement term (true Oort; 0 = off)")
+    compression: str = knob(
+        "none", _check_compression_spec, "--compression", "lossy codec for client uploads: "
+        "none, fp16, int8, int4, topk:<frac>, randk:<frac>, chained with '+'")
+    error_feedback: bool = knob(
+        False, None, "--error-feedback",
+        "keep a per-client EF residual so lossy compression stays convergent")
+    compress_broadcast: bool = knob(
+        False, None, "--compress-broadcast",
+        "also run the server broadcast through the compression codec")
+    checkpoint_dir: str | None = knob(
+        None, PATH, "--checkpoint-dir DIR", "write rotating full-run-state checkpoints "
+        "(weights, ServerOpt moments, event queue, RNG streams) under DIR")
+    checkpoint_every: int | None = knob(
+        None, POSITIVE_INT, "--checkpoint-every N",
+        "checkpoint cadence in server updates (default 1; needs a checkpoint dir)")
+    checkpoint_codec: str = knob(
+        "none", _check_compression_spec, "--checkpoint-codec", "compress the ServerOpt "
+        "moments inside the checkpoint: none (bit-exact resume), fp16, int8, int4")
+    resume: bool = knob(
+        False, None, "--resume DIR", "resume from the latest run-state checkpoint under "
+        "DIR (implies --checkpoint-dir DIR; --rounds is the total target)")
+    client_plane: str = knob(
+        "eager", CLIENT_PLANES, "--client-plane", "when clients are built: eager, all up "
+        "front; vector, each on first use, evicting beyond max_live_clients")
+    cohorts: int | None = knob(
+        None, POSITIVE_INT, "--cohorts", "vector plane: timing archetypes shared across "
+        "the population (O(cohorts) memory; default: per-client draws)")
+    max_live_clients: int | None = knob(
+        None, POSITIVE_INT, "--max-live-clients",
+        "vector plane: cap on live client objects (default max(64, 2x sampled cohort))")
+    ef_staleness_gamma: float = knob(
+        1.0, Span(0.0, 1.0, lo_open=True, hi_open=False), "--ef-staleness-gamma",
+        "decay an EF residual banked s server versions ago by gamma^s (1 = no decay)")
+    feasibility_quantile: float | None = knob(
+        None, Span(0.0, 1.0, lo_open=True), "--feasibility-quantile", "fastest/utility "
+        "selection: plan deadline feasibility at this quantile of the jittered cycle")
+    local_plane: str = knob(
+        "sequential", LOCAL_PLANES, "--local-plane", "how a wave trains, never what it "
+        "computes: client by client, stacked in one fused step, or on a fork pool")
+    tiers: int | None = knob(
+        None, POSITIVE_INT, "--tiers", "hierarchical federation: region-level edge "
+        "aggregators between clients and root (1 = identity tier, bit-exact vs flat)")
+    tier_compression: str = knob(
+        "none", _check_compression_spec, "--tier-compression",
+        "edge->root backhaul codec (the compression grammar; needs tiers)")
+    replicas: int = knob(
+        0, COUNT, "--replicas", "standby servers receiving versioned RunState snapshots; "
+        "a crashed root promotes the newest one")
+    server_crash_prob: float = knob(
+        0.0, Span(0.0, 1.0), "--server-crash-prob", "per-(server, round) probability that "
+        "the seeded crash model kills the root or an edge server")
+    replicate_every: int = knob(
+        1, POSITIVE_INT, "--replicate-every N",
+        "replication cadence in server updates (the staleness bound per crash)")
+    trace_path: str | None = knob(
+        None, PATH, "--trace PATH", "flight recorder: write a Chrome trace-event JSON of "
+        "the run to PATH (analyze with python -m repro.obs.analyze)")
+    metrics_every: int | None = knob(
+        None, POSITIVE_INT, "--metrics-every N", "flush a component-meter snapshot every N "
+        "server updates to <trace>.metrics.jsonl (needs a trace)")
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                _check_domain(f.name, value, f.metadata["domain"])
+        if self.clients_per_round > self.population:
+            raise ValueError(f"clients_per_round={self.clients_per_round} exceeds "
+                             f"population={self.population}")
+        if self.mode != "async":
+            for name in ("buffer_size", "staleness_alpha", "deadline"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} only applies to mode='async'")
+            if self.adaptive_local_steps:
+                raise ValueError("adaptive_local_steps only applies to mode='async'")
+            if self.jitter_active:
+                raise ValueError("jitter only applies to mode='async' (the "
+                                 "sync barrier has no per-cycle clock)")
+        if self.drop_policy is not None and self.deadline is None:
+            raise ValueError("drop_policy needs a deadline to enforce")
+        if self.compress_broadcast and self.compression == "none":
+            raise ValueError("compress_broadcast needs a lossy compression spec "
+                             "(compression='none' already runs the lossless default)")
+        if self.checkpoint_dir is None:
+            if self.checkpoint_every is not None:
+                raise ValueError("checkpoint_every needs a checkpoint_dir")
+            if self.resume:
+                raise ValueError("resume needs a checkpoint_dir to load from")
+            if self.checkpoint_codec != "none":
+                raise ValueError("checkpoint_codec needs a checkpoint_dir")
+        if self.local_plane == "procpool" and self.compress_broadcast:
+            raise ValueError(
+                "local_plane='procpool' is incompatible with compress_broadcast (each "
+                "client's lossy downlink decode is distinct, which defeats the "
+                "shared-memory broadcast buffer)")
+        if self.client_plane != "vector":
+            for name in ("cohorts", "max_live_clients"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} only applies to client_plane='vector'")
+        elif isinstance(self.jitter, dict):
+            raise ValueError("client_plane='vector' takes a scalar jitter (per-client "
+                             "dicts defeat the O(cohorts) memory model)")
+        if self.cohorts is not None and self.cohorts > self.population:
+            raise ValueError(f"cohorts must be in [1, population], got {self.cohorts}")
+        if (self.feasibility_quantile is not None
+                and self.selection not in ("fastest", "utility")):
+            raise ValueError("feasibility_quantile needs a ranked selection policy "
+                             "('fastest' or 'utility')")
+        if self.tier_compression != "none" and self.tiers is None:
+            raise ValueError("tier_compression needs tiers (it is the "
+                             "edge→root backhaul codec)")
+        if self.replicate_every > 1 and self.replicas < 1:
+            raise ValueError("replicate_every > 1 needs replicas >= 1 (there is no "
+                             "snapshot cadence without a replica to ship to)")
+        if self.metrics_every is not None and self.trace_path is None:
+            raise ValueError("metrics_every needs a trace_path (the "
+                             "metrics sink lives next to the trace)")
+
+    @property
+    def jitter_active(self) -> bool:
+        """Whether any client's cycle durations carry jitter noise."""
+        if isinstance(self.jitter, dict):
+            return any(v > 0 for v in self.jitter.values())
+        return self.jitter > 0
+
+    @property
+    def participation(self) -> float:
+        return self.clients_per_round / self.population
+
+    @property
+    def total_client_steps(self) -> int:
+        return self.rounds * self.local_steps
 
 
 @dataclass(frozen=True)

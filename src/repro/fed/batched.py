@@ -1,7 +1,7 @@
 """Batched client stepping: K stacked clients, one fused graph.
 
 The pure-numpy autograd makes per-client local training python-bound —
-a thread pool buys nothing under the GIL (ROADMAP item 2).  This
+threads buy nothing under the GIL (ROADMAP item 8).  This
 module removes the per-client python overhead instead of hiding it:
 the weights of K shape-homogeneous clients are stacked along a new
 leading model axis of **one** :class:`~repro.nn.DecoderLM` workspace

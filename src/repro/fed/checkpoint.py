@@ -40,9 +40,8 @@ class CheckpointManager:
         self._pending: list[threading.Thread] = []
         self._io_lock = threading.Lock()
         # Pending-list bookkeeping has its own lock: save_async may be
-        # called from many client threads at once (the sync engine's
-        # pool), and a lost list update would leave wait() unaware of
-        # an in-flight write.
+        # called from several threads at once, and a lost list update
+        # would leave wait() unaware of an in-flight write.
         self._pending_lock = threading.Lock()
         # Highest step the rotation has ever pruned: an async write
         # that lands after newer saves pruned past it must not

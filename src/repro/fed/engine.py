@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict
 from typing import NamedTuple
@@ -95,7 +94,7 @@ from .client import LLMClient
 from .faults import ClientFailure, DeadlinePolicy, DropLedger, FailureModel, FaultPolicy
 from .link import Link, Message
 from .population import LazyClientPool
-from .procpool import ProcPool, share_state
+from .procpool import ProcPool, check_max_workers, share_state
 from .sampler import AvailabilityModel, ClientSampler, FullParticipation
 from .scheduler import ClientScheduler
 from .server_opt import FedAvg, ServerOpt
@@ -387,11 +386,12 @@ class RoundEngine:
         uniform mean.
     max_workers / local_plane:
         How a wave of local training executes: client-by-client
-        (``sequential``, the bit-exact anchor; threads when
-        ``max_workers > 1``), K stacked homogeneous clients per fused
-        step (``batched``), or a persistent fork pool with
-        shared-memory broadcast buffers (``procpool``).  All three
-        produce identical results — they differ only in throughput.
+        (``sequential``, the bit-exact anchor), K stacked homogeneous
+        clients per fused step (``batched``), or a persistent fork pool
+        of ``max_workers`` processes with shared-memory broadcast
+        buffers (``procpool``, the only plane that takes more than one
+        worker).  All three produce identical results — they differ
+        only in throughput.
     failure_model / fault_policy:
         Client crash injection and the reaction to it.
     checkpointer:
@@ -464,21 +464,12 @@ class RoundEngine:
         self.comm_topology = comm_topology
         self.eval_batches = eval_batches
         self.weighted = weighted
-        if max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        # Clients are independent within a round (Algorithm 1 L.5 "in
-        # parallel"), so the sequential plane can run them on a thread
-        # pool.  Results are deterministic either way because each
-        # client's RNG stream is its own — but a training step is
-        # mostly small numpy calls that hold the GIL, so two threads
-        # read 0.3-0.8x of one worker (ROADMAP item 5; benchmarks/
-        # baselines/local_plane.json, ``threads`` arm).
-        self.max_workers = max_workers
         check_choice("local_plane", local_plane, LOCAL_PLANES)
+        check_max_workers(max_workers, local_plane)
+        self.max_workers = max_workers
         self.local_plane = local_plane
-        # Engine-lifetime worker resources, created lazily on first
-        # use and torn down on run completion / state_dict().
-        self._executor: ThreadPoolExecutor | None = None
+        # The fork pool is created lazily on first use and torn down on
+        # run completion / state_dict().
         self._procpool: ProcPool | None = None
         self.failure_model = failure_model
         self.fault_policy = fault_policy or FaultPolicy.for_topology(comm_topology)
@@ -578,8 +569,6 @@ class RoundEngine:
         with self.tracer.host_span("engine", f"wave[{self.local_plane}]",
                                    jobs=len(tasks)):
             if self.local_plane == "sequential":
-                if self.max_workers > 1 and len(tasks) > 1:
-                    return list(self._get_executor().map(self._train_task, tasks))
                 return [self._train_task(task) for task in tasks]
             states = [self.link.recv_state(message)[0]
                       for _, message, _ in tasks]
@@ -592,11 +581,11 @@ class RoundEngine:
     def _train_task(self, task: tuple[str, Message, RoundInfo]) -> ClientUpdate:
         """The sequential plane's whole exchange for one client.  The
         broadcast is decoded here, not up front: one decoded state is
-        alive per worker, however large the wave."""
+        alive at a time, however large the wave."""
         client_id, message, round_info = task
         state, _ = self.link.recv_state(message)
         # Leased so LRU eviction cannot park a lazily-materialized
-        # client mid-step (worker threads train concurrently).
+        # client mid-step.
         with self.clients.lease(client_id) as client:
             update = client.train(state, round_info)
         return self._finish_update(client_id, update)
@@ -705,21 +694,11 @@ class RoundEngine:
             ))
         return updates
 
-    def _get_executor(self) -> ThreadPoolExecutor:
-        """The persistent dispatch thread pool (lazy; reused across
-        every wave until :meth:`_shutdown_workers`)."""
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
     def _shutdown_workers(self) -> None:
-        """Tear down the lazy worker resources.  Called when a run
-        completes and before serializing engine state — a checkpoint
-        must never capture live pool handles, and a procpool fork must
-        be re-taken after a resume mutates the parent's clients."""
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        """Tear down the lazy fork pool.  Called when a run completes
+        and before serializing engine state — a checkpoint must never
+        capture live pool handles, and a procpool fork must be re-taken
+        after a resume mutates the parent's clients."""
         if self._procpool is not None:
             self._procpool.close()
             self._procpool = None
@@ -946,8 +925,8 @@ class SyncAggregator(RoundEngine):
         who does not crash; returns ``(survivors' updates, crashed
         ids)``, both in cohort order."""
         # Failure draws happen serially, in cohort order, so the
-        # FailureModel's RNG stream is consumed identically for any
-        # max_workers (np.random.Generator is not thread-safe).
+        # FailureModel's RNG stream is consumed identically on every
+        # local plane and for any max_workers.
         doomed = {
             cid for cid in cohort
             if self.failure_model is not None

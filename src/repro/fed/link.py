@@ -95,8 +95,8 @@ class Link:
         # numbers for other weights — and holding the state keeps its
         # id from being recycled.  Broadcasts go out serially.
         self._broadcast: tuple[StateDict | None, bytes] = (None, b"")
-        # Clients may run on a thread pool (Aggregator max_workers);
-        # counter updates must stay exact.
+        # The engine sends serially; the lock keeps the counters exact
+        # for any caller that shares a Link across threads.
         self._lock = threading.Lock()
 
     def _codec_for(self, sender: str) -> Codec | None:

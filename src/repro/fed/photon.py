@@ -42,6 +42,7 @@ from .faults import DeadlinePolicy, FailureModel, FaultPolicy
 from .link import Link
 from .population import ClientPopulation, LazyClientPool
 from .postprocess import PostProcessor
+from .procpool import check_max_workers
 from .runstate import RunStateCheckpointer
 from .sampler import AvailabilityModel, FullParticipation, UniformSampler
 from .scheduler import ClientScheduler
@@ -153,8 +154,7 @@ class Photon:
                  data_seed: int = 1234,
                  init_seed: int = 0,
                  server_failure_model: FailureModel | None = None):
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+        check_max_workers(max_workers, fed_config.local_plane)
         if not 0.0 < uptime <= 1.0:
             raise ValueError(f"uptime must be in (0, 1], got {uptime}")
         if client_speed_spread < 1.0:

@@ -180,8 +180,8 @@ class LazyClientPool(Mapping):
     ``factory``) or *parked* as the plain state dict that
     ``RunState`` would persist anyway.  Training code holds a client
     through :meth:`lease`, which pins it against eviction for the
-    duration (the async engine trains leased clients on worker
-    threads while the serial control loop touches others).
+    duration (a batched wave leases every client it stacks; the lock
+    keeps the registry consistent for callers on several threads).
 
     Eviction order is least-recently-used, and eviction is bit-exact:
     a client's durable state is exactly its ``state_dict()`` (the

@@ -3,7 +3,7 @@
 The batched plane (:mod:`repro.fed.batched`) removes python overhead
 for *homogeneous* clients; this module is the complementary attack for
 heterogeneous ones — true multi-core parallelism that the GIL denies
-the thread pool.  It follows the paper's multiprocessing-stack client
+threads.  It follows the paper's multiprocessing-stack client
 model (Appendix B.3):
 
 * **one long-lived fork pool per engine** — workers inherit the client
@@ -36,7 +36,7 @@ import numpy as np
 from ..utils.serialization import StateDict
 from .types import RoundInfo
 
-__all__ = ["ProcPool", "ProcJob", "share_state"]
+__all__ = ["ProcPool", "ProcJob", "check_max_workers", "share_state"]
 
 # Client registry inherited by forked workers.  Set immediately before
 # the pool forks; the children see the parent's clients (models,
@@ -51,6 +51,17 @@ def _resolve_client(client_id: str):
     # A LazyClientPool: materializes on demand from the fork-inherited
     # factory.
     return registry[client_id]
+
+
+def check_max_workers(max_workers: int, local_plane: str) -> None:
+    """``max_workers`` counts procpool processes: at least one, and
+    more than one only under ``local_plane="procpool"`` (every other
+    plane trains in the calling process)."""
+    if max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    if max_workers > 1 and local_plane != "procpool":
+        raise ValueError(f"max_workers={max_workers} needs local_plane='procpool' "
+                         f"(the only plane with workers), got {local_plane!r}")
 
 
 # ----------------------------------------------------------------------

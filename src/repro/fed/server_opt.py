@@ -198,8 +198,9 @@ class NesterovOuter(ServerOpt):
 
 
 def make_server_opt(name: str, lr: float = 1.0, momentum: float = 0.0) -> ServerOpt:
-    """Factory keyed by the ``FedConfig.server_opt`` string."""
-    name = name.lower()
+    """Factory keyed by the ``FedConfig.server_opt`` string (which
+    ``FedConfig`` checks by calling this)."""
+    name = str(name).lower()
     if name == "fedavg":
         return FedAvg(lr=lr)
     if name in ("fedmom", "fedavgm"):
@@ -208,4 +209,5 @@ def make_server_opt(name: str, lr: float = 1.0, momentum: float = 0.0) -> Server
         return FedAdam(lr=lr)
     if name in ("nesterov", "diloco"):
         return NesterovOuter(lr=lr, momentum=momentum or 0.9)
-    raise KeyError(f"unknown server optimizer {name!r}")
+    raise KeyError(f"unknown server optimizer {name!r}; available: fedavg, "
+                   "fedmom (fedavgm), fedadam, nesterov (diloco)")

@@ -10,6 +10,7 @@ from dataclasses import asdict
 
 import numpy as np
 
+from repro.config import PATH, Span
 from repro.nn import CausalSelfAttention
 from repro.tensor import Tensor
 
@@ -265,3 +266,25 @@ def check_gradients(op, arrays: list[np.ndarray], atol: float = 1e-2,
             t.grad, expected, atol=atol, rtol=rtol,
             err_msg=f"gradient mismatch for operand {i}",
         )
+
+
+# ----------------------------------------------------------------------
+# Out-of-domain draws from the FedConfig declarations.
+# ----------------------------------------------------------------------
+
+def out_of_domain(domain) -> list:
+    """Values outside a declared :class:`~repro.config.FedConfig`
+    domain (see :func:`repro.config.knob`): a name no choice list or
+    factory knows, the neighbours just outside a span's ends, NaN and
+    the infinities, or a non-path."""
+    if isinstance(domain, Span):
+        bad = [domain.lo if domain.lo_open else domain.lo - 1,
+               float("nan"), float("inf"), float("-inf")]
+        if domain.hi < float("inf"):
+            bad.append(domain.hi if domain.hi_open else domain.hi + 1)
+        if domain.integer:
+            bad.append(domain.lo + 0.5)
+        return bad
+    if domain is PATH:
+        return [7]
+    return ["no-such-name"]  # a choice tuple, or a codec or optimizer factory

@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
+import json
+from dataclasses import asdict
+from pathlib import Path
+
 import pytest
 
-from repro.cli import _warmup_for, build_parser, main
+from repro.cli import _fed_config, _warmup_for, build_parser, main
+from repro.config import FedConfig
+
+DATA = Path(__file__).parent / "data"
+CONFIGS = DATA / "cli_train_configs.json"
+FLAGS = DATA / "cli_train_flags.json"
 
 
 class TestParser:
@@ -143,6 +154,86 @@ class TestUsageErrors:
              "2", "--rounds", "1", "--batch-size", "2", "--mode", "async",
              "--deadline", "0.5"],
             capsys, "fastest client cycle")
+
+
+    SMALL = ["train", "--clients", "2", "--local-steps", "1", "--rounds",
+             "1", "--batch-size", "2"]
+
+    def test_zero_local_steps(self, capsys):
+        self.expect_error(["train", "--local-steps", "0"], capsys,
+                          "local_steps must be an integer >= 1, got 0")
+
+    def test_zero_sampled_is_not_all_clients(self, capsys):
+        self.expect_error(self.SMALL + ["--sampled", "0"], capsys,
+                          "clients_per_round must be an integer >= 1, got 0")
+
+    def test_nan_deadline(self, capsys):
+        self.expect_error(self.SMALL + ["--mode", "async", "--deadline", "nan"],
+                          capsys, "deadline must be positive and finite, got nan")
+
+    def test_unknown_server_opt_is_a_config_error(self, capsys):
+        self.expect_error(["train", "--server-opt", "sgd"], capsys,
+                          "server_opt: unknown server optimizer 'sgd'")
+
+    def test_workers_need_the_procpool(self, capsys):
+        self.expect_error(["train", "--max-workers", "2"], capsys,
+                          "max_workers=2 needs local_plane='procpool'")
+
+
+def _train_parser():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["train"]
+
+
+class TestGeneratedTrainFlags:
+    """``repro train``'s FedConfig flags and the FedConfig it builds are
+    generated from the field declarations; both are pinned to what the
+    hand-written parser produced."""
+
+    def test_every_invocation_builds_the_same_config(self):
+        """Every ``repro train`` line in README.md and tests/ (examples/
+        and ci.yml run none), plus the bare command: the same FedConfig,
+        or the same rejection (its old text, perhaps with the field's
+        name in front)."""
+        for entry in json.loads(CONFIGS.read_text()):
+            args = build_parser().parse_args(entry["argv"])
+            if "error" in entry:
+                with pytest.raises(ValueError) as info:
+                    _fed_config(args)
+                assert entry["error"] in str(info.value), entry["argv"]
+            else:
+                assert asdict(_fed_config(args)) == entry["config"], entry["argv"]
+
+    def test_flags_defaults_and_choices_are_pinned(self):
+        pinned = json.loads(FLAGS.read_text())["flags"]
+        flags = {}
+        for action in _train_parser()._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            flags[action.option_strings[0]] = {
+                "dest": action.dest, "default": action.default,
+                "choices": list(action.choices) if action.choices else None,
+                "type": getattr(action.type, "__name__", None),
+                "metavar": action.metavar, "takes_value": action.nargs != 0,
+            }
+        # The one intended change: the server optimizer's names moved
+        # from an argparse choice list to FedConfig, which asks the
+        # factory that builds the optimizer (an unknown name is a
+        # FedConfig error now, not argparse's "invalid choice").
+        server_opt = pinned["--server-opt"]
+        for name in server_opt.pop("choices"):
+            FedConfig(server_opt=name)
+        assert flags["--server-opt"].pop("choices") is None
+        assert sorted(flags) == sorted(pinned)
+        assert flags == pinned
+
+    def test_help_is_the_declared_help(self):
+        helps = {a.option_strings[0]: a.help for a in _train_parser()._actions}
+        for f in dataclasses.fields(FedConfig):
+            flag = f.metadata["flag"]
+            if flag is not None:
+                assert helps[flag.split()[0]] == f.metadata["help"]
 
 
 class TestCommands:

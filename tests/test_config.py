@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.config import (
@@ -17,6 +22,10 @@ from repro.config import (
     model_config,
 )
 from repro.optim import federated_schedule_steps
+
+from helpers import out_of_domain
+
+FLAGS_PIN = Path(__file__).parent / "data" / "cli_train_flags.json"
 
 
 class TestTable4Architectures:
@@ -153,3 +162,103 @@ class TestConfigBehaviour:
         assert cfg.betas == (0.9, 0.95)
         assert cfg.weight_decay == 0.1
         assert cfg.grad_clip == 1.0
+
+
+class TestFedConfigDomains:
+    """Every field's domain is checked when ``FedConfig(...)`` is built:
+    each value below used to be accepted and then ran without a
+    deadline, without jitter, to an infinite clock, or died inside the
+    run or after the data build."""
+
+    def expect_rejected(self, field, **kwargs):
+        with pytest.raises(ValueError, match=f"^{field}\\b") as info:
+            FedConfig(**kwargs)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_deadline_must_be_finite(self, value):
+        self.expect_rejected("deadline", mode="async", deadline=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_jitter_must_be_finite(self, value):
+        self.expect_rejected("jitter", mode="async", jitter=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_jitter_dict_values_must_be_finite(self, value):
+        self.expect_rejected("jitter", mode="async",
+                             jitter={"client0": 0.1, "client1": value})
+
+    def test_exploration_nan(self):
+        self.expect_rejected("exploration", exploration=float("nan"))
+
+    def test_stat_utility_weight_nan(self):
+        self.expect_rejected("stat_utility_weight",
+                             stat_utility_weight=float("nan"))
+
+    def test_staleness_alpha_nan(self):
+        self.expect_rejected("staleness_alpha", mode="async",
+                             staleness_alpha=float("nan"))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_server_lr_must_be_positive(self, value):
+        self.expect_rejected("server_lr", server_lr=value)
+
+    @pytest.mark.parametrize("value", [-0.1, 1.0, 2.0, float("nan")])
+    def test_server_momentum_in_unit_interval(self, value):
+        self.expect_rejected("server_momentum", server_momentum=value)
+
+    def test_local_steps_zero(self):
+        self.expect_rejected("local_steps", local_steps=0)
+
+    def test_rounds_zero(self):
+        self.expect_rejected("rounds", rounds=0)
+
+    def test_population_zero(self):
+        self.expect_rejected("population", population=0, clients_per_round=0)
+
+    def test_clients_per_round_zero(self):
+        self.expect_rejected("clients_per_round", clients_per_round=0)
+
+    def test_unknown_server_opt(self):
+        self.expect_rejected("server_opt", server_opt="sgd")
+
+    def test_repo_values_stay_inside(self):
+        """Every server_lr / server_momentum the repo passes."""
+        for lr in (0.01, 0.02, 0.1, 0.5, 1.0):
+            FedConfig(server_lr=lr)
+        for momentum in (0.0, 0.6, 0.9):
+            FedConfig(server_momentum=momentum)
+        for name in ("fedavg", "fedmom", "fedavgm", "fedadam", "nesterov"):
+            FedConfig(server_opt=name)
+
+    @pytest.mark.parametrize(
+        "field", [f for f in dataclasses.fields(FedConfig)
+                  if f.metadata["domain"] is not None],
+        ids=lambda f: f.name)
+    def test_every_declared_domain_is_checked(self, field):
+        """Draws for each declared field, from its declaration alone; the
+        other fields keep their defaults, and every domain is checked
+        before any cross-field rule."""
+        for value in out_of_domain(field.metadata["domain"]):
+            self.expect_rejected(field.name, **{field.name: value})
+
+    def test_fields_match_the_pinned_declaration(self):
+        """Names, order and defaults are what every flat-keyword caller,
+        the ledger and ``asdict`` have always seen."""
+        pinned = json.loads(FLAGS_PIN.read_text())["fedconfig_fields"]
+        assert [[f.name, f.default] for f in dataclasses.fields(FedConfig)] == pinned
+
+
+def test_config_module_imports_stay_light():
+    """The CLI is generated from ``config.py``, not the other way round:
+    at import time it reads neither argparse nor any other repro module
+    (the codec and server-optimizer checks import their factories when
+    they run)."""
+    import repro.config
+
+    tree = ast.parse(Path(repro.config.__file__).read_text())
+    imports = [n for n in tree.body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    modules = {a.name for n in imports if isinstance(n, ast.Import) for a in n.names}
+    modules |= {n.module for n in imports if isinstance(n, ast.ImportFrom)}
+    assert "argparse" not in modules
+    assert not [n for n in imports if isinstance(n, ast.ImportFrom) and n.level]

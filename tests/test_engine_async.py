@@ -28,10 +28,11 @@ WALLTIME = WallTimeConfig(throughput=2.0, bandwidth_mbps=312.5, model_mb=0.05)
 
 
 def make_photon(mode="sync", *, population=3, rounds=3, local_steps=2,
-                staleness_alpha=0.0, **kwargs):
+                staleness_alpha=0.0, local_plane="sequential", **kwargs):
     fed = FedConfig(population=population, clients_per_round=population,
                     local_steps=local_steps, rounds=rounds, mode=mode,
-                    staleness_alpha=staleness_alpha if mode == "async" else None)
+                    staleness_alpha=staleness_alpha if mode == "async" else None,
+                    local_plane=local_plane)
     return Photon(CFG, fed, OPTIM, num_shards=4, val_batches=2, **kwargs)
 
 
@@ -321,16 +322,16 @@ class TestDeterminism:
 
     def test_max_workers_does_not_change_results(self):
         serial = make_photon("sync", max_workers=1)
-        threaded = make_photon("sync", max_workers=4)
-        hs, ht = serial.train(), threaded.train()
-        assert trace(hs) == trace(ht)
+        pooled = make_photon("sync", local_plane="procpool", max_workers=2)
+        hs, hp = serial.train(), pooled.train()
+        assert trace(hs) == trace(hp)
         assert [(r.comm_bytes_up, r.comm_bytes_down) for r in hs] == \
-               [(r.comm_bytes_up, r.comm_bytes_down) for r in ht]
+               [(r.comm_bytes_up, r.comm_bytes_down) for r in hp]
 
     def test_async_max_workers_does_not_change_results(self):
         serial = make_photon("async", max_workers=1)
-        threaded = make_photon("async", max_workers=4)
-        assert trace(serial.train()) == trace(threaded.train())
+        pooled = make_photon("async", local_plane="procpool", max_workers=2)
+        assert trace(serial.train()) == trace(pooled.train())
 
 
 class TestPhotonValidation:
@@ -339,6 +340,11 @@ class TestPhotonValidation:
             make_photon(max_workers=0)
         with pytest.raises(ValueError):
             make_photon(max_workers=-2)
+        # Workers are procpool processes; no other plane takes them.
+        for plane in ("sequential", "batched"):
+            with pytest.raises(ValueError, match="max_workers=2 needs "
+                               "local_plane='procpool'"):
+                make_photon(local_plane=plane, max_workers=2)
 
     def test_uptime_validated(self):
         for bad in (0.0, -0.5, 1.5):

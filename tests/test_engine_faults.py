@@ -32,7 +32,7 @@ def make_photon(*, population=5, rounds=3, local_steps=4, spread=4.0,
     """Async federation over a heterogeneous clock (stragglers up to
     ``spread``x slower); deadline/fault knobs ride on kwargs."""
     fed_keys = ("deadline", "drop_policy", "adaptive_local_steps",
-                "buffer_size", "seed")
+                "buffer_size", "seed", "local_plane")
     fed_kwargs = {k: kwargs.pop(k) for k in fed_keys if k in kwargs}
     fed = FedConfig(population=population, clients_per_round=population,
                     local_steps=local_steps, rounds=rounds, mode="async",
@@ -310,17 +310,18 @@ class TestAsyncCrashRouting:
     @pytest.mark.slow  # tier-1 keeps the scheduler/async max_workers anchors
     def test_max_workers_invariant_under_faults(self):
         """Failure draws are serialized in completion-batch order, so
-        the history is identical for any thread-pool width."""
+        the history is identical for any procpool width."""
         def run(max_workers):
             photon = make_photon(
                 deadline=3.0, drop_policy="drop",
                 failure_model=FailureModel(crash_prob=0.2, seed=5),
                 fault_policy=FaultPolicy(mode="retry_round", max_retries=1),
+                local_plane="sequential" if max_workers == 1 else "procpool",
                 max_workers=max_workers,
             )
             return photon.train()
 
-        hs, ht = run(1), run(4)
+        hs, ht = run(1), run(2)
         assert trace(hs) == trace(ht)
         assert [r.dropped_steps for r in hs] == [r.dropped_steps for r in ht]
         assert [r.retries for r in hs] == [r.retries for r in ht]

@@ -115,6 +115,9 @@ class TestInt8Codec:
 
 
 class TestParallelAggregation:
+    """The fork pool (``local_plane="procpool"``) against the
+    sequential plane: same weights, same bytes."""
+
     def make_aggregator(self, max_workers):
         clients = {
             f"c{i}": LLMClient(f"c{i}", CFG, make_stream(shard=i, seed=i),
@@ -124,29 +127,38 @@ class TestParallelAggregation:
         c4 = SyntheticC4(num_shards=4, vocab=CFG.vocab_size, seed=1)
         val = CachedTokenStream(c4.validation(), batch_size=4, seq_len=CFG.seq_len,
                                 cache_tokens=2048, seed=99)
-        return Aggregator(CFG, clients, val_stream=val, max_workers=max_workers)
+        plane = "sequential" if max_workers == 1 else "procpool"
+        return Aggregator(CFG, clients, val_stream=val, max_workers=max_workers,
+                          local_plane=plane)
 
     def test_parallel_matches_sequential(self):
         seq = self.make_aggregator(max_workers=1)
-        par = self.make_aggregator(max_workers=3)
-        seq.run_round(0, 2)
-        par.run_round(0, 2)
-        np.testing.assert_allclose(
+        par = self.make_aggregator(max_workers=2)
+        seq.run(1, 2)
+        par.run(1, 2)
+        np.testing.assert_array_equal(
             state_to_vector(seq.global_state),
-            state_to_vector(par.global_state), rtol=1e-5, atol=1e-6,
+            state_to_vector(par.global_state),
         )
 
     def test_parallel_byte_accounting_exact(self):
         seq = self.make_aggregator(max_workers=1)
-        par = self.make_aggregator(max_workers=3)
-        r_seq = seq.run_round(0, 1)
-        r_par = par.run_round(0, 1)
+        par = self.make_aggregator(max_workers=2)
+        r_seq, = seq.run(1, 1)
+        r_par, = par.run(1, 1)
         assert r_seq.comm_bytes_down == r_par.comm_bytes_down
         assert r_seq.comm_bytes_up == r_par.comm_bytes_up
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             self.make_aggregator(max_workers=0)
+        # Workers are fork-pool processes: no thread pool stands behind
+        # max_workers on any other plane.
+        clients = {"c0": LLMClient("c0", CFG, make_stream(shard=0, seed=0),
+                                   OPTIM, ConstantLR(3e-3))}
+        for plane in ("sequential", "batched"):
+            with pytest.raises(ValueError, match="needs local_plane='procpool'"):
+                Aggregator(CFG, clients, max_workers=2, local_plane=plane)
 
 
 class TestHyperopt:

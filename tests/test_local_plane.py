@@ -1,5 +1,5 @@
 """Parallel local planes (batched stepping + procpool) and the
-persistent dispatch executor.
+persistent fork pool.
 
 The contract under test: ``local_plane`` changes *throughput only*.
 Batched stepping of K stacked clients is bit-exact against K
@@ -7,8 +7,8 @@ sequential ``client.train`` calls (property-tested across cohort
 sizes, shapes and optimizer configs), the procpool plane reproduces
 the single-process run — final weights, history and drop ledger —
 exactly, and both planes stay crash-consistent under checkpoint/
-resume.  The per-dispatch ThreadPoolExecutor churn fix and the
-read-only proximal anchors ride along.
+resume.  One fork pool per run and the read-only proximal anchors
+ride along.
 """
 
 from __future__ import annotations
@@ -353,10 +353,10 @@ class TestEnginePlaneEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Satellite: persistent dispatch executor (no per-flush churn)
+# Satellite: one persistent worker pool per run (no per-flush churn)
 # ----------------------------------------------------------------------
 
-class _CountingExecutor(engine_module.ThreadPoolExecutor):
+class _CountingPool(engine_module.ProcPool):
     instances = 0
 
     def __init__(self, *args, **kwargs):
@@ -365,39 +365,39 @@ class _CountingExecutor(engine_module.ThreadPoolExecutor):
 
 
 class TestPersistentExecutor:
+    """The only worker pool is the procpool plane's fork pool (the
+    thread-pool wave path is gone): one per run, reused by every wave
+    and released when the run ends."""
+
     def test_threads_reused_across_flushes(self, monkeypatch):
-        """The engine used to build and tear down a ThreadPoolExecutor
-        per dispatch batch; now exactly one is created per run and the
-        same threads serve every flush."""
-        monkeypatch.setattr(engine_module, "ThreadPoolExecutor",
-                            _CountingExecutor)
-        _CountingExecutor.instances = 0
-        photon = sync_photon(rounds=3, max_workers=2)
+        monkeypatch.setattr(engine_module, "ProcPool", _CountingPool)
+        _CountingPool.instances = 0
+        photon = sync_photon(rounds=3, local_plane="procpool", max_workers=2)
         photon.train()
-        assert _CountingExecutor.instances == 1
+        assert _CountingPool.instances == 1
         # ... and the run's finally-block released it.
-        assert photon.aggregator._executor is None
+        assert photon.aggregator._procpool is None
 
     def test_async_threads_reused_across_flushes(self, monkeypatch):
-        monkeypatch.setattr(engine_module, "ThreadPoolExecutor",
-                            _CountingExecutor)
-        _CountingExecutor.instances = 0
+        monkeypatch.setattr(engine_module, "ProcPool", _CountingPool)
+        _CountingPool.instances = 0
         # Equipollent clients (no spread, no jitter, no deadline) make
-        # completions tie, so batches of >1 survivors hit the executor.
-        photon = async_photon(rounds=3, max_workers=2, compression="none",
-                              error_feedback=False, jitter=0.0,
-                              deadline=None, drop_policy=None,
+        # completions tie, so batches of >1 survivors share the pool.
+        photon = async_photon(rounds=3, local_plane="procpool", max_workers=2,
+                              compression="none", error_feedback=False,
+                              jitter=0.0, deadline=None, drop_policy=None,
                               client_speed_spread=1.0)
         photon.train()
-        assert _CountingExecutor.instances == 1
-        assert photon.aggregator._executor is None
+        assert _CountingPool.instances == 1
+        assert photon.aggregator._procpool is None
 
     def test_state_dict_shuts_workers_down(self):
-        engine = sync_photon(rounds=1, max_workers=2).aggregator
-        engine._get_executor()
-        assert engine._executor is not None
+        engine = sync_photon(rounds=1, local_plane="procpool",
+                             max_workers=2).aggregator
+        engine._procpool = engine_module.ProcPool(engine.clients, 2)
+        engine._procpool._ensure()
         engine.state_dict()
-        assert engine._executor is None
+        assert engine._procpool is None
 
 
 # ----------------------------------------------------------------------

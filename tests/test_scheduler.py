@@ -39,7 +39,7 @@ def make_photon(*, population=4, rounds=2, local_steps=2, spread=4.0,
                 staleness_alpha=0.5, walltime_config=WALLTIME, **kwargs):
     fed_keys = ("deadline", "drop_policy", "adaptive_local_steps",
                 "buffer_size", "seed", "selection", "jitter", "exploration",
-                "stat_utility_weight")
+                "stat_utility_weight", "local_plane")
     fed_kwargs = {k: kwargs.pop(k) for k in fed_keys if k in kwargs}
     fed = FedConfig(population=population, clients_per_round=population,
                     local_steps=local_steps, rounds=rounds, mode="async",
@@ -229,9 +229,10 @@ class TestEngineIntegration:
     def test_utility_deterministic_across_max_workers(self):
         serial = make_photon(selection="utility", deadline=6.0,
                              drop_policy="drop", jitter=0.1, max_workers=1)
-        threaded = make_photon(selection="utility", deadline=6.0,
-                               drop_policy="drop", jitter=0.1, max_workers=4)
-        assert trace(serial.train()) == trace(threaded.train())
+        pooled = make_photon(selection="utility", deadline=6.0,
+                             drop_policy="drop", jitter=0.1,
+                             local_plane="procpool", max_workers=2)
+        assert trace(serial.train()) == trace(pooled.train())
 
     # Tier-2: the tier-1 jitter-zero anchor plus the hypothesis sweep
     # below cover the identity path; this pair of full engine runs
