@@ -50,6 +50,7 @@ import zlib
 
 import numpy as np
 
+from ..utils.durable import COMPONENT, RNG, Durable, Field, List, Map
 from ..utils.serialization import ZLIB_LEVEL, StateDict, pack_tree, unpack_tree
 
 __all__ = [
@@ -71,8 +72,9 @@ def _is_value_array(array: np.ndarray) -> bool:
     return np.issubdtype(array.dtype, np.floating)
 
 
-class CodecStage:
-    """One invertible transform over a dict of named arrays."""
+class CodecStage(Durable):
+    """One invertible transform over a dict of named arrays.
+    Deterministic stages hold no run state."""
 
     name = "stage"
 
@@ -82,14 +84,6 @@ class CodecStage:
 
     def backward(self, arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         raise NotImplementedError
-
-    # Checkpoint protocol (repro.fed.runstate): deterministic stages
-    # hold no state; seeded stages override with their RNG streams.
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        del state  # nothing to restore
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"
@@ -102,7 +96,18 @@ class _SeededStage(CodecStage):
     regardless of thread interleaving: a channel's draws depend only
     on how many payloads *that channel* encoded, never on global
     encode order.
+
+    The streams are run state: stochastic rounding draws advance per
+    payload, per channel, and a resumed run must pick every channel up
+    mid-sequence for wire bit-exactness.  Channel tuples are written
+    as JSON list keys (client ids are free-form strings, so no
+    separator character is safe).
     """
+
+    _STATE = (Field(
+        "rngs", Map(RNG), "_rngs",
+        encode=lambda rngs: {json.dumps(list(c)): r for c, r in rngs.items()},
+        decode=lambda rngs: {tuple(json.loads(k)): r for k, r in rngs.items()}),)
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -119,26 +124,6 @@ class _SeededStage(CodecStage):
                 rng = np.random.default_rng(key)
                 self._rngs[channel] = rng
             return rng
-
-    # Checkpoint protocol (repro.fed.runstate): stochastic rounding
-    # draws advance per payload, per channel — a resumed run must pick
-    # every channel's stream up mid-sequence for wire bit-exactness.
-    # Channel tuples become JSON list keys (client ids are free-form
-    # strings, so no separator character is safe).
-    def state_dict(self) -> dict:
-        with self._lock:
-            return {"rngs": {
-                json.dumps(list(channel)): rng.bit_generator.state
-                for channel, rng in self._rngs.items()
-            }}
-
-    def load_state_dict(self, state: dict) -> None:
-        with self._lock:
-            self._rngs = {}
-            for key, rng_state in state["rngs"].items():
-                rng = np.random.default_rng()
-                rng.bit_generator.state = rng_state
-                self._rngs[tuple(json.loads(key))] = rng
 
 
 class Fp16Stage(CodecStage):
@@ -355,7 +340,7 @@ class RandKStage(_SparseStage):
         return rng.choice(flat.size, size=k, replace=False)
 
 
-class Codec:
+class Codec(Durable):
     """Named stage chain behind the lossless zlib.
 
     ``encode`` casts the state dict to float32 arrays, runs the stages
@@ -363,7 +348,10 @@ class Codec:
     ``ZLIB_LEVEL`` — the wire's one level, which no codec chooses;
     ``decode`` inverts (whatever level the payload was written at).
     With an empty stage list the codec is the Link's lossless default.
+    Its run state is its stages' (the seeded ones' channel streams).
     """
+
+    _STATE = (Field("stages", List(COMPONENT, counted=True)),)
 
     def __init__(self, name: str, stages: list[CodecStage]):
         self.name = name
@@ -403,21 +391,6 @@ class Codec:
                   receiver: str = "") -> StateDict:
         """decode(encode(state)) — what the far end will see."""
         return self.decode(self.encode(state, sender, receiver))
-
-    # Checkpoint protocol (repro.fed.runstate): a codec's only mutable
-    # state is its stochastic stages' per-channel RNG streams.
-    def state_dict(self) -> dict:
-        return {"stages": [stage.state_dict() for stage in self.stages]}
-
-    def load_state_dict(self, state: dict) -> None:
-        stages = state["stages"]
-        if len(stages) != len(self.stages):
-            raise ValueError(
-                f"checkpoint carries {len(stages)} codec stages, this "
-                f"codec ({self.name!r}) has {len(self.stages)}"
-            )
-        for stage, stage_state in zip(self.stages, stages):
-            stage.load_state_dict(stage_state)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Codec({self.name!r}, stages={self.stages!r})"

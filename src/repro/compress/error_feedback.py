@@ -44,13 +44,24 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.durable import INT, MODEL_TREE, Durable, Field, Map
 from ..utils.serialization import StateDict, tree_add, tree_norm, tree_sub
 
 __all__ = ["ErrorFeedback"]
 
 
-class ErrorFeedback:
-    """Per-client compression-residual accumulator."""
+class ErrorFeedback(Durable):
+    """Per-client compression-residual accumulator.
+
+    The residuals are run state: they ARE the deferred pseudo-gradient
+    mass, and losing them across a crash breaks the conservation
+    invariant that keeps biased codecs convergent.  They are persisted
+    exactly (never quantized): a lossy round trip would inject phantom
+    mass.
+    """
+
+    _STATE = (Field("residual", Map(MODEL_TREE), "_residual"),
+              Field("banked_version", Map(INT), "_banked_version"))
 
     def __init__(self, staleness_gamma: float = 1.0):
         if not 0.0 < staleness_gamma <= 1.0:
@@ -105,31 +116,6 @@ class ErrorFeedback:
         """Reset the residual map to a :meth:`snapshot`."""
         self._residual = dict(snapshot["residual"])
         self._banked_version = dict(snapshot["versions"])
-
-    # ------------------------------------------------------------------
-    # Checkpoint protocol (repro.fed.runstate): the residuals ARE the
-    # deferred pseudo-gradient mass — losing them across a crash
-    # breaks the conservation invariant that keeps biased codecs
-    # convergent.  They are persisted exactly (never quantized): a
-    # lossy round-trip would inject phantom mass.
-    def state_dict(self) -> dict:
-        return {
-            "residual": {
-                cid: {k: v.copy() for k, v in sd.items()}
-                for cid, sd in self._residual.items()
-            },
-            "banked_version": dict(self._banked_version),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._residual = {
-            cid: {k: np.asarray(v).copy() for k, v in sd.items()}
-            for cid, sd in state["residual"].items()
-        }
-        self._banked_version = {
-            cid: int(v)
-            for cid, v in state.get("banked_version", {}).items()
-        }
 
     # ------------------------------------------------------------------
     def residual(self, client_id: str) -> StateDict | None:

@@ -20,6 +20,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
+from ..utils.durable import COMPONENT, INT, RNG, Durable, Field, List
 from .synthetic import MarkovSource
 
 __all__ = [
@@ -40,12 +41,19 @@ class BatchStream(Protocol):
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]: ...
 
 
-class TokenStream:
+class TokenStream(Durable):
     """Stream batches sampled on-line from a Markov source.
 
     Each batch is ``(x, y)`` with shape ``(batch_size, seq_len)`` where
-    ``y`` is ``x`` shifted by one (next-token prediction).
+    ``y`` is ``x`` shifted by one (next-token prediction).  Unseeded,
+    it draws from the source's own stream and writes no RNG state.
+
+    Run state: batches are drawn from the stream's RNG, so a resumed
+    run must continue mid-sequence to see the data the uninterrupted
+    run would have.
     """
+
+    _STATE = (Field("rng", RNG, "_rng"), Field("tokens_served", INT))
 
     def __init__(self, source: MarkovSource, batch_size: int, seq_len: int,
                  seed: int | None = None):
@@ -64,35 +72,22 @@ class TokenStream:
         self.tokens_served += self.batch_size * self.seq_len
         return tokens[:, :-1], tokens[:, 1:]
 
-    # Checkpoint protocol (repro.fed.runstate): batches are drawn from
-    # the stream's RNG, so a resumed run must continue mid-sequence to
-    # see the same data the uninterrupted run would have.
-    def state_dict(self) -> dict:
-        return {
-            "rng": None if self._rng is None else self._rng.bit_generator.state,
-            "tokens_served": self.tokens_served,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        if state["rng"] is not None:
-            if self._rng is None:
-                self._rng = np.random.default_rng()
-            self._rng.bit_generator.state = state["rng"]
-        self.tokens_served = int(state["tokens_served"])
-
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         while True:
             yield self.next_batch()
 
 
-class CachedTokenStream:
+class CachedTokenStream(Durable):
     """Pre-tokenized ring buffer over a source.
 
     Samples ``cache_tokens`` once up front, then serves random windows
     from the cache.  This is the reproduction's analogue of the
     paper's DS-side pre-tokenization: pay tokenization once, stream
-    cheaply afterwards.
+    cheaply afterwards.  Run state as :class:`TokenStream`'s (the cache
+    is reproducible from the construction seed).
     """
+
+    _STATE = (Field("rng", RNG, "_rng"), Field("tokens_served", INT))
 
     def __init__(self, source: MarkovSource, batch_size: int, seq_len: int,
                  cache_tokens: int = 65_536, seed: int = 0):
@@ -113,31 +108,22 @@ class CachedTokenStream:
         self.tokens_served += self.batch_size * self.seq_len
         return windows[:, :-1], windows[:, 1:]
 
-    # Checkpoint protocol (repro.fed.runstate).  The cache itself is
-    # reproducible from the construction seed, so only the window-
-    # sampling stream and the served counter need to persist.
-    def state_dict(self) -> dict:
-        return {
-            "rng": self._rng.bit_generator.state,
-            "tokens_served": self.tokens_served,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
-        self.tokens_served = int(state["tokens_served"])
-
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         while True:
             yield self.next_batch()
 
 
-class MixedStream:
+class MixedStream(Durable):
     """Weighted mixture over component streams (public-DS sharing).
 
     Each batch draws every row from one component chosen by weight,
     giving "precise control over sampling across such streams"
-    (Section 4).
+    (Section 4).  The mixture draw and every component stream advance
+    together, so both are run state.
     """
+
+    _STATE = (Field("rng", RNG, "_rng"),
+              Field("streams", List(COMPONENT, counted=True)))
 
     def __init__(self, streams: Sequence[BatchStream], weights: Sequence[float] | None = None,
                  seed: int = 0):
@@ -167,24 +153,6 @@ class MixedStream:
             xs[rows] = x[: rows.size]
             ys[rows] = y[: rows.size]
         return xs, ys
-
-    # Checkpoint protocol (repro.fed.runstate): the mixture draw and
-    # every component stream advance together.
-    def state_dict(self) -> dict:
-        return {
-            "rng": self._rng.bit_generator.state,
-            "streams": [s.state_dict() for s in self.streams],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
-        if len(state["streams"]) != len(self.streams):
-            raise ValueError(
-                f"checkpoint carries {len(state['streams'])} component "
-                f"streams, this mixture has {len(self.streams)}"
-            )
-        for stream, stream_state in zip(self.streams, state["streams"]):
-            stream.load_state_dict(stream_state)
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         while True:

@@ -20,6 +20,7 @@ from ..data.stream import BatchStream
 from ..nn import DecoderLM
 from ..optim import AdamW, LRSchedule, clip_grad_norm
 from ..parallel import DDPEngine, ExecutionPlan, FSDPEngine, SiloSpec, select_strategy
+from ..utils.durable import COMPONENT, INT, Durable, Field, List, Opt
 from ..utils.serialization import StateDict, tree_mean, tree_sub
 from .postprocess import Identity, PostProcessor
 from .types import ClientUpdate, RoundInfo
@@ -27,7 +28,7 @@ from .types import ClientUpdate, RoundInfo
 __all__ = ["LLMClient"]
 
 
-class LLMClient:
+class LLMClient(Durable):
     """A federated participant.
 
     Parameters
@@ -51,7 +52,21 @@ class LLMClient:
     stateless:
         Reset optimizer momenta each round (Photon default).  DiLoCo
         style runs set this to False to retain local AdamW state.
+
+    Run state: the model workspace is overwritten by every broadcast,
+    so a client's durable state is its data streams' positions, its
+    participation counters, and — for stateful (DiLoCo-style) clients
+    that have trained — the retained AdamW momenta.  Streams without
+    run state (custom corpora) are written as None.
     """
+
+    _STATE = (
+        Field("tokens_processed", INT), Field("rounds_participated", INT),
+        Field("streams", List(COMPONENT, counted=True)),
+        Field("optimizer", Opt(COMPONENT), "_retained_optimizer", omit=True,
+              live=lambda c: None if c.stateless
+              else c._optimizer or c._new_optimizer()),
+    )
 
     def __init__(self, client_id: str, model_config: ModelConfig,
                  streams: list[BatchStream] | BatchStream,
@@ -95,49 +110,26 @@ class LLMClient:
         return select_strategy(self.silo, self.model_config,
                                target_batch=self.streams[0].batch_size)
 
+    def _new_optimizer(self) -> AdamW:
+        cfg = self.optim_config
+        return AdamW(self.model.parameters(), lr=cfg.max_lr, betas=cfg.betas,
+                     eps=cfg.eps, weight_decay=cfg.weight_decay)
+
     def _make_optimizer(self) -> AdamW:
         if self._optimizer is None:
-            self._optimizer = AdamW(
-                self.model.parameters(),
-                lr=self.optim_config.max_lr,
-                betas=self.optim_config.betas,
-                eps=self.optim_config.eps,
-                weight_decay=self.optim_config.weight_decay,
-            )
+            self._optimizer = self._new_optimizer()
         elif self.stateless:
             self._optimizer.reset_state()
         return self._optimizer
 
-    # ------------------------------------------------------------------
-    # Checkpoint protocol (repro.fed.runstate): the model workspace is
-    # overwritten by every broadcast, so a client's durable state is
-    # its data-stream RNG position, its participation counters, and —
-    # for stateful (DiLoCo-style) clients — the retained AdamW
-    # momenta.  Streams without the protocol (custom corpora) are
-    # skipped rather than rejected.
-    def state_dict(self) -> dict:
-        state: dict = {
-            "tokens_processed": self.tokens_processed,
-            "rounds_participated": self.rounds_participated,
-            "streams": [
-                s.state_dict() if hasattr(s, "state_dict") else None
-                for s in self.streams
-            ],
-        }
-        if not self.stateless and self._optimizer is not None:
-            state["optimizer"] = self._optimizer.state_dict()
-        return state
+    @property
+    def _retained_optimizer(self) -> AdamW | None:
+        return None if self.stateless else self._optimizer
 
-    def load_state_dict(self, state: dict) -> None:
-        self.tokens_processed = int(state["tokens_processed"])
-        self.rounds_participated = int(state["rounds_participated"])
-        for stream, stream_state in zip(self.streams, state["streams"]):
-            if stream_state is not None and hasattr(stream, "load_state_dict"):
-                stream.load_state_dict(stream_state)
-        if "optimizer" in state:
-            if self._optimizer is None:
-                self._make_optimizer()
-            self._optimizer.load_state_dict(state["optimizer"])
+    @_retained_optimizer.setter
+    def _retained_optimizer(self, optimizer: AdamW | None) -> None:
+        if optimizer is not None:
+            self._optimizer = optimizer
 
     # ------------------------------------------------------------------
     def train(self, global_state: StateDict, round_info: RoundInfo) -> ClientUpdate:

@@ -36,6 +36,7 @@ from typing import Callable
 from ..compress.error_feedback import ErrorFeedback
 from ..net.topology import PAPER_REGIONS, paper_topology
 from ..net.walltime import hop_seconds
+from ..utils.durable import COMPONENT, INT, Durable, Field
 from ..utils.serialization import StateDict, tree_mean
 from .faults import FailureModel
 from .link import Link
@@ -107,7 +108,7 @@ def round_robin_assign(client_ids: list[str], n_regions: int) -> Callable[[str],
     return table.__getitem__
 
 
-class EdgeTier:
+class EdgeTier(Durable):
     """Region-level aggregation layer between the clients and the root.
 
     Plugged into a :class:`RoundEngine` as ``edge_tier``; the engine
@@ -134,7 +135,19 @@ class EdgeTier:
         Whether each edge server has a standby replica: a crashed
         region then re-forwards (double hop) instead of losing its
         cohort's updates.
+
+    Run state: the backhaul meters and per-hop residuals must survive a
+    resume for tiered replays to stay bit-exact.  The server-crash
+    FailureModel is deliberately NOT serialized: crashes are
+    environment, not run state — rewinding the crash stream on a
+    failover restore would make the promoted server replay its own
+    death forever.
     """
+
+    _STATE = (Field("backhaul", COMPONENT),
+              Field("total_updates_lost", INT), Field("total_crashes", INT),
+              Field("total_recoveries", INT),
+              Field("error_feedback", COMPONENT, omit=True))
 
     def __init__(self, regions: list[Region], assign: Callable[[str], int],
                  backhaul: Link | None = None,
@@ -266,28 +279,3 @@ class EdgeTier:
         worth in engine use)."""
         report, self._report = self._report, EdgeReport()
         return report
-
-    # Checkpoint protocol (repro.fed.runstate): the backhaul meters
-    # and per-hop residuals must survive a resume for tiered replays
-    # to stay bit-exact.  The server-crash FailureModel is
-    # deliberately NOT serialized: crashes are environment, not run
-    # state — rewinding the crash stream on a failover restore would
-    # make the promoted server replay its own death forever.
-    def state_dict(self) -> dict:
-        state: dict = {
-            "backhaul": self.backhaul.state_dict(),
-            "total_updates_lost": self.total_updates_lost,
-            "total_crashes": self.total_crashes,
-            "total_recoveries": self.total_recoveries,
-        }
-        if self.error_feedback is not None:
-            state["error_feedback"] = self.error_feedback.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        self.backhaul.load_state_dict(state["backhaul"])
-        self.total_updates_lost = int(state["total_updates_lost"])
-        self.total_crashes = int(state["total_crashes"])
-        self.total_recoveries = int(state.get("total_recoveries", 0))
-        if self.error_feedback is not None and "error_feedback" in state:
-            self.error_feedback.load_state_dict(state["error_feedback"])

@@ -73,7 +73,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from contextlib import ExitStack
-from dataclasses import asdict
 from typing import NamedTuple
 
 import numpy as np
@@ -86,6 +85,9 @@ from ..net.walltime import JitterModel, WallTimeModel, steps_by_deadline
 from ..nn import DecoderLM
 from ..obs.observer import engine_observer
 from ..obs.trace import NULL_TRACER
+from ..utils.durable import (
+    BOOL, COMPONENT, FLOAT, INT, MEMBER, MODEL_TREE, PAYLOAD, SAME,
+    Durable, Either, Field, List, Map, Opt, Record, Row)
 from ..utils.metrics import History, RoundRecord, aggregate_metrics
 from ..utils.serialization import StateDict, tree_mean, tree_norm
 from .batched import batch_eligible, batch_group_key, train_clients_batched
@@ -177,13 +179,12 @@ def adaptive_step_weights(steps: list[int]) -> list[float]:
     return [s / total for s in steps]
 
 
-
 # ----------------------------------------------------------------------
-# Checkpoint serialization (repro.fed.runstate): plain-data forms of
-# the value objects the async event loop holds between server updates.
-# Message payloads are opaque bytes (already Link-encoded), so an
-# in-flight broadcast resumes without re-encoding — the client will
-# decode exactly the bytes the crashed run put on the wire.
+# What the async event loop holds between server updates, as records
+# the RunState declarations write.  Message payloads are opaque bytes
+# (already Link-encoded), so an in-flight broadcast resumes without
+# re-encoding — the client will decode exactly the bytes the crashed
+# run put on the wire.
 # ----------------------------------------------------------------------
 
 class _InFlight(NamedTuple):
@@ -198,42 +199,24 @@ class _InFlight(NamedTuple):
     salvaged: bool  # admit_partial: cancelled, but finished steps admitted
 
 
-def _plain(obj) -> dict:
-    """Field dict of a ``Message``/``ClientUpdate`` dataclass."""
-    return dict(vars(obj))
+class _Delivery(NamedTuple):
+    """A trained arrival awaiting buffer admission."""
+
+    version: int  # global version the client pulled
+    update: ClientUpdate
 
 
-def _inflight_state(entry: _InFlight) -> dict:
-    return {**entry._asdict(), "message": _plain(entry.message)}
+class _Crash(NamedTuple):
+    """An arrival that crashed: ``(client id, pulled version)``."""
+
+    failure: tuple[str, int]
 
 
-def _inflight_from(state: dict) -> _InFlight:
-    return _InFlight(**{**state, "message": Message(**state["message"])})
-
-
-def _outcome_state(outcome) -> dict:
-    """An arrival is either a crash or a ``(pulled version, update)``
-    pair awaiting buffer admission."""
-    if isinstance(outcome, ClientFailure):
-        return {"failure": [outcome.client_id, outcome.round_idx]}
-    version, update = outcome
-    return {"version": version, "update": _plain(update)}
-
-
-def _outcome_from(state: dict):
-    if "failure" in state:
-        return ClientFailure(*state["failure"])
-    return state["version"], ClientUpdate(**state["update"])
-
-
-def _heap_from(events: list) -> list[tuple[float, int, str]]:
-    heap = [(float(t), int(seq), cid) for t, seq, cid in events]
-    heapq.heapify(heap)
-    return heap
-
-
-def _opt_int(value) -> int | None:
-    return None if value is None else int(value)
+_UPDATE = Record(ClientUpdate)
+_INFLIGHT = Record(_InFlight, message=Record(
+    Message, payload=PAYLOAD, metadata=Map(INT)))
+_ARRIVAL = Either(Record(_Crash, failure=Row(MEMBER, INT)),
+                  Record(_Delivery, update=_UPDATE))
 
 
 class _IdleQueue:
@@ -278,41 +261,6 @@ class _IdleQueue:
         return out
 
 
-#: The async event loop's durable state, one row per entry of the
-#: RunState tree: ``(state key, attribute, dump, load)``; a ``None``
-#: dump stores the attribute as it is.  Key order and value shapes are
-#: part of the ``RUNSTATE_VERSION`` layout (guarded by
-#: ``tests/test_runstate.py``) — change them only with the version.
-_ASYNC_STATE = (
-    ("buffer_size", "buffer_size", None, _opt_int),
-    ("concurrency", "concurrency", None, _opt_int),
-    ("version", "version", None, int),
-    ("clock_s", "clock_s", None, float),
-    ("seq", "_seq", None, int),
-    ("events", "_events", lambda events: [list(e) for e in events], _heap_from),
-    ("inflight", "_inflight",
-     lambda inflight: {c: _inflight_state(e) for c, e in inflight.items()},
-     lambda state: {c: _inflight_from(e) for c, e in state.items()}),
-    ("buffer", "_buffer",
-     lambda buffer: [[pulled, _plain(u)] for pulled, u in buffer],
-     lambda state: [(pulled, ClientUpdate(**u)) for pulled, u in state]),
-    ("idle", "_idle_ids", None, list),
-    ("availability_deferred", "_deferred_ids", None, list),
-    ("failure_streak", "_failure_streak", dict, dict),
-    ("window_retries", "_window_retries", None, int),
-    ("arrivals", "_arrivals",
-     lambda arrivals: [[c, _outcome_state(o)] for c, o in arrivals],
-     lambda state: deque((c, _outcome_from(o)) for c, o in state)),
-    ("failed_pending", "_failed_pending", list, list),
-    ("local_steps", "_local_steps", None, _opt_int),
-    ("last_flush_clock", "_last_flush_clock", None, float),
-    ("bytes_up_mark", "_bytes_up_mark", None, int),
-    ("bytes_down_mark", "_bytes_down_mark", None, int),
-    ("raw_up_mark", "_raw_up_mark", None, int),
-    ("raw_down_mark", "_raw_down_mark", None, int),
-    ("started", "_started", None, bool),
-)
-
 #: ``RoundRecord`` byte field, the Link counter it windows, and the
 #: engine attribute holding the counter's value at the window's start.
 _LINK_WINDOW = (
@@ -344,7 +292,7 @@ class PolynomialStaleness:
 
 
 
-class RoundEngine:
+class RoundEngine(Durable):
     """The mechanisms of a federated run, each implemented once.
 
     Owns the global model state, evaluation workspace, Link, sampler,
@@ -415,6 +363,23 @@ class RoundEngine:
     #: Discriminator written into checkpoints so a sync artifact
     #: cannot be restored into an async engine (or vice versa).
     mode = "sync"
+
+    #: The run state (:mod:`repro.fed.runstate`): everything a
+    #: bit-exact resume needs — the global weights (dtypes preserved),
+    #: ServerOpt moments, scheduler counters, sampler / availability /
+    #: failure RNG streams, Link meters and codec streams, EF
+    #: residuals, every touched client's data-stream position, the
+    #: validation stream, and the run history.  A collaborator the
+    #: engine runs without is written as None.
+    _STATE = (
+        Field("mode", SAME), Field("global_state", MODEL_TREE),
+        Field("total_steps_done", INT), Field("simulated_wall_time_s", FLOAT),
+        *(Field(key, COMPONENT) for key in (
+            "server_opt", "scheduler", "sampler", "link", "availability",
+            "failure_model", "error_feedback", "walltime", "edge_tier",
+            "clients", "val_stream")),
+        Field("history", List(Record(RoundRecord)), decode=History),
+    )
 
     def __init__(self, model_config: ModelConfig, clients: dict[str, LLMClient],
                  server_opt: ServerOpt | None = None,
@@ -703,6 +668,8 @@ class RoundEngine:
             self._procpool.close()
             self._procpool = None
 
+    _quiesce = _shutdown_workers  # before the run state is read
+
     # ------------------------------------------------------------------
     # The server-update path: the only place a RoundRecord is built
     # ------------------------------------------------------------------
@@ -841,73 +808,12 @@ class RoundEngine:
     # ------------------------------------------------------------------
     # Checkpoint protocol (repro.fed.runstate)
     # ------------------------------------------------------------------
-    def _components(self):
-        """Optional stateful collaborators, by state key."""
-        return (("availability", self.availability),
-                ("failure_model", self.failure_model),
-                ("error_feedback", self.error_feedback),
-                ("walltime", self.walltime),
-                ("edge_tier", self.edge_tier))
-
-    def state_dict(self) -> dict:
-        """Full durable state of the federation this engine runs.
-
-        Covers everything a bit-exact resume needs: the global
-        weights (dtypes preserved), ServerOpt moments, scheduler
-        counters, sampler/availability/failure RNG streams, Link
-        meters and codec streams, EF residuals, every client's data-
-        stream position, the validation stream, and the run history.
-        Subclasses extend with their own event-loop state.
-        """
-        self._shutdown_workers()
-        return {
-            "mode": self.mode,
-            "global_state": {k: v.copy() for k, v in self.global_state.items()},
-            "total_steps_done": self.total_steps_done,
-            "simulated_wall_time_s": self.simulated_wall_time_s,
-            "server_opt": self.server_opt.state_dict(),
-            "scheduler": self.scheduler.state_dict(),
-            "sampler": self.sampler.state_dict(),
-            "link": self.link.state_dict(),
-            **{key: None if component is None else component.state_dict()
-               for key, component in self._components()},
-            "clients": self.clients.state_dict(),
-            "val_stream": (
-                self.val_stream.state_dict()
-                if hasattr(self.val_stream, "state_dict") else None
-            ),
-            "history": [asdict(r) for r in self.history],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` into this (identically
-        configured) engine."""
-        if state.get("mode") != self.mode:
-            raise ValueError(
-                f"checkpoint was written by a {state.get('mode')!r} "
-                f"engine; this engine is {self.mode!r}"
-            )
-        if state["global_state"].keys() != self.global_state.keys():
-            raise KeyError("checkpoint global_state keys do not match the model")
-        self.global_state = {
-            k: np.asarray(v).copy() for k, v in state["global_state"].items()
-        }
-        self.total_steps_done = int(state["total_steps_done"])
-        self.simulated_wall_time_s = float(state["simulated_wall_time_s"])
-        self.server_opt.load_state_dict(state["server_opt"])
-        self.scheduler.load_state_dict(state["scheduler"])
-        self.sampler.load_state_dict(state["sampler"])
-        self.link.load_state_dict(state["link"])
-        for key, component in self._components():
-            if component is not None and state.get(key) is not None:
-                component.load_state_dict(state[key])
-        # Carries only the touched clients; the pool validates the ids
-        # against its population.
-        self.clients.load_state_dict(state["clients"])
-        if (state.get("val_stream") is not None
-                and hasattr(self.val_stream, "load_state_dict")):
-            self.val_stream.load_state_dict(state["val_stream"])
-        self.history = History([RoundRecord(**r) for r in state["history"]])
+    def _scope(self) -> dict:
+        """What a load checks against: the model tree (moments,
+        residuals, deltas, in-flight payloads) and the clients every
+        id must name."""
+        return {"model": self.global_state, "clients": self.clients,
+                "payload": lambda payload: self.link.decode("agg", payload)}
 
 
 class SyncAggregator(RoundEngine):
@@ -1092,6 +998,34 @@ class AsyncAggregator(RoundEngine):
 
     mode = "async"
 
+    #: Beyond the base run state, everything the event loop holds
+    #: between two server updates: the priority queue, in-flight
+    #: broadcasts (as the exact wire bytes), the staleness buffer,
+    #: queued arrivals, the idle pool, retry streaks, the jitter stream
+    #: and the drop ledger — a resume replays the next event as if the
+    #: crash never happened.
+    _STATE = RoundEngine._STATE + (
+        Field("buffer_size", Opt(INT)), Field("concurrency", Opt(INT)),
+        Field("version", INT), Field("clock_s", FLOAT), Field("seq", INT, "_seq"),
+        Field("events", List(Row(FLOAT, INT, MEMBER)), "_events",
+              decode=lambda events: heapq.heapify(events) or events),
+        Field("inflight", Map(_INFLIGHT, keys=MEMBER), "_inflight"),
+        Field("buffer", List(Row(INT, _UPDATE)), "_buffer"),
+        Field("idle", List(MEMBER), "_idle_ids"),
+        Field("availability_deferred", List(MEMBER), "_deferred_ids"),
+        Field("failure_streak", Map(INT, keys=MEMBER), "_failure_streak"),
+        Field("window_retries", INT, "_window_retries"),
+        Field("arrivals", List(Row(MEMBER, _ARRIVAL)), "_arrivals",
+              decode=deque),
+        Field("failed_pending", List(MEMBER), "_failed_pending"),
+        Field("local_steps", Opt(INT), "_local_steps"),
+        Field("last_flush_clock", FLOAT, "_last_flush_clock"),
+        *(Field(f"{mark}_mark", INT, f"_{mark}_mark")
+          for mark in ("bytes_up", "bytes_down", "raw_up", "raw_down")),
+        Field("started", BOOL, "_started"),
+        Field("jitter", COMPONENT), Field("drop_ledger", COMPONENT),
+    )
+
     def __init__(self, *args, buffer_size: int | None = None,
                  staleness_fn=None, staleness_alpha: float = 0.5,
                  concurrency: int | None = None,
@@ -1131,7 +1065,7 @@ class AsyncAggregator(RoundEngine):
         # Trained completions awaiting server processing: the server
         # drains at most one flush worth per run_round, so a tied batch
         # can leave arrivals queued here for the next call.
-        self._arrivals: deque[tuple[str, object]] = deque()
+        self._arrivals: deque[tuple[str, _Delivery | _Crash]] = deque()
         self._failed_pending: list[str] = []
         self._local_steps: int | None = None
         self._last_flush_clock = 0.0
@@ -1256,9 +1190,9 @@ class AsyncAggregator(RoundEngine):
             range(len(idle)), self.version), dtype=np.int64)] = True
         return reachable
 
-    # The RunState tree keeps the idle pool and the deferred clients
-    # as ids (the layout of ``RUNSTATE_VERSION``); the loop holds them
-    # as population indices.
+    # The run state keeps the idle pool and the deferred clients as ids
+    # (the layout of ``RUNSTATE_VERSION``); the loop holds them as
+    # population indices.
     @property
     def _idle_ids(self) -> list[str]:
         ids = self.clients.population.ids
@@ -1501,8 +1435,8 @@ class AsyncAggregator(RoundEngine):
             client_id, outcome = self._arrivals.popleft()
             self._idle.append(self.clients.population.index_of(client_id))
             self.observer.idle(client_id, self.clock_s)
-            if isinstance(outcome, ClientFailure):
-                self._failed_pending.append(outcome.client_id)
+            if isinstance(outcome, _Crash):
+                self._failed_pending.append(outcome.failure[0])
                 continue
             # Scheduler feedback for the stat-utility term (serial,
             # in arrival order — a no-op at weight 0).
@@ -1606,37 +1540,12 @@ class AsyncAggregator(RoundEngine):
                     global_step_base=entry.version * self._local_steps,
                 )))
                 self._failure_streak.pop(client_id, None)  # a delivery clears the streak
-            # A delivered arrival is its (pulled version, update) pair.
-            outcomes = {**doomed, **{
-                task[0]: (task[2].round_idx, update)
-                for task, update in zip(tasks, self._train_wave(tasks))
-            }}
+            outcomes = {
+                **{cid: _Crash((f.client_id, f.round_idx))
+                   for cid, f in doomed.items()},
+                **{task[0]: _Delivery(task[2].round_idx, update)
+                   for task, update in zip(tasks, self._train_wave(tasks))},
+            }
             self._arrivals.extend(
                 (cid, outcomes[cid]) for cid in completed if cid not in retried
             )
-
-    # ------------------------------------------------------------------
-    # Checkpoint protocol (repro.fed.runstate)
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """Everything the event loop holds between two server updates
-        (:data:`_ASYNC_STATE`): the priority queue, in-flight
-        broadcasts (as the exact wire bytes), the staleness buffer,
-        queued arrivals, the idle pool, retry streaks and the drop
-        ledger — a resume replays the next event as if the crash never
-        happened."""
-        state = super().state_dict()
-        for key, attr, dump, _ in _ASYNC_STATE:
-            value = getattr(self, attr)
-            state[key] = value if dump is None else dump(value)
-        state["jitter"] = None if self.jitter is None else self.jitter.state_dict()
-        state["drop_ledger"] = self.drop_ledger.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        for key, attr, _, load in _ASYNC_STATE:
-            setattr(self, attr, load(state[key]))
-        if self.jitter is not None and state.get("jitter") is not None:
-            self.jitter.load_state_dict(state["jitter"])
-        self.drop_ledger.load_state_dict(state["drop_ledger"])

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from ..config import DROP_POLICIES
+from ..utils.durable import ID, INT, RNG, Durable, Field, List, Row
 
 __all__ = [
     "ClientFailure",
@@ -57,7 +58,7 @@ class ClientFailure(RuntimeError):
 
 
 @dataclass
-class FailureModel:
+class FailureModel(Durable):
     """Seeded client-crash injection.
 
     Parameters
@@ -75,6 +76,13 @@ class FailureModel:
     scripted: set = field(default_factory=set)
     max_failures: int | None = None
     seed: int = 0
+
+    # Run state: the crash stream must resume mid-sequence or a
+    # restored run draws different failures.
+    _STATE = (Field("rng", RNG, "_rng"),
+              Field("failures_injected", INT),
+              Field("scripted", List(Row(INT, ID)), encode=sorted,
+                    decode=set))
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.crash_prob < 1.0:
@@ -96,20 +104,6 @@ class FailureModel:
         if fail:
             self.failures_injected += 1
         return fail
-
-    # Checkpoint protocol (repro.fed.runstate): the crash stream must
-    # resume mid-sequence or a restored run draws different failures.
-    def state_dict(self) -> dict:
-        return {
-            "rng": self._rng.bit_generator.state,
-            "failures_injected": self.failures_injected,
-            "scripted": sorted([r, c] for r, c in self.scripted),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
-        self.failures_injected = int(state["failures_injected"])
-        self.scripted = {(int(r), c) for r, c in state["scripted"]}
 
 
 @dataclass(frozen=True)
@@ -191,7 +185,7 @@ class DeadlinePolicy:
 
 
 @dataclass
-class DropLedger:
+class DropLedger(Durable):
     """Running account of what a deadline policy cancels or salvages.
 
     Drops accrue into an open *window*; :meth:`flush` closes the
@@ -247,17 +241,6 @@ class DropLedger:
         self.total_deadline_misses += 1
         self._window_misses += 1
 
-    # Checkpoint protocol (repro.fed.runstate): both the lifetime
-    # totals and the open window (drops recorded since the last flush)
-    # survive a resume, so the per-flush windows still sum to the
-    # cumulative totals across a crash.
-    def state_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def load_state_dict(self, state: dict) -> None:
-        for f in fields(self):
-            setattr(self, f.name, int(state[f.name]))
-
     def flush(self) -> dict[str, int]:
         """Close the current window and return its totals."""
         window = {
@@ -271,3 +254,9 @@ class DropLedger:
         self._window_misses = 0
         self._window_salvaged = 0
         return window
+
+
+# Run state: both the lifetime totals and the open window (drops
+# recorded since the last flush) survive a resume, so the per-flush
+# windows still sum to the cumulative totals across a crash.
+DropLedger._STATE = tuple(Field(f.name, INT) for f in fields(DropLedger))

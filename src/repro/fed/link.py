@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..compress.codec import Codec
+from ..utils.durable import COMPONENT, INT, Durable, Field
 from ..utils.serialization import StateDict, decode_state, encode_state, state_bytes
 
 __all__ = ["Message", "Link", "SecureAggregator"]
@@ -55,7 +56,7 @@ class Message:
         return len(self.payload)
 
 
-class Link:
+class Link(Durable):
     """Bidirectional channel with byte accounting.
 
     ``send_state`` / ``recv_state`` wrap serialization so callers deal
@@ -159,10 +160,13 @@ class Link:
             self.raw_bytes_received += raw + self.METADATA_OVERHEAD
         return message.payload, message.metadata
 
+    def decode(self, sender: str, payload: bytes) -> StateDict:
+        """The state a payload from ``sender`` carries (unmetered)."""
+        codec = self._codec_for(sender)
+        return decode_state(payload) if codec is None else codec.decode(payload)
+
     def recv_state(self, message: Message) -> tuple[StateDict, dict]:
-        codec = self._codec_for(message.sender)
-        state = (decode_state(message.payload) if codec is None
-                 else codec.decode(message.payload))
+        state = self.decode(message.sender, message.payload)
         with self._lock:
             self.bytes_received += message.nbytes + self.METADATA_OVERHEAD
             self.raw_bytes_received += state_bytes(state) + self.METADATA_OVERHEAD
@@ -174,26 +178,13 @@ class Link:
         "downlink_wire_bytes", "downlink_raw_bytes", "messages_sent",
     )
 
-    # Checkpoint protocol (repro.fed.runstate): the byte meters feed
-    # per-round deltas in RoundRecord, and the codecs' stochastic
-    # stages hold per-channel RNG streams; both must survive a resume
-    # for the replayed records to match the uninterrupted run.
-    def state_dict(self) -> dict:
-        state: dict = {f: getattr(self, f) for f in self.COUNTER_FIELDS}
-        if self.uplink_codec is not None:
-            state["uplink_codec"] = self.uplink_codec.state_dict()
-        if self.downlink_codec is not None:
-            state["downlink_codec"] = self.downlink_codec.state_dict()
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        with self._lock:
-            for f in self.COUNTER_FIELDS:
-                setattr(self, f, int(state[f]))
-        if self.uplink_codec is not None and "uplink_codec" in state:
-            self.uplink_codec.load_state_dict(state["uplink_codec"])
-        if self.downlink_codec is not None and "downlink_codec" in state:
-            self.downlink_codec.load_state_dict(state["downlink_codec"])
+    # Run state: the byte meters feed per-round deltas in RoundRecord,
+    # and the codecs' stochastic stages hold per-channel RNG streams;
+    # both must survive a resume for the replayed records to match the
+    # uninterrupted run.
+    _STATE = (*(Field(f, INT) for f in COUNTER_FIELDS),
+              Field("uplink_codec", COMPONENT, omit=True),
+              Field("downlink_codec", COMPONENT, omit=True))
 
     def reset_counters(self) -> None:
         for f in self.COUNTER_FIELDS:

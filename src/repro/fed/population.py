@@ -54,6 +54,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..net.walltime import check_finite_positive, slowdown_factors
+from ..utils.durable import MEMBER, PARKED, Durable, Field, Map
 from .client import LLMClient
 
 __all__ = [
@@ -101,14 +102,13 @@ class ClientPopulation:
                 raise ValueError("cohort_of must have one entry per client")
         self.cohort_of = cohort_of
 
-    def _checked_factors(self, factors: np.ndarray | None,
-                         name: str = "slowdown factors") -> np.ndarray:
+    def _checked_factors(self, factors: np.ndarray | None) -> np.ndarray:
         if factors is None:
             return np.ones(self.n, dtype=np.float64)
         factors = np.asarray(factors, dtype=np.float64)
         if factors.shape != (self.n,):
             raise ValueError("factor arrays must have one entry per client")
-        return check_finite_positive(name, factors).copy()
+        return check_finite_positive("slowdown factors", factors).copy()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -171,7 +171,7 @@ class ClientPopulation:
         return f"ClientPopulation(n={self.n}, cohorts={k})"
 
 
-class LazyClientPool(Mapping):
+class LazyClientPool(Mapping, Durable):
     """Read-through client map: materialize on access, evict to state.
 
     At most ``max_live`` :class:`~repro.fed.client.LLMClient` objects
@@ -188,7 +188,18 @@ class LazyClientPool(Mapping):
     model workspace is overwritten by every broadcast before
     training), so park + rematerialize + load is indistinguishable
     from having kept the object alive.
+
+    Run state: only *touched* clients are written — an untouched
+    client is recreatable from the factory, which is exactly the
+    pool's memory argument applied to the checkpoint artifact.  A
+    loaded client's state is checked against the client the factory
+    builds for its id, and parked; that build (up to ``max_live`` of
+    them) is the one the client's first materialization uses, so a
+    restore builds no client twice.
     """
+
+    _STATE = (Field("touched", Map(PARKED, keys=MEMBER), "_touched",
+                    live=lambda pool: pool._template),)
 
     def __init__(self, population: ClientPopulation,
                  factory: Callable[[str], LLMClient], max_live: int = 64):
@@ -199,6 +210,9 @@ class LazyClientPool(Mapping):
         self.max_live = max_live
         self._live: OrderedDict[str, LLMClient] = OrderedDict()
         self._parked: dict[str, dict] = {}
+        # Clients a restore built to check their state against, kept
+        # (up to max_live) for their first materialization.
+        self._checked: dict[str, LLMClient] = {}
         self._leases: dict[str, int] = {}
         self._lock = threading.Lock()
         #: every build, first or not; ``rematerializations`` counts the
@@ -242,7 +256,7 @@ class LazyClientPool(Mapping):
             self.hits += 1
             return client
         self.population.index_of(client_id)  # validate before building
-        client = self._factory(client_id)
+        client = self._checked.pop(client_id, None) or self._factory(client_id)
         parked = self._parked.pop(client_id, None)
         if parked is not None:
             client.load_state_dict(parked)
@@ -300,28 +314,30 @@ class LazyClientPool(Mapping):
                          for s in self._parked.values())
         return total
 
-    # Checkpoint protocol (repro.fed.runstate): only *touched* clients
-    # are persisted — an untouched client is recreatable from the
-    # factory, which is exactly the pool's memory argument applied to
-    # the checkpoint artifact.
-    def state_dict(self) -> dict:
-        with self._lock:
-            touched = {cid: dict(s) for cid, s in self._parked.items()}
-            touched.update(
-                {cid: c.state_dict() for cid, c in self._live.items()}
-            )
-        return {"touched": touched}
+    def _scope(self) -> dict:
+        return {"clients": self}
 
-    def load_state_dict(self, state: dict) -> None:
-        touched = state["touched"]
-        for cid in touched:
-            if cid not in self:
-                raise KeyError(
-                    f"checkpoint client {cid!r} is not in this federation")
+    def _template(self, client_id: str):
+        """What a loaded client state is checked against: the live
+        client, or a fresh build its first materialization will use."""
+        client = self._live.get(client_id) or self._checked.get(client_id)
+        if client is None:
+            client = self._factory(client_id)
+            if len(self._checked) < self.max_live:
+                self._checked[client_id] = client
+        return client
+
+    @property
+    def _touched(self) -> dict:
+        with self._lock:
+            return {**self._parked, **self._live}
+
+    @_touched.setter
+    def _touched(self, states: dict) -> None:
         with self._lock:
             self._live.clear()
             self._leases.clear()
-            self._parked = {cid: dict(s) for cid, s in touched.items()}
+            self._parked = states
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LazyClientPool(n={self.population.n}, "

@@ -10,10 +10,12 @@ only the weights silently diverges from the uninterrupted run.
 
 This module makes the whole run durable:
 
-* every stateful component exposes ``state_dict()`` /
-  ``load_state_dict()`` (engines, scheduler, server optimizers,
-  samplers, availability/failure models, jitter clocks, codec RNG
-  streams, EF residuals, data streams, clients, Link counters);
+* every stateful component (engines, scheduler, server and local
+  optimizers, samplers, availability / failure / jitter / wall-time
+  models, drop ledger, Link, codec stages, EF residuals, edge tier,
+  client pool, clients, data streams) declares its durable fields once
+  as a ``_STATE`` tuple, and :mod:`repro.utils.durable` generates its
+  ``state_dict()`` / ``load_state_dict()`` from the declaration;
 * the nested state tree is persisted dtype-exactly, one file per
   step, by :class:`~repro.fed.checkpoint.CheckpointManager`;
 * :class:`RunStateCheckpointer` versions the artifact and optionally
@@ -28,6 +30,14 @@ followed by a resume replays the uninterrupted run **bit-exactly** —
 same final weights, same RoundRecords, same ledger; with a lossy
 checkpoint codec only the ServerOpt moments carry quantization error,
 bounded by the codec's per-element guarantees.
+
+Damage fails loudly and changes nothing (``tests/test_runstate_damage.py``):
+a damaged container raises :class:`~repro.utils.PayloadError` naming
+the file, another layout version is refused by number, and a tree of
+this version with a field missing, extra, or of the wrong kind, dtype
+or shape raises :class:`~repro.utils.durable.RunStateError` naming
+``<component>.<field>`` — checked against the declarations and the
+live engine before anything is assigned.
 """
 
 from __future__ import annotations
@@ -46,8 +56,8 @@ __all__ = [
 ]
 
 #: Version stamp written into every run-state artifact; bumped on any
-#: incompatible change to the tree layout so a stale checkpoint fails
-#: loudly instead of restoring garbage.
+#: incompatible change to the tree layout (the declarations), so a
+#: checkpoint of another layout is refused by number.
 RUNSTATE_VERSION = 2
 
 #: Marker for a codec-compressed float state dict (ServerOpt moments).

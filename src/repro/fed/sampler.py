@@ -10,26 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.durable import RNG, Durable, Field
+
 __all__ = ["ClientSampler", "UniformSampler", "FullParticipation", "AvailabilityModel"]
 
 
-class ClientSampler:
-    """Base interface: pick client ids for a round."""
+class ClientSampler(Durable):
+    """Base interface: pick client ids for a round.  Samplers hold no
+    run state unless they carry an RNG stream."""
 
     def sample(self, population: list[str], round_idx: int) -> list[str]:
         raise NotImplementedError
 
-    # Checkpoint protocol (repro.fed.runstate): samplers are stateless
-    # unless they carry an RNG stream (UniformSampler overrides).
-    def state_dict(self) -> dict:
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        del state  # nothing to restore
-
 
 class UniformSampler(ClientSampler):
     """Sample ``k`` clients per round uniformly without replacement."""
+
+    _STATE = (Field("rng", RNG, "_rng"),)
 
     def __init__(self, k: int, seed: int = 0):
         if k < 1:
@@ -44,12 +41,6 @@ class UniformSampler(ClientSampler):
         idx = self._rng.choice(len(population), size=k, replace=False)
         return [population[i] for i in sorted(idx)]
 
-    def state_dict(self) -> dict:
-        return {"rng": self._rng.bit_generator.state}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
-
 
 class FullParticipation(ClientSampler):
     """Every client participates every round (the billion-scale runs)."""
@@ -60,9 +51,11 @@ class FullParticipation(ClientSampler):
         return list(population)
 
 
-class AvailabilityModel:
+class AvailabilityModel(Durable):
     """Bernoulli availability: each client is reachable each round
     with probability ``uptime`` (sporadic compute donation)."""
+
+    _STATE = (Field("rng", RNG, "_rng"),)
 
     def __init__(self, uptime: float = 1.0, seed: int = 0):
         if not 0.0 < uptime <= 1.0:
@@ -86,10 +79,3 @@ class AvailabilityModel:
         if not chosen:
             chosen = [population[int(self._rng.integers(len(population)))]]
         return chosen
-
-    # Checkpoint protocol (repro.fed.runstate).
-    def state_dict(self) -> dict:
-        return {"rng": self._rng.bit_generator.state}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]

@@ -58,6 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..config import SELECTION_POLICIES
+from ..utils.durable import ID, INT, Array, Durable, Field, List, Row
 
 __all__ = ["ClientScheduler", "SELECTION_POLICIES", "normal_quantile"]
 
@@ -126,7 +127,7 @@ def _first(positions: np.ndarray, key: np.ndarray, lex: np.ndarray,
     return positions[np.lexsort((lex[positions], key[positions]))][:m]
 
 
-class ClientScheduler:
+class ClientScheduler(Durable):
     """Pluggable selection policy shared by both round engines.
 
     Selection counters, the fairness clock and the statistical-utility
@@ -241,33 +242,18 @@ class ClientScheduler:
                 f"fairness_every_k={self.fairness_every_k})")
 
     # ------------------------------------------------------------------
-    # Checkpoint protocol (repro.fed.runstate): the fairness clock,
-    # selection counters and statistical-utility memory all steer
-    # future selections, so a resume without them diverges.  Arrays,
-    # not dicts — a million-client checkpoint carries four ndarrays
-    # instead of millions of string-keyed entries.
+    # Run state: the fairness clock, selection counters and
+    # statistical-utility memory all steer future selections, so a
+    # resume without them diverges.  Arrays, not dicts — a
+    # million-client checkpoint carries four ndarrays instead of
+    # millions of string-keyed entries.
     # ------------------------------------------------------------------
-    _STATE = ("last_selected", "selections", "last_loss", "loss_improvement")
-
-    def state_dict(self) -> dict:
-        return {
-            **{key: getattr(self, key).copy() for key in self._STATE},
-            "selection_log": [[v, c] for v, c in self.selection_log],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        n = self.population.n
-        for key in self._STATE:
-            values = np.array(state[key], dtype=getattr(self, key).dtype)
-            if values.shape != (n,):
-                raise ValueError(
-                    f"checkpoint {key} has shape {values.shape}, expected ({n},)"
-                )
-            setattr(self, key, values)
-        self.selection_log = deque(
-            ((int(v), c) for v, c in state["selection_log"]),
-            maxlen=_SELECTION_LOG_MAXLEN,
-        )
+    _STATE = (
+        *(Field(key, Array()) for key in (
+            "last_selected", "selections", "last_loss", "loss_improvement")),
+        Field("selection_log", List(Row(INT, ID)),
+              decode=lambda log: deque(log, maxlen=_SELECTION_LOG_MAXLEN)),
+    )
 
     # ------------------------------------------------------------------
     def note_selected(self, client_id: str, version: int) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.durable import INT, MODEL_TREE, Durable, Field, Opt
 from ..utils.serialization import StateDict, tree_zeros_like
 
 __all__ = [
@@ -27,8 +28,11 @@ __all__ = [
 ]
 
 
-class ServerOpt:
-    """Base class: consume a pseudo-gradient, produce new global state."""
+class ServerOpt(Durable):
+    """Base class: consume a pseudo-gradient, produce new global state.
+
+    Run state: the moment trees, written only once the first step has
+    created them (momentum-free optimizers have none)."""
 
     def __init__(self, lr: float = 1.0):
         if lr <= 0:
@@ -45,19 +49,6 @@ class ServerOpt:
     def reset(self) -> None:
         """Drop any momentum state (used between experiments)."""
 
-    # Checkpoint protocol (repro.fed.runstate): momentum-free
-    # optimizers have nothing to persist.
-    def state_dict(self) -> dict:
-        """Serializable optimizer state (moment trees)."""
-        return {}
-
-    def load_state_dict(self, state: dict) -> None:
-        if state:
-            raise ValueError(
-                f"{type(self).__name__} is stateless but the checkpoint "
-                f"carries optimizer state {sorted(state)}"
-            )
-
 
 class FedAvg(ServerOpt):
     """θ_{t+1} = θ_t − lr · Δ.  With lr = 1 this is exact parameter
@@ -67,7 +58,21 @@ class FedAvg(ServerOpt):
         return {k: global_state[k] - self.lr * pseudo_grad[k] for k in global_state}
 
 
-class FedMom(ServerOpt):
+class _MomentumOpt(ServerOpt):
+    """A server optimizer whose one moment tree is a velocity."""
+
+    _STATE = (Field("velocity", Opt(MODEL_TREE), "_velocity", omit=True),)
+
+    def __init__(self, lr: float, momentum: float):
+        super().__init__(lr)
+        self.momentum = momentum
+        self._velocity: StateDict | None = None
+
+    def reset(self) -> None:
+        self._velocity = None
+
+
+class FedMom(_MomentumOpt):
     """Federated momentum (FedAvgM / FedMom [83]).
 
     v ← μ·v + Δ;  θ ← θ − lr·v.  Reduces round-to-round oscillation of
@@ -75,11 +80,9 @@ class FedMom(ServerOpt):
     """
 
     def __init__(self, lr: float = 1.0, momentum: float = 0.9):
-        super().__init__(lr)
+        super().__init__(lr, momentum)
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = momentum
-        self._velocity: StateDict | None = None
 
     def step(self, global_state: StateDict, pseudo_grad: StateDict) -> StateDict:
         if self._velocity is None:
@@ -88,25 +91,17 @@ class FedMom(ServerOpt):
             self._velocity[k] = self.momentum * self._velocity[k] + pseudo_grad[k]
         return {k: global_state[k] - self.lr * self._velocity[k] for k in global_state}
 
-    def reset(self) -> None:
-        self._velocity = None
-
-    def state_dict(self) -> dict:
-        return {} if self._velocity is None else {
-            "velocity": {k: v.copy() for k, v in self._velocity.items()}
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        velocity = state.get("velocity")
-        self._velocity = (
-            None if velocity is None
-            else {k: np.asarray(v).copy() for k, v in velocity.items()}
-        )
-
 
 class FedAdam(ServerOpt):
     """Adam on the pseudo-gradient (Reddi et al., 'Adaptive Federated
     Optimization') — one of the drop-in alternatives Section 6 notes."""
+
+    # The step count is written beside the moments (the group is all
+    # or none); a tree without them is a fresh optimizer.
+    _STATE = (Field("m", Opt(MODEL_TREE), "_m", omit=True),
+              Field("v", Opt(MODEL_TREE), "_v", omit=True),
+              Field("t", Opt(INT), "_t", omit=True,
+                    decode=lambda t: t or 0))
 
     def __init__(self, lr: float = 1e-2, betas: tuple[float, float] = (0.9, 0.99),
                  eps: float = 1e-8):
@@ -139,25 +134,8 @@ class FedAdam(ServerOpt):
         self._v = None
         self._t = 0
 
-    def state_dict(self) -> dict:
-        if self._m is None:
-            return {}
-        return {
-            "m": {k: v.copy() for k, v in self._m.items()},
-            "v": {k: v.copy() for k, v in self._v.items()},
-            "t": self._t,
-        }
 
-    def load_state_dict(self, state: dict) -> None:
-        if not state:
-            self.reset()
-            return
-        self._m = {k: np.asarray(v).copy() for k, v in state["m"].items()}
-        self._v = {k: np.asarray(v).copy() for k, v in state["v"].items()}
-        self._t = int(state["t"])
-
-
-class NesterovOuter(ServerOpt):
+class NesterovOuter(_MomentumOpt):
     """SGD with Nesterov momentum on the pseudo-gradient — DiLoCo's
     recommended OuterOpt [9] (momentum 0.9 in the Figure 8 sweep).
 
@@ -165,11 +143,9 @@ class NesterovOuter(ServerOpt):
     """
 
     def __init__(self, lr: float = 0.1, momentum: float = 0.9):
-        super().__init__(lr)
+        super().__init__(lr, momentum)
         if not 0.0 < momentum < 1.0:
             raise ValueError("nesterov momentum must be in (0, 1)")
-        self.momentum = momentum
-        self._velocity: StateDict | None = None
 
     def step(self, global_state: StateDict, pseudo_grad: StateDict) -> StateDict:
         if self._velocity is None:
@@ -180,21 +156,6 @@ class NesterovOuter(ServerOpt):
             step_dir = pseudo_grad[k] + self.momentum * self._velocity[k]
             out[k] = global_state[k] - self.lr * step_dir
         return out
-
-    def reset(self) -> None:
-        self._velocity = None
-
-    def state_dict(self) -> dict:
-        return {} if self._velocity is None else {
-            "velocity": {k: v.copy() for k, v in self._velocity.items()}
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        velocity = state.get("velocity")
-        self._velocity = (
-            None if velocity is None
-            else {k: np.asarray(v).copy() for k, v in velocity.items()}
-        )
 
 
 def make_server_opt(name: str, lr: float = 1.0, momentum: float = 0.0) -> ServerOpt:

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..config import WallTimeConfig
+from ..utils.durable import RNG, Array, Durable, Field
 
 __all__ = [
     "check_finite_positive",
@@ -158,7 +159,7 @@ class RoundTiming:
         return self.comm_s / self.total_s if self.total_s > 0 else 0.0
 
 
-class JitterModel:
+class JitterModel(Durable):
     """Seeded multiplicative lognormal noise on per-cycle durations.
 
     The deterministic wall-time model makes a borderline client's fate
@@ -182,8 +183,11 @@ class JitterModel:
     regression anchor).
 
     Draws are consumed in dispatch order, which the async engine
-    serializes — histories are rerun-identical for any ``max_workers``.
+    serializes — histories are rerun-identical for any ``max_workers``;
+    a resumed run continues the stream where the crashed one stopped.
     """
+
+    _STATE = (Field("rng", RNG, "_rng"),)
 
     def __init__(self, scale: float | dict[str, float] = 0.0, seed: int = 0):
         if isinstance(scale, dict):
@@ -239,20 +243,11 @@ class JitterModel:
             out[nz] = np.exp(self._rng.normal(0.0, scales[nz]))
         return out
 
-    # Checkpoint protocol (repro.fed.runstate): jitter draws are
-    # consumed in dispatch order, so a resumed run must continue the
-    # stream exactly where the crashed one stopped.
-    def state_dict(self) -> dict:
-        return {"rng": self._rng.bit_generator.state}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._rng.bit_generator.state = state["rng"]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"JitterModel(scale={self.scale}, seed={self.seed})"
 
 
-class WallTimeModel:
+class WallTimeModel(Durable):
     """Evaluate Eqs. 1–7 for a given hardware/bandwidth configuration.
 
     Beyond the paper's equipollent-client assumption, the model can
@@ -273,30 +268,22 @@ class WallTimeModel:
         self.config = config
         self.population = population
 
-    # Checkpoint protocol (repro.fed.runstate): the per-client factors
-    # are drawn once at construction, so they are reproducible from
-    # the config seed — persisting them guards a resumed run against
-    # seed/config drift rather than against lost RNG state.
-    def state_dict(self) -> dict:
-        if self.population is None:
-            return {}
-        return {
-            "compute_factors": self.population.compute_factors.copy(),
-            "bandwidth_factors": self.population.bandwidth_factors.copy(),
-        }
+    # Run state: the population's per-client factors.  They are drawn
+    # once at construction, so they are reproducible from the config
+    # seed — persisting them guards a resumed run against seed/config
+    # drift rather than against lost RNG state.  Every client nominal
+    # (no population): nothing is written.
+    _STATE = tuple(
+        Field(key, Array(lambda f, key=key: check_finite_positive(
+            f"checkpoint {key}", f)), f"_{key}", omit=True)
+        for key in ("compute_factors", "bandwidth_factors"))
 
-    def load_state_dict(self, state: dict) -> None:
-        if self.population is None:
-            return  # every client nominal: nothing was saved
-        for key in ("compute_factors", "bandwidth_factors"):
-            factors = np.asarray(state[key], dtype=np.float64)
-            if factors.shape != (self.population.n,):
-                raise ValueError(
-                    f"checkpoint {key} has shape {factors.shape}, expected "
-                    f"({self.population.n},)"
-                )
-            setattr(self.population, key, self.population._checked_factors(
-                factors, f"checkpoint {key}"))
+    _compute_factors = property(
+        lambda self: getattr(self.population, "compute_factors", None),
+        lambda self, f: setattr(self.population, "compute_factors", f))
+    _bandwidth_factors = property(
+        lambda self: getattr(self.population, "bandwidth_factors", None),
+        lambda self, f: setattr(self.population, "bandwidth_factors", f))
 
     def compute_factor(self, client_id: str) -> float:
         return float(self._factor_arrays([client_id])[0][0])

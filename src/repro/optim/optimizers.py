@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Parameter
+from ..utils.durable import INT, Array, Durable, Field, List
 
 __all__ = ["Optimizer", "AdamW", "SGD", "adamw_update"]
 
@@ -52,8 +53,9 @@ def adamw_update(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     p -= step
 
 
-class Optimizer:
-    """Shared plumbing: parameter list, lr attribute, state export."""
+class Optimizer(Durable):
+    """Shared plumbing: parameter list, lr attribute, and the moment
+    state a stateful client retains (``_STATE``)."""
 
     def __init__(self, params: list[Parameter], lr: float):
         if not params:
@@ -68,12 +70,6 @@ class Optimizer:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def state_dict(self) -> dict:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def load_state_dict(self, state: dict) -> None:  # pragma: no cover
-        raise NotImplementedError
-
     def reset_state(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
@@ -86,6 +82,9 @@ class AdamW(Optimizer):
     the parameters carry K stacked models on a leading axis, ``lr`` may
     be set to a ``(K,)`` float64 vector, one rate per model.
     """
+
+    _STATE = (Field("t", INT), Field("m", List(Array(), counted=True)),
+              Field("v", List(Array(), counted=True)))
 
     def __init__(self, params: list[Parameter], lr: float = 6e-4,
                  betas: tuple[float, float] = (0.9, 0.95),
@@ -114,18 +113,6 @@ class AdamW(Optimizer):
                 adamw_update(p.data, p.grad, m, v, lr, lr_decay,
                              self.beta1, self.beta2, self.eps, bias1, bias2)
 
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.m = [np.asarray(m, dtype=np.float32).copy() for m in state["m"]]
-        self.v = [np.asarray(v, dtype=np.float32).copy() for v in state["v"]]
-
     def reset_state(self) -> None:
         """Drop momenta — the paper's stateless-client mode."""
         self.t = 0
@@ -139,6 +126,8 @@ class SGD(Optimizer):
     Used as DiLoCo's outer optimizer (Nesterov, momentum 0.9) in the
     Table 3 / Figure 8 comparisons.
     """
+
+    _STATE = (Field("buf", List(Array(), counted=True)),)
 
     def __init__(self, params: list[Parameter], lr: float,
                  momentum: float = 0.0, nesterov: bool = False,
@@ -162,12 +151,6 @@ class SGD(Optimizer):
                 self.buf[i] = self.momentum * self.buf[i] + g
                 g = g + self.momentum * self.buf[i] if self.nesterov else self.buf[i]
             p.data -= self.lr * g
-
-    def state_dict(self) -> dict:
-        return {"buf": [b.copy() for b in self.buf]}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.buf = [np.asarray(b, dtype=np.float32).copy() for b in state["buf"]]
 
     def reset_state(self) -> None:
         self.buf = [np.zeros_like(p.data) for p in self.params]

@@ -12,7 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import FedConfig, ModelConfig, OptimConfig, WallTimeConfig
-from repro.fed import FailureModel, Photon
+from repro.fed import CheckpointManager, FailureModel, Photon
 
 from helpers import assert_bit_exact_resume, run_crash_resume
 
@@ -185,6 +185,30 @@ class TestCli:
         (tmp_path / "runstate_00000002.npz").write_bytes(b"PK")
         assert main(argv) == 2
         assert "pre-container format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage,field", [
+        (lambda t: t.pop("scheduler"), "SyncAggregator.scheduler"),
+        (lambda t: t["global_state"].update(
+            {k: v.astype(np.float64) for k, v in t["global_state"].items()}),
+         "SyncAggregator.global_state"),
+    ], ids=["scheduler-dropped", "float64-weights"])
+    def test_resume_damaged_field_is_one_line_error(self, capsys, tmp_path,
+                                                    damage, field):
+        """A well-formed checkpoint with one damaged field: exit 2 and
+        one stderr line naming ``<component>.<field>`` (was a bare
+        ``'scheduler'``, or a silent resume on float64 weights)."""
+        base = ["train", "--model", "tiny", "--clients", "2",
+                "--local-steps", "1", "--batch-size", "2"]
+        assert main(base + ["--rounds", "1",
+                            "--checkpoint-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        manager = CheckpointManager(tmp_path, prefix="runstate")
+        step, tree, metadata = manager.load()
+        damage(tree)
+        manager.save(step, tree, metadata)
+        assert main(base + ["--rounds", "2", "--resume", str(tmp_path)]) == 2
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert line.startswith("repro train: error: ") and field in line
 
     def test_checkpoint_codec_without_dir_is_usage_error(self, capsys):
         assert main(["train", "--checkpoint-codec", "int8"]) == 2

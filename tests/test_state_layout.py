@@ -52,9 +52,9 @@ def skeleton(node):
     return type(node).__name__
 
 
-def sync_state() -> dict:
-    """Two barrier rounds with every optional collaborator attached."""
-    photon = Photon(
+def sync_photon() -> Photon:
+    """Every optional collaborator attached, nothing trained yet."""
+    return Photon(
         CFG,
         FedConfig(population=4, clients_per_round=2, local_steps=1, seed=0,
                   compression="int8", error_feedback=True, tiers=2),
@@ -63,17 +63,21 @@ def sync_state() -> dict:
         walltime_config=WallTimeConfig(throughput=2.0, bandwidth_mbps=312.5,
                                        model_mb=0.05),
         client_speed_spread=2.0)
+
+
+def sync_engine():
+    """Two barrier rounds with every optional collaborator attached."""
+    photon = sync_photon()
     photon.train(2)
-    return photon.aggregator.state_dict()
+    return photon.aggregator
 
 
-def async_state() -> dict:
-    """One flush into a run on the unit clock: all completions but the
-    jittered client's tie, two updates fill the buffer, the rest stay
-    queued (one of them a crash) and fresh cycles are in flight.  One
-    queued update is then admitted to the buffer by hand — between
-    ``run_round`` calls the buffer is otherwise always empty."""
-    photon = Photon(
+def sync_state() -> dict:
+    return sync_engine().state_dict()
+
+
+def async_photon() -> Photon:
+    return Photon(
         CFG,
         FedConfig(population=6, clients_per_round=6, buffer_size=2,
                   local_steps=1, mode="async", seed=0,
@@ -82,11 +86,23 @@ def async_state() -> dict:
         OPTIM, num_shards=6, val_batches=1,
         failure_model=FailureModel(scripted={(0, "client3")}),
         fault_policy=FaultPolicy(mode="partial"))
-    engine = photon.aggregator
+
+
+def async_engine():
+    """One flush into a run on the unit clock: all completions but the
+    jittered client's tie, two updates fill the buffer, the rest stay
+    queued (one of them a crash) and fresh cycles are in flight.  One
+    queued update is then admitted to the buffer by hand — between
+    ``run_round`` calls the buffer is otherwise always empty."""
+    engine = async_photon().aggregator
     engine.run_round(0, 1)
     engine._buffer.append(engine._arrivals.popleft()[1])
     assert engine._inflight and engine._buffer and engine._arrivals
-    return engine.state_dict()
+    return engine
+
+
+def async_state() -> dict:
+    return async_engine().state_dict()
 
 
 def layouts() -> dict:
