@@ -17,9 +17,10 @@ from ..config import ModelConfig, OptimConfig
 from ..data.stream import BatchStream
 from ..eval.perplexity import evaluate_perplexity
 from ..nn import DecoderLM
-from ..optim import AdamW, LRSchedule, WarmupCosine, clip_grad_norm
+from ..optim import AdamW, LRSchedule, WarmupCosine
 from ..parallel import DDPEngine
 from ..utils.metrics import History, RoundRecord
+from . import batched
 
 __all__ = ["CentralizedTrainer", "CentralizedResult"]
 
@@ -78,12 +79,8 @@ class CentralizedTrainer:
         if self.engine is not None:
             loss_value = self.engine.step(x, y)
         else:
-            self.model.zero_grad()
-            loss = self.model.loss(x, y)
-            loss.backward()
-            clip_grad_norm(self.model.parameters(), self.optim_config.grad_clip)
-            self.optimizer.step()
-            loss_value = float(loss.data)
+            loss_value = float(batched.local_step(
+                self.model, self.optimizer, x, y, self.optim_config.grad_clip))
         self.step_idx += 1
         return loss_value
 

@@ -7,8 +7,12 @@ sporadic clients join/leave and keeps communication parameter-only.
 
 The client resolves an execution plan from its hardware (single GPU /
 DDP / FSDP / sub-federation; Section 4 heuristic) and runs ``τ`` local
-AdamW steps with the globally synchronized LR schedule, then returns
-the pseudo-gradient ``θ_t − θ_k`` through its post-processing pipeline.
+AdamW steps with the globally synchronized LR schedule through the one
+local step loop (:func:`~repro.fed.batched.run_local_steps` at K = 1,
+once per node), then returns the pseudo-gradient ``θ_t − θ_k``
+(:meth:`LLMClient.local_update`).  Post-processing (L.27) is its own
+step, :meth:`LLMClient.finish`, which every local plane runs in the
+parent process in task order; :meth:`LLMClient.train` is the two.
 """
 
 from __future__ import annotations
@@ -18,10 +22,13 @@ import numpy as np
 from ..config import ModelConfig, OptimConfig
 from ..data.stream import BatchStream
 from ..nn import DecoderLM
-from ..optim import AdamW, LRSchedule, clip_grad_norm
+from ..optim import AdamW, LRSchedule
+# Bound here by name: the perf ledger's tracer tests wrap ``client.clip_grad_norm``.
+from ..optim import clip_grad_norm  # noqa: F401
 from ..parallel import DDPEngine, ExecutionPlan, FSDPEngine, SiloSpec, select_strategy
 from ..utils.durable import COMPONENT, INT, Durable, Field, List, Opt
 from ..utils.serialization import StateDict, tree_mean, tree_sub
+from .batched import run_local_steps
 from .postprocess import Identity, PostProcessor
 from .types import ClientUpdate, RoundInfo
 
@@ -133,7 +140,14 @@ class LLMClient(Durable):
 
     # ------------------------------------------------------------------
     def train(self, global_state: StateDict, round_info: RoundInfo) -> ClientUpdate:
-        """Run the local pipeline and return the pseudo-gradient."""
+        """Run the local pipeline and return the post-processed
+        pseudo-gradient (L.13–28)."""
+        return self.finish(self.local_update(global_state, round_info))
+
+    def local_update(self, global_state: StateDict,
+                     round_info: RoundInfo) -> ClientUpdate:
+        """Train and return the raw pseudo-gradient ``θ_t − θ_k``
+        (L.13–26), before post-processing."""
         plan = self.execution_plan()
         if plan.strategy == "sub_federation" and len(self.streams) > 1:
             local_state, metrics, tokens = self._train_sub_federated(global_state, round_info)
@@ -141,76 +155,52 @@ class LLMClient(Durable):
             local_state, metrics, tokens = self._train_node(
                 global_state, round_info, self.streams[0], plan
             )
-        delta = tree_sub(global_state, local_state)
-        delta = self.post_process(delta)
+        return self._raw_update(global_state, local_state, metrics, tokens,
+                                round_info)
+
+    def _raw_update(self, global_state: StateDict, local_state: StateDict,
+                    metrics: dict, tokens: int,
+                    round_info: RoundInfo) -> ClientUpdate:
+        """Count the round, then wrap ``θ_t − θ_k`` unprocessed."""
         self.tokens_processed += tokens
         self.rounds_participated += 1
         return ClientUpdate(
             client_id=self.client_id,
-            delta=delta,
+            delta=tree_sub(global_state, local_state),
             num_steps=round_info.local_steps,
             num_tokens=tokens,
             metrics=metrics,
         )
 
+    def finish(self, update: ClientUpdate) -> ClientUpdate:
+        """Post-process a raw update (L.27).  Every plane runs this in
+        the parent process, once per update and in task order, so a
+        post-processor that draws randomness draws the same sequence
+        whichever plane trained the wave."""
+        update.delta = self.post_process(update.delta)
+        return update
+
     # ------------------------------------------------------------------
     def _train_node(self, global_state: StateDict, round_info: RoundInfo,
                     stream: BatchStream, plan: ExecutionPlan) -> tuple[StateDict, dict, int]:
-        """Standard distributed training inside the client (L.16–18)."""
+        """Standard distributed training inside the client (L.16–18):
+        the local step loop at K = 1 on the persistent workspace, each
+        step taken by a DDP/FSDP engine when the plan has several
+        workers."""
         self.model.load_state_dict(global_state)
         self.model.train()
         optimizer = self._make_optimizer()
-
         engine = None
         if plan.strategy in ("ddp", "fsdp") and plan.n_workers > 1:
             engine_cls = DDPEngine if plan.strategy == "ddp" else FSDPEngine
             engine = engine_cls(self.model, optimizer, plan.n_workers,
                                 grad_clip=self.optim_config.grad_clip)
-
-        anchors = None
-        if self.proximal_mu > 0:
-            # Read-only views, not copies: the anchors are only ever
-            # read (the proximal term), and the broadcast state must
-            # never be aliased-mutated — a write through an anchor
-            # would corrupt the server's global model for every other
-            # client sharing the buffer.
-            anchors = []
-            for name, param in self.model.named_parameters():
-                anchor = global_state[name].view()
-                anchor.flags.writeable = False
-                anchors.append((param, anchor))
-
-        losses = np.empty(round_info.local_steps, dtype=np.float64)
-        tokens = 0
-        for i in range(round_info.local_steps):
-            optimizer.lr = self.schedule(round_info.global_step_base + i)
-            x, y = stream.next_batch()
-            tokens += x.size
-            if engine is not None:
-                losses[i] = engine.step(x, y)
-                continue
-            self.model.zero_grad()
-            loss = self.model.loss(x, y)
-            loss.backward()
-            if anchors is not None:
-                for param, anchor in anchors:
-                    if param.grad is not None:
-                        param.grad += self.proximal_mu * (param.data - anchor)
-            clip_grad_norm(self.model.parameters(), self.optim_config.grad_clip)
-            optimizer.step()
-            losses[i] = float(loss.data)
-
+        (metrics,), (tokens,) = run_local_steps(
+            self.model, optimizer, [self], [stream], [global_state],
+            [round_info], engine)
         local_state = (
             engine.full_state() if isinstance(engine, FSDPEngine) else self.model.state_dict()
         )
-        metrics = {
-            "train_loss_mean": float(losses.mean()),
-            "train_loss_final": float(losses[-1]),
-            "lr_final": optimizer.lr,
-            # Steps actually trained this pull — under adaptive local
-            # steps slow clients report fewer than the nominal τ.
-            "local_steps": float(round_info.local_steps),
-        }
         return local_state, metrics, tokens
 
     def _train_sub_federated(self, global_state: StateDict,

@@ -25,8 +25,9 @@ from ..data.stream import BatchStream
 from ..eval.perplexity import evaluate_perplexity
 from ..nn import DecoderLM
 from ..nn.lora import apply_lora, lora_parameters, lora_state_dict
-from ..optim import AdamW, ConstantLR, LRSchedule, clip_grad_norm
+from ..optim import AdamW, ConstantLR, LRSchedule
 from ..utils.serialization import StateDict
+from . import batched
 
 __all__ = ["PersonalizationResult", "personalize", "continue_pretraining"]
 
@@ -99,11 +100,7 @@ def personalize(global_state: StateDict, model_config: ModelConfig,
     for step in range(steps):
         optimizer.lr = schedule(step)
         x, y = stream.next_batch()
-        model.zero_grad()
-        loss = model.loss(x, y)
-        loss.backward()
-        clip_grad_norm(trainable, optim.grad_clip)
-        optimizer.step()
+        batched.local_step(model, optimizer, x, y, optim.grad_clip)
 
     eval_stream.load_state_dict(eval_position)
     ppl_after = evaluate_perplexity(model, eval_stream, n_batches=4)

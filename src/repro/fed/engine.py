@@ -523,11 +523,13 @@ class RoundEngine(Durable):
         through the configured local plane; updates come back in task
         order (L.6–7).
 
-        Every plane decodes each broadcast, trains, then moves the
-        delta over the Link (:meth:`_finish_update`).  The Link's
-        codec streams and the EF residuals are per client channel, so
-        the wire phase is byte-identical whether a wave trains client
-        by client, stacked, or across processes.
+        Every plane decodes each broadcast, trains, post-processes
+        each raw delta in the parent in task order
+        (:meth:`~repro.fed.client.LLMClient.finish`), then moves it over
+        the Link (:meth:`_finish_update`).  The Link's codec streams and
+        the EF residuals are per client channel, so the wire phase is
+        byte-identical whether a wave trains client by client, stacked,
+        or across processes.
         """
         if not tasks:
             return []
@@ -540,8 +542,13 @@ class RoundEngine(Durable):
             train = (self._train_states_batched
                      if self.local_plane == "batched"
                      else self._train_states_procpool)
-            return [self._finish_update(task[0], update)
-                    for task, update in zip(tasks, train(tasks, states))]
+            with ExitStack() as stack:
+                # Leased for the whole wave: LRU eviction must not park a
+                # lazily-materialized client mid-step.
+                clients = [stack.enter_context(self.clients.lease(client_id))
+                           for client_id, _, _ in tasks]
+                return [self._finish_update(client.client_id, client.finish(update))
+                        for client, update in zip(clients, train(tasks, clients, states))]
 
     def _train_task(self, task: tuple[str, Message, RoundInfo]) -> ClientUpdate:
         """The sequential plane's whole exchange for one client.  The
@@ -578,43 +585,40 @@ class RoundEngine(Durable):
         update.delta = delta
         return update
 
-    def _train_states_batched(self, tasks, states) -> list[ClientUpdate]:
-        """Group shape/hyperparameter-homogeneous clients and train
-        each group in one fused stacked step; ineligible clients fall
-        back to a solo ``train`` inside the same wave, counted on
-        ``batched/solo_fallbacks`` beside ``batched/stacked_clients``."""
+    def _train_states_batched(self, tasks, clients, states) -> list[ClientUpdate]:
+        """Raw updates of a wave: shape/hyperparameter-homogeneous
+        clients train in one fused stacked step per group; ineligible
+        clients fall back to a solo ``local_update`` inside the same
+        wave, counted on ``batched/solo_fallbacks`` beside
+        ``batched/stacked_clients``."""
         meters = self.tracer.meters
-        with ExitStack() as stack:
-            # Leased for the whole wave: LRU eviction must not park a
-            # lazily-materialized client mid-step.
-            clients = [stack.enter_context(self.clients.lease(client_id))
-                       for client_id, _, _ in tasks]
-            updates: list[ClientUpdate | None] = [None] * len(tasks)
-            groups: dict = {}
-            for idx, client in enumerate(clients):
-                if batch_eligible(client):
-                    key = batch_group_key(client, tasks[idx][2])
-                else:
-                    key = ("__solo__", idx)
-                groups.setdefault(key, []).append(idx)
-            for idxs in groups.values():
-                if len(idxs) == 1:
-                    i = idxs[0]
-                    meters.counter("batched/solo_fallbacks").inc()
-                    updates[i] = clients[i].train(states[i], tasks[i][2])
-                else:
-                    meters.counter("batched/stacked_clients").inc(len(idxs))
-                    stacked = train_clients_batched(
-                        [clients[i] for i in idxs],
-                        [states[i] for i in idxs],
-                        [tasks[i][2] for i in idxs],
-                    )
-                    for i, update in zip(idxs, stacked):
-                        updates[i] = update
+        updates: list[ClientUpdate | None] = [None] * len(tasks)
+        groups: dict = {}
+        for idx, client in enumerate(clients):
+            if batch_eligible(client):
+                key = batch_group_key(client, tasks[idx][2])
+            else:
+                key = ("__solo__", idx)
+            groups.setdefault(key, []).append(idx)
+        for idxs in groups.values():
+            if len(idxs) == 1:
+                i = idxs[0]
+                meters.counter("batched/solo_fallbacks").inc()
+                updates[i] = clients[i].local_update(states[i], tasks[i][2])
+            else:
+                meters.counter("batched/stacked_clients").inc(len(idxs))
+                stacked = train_clients_batched(
+                    [clients[i] for i in idxs],
+                    [states[i] for i in idxs],
+                    [tasks[i][2] for i in idxs],
+                )
+                for i, update in zip(idxs, stacked):
+                    updates[i] = update
         return updates
 
-    def _train_states_procpool(self, tasks, states) -> list[ClientUpdate]:
-        """Fan a wave out across the persistent fork pool.
+    def _train_states_procpool(self, tasks, clients, states) -> list[ClientUpdate]:
+        """Raw updates of a wave, fanned out across the persistent fork
+        pool.
 
         Global weights travel once per distinct broadcast payload as a
         shared-memory segment (clients pulling the same version map
@@ -627,7 +631,7 @@ class RoundEngine(Durable):
                                       tracer=self.tracer)
         segments: dict = {}
         jobs = []
-        for (client_id, message, round_info), state in zip(tasks, states):
+        for (client_id, message, round_info), client, state in zip(tasks, clients, states):
             # One segment per distinct broadcast payload: a lossless
             # broadcast is one payload per global state, a lossy
             # downlink codec makes each client's its own.
@@ -635,29 +639,18 @@ class RoundEngine(Durable):
             if key not in segments:
                 segments[key] = share_state(state)
             shm, layout = segments[key]
-            with self.clients.lease(client_id) as client:
-                client_state = client.state_dict()
-            jobs.append((client_id, client_state, round_info.round_idx,
-                         round_info.local_steps, round_info.global_step_base,
-                         shm.name, layout))
+            jobs.append((client_id, client.state_dict(), round_info, shm.name, layout))
         try:
             results = self._procpool.train(jobs)
         finally:
             for shm, _ in segments.values():
                 shm.close()
                 shm.unlink()
-        updates = []
-        for (client_id, _, _), result in zip(tasks, results):
-            delta, new_state, metrics, num_tokens, num_steps = result
+        for client, (_, new_state) in zip(clients, results):
             # Fold the worker's durable state (stream RNG positions,
             # counters, retained momenta) back into the parent client.
-            with self.clients.lease(client_id) as client:
-                client.load_state_dict(new_state)
-            updates.append(ClientUpdate(
-                client_id=client_id, delta=delta, num_steps=num_steps,
-                num_tokens=num_tokens, metrics=metrics,
-            ))
-        return updates
+            client.load_state_dict(new_state)
+        return [update for update, _ in results]
 
     def _shutdown_workers(self) -> None:
         """Tear down the lazy fork pool.  Called when a run completes

@@ -54,7 +54,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ..net.walltime import check_finite_positive, slowdown_factors
-from ..utils.durable import MEMBER, PARKED, Durable, Field, Map
+from ..utils.durable import COMPONENT, MEMBER, PARKED, Durable, Field, Map, Opt
 from .client import LLMClient
 
 __all__ = [
@@ -195,11 +195,17 @@ class LazyClientPool(Mapping, Durable):
     loaded client's state is checked against the client the factory
     builds for its id, and parked; that build (up to ``max_live`` of
     them) is the one the client's first materialization uses, so a
-    restore builds no client twice.
+    restore builds no client twice.  A post-processor that draws
+    randomness is written once, under the id of the first client built
+    with it, however many clients share it (a parked client's state
+    would hold a stale copy); it is omitted when there is none.
     """
 
     _STATE = (Field("touched", Map(PARKED, keys=MEMBER), "_touched",
-                    live=lambda pool: pool._template),)
+                    live=lambda pool: pool._template),
+              Field("post_process", Opt(Map(COMPONENT, keys=MEMBER)),
+                    "_random_post", omit=True,
+                    live=lambda pool: lambda cid: pool._template(cid).post_process))
 
     def __init__(self, population: ClientPopulation,
                  factory: Callable[[str], LLMClient], max_live: int = 64):
@@ -214,6 +220,7 @@ class LazyClientPool(Mapping, Durable):
         # (up to max_live) for their first materialization.
         self._checked: dict[str, LLMClient] = {}
         self._leases: dict[str, int] = {}
+        self._random_post: dict | None = None
         self._lock = threading.Lock()
         #: every build, first or not; ``rematerializations`` counts the
         #: rebuilds of a parked (evicted) client alone.
@@ -232,6 +239,8 @@ class LazyClientPool(Mapping, Durable):
         pool = cls(ClientPopulation(list(clients)), dict(clients).__getitem__,
                    max_live=len(clients))
         pool._live.update(clients)
+        for client in clients.values():
+            pool._note(client)
         return pool
 
     # ------------------------------------------------------------------
@@ -249,6 +258,15 @@ class LazyClientPool(Mapping, Durable):
         return True
 
     # ------------------------------------------------------------------
+    def _note(self, client: LLMClient) -> LLMClient:
+        """Keep a newly built client's post-processor in the run state
+        if it draws randomness and is not kept already."""
+        post = getattr(client, "post_process", None)
+        kept = self._random_post or {}
+        if getattr(post, "random", False) and all(post is not p for p in kept.values()):
+            self._random_post = {**kept, client.client_id: post}
+        return client
+
     def _materialize_locked(self, client_id: str) -> LLMClient:
         client = self._live.get(client_id)
         if client is not None:
@@ -256,7 +274,8 @@ class LazyClientPool(Mapping, Durable):
             self.hits += 1
             return client
         self.population.index_of(client_id)  # validate before building
-        client = self._checked.pop(client_id, None) or self._factory(client_id)
+        client = (self._checked.pop(client_id, None)
+                  or self._note(self._factory(client_id)))
         parked = self._parked.pop(client_id, None)
         if parked is not None:
             client.load_state_dict(parked)
@@ -322,7 +341,7 @@ class LazyClientPool(Mapping, Durable):
         client, or a fresh build its first materialization will use."""
         client = self._live.get(client_id) or self._checked.get(client_id)
         if client is None:
-            client = self._factory(client_id)
+            client = self._note(self._factory(client_id))
             if len(self._checked) < self.max_live:
                 self._checked[client_id] = client
         return client

@@ -5,12 +5,20 @@ or differential privacy noise injection) before returning updates."
 Each processor transforms a pseudo-gradient state dict; ``Compose``
 chains them.  The default pipeline is empty (the paper defaults to
 lossless compression only, which lives in the Link).
+
+Every local plane post-processes in the parent, once per update and in
+task order (:meth:`~repro.fed.client.LLMClient.finish`), so a
+processor that draws randomness draws one sequence whichever plane
+trained the wave.  Its RNG is run state: such a processor says so in
+``random`` and declares the RNG in ``_STATE``; the client pool keeps
+each one in the run state once, however many clients share it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..utils.durable import COMPONENT, RNG, Durable, Field, List
 from ..utils.serialization import StateDict, tree_norm, tree_scale
 
 __all__ = [
@@ -23,7 +31,11 @@ __all__ = [
 ]
 
 
-class PostProcessor:
+class PostProcessor(Durable):
+    #: Whether the processor draws randomness (then its ``_STATE`` is
+    #: run state).
+    random = False
+
     def __call__(self, update: StateDict) -> StateDict:
         raise NotImplementedError
 
@@ -36,8 +48,11 @@ class Identity(PostProcessor):
 class Compose(PostProcessor):
     """Apply processors left to right."""
 
+    _STATE = (Field("processors", List(COMPONENT, counted=True)),)
+
     def __init__(self, processors: list[PostProcessor]):
         self.processors = list(processors)
+        self.random = any(getattr(p, "random", False) for p in self.processors)
 
     def __call__(self, update: StateDict) -> StateDict:
         for proc in self.processors:
@@ -67,6 +82,9 @@ class DPGaussianNoise(PostProcessor):
     Gaussian noise has standard deviation
     ``noise_multiplier · clip_norm``.
     """
+
+    _STATE = (Field("rng", RNG, "_rng"),)
+    random = True
 
     def __init__(self, clip_norm: float, noise_multiplier: float, seed: int = 0):
         if clip_norm <= 0 or noise_multiplier < 0:

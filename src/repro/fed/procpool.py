@@ -19,10 +19,11 @@ model (Appendix B.3):
   which worker ran which client, and checkpoint/resume sees exactly
   the state it would under sequential training.
 
-Workers return the raw update delta; the parent then runs it through
-the ordinary :class:`~repro.fed.link.Link`/error-feedback wire path in
-task order, which keeps byte metering and codec RNG streams identical
-to the sequential plane.
+Workers return the raw update delta, before post-processing; the
+parent then post-processes it and runs it through the ordinary
+:class:`~repro.fed.link.Link`/error-feedback wire path in task order,
+which keeps post-processor draws, byte metering and codec RNG streams
+identical to the sequential plane.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ..utils.serialization import StateDict
-from .types import RoundInfo
+from .types import ClientUpdate
 
 __all__ = ["ProcPool", "ProcJob", "check_max_workers", "share_state"]
 
@@ -106,13 +107,12 @@ def _attach_views(shm: shared_memory.SharedMemory,
 # Worker side
 # ----------------------------------------------------------------------
 
-ProcJob = tuple  # (client_id, client_state, round_idx, local_steps,
-#                  global_step_base, shm_name, layout)
+ProcJob = tuple  # (client_id, client_state, round_info, shm_name, layout)
 
 
-def _worker_train(job: ProcJob):
-    (client_id, client_state, round_idx, local_steps,
-     global_step_base, shm_name, layout) = job
+def _worker_train(job: ProcJob) -> tuple[ClientUpdate, dict]:
+    """The raw update and the client's new durable state."""
+    client_id, client_state, round_info, shm_name, layout = job
     client = _resolve_client(client_id)
     # Attaching registers the name with the resource tracker the child
     # shares with its fork parent; the tracker's cache is a set, so the
@@ -123,9 +123,7 @@ def _worker_train(job: ProcJob):
         views = _attach_views(shm, layout)
         if client_state is not None:
             client.load_state_dict(client_state)
-        info = RoundInfo(round_idx=round_idx, local_steps=local_steps,
-                         global_step_base=global_step_base)
-        update = client.train(views, info)
+        update = client.local_update(views, round_info)
         new_state = client.state_dict()
     finally:
         views = None  # noqa: F841 — drop exported buffers before close
@@ -133,8 +131,7 @@ def _worker_train(job: ProcJob):
             shm.close()
         except BufferError:
             pass
-    return (update.delta, new_state, update.metrics,
-            update.num_tokens, update.num_steps)
+    return update, new_state
 
 
 # ----------------------------------------------------------------------

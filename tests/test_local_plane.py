@@ -4,30 +4,42 @@ persistent fork pool.
 The contract under test: ``local_plane`` changes *throughput only*.
 Batched stepping of K stacked clients is bit-exact against K
 sequential ``client.train`` calls (property-tested across cohort
-sizes, shapes and optimizer configs), the procpool plane reproduces
-the single-process run — final weights, history and drop ledger —
-exactly, and both planes stay crash-consistent under checkpoint/
-resume.  One fork pool per run and the read-only proximal anchors
-ride along.
+sizes, shapes, optimizer configs, proximal ``mu`` and retained
+moments), the procpool plane reproduces the single-process run —
+final weights, history and drop ledger — exactly, a post-processor
+that draws randomness draws the same noise on every plane and across
+a resume, and every plane stays crash-consistent under checkpoint/
+resume.  Every training path steps through the one ``local_step``;
+one fork pool per run and the read-only proximal anchors ride along.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import FedConfig, ModelConfig, OptimConfig, WallTimeConfig
 from repro.data import CachedTokenStream, SyntheticC4
-from repro.fed import FailureModel, LLMClient, Photon
+from repro.fed import (
+    CentralizedTrainer,
+    ClipUpdate,
+    Compose,
+    DPGaussianNoise,
+    FailureModel,
+    LLMClient,
+    Photon,
+    personalize,
+)
+from repro.fed import batched as batched_module
 from repro.fed import engine as engine_module
 from repro.fed.batched import batch_eligible, batch_group_key, train_clients_batched
 from repro.fed.engine import SyncAggregator
 from repro.fed.types import RoundInfo
 from repro.nn import DecoderLM
 from repro.obs import Tracer
-from repro.optim import ConstantLR
+from repro.optim import ConstantLR, WarmupCosine
 from repro.tensor import Tensor, ops
 
 from helpers import (
@@ -57,6 +69,22 @@ def make_clients(cfg, optim, n, **kwargs):
                   optim, ConstantLR(optim.max_lr), **kwargs)
         for i in range(n)
     ]
+
+
+def dropout_client(client_id="d", shard=0, **kwargs):
+    """A client the stacked step cannot take: its dropout draws come
+    from its own model's RNG."""
+    cfg = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2,
+                      vocab_size=32, seq_len=16, dropout=0.1)
+    return LLMClient(client_id, cfg, make_stream(cfg, shard=shard, seed=shard),
+                     OPTIM, ConstantLR(OPTIM.max_lr), **kwargs)
+
+
+def dp_post(seed=3):
+    """A post-processor that draws randomness: clip, then DP noise."""
+    return Compose([ClipUpdate(5.0),
+                    DPGaussianNoise(clip_norm=5.0, noise_multiplier=0.5,
+                                    seed=seed)])
 
 
 def train_sequential(clients, global_state, infos):
@@ -106,6 +134,24 @@ class TestBatchedOps:
 # Batched == sequential: the hypothesis property
 # ----------------------------------------------------------------------
 
+def train_wave(clients, states, infos):
+    """The batched plane's wave: one stacked call per
+    ``batch_group_key`` group, updates back in task order.  Returns
+    the updates and the number of groups."""
+    groups = {}
+    for i, (client, info) in enumerate(zip(clients, infos)):
+        groups.setdefault(batch_group_key(client, info), []).append(i)
+    updates = [None] * len(clients)
+    for idxs in groups.values():
+        stacked = train_clients_batched(
+            [clients[i] for i in idxs],
+            [{n: v.copy() for n, v in states[i].items()} for i in idxs],
+            [infos[i] for i in idxs])
+        for i, update in zip(idxs, stacked):
+            updates[i] = update
+    return updates, len(groups)
+
+
 class TestBatchedEqualsSequential:
     @settings(max_examples=8, deadline=None)
     @given(
@@ -118,44 +164,63 @@ class TestBatchedEqualsSequential:
         weight_decay=st.sampled_from([0.0, 0.1]),
         grad_clip=st.sampled_from([0.05, 1.0]),
         stagger=st.booleans(),
+        mus=st.lists(st.sampled_from([0.0, 0.05, 0.5]), min_size=4,
+                     max_size=4),
+        stateful=st.booleans(),
     )
+    @example(k=4, n_blocks=1, d_model=8, vocab=17, tied=False, steps=2,
+             weight_decay=0.1, grad_clip=0.05, stagger=True,
+             mus=[0.0, 0.5, 0.0, 0.05], stateful=True)
+    @example(k=3, n_blocks=2, d_model=16, vocab=32, tied=True, steps=1,
+             weight_decay=0.0, grad_clip=1.0, stagger=False,
+             mus=[0.05, 0.5, 0.05, 0.0], stateful=False)
     def test_property_batched_equals_k_sequential(
             self, k, n_blocks, d_model, vocab, tied, steps, weight_decay,
-            grad_clip, stagger):
+            grad_clip, stagger, mus, stateful):
         """Stacked training of K clients is bit-exact against K
         sequential ``client.train`` calls — deltas, losses, metrics —
         across cohort sizes, layer shapes, optimizer configs and
-        (``stagger``) heterogeneous LR step bases.  ``grad_clip=0.05``
-        forces the per-client clip branch to actually fire."""
+        (``stagger``) heterogeneous LR step bases, with a proximal
+        ``mu`` per client (zero included) and, over two rounds,
+        stateful clients whose retained moments stack in and out.  In
+        the first round a stateful client trains one step more than its
+        neighbour, so the second wave holds two retained step counts:
+        two groups.  ``grad_clip=0.05`` forces the per-client clip
+        branch to actually fire."""
         cfg = ModelConfig("prop", n_blocks=n_blocks, d_model=d_model,
                           n_heads=2, vocab_size=vocab, seq_len=8,
                           tie_embeddings=tied)
         optim = OptimConfig(max_lr=3e-3, warmup_steps=2, schedule_steps=64,
                             batch_size=2, weight_decay=weight_decay,
                             grad_clip=grad_clip)
-        global_state = DecoderLM(cfg, seed=7).state_dict()
-        infos = [
-            RoundInfo(round_idx=0, local_steps=steps,
-                      global_step_base=(11 * i if stagger else 0))
-            for i in range(k)
-        ]
 
-        seq = train_sequential(make_clients(cfg, optim, k), global_state,
-                               infos)
-        clients = make_clients(cfg, optim, k)
-        assert all(batch_eligible(c) for c in clients)
-        bat = train_clients_batched(
-            clients,
-            [{n: v.copy() for n, v in global_state.items()} for _ in range(k)],
-            infos,
-        )
+        def build():
+            return [LLMClient(f"c{i}", cfg, make_stream(cfg, shard=i, seed=i),
+                              optim, WarmupCosine(3e-3, 2, 64),
+                              stateless=not stateful, proximal_mu=mus[i])
+                    for i in range(k)]
 
-        for s, b in zip(seq, bat):
-            assert s.client_id == b.client_id
-            assert s.num_tokens == b.num_tokens
-            assert s.num_steps == b.num_steps
-            assert s.metrics == b.metrics
-            assert_states_equal(s.delta, b.delta)
+        seq_clients, bat_clients = build(), build()
+        assert all(batch_eligible(c) for c in bat_clients)
+        for round_idx, seed in enumerate((7, 8)):
+            global_state = DecoderLM(cfg, seed=seed).state_dict()
+            infos = [
+                RoundInfo(round_idx=round_idx,
+                          local_steps=steps + int(stateful and round_idx == 0
+                                                  and i % 2 == 1),
+                          global_step_base=(11 * i if stagger else 0) + 4 * round_idx)
+                for i in range(k)
+            ]
+            seq = train_sequential(seq_clients, global_state, infos)
+            bat, groups = train_wave(bat_clients, [global_state] * k, infos)
+            if round_idx == 1:
+                assert groups == (2 if stateful and k > 1 else 1)
+            for s, b in zip(seq, bat):
+                assert s.client_id == b.client_id
+                assert s.num_tokens == b.num_tokens
+                assert s.num_steps == b.num_steps
+                assert s.metrics == b.metrics
+                assert_states_equal(s.delta, b.delta)
 
     def test_counters_advance_like_sequential(self):
         info = RoundInfo(round_idx=0, local_steps=2, global_step_base=0)
@@ -167,17 +232,17 @@ class TestBatchedEqualsSequential:
             assert client.tokens_processed == 2 * OPTIM.batch_size * CFG.seq_len
 
     def test_eligibility_gate(self):
+        """Proximal anchors, retained moments and post-processing stack
+        (or run after the stack); dropout RNG does not."""
         eligible = make_clients(CFG, OPTIM, 1)[0]
         assert batch_eligible(eligible)
         proximal = make_clients(CFG, OPTIM, 1, proximal_mu=0.1)[0]
         stateful = make_clients(CFG, OPTIM, 1, stateless=False)[0]
-        assert not batch_eligible(proximal)
-        assert not batch_eligible(stateful)
-        dropout_cfg = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2,
-                                  vocab_size=32, seq_len=16, dropout=0.1)
-        droppy = LLMClient("d", dropout_cfg, make_stream(dropout_cfg), OPTIM,
-                           ConstantLR(3e-3))
-        assert not batch_eligible(droppy)
+        noisy = make_clients(CFG, OPTIM, 1, post_process=dp_post())[0]
+        assert batch_eligible(proximal)
+        assert batch_eligible(stateful)
+        assert batch_eligible(noisy)
+        assert not batch_eligible(dropout_client())
 
     def test_group_key_separates_heterogeneous_configs(self):
         info = RoundInfo(round_idx=0, local_steps=2, global_step_base=0)
@@ -237,10 +302,58 @@ class TestBatchedEqualsSequential:
 
 
 # ----------------------------------------------------------------------
+# One step body: every single-node path calls batched.local_step
+# ----------------------------------------------------------------------
+
+class TestOneStepBody:
+    """Each training path's steps are ``batched.local_step`` calls: a
+    path that grows its own zero_grad/loss/backward/clip/AdamW loop
+    back stops calling it and fails here."""
+
+    STEPS = 3
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        step = batched_module.local_step
+
+        def counted(model, optimizer, x, y, grad_clip, k=1, proximal=None):
+            calls.append(k)
+            return step(model, optimizer, x, y, grad_clip, k, proximal)
+
+        monkeypatch.setattr(batched_module, "local_step", counted)
+        return calls
+
+    def test_sequential_plane(self, calls):
+        client = make_clients(CFG, OPTIM, 1, proximal_mu=0.1)[0]
+        client.train(DecoderLM(CFG, seed=7).state_dict(),
+                     RoundInfo(round_idx=0, local_steps=self.STEPS,
+                               global_step_base=0))
+        assert calls == [1] * self.STEPS
+
+    def test_batched_plane(self, calls):
+        state = DecoderLM(CFG, seed=7).state_dict()
+        info = RoundInfo(round_idx=0, local_steps=self.STEPS, global_step_base=0)
+        train_clients_batched(make_clients(CFG, OPTIM, 2, stateless=False),
+                              [state, state], [info, info])
+        assert calls == [2] * self.STEPS
+
+    def test_centralized_trainer(self, calls):
+        trainer = CentralizedTrainer(CFG, make_stream(CFG), OPTIM)
+        trainer.train(total_steps=self.STEPS, eval_every=self.STEPS)
+        assert calls == [1] * self.STEPS
+
+    def test_personalize(self, calls):
+        personalize(DecoderLM(CFG, seed=7).state_dict(), CFG, make_stream(CFG),
+                    steps=self.STEPS, lora_rank=2)
+        assert calls == [1] * self.STEPS
+
+
+# ----------------------------------------------------------------------
 # Engine equivalence: each plane replays the sequential run exactly
 # ----------------------------------------------------------------------
 
-def sync_photon(rounds=2, seed=0, **overrides):
+def sync_photon(rounds=2, seed=0, post_process=None, **overrides):
     fed_kwargs = dict(population=4, clients_per_round=3, local_steps=2,
                       rounds=rounds, server_opt="fedadam", server_lr=0.02,
                       seed=seed)
@@ -249,10 +362,11 @@ def sync_photon(rounds=2, seed=0, **overrides):
     fed = FedConfig(**fed_kwargs)
     return Photon(CFG, fed, OPTIM, num_shards=4, val_batches=2,
                   max_workers=max_workers, uptime=0.9,
-                  failure_model=FailureModel(crash_prob=0.1, seed=seed + 1))
+                  failure_model=FailureModel(crash_prob=0.1, seed=seed + 1),
+                  post_process=post_process)
 
 
-def async_photon(rounds=3, seed=0, **overrides):
+def async_photon(rounds=3, seed=0, post_process=None, **overrides):
     """Async with the fault stack live: deadline + requeue, jitter,
     heterogeneous clock, crash injection, lossy int8 uplink with EF."""
     fed_kwargs = dict(population=4, clients_per_round=3, local_steps=2,
@@ -268,7 +382,8 @@ def async_photon(rounds=3, seed=0, **overrides):
     return Photon(CFG, fed, OPTIM, num_shards=4, val_batches=2,
                   walltime_config=WALLTIME, client_speed_spread=spread,
                   max_workers=max_workers, uptime=0.9,
-                  failure_model=FailureModel(crash_prob=0.1, seed=seed + 1))
+                  failure_model=FailureModel(crash_prob=0.1, seed=seed + 1),
+                  post_process=post_process)
 
 
 def assert_same_run(a, b):
@@ -320,14 +435,11 @@ class TestEnginePlaneEquivalence:
         assert_same_run(ref, run)
 
     def test_mixed_wave_falls_back_per_client(self):
-        """An ineligible (proximal) client inside a batched wave takes
+        """An ineligible (dropout) client inside a batched wave takes
         the sequential path while the rest stack — same result."""
         def build(plane, tracer=None):
             clients = make_clients(CFG, OPTIM, 3)
-            clients.append(LLMClient("p", CFG, make_stream(CFG, shard=3,
-                                                           seed=3),
-                                     OPTIM, ConstantLR(OPTIM.max_lr),
-                                     proximal_mu=0.1))
+            clients.append(dropout_client("p", shard=3))
             engine = SyncAggregator(
                 CFG, {c.client_id: c for c in clients}, local_plane=plane,
                 tracer=tracer)
@@ -342,6 +454,67 @@ class TestEnginePlaneEquivalence:
         assert meters["batched/solo_fallbacks"] == 2
         assert meters["batched/stacked_clients"] == 6
         assert_states_equal(build("batched").global_state, bat.global_state)
+
+    @pytest.mark.parametrize("build", [sync_photon, async_photon],
+                             ids=["sync", "async"])
+    def test_random_post_processor_is_plane_independent(self, build):
+        """One DP post-processor shared by every client draws one noise
+        sequence, in task order, whichever plane trains the wave (a
+        forked worker once drew from its own copy of the RNG)."""
+        ref = build(post_process=dp_post())
+        ref.train()
+        for plane, workers in (("batched", 1), ("procpool", 2)):
+            run = build(post_process=dp_post(), local_plane=plane,
+                        max_workers=workers)
+            run.train()
+            np.testing.assert_array_equal(ref.history.val_perplexities,
+                                          run.history.val_perplexities)
+            assert_same_run(ref, run)
+
+    def test_post_processing_follows_task_order_in_a_mixed_wave(self):
+        """A solo client between two stacked ones: the stack trains
+        first, yet the shared noise stream is drawn a, b, c."""
+        def build(plane, tracer=None):
+            post = dp_post()
+            a, c = (LLMClient(cid, CFG, make_stream(CFG, shard=i, seed=i),
+                              OPTIM, ConstantLR(OPTIM.max_lr),
+                              post_process=post)
+                    for i, cid in ((0, "a"), (2, "c")))
+            b = dropout_client("b", shard=1, post_process=post)
+            engine = SyncAggregator(
+                CFG, {"a": a, "b": b, "c": c}, local_plane=plane,
+                val_stream=make_stream(CFG, shard=7, seed=99), tracer=tracer)
+            engine.run(rounds=2, local_steps=2)
+            return engine
+        tracer = Tracer()
+        ref, bat = build("sequential"), build("batched", tracer)
+        np.testing.assert_array_equal(ref.history.val_perplexities,
+                                      bat.history.val_perplexities)
+        assert_states_equal(ref.global_state, bat.global_state)
+        meters = tracer.meters.snapshot()
+        assert meters["batched/stacked_clients"] == 4
+        assert meters["batched/solo_fallbacks"] == 2
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_stateful_federation_async_matches_sync_on_batched_plane(self, mode):
+        """DiLoCo-style clients keep their AdamW moments across rounds;
+        stacked, they replay the sequential run, and the full-buffer,
+        zero-staleness async engine replays the sync one."""
+        def run(mode, plane):
+            fed = FedConfig(population=3, clients_per_round=3, local_steps=2,
+                            rounds=3, mode=mode, stateless_clients=False,
+                            staleness_alpha=0.0 if mode == "async" else None,
+                            local_plane=plane)
+            photon = Photon(CFG, fed, OPTIM, num_shards=4, val_batches=2)
+            photon.train()
+            return photon
+        ref = run("sync", "sequential")
+        bat = run(mode, "batched")
+        np.testing.assert_array_equal(ref.history.val_perplexities,
+                                      bat.history.val_perplexities)
+        assert ref.history.train_losses == bat.history.train_losses
+        assert_states_equal(ref.aggregator.global_state,
+                            bat.aggregator.global_state)
 
     def test_vector_client_plane_composes_with_batched(self):
         ref = sync_photon(client_plane="vector", cohorts=2)
@@ -452,6 +625,22 @@ class TestPlaneCheckpointResume:
             lambda **kw: sync_photon(local_plane="procpool", max_workers=2,
                                      **kw),
             rounds=2, kill_at=1)
+        assert_bit_exact_resume(full, resumed)
+
+    @pytest.mark.parametrize("build", [
+        lambda **kw: sync_photon(rounds=3, post_process=dp_post(), **kw),
+        lambda **kw: async_photon(post_process=dp_post(), local_plane="batched",
+                                  **kw),
+        lambda **kw: sync_photon(rounds=3, post_process=dp_post(),
+                                 client_plane="vector", max_live_clients=2,
+                                 **kw),
+    ], ids=["sync", "async-batched", "sync-evicting-pool"])
+    def test_kill_and_resume_with_random_post_processor(self, build):
+        """The DP noise RNG is run state: written once however many
+        clients share the processor (an evicting pool included), and
+        restored, so the resumed run draws the noise the uninterrupted
+        one drew."""
+        full, resumed = run_crash_resume(build, rounds=3, kill_at=1)
         assert_bit_exact_resume(full, resumed)
 
     def test_resume_crosses_planes(self):
