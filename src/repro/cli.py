@@ -220,9 +220,10 @@ def _cmd_train(args) -> int:
               f"{pool.live_count()} live, "
               f"{pool.materializations} materialized, "
               f"{pool.evictions} evicted)")
-    if fed.local_plane != "sequential":
-        print(f"local plane     : {fed.local_plane} "
-              f"(max_workers={args.max_workers})")
+    if fed.local_plane != FedConfig.local_plane:
+        workers = (f" (max_workers={args.max_workers})"
+                   if fed.local_plane == "procpool" else "")
+        print(f"local plane     : {fed.local_plane}{workers}")
     if fed.selection != "random" or fed.jitter > 0:
         print(f"scheduling      : selection={fed.selection} "
               f"jitter={fed.jitter:g} exploration={fed.exploration:g}")

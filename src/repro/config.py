@@ -356,8 +356,9 @@ class FedConfig:
         None, Span(0.0, 1.0, lo_open=True), "--feasibility-quantile", "fastest/utility "
         "selection: plan deadline feasibility at this quantile of the jittered cycle")
     local_plane: str = knob(
-        "sequential", LOCAL_PLANES, "--local-plane", "how a wave trains, never what it "
-        "computes: client by client, stacked in one fused step, or on a fork pool")
+        "batched", LOCAL_PLANES, "--local-plane", "how a wave trains, never what it "
+        "computes: stacked in fused steps sized from each client's widest activation "
+        "(a step too wide to stack trains solo), client by client, or on a fork pool")
     tiers: int | None = knob(
         None, POSITIVE_INT, "--tiers", "hierarchical federation: region-level edge "
         "aggregators between clients and root (1 = identity tier, bit-exact vs flat)")

@@ -9,12 +9,12 @@ single-node training path runs them:
   steps the client's own persistent :class:`~repro.nn.DecoderLM` and
   AdamW with K = 1 (once per node for a sub-federated client; DDP and
   FSDP silos hand each step to their engine);
-* the batched plane: :func:`train_clients_batched` stacks the weights
-  of K shape-homogeneous clients along a new leading model axis of
-  **one** ``DecoderLM`` workspace, so a single forward/backward/AdamW
-  step advances all K at once and every numpy kernel runs over K
-  clients' worth of data per python op (threads buy nothing under the
-  GIL, ROADMAP item 8);
+* the batched plane (the default): :func:`train_clients_batched`
+  stacks the weights of K shape-homogeneous clients along a new
+  leading model axis of **one** ``DecoderLM`` workspace, so a single
+  forward/backward/AdamW step advances all K at once and every numpy
+  kernel runs over K clients' worth of data per python op (threads buy
+  nothing under the GIL, ROADMAP item 8);
 * :class:`~repro.fed.centralized.CentralizedTrainer` and
   :func:`~repro.fed.continual.personalize` call :func:`local_step`.
 
@@ -50,6 +50,18 @@ engines can route any shape-homogeneous wave through
 determinism anchors.  Post-processing (L.27) is not part of the loop:
 the engine runs :meth:`~repro.fed.client.LLMClient.finish` on every
 update in task order.
+
+Stacking pays only while a step is dispatch-bound.  A stacked step
+holds about K times one client's activations, and once those outgrow
+the cache the per-op python overhead it amortizes is a sliver of the
+arithmetic: on one core, shapes whose widest activation is 8–16k
+float32 elements per client train ×1.2–1.6 faster stacked, 32–64k ones
+read ×0.8–1.3 from run to run at K = 4, and wider ones lose.  So
+:func:`stack_chunks` cuts every group into chunks of at most
+:func:`stack_limit` clients — ``STACK_BUDGET`` over the widest
+activation of one client's step — and a chunk of one trains solo (a
+wave with nothing to stack takes the sequential plane's path).
+Chunking stacks fewer clients at a time and changes no result.
 """
 
 from __future__ import annotations
@@ -69,12 +81,24 @@ if TYPE_CHECKING:
     from .client import LLMClient
 
 __all__ = [
+    "STACK_BUDGET",
     "batch_eligible",
     "batch_group_key",
     "local_step",
     "run_local_steps",
+    "stack_chunks",
+    "stack_limit",
     "train_clients_batched",
+    "widest_activation",
 ]
+
+#: Float32 elements the widest activation of one fused step may span
+#: across all the clients it stacks: 384 KiB, where an elementwise
+#: kernel's per-element cost still sits at its floor (it rises from
+#: ~128k elements as the step's temporaries outgrow a 2 MiB L2), and
+#: the smallest budget that stacks 12 clients of ``w`` = 8,192 whole
+#: (``benchmarks/stack_grid.py`` measures the rule by shape).
+STACK_BUDGET = 3 * 2**15
 
 
 def batch_eligible(client: LLMClient) -> bool:
@@ -115,6 +139,39 @@ def batch_group_key(client: LLMClient, round_info: RoundInfo):
         optim.grad_clip,
         _retained_steps(client),
     )
+
+
+def widest_activation(client: LLMClient) -> int:
+    """Float32 elements in the widest activation of one of ``client``'s
+    steps: the MLP hidden ``B·T·expansion·d``, the attention scores
+    ``B·H·T²`` or the logits ``B·T·V``, whichever is largest."""
+    cfg, stream = client.model_config, client.streams[0]
+    b, t = stream.batch_size, stream.seq_len
+    return b * t * max(cfg.expansion_ratio * cfg.d_model, cfg.n_heads * t,
+                       cfg.vocab_size)
+
+
+def stack_limit(client: LLMClient) -> int:
+    """The most clients of ``client``'s group one fused step stacks:
+    ``STACK_BUDGET // widest_activation``, at least one."""
+    return max(1, STACK_BUDGET // widest_activation(client))
+
+
+def stack_chunks(clients: list[LLMClient],
+                 round_infos: list[RoundInfo]) -> list[list[int]]:
+    """The fused steps of a wave, as lists of client indices: eligible
+    clients grouped by :func:`batch_group_key` in first-seen order,
+    each group cut into chunks of at most :func:`stack_limit`, and
+    every ineligible client a chunk of one."""
+    groups: dict = {}
+    for i, (client, info) in enumerate(zip(clients, round_infos)):
+        key = batch_group_key(client, info) if batch_eligible(client) else i
+        groups.setdefault(key, []).append(i)
+    chunks = []
+    for idxs in groups.values():
+        limit = stack_limit(clients[idxs[0]])
+        chunks += [idxs[s:s + limit] for s in range(0, len(idxs), limit)]
+    return chunks
 
 
 def local_step(model: DecoderLM, optimizer: AdamW, x: np.ndarray,
@@ -215,9 +272,9 @@ def train_clients_batched(clients: list[LLMClient],
     AdamW moments are updated identically, and the returned raw deltas
     are bit-exact against client-by-client training.  Post-processing
     is the caller's (:meth:`LLMClient.finish`, in task order).
-    Callers must pre-filter with :func:`batch_eligible` and group with
-    :func:`batch_group_key`; per-client global states may differ (async
-    waves stack clients that pulled different versions).
+    Callers pass one chunk of :func:`stack_chunks`; per-client global
+    states may differ (async waves stack clients that pulled different
+    versions).
     """
     k = len(clients)
     if not (k == len(global_states) == len(round_infos)):

@@ -9,9 +9,9 @@ Mechanisms (``RoundEngine``):
 
 * **one wave path** — :meth:`RoundEngine._train_wave` is the only
   place clients train: decode the broadcast, run the configured local
-  plane (``sequential`` / ``batched`` / ``procpool``, all bit-exact
-  against each other), move the delta back over the Link with error
-  feedback;
+  plane (``batched`` by default, ``sequential`` or ``procpool``, all
+  bit-exact against each other), move the delta back over the Link
+  with error feedback;
 * **one server-update path** — :meth:`RoundEngine._server_update`
   merges, steps ``ServerOpt``, saves the weights checkpoint, builds
   the one :class:`~repro.utils.metrics.RoundRecord` (Link byte window,
@@ -78,7 +78,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..compress.error_feedback import ErrorFeedback
-from ..config import LOCAL_PLANES, ModelConfig, check_choice
+from ..config import LOCAL_PLANES, FedConfig, ModelConfig, check_choice
 from ..data.stream import BatchStream
 from ..eval.perplexity import evaluate_perplexity
 from ..net.walltime import JitterModel, WallTimeModel, steps_by_deadline
@@ -90,7 +90,7 @@ from ..utils.durable import (
     Durable, Either, Field, List, Map, Opt, Record, Row)
 from ..utils.metrics import History, RoundRecord, aggregate_metrics
 from ..utils.serialization import StateDict, tree_mean, tree_norm
-from .batched import batch_eligible, batch_group_key, train_clients_batched
+from .batched import stack_chunks, train_clients_batched
 from .checkpoint import CheckpointManager
 from .client import LLMClient
 from .faults import ClientFailure, DeadlinePolicy, DropLedger, FailureModel, FaultPolicy
@@ -333,13 +333,15 @@ class RoundEngine(Durable):
         Weight client updates by token counts instead of the paper's
         uniform mean.
     max_workers / local_plane:
-        How a wave of local training executes: client-by-client
-        (``sequential``, the bit-exact anchor), K stacked homogeneous
-        clients per fused step (``batched``), or a persistent fork pool
-        of ``max_workers`` processes with shared-memory broadcast
-        buffers (``procpool``, the only plane that takes more than one
-        worker).  All three produce identical results — they differ
-        only in throughput.
+        How a wave of local training executes: stacked homogeneous
+        clients per fused step, in chunks sized by
+        :func:`~repro.fed.batched.stack_limit` (``batched``, the
+        default declared by :class:`~repro.config.FedConfig`),
+        client-by-client (``sequential``, the bit-exact anchor), or a
+        persistent fork pool of ``max_workers`` processes with
+        shared-memory broadcast buffers (``procpool``, the only plane
+        that takes more than one worker).  All three produce identical
+        results — they differ only in throughput and memory.
     failure_model / fault_policy:
         Client crash injection and the reaction to it.
     checkpointer:
@@ -401,7 +403,7 @@ class RoundEngine(Durable):
                  run_checkpointer=None,
                  checkpoint_every: int = 1,
                  init_seed: int = 0,
-                 local_plane: str = "sequential",
+                 local_plane: str = FedConfig.local_plane,
                  edge_tier=None,
                  tracer=None):
         if not clients:
@@ -529,29 +531,34 @@ class RoundEngine(Durable):
         the Link (:meth:`_finish_update`).  The Link's codec streams and
         the EF residuals are per client channel, so the wire phase is
         byte-identical whether a wave trains client by client, stacked,
-        or across processes.
+        or across processes.  A batched wave with nothing to stack — a
+        wave of one (an async wave whose arrival times differ), or
+        steps too wide to stack — trains as the sequential plane does.
         """
         if not tasks:
             return []
         with self.tracer.host_span("engine", f"wave[{self.local_plane}]",
                                    jobs=len(tasks)):
-            if self.local_plane == "sequential":
+            if self.local_plane == "sequential" or (
+                    self.local_plane == "batched" and len(tasks) == 1):
                 return [self._train_task(task) for task in tasks]
-            states = [self.link.recv_state(message)[0]
-                      for _, message, _ in tasks]
-            train = (self._train_states_batched
-                     if self.local_plane == "batched"
-                     else self._train_states_procpool)
             with ExitStack() as stack:
                 # Leased for the whole wave: LRU eviction must not park a
                 # lazily-materialized client mid-step.
                 clients = [stack.enter_context(self.clients.lease(client_id))
                            for client_id, _, _ in tasks]
+                if self.local_plane == "procpool":
+                    raw = self._train_states_procpool(tasks, clients)
+                else:
+                    chunks = stack_chunks(clients, [info for _, _, info in tasks])
+                    if len(chunks) == len(tasks):
+                        return [self._train_task(task) for task in tasks]
+                    raw = self._train_states_batched(tasks, clients, chunks)
                 return [self._finish_update(client.client_id, client.finish(update))
-                        for client, update in zip(clients, train(tasks, clients, states))]
+                        for client, update in zip(clients, raw)]
 
     def _train_task(self, task: tuple[str, Message, RoundInfo]) -> ClientUpdate:
-        """The sequential plane's whole exchange for one client.  The
+        """One client's whole exchange, client by client.  The
         broadcast is decoded here, not up front: one decoded state is
         alive at a time, however large the wave."""
         client_id, message, round_info = task
@@ -585,38 +592,32 @@ class RoundEngine(Durable):
         update.delta = delta
         return update
 
-    def _train_states_batched(self, tasks, clients, states) -> list[ClientUpdate]:
-        """Raw updates of a wave: shape/hyperparameter-homogeneous
-        clients train in one fused stacked step per group; ineligible
-        clients fall back to a solo ``local_update`` inside the same
-        wave, counted on ``batched/solo_fallbacks`` beside
-        ``batched/stacked_clients``."""
-        meters = self.tracer.meters
+    def _train_states_batched(self, tasks, clients, chunks) -> list[ClientUpdate]:
+        """Raw updates of a wave, one fused stacked step per chunk of
+        :func:`~repro.fed.batched.stack_chunks`; a chunk of one (an
+        ineligible client, a group of one, or a step too wide to stack)
+        trains solo through ``local_update``, counted on
+        ``batched/solo_fallbacks`` beside ``batched/stacked_clients``."""
         updates: list[ClientUpdate | None] = [None] * len(tasks)
-        groups: dict = {}
-        for idx, client in enumerate(clients):
-            if batch_eligible(client):
-                key = batch_group_key(client, tasks[idx][2])
-            else:
-                key = ("__solo__", idx)
-            groups.setdefault(key, []).append(idx)
-        for idxs in groups.values():
-            if len(idxs) == 1:
-                i = idxs[0]
-                meters.counter("batched/solo_fallbacks").inc()
-                updates[i] = clients[i].local_update(states[i], tasks[i][2])
-            else:
-                meters.counter("batched/stacked_clients").inc(len(idxs))
-                stacked = train_clients_batched(
-                    [clients[i] for i in idxs],
-                    [states[i] for i in idxs],
-                    [tasks[i][2] for i in idxs],
-                )
-                for i, update in zip(idxs, stacked):
-                    updates[i] = update
+        for chunk in chunks:
+            for i, update in zip(chunk, self._train_chunk(tasks, clients, chunk)):
+                updates[i] = update
         return updates
 
-    def _train_states_procpool(self, tasks, clients, states) -> list[ClientUpdate]:
+    def _train_chunk(self, tasks, clients, chunk: list[int]) -> list[ClientUpdate]:
+        """Raw updates of one chunk.  Its broadcasts are decoded here,
+        just before it trains, and released when it returns: a wave
+        holds one chunk's decoded states at a time."""
+        states = [self.link.recv_state(tasks[i][1])[0] for i in chunk]
+        meters = self.tracer.meters
+        if len(chunk) == 1:
+            meters.counter("batched/solo_fallbacks").inc()
+            return [clients[chunk[0]].local_update(states[0], tasks[chunk[0]][2])]
+        meters.counter("batched/stacked_clients").inc(len(chunk))
+        return train_clients_batched([clients[i] for i in chunk], states,
+                                     [tasks[i][2] for i in chunk])
+
+    def _train_states_procpool(self, tasks, clients) -> list[ClientUpdate]:
         """Raw updates of a wave, fanned out across the persistent fork
         pool.
 
@@ -629,6 +630,7 @@ class RoundEngine(Durable):
         if self._procpool is None:
             self._procpool = ProcPool(self.clients, self.max_workers,
                                       tracer=self.tracer)
+        states = [self.link.recv_state(message)[0] for _, message, _ in tasks]
         segments: dict = {}
         jobs = []
         for (client_id, message, round_info), client, state in zip(tasks, clients, states):

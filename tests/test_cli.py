@@ -298,6 +298,24 @@ class TestCommands:
         assert "deadline        : 2.5 s (drop)" in out
         assert "crashes" in out
 
+    def test_default_plane_prints_no_plane_line(self, capsys):
+        """A run on the declared default plane prints no ``local plane``
+        line; any other plane adds exactly that line (``max_workers``
+        only for procpool) and changes nothing else, perplexities
+        included."""
+        argv = ["train", "--model", "tiny", "--clients", "2",
+                "--local-steps", "1", "--rounds", "1", "--batch-size", "2"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--local-plane", "sequential"]) == 0
+        sequential = capsys.readouterr().out.splitlines()
+        assert [ln for ln in sequential if ln not in default] == [
+            "local plane     : sequential"]
+        sequential.remove("local plane     : sequential")
+        assert sequential == default
+        assert main(argv + ["--local-plane", "procpool", "--max-workers", "2"]) == 0
+        assert "local plane     : procpool (max_workers=2)" in capsys.readouterr().out
+
     def test_diloco_micro(self, capsys):
         assert main(["diloco", "--model", "tiny", "--clients", "2",
                      "--local-steps", "2", "--rounds", "1",

@@ -11,9 +11,19 @@ that draws randomness draws the same noise on every plane and across
 a resume, and every plane stays crash-consistent under checkpoint/
 resume.  Every training path steps through the one ``local_step``;
 one fork pool per run and the read-only proximal anchors ride along.
+``batched`` is the default plane; it stacks a group in chunks sized
+from each client's widest activation, decodes a chunk's broadcasts just
+before the chunk trains, and trains a wave with nothing to stack as
+the sequential plane does.  The references below pin ``sequential``
+explicitly.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
+from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,7 +44,13 @@ from repro.fed import (
 )
 from repro.fed import batched as batched_module
 from repro.fed import engine as engine_module
-from repro.fed.batched import batch_eligible, batch_group_key, train_clients_batched
+from repro.fed.batched import (
+    batch_eligible,
+    batch_group_key,
+    stack_chunks,
+    train_clients_batched,
+    widest_activation,
+)
 from repro.fed.engine import SyncAggregator
 from repro.fed.types import RoundInfo
 from repro.nn import DecoderLM
@@ -135,21 +151,25 @@ class TestBatchedOps:
 # ----------------------------------------------------------------------
 
 def train_wave(clients, states, infos):
-    """The batched plane's wave: one stacked call per
-    ``batch_group_key`` group, updates back in task order.  Returns
-    the updates and the number of groups."""
-    groups = {}
-    for i, (client, info) in enumerate(zip(clients, infos)):
-        groups.setdefault(batch_group_key(client, info), []).append(i)
+    """The batched plane's wave: one stacked call per chunk of
+    ``stack_chunks``, updates back in task order.  Returns the updates
+    and the chunks."""
+    chunks = stack_chunks(clients, infos)
     updates = [None] * len(clients)
-    for idxs in groups.values():
+    for chunk in chunks:
         stacked = train_clients_batched(
-            [clients[i] for i in idxs],
-            [{n: v.copy() for n, v in states[i].items()} for i in idxs],
-            [infos[i] for i in idxs])
-        for i, update in zip(idxs, stacked):
+            [clients[i] for i in chunk],
+            [{n: v.copy() for n, v in states[i].items()} for i in chunk],
+            [infos[i] for i in chunk])
+        for i, update in zip(chunk, stacked):
             updates[i] = update
-    return updates, len(groups)
+    return updates, chunks
+
+
+def budget_for(limit, client):
+    """A ``STACK_BUDGET`` under which ``client``'s group stacks at most
+    ``limit`` clients a step."""
+    return limit * widest_activation(client)
 
 
 class TestBatchedEqualsSequential:
@@ -167,16 +187,20 @@ class TestBatchedEqualsSequential:
         mus=st.lists(st.sampled_from([0.0, 0.05, 0.5]), min_size=4,
                      max_size=4),
         stateful=st.booleans(),
+        limit=st.integers(min_value=1, max_value=4),
     )
     @example(k=4, n_blocks=1, d_model=8, vocab=17, tied=False, steps=2,
              weight_decay=0.1, grad_clip=0.05, stagger=True,
-             mus=[0.0, 0.5, 0.0, 0.05], stateful=True)
+             mus=[0.0, 0.5, 0.0, 0.05], stateful=True, limit=4)
     @example(k=3, n_blocks=2, d_model=16, vocab=32, tied=True, steps=1,
              weight_decay=0.0, grad_clip=1.0, stagger=False,
-             mus=[0.05, 0.5, 0.05, 0.0], stateful=False)
+             mus=[0.05, 0.5, 0.05, 0.0], stateful=False, limit=4)
+    @example(k=4, n_blocks=1, d_model=16, vocab=32, tied=False, steps=2,
+             weight_decay=0.1, grad_clip=0.05, stagger=True,
+             mus=[0.5, 0.0, 0.05, 0.0], stateful=False, limit=3)
     def test_property_batched_equals_k_sequential(
             self, k, n_blocks, d_model, vocab, tied, steps, weight_decay,
-            grad_clip, stagger, mus, stateful):
+            grad_clip, stagger, mus, stateful, limit):
         """Stacked training of K clients is bit-exact against K
         sequential ``client.train`` calls — deltas, losses, metrics —
         across cohort sizes, layer shapes, optimizer configs and
@@ -186,7 +210,8 @@ class TestBatchedEqualsSequential:
         the first round a stateful client trains one step more than its
         neighbour, so the second wave holds two retained step counts:
         two groups.  ``grad_clip=0.05`` forces the per-client clip
-        branch to actually fire."""
+        branch to actually fire.  With a stack limit of ``limit``
+        clients, a group of n trains in ceil(n / limit) fused calls."""
         cfg = ModelConfig("prop", n_blocks=n_blocks, d_model=d_model,
                           n_heads=2, vocab_size=vocab, seq_len=8,
                           tie_embeddings=tied)
@@ -212,9 +237,15 @@ class TestBatchedEqualsSequential:
                 for i in range(k)
             ]
             seq = train_sequential(seq_clients, global_state, infos)
-            bat, groups = train_wave(bat_clients, [global_state] * k, infos)
+            groups = Counter(batch_group_key(c, info)
+                             for c, info in zip(bat_clients, infos)).values()
+            with patch.object(batched_module, "STACK_BUDGET",
+                              budget_for(limit, bat_clients[0])):
+                bat, chunks = train_wave(bat_clients, [global_state] * k, infos)
+            assert len(chunks) == sum(-(-n // limit) for n in groups)
+            assert max(map(len, chunks)) <= limit
             if round_idx == 1:
-                assert groups == (2 if stateful and k > 1 else 1)
+                assert len(groups) == (2 if stateful and k > 1 else 1)
             for s, b in zip(seq, bat):
                 assert s.client_id == b.client_id
                 assert s.num_tokens == b.num_tokens
@@ -354,9 +385,11 @@ class TestOneStepBody:
 # ----------------------------------------------------------------------
 
 def sync_photon(rounds=2, seed=0, post_process=None, **overrides):
+    """Sync with crashes and uptime; the sequential plane unless the
+    caller names another."""
     fed_kwargs = dict(population=4, clients_per_round=3, local_steps=2,
                       rounds=rounds, server_opt="fedadam", server_lr=0.02,
-                      seed=seed)
+                      seed=seed, local_plane="sequential")
     fed_kwargs.update(overrides)
     max_workers = fed_kwargs.pop("max_workers", 1)
     fed = FedConfig(**fed_kwargs)
@@ -368,13 +401,14 @@ def sync_photon(rounds=2, seed=0, post_process=None, **overrides):
 
 def async_photon(rounds=3, seed=0, post_process=None, **overrides):
     """Async with the fault stack live: deadline + requeue, jitter,
-    heterogeneous clock, crash injection, lossy int8 uplink with EF."""
+    heterogeneous clock, crash injection, lossy int8 uplink with EF;
+    the sequential plane unless the caller names another."""
     fed_kwargs = dict(population=4, clients_per_round=3, local_steps=2,
                       rounds=rounds, mode="async", buffer_size=2,
                       staleness_alpha=0.5, deadline=2.0,
                       drop_policy="requeue", jitter=0.3, compression="int8",
                       error_feedback=True, server_opt="fedmom",
-                      server_momentum=0.9, seed=seed)
+                      server_momentum=0.9, seed=seed, local_plane="sequential")
     fed_kwargs.update(overrides)
     max_workers = fed_kwargs.pop("max_workers", 1)
     spread = fed_kwargs.pop("client_speed_spread", 3.0)
@@ -403,8 +437,16 @@ def assert_same_run(a, b):
 
 
 class TestEnginePlaneEquivalence:
+    def test_references_are_sequential_and_the_default_is_batched(self):
+        """Every ``*_matches_sequential`` test compares against the
+        sequential plane, whatever the default: a batched reference
+        would compare batched with batched and prove nothing."""
+        assert FedConfig().local_plane == "batched"
+        for build in (sync_photon, async_photon):
+            assert build(rounds=1).aggregator.local_plane == "sequential"
+
     def test_sync_batched_matches_sequential(self):
-        ref = sync_photon()
+        ref = sync_photon(local_plane="sequential")
         ref.train()
         run = sync_photon(local_plane="batched")
         run.train()
@@ -413,7 +455,7 @@ class TestEnginePlaneEquivalence:
     def test_async_batched_matches_sequential_with_fault_stack(self):
         """Waves mix pulled versions, deadlines cancel cycles, EF banks
         int8 residuals — the batched plane must replay all of it."""
-        ref = async_photon()
+        ref = async_photon(local_plane="sequential")
         ref.train()
         run = async_photon(local_plane="batched")
         run.train()
@@ -421,22 +463,29 @@ class TestEnginePlaneEquivalence:
         assert ref.aggregator.drop_ledger.total_cancelled_cycles > 0
 
     def test_sync_procpool_matches_sequential(self):
-        ref = sync_photon()
+        ref = sync_photon(local_plane="sequential")
         ref.train()
         run = sync_photon(local_plane="procpool", max_workers=2)
         run.train()
         assert_same_run(ref, run)
 
     def test_async_procpool_matches_sequential(self):
-        ref = async_photon()
+        ref = async_photon(local_plane="sequential")
         ref.train()
         run = async_photon(local_plane="procpool", max_workers=2)
         run.train()
         assert_same_run(ref, run)
 
-    def test_mixed_wave_falls_back_per_client(self):
+    def test_mixed_wave_falls_back_per_client(self, monkeypatch):
         """An ineligible (dropout) client inside a batched wave takes
-        the sequential path while the rest stack — same result."""
+        the sequential path while the rest stack, in chunks of at most
+        the stack limit — same result."""
+        calls = []
+        stacked = engine_module.train_clients_batched
+        monkeypatch.setattr(engine_module, "train_clients_batched",
+                            lambda clients, *args: calls.append(len(clients))
+                            or stacked(clients, *args))
+
         def build(plane, tracer=None):
             clients = make_clients(CFG, OPTIM, 3)
             clients.append(dropout_client("p", shard=3))
@@ -445,15 +494,96 @@ class TestEnginePlaneEquivalence:
                 tracer=tracer)
             engine.run(rounds=2, local_steps=2)
             return engine
+        ref = build("sequential")
+        whole = budget_for(3, make_clients(CFG, OPTIM, 1)[0])
+        for budget, fused, solos in (
+                (batched_module.STACK_BUDGET, [3, 3], 2),  # the default
+                (whole - 1, [2, 2], 4),  # ceil(3 / 2): a stack of 2 and a solo
+                (1, [], 0)):  # nothing stacks: the sequential path
+            calls.clear()
+            tracer = Tracer()
+            with patch.object(batched_module, "STACK_BUDGET", budget):
+                bat = build("batched", tracer)
+                assert calls == fused
+                # No silent fallback (ROADMAP 7(c)): both outcomes are
+                # counted, and counting them changes nothing (untraced
+                # batched == traced).
+                assert_states_equal(build("batched").global_state,
+                                    bat.global_state)
+            assert_states_equal(ref.global_state, bat.global_state)
+            meters = tracer.meters.snapshot()
+            assert meters.get("batched/solo_fallbacks", 0) == solos
+            assert meters.get("batched/stacked_clients", 0) == sum(fused)
+
+    @pytest.mark.parametrize("limit", [1, 2])
+    def test_wave_decodes_one_chunk_at_a_time(self, monkeypatch, limit):
+        """A chunk's broadcasts are decoded just before it trains: a
+        wave of four holds one chunk's decoded states when each chunk
+        trains — one when every step is too wide to stack (a wave of
+        solos, as on the sequential plane), two in chunks of two."""
+        monkeypatch.setattr(batched_module, "STACK_BUDGET",
+                            budget_for(limit, make_clients(CFG, OPTIM, 1)[0]))
+        clients = make_clients(CFG, OPTIM, 4)
+        engine = SyncAggregator(CFG, {c.client_id: c for c in clients},
+                                local_plane="batched")
+        decoded = []
+        recv = engine.link.recv_state
+
+        class Decoded(dict):  # a dict that takes a weak reference
+            pass
+
+        def tracked(message):
+            state, metadata = recv(message)
+            if message.sender == "agg":
+                state = Decoded(state)
+                decoded.append(weakref.ref(state))
+            return state, metadata
+        engine.link.recv_state = tracked
+        alive = []
+
+        def counted(train):
+            def wrapper(*args):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in decoded))
+                return train(*args)
+            return wrapper
+        monkeypatch.setattr(engine_module, "train_clients_batched",
+                            counted(engine_module.train_clients_batched))
+        for client in clients:
+            client.local_update = counted(client.local_update)
+        engine.run(rounds=2, local_steps=1)
+        assert alive == [limit] * (8 // limit)
+
+        ref = SyncAggregator(CFG, {c.client_id: c for c in make_clients(CFG, OPTIM, 4)},
+                             local_plane="sequential")
+        ref.run(rounds=2, local_steps=1)
+        assert_states_equal(ref.global_state, engine.global_state)
+
+    def test_wave_of_one_trains_like_sequential(self, monkeypatch):
+        """A batched wave of one has nothing to stack: it trains through
+        ``LLMClient.train``, as the sequential plane does, and counts no
+        solo fallback."""
+        calls = []
+        train = LLMClient.train
+        monkeypatch.setattr(LLMClient, "train", lambda client, *args:
+                            calls.append(client.client_id) or train(client, *args))
         tracer = Tracer()
-        ref, bat = build("sequential"), build("batched", tracer)
-        assert_states_equal(ref.global_state, bat.global_state)
-        # No silent fallback (ROADMAP 7(c)): both outcomes are counted,
-        # and counting them changes nothing (untraced batched == traced).
+        engine = SyncAggregator(CFG, {"c0": make_clients(CFG, OPTIM, 1)[0]},
+                                local_plane="batched", tracer=tracer)
+        engine.run(rounds=2, local_steps=2)
+        assert calls == ["c0", "c0"]
         meters = tracer.meters.snapshot()
-        assert meters["batched/solo_fallbacks"] == 2
-        assert meters["batched/stacked_clients"] == 6
-        assert_states_equal(build("batched").global_state, bat.global_state)
+        assert "batched/solo_fallbacks" not in meters
+        assert "batched/stacked_clients" not in meters
+
+    def test_engine_and_photon_share_the_declared_default(self):
+        """One default plane: an engine built directly trains the way
+        one built by ``Photon`` from a default ``FedConfig`` does."""
+        clients = {c.client_id: c for c in make_clients(CFG, OPTIM, 2)}
+        photon = Photon(CFG, FedConfig(population=2, clients_per_round=2),
+                        OPTIM, num_shards=2, val_batches=1)
+        assert (SyncAggregator(CFG, clients).local_plane
+                == photon.aggregator.local_plane == FedConfig().local_plane)
 
     @pytest.mark.parametrize("build", [sync_photon, async_photon],
                              ids=["sync", "async"])
@@ -461,7 +591,7 @@ class TestEnginePlaneEquivalence:
         """One DP post-processor shared by every client draws one noise
         sequence, in task order, whichever plane trains the wave (a
         forked worker once drew from its own copy of the RNG)."""
-        ref = build(post_process=dp_post())
+        ref = build(post_process=dp_post(), local_plane="sequential")
         ref.train()
         for plane, workers in (("batched", 1), ("procpool", 2)):
             run = build(post_process=dp_post(), local_plane=plane,
@@ -517,7 +647,8 @@ class TestEnginePlaneEquivalence:
                             bat.aggregator.global_state)
 
     def test_vector_client_plane_composes_with_batched(self):
-        ref = sync_photon(client_plane="vector", cohorts=2)
+        ref = sync_photon(client_plane="vector", cohorts=2,
+                          local_plane="sequential")
         ref.train()
         run = sync_photon(client_plane="vector", cohorts=2,
                           local_plane="batched")
