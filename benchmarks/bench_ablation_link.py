@@ -55,8 +55,8 @@ def run_modes() -> dict[str, dict]:
     return results
 
 
-def test_ablation_link_compression(run_once):
-    results = run_once(run_modes)
+def test_ablation_link_compression():
+    results = run_modes()
 
     rows = [[name, f"{r['bytes']:,}", f"{r['ppl'][-1]:.2f}"]
             for name, r in results.items()]

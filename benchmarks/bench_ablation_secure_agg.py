@@ -58,8 +58,8 @@ def run_masked_round() -> dict:
     }
 
 
-def test_ablation_secure_aggregation(run_once):
-    result = run_once(run_masked_round)
+def test_ablation_secure_aggregation():
+    result = run_masked_round()
 
     rows = [[cid, f"{d:.3f}"] for cid, d in result["distortion"].items()]
     print_table("Ablation: per-client masked-update distortion (mean |masked - raw|)",

@@ -39,8 +39,8 @@ def run_variants() -> dict[str, list[float]]:
     return curves
 
 
-def test_ablation_stateless_clients(run_once):
-    curves = run_once(run_variants)
+def test_ablation_stateless_clients():
+    curves = run_variants()
 
     rows = [[name] + [f"{p:.2f}" for p in curve[::3]]
             for name, curve in curves.items()]

@@ -57,8 +57,8 @@ def run_scenarios() -> dict[str, dict]:
     return results
 
 
-def test_ablation_stragglers(run_once):
-    results = run_once(run_scenarios)
+def test_ablation_stragglers():
+    results = run_scenarios()
 
     rows = [[name, f"{r['wall_s']:.0f}", r["drops"], f"{r['min_util']:.2f}"]
             for name, r in results.items()]

@@ -74,8 +74,8 @@ def run_controls() -> dict[str, list[float]]:
     return curves
 
 
-def test_appc1_small_batch_high_lr(run_once):
-    curves = run_once(run_controls)
+def test_appc1_small_batch_high_lr():
+    curves = run_controls()
 
     rows = [[name] + [f"{p:.2f}" for p in curve] for name, curve in curves.items()]
     print_table(

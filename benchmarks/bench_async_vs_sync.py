@@ -62,8 +62,8 @@ def run_comparison() -> dict[str, dict]:
     return results
 
 
-def test_async_vs_sync(run_once):
-    results = run_once(run_comparison)
+def test_async_vs_sync():
+    results = run_comparison()
 
     rows = [[name, f"{r['wall_s']:.1f}", f"{r['final']:.2f}"]
             for name, r in results.items()]

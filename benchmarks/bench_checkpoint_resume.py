@@ -87,8 +87,8 @@ def run_resume_equivalence() -> dict[str, dict]:
     return results
 
 
-def test_resume_equivalence(run_once):
-    results = run_once(run_resume_equivalence)
+def test_resume_equivalence():
+    results = run_resume_equivalence()
 
     rows = [[codec, r["checkpoint_bytes"], r["final_loss"],
              f"{100 * r['loss_gap_rel']:.3f}%"]

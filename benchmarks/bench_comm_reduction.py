@@ -69,8 +69,8 @@ def run_accounting() -> dict:
     }
 
 
-def test_comm_reduction(run_once):
-    result = run_once(run_accounting)
+def test_comm_reduction():
+    result = run_accounting()
 
     rows = [[tau,
              f"{cell['ddp_gb']:.0f}",

@@ -143,8 +143,8 @@ def run_ablation() -> dict[str, dict]:
     return results
 
 
-def test_compression_ablation(run_once):
-    results = run_once(run_ablation)
+def test_compression_ablation():
+    results = run_ablation()
     # One extra client cycle, outside the benchmark timer: the
     # entropy-coder comparison over real post-stage byte streams.
     entropy = run_entropy_bench()

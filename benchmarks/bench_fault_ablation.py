@@ -93,8 +93,8 @@ def run_ablation() -> dict[str, dict]:
     return results
 
 
-def test_fault_ablation(run_once):
-    results = run_once(run_ablation)
+def test_fault_ablation():
+    results = run_ablation()
 
     rows = [[name, r["wall_s"], r["final_ppl"], r["dropped_steps"],
              r["deadline_misses"], r["retries"]]

@@ -37,8 +37,8 @@ def analyze_topology() -> dict:
     }
 
 
-def test_fig2_topology(run_once):
-    result = run_once(analyze_topology)
+def test_fig2_topology():
+    result = analyze_topology()
     topo = result["topology"]
 
     rows = [[a, b, topo.bandwidth(a, b)]

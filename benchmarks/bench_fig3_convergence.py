@@ -59,8 +59,8 @@ def run_convergence() -> dict:
     }
 
 
-def test_fig3_convergence(run_once):
-    result = run_once(run_convergence)
+def test_fig3_convergence():
+    result = run_convergence()
     fed, cent = result["fed"], result["cent"]
 
     rows = [[r, fed[r], result["fed_train"][r], cent[r]] for r in range(len(fed))]

@@ -61,8 +61,8 @@ def run_family() -> list[dict]:
     return results
 
 
-def test_fig4_perplexity_gain(run_once):
-    results = run_once(run_family)
+def test_fig4_perplexity_gain():
+    results = run_family()
 
     paper_rows = [[name, f"{gain:.1f}%"] for name, gain in PAPER_GAINS.items()]
     print_table("Figure 4 (paper): federated gain by size",

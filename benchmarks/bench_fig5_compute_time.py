@@ -56,8 +56,8 @@ def run_sweep() -> dict[tuple[int, int], dict]:
     return results
 
 
-def test_fig5_compute_time_tradeoff(run_once):
-    results = run_once(run_sweep)
+def test_fig5_compute_time_tradeoff():
+    results = run_sweep()
 
     for label, target in (("high", TARGET_HIGH), ("low", TARGET_LOW)):
         rows = []

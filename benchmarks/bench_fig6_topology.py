@@ -34,8 +34,8 @@ def compute_shares(local_steps: int) -> dict[int, dict[str, tuple[float, float]]
     return out
 
 
-def test_fig6_topology_walltime(run_once):
-    shares = run_once(compute_shares, LOCAL_STEPS)
+def test_fig6_topology_walltime():
+    shares = compute_shares(LOCAL_STEPS)
 
     rows = []
     for clients, (p_rar, p_ar, p_ps) in PAPER_SHARES.items():

@@ -90,8 +90,8 @@ def run_heterogeneity() -> dict:
     return results
 
 
-def test_fig7_heterogeneity(run_once):
-    results = run_once(run_heterogeneity)
+def test_fig7_heterogeneity():
+    results = run_heterogeneity()
 
     rows = [[name] + [f"{p:.2f}" for p in curve[::3]]
             for name, curve in results.items()]

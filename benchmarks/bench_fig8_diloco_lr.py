@@ -46,8 +46,8 @@ def run_sweep() -> dict[str, list[float]]:
     return curves
 
 
-def test_fig8_diloco_lr_sweep(run_once):
-    curves = run_once(run_sweep)
+def test_fig8_diloco_lr_sweep():
+    curves = run_sweep()
 
     rows = [[name] + [f"{p:.2f}" for p in curve[::2]]
             for name, curve in curves.items()]

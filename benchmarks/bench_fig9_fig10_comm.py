@@ -33,8 +33,8 @@ def compute_both() -> dict[int, dict]:
     return {64: compute_shares(64), 128: compute_shares(128)}
 
 
-def test_fig9_fig10_comm_share(run_once):
-    measured = run_once(compute_both)
+def test_fig9_fig10_comm_share():
+    measured = compute_both()
 
     for tau, paper in ((64, PAPER_FIG9), (128, PAPER_FIG10)):
         rows = []

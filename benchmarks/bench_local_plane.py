@@ -17,11 +17,14 @@ other local planes attack that directly:
 
 This bench measures REAL wall time (no simulated clock) at
 ``bench_async_vs_sync`` scale, checks all three arms produce
-bit-identical final weights, and gates ``s_per_client`` — wall
-seconds per trained client cycle — per arm through
-``check_regression.py`` (threshold 1.0: the guarded failure mode is a
-plane silently degrading to sequential throughput, a step cliff, not
-a 20% drift; shared CI boxes are noisy and core counts vary).
+bit-identical final weights, and records ``s_per_client`` — wall
+seconds per trained client cycle — per arm.  The guarded failure mode
+is a plane silently degrading to sequential throughput, a step cliff,
+so the gates are the in-bench speedup floors (a ratio of arms in one
+process), not a comparison against a baseline.  At this micro shape
+the procpool arm's speedup on two cores is host noise (x0.76-1.65 over
+five runs); its case is the wide shapes where the stack rule does not
+stack (ROADMAP item 8).
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ def run_planes() -> dict[str, dict]:
     return results
 
 
-def test_local_plane(run_once):
-    results = run_once(run_planes)
+def test_local_plane():
+    results = run_planes()
 
     rows = [[name, r["workers"], r["elapsed_s"], r["s_per_client"],
              r["clients_per_sec"], f"{r['speedup']:.2f}x"]

@@ -12,13 +12,11 @@ update emits a flush span plus a meters sample.
 Both arms run the identical federation (same seed, same math — the
 histories are bit-identical by the tentpole guarantee); wall time is
 the min over ``REPS`` runs, construction excluded, trace export
-included (the recorder is not cheap if the flush isn't).  The in-bench
-gate asserts ``overhead_frac <= MAX_OVERHEAD``; CI additionally
-compares both wall metrics against the committed baseline via
-``check_regression.py`` with ``--threshold 1.0`` (2x headroom — the
-guarded failure mode is tracing becoming per-event quadratic or
-landing on the disabled path's hot loop, not a 20% drift on a noisy
-box).
+included (the recorder is not cheap if the flush isn't).  The gate is
+the in-bench assert ``overhead_frac <= MAX_OVERHEAD``: a ratio of two
+arms run alternately in one process, so host speed cancels out.  The
+absolute wall times are reported in the artifact but compared against
+no baseline (the perf ledger measures host speed).
 """
 
 from __future__ import annotations
@@ -105,8 +103,8 @@ def run_overhead() -> dict:
     }
 
 
-def test_obs_overhead(run_once):
-    r = run_once(run_overhead)
+def test_obs_overhead():
+    r = run_overhead()
     results = {"async-10k": r}
 
     print_table(

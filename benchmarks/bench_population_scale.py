@@ -10,18 +10,19 @@ so memory scales with *cohorts + active clients* instead of the
 population.
 
 This bench runs a 100k-client async federation end to end (construction
-included — that is where the eager plane dies) and gates two metrics
-through ``check_regression.py``:
+included — that is where the eager plane dies) and reports two metrics:
 
 * ``s_per_1k_cycles`` — wall seconds per 1000 dispatched client
   cycles, construction amortized in;
 * ``peak_rss_mb`` — process peak RSS (``ru_maxrss``), the
   O(cohorts + active clients) memory claim.
 
-Both gates use ``--threshold 1.0`` (2x headroom): shared CI boxes are
-noisy, and the failure mode being guarded is the plane silently
-falling back to O(population) work or memory — a 10x cliff, not a 20%
-drift.  Run directly (``python benchmarks/bench_population_scale.py``)
+The failure mode guarded is the plane silently falling back to
+O(population) work or memory — a 10x cliff, not a 20% drift — and the
+in-bench asserts catch it directly: peak RSS under 2 GiB, and only
+dispatched clients ever materialized.  Neither metric is compared
+against a baseline (the perf ledger's ``train_fleet`` workload
+measures control-plane speed).  Run directly (``python benchmarks/bench_population_scale.py``)
 for the ROADMAP demonstration: a 1M-client / 10k-server-update async
 run on a laptop.
 """
@@ -102,8 +103,8 @@ def run_scale(population: int = POPULATION, rounds: int = ROUNDS,
     }
 
 
-def test_population_scale(run_once):
-    results = {"vector-100k": run_once(run_scale)}
+def test_population_scale():
+    results = {"vector-100k": run_scale()}
     r = results["vector-100k"]
 
     print_table(

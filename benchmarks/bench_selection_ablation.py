@@ -98,8 +98,8 @@ def run_ablation() -> dict[str, dict]:
     return results
 
 
-def test_selection_ablation(run_once):
-    results = run_once(run_ablation)
+def test_selection_ablation():
+    results = run_ablation()
 
     rows = [[name, r["wall_s"], r["final_ppl"], r["dropped_steps"],
              r["salvaged_steps"]]

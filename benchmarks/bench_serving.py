@@ -10,10 +10,12 @@ across arms so the perf numbers are never measuring divergent work).
 Both arms replay the same seeded Zipf trace through the same cache
 configuration; only the number of concurrent streams differs (8 slots,
 each taking the next request the moment it frees, against one
-request at a time).  CI gates ``p99_ms``
-(lower is better, ``--threshold 1.0`` for 2x headroom on shared boxes)
-and ``tokens_per_s`` (``--higher-is-better``) against the committed
-baseline in ``benchmarks/baselines/serving.json``.
+request at a time).  ``p99_ms`` and ``tokens_per_s`` are host wall
+clock, so they are reported (``benchmarks/artifacts/serving.json``)
+but gated against no baseline: the perf ledger's ``serve_mixed``
+workload measures serving speed.  The bench fails on what does not
+depend on the host: output parity across arms, and batched throughput
+falling below one-at-a-time serving.
 """
 
 from __future__ import annotations
@@ -102,8 +104,8 @@ def run_serving() -> dict:
     return results
 
 
-def test_serving(run_once):
-    results = run_once(run_serving)
+def test_serving():
+    results = run_serving()
 
     print_table(
         f"Multi-tenant serving: {REQUESTS} requests, {USERS} Zipf users, "

@@ -34,8 +34,8 @@ def build_resource_table() -> list[list]:
     return rows
 
 
-def test_table1_resources(run_once):
-    rows = run_once(build_resource_table)
+def test_table1_resources():
+    rows = build_resource_table()
     print_table(
         "Table 1: regional resources and resolved local strategies",
         ["Size", "Region", "Clients x GPUs", "Strategy", "Workers"],

@@ -70,8 +70,8 @@ def compute_table2() -> list[dict]:
     return results
 
 
-def test_table2_system_metrics(run_once):
-    results = run_once(compute_table2)
+def test_table2_system_metrics():
+    results = compute_table2()
 
     rows = []
     for r in results:

@@ -74,8 +74,8 @@ def run_comparison() -> dict[int, dict]:
     return results
 
 
-def test_table3_photon_vs_diloco(run_once):
-    results = run_once(run_comparison)
+def test_table3_photon_vs_diloco():
+    results = run_comparison()
 
     rows = []
     for n in CLIENT_COUNTS:

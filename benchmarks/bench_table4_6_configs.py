@@ -37,8 +37,8 @@ def build_tables() -> dict:
     return {"table4": table4, "table5": table5, "table6": table6}
 
 
-def test_tables4_6_configs(run_once):
-    tables = run_once(build_tables)
+def test_tables4_6_configs():
+    tables = build_tables()
 
     print_table("Table 4: architectures",
                 ["Model", "Blocks", "d", "Heads", "Exp", "Vocab", "SeqLen",

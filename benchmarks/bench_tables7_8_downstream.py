@@ -96,8 +96,8 @@ def train_and_score() -> dict[str, dict[str, float]]:
     return scores
 
 
-def test_tables7_8_downstream(run_once):
-    scores = run_once(train_and_score)
+def test_tables7_8_downstream():
+    scores = train_and_score()
     task_names = [t for t in next(iter(scores.values())) if t != "val_ppl"]
 
     rows = [[name] + [scores[name][t] for t in task_names] + [scores[name]["val_ppl"]]

@@ -1,19 +1,29 @@
-"""Compare a benchmark JSON artifact against its committed baseline.
+"""Gate benchmark artifacts against their committed baselines.
 
-CI runs the ablation benchmarks on every PR, then gates on this
-script: a policy arm whose simulated wall time regressed more than
-``--threshold`` (default 15%) fails the job.  The simulated clock is
-deterministic given the seeds, so any drift is a real behavior change
-— either a bug, or an intentional change that should come with a
-refreshed baseline (regenerate the artifact and copy it over
-``benchmarks/baselines/``).
+``benchmarks/gates.json`` is the one list of gated benches: each row
+``{artifact, metric, better, threshold}`` says that every arm of
+``artifacts/<artifact>.json`` (written by ``bench_<artifact>.py``) may
+move ``metric`` at most ``threshold`` (relative) in the wrong
+direction against ``baselines/<artifact>.json``.  The gated metrics
+are deterministic given the seeds (simulated clocks, wire bytes,
+staleness), or only gate an order of magnitude, so any drift is a real
+behavior change — either a bug, or an intentional change that should
+come with refreshed baselines (attach the ``refresh-baselines`` label
+to the PR, or rerun the bench and copy its artifact over the
+baseline).
+
+The manifest and the baselines map one to one: a baseline without a
+row and a row without a baseline both fail, so neither can go stale
+unnoticed.  Host wall-clock speed is not gated here; the perf ledger
+(``benchmarks/ledger/``) measures it.
 
 Usage::
 
-    python benchmarks/check_regression.py ARTIFACT BASELINE \
-        [--threshold 0.15] [--metric wall_s]
+    PYTHONPATH=src python -m pytest -q -s benchmarks/bench_*.py
+    python benchmarks/check_regression.py [MANIFEST]
 
-Exit status 0 when every arm is within the threshold, 1 otherwise.
+Exit status 0 when every row is within its threshold, 1 on a
+regression or an unmatched row or baseline, 2 on a malformed manifest.
 """
 
 from __future__ import annotations
@@ -22,6 +32,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+MANIFEST = Path(__file__).parent / "gates.json"
+ROW_KEYS = {"artifact", "metric", "better", "threshold"}
 
 
 def compare(artifact: dict, baseline: dict, metric: str,
@@ -63,7 +76,7 @@ def compare(artifact: dict, baseline: dict, metric: str,
             continue
         old_v, new_v = base.get(metric), new.get(metric)
         if old_v is None or new_v is None:
-            # Name the side that dropped the metric — a typo'd --metric
+            # Name the side that dropped the metric — a typo'd gates.json metric
             # or a bench that stopped emitting a gated field should be
             # a one-glance diagnosis, not archaeology.
             side = ("baseline" if old_v is None else "artifact")
@@ -100,42 +113,69 @@ def compare(artifact: dict, baseline: dict, metric: str,
     return failures, lines
 
 
+def _load_rows(parser: argparse.ArgumentParser, manifest: Path) -> list[dict]:
+    """The manifest's rows; anything malformed is a usage error."""
+    if not manifest.is_file():
+        parser.error(f"{manifest} does not exist")
+    rows = json.loads(manifest.read_text())
+    if not isinstance(rows, list) or not rows:
+        parser.error(f"{manifest}: expected a non-empty list of rows")
+    for row in rows:
+        if not isinstance(row, dict) or set(row) != ROW_KEYS:
+            parser.error(f"{manifest}: row {row!r} must have exactly the "
+                         f"keys {sorted(ROW_KEYS)}")
+        label = f"{manifest.name} row {row['artifact']}/{row['metric']}"
+        if row["better"] not in ("lower", "higher"):
+            parser.error(f"{label}: better must be 'lower' or 'higher'")
+        threshold = row["threshold"]
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) \
+                or not threshold > 0:
+            parser.error(f"{label}: threshold must be a positive number, "
+                         f"got {threshold!r}")
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="fail on benchmark wall-time regressions vs a baseline")
-    parser.add_argument("artifact", type=Path,
-                        help="freshly generated benchmark JSON")
-    parser.add_argument("baseline", type=Path,
-                        help="committed baseline JSON to compare against")
-    parser.add_argument("--threshold", type=float, default=0.15,
-                        help="allowed relative regression (default 0.15)")
-    parser.add_argument("--metric", default="wall_s",
-                        help="per-arm metric to compare (default wall_s)")
-    parser.add_argument("--higher-is-better", action="store_true",
-                        help="gate on the metric dropping instead of "
-                             "rising (throughput-style metrics)")
+        description="gate benchmark artifacts against their baselines")
+    parser.add_argument("manifest", nargs="?", type=Path, default=MANIFEST,
+                        help="gate list (default: benchmarks/gates.json); "
+                             "artifacts/ and baselines/ sit beside it")
     args = parser.parse_args(argv)
-    if args.threshold <= 0:
-        parser.error("--threshold must be positive")
-    for path in (args.artifact, args.baseline):
-        if not path.is_file():
-            print(f"check_regression: {path} does not exist", file=sys.stderr)
-            return 1
-    artifact = json.loads(args.artifact.read_text())
-    baseline = json.loads(args.baseline.read_text())
+    rows = _load_rows(parser, args.manifest)
+    root = args.manifest.parent
+    gated = {row["artifact"] for row in rows}
+    baselined = {path.stem for path in (root / "baselines").glob("*.json")}
 
-    failures, lines = compare(artifact, baseline, args.metric, args.threshold,
-                              higher_is_better=args.higher_is_better)
-    direction = "min" if args.higher_is_better else "max"
-    print(f"== {args.artifact.name}: {args.metric} vs {args.baseline} "
-          f"(threshold {args.threshold:.0%}, {direction} gate) ==")
-    for line in lines:
-        print(line)
+    failures = [f"baselines/{name}.json has no row in {args.manifest.name} "
+                "— gate it or delete it" for name in sorted(baselined - gated)]
+    failures += [f"{args.manifest.name} row {name!r} has no "
+                 f"baselines/{name}.json — commit one (refresh-baselines)"
+                 for name in sorted(gated - baselined)]
+    for row in rows:
+        name, metric = row["artifact"], row["metric"]
+        if name not in baselined:
+            continue
+        artifact_path = root / "artifacts" / f"{name}.json"
+        if not artifact_path.is_file():
+            failures.append(f"{artifact_path} does not exist — run "
+                            f"bench_{name}.py first")
+            continue
+        higher = row["better"] == "higher"
+        row_failures, lines = compare(
+            json.loads(artifact_path.read_text()),
+            json.loads((root / "baselines" / f"{name}.json").read_text()),
+            metric, row["threshold"], higher_is_better=higher)
+        print(f"== {name}: {metric} (threshold {row['threshold']:.0%}, "
+              f"{'min' if higher else 'max'} gate) ==")
+        for line in lines:
+            print(line)
+        failures += [f"{name}: {failure}" for failure in row_failures]
     if failures:
-        for failure in failures:
+        for failure in dict.fromkeys(failures):  # two rows, one artifact
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print("OK: no regression beyond the threshold")
+    print(f"OK: {len(rows)} gates, no regression beyond a threshold")
     return 0
 
 

@@ -1,26 +1,6 @@
-"""Benchmark fixtures.
-
-Each benchmark runs its experiment exactly once (``pedantic`` with one
-round): the interesting output is the regenerated table/figure data,
-not the timing statistics, and the experiments are deterministic.
-"""
-
-from __future__ import annotations
+"""Put ``benchmarks/`` on ``sys.path`` so bench scripts import ``common``."""
 
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).parent))
-
-
-@pytest.fixture
-def run_once(benchmark):
-    """Run an experiment function once under pytest-benchmark."""
-
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1, warmup_rounds=0)
-
-    return runner

@@ -158,14 +158,18 @@ class IncrementalDecoder:
 
         The whole call is validated before any slot is written: a
         ``ValueError`` opening with ``labels[i]`` for a prompt that is
-        empty, not integer-typed, out of vocabulary or too long for
-        its slot leaves every slot as it was.
+        empty, not integer-typed, not one sequence (``ndim > 1``, a
+        ``(1, T)`` batch of one included), out of vocabulary or too
+        long for its slot leaves every slot as it was.
         """
         cfg = self.config
-        rows = [np.asarray(prompt).reshape(-1) for prompt in prompts]
+        rows = [np.asarray(prompt) for prompt in prompts]
         sizes = [row.size for row in rows]
         tokens = np.zeros((len(rows), max(sizes)), dtype=np.int64)
         for i, row in enumerate(rows):
+            if row.ndim > 1:
+                raise ValueError(f"{labels[i]}: token ids must be one "
+                                 f"sequence, got shape {row.shape}")
             if row.dtype.kind not in "iu":
                 raise ValueError(f"{labels[i]}: token ids must be integers, "
                                  f"got {row.dtype}")

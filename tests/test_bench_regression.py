@@ -79,48 +79,109 @@ class TestCompare:
         assert failures == ["baseline has no results"]
 
 
+def _row(threshold: float = 0.15, artifact: str = "arm_bench") -> dict:
+    return {"artifact": artifact, "metric": "wall_s", "better": "lower",
+            "threshold": threshold}
+
+
 class TestMain:
-    def _write(self, tmp_path: Path, name: str, payload: dict) -> Path:
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return path
+    def _gates(self, tmp_path: Path, rows: list[dict],
+               artifacts: dict[str, dict],
+               baselines: dict[str, dict]) -> Path:
+        """A manifest in ``tmp_path`` with ``artifacts/`` and
+        ``baselines/`` beside it, laid out like ``benchmarks/``."""
+        for sub, payloads in (("artifacts", artifacts),
+                              ("baselines", baselines)):
+            (tmp_path / sub).mkdir()
+            for name, payload in payloads.items():
+                (tmp_path / sub / f"{name}.json").write_text(
+                    json.dumps(payload))
+        manifest = tmp_path / "gates.json"
+        manifest.write_text(json.dumps(rows))
+        return manifest
+
+    def _one(self, tmp_path: Path, new: float, old: float,
+             threshold: float = 0.15) -> Path:
+        return self._gates(tmp_path, [_row(threshold)],
+                           {"arm_bench": _payload(new)},
+                           {"arm_bench": _payload(old)})
 
     def test_exit_zero_on_match(self, tmp_path, capsys):
-        art = self._write(tmp_path, "a.json", _payload(10.0))
-        base = self._write(tmp_path, "b.json", _payload(10.0))
-        assert check_regression.main([str(art), str(base)]) == 0
+        manifest = self._one(tmp_path, 10.0, 10.0)
+        assert check_regression.main([str(manifest)]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_exit_one_on_regression(self, tmp_path, capsys):
-        art = self._write(tmp_path, "a.json", _payload(13.0))
-        base = self._write(tmp_path, "b.json", _payload(10.0))
-        assert check_regression.main([str(art), str(base)]) == 1
+        manifest = self._one(tmp_path, 13.0, 10.0)
+        assert check_regression.main([str(manifest)]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_custom_threshold(self, tmp_path):
-        art = self._write(tmp_path, "a.json", _payload(13.0))
-        base = self._write(tmp_path, "b.json", _payload(10.0))
-        assert check_regression.main(
-            [str(art), str(base), "--threshold", "0.5"]) == 0
+        """A row's own threshold is the one applied: +30% passes a 0.5
+        row and fails the default 0.15 row."""
+        manifest = self._one(tmp_path, 13.0, 10.0, threshold=0.5)
+        assert check_regression.main([str(manifest)]) == 0
+
+    def test_every_row_is_checked(self, tmp_path, capsys):
+        """Two rows over one artifact: the second row's metric gates
+        even when the first passes."""
+        rows = [_row(), dict(_row(), metric="bytes")]
+        art = {"results": {"arm": {"wall_s": 10.0, "bytes": 20,
+                                   "server_updates": 5}}}
+        base = {"results": {"arm": {"wall_s": 10.0, "bytes": 10,
+                                    "server_updates": 5}}}
+        manifest = self._gates(tmp_path, rows, {"arm_bench": art},
+                               {"arm_bench": base})
+        assert check_regression.main([str(manifest)]) == 1
+        assert "bytes regressed" in capsys.readouterr().err
 
     def test_missing_file_fails(self, tmp_path, capsys):
-        base = self._write(tmp_path, "b.json", _payload(10.0))
-        assert check_regression.main(
-            [str(tmp_path / "nope.json"), str(base)]) == 1
+        manifest = self._gates(tmp_path, [_row()], {},
+                               {"arm_bench": _payload(10.0)})
+        assert check_regression.main([str(manifest)]) == 1
         assert "does not exist" in capsys.readouterr().err
 
+    def test_orphan_baseline_fails(self, tmp_path, capsys):
+        """A baseline no row names gates nothing: it must be gated or
+        deleted, not left to go stale."""
+        manifest = self._gates(
+            tmp_path, [_row()], {"arm_bench": _payload(10.0)},
+            {"arm_bench": _payload(10.0), "stale": _payload(1.0)})
+        assert check_regression.main([str(manifest)]) == 1
+        assert "baselines/stale.json has no row" in capsys.readouterr().err
+
+    def test_orphan_row_fails(self, tmp_path, capsys):
+        """A row without a baseline would pass by gating nothing."""
+        manifest = self._gates(
+            tmp_path, [_row(), _row(artifact="new_bench")],
+            {"arm_bench": _payload(10.0), "new_bench": _payload(1.0)},
+            {"arm_bench": _payload(10.0)})
+        assert check_regression.main([str(manifest)]) == 1
+        assert "'new_bench' has no baselines/new_bench.json" in \
+            capsys.readouterr().err
+
     def test_bad_threshold_is_usage_error(self, tmp_path):
-        art = self._write(tmp_path, "a.json", _payload(10.0))
-        with pytest.raises(SystemExit):
-            check_regression.main([str(art), str(art), "--threshold", "0"])
+        for i, threshold in enumerate([0, -0.1, float("nan"), "0.15"]):
+            (tmp_path / str(i)).mkdir()
+            manifest = self._one(tmp_path / str(i), 10.0, 10.0,
+                                 threshold=threshold)
+            with pytest.raises(SystemExit) as exc:
+                check_regression.main([str(manifest)])
+            assert exc.value.code == 2, threshold
 
     def test_committed_baselines_are_valid(self):
-        """The baselines CI compares against must stay parseable and
-        carry the compared metric."""
-        for name in ("selection_ablation.json", "fault_ablation.json"):
-            path = (Path(__file__).parent.parent / "benchmarks" /
-                    "baselines" / name)
-            payload = json.loads(path.read_text())
-            assert payload["results"], name
+        """The committed manifest and baselines map one to one, and
+        every baseline arm carries each metric its rows gate."""
+        root = Path(__file__).parent.parent / "benchmarks"
+        rows = json.loads((root / "gates.json").read_text())
+        baselines = {path.stem: path
+                     for path in (root / "baselines").glob("*.json")}
+        assert {row["artifact"] for row in rows} == set(baselines)
+        for row in rows:
+            assert (root / f"bench_{row['artifact']}.py").is_file(), row
+            assert row["better"] in ("lower", "higher") and \
+                row["threshold"] > 0, row
+            payload = json.loads(baselines[row["artifact"]].read_text())
+            assert payload["results"], row
             for arm in payload["results"].values():
-                assert "wall_s" in arm and "server_updates" in arm
+                assert row["metric"] in arm and "server_updates" in arm, row

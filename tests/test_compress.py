@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -175,9 +175,14 @@ def test_int8_stochastic_rounding_unbiased():
 @given(hnp.arrays(np.float32, st.integers(10, 400),
                   elements=st.floats(-5, 5, width=32)),
        st.floats(0.05, 0.9))
+# The spec rounds 0.30373833606504685 to 0.303738: k = round(32.4999...) = 32
+# for the codec, where the unrounded fraction gives round(32.5000...) = 33.
+@example(value=np.linspace(0.1, 5.0, 107).astype(np.float32),
+         fraction=0.30373833606504685)
 def test_topk_captures_max_energy(value, fraction):
     """The kept support carries at least as much L2 energy as any
     other k-subset — in particular at least k/n of the total."""
+    fraction = float(f"{fraction:g}")  # the fraction the codec spec carries
     back = make_codec(f"topk:{fraction:g}", seed=0).roundtrip(
         {"v": value}, "c", "a")["v"]
     k = max(1, int(round(fraction * value.size)))

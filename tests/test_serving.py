@@ -297,6 +297,8 @@ class TestTokenValidation:
         ([3, CFG.vocab_size], CFG.vocab_size),  # numpy's bare IndexError
         (np.array([1.0, 2.0]), 2.0),          # float ids
         (np.array([True, False]), True),      # bools are not ids
+        (np.array([[1, 2], [3, 4]]), np.array([[3]])),  # served as 4 ids before
+        (np.array([[1, 2]]), np.array([3])[None]),      # a batch of one too
     ]
 
     @pytest.mark.parametrize("prompt, token", BAD)
@@ -344,6 +346,8 @@ class TestTokenValidation:
             (ValueError, lambda: engine.decode({"a": 3, "b": -1})),
             (ValueError, lambda: engine.decode({"a": 3, "b": 2.5})),
             (ValueError, lambda: engine.prefill_batch({"a": [1, 2], "b": []})),
+            (ValueError, lambda: engine.prefill_batch(
+                {"a": [1, 2], "b": np.array([[3, 4]])})),
             (ValueError, lambda: engine.prefill_batch(
                 {"a": [1], "b": [1] * (room + 1)})),
             (KeyError, lambda: engine.decode({"a": 3, "ghost": 1})),
