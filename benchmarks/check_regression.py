@@ -1,10 +1,10 @@
 """Gate benchmark artifacts against their committed baselines.
 
 ``benchmarks/gates.json`` is the one list of gated benches: each row
-``{artifact, metric, better, threshold}`` says that every arm of
+``{artifact, metric, threshold}`` says that every arm of
 ``artifacts/<artifact>.json`` (written by ``bench_<artifact>.py``) may
-move ``metric`` at most ``threshold`` (relative) in the wrong
-direction against ``baselines/<artifact>.json``.  The gated metrics
+raise ``metric`` (lower is better) at most ``threshold`` (relative)
+against ``baselines/<artifact>.json``.  The gated metrics
 are deterministic given the seeds (simulated clocks, wire bytes,
 staleness), or only gate an order of magnitude, so any drift is a real
 behavior change — either a bug, or an intentional change that should
@@ -34,18 +34,13 @@ import sys
 from pathlib import Path
 
 MANIFEST = Path(__file__).parent / "gates.json"
-ROW_KEYS = {"artifact", "metric", "better", "threshold"}
+ROW_KEYS = {"artifact", "metric", "threshold"}
 
 
 def compare(artifact: dict, baseline: dict, metric: str,
-            threshold: float,
-            higher_is_better: bool = False) -> tuple[list[str], list[str]]:
-    """Return ``(failures, report_lines)`` for the two result sets.
-
-    With ``higher_is_better`` the gate flips: a *drop* beyond the
-    threshold fails (throughput metrics), a rise is the stale-baseline
-    note.
-    """
+            threshold: float) -> tuple[list[str], list[str]]:
+    """Return ``(failures, report_lines)`` for the two result sets; a
+    rise of ``metric`` beyond ``threshold`` fails."""
     failures: list[str] = []
     lines: list[str] = []
     base_results = baseline.get("results", {})
@@ -96,15 +91,14 @@ def compare(artifact: dict, baseline: dict, metric: str,
             )
             continue
         delta = (new_v - old_v) / old_v if old_v else 0.0
-        regression = -delta if higher_is_better else delta
         marker = ""
-        if regression > threshold:
+        if delta > threshold:
             marker = "  << REGRESSION"
             failures.append(
                 f"arm {name!r}: {metric} regressed {delta:+.1%} "
                 f"({old_v:.3g} -> {new_v:.3g}, threshold {threshold:.0%})"
             )
-        elif regression < -threshold:
+        elif delta < -threshold:
             # A big improvement is good news but stale-baseline news:
             # surface it without failing.
             marker = "  (improved - consider refreshing the baseline)"
@@ -117,16 +111,24 @@ def _load_rows(parser: argparse.ArgumentParser, manifest: Path) -> list[dict]:
     """The manifest's rows; anything malformed is a usage error."""
     if not manifest.is_file():
         parser.error(f"{manifest} does not exist")
-    rows = json.loads(manifest.read_text())
+    try:
+        rows = json.loads(manifest.read_text())
+    except json.JSONDecodeError as exc:
+        parser.error(f"{manifest}: not valid JSON ({exc})")
     if not isinstance(rows, list) or not rows:
         parser.error(f"{manifest}: expected a non-empty list of rows")
     for row in rows:
         if not isinstance(row, dict) or set(row) != ROW_KEYS:
             parser.error(f"{manifest}: row {row!r} must have exactly the "
                          f"keys {sorted(ROW_KEYS)}")
+        for key in ("artifact", "metric"):
+            # The artifact names files: a path would escape
+            # benchmarks/, a non-string would break the orphan check.
+            if not isinstance(row[key], str) or not row[key] \
+                    or "/" in row[key]:
+                parser.error(f"{manifest}: row {row!r}: {key} must be a "
+                             "non-empty name without a path separator")
         label = f"{manifest.name} row {row['artifact']}/{row['metric']}"
-        if row["better"] not in ("lower", "higher"):
-            parser.error(f"{label}: better must be 'lower' or 'higher'")
         threshold = row["threshold"]
         if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) \
                 or not threshold > 0:
@@ -161,13 +163,11 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(f"{artifact_path} does not exist — run "
                             f"bench_{name}.py first")
             continue
-        higher = row["better"] == "higher"
         row_failures, lines = compare(
             json.loads(artifact_path.read_text()),
             json.loads((root / "baselines" / f"{name}.json").read_text()),
-            metric, row["threshold"], higher_is_better=higher)
-        print(f"== {name}: {metric} (threshold {row['threshold']:.0%}, "
-              f"{'min' if higher else 'max'} gate) ==")
+            metric, row["threshold"])
+        print(f"== {name}: {metric} (threshold {row['threshold']:.0%}) ==")
         for line in lines:
             print(line)
         failures += [f"{name}: {failure}" for failure in row_failures]

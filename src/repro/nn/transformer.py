@@ -155,9 +155,15 @@ class DecoderLM(Module):
 
     def generate(self, prompt: np.ndarray, max_new_tokens: int,
                  temperature: float = 1.0, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Sample a continuation of ``prompt`` (1-D token array)."""
+        """Sample a continuation of ``prompt`` (1-D token array); a
+        ``ValueError`` for ``ndim > 1``, a ``(1, T)`` batch of one
+        included, as :meth:`InferenceEngine.generate` raises."""
         rng = rng or np.random.default_rng()
-        tokens = list(np.asarray(prompt).reshape(-1))
+        prompt = np.asarray(prompt)
+        if prompt.ndim > 1:
+            raise ValueError(f"prompt: token ids must be one sequence, "
+                             f"got shape {prompt.shape}")
+        tokens = list(prompt.reshape(-1))
         for _ in range(max_new_tokens):
             window = np.array(tokens[-self.config.seq_len:])[None, :]
             with no_grad():

@@ -80,8 +80,7 @@ class TestCompare:
 
 
 def _row(threshold: float = 0.15, artifact: str = "arm_bench") -> dict:
-    return {"artifact": artifact, "metric": "wall_s", "better": "lower",
-            "threshold": threshold}
+    return {"artifact": artifact, "metric": "wall_s", "threshold": threshold}
 
 
 class TestMain:
@@ -169,6 +168,20 @@ class TestMain:
                 check_regression.main([str(manifest)])
             assert exc.value.code == 2, threshold
 
+    def test_malformed_manifest_is_usage_error(self, tmp_path):
+        """Bad JSON, and an artifact or metric that is not a plain
+        name, stop the run before any file is read."""
+        texts = ["[{", json.dumps([_row(artifact=1)]),
+                 json.dumps([_row(artifact="../arm_bench")]),
+                 json.dumps([dict(_row(), metric="")])]
+        for i, text in enumerate(texts):
+            (tmp_path / str(i)).mkdir()
+            manifest = self._one(tmp_path / str(i), 10.0, 10.0)
+            manifest.write_text(text)
+            with pytest.raises(SystemExit) as exc:
+                check_regression.main([str(manifest)])
+            assert exc.value.code == 2, text
+
     def test_committed_baselines_are_valid(self):
         """The committed manifest and baselines map one to one, and
         every baseline arm carries each metric its rows gate."""
@@ -179,8 +192,7 @@ class TestMain:
         assert {row["artifact"] for row in rows} == set(baselines)
         for row in rows:
             assert (root / f"bench_{row['artifact']}.py").is_file(), row
-            assert row["better"] in ("lower", "higher") and \
-                row["threshold"] > 0, row
+            assert row["threshold"] > 0, row
             payload = json.loads(baselines[row["artifact"]].read_text())
             assert payload["results"], row
             for arm in payload["results"].values():

@@ -328,6 +328,15 @@ class TestTokenValidation:
             engine.decode_step(token)
         assert engine.position == 2
 
+    @pytest.mark.parametrize("prompt", [np.array([[1, 2], [3, 4]]),
+                                        np.array([[1, 2]])])
+    def test_generators_agree_on_2d_prompts(self, base_model, prompt):
+        """Neither generator serves a 2-D array as one flat prompt."""
+        for generator in (base_model, InferenceEngine(base_model)):
+            with pytest.raises(ValueError, match="one sequence"):
+                generator.generate(prompt, max_new_tokens=2,
+                                   temperature=0.0)
+
     def test_rejected_call_moves_no_stream(self, base_model, template):
         """Every way a call can be refused — bad ids, an empty prompt,
         a full context, an unknown request — leaves every open stream's
