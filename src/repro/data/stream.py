@@ -85,6 +85,13 @@ class CachedTokenStream(Durable):
     paper's DS-side pre-tokenization: pay tokenization once, stream
     cheaply afterwards.  Run state as :class:`TokenStream`'s (the cache
     is reproducible from the construction seed).
+
+    The cache is stored in the narrowest unsigned dtype that holds the
+    source's largest token — ``uint8`` up to a vocabulary of 256, so
+    64 KiB instead of 512 KiB for the default 65,536 tokens — sampled
+    straight into it, and :meth:`next_batch` widens each window to
+    ``int64``: the tokens, and every batch, are the ones an ``int64``
+    cache serves.
     """
 
     _STATE = (Field("rng", RNG, "_rng"), Field("tokens_served", INT))
@@ -97,14 +104,16 @@ class CachedTokenStream(Durable):
         self.batch_size = batch_size
         self.seq_len = seq_len
         self._rng = np.random.default_rng(seed)
-        self._cache = source.sample_tokens(cache_tokens, rng=np.random.default_rng(seed + 1))
+        self._cache = source.sample_tokens(
+            cache_tokens, rng=np.random.default_rng(seed + 1),
+            dtype=np.min_scalar_type(source.vocab - 1))
         self.tokens_served = 0
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
         max_start = self._cache.size - self.seq_len - 1
         starts = self._rng.integers(0, max_start, size=self.batch_size)
         offsets = np.arange(self.seq_len + 1)
-        windows = self._cache[starts[:, None] + offsets[None, :]]
+        windows = self._cache[starts[:, None] + offsets[None, :]].astype(np.int64)
         self.tokens_served += self.batch_size * self.seq_len
         return windows[:, :-1], windows[:, 1:]
 

@@ -156,9 +156,12 @@ class _WalkTable:
             tokens.append(state)
         return tokens
 
-    def walk(self, state: int, uniforms: np.ndarray) -> np.ndarray:
+    def walk(self, state: int, uniforms: np.ndarray,
+             dtype=np.int64) -> np.ndarray:
         """The tokens of the chain started in ``state`` and driven by
-        ``uniforms``: ``token[i] = next[g(uniforms[i]), token[i - 1]]``.
+        ``uniforms``: ``token[i] = next[g(uniforms[i]), token[i - 1]]``,
+        as a ``dtype`` array (allocated last, so a narrow result does
+        not free an ``int64`` copy on top of the heap).
 
         A long request is cut into lanes of ``_LANE_TOKENS`` that step
         in lockstep.  Lane ``k >= 1`` does not know its start, so it
@@ -175,7 +178,7 @@ class _WalkTable:
         n = uniforms.size
         if n < _MIN_LANE_REQUEST:
             bins = self.breaks.searchsorted(uniforms, "right")
-            return np.array(self._walk(state, bins), dtype=np.int64)
+            return np.array(self._walk(state, bins), dtype=dtype)
         bins = self._bins(uniforms)
         lane = _LANE_TOKENS
         lanes = n // lane
@@ -195,7 +198,7 @@ class _WalkTable:
             # clip never clips (every index is in the table) but lets
             # take write straight into the row.
             current = table.take(index, out=row, mode="clip")
-        tokens = np.empty(n, dtype=np.int64)
+        tokens = np.empty(n, dtype=dtype)
         tokens[:body].reshape(lanes, lane)[...] = speculative.T
         self.lanes_walked += lanes - 1
 
@@ -255,11 +258,13 @@ class MarkovSource:
         sibling._rng = np.random.default_rng(seed)
         return sibling
 
-    def sample_tokens(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
-        """Sample ``n`` tokens by walking the chain."""
+    def sample_tokens(self, n: int, rng: np.random.Generator | None = None,
+                      dtype=np.int64) -> np.ndarray:
+        """Sample ``n`` tokens by walking the chain (as ``dtype``; the
+        tokens are the same whatever holds them)."""
         rng = rng or self._rng
         state = int(rng.integers(self.specials, self.vocab))
-        return self._table.walk(state, rng.random(n))
+        return self._table.walk(state, rng.random(n), dtype)
 
     @property
     def walk_stats(self) -> dict[str, int]:
@@ -347,12 +352,13 @@ class RepetitionSource:
         self.name = f"{base.name}+rep{span}"
         self._rng = np.random.default_rng(seed)
 
-    def sample_tokens(self, n: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    def sample_tokens(self, n: int, rng: np.random.Generator | None = None,
+                      dtype=np.int64) -> np.ndarray:
         rng = rng or self._rng
         pieces: list[np.ndarray] = []
         total = 0
         while total < n:
-            segment = self.base.sample_tokens(self.span, rng=rng)
+            segment = self.base.sample_tokens(self.span, rng=rng, dtype=dtype)
             pieces.append(segment)
             total += segment.size
             if rng.random() < self.repeat_prob:

@@ -88,6 +88,7 @@ __all__ = [
     "run_local_steps",
     "stack_chunks",
     "stack_limit",
+    "stack_plan",
     "train_clients_batched",
     "widest_activation",
 ]
@@ -155,6 +156,17 @@ def stack_limit(client: LLMClient) -> int:
     """The most clients of ``client``'s group one fused step stacks:
     ``STACK_BUDGET // widest_activation``, at least one."""
     return max(1, STACK_BUDGET // widest_activation(client))
+
+
+def stack_plan(client: LLMClient, round_info: RoundInfo) -> tuple[object, int]:
+    """What chunking reads of one task: its :func:`batch_group_key`,
+    or ``None`` when the client stacks with nobody (it is not
+    :func:`batch_eligible`, or its step is too wide: a
+    :func:`stack_limit` of one), and that limit."""
+    limit = stack_limit(client)
+    if not batch_eligible(client) or limit == 1:
+        return None, limit
+    return batch_group_key(client, round_info), limit
 
 
 def stack_chunks(clients: list[LLMClient],

@@ -135,7 +135,10 @@ class LLMClient(Durable):
 
     @_retained_optimizer.setter
     def _retained_optimizer(self, optimizer: AdamW | None) -> None:
-        if optimizer is not None:
+        # A stateless client's optimizer is a workspace, not state; a
+        # stateful client loaded from a state without moments (it has
+        # not trained) holds none, whatever it held before.
+        if optimizer is not None or not self.stateless:
             self._optimizer = optimizer
 
     # ------------------------------------------------------------------

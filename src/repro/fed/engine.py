@@ -11,7 +11,9 @@ Mechanisms (``RoundEngine``):
   place clients train: decode the broadcast, run the configured local
   plane (``batched`` by default, ``sequential`` or ``procpool``, all
   bit-exact against each other), move the delta back over the Link
-  with error feedback;
+  with error feedback (the async engine's look-ahead trains a chunk
+  early through the same stacked step, :meth:`RoundEngine._train_chunk`,
+  and finishes it at arrival);
 * **one server-update path** — :meth:`RoundEngine._server_update`
   merges, steps ``ServerOpt``, saves the weights checkpoint, builds
   the one :class:`~repro.utils.metrics.RoundRecord` (Link byte window,
@@ -89,8 +91,8 @@ from ..utils.durable import (
     BOOL, COMPONENT, FLOAT, INT, MEMBER, MODEL_TREE, PAYLOAD, SAME,
     Durable, Either, Field, List, Map, Opt, Record, Row)
 from ..utils.metrics import History, RoundRecord, aggregate_metrics
-from ..utils.serialization import StateDict, tree_mean, tree_norm
-from .batched import stack_chunks, train_clients_batched
+from ..utils.serialization import StateDict, state_bytes, tree_mean, tree_norm
+from .batched import stack_plan, train_clients_batched
 from .checkpoint import CheckpointManager
 from .client import LLMClient
 from .faults import ClientFailure, DeadlinePolicy, DropLedger, FailureModel, FaultPolicy
@@ -210,6 +212,17 @@ class _Crash(NamedTuple):
     """An arrival that crashed: ``(client id, pulled version)``."""
 
     failure: tuple[str, int]
+
+
+class _Ahead(NamedTuple):
+    """A cycle the async look-ahead trained before it arrived: the
+    state ``LLMClient.local_update`` returned and left behind, cached
+    until the arrival consumes it (never run state)."""
+
+    message: Message  # the dispatch it trained: another one never reads it
+    update: ClientUpdate  # raw: post-processing and the uplink run at arrival
+    state: dict  # the client's state_dict() after training
+    raw_nbytes: int  # the decoded broadcast's size, metered at arrival
 
 
 _UPDATE = Record(ClientUpdate)
@@ -526,36 +539,43 @@ class RoundEngine(Durable):
         order (L.6–7).
 
         Every plane decodes each broadcast, trains, post-processes
-        each raw delta in the parent in task order
-        (:meth:`~repro.fed.client.LLMClient.finish`), then moves it over
-        the Link (:meth:`_finish_update`).  The Link's codec streams and
-        the EF residuals are per client channel, so the wire phase is
+        each raw delta in the parent in task order (L.27, with the
+        post-processor leased with the client, so finishing builds no
+        client again), then moves it over the Link
+        (:meth:`_finish_update`).  The Link's codec streams and the EF
+        residuals are per client channel, so the wire phase is
         byte-identical whether a wave trains client by client, stacked,
-        or across processes.  A batched wave with nothing to stack — a
-        wave of one (an async wave whose arrival times differ), or
-        steps too wide to stack — trains as the sequential plane does.
+        or across processes.  The batched plane leases a client once
+        and holds it only until its chunk trains
+        (:meth:`_train_states_batched`); a wave with nothing to stack —
+        a wave of one, or steps too wide to stack — trains as the
+        sequential plane does, counted on ``batched/unstacked_waves``.
         """
         if not tasks:
             return []
         with self.tracer.host_span("engine", f"wave[{self.local_plane}]",
                                    jobs=len(tasks)):
-            if self.local_plane == "sequential" or (
-                    self.local_plane == "batched" and len(tasks) == 1):
+            if self.local_plane == "sequential":
                 return [self._train_task(task) for task in tasks]
-            with ExitStack() as stack:
-                # Leased for the whole wave: LRU eviction must not park a
-                # lazily-materialized client mid-step.
-                clients = [stack.enter_context(self.clients.lease(client_id))
-                           for client_id, _, _ in tasks]
-                if self.local_plane == "procpool":
+            if self.local_plane == "procpool":
+                with ExitStack() as stack:
+                    # Leased for the whole wave: every job ships its
+                    # client's state and folds the result back in.
+                    clients = [stack.enter_context(self.clients.lease(client_id))
+                               for client_id, _, _ in tasks]
+                    posts = [client.post_process for client in clients]
                     raw = self._train_states_procpool(tasks, clients)
-                else:
-                    chunks = stack_chunks(clients, [info for _, _, info in tasks])
-                    if len(chunks) == len(tasks):
-                        return [self._train_task(task) for task in tasks]
-                    raw = self._train_states_batched(tasks, clients, chunks)
-                return [self._finish_update(client.client_id, client.finish(update))
-                        for client, update in zip(clients, raw)]
+            else:
+                trained = self._train_states_batched(tasks)
+                if trained is None:
+                    self.tracer.meters.counter("batched/unstacked_waves").inc()
+                    return [self._train_task(task) for task in tasks]
+                raw, posts = trained
+            updates = []
+            for (client_id, _, _), post, update in zip(tasks, posts, raw):
+                update.delta = post(update.delta)  # LLMClient.finish
+                updates.append(self._finish_update(client_id, update))
+            return updates
 
     def _train_task(self, task: tuple[str, Message, RoundInfo]) -> ClientUpdate:
         """One client's whole exchange, client by client.  The
@@ -592,30 +612,75 @@ class RoundEngine(Durable):
         update.delta = delta
         return update
 
-    def _train_states_batched(self, tasks, clients, chunks) -> list[ClientUpdate]:
-        """Raw updates of a wave, one fused stacked step per chunk of
-        :func:`~repro.fed.batched.stack_chunks`; a chunk of one (an
-        ineligible client, a group of one, or a step too wide to stack)
-        trains solo through ``local_update``, counted on
-        ``batched/solo_fallbacks`` beside ``batched/stacked_clients``."""
-        updates: list[ClientUpdate | None] = [None] * len(tasks)
-        for chunk in chunks:
-            for i, update in zip(chunk, self._train_chunk(tasks, clients, chunk)):
-                updates[i] = update
-        return updates
+    def _train_states_batched(self, tasks) -> tuple[list[ClientUpdate], list] | None:
+        """Raw updates of a wave and their clients' post-processors, in
+        the chunks of :func:`~repro.fed.batched.stack_chunks`, or
+        ``None`` when nothing in the wave stacks.
 
-    def _train_chunk(self, tasks, clients, chunk: list[int]) -> list[ClientUpdate]:
-        """Raw updates of one chunk.  Its broadcasts are decoded here,
-        just before it trains, and released when it returns: a wave
-        holds one chunk's decoded states at a time."""
-        states = [self.link.recv_state(tasks[i][1])[0] for i in chunk]
+        Chunks form as the wave is read: each client is leased once and
+        joins the open chunk of its group, and a chunk trains as soon as
+        it holds ``stack_limit`` clients (the rest when the wave ends),
+        then lets its clients go.  So a lazy pool holds one open chunk
+        per group while the wave trains, and builds every client of a
+        stacked chunk once however small ``max_live`` is.  A client alone
+        in its chunk (ineligible, a group of one, or a step too wide to
+        stack) trains solo after the stacked chunks."""
+        updates: list = [None] * len(tasks)
+        posts: list = [None] * len(tasks)
+
+        def train(chunk: list[tuple[int, LLMClient]]) -> None:
+            # Decoded just before the chunk trains: a wave holds one
+            # chunk's decoded states at a time.
+            states = [self.link.recv_state(tasks[i][1])[0] for i, _ in chunk]
+            raw = self._train_chunk([client for _, client in chunk], states,
+                                    [tasks[i][2] for i, _ in chunk])
+            for (i, client), update in zip(chunk, raw):
+                updates[i], posts[i] = update, client.post_process
+
+        groups: dict = {}  # group key -> (the open chunk's leases, the chunk)
+        solos: list[int] = []
+        with ExitStack() as wave:
+            for i, (client_id, _, round_info) in enumerate(tasks):
+                with ExitStack() as probe:
+                    client = probe.enter_context(self.clients.lease(client_id))
+                    key, limit = stack_plan(client, round_info)
+                    if key is None:
+                        solos.append(i)
+                        continue
+                    held, chunk = groups.setdefault(
+                        key, (wave.enter_context(ExitStack()), []))
+                    held.enter_context(probe.pop_all())
+                chunk.append((i, client))
+                if len(chunk) == limit:
+                    train(chunk)
+                    held.close()
+                    del groups[key]
+            for held, chunk in groups.values():
+                if len(chunk) > 1:
+                    train(chunk)
+                else:
+                    solos.append(chunk[0][0])
+                held.close()
+        if len(solos) == len(tasks):
+            return None
+        for i in solos:
+            with self.clients.lease(tasks[i][0]) as client:
+                train([(i, client)])
+        return updates, posts
+
+    def _train_chunk(self, clients: list[LLMClient], states: list[StateDict],
+                     round_infos: list[RoundInfo]) -> list[ClientUpdate]:
+        """Raw updates of one chunk from its decoded broadcasts: one
+        fused step, or — a chunk of one (an ineligible client, a group
+        of one, or a step too wide to stack) — solo through
+        ``local_update``, counted on ``batched/solo_fallbacks`` beside
+        ``batched/stacked_clients``."""
         meters = self.tracer.meters
-        if len(chunk) == 1:
+        if len(clients) == 1:
             meters.counter("batched/solo_fallbacks").inc()
-            return [clients[chunk[0]].local_update(states[0], tasks[chunk[0]][2])]
-        meters.counter("batched/stacked_clients").inc(len(chunk))
-        return train_clients_batched([clients[i] for i in chunk], states,
-                                     [tasks[i][2] for i in chunk])
+            return [clients[0].local_update(states[0], round_infos[0])]
+        meters.counter("batched/stacked_clients").inc(len(clients))
+        return train_clients_batched(clients, states, round_infos)
 
     def _train_states_procpool(self, tasks, clients) -> list[ClientUpdate]:
         """Raw updates of a wave, fanned out across the persistent fork
@@ -989,6 +1054,21 @@ class AsyncAggregator(RoundEngine):
     takes one simulated time unit, so completions tie — the buffer is
     still honored (arrivals are drained one at a time, flushing
     whenever it fills), the staleness pattern just becomes periodic.
+
+    Look-ahead (the batched plane): a cycle's *raw* update depends only
+    on its broadcast and its client's state, both fixed at dispatch, so
+    an arrival whose update is not cached trains stacked with the
+    earliest in-flight cycles of its group (:meth:`_look_ahead`) — with
+    heterogeneous clocks a wave is one arrival, and there would be
+    nothing to stack.  Each client is put back to the state it had
+    before, so run state, token counts and eviction see nothing until
+    the cycle arrives.  Everything order-sensitive runs at arrival, as
+    on the sequential plane: the timeout route, the crash draw, the
+    client's trained state, post-processing, the uplink codec and EF,
+    the Link meters and the scheduler's feedback.  A cycle the deadline
+    cancels never trains ahead, and one that crashes drops its entry.
+    The cache is not run state: a resumed run trains the same update
+    again.
     """
 
     mode = "async"
@@ -1065,6 +1145,15 @@ class AsyncAggregator(RoundEngine):
         self._local_steps: int | None = None
         self._last_flush_clock = 0.0
         self._started = False
+        # Raw updates trained ahead of their arrival, by client id (a
+        # client has one cycle in flight at a time).
+        self._ahead: dict[str, _Ahead] = {}
+
+    def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
+        # The restored cycles are other dispatches; they train again.
+        for client_id in list(self._ahead):
+            self._discard(client_id)
 
     # ------------------------------------------------------------------
     # Dispatch / completion machinery
@@ -1240,6 +1329,133 @@ class AsyncAggregator(RoundEngine):
             np.concatenate([first, in_id_order[rest[in_id_order]]]))
         self._refill(min(self.concurrency, len(self._idle)))
         self._started = True
+
+    # ------------------------------------------------------------------
+    def _round_info(self, entry: _InFlight) -> RoundInfo:
+        """The round a dispatched cycle trains: its pulled version and
+        the steps it actually trains, with the LR schedule synchronized
+        on the *nominal* step count even when adaptive steps shrink a
+        slow client's τ."""
+        return RoundInfo(round_idx=entry.version, local_steps=entry.steps,
+                         global_step_base=entry.version * self._local_steps)
+
+    # ------------------------------------------------------------------
+    # Look-ahead: raw updates trained stacked before they arrive
+    # ------------------------------------------------------------------
+    def _train_wave(self, tasks: list[tuple[str, Message, RoundInfo]]
+                    ) -> list[ClientUpdate]:
+        """The arrivals of one instant, in arrival order.  On the
+        batched plane, each arrival whose dispatch has no cached update
+        trains ahead with the cycles of its group that are due next
+        (:meth:`_look_ahead`), then every arrival takes its update from
+        the cache (:meth:`_arrive`).  An arrival nothing stacks with
+        trains as the sequential plane does (counted on
+        ``batched/unstacked_waves``).  The sequential and procpool
+        planes train the wave as the base engine does."""
+        if self.local_plane != "batched" or not tasks:
+            return super()._train_wave(tasks)
+        with self.tracer.host_span("engine", "wave[batched]", jobs=len(tasks)):
+            pending = [task for task in tasks if not self._trained_ahead(task)]
+            alone = set()
+            while pending:
+                trained = self._look_ahead(pending[0], pending[1:])
+                if not trained:
+                    alone.add(pending[0][0])
+                pending = [t for t in pending[1:] if t[0] not in trained]
+            if alone:
+                self.tracer.meters.counter("batched/unstacked_waves").inc()
+            return [self._train_task(task) if task[0] in alone
+                    else self._arrive(task) for task in tasks]
+
+    def _trained_ahead(self, task: tuple[str, Message, RoundInfo]) -> bool:
+        """Whether the task's dispatch has a cached update.  The cache
+        is keyed by dispatch: an entry another dispatch of the client
+        left is discarded, never read."""
+        client_id, message, _ = task
+        ahead = self._ahead.get(client_id)
+        if ahead is not None and ahead.message is not message:
+            self._discard(client_id)
+            return False
+        return ahead is not None
+
+    def _look_ahead(self, head: tuple[str, Message, RoundInfo],
+                    arrivals: list[tuple[str, Message, RoundInfo]]) -> set[str]:
+        """Train ``head``, an arrival with no cached update, stacked
+        with the cycles of its group (:func:`batch_group_key`) that are
+        due first: the other ``arrivals`` of this instant, then the
+        cycles in flight in event order.  A chunk holds at most
+        ``min(stack_limit, max_live)`` clients, leased together, so the
+        pool's cap holds while it trains.  Returns the ids trained and
+        cached (:meth:`_train_ahead`); none when nothing stacks with
+        ``head``."""
+        with ExitStack() as stack:
+            client = stack.enter_context(self.clients.lease(head[0]))
+            key, limit = stack_plan(client, head[2])
+            limit = min(limit, self.clients.max_live)
+            chunk = [(head, client)]
+            for task in (self._due(arrivals) if key is not None else ()):
+                if len(chunk) >= limit:
+                    break
+                if task[2].local_steps != head[2].local_steps:
+                    continue  # part of the key, read without a build
+                with ExitStack() as probe:
+                    other = probe.enter_context(self.clients.lease(task[0]))
+                    if stack_plan(other, task[2])[0] == key:
+                        stack.enter_context(probe.pop_all())
+                        chunk.append((task, other))
+            if len(chunk) == 1:
+                return set()
+            self._train_ahead(chunk)
+        return {task[0] for task, _ in chunk}
+
+    def _due(self, arrivals: list[tuple[str, Message, RoundInfo]]):
+        """Tasks in the order they fall due: ``arrivals``, then each
+        in-flight cycle with no cached update by completion event (a
+        cycle cancelled at the deadline never trains)."""
+        yield from arrivals
+        for _, _, client_id in sorted(self._events):
+            entry = self._inflight[client_id]
+            if not entry.timed_out and client_id not in self._ahead:
+                yield client_id, entry.message, self._round_info(entry)
+
+    def _train_ahead(self, chunk: list[tuple[tuple[str, Message, RoundInfo],
+                                             LLMClient]]) -> None:
+        """Train a chunk of leased clients in one fused step and cache
+        each raw update with the client's state after training, then
+        put every client back to the state it had before.  Broadcasts
+        are decoded here but metered at arrival (:meth:`Link.account`),
+        so the bytes stay in the arrival's flush window."""
+        tasks = [task for task, _ in chunk]
+        clients = [client for _, client in chunk]
+        before = [client.state_dict() for client in clients]
+        states = [self.link.decode(message.sender, message.payload)
+                  for _, message, _ in tasks]
+        raw = self._train_chunk(clients, states, [info for _, _, info in tasks])
+        self.tracer.meters.counter("lookahead/trained").inc(len(tasks))
+        for (client_id, message, _), client, update, state, snapshot in zip(
+                tasks, clients, raw, states, before):
+            self._ahead[client_id] = _Ahead(message, update, client.state_dict(),
+                                            state_bytes(state))
+            client.load_state_dict(snapshot)
+
+    def _arrive(self, task: tuple[str, Message, RoundInfo]) -> ClientUpdate:
+        """An arrival trained ahead: meter its broadcast, give the
+        client the state training left it in, then post-process and
+        upload, exactly where :meth:`_train_task` would have."""
+        client_id, message, _ = task
+        ahead = self._ahead.pop(client_id)
+        self.link.account(message, ahead.raw_nbytes)
+        with self.clients.lease(client_id) as client:
+            client.load_state_dict(ahead.state)
+            update = client.finish(ahead.update)
+        return self._finish_update(client_id, update)
+
+    def _discard(self, client_id: str) -> None:
+        """Drop a client's cached update (its cycle crashed, or a
+        restore or a new dispatch replaced it), counted on
+        ``lookahead/discarded``."""
+        if self._ahead.pop(client_id, None) is not None:
+            self.tracer.meters.counter("lookahead/discarded").inc()
 
     # ------------------------------------------------------------------
     def _pop_batch(self) -> list[str]:
@@ -1501,6 +1717,7 @@ class AsyncAggregator(RoundEngine):
             retried = set()
             for client_id in doomed:
                 entry = self._inflight.pop(client_id)
+                self._discard(client_id)
                 self.observer.cycle_ended(client_id, entry, "crash", self.clock_s)
                 if self._retry_crash(client_id):
                     retried.add(client_id)
@@ -1526,14 +1743,7 @@ class AsyncAggregator(RoundEngine):
                     )
                 elif entry.late:
                     self.drop_ledger.record_late()
-                tasks.append((client_id, entry.message, RoundInfo(
-                    round_idx=entry.version,
-                    local_steps=entry.steps,
-                    # The LR schedule stays synchronized on the
-                    # *nominal* step count even when adaptive steps
-                    # shrink a slow client's τ.
-                    global_step_base=entry.version * self._local_steps,
-                )))
+                tasks.append((client_id, entry.message, self._round_info(entry)))
                 self._failure_streak.pop(client_id, None)  # a delivery clears the streak
             outcomes = {
                 **{cid: _Crash((f.client_id, f.round_idx))

@@ -154,10 +154,8 @@ class Link(Durable):
 
     def recv_blob(self, message: Message,
                   raw_nbytes: int | None = None) -> tuple[bytes, dict]:
-        raw = (message.nbytes if raw_nbytes is None else raw_nbytes)
-        with self._lock:
-            self.bytes_received += message.nbytes + self.METADATA_OVERHEAD
-            self.raw_bytes_received += raw + self.METADATA_OVERHEAD
+        self.account(message,
+                     message.nbytes if raw_nbytes is None else raw_nbytes)
         return message.payload, message.metadata
 
     def decode(self, sender: str, payload: bytes) -> StateDict:
@@ -165,11 +163,19 @@ class Link(Durable):
         codec = self._codec_for(sender)
         return decode_state(payload) if codec is None else codec.decode(payload)
 
-    def recv_state(self, message: Message) -> tuple[StateDict, dict]:
-        state = self.decode(message.sender, message.payload)
+    def account(self, message: Message, raw_nbytes: int) -> None:
+        """Meter one received message that carried ``raw_nbytes``
+        uncompressed.  Receiving is :meth:`decode` then this; a receiver
+        that decodes a message before it is due (the async engine's
+        look-ahead) accounts it when it arrives, so the bytes land in
+        the arrival's window."""
         with self._lock:
             self.bytes_received += message.nbytes + self.METADATA_OVERHEAD
-            self.raw_bytes_received += state_bytes(state) + self.METADATA_OVERHEAD
+            self.raw_bytes_received += raw_nbytes + self.METADATA_OVERHEAD
+
+    def recv_state(self, message: Message) -> tuple[StateDict, dict]:
+        state = self.decode(message.sender, message.payload)
+        self.account(message, state_bytes(state))
         return state, message.metadata
 
     COUNTER_FIELDS = (

@@ -180,8 +180,9 @@ class LazyClientPool(Mapping, Durable):
     ``factory``) or *parked* as the plain state dict that
     ``RunState`` would persist anyway.  Training code holds a client
     through :meth:`lease`, which pins it against eviction for the
-    duration (a batched wave leases every client it stacks; the lock
-    keeps the registry consistent for callers on several threads).
+    duration (a batched wave leases the clients of one stacked chunk at
+    a time; the lock keeps the registry consistent for callers on
+    several threads).
 
     Eviction order is least-recently-used, and eviction is bit-exact:
     a client's durable state is exactly its ``state_dict()`` (the
@@ -304,10 +305,13 @@ class LazyClientPool(Mapping, Durable):
     @contextmanager
     def lease(self, client_id: str):
         """Materialize and pin a client for the duration of the block
-        (re-entrant: nested leases stack)."""
+        (re-entrant: nested leases stack).  Acquiring evicts as
+        releasing does, so while leases are held the pool keeps at most
+        ``max(max_live, leased clients)`` alive."""
         with self._lock:
             client = self._materialize_locked(client_id)
             self._leases[client_id] = self._leases.get(client_id, 0) + 1
+            self._evict_locked()
         try:
             yield client
         finally:

@@ -328,11 +328,13 @@ def _sha256(tokens: np.ndarray) -> str:
 @pytest.mark.parametrize("cell", sorted(_TOKEN_DIGESTS))
 def test_token_data_is_pinned(cell):
     """The token data itself, not only the perplexities three layers
-    downstream of it."""
+    downstream of it.  The cache is stored narrow (one byte a token at
+    vocab 32 and 64) and hashed as the int64 tokens it holds."""
     source, seed = _digest_cells()[cell]
     stream = CachedTokenStream(source, batch_size=4, seq_len=16, seed=seed)
     cache, batch = _TOKEN_DIGESTS[cell]
-    assert _sha256(stream._cache) == cache
+    assert stream._cache.itemsize == 1
+    assert _sha256(stream._cache.astype(np.int64)) == cache
     assert _sha256(np.stack(stream.next_batch())) == batch
 
 
