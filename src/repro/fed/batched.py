@@ -57,10 +57,11 @@ the cache the per-op python overhead it amortizes is a sliver of the
 arithmetic: on one core, shapes whose widest activation is 8–16k
 float32 elements per client train ×1.2–1.6 faster stacked, 32–64k ones
 read ×0.8–1.3 from run to run at K = 4, and wider ones lose.  So
-:func:`stack_chunks` cuts every group into chunks of at most
+the engine's batched wave cuts every group into chunks of at most
 :func:`stack_limit` clients — ``STACK_BUDGET`` over the widest
-activation of one client's step — and a chunk of one trains solo (a
-wave with nothing to stack takes the sequential plane's path).
+activation of one client's step — reading each task's
+:func:`stack_plan` once, and a chunk of one trains solo
+(:meth:`~repro.fed.engine.RoundEngine._train_states_batched`).
 Chunking stacks fewer clients at a time and changes no result.
 """
 
@@ -86,7 +87,6 @@ __all__ = [
     "batch_group_key",
     "local_step",
     "run_local_steps",
-    "stack_chunks",
     "stack_limit",
     "stack_plan",
     "train_clients_batched",
@@ -167,23 +167,6 @@ def stack_plan(client: LLMClient, round_info: RoundInfo) -> tuple[object, int]:
     if not batch_eligible(client) or limit == 1:
         return None, limit
     return batch_group_key(client, round_info), limit
-
-
-def stack_chunks(clients: list[LLMClient],
-                 round_infos: list[RoundInfo]) -> list[list[int]]:
-    """The fused steps of a wave, as lists of client indices: eligible
-    clients grouped by :func:`batch_group_key` in first-seen order,
-    each group cut into chunks of at most :func:`stack_limit`, and
-    every ineligible client a chunk of one."""
-    groups: dict = {}
-    for i, (client, info) in enumerate(zip(clients, round_infos)):
-        key = batch_group_key(client, info) if batch_eligible(client) else i
-        groups.setdefault(key, []).append(i)
-    chunks = []
-    for idxs in groups.values():
-        limit = stack_limit(clients[idxs[0]])
-        chunks += [idxs[s:s + limit] for s in range(0, len(idxs), limit)]
-    return chunks
 
 
 def local_step(model: DecoderLM, optimizer: AdamW, x: np.ndarray,
@@ -284,9 +267,8 @@ def train_clients_batched(clients: list[LLMClient],
     AdamW moments are updated identically, and the returned raw deltas
     are bit-exact against client-by-client training.  Post-processing
     is the caller's (:meth:`LLMClient.finish`, in task order).
-    Callers pass one chunk of :func:`stack_chunks`; per-client global
-    states may differ (async waves stack clients that pulled different
-    versions).
+    Callers pass one chunk of a wave; per-client global states may
+    differ (async waves stack clients that pulled different versions).
     """
     k = len(clients)
     if not (k == len(global_states) == len(round_infos)):

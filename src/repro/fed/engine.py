@@ -11,9 +11,11 @@ Mechanisms (``RoundEngine``):
   place clients train: decode the broadcast, run the configured local
   plane (``batched`` by default, ``sequential`` or ``procpool``, all
   bit-exact against each other), move the delta back over the Link
-  with error feedback (the async engine's look-ahead trains a chunk
-  early through the same stacked step, :meth:`RoundEngine._train_chunk`,
-  and finishes it at arrival);
+  with error feedback.  On the batched plane one single-pass loop
+  forms the stacked chunks of both engines
+  (:meth:`RoundEngine._train_states_batched`), leasing each client
+  once; the async engine's in-flight cycles join it, trained ahead
+  and cached until they arrive;
 * **one server-update path** — :meth:`RoundEngine._server_update`
   merges, steps ``ServerOpt``, saves the weights checkpoint, builds
   the one :class:`~repro.utils.metrics.RoundRecord` (Link byte window,
@@ -75,6 +77,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from contextlib import ExitStack
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -215,9 +218,10 @@ class _Crash(NamedTuple):
 
 
 class _Ahead(NamedTuple):
-    """A cycle the async look-ahead trained before it arrived: the
-    state ``LLMClient.local_update`` returned and left behind, cached
-    until the arrival consumes it (never run state)."""
+    """An in-flight cycle a batched wave trained before it arrived
+    (:meth:`RoundEngine._train_chunk`): the raw update
+    ``LLMClient.local_update`` returned and the state it left behind,
+    cached until the arrival takes them (never run state)."""
 
     message: Message  # the dispatch it trained: another one never reads it
     update: ClientUpdate  # raw: post-processing and the uplink run at arrival
@@ -468,6 +472,9 @@ class RoundEngine(Durable):
         # server-update path and the observer read both.
         self.drop_ledger: DropLedger | None = None
         self.clock_s = 0.0
+        # Raw updates trained ahead of their arrival, by client id (a
+        # client has one cycle in flight at a time); never run state.
+        self._ahead: dict[str, _Ahead] = {}
 
         # Algorithm 1 L.2: initialize fresh, or warm-start from a
         # provided state (continual pre-training, Section 6).
@@ -545,11 +552,9 @@ class RoundEngine(Durable):
         (:meth:`_finish_update`).  The Link's codec streams and the EF
         residuals are per client channel, so the wire phase is
         byte-identical whether a wave trains client by client, stacked,
-        or across processes.  The batched plane leases a client once
-        and holds it only until its chunk trains
-        (:meth:`_train_states_batched`); a wave with nothing to stack —
-        a wave of one, or steps too wide to stack — trains as the
-        sequential plane does, counted on ``batched/unstacked_waves``.
+        or across processes.  The batched plane forms its chunks in one
+        pass that leases each client once, and the async engine's
+        in-flight cycles join that pass (:meth:`_train_states_batched`).
         """
         if not tasks:
             return []
@@ -566,11 +571,7 @@ class RoundEngine(Durable):
                     posts = [client.post_process for client in clients]
                     raw = self._train_states_procpool(tasks, clients)
             else:
-                trained = self._train_states_batched(tasks)
-                if trained is None:
-                    self.tracer.meters.counter("batched/unstacked_waves").inc()
-                    return [self._train_task(task) for task in tasks]
-                raw, posts = trained
+                raw, posts = self._train_states_batched(tasks)
             updates = []
             for (client_id, _, _), post, update in zip(tasks, posts, raw):
                 update.delta = post(update.delta)  # LLMClient.finish
@@ -578,9 +579,10 @@ class RoundEngine(Durable):
             return updates
 
     def _train_task(self, task: tuple[str, Message, RoundInfo]) -> ClientUpdate:
-        """One client's whole exchange, client by client.  The
-        broadcast is decoded here, not up front: one decoded state is
-        alive at a time, however large the wave."""
+        """One client's whole exchange, client by client (the
+        sequential plane, the reference).  The broadcast is decoded
+        here, not up front: one decoded state is alive at a time,
+        however large the wave."""
         client_id, message, round_info = task
         state, _ = self.link.recv_state(message)
         # Leased so LRU eviction cannot park a lazily-materialized
@@ -612,75 +614,151 @@ class RoundEngine(Durable):
         update.delta = delta
         return update
 
-    def _train_states_batched(self, tasks) -> tuple[list[ClientUpdate], list] | None:
+    def _train_states_batched(self, tasks) -> tuple[list[ClientUpdate], list]:
         """Raw updates of a wave and their clients' post-processors, in
-        the chunks of :func:`~repro.fed.batched.stack_chunks`, or
-        ``None`` when nothing in the wave stacks.
+        task order, from chunks formed in one pass over the wave's
+        tasks and then the cycles :meth:`_due` next (none at a barrier).
 
-        Chunks form as the wave is read: each client is leased once and
-        joins the open chunk of its group, and a chunk trains as soon as
-        it holds ``stack_limit`` clients (the rest when the wave ends),
-        then lets its clients go.  So a lazy pool holds one open chunk
-        per group while the wave trains, and builds every client of a
-        stacked chunk once however small ``max_live`` is.  A client alone
-        in its chunk (ineligible, a group of one, or a step too wide to
-        stack) trains solo after the stacked chunks."""
-        updates: list = [None] * len(tasks)
-        posts: list = [None] * len(tasks)
-
-        def train(chunk: list[tuple[int, LLMClient]]) -> None:
-            # Decoded just before the chunk trains: a wave holds one
-            # chunk's decoded states at a time.
-            states = [self.link.recv_state(tasks[i][1])[0] for i, _ in chunk]
-            raw = self._train_chunk([client for _, client in chunk], states,
-                                    [tasks[i][2] for i, _ in chunk])
-            for (i, client), update in zip(chunk, raw):
-                updates[i], posts[i] = update, client.post_process
-
+        The pass leases each client once.  A task whose dispatch was
+        trained ahead takes the cached update (:meth:`_arrive`); one
+        that stacks with nobody (:func:`~repro.fed.batched.stack_plan`
+        key ``None``) trains solo under that lease; every other joins
+        the open chunk of its group, and a chunk trains as soon as it
+        holds ``stack_limit`` clients (the rest when the pass ends),
+        then lets its clients go.  A due cycle only joins a group that
+        is already open, and only while the wave holds fewer than
+        ``max_live`` leases; one whose local steps match no open group
+        is passed over without a build.  So a lazy pool holds one open
+        chunk per group, and builds no client of a barrier wave more
+        often than the sequential plane does.  A wave in which nothing
+        stacked is counted on ``batched/unstacked_waves``."""
+        n = len(tasks)
+        updates: list = [None] * n
+        posts: list = [None] * n
+        stacked = False
         groups: dict = {}  # group key -> (the open chunk's leases, the chunk)
-        solos: list[int] = []
+
+        def train(chunk: list) -> None:
+            nonlocal stacked
+            stacked |= len(chunk) > 1
+            for (_, client, slot), update in zip(chunk, self._train_chunk(chunk)):
+                if slot is not None:
+                    updates[slot], posts[slot] = update, client.post_process
+
         with ExitStack() as wave:
-            for i, (client_id, _, round_info) in enumerate(tasks):
+            for i, task in enumerate(chain(tasks, self._due())):
+                slot = i if i < n else None
+                if slot is None:  # a cycle still in flight
+                    chunks = [chunk for _, chunk in groups.values()]
+                    if not chunks or sum(map(len, chunks)) >= self.clients.max_live:
+                        break
+                    if all(task[2].local_steps != chunk[0][0][2].local_steps
+                           for chunk in chunks):
+                        continue  # part of the key, read without a build
+                elif self._trained_ahead(task):
+                    updates[i], posts[i] = self._arrive(task)
+                    stacked = True
+                    continue
                 with ExitStack() as probe:
-                    client = probe.enter_context(self.clients.lease(client_id))
-                    key, limit = stack_plan(client, round_info)
-                    if key is None:
-                        solos.append(i)
+                    client = probe.enter_context(self.clients.lease(task[0]))
+                    key, limit = stack_plan(client, task[2])
+                    if key is None or (slot is None and key not in groups):
+                        if slot is not None:
+                            train([(task, client, slot)])
                         continue
-                    held, chunk = groups.setdefault(
-                        key, (wave.enter_context(ExitStack()), []))
+                    if key not in groups:
+                        groups[key] = (wave.enter_context(ExitStack()), [])
+                    held, chunk = groups[key]
                     held.enter_context(probe.pop_all())
-                chunk.append((i, client))
+                chunk.append((task, client, slot))
                 if len(chunk) == limit:
                     train(chunk)
                     held.close()
                     del groups[key]
             for held, chunk in groups.values():
-                if len(chunk) > 1:
-                    train(chunk)
-                else:
-                    solos.append(chunk[0][0])
+                train(chunk)
                 held.close()
-        if len(solos) == len(tasks):
-            return None
-        for i in solos:
-            with self.clients.lease(tasks[i][0]) as client:
-                train([(i, client)])
+        if not stacked:
+            self.tracer.meters.counter("batched/unstacked_waves").inc()
         return updates, posts
 
-    def _train_chunk(self, clients: list[LLMClient], states: list[StateDict],
-                     round_infos: list[RoundInfo]) -> list[ClientUpdate]:
-        """Raw updates of one chunk from its decoded broadcasts: one
-        fused step, or — a chunk of one (an ineligible client, a group
-        of one, or a step too wide to stack) — solo through
-        ``local_update``, counted on ``batched/solo_fallbacks`` beside
-        ``batched/stacked_clients``."""
+    def _train_chunk(self, chunk: list) -> list[ClientUpdate]:
+        """Raw updates of one chunk of leased ``(task, client, slot)``
+        entries, from broadcasts decoded here, just before it trains (a
+        wave holds one chunk's decoded states): one fused step or — a
+        chunk of one — solo through ``local_update``, counted on
+        ``batched/solo_fallbacks`` beside ``batched/stacked_clients``.
+
+        An entry without a slot is an in-flight cycle trained before
+        it arrives (``lookahead/trained``): its broadcast is decoded
+        unmetered (:meth:`Link.account` meters it at arrival, in the
+        arrival's flush window), its raw update is cached with the
+        client's state after training, and the client is put back to
+        the state it had before."""
         meters = self.tracer.meters
-        if len(clients) == 1:
+        clients = [client for _, client, _ in chunk]
+        before = [client.state_dict() if slot is None else None
+                  for _, client, slot in chunk]
+        states = [self.link.decode(message.sender, message.payload)
+                  if slot is None else self.link.recv_state(message)[0]
+                  for (_, message, _), _, slot in chunk]
+        infos = [info for (_, _, info), _, _ in chunk]
+        if len(chunk) == 1:
             meters.counter("batched/solo_fallbacks").inc()
-            return [clients[0].local_update(states[0], round_infos[0])]
-        meters.counter("batched/stacked_clients").inc(len(clients))
-        return train_clients_batched(clients, states, round_infos)
+            raw = [clients[0].local_update(states[0], infos[0])]
+        else:
+            meters.counter("batched/stacked_clients").inc(len(chunk))
+            raw = train_clients_batched(clients, states, infos)
+        ahead = 0
+        for ((client_id, message, _), client, _), update, state, snapshot in zip(
+                chunk, raw, states, before):
+            if snapshot is not None:
+                self._ahead[client_id] = _Ahead(
+                    message, update, client.state_dict(), state_bytes(state))
+                client.load_state_dict(snapshot)
+                ahead += 1
+        if ahead:
+            meters.counter("lookahead/trained").inc(ahead)
+        return raw
+
+    # ------------------------------------------------------------------
+    # Trained ahead: raw updates cached until their cycle arrives
+    # ------------------------------------------------------------------
+    def _due(self):
+        """Cycles that may train ahead of their arrival, in the order
+        they fall due: none at a barrier, where every cycle of a round
+        is in its wave."""
+        return ()
+
+    def _trained_ahead(self, task: tuple[str, Message, RoundInfo]) -> bool:
+        """Whether the task's dispatch has a cached update.  The cache
+        is keyed by dispatch: an entry another dispatch of the client
+        left is discarded, never read."""
+        client_id, message, _ = task
+        ahead = self._ahead.get(client_id)
+        if ahead is not None and ahead.message is not message:
+            self._discard(client_id)
+            return False
+        return ahead is not None
+
+    def _arrive(self, task) -> tuple[ClientUpdate, object]:
+        """An arrival trained ahead: meter its broadcast and give the
+        client the state training left it in.  Returns the raw update
+        and the client's post-processor, which the wave runs in task
+        order, exactly where it runs every other update."""
+        client_id, message, _ = task
+        ahead = self._ahead.pop(client_id)
+        self.link.account(message, ahead.raw_nbytes)
+        with self.clients.lease(client_id) as client:
+            client.load_state_dict(ahead.state)
+            return ahead.update, client.post_process
+
+    def _discard(self, client_id: str) -> None:
+        """Drop a client's cached update (its cycle crashed, or a
+        restore or a new dispatch replaced it), counted on
+        ``lookahead/discarded``."""
+        if self._ahead.pop(client_id, None) is not None:
+            self.tracer.meters.counter("lookahead/discarded").inc()
 
     def _train_states_procpool(self, tasks, clients) -> list[ClientUpdate]:
         """Raw updates of a wave, fanned out across the persistent fork
@@ -1057,18 +1135,21 @@ class AsyncAggregator(RoundEngine):
 
     Look-ahead (the batched plane): a cycle's *raw* update depends only
     on its broadcast and its client's state, both fixed at dispatch, so
-    an arrival whose update is not cached trains stacked with the
-    earliest in-flight cycles of its group (:meth:`_look_ahead`) — with
-    heterogeneous clocks a wave is one arrival, and there would be
-    nothing to stack.  Each client is put back to the state it had
-    before, so run state, token counts and eviction see nothing until
-    the cycle arrives.  Everything order-sensitive runs at arrival, as
-    on the sequential plane: the timeout route, the crash draw, the
-    client's trained state, post-processing, the uplink codec and EF,
-    the Link meters and the scheduler's feedback.  A cycle the deadline
-    cancels never trains ahead, and one that crashes drops its entry.
-    The cache is not run state: a resumed run trains the same update
-    again.
+    the cycles in flight (:meth:`_due`, by completion event) join the
+    wave's single pass after its arrivals — with heterogeneous clocks a
+    wave is one arrival, and there would be nothing to stack.  An
+    in-flight cycle joins only a group an arrival opened, and only
+    while the wave holds fewer than ``max_live`` leases
+    (:meth:`RoundEngine._train_states_batched`); it is cached with its
+    client's state after training and the client is put back to the
+    state it had before, so run state, token counts and eviction see
+    nothing until the cycle arrives.  Everything order-sensitive runs
+    at arrival, as on the sequential plane: the timeout route, the
+    crash draw, the client's trained state, post-processing, the uplink
+    codec and EF, the Link meters and the scheduler's feedback.  A
+    cycle the deadline cancels never trains ahead, and one that crashes
+    drops its entry.  The cache is not run state: a resumed run trains
+    the same update again.
     """
 
     mode = "async"
@@ -1145,9 +1226,6 @@ class AsyncAggregator(RoundEngine):
         self._local_steps: int | None = None
         self._last_flush_clock = 0.0
         self._started = False
-        # Raw updates trained ahead of their arrival, by client id (a
-        # client has one cycle in flight at a time).
-        self._ahead: dict[str, _Ahead] = {}
 
     def load_state_dict(self, state: dict) -> None:
         super().load_state_dict(state)
@@ -1339,123 +1417,13 @@ class AsyncAggregator(RoundEngine):
         return RoundInfo(round_idx=entry.version, local_steps=entry.steps,
                          global_step_base=entry.version * self._local_steps)
 
-    # ------------------------------------------------------------------
-    # Look-ahead: raw updates trained stacked before they arrive
-    # ------------------------------------------------------------------
-    def _train_wave(self, tasks: list[tuple[str, Message, RoundInfo]]
-                    ) -> list[ClientUpdate]:
-        """The arrivals of one instant, in arrival order.  On the
-        batched plane, each arrival whose dispatch has no cached update
-        trains ahead with the cycles of its group that are due next
-        (:meth:`_look_ahead`), then every arrival takes its update from
-        the cache (:meth:`_arrive`).  An arrival nothing stacks with
-        trains as the sequential plane does (counted on
-        ``batched/unstacked_waves``).  The sequential and procpool
-        planes train the wave as the base engine does."""
-        if self.local_plane != "batched" or not tasks:
-            return super()._train_wave(tasks)
-        with self.tracer.host_span("engine", "wave[batched]", jobs=len(tasks)):
-            pending = [task for task in tasks if not self._trained_ahead(task)]
-            alone = set()
-            while pending:
-                trained = self._look_ahead(pending[0], pending[1:])
-                if not trained:
-                    alone.add(pending[0][0])
-                pending = [t for t in pending[1:] if t[0] not in trained]
-            if alone:
-                self.tracer.meters.counter("batched/unstacked_waves").inc()
-            return [self._train_task(task) if task[0] in alone
-                    else self._arrive(task) for task in tasks]
-
-    def _trained_ahead(self, task: tuple[str, Message, RoundInfo]) -> bool:
-        """Whether the task's dispatch has a cached update.  The cache
-        is keyed by dispatch: an entry another dispatch of the client
-        left is discarded, never read."""
-        client_id, message, _ = task
-        ahead = self._ahead.get(client_id)
-        if ahead is not None and ahead.message is not message:
-            self._discard(client_id)
-            return False
-        return ahead is not None
-
-    def _look_ahead(self, head: tuple[str, Message, RoundInfo],
-                    arrivals: list[tuple[str, Message, RoundInfo]]) -> set[str]:
-        """Train ``head``, an arrival with no cached update, stacked
-        with the cycles of its group (:func:`batch_group_key`) that are
-        due first: the other ``arrivals`` of this instant, then the
-        cycles in flight in event order.  A chunk holds at most
-        ``min(stack_limit, max_live)`` clients, leased together, so the
-        pool's cap holds while it trains.  Returns the ids trained and
-        cached (:meth:`_train_ahead`); none when nothing stacks with
-        ``head``."""
-        with ExitStack() as stack:
-            client = stack.enter_context(self.clients.lease(head[0]))
-            key, limit = stack_plan(client, head[2])
-            limit = min(limit, self.clients.max_live)
-            chunk = [(head, client)]
-            for task in (self._due(arrivals) if key is not None else ()):
-                if len(chunk) >= limit:
-                    break
-                if task[2].local_steps != head[2].local_steps:
-                    continue  # part of the key, read without a build
-                with ExitStack() as probe:
-                    other = probe.enter_context(self.clients.lease(task[0]))
-                    if stack_plan(other, task[2])[0] == key:
-                        stack.enter_context(probe.pop_all())
-                        chunk.append((task, other))
-            if len(chunk) == 1:
-                return set()
-            self._train_ahead(chunk)
-        return {task[0] for task, _ in chunk}
-
-    def _due(self, arrivals: list[tuple[str, Message, RoundInfo]]):
-        """Tasks in the order they fall due: ``arrivals``, then each
-        in-flight cycle with no cached update by completion event (a
-        cycle cancelled at the deadline never trains)."""
-        yield from arrivals
+    def _due(self):
+        """Each in-flight cycle with no cached update, by completion
+        event (a cycle cancelled at the deadline never trains)."""
         for _, _, client_id in sorted(self._events):
             entry = self._inflight[client_id]
             if not entry.timed_out and client_id not in self._ahead:
                 yield client_id, entry.message, self._round_info(entry)
-
-    def _train_ahead(self, chunk: list[tuple[tuple[str, Message, RoundInfo],
-                                             LLMClient]]) -> None:
-        """Train a chunk of leased clients in one fused step and cache
-        each raw update with the client's state after training, then
-        put every client back to the state it had before.  Broadcasts
-        are decoded here but metered at arrival (:meth:`Link.account`),
-        so the bytes stay in the arrival's flush window."""
-        tasks = [task for task, _ in chunk]
-        clients = [client for _, client in chunk]
-        before = [client.state_dict() for client in clients]
-        states = [self.link.decode(message.sender, message.payload)
-                  for _, message, _ in tasks]
-        raw = self._train_chunk(clients, states, [info for _, _, info in tasks])
-        self.tracer.meters.counter("lookahead/trained").inc(len(tasks))
-        for (client_id, message, _), client, update, state, snapshot in zip(
-                tasks, clients, raw, states, before):
-            self._ahead[client_id] = _Ahead(message, update, client.state_dict(),
-                                            state_bytes(state))
-            client.load_state_dict(snapshot)
-
-    def _arrive(self, task: tuple[str, Message, RoundInfo]) -> ClientUpdate:
-        """An arrival trained ahead: meter its broadcast, give the
-        client the state training left it in, then post-process and
-        upload, exactly where :meth:`_train_task` would have."""
-        client_id, message, _ = task
-        ahead = self._ahead.pop(client_id)
-        self.link.account(message, ahead.raw_nbytes)
-        with self.clients.lease(client_id) as client:
-            client.load_state_dict(ahead.state)
-            update = client.finish(ahead.update)
-        return self._finish_update(client_id, update)
-
-    def _discard(self, client_id: str) -> None:
-        """Drop a client's cached update (its cycle crashed, or a
-        restore or a new dispatch replaced it), counted on
-        ``lookahead/discarded``."""
-        if self._ahead.pop(client_id, None) is not None:
-            self.tracer.meters.counter("lookahead/discarded").inc()
 
     # ------------------------------------------------------------------
     def _pop_batch(self) -> list[str]:

@@ -13,9 +13,8 @@ resume.  Every training path steps through the one ``local_step``;
 one fork pool per run and the read-only proximal anchors ride along.
 ``batched`` is the default plane; it stacks a group in chunks sized
 from each client's widest activation, decodes a chunk's broadcasts just
-before the chunk trains, and trains a wave with nothing to stack as
-the sequential plane does.  The references below pin ``sequential``
-explicitly.
+before the chunk trains, and trains a client that stacks with nobody
+solo.  The references below pin ``sequential`` explicitly.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.fed import engine as engine_module
 from repro.fed.batched import (
     batch_eligible,
     batch_group_key,
-    stack_chunks,
     train_clients_batched,
     widest_activation,
 )
@@ -150,20 +148,29 @@ class TestBatchedOps:
 # Batched == sequential: the hypothesis property
 # ----------------------------------------------------------------------
 
-def train_wave(clients, states, infos):
-    """The batched plane's wave: one stacked call per chunk of
-    ``stack_chunks``, updates back in task order.  Returns the updates
-    and the chunks."""
-    chunks = stack_chunks(clients, infos)
-    updates = [None] * len(clients)
-    for chunk in chunks:
-        stacked = train_clients_batched(
-            [clients[i] for i in chunk],
-            [{n: v.copy() for n, v in states[i].items()} for i in chunk],
-            [infos[i] for i in chunk])
-        for i, update in zip(chunk, stacked):
-            updates[i] = update
-    return updates, chunks
+def train_wave(clients, global_state, infos):
+    """The batched plane's wave, through the engine's chunker
+    (``RoundEngine._train_states_batched``) on an engine over
+    ``clients``: each client's broadcast goes over the engine's Link,
+    with its own ``RoundInfo``.  Returns the raw updates in task order
+    and the chunk sizes (each fused call, then one per solo)."""
+    tracer = Tracer()
+    engine = SyncAggregator(clients[0].model_config,
+                            {c.client_id: c for c in clients},
+                            local_plane="batched", tracer=tracer)
+    tasks = [(c.client_id,
+              engine.link.send_state(global_state, sender="agg",
+                                     receiver=c.client_id),
+              info)
+             for c, info in zip(clients, infos)]
+    fused = []
+    stacked = engine_module.train_clients_batched
+    with patch.object(engine_module, "train_clients_batched",
+                      lambda chunk, *args: fused.append(len(chunk))
+                      or stacked(chunk, *args)):
+        updates, _ = engine._train_states_batched(tasks)
+    solos = tracer.meters.snapshot().get("batched/solo_fallbacks", 0)
+    return updates, fused + [1] * solos
 
 
 def budget_for(limit, client):
@@ -241,9 +248,9 @@ class TestBatchedEqualsSequential:
                              for c, info in zip(bat_clients, infos)).values()
             with patch.object(batched_module, "STACK_BUDGET",
                               budget_for(limit, bat_clients[0])):
-                bat, chunks = train_wave(bat_clients, [global_state] * k, infos)
+                bat, chunks = train_wave(bat_clients, global_state, infos)
             assert len(chunks) == sum(-(-n // limit) for n in groups)
-            assert max(map(len, chunks)) <= limit
+            assert max(chunks) <= limit
             if round_idx == 1:
                 assert len(groups) == (2 if stateful and k > 1 else 1)
             for s, b in zip(seq, bat):
@@ -477,9 +484,9 @@ class TestEnginePlaneEquivalence:
         assert_same_run(ref, run)
 
     def test_mixed_wave_falls_back_per_client(self, monkeypatch):
-        """An ineligible (dropout) client inside a batched wave takes
-        the sequential path while the rest stack, in chunks of at most
-        the stack limit — same result."""
+        """An ineligible (dropout) client inside a batched wave trains
+        solo while the rest stack, in chunks of at most the stack
+        limit — same result."""
         calls = []
         stacked = engine_module.train_clients_batched
         monkeypatch.setattr(engine_module, "train_clients_batched",
@@ -499,7 +506,7 @@ class TestEnginePlaneEquivalence:
         for budget, fused, solos in (
                 (batched_module.STACK_BUDGET, [3, 3], 2),  # the default
                 (whole - 1, [2, 2], 4),  # ceil(3 / 2): a stack of 2 and a solo
-                (1, [], 0)):  # nothing stacks: the sequential path
+                (1, [], 8)):  # nothing stacks: 4 solos x 2 rounds
             calls.clear()
             tracer = Tracer()
             with patch.object(batched_module, "STACK_BUDGET", budget):
@@ -560,21 +567,35 @@ class TestEnginePlaneEquivalence:
         assert_states_equal(ref.global_state, engine.global_state)
 
     def test_wave_of_one_trains_like_sequential(self, monkeypatch):
-        """A batched wave of one has nothing to stack: it trains through
-        ``LLMClient.train``, as the sequential plane does, and counts no
-        solo fallback."""
+        """A batched wave of one has nothing to stack: its client
+        trains solo through ``local_update`` once a round, counted as a
+        solo fallback and as a wave in which nothing stacked, and the
+        history is the sequential plane's."""
         calls = []
-        train = LLMClient.train
-        monkeypatch.setattr(LLMClient, "train", lambda client, *args:
-                            calls.append(client.client_id) or train(client, *args))
+        local_update = LLMClient.local_update
+        monkeypatch.setattr(LLMClient, "local_update", lambda client, *args:
+                            calls.append(client.client_id)
+                            or local_update(client, *args))
+
+        def build(plane, tracer=None):
+            engine = SyncAggregator(
+                CFG, {"c0": make_clients(CFG, OPTIM, 1)[0]}, local_plane=plane,
+                val_stream=make_stream(CFG, shard=7, seed=99), tracer=tracer)
+            engine.run(rounds=2, local_steps=2)
+            return engine
         tracer = Tracer()
-        engine = SyncAggregator(CFG, {"c0": make_clients(CFG, OPTIM, 1)[0]},
-                                local_plane="batched", tracer=tracer)
-        engine.run(rounds=2, local_steps=2)
+        engine = build("batched", tracer)
         assert calls == ["c0", "c0"]
         meters = tracer.meters.snapshot()
-        assert "batched/solo_fallbacks" not in meters
+        assert meters["batched/solo_fallbacks"] == 2
+        assert meters["batched/unstacked_waves"] == 2
         assert "batched/stacked_clients" not in meters
+        ref = build("sequential")
+        np.testing.assert_array_equal(ref.history.val_perplexities,
+                                      engine.history.val_perplexities)
+        assert ([r.train_loss for r in ref.history]
+                == [r.train_loss for r in engine.history])
+        assert_states_equal(ref.global_state, engine.global_state)
 
     def test_engine_and_photon_share_the_declared_default(self):
         """One default plane: an engine built directly trains the way

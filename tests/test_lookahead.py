@@ -10,12 +10,15 @@ processed, the DP noise stream, the run state a checkpoint writes —
 so an async batched run is the sequential plane's run, under crashes,
 every drop policy, jitter, any pool cap and a random post-processor,
 and a kill at any flush boundary resumes bit-exactly.  The lazy pool's
-cap holds while a chunk trains, and no fallback is silent.
+cap holds while a chunk trains, and no fallback is silent.  The sync
+barrier's batched waves go through the same single-pass chunker: they
+replay the sequential plane too, and build no client more often.
 """
 
 from __future__ import annotations
 
 import tempfile
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,9 +31,10 @@ from repro.fed import FailureModel, Photon
 from repro.fed import batched as batched_module
 from repro.fed import engine as engine_module
 from repro.fed.engine import SyncAggregator
-from repro.fed.link import Message
+from repro.fed.link import Link, Message
 from repro.obs import Tracer
 from repro.obs.observer import engine_observer
+from repro.utils.serialization import state_bytes
 
 from helpers import assert_bit_exact_resume
 from test_local_plane import (
@@ -38,6 +42,7 @@ from test_local_plane import (
     OPTIM,
     WALLTIME,
     assert_same_run,
+    budget_for,
     dp_post,
     make_clients,
 )
@@ -142,24 +147,106 @@ def test_property_lookahead_equals_sequential_deep(crash_prob, drop_policy,
 
 
 # ----------------------------------------------------------------------
+# The barrier wave on a lazy pool: sync batched == sequential, and no
+# client is built more often than on the sequential plane
+# ----------------------------------------------------------------------
+
+def barrier(plane, *, cohort=8, max_live=None, stateless=True, rounds=2):
+    """A sync vector-plane federation of 32 clients over a lazy pool
+    of ``max_live`` (None: the whole population)."""
+    fed = FedConfig(population=32, clients_per_round=cohort, local_steps=2,
+                    rounds=rounds, client_plane="vector",
+                    max_live_clients=max_live, local_plane=plane,
+                    stateless_clients=stateless)
+    return Photon(CFG, fed, OPTIM, corpus="pile", val_batches=2)
+
+
+def _assert_barrier_is_sequential(budget, **cell):
+    """``budget`` is a ``STACK_BUDGET``, None for the module's own."""
+    ref = barrier("sequential", **cell)
+    ref.train()
+    run = barrier("batched", **cell)
+    with patch.object(batched_module, "STACK_BUDGET",
+                      budget or batched_module.STACK_BUDGET):
+        run.train()
+    assert_same_fleet(ref, run)
+    assert run.clients.materializations <= ref.clients.materializations
+
+
+@pytest.mark.parametrize("stateless", [True, False],
+                         ids=["stateless", "stateful"])
+@pytest.mark.parametrize("budget", [1, None], ids=["solo", "default"])
+@pytest.mark.parametrize("max_live", [1, 3])
+def test_barrier_wave_builds_no_client_more_often(max_live, budget, stateless):
+    """Population 32, cohort 8: a wave in which every client trains
+    solo (a budget of one) builds each client once, under the lease
+    that read its stack plan, as does a stacked wave."""
+    _assert_barrier_is_sequential(budget, max_live=max_live,
+                                  stateless=stateless)
+
+
+_BARRIER_CELLS = dict(
+    max_live=st.sampled_from([1, 3, None]),
+    limit=st.sampled_from([1, 3, None]),  # a stack of one, of three, the default
+    stateless=st.booleans(),
+    cohort=st.sampled_from([4, 8]),
+)
+
+
+def _assert_barrier_cell(max_live, limit, stateless, cohort):
+    budget = limit and budget_for(limit, make_clients(CFG, OPTIM, 1)[0])
+    _assert_barrier_is_sequential(budget, max_live=max_live,
+                                  stateless=stateless, cohort=cohort,
+                                  rounds=3)
+
+
+@given(**_BARRIER_CELLS)
+@settings(max_examples=8, **_PROPERTY)
+@example(max_live=1, limit=3, stateless=False, cohort=8)
+def test_property_barrier_equals_sequential(max_live, limit, stateless, cohort):
+    """Pool cap × stack limit × stateful clients (a later wave can mix
+    retained step counts: two groups) × cohort: the batched barrier
+    replays the sequential history and builds no client more often."""
+    _assert_barrier_cell(max_live, limit, stateless, cohort)
+
+
+@pytest.mark.slow
+@given(**_BARRIER_CELLS)
+@settings(max_examples=40, **_PROPERTY)
+def test_property_barrier_equals_sequential_deep(max_live, limit, stateless,
+                                                 cohort):
+    _assert_barrier_cell(max_live, limit, stateless, cohort)
+
+
+# ----------------------------------------------------------------------
 # The hazards, one test each
 # ----------------------------------------------------------------------
 
 class TestHazards:
     def test_early_decode_does_not_meter(self, monkeypatch):
         """A broadcast decoded ahead is metered when its cycle arrives:
-        training ahead moves no Link counter, and every flush bills
-        the bytes the sequential plane bills it."""
+        a chunk that trains cycles ahead moves the Link's counters by
+        its arrivals' broadcasts alone, and every flush bills the bytes
+        the sequential plane bills it."""
         run = fleet("batched")
         link = run.aggregator.link
         moved = []
-        train_ahead = engine_module.AsyncAggregator._train_ahead
+        train_chunk = engine_module.RoundEngine._train_chunk
 
         def watched(engine, chunk):
             before = (link.bytes_received, link.raw_bytes_received)
-            train_ahead(engine, chunk)
-            moved.append((link.bytes_received, link.raw_bytes_received) != before)
-        monkeypatch.setattr(engine_module.AsyncAggregator, "_train_ahead", watched)
+            raw = train_chunk(engine, chunk)
+            arrivals = [message for (_, message, _), _, slot in chunk
+                        if slot is not None]
+            if len(arrivals) < len(chunk):  # cycles trained ahead
+                overhead = Link.METADATA_OVERHEAD
+                metered = (sum(m.nbytes + overhead for m in arrivals),
+                           len(arrivals) * (state_bytes(engine.global_state)
+                                            + overhead))
+                moved.append((link.bytes_received - before[0],
+                              link.raw_bytes_received - before[1]) != metered)
+            return raw
+        monkeypatch.setattr(engine_module.RoundEngine, "_train_chunk", watched)
         run.train()
         assert moved and not any(moved)
         ref = fleet("sequential")
@@ -222,14 +309,15 @@ class TestHazards:
         """A cycle the deadline cancels never trains: the look-ahead
         skips it, as arrival would."""
         trained = []
-        train_ahead = engine_module.AsyncAggregator._train_ahead
+        train_chunk = engine_module.RoundEngine._train_chunk
 
         def watched(engine, chunk):
-            for (client_id, _, _), _ in chunk:
-                entry = engine._inflight.get(client_id)
-                trained.append(entry is not None and entry.timed_out)
-            train_ahead(engine, chunk)
-        monkeypatch.setattr(engine_module.AsyncAggregator, "_train_ahead", watched)
+            for (client_id, _, _), _, slot in chunk:
+                if slot is None:  # trained ahead
+                    entry = engine._inflight.get(client_id)
+                    trained.append(entry is None or entry.timed_out)
+            return train_chunk(engine, chunk)
+        monkeypatch.setattr(engine_module.RoundEngine, "_train_chunk", watched)
         run = fleet("batched", drop_policy="drop", rounds=5)
         run.train()
         assert trained and not any(trained)
@@ -389,18 +477,28 @@ class TestMeters:
         assert counted["batched/unstacked_waves"] > 0
         assert "lookahead/trained" not in counted
 
-    def test_lookahead_meters_move_and_change_nothing(self):
+    def test_lookahead_meters_move_and_change_nothing(self, monkeypatch):
         """``lookahead/trained`` and ``lookahead/discarded`` move on a
-        faulty run, and the traced run is the untraced one."""
+        faulty run, and the traced run is the untraced one.  Every
+        cycle trained ahead is accounted for: served from the cache at
+        its arrival, discarded, or still cached when the run ends."""
+        served = []
+        arrive = engine_module.RoundEngine._arrive
+        monkeypatch.setattr(engine_module.RoundEngine, "_arrive",
+                            lambda engine, task: served.append(task[0])
+                            or arrive(engine, task))
         tracer = Tracer()
         traced = fleet("batched", tracer=tracer, crash_prob=0.3, rounds=5)
         traced.train()
+        counted = meters(tracer)
+        assert counted["lookahead/trained"] == (
+            len(served) + counted["lookahead/discarded"]
+            + len(traced.aggregator._ahead))
+        assert 0 < counted["lookahead/trained"] < counted["batched/stacked_clients"]
+        assert counted["lookahead/discarded"] > 0
         untraced = fleet("batched", crash_prob=0.3, rounds=5)
         untraced.train()
         assert_same_fleet(untraced, traced)
-        counted = meters(tracer)
-        assert counted["lookahead/trained"] == counted["batched/stacked_clients"] > 0
-        assert counted["lookahead/discarded"] > 0
 
 
 # ----------------------------------------------------------------------
