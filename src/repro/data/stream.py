@@ -8,7 +8,8 @@ classes here mirror that surface:
 * :class:`TokenStream` — on-line sampling straight from a source;
 * :class:`CachedTokenStream` — pre-tokenized ring buffer, the
   "pre-tokenization + caching" optimization (and much faster, since
-  sampling happens once);
+  the cache is sampled once; a lazy stream samples only the windows it
+  serves, until they have cost about one cache walk);
 * :class:`MixedStream` — weighted mixture over several streams;
 * :func:`partition_stream` — Algorithm 1's ``PartitionStream`` for
   sub-federated nodes.
@@ -30,6 +31,13 @@ __all__ = [
     "MixedStream",
     "partition_stream",
 ]
+
+#: Lazy batches a lazy :class:`CachedTokenStream` serves before it walks
+#: its whole cache, fixed by measurement (README, "Client data at fleet
+#: scale"): about as many as cost one walk of the default cache (the
+#: ski-rental rule: a lazy stream costs at most about two walks,
+#: whatever its client reads).
+_LAZY_BATCHES = 8
 
 
 class BatchStream(Protocol):
@@ -80,11 +88,20 @@ class TokenStream(Durable):
 class CachedTokenStream(Durable):
     """Pre-tokenized ring buffer over a source.
 
-    Samples ``cache_tokens`` once up front, then serves random windows
-    from the cache.  This is the reproduction's analogue of the
+    Serves random windows of a cache of ``cache_tokens`` tokens sampled
+    from the source.  This is the reproduction's analogue of the
     paper's DS-side pre-tokenization: pay tokenization once, stream
     cheaply afterwards.  Run state as :class:`TokenStream`'s (the cache
     is reproducible from the construction seed).
+
+    An eager stream (the default) walks the whole cache at construction.
+    A ``lazy`` stream (a :class:`~repro.data.synthetic.MarkovSource`'s
+    only) holds no cache: :meth:`next_batch` computes each window from a
+    walk of that window alone (:meth:`MarkovSource.cache_windows`), and
+    the stream walks the whole cache only once it has served
+    ``_LAZY_BATCHES`` lazy batches, about what that walk costs, or a
+    window did not certify.  Both serve the same tokens, batches and
+    run state.
 
     The cache is stored in the narrowest unsigned dtype that holds the
     source's largest token — ``uint8`` up to a vocabulary of 256, so
@@ -97,23 +114,41 @@ class CachedTokenStream(Durable):
     _STATE = (Field("rng", RNG, "_rng"), Field("tokens_served", INT))
 
     def __init__(self, source: MarkovSource, batch_size: int, seq_len: int,
-                 cache_tokens: int = 65_536, seed: int = 0):
+                 cache_tokens: int = 65_536, seed: int = 0,
+                 lazy: bool = False):
         if cache_tokens < (seq_len + 1) * 2:
             raise ValueError("cache too small for the requested sequence length")
         self.source = source
         self.batch_size = batch_size
         self.seq_len = seq_len
         self._rng = np.random.default_rng(seed)
-        self._cache = source.sample_tokens(
-            cache_tokens, rng=np.random.default_rng(seed + 1),
-            dtype=np.min_scalar_type(source.vocab - 1))
+        self._cache_tokens = cache_tokens
+        self._dtype = np.min_scalar_type(source.vocab - 1)
+        if lazy:
+            self._cache = None
+            self._windows = source.cache_windows(cache_tokens, seed + 1)
+            self._lazy_left = _LAZY_BATCHES
+        else:
+            self._cache = source.sample_tokens(
+                cache_tokens, rng=np.random.default_rng(seed + 1),
+                dtype=self._dtype)
         self.tokens_served = 0
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
-        max_start = self._cache.size - self.seq_len - 1
+        max_start = self._cache_tokens - self.seq_len - 1
         starts = self._rng.integers(0, max_start, size=self.batch_size)
-        offsets = np.arange(self.seq_len + 1)
-        windows = self._cache[starts[:, None] + offsets[None, :]].astype(np.int64)
+        windows = None
+        if self._cache is None:
+            if self._lazy_left:
+                windows = self._windows.read(starts, self.seq_len + 1)
+            if windows is None:  # the switch: walk the cache after all
+                self._cache = self._windows.walk(self._dtype)
+                self._windows = None
+            else:
+                self._lazy_left -= 1
+        if windows is None:
+            offsets = np.arange(self.seq_len + 1)
+            windows = self._cache[starts[:, None] + offsets[None, :]].astype(np.int64)
         self.tokens_served += self.batch_size * self.seq_len
         return windows[:, :-1], windows[:, 1:]
 

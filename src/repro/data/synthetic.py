@@ -97,6 +97,13 @@ _PREWALK_TOKENS = 192
 _PREFILTER_CELLS = 4096
 _MIN_LANE_REQUEST = 4096
 
+#: Constants of the lazy windows (:meth:`MarkovSource.cache_windows`),
+#: fixed by measurement (README, "Client data at fleet scale"): the
+#: look-back a window tries first (a power of two; a window that does
+#: not certify doubles it) and the longest it may try.
+_LOOKBACK = 64
+_MAX_LOOKBACK = 1024
+
 
 class _WalkTable:
     """A transition kernel tabulated for walking.
@@ -114,7 +121,8 @@ class _WalkTable:
     from several threads may lose an increment, never a token).
     """
 
-    def __init__(self, kernel: np.ndarray):
+    def __init__(self, kernel: np.ndarray, specials: int):
+        self.specials = specials
         cum = np.cumsum(kernel, axis=1)
         vocab = cum.shape[0]
         self.vocab = vocab
@@ -138,6 +146,43 @@ class _WalkTable:
         self.lanes_walked = 0
         self.lanes_rewalked = 0
         self.tokens_rewalked = 0
+        #: windows served lazily / windows that needed a longer
+        #: look-back / lazy caches walked whole after all.
+        self.windows_lazy = 0
+        self.windows_extended = 0
+        self.cache_switches = 0
+        self._maps = None
+
+    def window_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """What the lazy windows compose, built on first use:
+
+        * ``maps``, the step maps as rows (row ``g`` is
+          ``state -> next[g, state]``) in the narrowest dtype that holds
+          a state, with the identity appended as the last row (the
+          positions before 0);
+        * ``reach``, every state the chain can hold at a position
+          >= 0: the closure of ``[specials, vocab)`` under the rows of
+          the bins a draw in ``[0, 1)`` can fall in (of the table, not
+          the kernel: the table clamps to ``vocab - 1``).
+        """
+        if self._maps is None:
+            vocab = self.vocab
+            rows = self.table.reshape(-1, vocab)
+            low = np.concatenate(([-np.inf], self.breaks))
+            high = np.concatenate((self.breaks, [np.inf]))
+            live = rows[(low < 1.0) & (high > 0.0)]
+            reach = np.zeros(vocab, dtype=bool)
+            reach[self.specials:] = True
+            while True:
+                grown = reach.copy()
+                grown[live[:, reach].ravel()] = True
+                if (grown == reach).all():
+                    break
+                reach = grown
+            maps = np.vstack((rows, np.arange(vocab)))
+            self._maps = (maps.astype(np.min_scalar_type(vocab - 1)),
+                          np.flatnonzero(reach))
+        return self._maps
 
     def _bins(self, uniforms: np.ndarray) -> np.ndarray:
         """``g(u)`` per draw, through the prefilter."""
@@ -224,6 +269,107 @@ class _WalkTable:
         return tokens
 
 
+class _CacheWindows:
+    """The windows of one token cache,
+    ``MarkovSource.sample_tokens(size, rng=default_rng(seed))``, each
+    computed exactly without walking the positions before it.
+
+    That walk draws ``state0 = rng.integers(specials, vocab)``, then one
+    uniform per position: token ``i`` is ``f_i(token[i - 1])``, with
+    ``f_i`` the step map of ``g(u_i)`` and ``token[-1] = state0``.
+    PCG64 spends one 64-bit output per double, so ``u_i`` is the draw of
+    the generator ``integers`` left, advanced ``i`` outputs.
+
+    Coupling from the past: the window at start ``s`` enters in
+    ``token[s - 1] = F(token[s - L - 1])``, where ``F`` composes the
+    ``L`` step maps before ``s`` (identities before position 0).  If
+    ``s <= L`` that is ``F(state0)``.  Otherwise ``token[s - L - 1]``
+    lies in the table's ``reach``, so if ``F`` is constant on ``reach``
+    the constant is the entry state, whatever the chain did before: the
+    window is certified.  The maps compose pairwise, ``log2 L`` gathers
+    batched over a batch's windows.  A window that does not certify
+    composes the ``L`` maps before those (look-back ``2 L``), up to
+    ``_MAX_LOOKBACK``.
+    """
+
+    def __init__(self, source: "MarkovSource", size: int, seed: int):
+        self._source = source
+        self._table = source._table
+        self.size = size
+        self._seed = seed
+        self._rng = np.random.default_rng(seed)
+        self._state0 = int(self._rng.integers(source.specials, source.vocab))
+        self._at = 0  # the position whose uniform the generator draws next
+
+    def _bins(self, starts: np.ndarray, width: int) -> np.ndarray:
+        """``g(u)`` of the positions ``[start, start + width)``, a row
+        per start; a position before 0 gets the identity's row."""
+        uniforms = np.zeros((starts.size, width))
+        bits, draw = self._rng.bit_generator, self._rng.random
+        for row, start in zip(uniforms, starts.tolist()):
+            first = max(start, 0)
+            if start + width > first:
+                bits.advance(first - self._at)
+                draw(out=row[first - start:])
+                self._at = start + width
+        bins = self._table.breaks.searchsorted(uniforms, "right")
+        if starts.min() < 0:
+            identity = len(self._table.window_maps()[0]) - 1
+            bins[np.arange(width) < -starts[:, None]] = identity
+        return bins
+
+    def _compose(self, bins: np.ndarray) -> np.ndarray:
+        """Per row of ``bins`` (a power-of-two width), its step maps
+        composed, each after the one before it: a map per row."""
+        vocab = self._table.vocab
+        composed = self._table.window_maps()[0].take(bins.reshape(-1), axis=0)
+        while composed.shape[0] > bins.shape[0]:
+            # Map 2r + 1 after map 2r: a gather at 2r + 1's flat offset.
+            later = np.arange(vocab, composed.size, 2 * vocab)[:, None]
+            composed = composed.reshape(-1).take(composed[0::2] + later)
+        return composed
+
+    def read(self, starts: np.ndarray, length: int) -> np.ndarray | None:
+        """The windows ``[start, start + length)`` of the cache, an
+        ``int64`` row per start; None if one did not certify within
+        ``_MAX_LOOKBACK``."""
+        table = self._table
+        reach = table.window_maps()[1]
+        lookback = _LOOKBACK
+        bins = self._bins(starts - lookback, lookback + length)
+        entry = np.empty(starts.size, dtype=np.intp)
+        todo = np.arange(starts.size)
+        composed = self._compose(bins[:, :lookback])
+        while True:
+            early = starts[todo] <= lookback
+            on_reach = composed[:, reach]
+            certified = early | (on_reach == on_reach[:, :1]).all(axis=1)
+            entry[todo] = np.where(early, composed[:, self._state0],
+                                   on_reach[:, 0])
+            todo, composed = todo[~certified], composed[~certified]
+            if not todo.size:
+                break
+            if lookback == _MAX_LOOKBACK:
+                return None
+            if lookback == _LOOKBACK:
+                table.windows_extended += todo.size
+            before = self._compose(self._bins(starts[todo] - 2 * lookback,
+                                              lookback))
+            composed = composed.reshape(-1).take(
+                before + np.arange(0, composed.size, table.vocab)[:, None])
+            lookback *= 2
+        table.windows_lazy += starts.size
+        return np.array([table._walk(state, row) for state, row
+                         in zip(entry.tolist(), bins[:, _LOOKBACK:])],
+                        dtype=np.int64).reshape(starts.size, length)
+
+    def walk(self, dtype) -> np.ndarray:
+        """The whole cache, walked (the stream's switch, counted)."""
+        self._table.cache_switches += 1
+        return self._source.sample_tokens(
+            self.size, rng=np.random.default_rng(self._seed), dtype=dtype)
+
+
 class MarkovSource:
     """A text source: a Markov kernel plus a seeded sampling stream.
 
@@ -246,7 +392,7 @@ class MarkovSource:
         self.name = name
         self.specials = specials
         self._rng = np.random.default_rng(seed)
-        self._table = _WalkTable(kernel)
+        self._table = _WalkTable(kernel, specials)
         self.vocab = kernel.shape[0]
 
     def spawn(self, seed: int, name: str) -> "MarkovSource":
@@ -266,15 +412,25 @@ class MarkovSource:
         state = int(rng.integers(self.specials, self.vocab))
         return self._table.walk(state, rng.random(n), dtype)
 
+    def cache_windows(self, n: int, seed: int) -> _CacheWindows:
+        """The cache ``sample_tokens(n, rng=default_rng(seed))``, not
+        walked: its windows computed on demand."""
+        return _CacheWindows(self, n, seed)
+
     @property
     def walk_stats(self) -> dict[str, int]:
         """The walk's fallback counters, shared by every source spawned
         from this kernel: speculative lanes walked, lanes re-walked one
-        step at a time, and the speculative tokens that replaced."""
+        step at a time, and the speculative tokens that replaced; cache
+        windows served lazily, windows that needed a longer look-back,
+        and lazy caches walked whole after all."""
         table = self._table
         return {"lanes_walked": table.lanes_walked,
                 "lanes_rewalked": table.lanes_rewalked,
-                "tokens_rewalked": table.tokens_rewalked}
+                "tokens_rewalked": table.tokens_rewalked,
+                "windows_lazy": table.windows_lazy,
+                "windows_extended": table.windows_extended,
+                "cache_switches": table.cache_switches}
 
     def entropy_rate(self) -> float:
         """Entropy rate in nats under the stationary distribution —

@@ -102,12 +102,21 @@ class LLMClient(Durable):
         # mu * (theta - theta_global) to each local gradient.
         self.proximal_mu = proximal_mu
         self.seed = seed
-        # Persistent workspace model reused across rounds (avoids
-        # re-allocating parameters every round).
-        self.model = DecoderLM(model_config, seed=seed)
+        self._model: DecoderLM | None = None
         self._optimizer: AdamW | None = None
         self.tokens_processed = 0
         self.rounds_participated = 0
+
+    @property
+    def model(self) -> DecoderLM:
+        """The persistent workspace model reused across rounds (avoids
+        re-allocating parameters every round), built on first use: it
+        is seeded by the client's ``seed``, so a late build is the same
+        model, and a client the batched plane trains in its own stacked
+        model never builds one."""
+        if self._model is None:
+            self._model = DecoderLM(self.model_config, seed=self.seed)
+        return self._model
 
     # ------------------------------------------------------------------
     def execution_plan(self) -> ExecutionPlan:

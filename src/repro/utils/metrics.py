@@ -20,7 +20,10 @@ def aggregate_metrics(metric_dicts: list[dict[str, float]],
         return {}
     if weights is None:
         weights = [1.0] * len(metric_dicts)
-    keys = set().union(*(d.keys() for d in metric_dicts))
+    # First-seen order, not a set's: the keys' order reaches the
+    # history and the run-state bytes, and a set's follows the
+    # interpreter's string-hash salt.
+    keys = dict.fromkeys(key for d in metric_dicts for key in d)
     out: dict[str, float] = {}
     for key in keys:
         num, den = 0.0, 0.0

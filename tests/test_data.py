@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
@@ -27,11 +27,15 @@ from repro.data import (
     partition_stream,
     shards_per_client,
 )
+from repro.data.stream import _LAZY_BATCHES
 from repro.data.synthetic import (
     _LANE_TOKENS,
+    _LOOKBACK,
+    _MAX_LOOKBACK,
     _MIN_LANE_REQUEST,
     _PREWALK_TOKENS,
     PILE_SOURCE_NAMES,
+    _CacheWindows,
     make_kernel,
 )
 
@@ -271,7 +275,9 @@ class TestMarkovWalk:
         source = make_source("c4", vocab=32)
         source.sample_tokens(_MIN_LANE_REQUEST - 1)
         assert source.walk_stats == {"lanes_walked": 0, "lanes_rewalked": 0,
-                                     "tokens_rewalked": 0}
+                                     "tokens_rewalked": 0, "windows_lazy": 0,
+                                     "windows_extended": 0,
+                                     "cache_switches": 0}
 
     def test_negative_kernel_rejected(self):
         kernel = np.eye(4)
@@ -505,3 +511,189 @@ class TestSharding:
 
     def test_deterministic_given_seed(self):
         assert assign_shards(16, 4, seed=3) == assign_shards(16, 4, seed=3)
+
+
+# ----------------------------------------------------------------------
+# Lazy cache windows: a lazy stream serves the eager stream's batches
+# ----------------------------------------------------------------------
+
+_LAZY_KERNELS = ("pile", "c4", "two_successors", "permutation", "pad_leak")
+
+
+def _lazy_source(kernel: str, vocab: int, seed: int) -> MarkovSource:
+    """A Pile part at heterogeneity 1, a C4 shard, a 2-successor kernel
+    at concentration 0.1, a permutation of the emittable states (no two
+    walks ever merge, so no window past the start certifies), or a
+    kernel whose emittable states leak into the absorbing pad token (a
+    state outside ``[specials, vocab)`` the chain holds: a certificate
+    that ignored it would be wrong on every window after the leak)."""
+    if kernel == "pile":
+        return SyntheticPile(vocab=vocab, seed=seed % 3).client_source(
+            seed % 16, 16)
+    if kernel == "c4":
+        return SyntheticC4(num_shards=8, vocab=vocab,
+                           seed=seed % 3).shard(seed % 8)
+    if kernel == "two_successors":
+        return MarkovSource(make_kernel(seed, vocab, 2, 0.1), seed=seed)
+    if kernel == "pad_leak":
+        leaky = make_kernel(seed, vocab, 4, 0.6)
+        leaky[2:] *= 1.0 - 1e-2
+        leaky[2:, 0] = 1e-2
+        return MarkovSource(leaky, seed=seed)
+    states = np.arange(2, vocab)
+    permutation = np.zeros((vocab, vocab))
+    permutation[[0, 1], [0, 1]] = 1.0
+    permutation[states, np.random.default_rng(seed).permutation(states)] = 1.0
+    return MarkovSource(permutation, seed=seed)
+
+
+_LAZY = dict(derandomize=True, deadline=None, database=None,
+             suppress_health_check=[HealthCheck.too_slow])
+_lazy_cells = dict(
+    kernel=st.sampled_from(_LAZY_KERNELS),
+    vocab=st.sampled_from([32, 64, 96, 256]),
+    cache_tokens=st.sampled_from([512, 4_096, 65_536]),
+    shape=st.sampled_from([(1, 1), (4, 16), (3, 31), (8, 7)]),
+    seed=st.integers(0, 2**16),
+    cut=st.integers(0, _LAZY_BATCHES + 2),
+)
+
+
+def _assert_lazy_is_eager(kernel, vocab, cache_tokens, shape, seed, cut):
+    """Batch for batch, before and after the switch, and across a
+    mid-run ``state_dict`` / ``load_state_dict`` into a new lazy stream
+    at batch ``cut``; then the windows at the pinned starts."""
+    source = _lazy_source(kernel, vocab, seed)
+    batch_size, seq_len = shape
+    eager = CachedTokenStream(source, batch_size, seq_len, cache_tokens,
+                              seed=seed)
+    lazy = CachedTokenStream(source, batch_size, seq_len, cache_tokens,
+                             seed=seed, lazy=True)
+    for i in range(cut + _LAZY_BATCHES + 1):
+        if i == cut:
+            state = lazy.state_dict()
+            lazy = CachedTokenStream(source, batch_size, seq_len,
+                                     cache_tokens, seed=seed, lazy=True)
+            lazy.load_state_dict(state)
+        want, got = eager.next_batch(), lazy.next_batch()
+        for w, g in zip(want, got):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+    assert lazy.state_dict() == eager.state_dict()
+    assert lazy._cache is not None  # the reloaded stream switched too
+
+    length = seq_len + 1
+    starts = np.array([0, 1, _LOOKBACK - 1, _LOOKBACK, _LOOKBACK + 1,
+                       cache_tokens - length])
+    windows = source.cache_windows(cache_tokens, seed + 1).read(starts, length)
+    if windows is None:
+        assert kernel not in ("pile", "c4")
+    else:
+        cache = eager._cache.astype(np.int64)
+        np.testing.assert_array_equal(
+            windows, cache[starts[:, None] + np.arange(length)])
+
+
+class TestLazyWindows:
+    """``CachedTokenStream(lazy=True)`` is the eager stream, batch for
+    batch, whatever its kernel, vocabulary, cache and shape."""
+
+    @given(**_lazy_cells)
+    @example(kernel="permutation", vocab=32, cache_tokens=65_536,
+             shape=(4, 16), seed=1, cut=0)
+    @example(kernel="two_successors", vocab=96, cache_tokens=4_096,
+             shape=(3, 31), seed=7, cut=5)
+    @example(kernel="pile", vocab=256, cache_tokens=65_536, shape=(8, 7),
+             seed=2, cut=_LAZY_BATCHES)
+    @settings(max_examples=8, **_LAZY)
+    def test_lazy_stream_equals_eager(self, kernel, vocab, cache_tokens,
+                                      shape, seed, cut):
+        _assert_lazy_is_eager(kernel, vocab, cache_tokens, shape, seed, cut)
+
+    @pytest.mark.slow
+    @given(**_lazy_cells)
+    @settings(max_examples=200, **_LAZY)
+    def test_lazy_stream_equals_eager_deep(self, kernel, vocab, cache_tokens,
+                                           shape, seed, cut):
+        _assert_lazy_is_eager(kernel, vocab, cache_tokens, shape, seed, cut)
+
+    @pytest.mark.parametrize("kernel", ["pile", "c4", "pad_leak"])
+    def test_windows_certify_exactly(self, kernel):
+        """The windows at the pinned starts, and far from them: on the
+        kernels client streams are built from, and on one whose chain
+        is absorbed by the pad token, every one certifies."""
+        source = _lazy_source(kernel, 32, 5)
+        cache = source.sample_tokens(65_536, rng=np.random.default_rng(9))
+        starts = np.concatenate((
+            [0, 1, _LOOKBACK - 1, _LOOKBACK, _LOOKBACK + 1,
+             2 * _LOOKBACK - 1, 2 * _LOOKBACK, 2 * _LOOKBACK + 1,
+             65_536 - 17],
+            np.random.default_rng(1).integers(0, 65_536 - 17, size=64)))
+        windows = source.cache_windows(65_536, 9).read(starts, 17)
+        np.testing.assert_array_equal(
+            windows, cache[starts[:, None] + np.arange(17)])
+
+    def test_lazy_windows_are_counted(self):
+        source = _lazy_source("pile", 32, 0)
+        before = source.walk_stats
+        stream = CachedTokenStream(source, 4, 16, seed=0, lazy=True)
+        for _ in range(_LAZY_BATCHES):
+            stream.next_batch()
+        stats = source.walk_stats
+        assert stats["windows_lazy"] - before["windows_lazy"] == 4 * _LAZY_BATCHES
+        assert stats["cache_switches"] == before["cache_switches"]
+        assert stats["lanes_walked"] == before["lanes_walked"]  # no cache
+
+    def test_a_longer_look_back_is_counted(self):
+        """At V = 64 walks merge more slowly: some windows need twice
+        the first look-back, and are exact all the same."""
+        source = _lazy_source("pile", 64, 0)
+        cache = source.sample_tokens(65_536, rng=np.random.default_rng(1))
+        starts = np.random.default_rng(2).integers(_LOOKBACK + 1, 65_000,
+                                                   size=64)
+        before = source.walk_stats["windows_extended"]
+        windows = source.cache_windows(65_536, 1).read(starts, 17)
+        assert source.walk_stats["windows_extended"] > before
+        np.testing.assert_array_equal(
+            windows, cache[starts[:, None] + np.arange(17)])
+
+    def test_lazy_stream_switches_within_its_budget(self):
+        """The ski-rental bound: at most ``_LAZY_BATCHES`` lazy batches,
+        then the cache is walked, once."""
+        source = _lazy_source("pile", 32, 1)
+        stream = CachedTokenStream(source, 4, 16, seed=3, lazy=True)
+        before = source.walk_stats
+        for i in range(_LAZY_BATCHES + 4):
+            stream.next_batch()
+            switched = source.walk_stats["cache_switches"] - before["cache_switches"]
+            assert switched == (i >= _LAZY_BATCHES)
+            assert (stream._cache is None) == (i < _LAZY_BATCHES)
+        assert (source.walk_stats["windows_lazy"] - before["windows_lazy"]
+                == 4 * _LAZY_BATCHES)
+
+    def test_never_certifying_kernel_switches_at_the_cap(self, monkeypatch):
+        """No window of a permutation kernel past its first look-back
+        certifies: the stream walks the cache at its first batch rather
+        than look back further than ``_MAX_LOOKBACK``."""
+        drawn = []
+        bins = _CacheWindows._bins
+
+        def spy(self, starts, width):
+            drawn.append(int(starts.min()))
+            return bins(self, starts, width)
+
+        monkeypatch.setattr(_CacheWindows, "_bins", spy)
+        source = _lazy_source("permutation", 32, 0)
+        eager = CachedTokenStream(source, 4, 16, seed=2)
+        lazy = CachedTokenStream(source, 4, 16, seed=2, lazy=True)
+        starts = np.random.default_rng(2).integers(0, 65_536 - 17, size=4)
+        assert starts.min() > _MAX_LOOKBACK  # what the first batch reads
+        before = source.walk_stats
+        for w, g in zip(eager.next_batch(), lazy.next_batch()):
+            np.testing.assert_array_equal(g, w)
+        stats = source.walk_stats
+        assert stats["cache_switches"] - before["cache_switches"] == 1
+        assert stats["windows_lazy"] == before["windows_lazy"]
+        assert stats["windows_extended"] - before["windows_extended"] == 4
+        assert min(drawn) >= starts.min() - _MAX_LOOKBACK
+        assert lazy._cache is not None

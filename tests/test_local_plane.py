@@ -623,8 +623,9 @@ class TestEnginePlaneEquivalence:
             assert_same_run(ref, run)
 
     def test_post_processing_follows_task_order_in_a_mixed_wave(self):
-        """A solo client between two stacked ones: the stack trains
-        first, yet the shared noise stream is drawn a, b, c."""
+        """A solo client between two stacked ones: the solo trains
+        when the wave's pass reads it, before the stacked chunk, yet
+        the shared noise stream is drawn a, b, c."""
         def build(plane, tracer=None):
             post = dp_post()
             a, c = (LLMClient(cid, CFG, make_stream(CFG, shard=i, seed=i),

@@ -18,6 +18,7 @@ replay the sequential plane too, and build no client more often.
 from __future__ import annotations
 
 import tempfile
+from dataclasses import asdict
 from unittest.mock import patch
 
 import numpy as np
@@ -516,3 +517,49 @@ class TestNarrowTokenCache:
         x, y = stream.next_batch()
         assert x.dtype == y.dtype == np.int64
         np.testing.assert_array_equal(x[:, 1:], y[:, :-1])
+
+
+# ----------------------------------------------------------------------
+# Lazy cache windows
+# ----------------------------------------------------------------------
+
+class TestLazyClientStreams:
+    def test_on_demand_clients_read_lazy_windows(self):
+        """The vector client plane builds lazy streams: the run serves
+        their batches as windows, and a build walks no cache."""
+        photon = fleet("batched", population=12, concurrency=8,
+                       max_live=3, rounds=4)
+        photon.train()
+        # Clients 0, 3, 6 and 9 are parts of the four Pile sources.
+        streams = [photon.clients[f"client{i}"].streams[0]
+                   for i in (0, 3, 6, 9)]
+        assert all(stream._cache is None for stream in streams)
+        assert sum(stream.source.walk_stats["windows_lazy"]
+                   for stream in streams) > 0
+
+    @pytest.mark.parametrize("plane", ["sequential", "batched"])
+    def test_lazy_streams_replay_eager_ones(self, plane):
+        """Lazy and eager client streams give the same run: histories,
+        selection logs, wire bytes and tokens processed."""
+        init = CachedTokenStream.__init__
+
+        def eager_init(self, *args, lazy=False, **kwargs):
+            init(self, *args, **kwargs)
+
+        def run():
+            photon = fleet(plane, population=12, concurrency=8, max_live=3,
+                           rounds=4, crash_prob=0.1)
+            photon.train()
+            return photon
+
+        lazy = run()
+        with patch.object(CachedTokenStream, "__init__", eager_init):
+            eager = run()
+        assert_same_fleet(eager, lazy)
+        assert ([asdict(r) for r in eager.history]
+                == [asdict(r) for r in lazy.history])
+        assert (list(eager.aggregator.scheduler.selection_log)
+                == list(lazy.aggregator.scheduler.selection_log))
+        for side in ("uplink", "downlink"):
+            assert (getattr(eager.aggregator.link, f"{side}_wire_bytes")
+                    == getattr(lazy.aggregator.link, f"{side}_wire_bytes"))

@@ -4,7 +4,11 @@ and concurrency fixes (PR 5)."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -375,6 +379,25 @@ class TestRunStateCheckpointer:
         ckpt = RunStateCheckpointer(tmp_path / "empty")
         with pytest.raises(FileNotFoundError):
             ckpt.load_tree()
+
+    def test_checkpoint_bytes_identical_across_hash_seeds(self, tmp_path):
+        """The same run writes the same run-state bytes in any process:
+        nothing in it (the history's metric keys included) may follow
+        the interpreter's string-hash salt."""
+        src = Path(__file__).resolve().parents[1] / "src"
+        checkpoints = set()
+        for hash_seed in ("1", "2"):
+            directory = tmp_path / hash_seed
+            subprocess.run(
+                [sys.executable, "-m", "repro", "train", "--model", "tiny",
+                 "--clients", "2", "--local-steps", "2", "--rounds", "1",
+                 "--batch-size", "2", "--checkpoint-dir", str(directory)],
+                check=True, capture_output=True,
+                env={**os.environ, "PYTHONPATH": str(src),
+                     "PYTHONHASHSEED": hash_seed})
+            checkpoints.add(
+                (directory / "runstate_00000001.ckpt").read_bytes())
+        assert len(checkpoints) == 1
 
 
 # ----------------------------------------------------------------------
