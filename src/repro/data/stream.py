@@ -8,8 +8,8 @@ classes here mirror that surface:
 * :class:`TokenStream` — on-line sampling straight from a source;
 * :class:`CachedTokenStream` — pre-tokenized ring buffer, the
   "pre-tokenization + caching" optimization (and much faster, since
-  the cache is sampled once; a lazy stream samples only the windows it
-  serves, until they have cost about one cache walk);
+  the cache is sampled at most once: the stream samples only the
+  windows it serves, until they have cost about one cache walk);
 * :class:`MixedStream` — weighted mixture over several streams;
 * :func:`partition_stream` — Algorithm 1's ``PartitionStream`` for
   sub-federated nodes.
@@ -31,14 +31,6 @@ __all__ = [
     "MixedStream",
     "partition_stream",
 ]
-
-#: Lazy batches a lazy :class:`CachedTokenStream` serves before it walks
-#: its whole cache, fixed by measurement (README, "Client data at fleet
-#: scale"): about as many as cost one walk of the default cache (the
-#: ski-rental rule: a lazy stream costs at most about two walks,
-#: whatever its client reads).
-_LAZY_BATCHES = 8
-
 
 class BatchStream(Protocol):
     """Anything that yields ``(inputs, targets)`` batches forever."""
@@ -94,14 +86,14 @@ class CachedTokenStream(Durable):
     cheaply afterwards.  Run state as :class:`TokenStream`'s (the cache
     is reproducible from the construction seed).
 
-    An eager stream (the default) walks the whole cache at construction.
-    A ``lazy`` stream (a :class:`~repro.data.synthetic.MarkovSource`'s
-    only) holds no cache: :meth:`next_batch` computes each window from a
-    walk of that window alone (:meth:`MarkovSource.cache_windows`), and
-    the stream walks the whole cache only once it has served
-    ``_LAZY_BATCHES`` lazy batches, about what that walk costs, or a
-    window did not certify.  Both serve the same tokens, batches and
-    run state.
+    The stream holds no cache at first: :meth:`next_batch` computes
+    each window from a walk of that window alone
+    (:meth:`MarkovSource.cache_windows`).  Once those windows would
+    cost more than about one walk of the cache, or one did not certify,
+    the stream walks the whole cache (:attr:`cache`) and slices it from
+    then on.  Either way it serves the same tokens, batches and run
+    state, and a stream that serves few batches never pays for the
+    cache, and one that serves many pays for it at most about twice.
 
     The cache is stored in the narrowest unsigned dtype that holds the
     source's largest token — ``uint8`` up to a vocabulary of 256, so
@@ -114,8 +106,7 @@ class CachedTokenStream(Durable):
     _STATE = (Field("rng", RNG, "_rng"), Field("tokens_served", INT))
 
     def __init__(self, source: MarkovSource, batch_size: int, seq_len: int,
-                 cache_tokens: int = 65_536, seed: int = 0,
-                 lazy: bool = False):
+                 cache_tokens: int = 65_536, seed: int = 0):
         if cache_tokens < (seq_len + 1) * 2:
             raise ValueError("cache too small for the requested sequence length")
         self.source = source
@@ -123,32 +114,30 @@ class CachedTokenStream(Durable):
         self.seq_len = seq_len
         self._rng = np.random.default_rng(seed)
         self._cache_tokens = cache_tokens
-        self._dtype = np.min_scalar_type(source.vocab - 1)
-        if lazy:
-            self._cache = None
-            self._windows = source.cache_windows(cache_tokens, seed + 1)
-            self._lazy_left = _LAZY_BATCHES
-        else:
-            self._cache = source.sample_tokens(
-                cache_tokens, rng=np.random.default_rng(seed + 1),
-                dtype=self._dtype)
+        self._cache_seed = seed + 1
+        self._cache = None
+        self._windows = source.cache_windows(cache_tokens, self._cache_seed)
         self.tokens_served = 0
+
+    @property
+    def cache(self) -> np.ndarray:
+        """The whole token cache, walked on first use (the switch)."""
+        if self._cache is None:
+            self._cache = self.source.cache(
+                self._cache_tokens, self._cache_seed,
+                np.min_scalar_type(self.source.vocab - 1))
+            self._windows = None
+        return self._cache
 
     def next_batch(self) -> tuple[np.ndarray, np.ndarray]:
         max_start = self._cache_tokens - self.seq_len - 1
         starts = self._rng.integers(0, max_start, size=self.batch_size)
         windows = None
-        if self._cache is None:
-            if self._lazy_left:
-                windows = self._windows.read(starts, self.seq_len + 1)
-            if windows is None:  # the switch: walk the cache after all
-                self._cache = self._windows.walk(self._dtype)
-                self._windows = None
-            else:
-                self._lazy_left -= 1
+        if self._windows is not None:
+            windows = self._windows.read(starts, self.seq_len + 1)
         if windows is None:
             offsets = np.arange(self.seq_len + 1)
-            windows = self._cache[starts[:, None] + offsets[None, :]].astype(np.int64)
+            windows = self.cache[starts[:, None] + offsets[None, :]].astype(np.int64)
         self.tokens_served += self.batch_size * self.seq_len
         return windows[:, :-1], windows[:, 1:]
 

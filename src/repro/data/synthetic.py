@@ -91,18 +91,26 @@ def kernel_divergence(a: np.ndarray, b: np.ndarray, specials: int = 2) -> float:
 #: "Client data at fleet scale"), not parameters: tokens per lane, the
 #: predecessor positions a lane pre-walks to find its start, the cells
 #: of the bin prefilter (a power of two, so ``u * cells`` is exact),
-#: and the request size below which lanes do not pay for themselves.
+#: the request size below which lanes do not pay for themselves, and
+#: the uniforms drawn and binned at a time.
 _LANE_TOKENS = 256
 _PREWALK_TOKENS = 192
 _PREFILTER_CELLS = 4096
 _MIN_LANE_REQUEST = 4096
+_DRAW_CHUNK = 8192
 
 #: Constants of the lazy windows (:meth:`MarkovSource.cache_windows`),
 #: fixed by measurement (README, "Client data at fleet scale"): the
 #: look-back a window tries first (a power of two; a window that does
-#: not certify doubles it) and the longest it may try.
+#: not certify doubles it) and the longest it may try; and what the
+#: windows cost, in positions of a cache walk: a read, a position a
+#: window walks, and a look-back position per ``_STATES_PER_POSITION``
+#: states of the maps it composes.
 _LOOKBACK = 64
 _MAX_LOOKBACK = 1024
+_READ_COST = 4096
+_STEP_COST = 4
+_STATES_PER_POSITION = 4
 
 
 class _WalkTable:
@@ -127,7 +135,7 @@ class _WalkTable:
         vocab = cum.shape[0]
         self.vocab = vocab
         self.breaks = np.unique(cum)
-        table = np.zeros((self.breaks.size + 1, vocab), dtype=np.int64)
+        table = np.zeros((self.breaks.size + 1, vocab), dtype=np.int32)
         for state in range(vocab):
             table[1:, state] = cum[state].searchsorted(self.breaks, side="right")
         np.minimum(table, vocab - 1, out=table)
@@ -140,7 +148,7 @@ class _WalkTable:
         edges = np.arange(_PREFILTER_CELLS + 1) / _PREFILTER_CELLS
         low = self.breaks.searchsorted(edges[:-1], side="right")
         high = self.breaks.searchsorted(edges[1:], side="left")
-        self._cell_bin = np.where(low == high, low, -1)
+        self._cell_bin = np.where(low == high, low, -1).astype(np.int32)
         #: speculative lanes walked / lanes a sequential re-walk entered
         #: / speculative tokens it replaced.
         self.lanes_walked = 0
@@ -186,7 +194,7 @@ class _WalkTable:
 
     def _bins(self, uniforms: np.ndarray) -> np.ndarray:
         """``g(u)`` per draw, through the prefilter."""
-        cells = (uniforms * _PREFILTER_CELLS).astype(np.intp)
+        cells = (uniforms * _PREFILTER_CELLS).astype(np.int32)
         bins = self._cell_bin.take(cells)
         mixed = np.flatnonzero(bins < 0)
         bins[mixed] = self.breaks.searchsorted(uniforms[mixed], "right")
@@ -201,12 +209,18 @@ class _WalkTable:
             tokens.append(state)
         return tokens
 
-    def walk(self, state: int, uniforms: np.ndarray,
+    def walk(self, state: int, rng: np.random.Generator, n: int,
              dtype=np.int64) -> np.ndarray:
-        """The tokens of the chain started in ``state`` and driven by
-        ``uniforms``: ``token[i] = next[g(uniforms[i]), token[i - 1]]``,
-        as a ``dtype`` array (allocated last, so a narrow result does
-        not free an ``int64`` copy on top of the heap).
+        """The ``n`` tokens of the chain started in ``state`` and driven
+        by ``n`` uniforms ``u`` drawn from ``rng``:
+        ``token[i] = next[g(u[i]), token[i - 1]]``, as a ``dtype`` array
+        (allocated last, so a narrow result does not free a wide copy
+        on top of the heap).  The uniforms are drawn and binned
+        ``_DRAW_CHUNK`` at a time (the same draws as one
+        ``rng.random(n)``) and the lanes step in ``int32``: the walk's
+        working set is about 13 bytes a token, not 32, so a walk that
+        runs beside training (a stream's switch) adds little to the
+        peak.
 
         A long request is cut into lanes of ``_LANE_TOKENS`` that step
         in lockstep.  Lane ``k >= 1`` does not know its start, so it
@@ -220,22 +234,24 @@ class _WalkTable:
         from its predecessor's (by then exact) last token until it
         meets its own speculative tokens.
         """
-        n = uniforms.size
         if n < _MIN_LANE_REQUEST:
-            bins = self.breaks.searchsorted(uniforms, "right")
+            bins = self.breaks.searchsorted(rng.random(n), "right")
             return np.array(self._walk(state, bins), dtype=dtype)
-        bins = self._bins(uniforms)
+        bins = np.empty(n, dtype=np.int32)
+        for at in range(0, n, _DRAW_CHUNK):
+            bins[at:at + _DRAW_CHUNK] = self._bins(
+                rng.random(min(_DRAW_CHUNK, n - at)))
         lane = _LANE_TOKENS
         lanes = n // lane
         body = lanes * lane
         # Row j: ``g * vocab`` of step j of every lane.
-        by_step = np.empty((lane, lanes), dtype=np.int64)
+        by_step = np.empty((lane, lanes), dtype=np.int32)
         np.multiply(bins[:body].reshape(lanes, lane).T, self.vocab, out=by_step)
         table = self.table
-        guess = np.full(lanes - 1, state, dtype=np.int64)
+        guess = np.full(lanes - 1, state, dtype=np.int32)
         for step in by_step[lane - _PREWALK_TOKENS:, :-1]:
             guess = table[guess + step]
-        speculative = np.empty((lane, lanes), dtype=np.int64)
+        speculative = np.empty((lane, lanes), dtype=np.int32)
         index = np.empty(lanes, dtype=np.int64)
         current = np.concatenate(([state], guess))
         for step, row in zip(by_step, speculative):
@@ -290,16 +306,34 @@ class _CacheWindows:
     batched over a batch's windows.  A window that does not certify
     composes the ``L`` maps before those (look-back ``2 L``), up to
     ``_MAX_LOOKBACK``.
+
+    The ski-rental rule: the reads may cost, all told, about what one
+    walk of the cache costs (``size`` positions of it, at the
+    ``_*_COST`` rates).  A read, or a longer look-back, that would
+    spend more than is left is refused, and its reader walks the cache
+    instead: so the windows and that walk cost at most about two walks,
+    whatever the windows' number, shape and vocabulary.
     """
 
-    def __init__(self, source: "MarkovSource", size: int, seed: int):
-        self._source = source
-        self._table = source._table
-        self.size = size
-        self._seed = seed
+    def __init__(self, table: _WalkTable, size: int, seed: int):
+        self._table = table
         self._rng = np.random.default_rng(seed)
-        self._state0 = int(self._rng.integers(source.specials, source.vocab))
+        self._state0 = int(self._rng.integers(table.specials, table.vocab))
         self._at = 0  # the position whose uniform the generator draws next
+        self._left = size  # what the reads may still cost
+
+    def _spend(self, windows: int, lookback: int, length: int = 0,
+               fixed: int = 0) -> bool:
+        """Charge ``fixed`` plus ``windows`` windows composing
+        ``lookback`` maps and walking ``length`` positions; False
+        (nothing charged) if that is more than is left."""
+        cost = fixed + windows * (
+            lookback * self._table.vocab // _STATES_PER_POSITION
+            + length * _STEP_COST)
+        if cost > self._left:
+            return False
+        self._left -= cost
+        return True
 
     def _bins(self, starts: np.ndarray, width: int) -> np.ndarray:
         """``g(u)`` of the positions ``[start, start + width)``, a row
@@ -331,11 +365,13 @@ class _CacheWindows:
 
     def read(self, starts: np.ndarray, length: int) -> np.ndarray | None:
         """The windows ``[start, start + length)`` of the cache, an
-        ``int64`` row per start; None if one did not certify within
-        ``_MAX_LOOKBACK``."""
+        ``int64`` row per start; None if they would cost more than is
+        left, or one did not certify within ``_MAX_LOOKBACK``."""
         table = self._table
         reach = table.window_maps()[1]
         lookback = _LOOKBACK
+        if not self._spend(starts.size, lookback, length, _READ_COST):
+            return None
         bins = self._bins(starts - lookback, lookback + length)
         entry = np.empty(starts.size, dtype=np.intp)
         todo = np.arange(starts.size)
@@ -349,7 +385,8 @@ class _CacheWindows:
             todo, composed = todo[~certified], composed[~certified]
             if not todo.size:
                 break
-            if lookback == _MAX_LOOKBACK:
+            if lookback == _MAX_LOOKBACK or not self._spend(todo.size,
+                                                            lookback):
                 return None
             if lookback == _LOOKBACK:
                 table.windows_extended += todo.size
@@ -362,12 +399,6 @@ class _CacheWindows:
         return np.array([table._walk(state, row) for state, row
                          in zip(entry.tolist(), bins[:, _LOOKBACK:])],
                         dtype=np.int64).reshape(starts.size, length)
-
-    def walk(self, dtype) -> np.ndarray:
-        """The whole cache, walked (the stream's switch, counted)."""
-        self._table.cache_switches += 1
-        return self._source.sample_tokens(
-            self.size, rng=np.random.default_rng(self._seed), dtype=dtype)
 
 
 class MarkovSource:
@@ -410,12 +441,19 @@ class MarkovSource:
         tokens are the same whatever holds them)."""
         rng = rng or self._rng
         state = int(rng.integers(self.specials, self.vocab))
-        return self._table.walk(state, rng.random(n), dtype)
+        return self._table.walk(state, rng, n, dtype)
+
+    def cache(self, n: int, seed: int, dtype) -> np.ndarray:
+        """The token cache ``sample_tokens(n, rng=default_rng(seed),
+        dtype=dtype)``, walked whole: a lazy stream's switch, counted."""
+        self._table.cache_switches += 1
+        return self.sample_tokens(n, rng=np.random.default_rng(seed),
+                                  dtype=dtype)
 
     def cache_windows(self, n: int, seed: int) -> _CacheWindows:
-        """The cache ``sample_tokens(n, rng=default_rng(seed))``, not
-        walked: its windows computed on demand."""
-        return _CacheWindows(self, n, seed)
+        """The same cache, not walked: its windows computed on demand,
+        while they cost less than about one walk of it."""
+        return _CacheWindows(self._table, n, seed)
 
     @property
     def walk_stats(self) -> dict[str, int]:

@@ -251,8 +251,7 @@ class Photon:
                 )
 
         stream_of, val_stream = self._build_data(
-            corpus, heterogeneity, num_shards, data_seed,
-            lazy=not build_up_front,
+            corpus, heterogeneity, num_shards, data_seed
         )
 
         def make_client(cid: str) -> LLMClient:
@@ -406,22 +405,18 @@ class Photon:
 
     # ------------------------------------------------------------------
     def _build_data(self, corpus, heterogeneity: float, num_shards: int,
-                    data_seed: int, lazy: bool):
+                    data_seed: int):
         """``(stream_of, val_stream)``: ``stream_of(client_id)`` builds
         that client's training stream when the client is built — up
         front or on first use, the sources and seeds are the same, and
-        a client never built costs no memory.  The streams of clients
-        built on demand are ``lazy`` (they serve the same batches
-        without walking their whole cache at the build); the validation
-        stream walks its cache up front."""
+        a client never built costs no memory."""
         vocab = self.model_config.vocab_size
         population = self.fed_config.population
         index_of = self.population.index_of
 
-        def cached(source, seed: int, lazy: bool = False) -> CachedTokenStream:
+        def cached(source, seed: int) -> CachedTokenStream:
             return CachedTokenStream(source, self.optim_config.batch_size,
-                                     self.model_config.seq_len, seed=seed,
-                                     lazy=lazy)
+                                     self.model_config.seq_len, seed=seed)
 
         if isinstance(corpus, dict):
             if len(corpus) != population:
@@ -438,7 +433,7 @@ class Photon:
 
             def stream_of(cid: str) -> BatchStream:
                 i = index_of(cid)
-                components = [cached(c4.shard(s), data_seed + s, lazy)
+                components = [cached(c4.shard(s), data_seed + s)
                               for s in groups[i]]
                 return (components[0] if len(components) == 1
                         else MixedStream(components, seed=data_seed + i))
@@ -453,8 +448,7 @@ class Photon:
 
             def stream_of(cid: str) -> BatchStream:
                 i = index_of(cid)
-                return cached(pile.client_source(i, population),
-                              data_seed + i, lazy)
+                return cached(pile.client_source(i, population), data_seed + i)
 
             return stream_of, cached(pile.validation(), data_seed - 1)
 

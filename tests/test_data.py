@@ -27,13 +27,15 @@ from repro.data import (
     partition_stream,
     shards_per_client,
 )
-from repro.data.stream import _LAZY_BATCHES
 from repro.data.synthetic import (
     _LANE_TOKENS,
     _LOOKBACK,
     _MAX_LOOKBACK,
     _MIN_LANE_REQUEST,
     _PREWALK_TOKENS,
+    _READ_COST,
+    _STATES_PER_POSITION,
+    _STEP_COST,
     PILE_SOURCE_NAMES,
     _CacheWindows,
     make_kernel,
@@ -334,14 +336,15 @@ def _sha256(tokens: np.ndarray) -> str:
 @pytest.mark.parametrize("cell", sorted(_TOKEN_DIGESTS))
 def test_token_data_is_pinned(cell):
     """The token data itself, not only the perplexities three layers
-    downstream of it.  The cache is stored narrow (one byte a token at
-    vocab 32 and 64) and hashed as the int64 tokens it holds."""
+    downstream of it: the first batch (lazy windows), then the cache,
+    walked.  The cache is stored narrow (one byte a token at vocab 32
+    and 64) and hashed as the int64 tokens it holds."""
     source, seed = _digest_cells()[cell]
     stream = CachedTokenStream(source, batch_size=4, seq_len=16, seed=seed)
     cache, batch = _TOKEN_DIGESTS[cell]
-    assert stream._cache.itemsize == 1
-    assert _sha256(stream._cache.astype(np.int64)) == cache
     assert _sha256(np.stack(stream.next_batch())) == batch
+    assert stream.cache.itemsize == 1
+    assert _sha256(stream.cache.astype(np.int64)) == cache
 
 
 class TestKernelMixing:
@@ -514,7 +517,7 @@ class TestSharding:
 
 
 # ----------------------------------------------------------------------
-# Lazy cache windows: a lazy stream serves the eager stream's batches
+# Lazy cache windows: a stream serves the batches of the cache it walks
 # ----------------------------------------------------------------------
 
 _LAZY_KERNELS = ("pile", "c4", "two_successors", "permutation", "pad_leak")
@@ -547,6 +550,30 @@ def _lazy_source(kernel: str, vocab: int, seed: int) -> MarkovSource:
     return MarkovSource(permutation, seed=seed)
 
 
+def _walked_batches(source, batch_size, seq_len, cache_tokens, seed):
+    """The batches of a stream that walks its whole cache up front and
+    slices it: what every :class:`CachedTokenStream` must serve."""
+    cache = source.sample_tokens(cache_tokens,
+                                 rng=np.random.default_rng(seed + 1))
+    rng = np.random.default_rng(seed)
+    offsets = np.arange(seq_len + 1)
+    while True:
+        starts = rng.integers(0, cache_tokens - seq_len - 1, size=batch_size)
+        windows = cache[starts[:, None] + offsets]
+        yield windows[:, :-1], windows[:, 1:]
+
+
+def _batch_cost(windows: int, vocab: int, length: int) -> int:
+    """What a read of ``windows`` windows that all certify at the first
+    look-back costs, in positions of a cache walk."""
+    return _READ_COST + windows * (_LOOKBACK * vocab // _STATES_PER_POSITION
+                                   + length * _STEP_COST)
+
+
+#: Every read spends at least ``_READ_COST``: a stream of the default
+#: cache switches within this many batches.
+_MOST_LAZY_BATCHES = 65_536 // _READ_COST + 1
+
 _LAZY = dict(derandomize=True, deadline=None, database=None,
              suppress_health_check=[HealthCheck.too_slow])
 _lazy_cells = dict(
@@ -555,48 +582,48 @@ _lazy_cells = dict(
     cache_tokens=st.sampled_from([512, 4_096, 65_536]),
     shape=st.sampled_from([(1, 1), (4, 16), (3, 31), (8, 7)]),
     seed=st.integers(0, 2**16),
-    cut=st.integers(0, _LAZY_BATCHES + 2),
+    cut=st.integers(0, _MOST_LAZY_BATCHES + 1),
 )
 
 
-def _assert_lazy_is_eager(kernel, vocab, cache_tokens, shape, seed, cut):
+def _assert_lazy_is_walked(kernel, vocab, cache_tokens, shape, seed, cut):
     """Batch for batch, before and after the switch, and across a
-    mid-run ``state_dict`` / ``load_state_dict`` into a new lazy stream
-    at batch ``cut``; then the windows at the pinned starts."""
+    mid-run ``state_dict`` / ``load_state_dict`` into a new stream at
+    batch ``cut``; then the windows at the pinned starts."""
     source = _lazy_source(kernel, vocab, seed)
     batch_size, seq_len = shape
-    eager = CachedTokenStream(source, batch_size, seq_len, cache_tokens,
-                              seed=seed)
-    lazy = CachedTokenStream(source, batch_size, seq_len, cache_tokens,
-                             seed=seed, lazy=True)
-    for i in range(cut + _LAZY_BATCHES + 1):
+    want = _walked_batches(source, batch_size, seq_len, cache_tokens, seed)
+    stream = CachedTokenStream(source, batch_size, seq_len, cache_tokens,
+                               seed=seed)
+    walked_after = None  # the batch at which the (reloaded) stream walked
+    for i in range(cut + _MOST_LAZY_BATCHES + 2):
         if i == cut:
-            state = lazy.state_dict()
-            lazy = CachedTokenStream(source, batch_size, seq_len,
-                                     cache_tokens, seed=seed, lazy=True)
-            lazy.load_state_dict(state)
-        want, got = eager.next_batch(), lazy.next_batch()
-        for w, g in zip(want, got):
+            state = stream.state_dict()
+            stream = CachedTokenStream(source, batch_size, seq_len,
+                                       cache_tokens, seed=seed)
+            stream.load_state_dict(state)
+            walked_after = None
+        for w, g in zip(next(want), stream.next_batch()):
             assert g.dtype == np.int64
             np.testing.assert_array_equal(g, w)
-    assert lazy.state_dict() == eager.state_dict()
-    assert lazy._cache is not None  # the reloaded stream switched too
+        if walked_after is None and stream._cache is not None:
+            walked_after = i
+    assert walked_after is not None and walked_after < i  # sliced after it
 
     length = seq_len + 1
     starts = np.array([0, 1, _LOOKBACK - 1, _LOOKBACK, _LOOKBACK + 1,
                        cache_tokens - length])
     windows = source.cache_windows(cache_tokens, seed + 1).read(starts, length)
-    if windows is None:
-        assert kernel not in ("pile", "c4")
-    else:
-        cache = eager._cache.astype(np.int64)
+    if windows is not None:
+        cache = stream.cache.astype(np.int64)
         np.testing.assert_array_equal(
             windows, cache[starts[:, None] + np.arange(length)])
 
 
 class TestLazyWindows:
-    """``CachedTokenStream(lazy=True)`` is the eager stream, batch for
-    batch, whatever its kernel, vocabulary, cache and shape."""
+    """A :class:`CachedTokenStream` serves the batches of the cache it
+    would walk, before and after it walks it, whatever its kernel,
+    vocabulary, cache and shape."""
 
     @given(**_lazy_cells)
     @example(kernel="permutation", vocab=32, cache_tokens=65_536,
@@ -604,18 +631,21 @@ class TestLazyWindows:
     @example(kernel="two_successors", vocab=96, cache_tokens=4_096,
              shape=(3, 31), seed=7, cut=5)
     @example(kernel="pile", vocab=256, cache_tokens=65_536, shape=(8, 7),
-             seed=2, cut=_LAZY_BATCHES)
+             seed=2, cut=3)
+    @example(kernel="pile", vocab=32, cache_tokens=65_536, shape=(4, 16),
+             seed=2, cut=_MOST_LAZY_BATCHES)
     @settings(max_examples=8, **_LAZY)
-    def test_lazy_stream_equals_eager(self, kernel, vocab, cache_tokens,
-                                      shape, seed, cut):
-        _assert_lazy_is_eager(kernel, vocab, cache_tokens, shape, seed, cut)
+    def test_stream_serves_its_walked_cache(self, kernel, vocab, cache_tokens,
+                                            shape, seed, cut):
+        _assert_lazy_is_walked(kernel, vocab, cache_tokens, shape, seed, cut)
 
     @pytest.mark.slow
     @given(**_lazy_cells)
     @settings(max_examples=200, **_LAZY)
-    def test_lazy_stream_equals_eager_deep(self, kernel, vocab, cache_tokens,
-                                           shape, seed, cut):
-        _assert_lazy_is_eager(kernel, vocab, cache_tokens, shape, seed, cut)
+    def test_stream_serves_its_walked_cache_deep(self, kernel, vocab,
+                                                 cache_tokens, shape, seed,
+                                                 cut):
+        _assert_lazy_is_walked(kernel, vocab, cache_tokens, shape, seed, cut)
 
     @pytest.mark.parametrize("kernel", ["pile", "c4", "pad_leak"])
     def test_windows_certify_exactly(self, kernel):
@@ -628,7 +658,7 @@ class TestLazyWindows:
             [0, 1, _LOOKBACK - 1, _LOOKBACK, _LOOKBACK + 1,
              2 * _LOOKBACK - 1, 2 * _LOOKBACK, 2 * _LOOKBACK + 1,
              65_536 - 17],
-            np.random.default_rng(1).integers(0, 65_536 - 17, size=64)))
+            np.random.default_rng(1).integers(0, 65_536 - 17, size=32)))
         windows = source.cache_windows(65_536, 9).read(starts, 17)
         np.testing.assert_array_equal(
             windows, cache[starts[:, None] + np.arange(17)])
@@ -636,11 +666,11 @@ class TestLazyWindows:
     def test_lazy_windows_are_counted(self):
         source = _lazy_source("pile", 32, 0)
         before = source.walk_stats
-        stream = CachedTokenStream(source, 4, 16, seed=0, lazy=True)
-        for _ in range(_LAZY_BATCHES):
+        stream = CachedTokenStream(source, 4, 16, seed=0)
+        for _ in range(2):
             stream.next_batch()
         stats = source.walk_stats
-        assert stats["windows_lazy"] - before["windows_lazy"] == 4 * _LAZY_BATCHES
+        assert stats["windows_lazy"] - before["windows_lazy"] == 4 * 2
         assert stats["cache_switches"] == before["cache_switches"]
         assert stats["lanes_walked"] == before["lanes_walked"]  # no cache
 
@@ -650,26 +680,47 @@ class TestLazyWindows:
         source = _lazy_source("pile", 64, 0)
         cache = source.sample_tokens(65_536, rng=np.random.default_rng(1))
         starts = np.random.default_rng(2).integers(_LOOKBACK + 1, 65_000,
-                                                   size=64)
+                                                   size=16)
         before = source.walk_stats["windows_extended"]
         windows = source.cache_windows(65_536, 1).read(starts, 17)
         assert source.walk_stats["windows_extended"] > before
         np.testing.assert_array_equal(
             windows, cache[starts[:, None] + np.arange(17)])
 
-    def test_lazy_stream_switches_within_its_budget(self):
-        """The ski-rental bound: at most ``_LAZY_BATCHES`` lazy batches,
-        then the cache is walked, once."""
-        source = _lazy_source("pile", 32, 1)
-        stream = CachedTokenStream(source, 4, 16, seed=3, lazy=True)
+    @pytest.mark.parametrize("vocab, shape", [(32, (4, 16)), (96, (8, 31))])
+    def test_stream_switches_within_its_budget(self, vocab, shape):
+        """The ski-rental bound: the lazy batches cost at most one walk
+        of the cache, so at most ``cache_tokens`` over a batch's cost of
+        them; then the cache is walked, once."""
+        source = _lazy_source("pile", vocab, 1)
+        batch_size, seq_len = shape
+        most = 65_536 // _batch_cost(batch_size, vocab, seq_len + 1)
+        stream = CachedTokenStream(source, batch_size, seq_len, seed=3)
         before = source.walk_stats
-        for i in range(_LAZY_BATCHES + 4):
+        lazy = 0
+        for _ in range(most + 2):
             stream.next_batch()
-            switched = source.walk_stats["cache_switches"] - before["cache_switches"]
-            assert switched == (i >= _LAZY_BATCHES)
-            assert (stream._cache is None) == (i < _LAZY_BATCHES)
-        assert (source.walk_stats["windows_lazy"] - before["windows_lazy"]
-                == 4 * _LAZY_BATCHES)
+            lazy += stream._cache is None
+        stats = source.walk_stats
+        assert 1 <= lazy <= most
+        assert stats["cache_switches"] - before["cache_switches"] == 1
+        assert (stats["windows_lazy"] - before["windows_lazy"]
+                == batch_size * lazy)
+
+    def test_a_batch_dearer_than_the_cache_walks_it(self):
+        """Whatever the shape: 32 windows of 1,025 tokens would cost
+        more than the walk of a 65,536-token cache, so the stream walks
+        it at its first batch and serves no window lazily."""
+        source = _lazy_source("pile", 32, 4)
+        assert _batch_cost(32, 32, 1_025) > 65_536
+        want = _walked_batches(source, 32, 1_024, 65_536, 6)
+        stream = CachedTokenStream(source, 32, 1_024, seed=6)
+        before = source.walk_stats
+        for w, g in zip(next(want), stream.next_batch()):
+            np.testing.assert_array_equal(g, w)
+        stats = source.walk_stats
+        assert stats["cache_switches"] - before["cache_switches"] == 1
+        assert stats["windows_lazy"] == before["windows_lazy"]
 
     def test_never_certifying_kernel_switches_at_the_cap(self, monkeypatch):
         """No window of a permutation kernel past its first look-back
@@ -684,16 +735,16 @@ class TestLazyWindows:
 
         monkeypatch.setattr(_CacheWindows, "_bins", spy)
         source = _lazy_source("permutation", 32, 0)
-        eager = CachedTokenStream(source, 4, 16, seed=2)
-        lazy = CachedTokenStream(source, 4, 16, seed=2, lazy=True)
+        want = _walked_batches(source, 4, 16, 65_536, 2)
+        stream = CachedTokenStream(source, 4, 16, seed=2)
         starts = np.random.default_rng(2).integers(0, 65_536 - 17, size=4)
         assert starts.min() > _MAX_LOOKBACK  # what the first batch reads
         before = source.walk_stats
-        for w, g in zip(eager.next_batch(), lazy.next_batch()):
+        for w, g in zip(next(want), stream.next_batch()):
             np.testing.assert_array_equal(g, w)
         stats = source.walk_stats
         assert stats["cache_switches"] - before["cache_switches"] == 1
         assert stats["windows_lazy"] == before["windows_lazy"]
         assert stats["windows_extended"] - before["windows_extended"] == 4
-        assert min(drawn) >= starts.min() - _MAX_LOOKBACK
-        assert lazy._cache is not None
+        assert min(drawn) == starts.min() - _MAX_LOOKBACK
+        assert stream._cache is not None

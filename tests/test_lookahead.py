@@ -511,7 +511,7 @@ class TestNarrowTokenCache:
     def test_cache_is_the_narrowest_unsigned_dtype(self, vocab, itemsize):
         source = SyntheticPile(vocab=vocab, seed=0).client_source(0, 4)
         stream = CachedTokenStream(source, batch_size=2, seq_len=8, seed=0)
-        cache = stream._cache
+        cache = stream.cache
         assert cache.dtype.kind == "u" and cache.itemsize == itemsize
         assert int(cache.max()) < vocab
         x, y = stream.next_batch()
@@ -525,8 +525,8 @@ class TestNarrowTokenCache:
 
 class TestLazyClientStreams:
     def test_on_demand_clients_read_lazy_windows(self):
-        """The vector client plane builds lazy streams: the run serves
-        their batches as windows, and a build walks no cache."""
+        """A client built on demand trains on lazy windows: the run
+        serves their batches as windows, and a build walks no cache."""
         photon = fleet("batched", population=12, concurrency=8,
                        max_live=3, rounds=4)
         photon.train()
@@ -538,13 +538,15 @@ class TestLazyClientStreams:
                    for stream in streams) > 0
 
     @pytest.mark.parametrize("plane", ["sequential", "batched"])
-    def test_lazy_streams_replay_eager_ones(self, plane):
-        """Lazy and eager client streams give the same run: histories,
-        selection logs, wire bytes and tokens processed."""
+    def test_lazy_streams_replay_walked_ones(self, plane):
+        """Client streams that walk their cache at construction give
+        the same run: histories, selection logs, wire bytes and tokens
+        processed."""
         init = CachedTokenStream.__init__
 
-        def eager_init(self, *args, lazy=False, **kwargs):
+        def walking_init(self, *args, **kwargs):
             init(self, *args, **kwargs)
+            self.cache
 
         def run():
             photon = fleet(plane, population=12, concurrency=8, max_live=3,
@@ -553,13 +555,13 @@ class TestLazyClientStreams:
             return photon
 
         lazy = run()
-        with patch.object(CachedTokenStream, "__init__", eager_init):
-            eager = run()
-        assert_same_fleet(eager, lazy)
-        assert ([asdict(r) for r in eager.history]
+        with patch.object(CachedTokenStream, "__init__", walking_init):
+            walked = run()
+        assert_same_fleet(walked, lazy)
+        assert ([asdict(r) for r in walked.history]
                 == [asdict(r) for r in lazy.history])
-        assert (list(eager.aggregator.scheduler.selection_log)
+        assert (list(walked.aggregator.scheduler.selection_log)
                 == list(lazy.aggregator.scheduler.selection_log))
         for side in ("uplink", "downlink"):
-            assert (getattr(eager.aggregator.link, f"{side}_wire_bytes")
+            assert (getattr(walked.aggregator.link, f"{side}_wire_bytes")
                     == getattr(lazy.aggregator.link, f"{side}_wire_bytes"))
