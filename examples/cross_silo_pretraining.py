@@ -7,7 +7,8 @@ Demonstrates the pieces a real deployment would touch:
   heuristic;
 * the analytic wall-time model attached to the aggregator, so every
   round reports simulated wall-clock for the paper's 125M setup;
-* checkpointing with recovery, update clipping, and intermittent
+* checkpointing with recovery, update clipping, one silo releasing
+  its updates with Gaussian noise (clip, then noise), and intermittent
   client availability;
 * downstream evaluation of the final global model.
 
@@ -26,6 +27,8 @@ from repro.fed import (
     Aggregator,
     CheckpointManager,
     ClipUpdate,
+    Compose,
+    DPGaussianNoise,
     FedAvg,
     LLMClient,
     Link,
@@ -54,10 +57,14 @@ def build_clients() -> dict[str, LLMClient]:
                                  seq_len=MODEL.seq_len, seed=shard)
 
     clients: dict[str, LLMClient] = {}
-    # A single-GPU institution.
+    # A single-GPU institution that releases its updates with Gaussian
+    # noise: the federation's clip, then clip-and-noise at its own,
+    # tighter sensitivity bound.
     clients["utah"] = LLMClient(
         "utah", MODEL, stream(0), OPTIM, schedule,
-        silo=SiloSpec.single_gpu("utah"), post_process=ClipUpdate(10.0),
+        silo=SiloSpec.single_gpu("utah"),
+        post_process=Compose([ClipUpdate(10.0), DPGaussianNoise(
+            clip_norm=5.0, noise_multiplier=2e-4, seed=0)]),
     )
     # A 4-GPU server: the heuristic picks DDP.
     clients["texas"] = LLMClient(

@@ -51,7 +51,7 @@ import zlib
 import numpy as np
 
 from ..utils.durable import COMPONENT, RNG, Durable, Field, List, Map
-from ..utils.serialization import ZLIB_LEVEL, StateDict, pack_tree, unpack_tree
+from ..utils.serialization import StateDict, deflate, pack_tree, unpack_tree
 
 __all__ = [
     "Codec",
@@ -357,10 +357,6 @@ class Codec(Durable):
         self.name = name
         self.stages = list(stages)
 
-    @property
-    def lossless(self) -> bool:
-        return not self.stages
-
     def stage_payload(self, state: StateDict, sender: str = "",
                       receiver: str = "") -> bytes:
         """The packed post-stage byte stream, *before* the entropy
@@ -378,8 +374,7 @@ class Codec(Durable):
 
     def encode(self, state: StateDict, sender: str = "",
                receiver: str = "") -> bytes:
-        payload = self.stage_payload(state, sender, receiver)
-        return zlib.compress(payload, ZLIB_LEVEL)
+        return deflate(self.stage_payload(state, sender, receiver))
 
     def decode(self, payload: bytes) -> StateDict:
         arrays = unpack_tree(payload)

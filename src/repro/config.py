@@ -446,10 +446,6 @@ class FedConfig:
         return self.jitter > 0
 
     @property
-    def participation(self) -> float:
-        return self.clients_per_round / self.population
-
-    @property
     def total_client_steps(self) -> int:
         return self.rounds * self.local_steps
 
@@ -466,9 +462,6 @@ class WallTimeConfig:
         B, megabytes per second of the relevant (slowest) link.
     model_mb:
         S, model size in megabytes.
-    server_capacity:
-        ζ, server aggregation throughput (bytes/s equivalent); the
-        paper treats aggregation as negligible by default.
     channel_threshold:
         θ, the channel count above which bandwidth congestion scaling
         applies (paper default 100).
@@ -477,7 +470,6 @@ class WallTimeConfig:
     throughput: float
     bandwidth_mbps: float
     model_mb: float
-    server_capacity: float = 5.0e12
     channel_threshold: int = 100
 
 

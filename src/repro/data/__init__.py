@@ -1,6 +1,6 @@
 """Data subsystem: tokenizers, synthetic corpora, shards and streams."""
 
-from .sharding import assign_shards, shards_per_client
+from .sharding import assign_shards
 from .stream import (
     BatchStream,
     CachedTokenStream,
@@ -17,11 +17,10 @@ from .synthetic import (
     make_source,
     mixed_kernel,
 )
-from .tokenizer import DEFAULT_ALPHABET, CharTokenizer, WordTokenizer
+from .tokenizer import DEFAULT_ALPHABET, CharTokenizer
 
 __all__ = [
     "CharTokenizer",
-    "WordTokenizer",
     "DEFAULT_ALPHABET",
     "MarkovSource",
     "SyntheticC4",
@@ -36,5 +35,4 @@ __all__ = [
     "MixedStream",
     "partition_stream",
     "assign_shards",
-    "shards_per_client",
 ]

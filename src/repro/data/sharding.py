@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["assign_shards", "shards_per_client"]
+__all__ = ["assign_shards"]
 
 
 def assign_shards(num_shards: int, num_clients: int, seed: int = 0,
@@ -35,9 +35,3 @@ def assign_shards(num_shards: int, num_clients: int, seed: int = 0,
     groups = indices[:used].reshape(num_clients, per_client)
     return [sorted(int(i) for i in group) for group in groups]
 
-
-def shards_per_client(num_shards: int, num_clients: int) -> int:
-    """How many shards each client receives under :func:`assign_shards`."""
-    if num_clients < 1 or num_clients > num_shards:
-        raise ValueError("invalid client count")
-    return num_shards // num_clients

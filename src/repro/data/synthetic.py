@@ -30,7 +30,6 @@ from .tokenizer import CharTokenizer, DEFAULT_ALPHABET
 
 __all__ = [
     "MarkovSource",
-    "RepetitionSource",
     "make_kernel",
     "make_source",
     "mixed_kernel",
@@ -517,48 +516,6 @@ def cross_perplexity(true_kernel: np.ndarray, predictor_kernel: np.ndarray,
                         np.log(np.maximum(predictor_kernel, 1e-12)), 0.0)
     cross_entropy = -(pi[:, None] * true_kernel * log_pred).sum()
     return float(np.exp(cross_entropy))
-
-
-class RepetitionSource:
-    """Markov text with verbatim repeated spans.
-
-    Real text repeats itself (names, phrases, quotations); pure
-    order-1 Markov text does not, which makes in-context skills like
-    copying and induction unlearnable from it.  This wrapper emits
-    Markov text where every span of ``span`` tokens is immediately
-    repeated, giving models a pre-training signal for the
-    copy/induction downstream tasks (Tables 7/8).  Learning to exploit
-    it requires attention composition (≥ 2 transformer blocks), so
-    task accuracy becomes capacity-dependent — the property the
-    downstream comparison measures.
-    """
-
-    def __init__(self, base: MarkovSource, span: int = 8, repeat_prob: float = 1.0,
-                 seed: int = 0):
-        if span < 1:
-            raise ValueError("span must be >= 1")
-        if not 0.0 <= repeat_prob <= 1.0:
-            raise ValueError("repeat_prob must be in [0, 1]")
-        self.base = base
-        self.span = span
-        self.repeat_prob = repeat_prob
-        self.vocab = base.vocab
-        self.name = f"{base.name}+rep{span}"
-        self._rng = np.random.default_rng(seed)
-
-    def sample_tokens(self, n: int, rng: np.random.Generator | None = None,
-                      dtype=np.int64) -> np.ndarray:
-        rng = rng or self._rng
-        pieces: list[np.ndarray] = []
-        total = 0
-        while total < n:
-            segment = self.base.sample_tokens(self.span, rng=rng, dtype=dtype)
-            pieces.append(segment)
-            total += segment.size
-            if rng.random() < self.repeat_prob:
-                pieces.append(segment.copy())
-                total += segment.size
-        return np.concatenate(pieces)[:n]
 
 
 def _base_kernel(vocab: int | None) -> np.ndarray:

@@ -3,17 +3,14 @@
 The paper uses the GPT-NeoX-20B tokenizer with a 50 368-entry vocab
 [82].  A subword tokenizer over synthetic text would add nothing but
 parameters, so the reproduction ships a character-level tokenizer whose
-alphabet matches the synthetic corpus generator, plus a small
-byte-pair-style word tokenizer for users who bring their own text.
+alphabet matches the synthetic corpus generator.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
-__all__ = ["CharTokenizer", "WordTokenizer", "DEFAULT_ALPHABET"]
+__all__ = ["CharTokenizer", "DEFAULT_ALPHABET"]
 
 #: Alphabet shared with :mod:`repro.data.synthetic`; 30 symbols keeps
 #: the tiny models' 64-entry vocab comfortable.
@@ -50,49 +47,3 @@ class CharTokenizer:
         return "".join(self._id_to_char.get(int(i), "�") for i in np.asarray(ids).reshape(-1)
                        if int(i) != self.PAD)
 
-
-class WordTokenizer:
-    """Frequency-based word-level tokenizer (whitespace pre-split).
-
-    Builds a vocabulary of the ``max_vocab`` most common words from a
-    training corpus; everything else maps to ``<unk>``.
-    """
-
-    PAD = 0
-    UNK = 1
-
-    def __init__(self, max_vocab: int = 1024):
-        if max_vocab < 3:
-            raise ValueError("max_vocab must allow at least one word")
-        self.max_vocab = max_vocab
-        self._word_to_id: dict[str, int] = {}
-        self._id_to_word: dict[int, str] = {}
-
-    @property
-    def vocab_size(self) -> int:
-        return 2 + len(self._word_to_id)
-
-    @property
-    def is_fitted(self) -> bool:
-        return bool(self._word_to_id)
-
-    def fit(self, corpus: str) -> "WordTokenizer":
-        counts = Counter(corpus.split())
-        most_common = counts.most_common(self.max_vocab - 2)
-        self._word_to_id = {w: i + 2 for i, (w, _) in enumerate(most_common)}
-        self._id_to_word = {i: w for w, i in self._word_to_id.items()}
-        return self
-
-    def encode(self, text: str) -> np.ndarray:
-        if not self.is_fitted:
-            raise RuntimeError("WordTokenizer.encode called before fit()")
-        return np.array(
-            [self._word_to_id.get(w, self.UNK) for w in text.split()], dtype=np.int64
-        )
-
-    def decode(self, ids) -> str:
-        return " ".join(
-            self._id_to_word.get(int(i), "<unk>")
-            for i in np.asarray(ids).reshape(-1)
-            if int(i) != self.PAD
-        )

@@ -7,7 +7,6 @@ from .downstream import (
     DownstreamTask,
     HardBigramTask,
     InductionTask,
-    MarkovCopyTask,
     TaskExample,
     default_suite,
     run_suite,
@@ -24,7 +23,6 @@ __all__ = [
     "InductionTask",
     "BigramTask",
     "HardBigramTask",
-    "MarkovCopyTask",
     "ClozeTask",
     "score_task",
     "run_suite",

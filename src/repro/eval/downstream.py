@@ -38,7 +38,6 @@ __all__ = [
     "InductionTask",
     "BigramTask",
     "HardBigramTask",
-    "MarkovCopyTask",
     "ClozeTask",
     "score_task",
     "run_suite",
@@ -168,43 +167,6 @@ class HardBigramTask(DownstreamTask):
             top1, top2 = int(order[0]), int(order[1])
             if row[top2] > 1e-9:
                 return TaskExample(prompt.astype(np.int64), top1, top2)
-
-
-class MarkovCopyTask(DownstreamTask):
-    """In-distribution copying: a corpus span repeats and the model
-    must follow the *copy* rather than the marginal bigram statistics.
-
-    The distractor is the kernel's most likely successor of the
-    previous token (excluding the copied answer), so bigram statistics
-    alone favour the distractor — only a model that exploits the
-    repetition (pre-trainable from :class:`~repro.data.synthetic.
-    RepetitionSource` text) scores above chance.
-    """
-
-    name = "markov-copy"
-
-    def __init__(self, source: MarkovSource, seed: int = 0, span: int = 8):
-        super().__init__(source.vocab, seed)
-        if span < 3:
-            raise ValueError("span must be >= 3")
-        self.source = source
-        self.span = span
-
-    def make_example(self) -> TaskExample:
-        while True:
-            seg = self.source.sample_tokens(self.span, rng=self.rng)
-            j = int(self.rng.integers(2, self.span))
-            prompt = np.concatenate([seg, seg[:j]]).astype(np.int64)
-            correct = int(seg[j])
-            row = self.source.kernel[int(seg[j - 1])]
-            order = np.argsort(row)[::-1]
-            distractor = next(
-                (int(c) for c in order if int(c) != correct and int(c) >= _SPECIALS
-                 and row[int(c)] > 1e-9),
-                None,
-            )
-            if distractor is not None:
-                return TaskExample(prompt, correct, distractor)
 
 
 class ClozeTask(DownstreamTask):

@@ -31,7 +31,6 @@ from .postprocess import (
     DPGaussianNoise,
     Identity,
     PostProcessor,
-    TopKSparsify,
 )
 from .runstate import RUNSTATE_VERSION, RunStateCheckpointer
 from .sampler import (
@@ -92,7 +91,6 @@ __all__ = [
     "Compose",
     "ClipUpdate",
     "DPGaussianNoise",
-    "TopKSparsify",
     "CentralizedTrainer",
     "CentralizedResult",
     "build_diloco",

@@ -14,21 +14,13 @@ import os
 import threading
 from pathlib import Path
 
-import numpy as np
-
-from ..utils.serialization import PayloadError, StateDict, pack_tree, unpack_tree
+from ..utils.serialization import PayloadError, pack_tree, unpack_tree
 
 __all__ = ["CheckpointManager"]
 
 
 class CheckpointManager:
-    """Rotating on-disk checkpoints with optional async writes.
-
-    Algorithm 1 L.11 checkpoints the global model *asynchronously* so
-    aggregation never blocks on disk; :meth:`save_async` copies the
-    state and hands the write to a background thread, and
-    :meth:`wait` flushes pending writes (call before loading).
-    """
+    """Rotating on-disk checkpoints, one container file per step."""
 
     def __init__(self, directory: str | Path, keep: int = 3, prefix: str = "round"):
         if keep < 1:
@@ -37,16 +29,11 @@ class CheckpointManager:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
         self.prefix = prefix
-        self._pending: list[threading.Thread] = []
         self._io_lock = threading.Lock()
-        # Pending-list bookkeeping has its own lock: save_async may be
-        # called from several threads at once, and a lost list update
-        # would leave wait() unaware of an in-flight write.
-        self._pending_lock = threading.Lock()
-        # Highest step the rotation has ever pruned: an async write
-        # that lands after newer saves pruned past it must not
-        # resurrect a retired checkpoint (it would sit on disk outside
-        # the keep budget until some future save pruned it again).
+        # Highest step the rotation has ever pruned: a write that lands
+        # after newer saves pruned past it must not resurrect a retired
+        # checkpoint (it would sit on disk outside the keep budget until
+        # some future save pruned it again).
         self._retired_step = None
         #: Size of the most recent container written.
         self.last_nbytes = 0
@@ -60,13 +47,12 @@ class CheckpointManager:
         ``state`` is any tree :func:`pack_tree` accepts (a flat state
         dict, or a whole RunState); dtypes round-trip exactly.  The
         file appears under its final name only once complete.  A write
-        for a step the rotation has already pruned past is skipped
-        (see :meth:`save_async`).
+        for a step the rotation has already pruned past is skipped.
         """
         path = self._path(step)
         with self._io_lock:
             if self._retired_step is not None and step <= self._retired_step:
-                return path  # stale async write: already rotated out
+                return path  # stale write: already rotated out
             blob = pack_tree({
                 "state": state,
                 "metadata": {"step": step, **(metadata or {})},
@@ -77,35 +63,6 @@ class CheckpointManager:
             self.last_nbytes = len(blob)
             self._prune()
         return path
-
-    def save_async(self, step: int, state: StateDict,
-                   metadata: dict | None = None) -> threading.Thread:
-        """Checkpoint on a background thread (L.11, "Async
-        checkpointing").  The state is snapshot-copied immediately so
-        the caller may keep mutating the live model."""
-        snapshot = {k: np.array(v, copy=True) for k, v in state.items()}
-        thread = threading.Thread(
-            target=self.save, args=(step, snapshot, metadata), daemon=True
-        )
-        # Register before starting so a wait() racing the spawn always
-        # sees the thread; prune the list under the same lock so two
-        # concurrent save_async calls cannot drop each other's entry.
-        # A registered-but-not-yet-started thread has ident None and
-        # is_alive() False — it must survive the prune.
-        with self._pending_lock:
-            self._pending = [
-                t for t in self._pending if t.is_alive() or t.ident is None
-            ]
-            self._pending.append(thread)
-        thread.start()
-        return thread
-
-    def wait(self) -> None:
-        """Block until all async checkpoint writes have finished."""
-        with self._pending_lock:
-            pending, self._pending = self._pending, []
-        for thread in pending:
-            thread.join()
 
     def _prune(self) -> None:
         checkpoints = self.list_checkpoints()

@@ -32,10 +32,9 @@ scripted crash fires exactly once).
 from __future__ import annotations
 
 import time
-import zlib
 
 from ..obs.trace import NULL_TRACER
-from ..utils.serialization import ZLIB_LEVEL, pack_tree, unpack_tree
+from ..utils.serialization import deflate, pack_tree, unpack_tree
 from .faults import FailureModel
 from .link import Link
 
@@ -66,7 +65,7 @@ class ReplicaSet:
         if not self.n_replicas:
             return
         container = pack_tree(tree)
-        payload, raw = zlib.compress(container, ZLIB_LEVEL), len(container)
+        payload, raw = deflate(container), len(container)
         for i in range(self.n_replicas):
             message = self.link.send_blob(
                 payload, sender=self.server_id,

@@ -192,10 +192,6 @@ class Link(Durable):
               Field("uplink_codec", COMPONENT, omit=True),
               Field("downlink_codec", COMPONENT, omit=True))
 
-    def reset_counters(self) -> None:
-        for f in self.COUNTER_FIELDS:
-            setattr(self, f, 0)
-
 
 class SecureAggregator:
     """Pairwise-mask secure aggregation (Bonawitz et al. [36]).

@@ -26,7 +26,6 @@ __all__ = [
     "Compose",
     "ClipUpdate",
     "DPGaussianNoise",
-    "TopKSparsify",
     "Identity",
 ]
 
@@ -100,26 +99,4 @@ class DPGaussianNoise(PostProcessor):
         return {
             k: v + self._rng.normal(0.0, self.sigma, size=v.shape).astype(np.float32)
             for k, v in clipped.items()
-        }
-
-
-class TopKSparsify(PostProcessor):
-    """Keep the top ``fraction`` of coordinates by magnitude, zeroing
-    the rest — the pruning-style compression hook Section 4 mentions
-    (off by default)."""
-
-    def __init__(self, fraction: float):
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        self.fraction = fraction
-
-    def __call__(self, update: StateDict) -> StateDict:
-        if self.fraction >= 1.0:
-            return update
-        flat = np.concatenate([np.abs(v).reshape(-1) for v in update.values()])
-        k = max(1, int(round(self.fraction * flat.size)))
-        threshold = np.partition(flat, flat.size - k)[flat.size - k]
-        return {
-            k_: np.where(np.abs(v) >= threshold, v, 0.0).astype(np.float32)
-            for k_, v in update.items()
         }

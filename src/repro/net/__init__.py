@@ -14,7 +14,6 @@ from .topology import (
     paper_topology,
 )
 from .walltime import (
-    CommTopology,
     JitterModel,
     RoundTiming,
     WallTimeModel,
@@ -29,7 +28,6 @@ __all__ = [
     "PAPER_LINKS_GBPS",
     "WallTimeModel",
     "RoundTiming",
-    "CommTopology",
     "JitterModel",
     "gbps_to_mbps",
     "hop_seconds",

@@ -8,11 +8,12 @@ The paper evaluates system efficiency with an explicit model:
 * Ring-AllReduce      ``T_RAR = 2·S·(K−1) / (K·B)``        (Eq. 4)
 * per-round total     ``T_r = T_L + T_C``                  (Eq. 5)
 * training total      ``T = R·T_r``                        (Eq. 6)
-* aggregation         ``T_agg = K·S / ζ`` (negligible)     (Eq. 7)
 
 with τ local steps, ν local throughput (batches/s), K clients/round,
 S model megabytes, B bandwidth MB/s, R rounds.  A congestion factor
-kicks in above ``channel_threshold`` parallel channels.
+kicks in above ``channel_threshold`` parallel channels.  Server
+aggregation, ``T_agg = K·S / ζ`` (Eq. 7), is negligible at the paper's
+server throughput and is not modelled.
 
 The same module also models the centralized DDP baseline used in
 Table 2: per-step Ring-AllReduce over the same bandwidth, i.e.
@@ -32,7 +33,6 @@ from ..utils.durable import RNG, Array, Durable, Field
 
 __all__ = [
     "check_finite_positive",
-    "CommTopology",
     "JitterModel",
     "RoundTiming",
     "WallTimeModel",
@@ -112,27 +112,6 @@ def steps_by_deadline(planned: np.ndarray, compute_s: np.ndarray,
     cuttable = (total > 0) & (compute_s > 0) & (budget > 0) & (per_step > 0)
     prefix = np.where(cuttable, prefix, 0.0).astype(np.int64)
     return np.where(duration_s > deadline_s, prefix, planned)
-
-
-@dataclass(frozen=True)
-class CommTopology:
-    """Aggregation topology selector with its dropout/privacy traits
-    (Section 4 'Topology Between Clients')."""
-
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.name not in VALID_TOPOLOGIES:
-            raise ValueError(f"topology must be one of {VALID_TOPOLOGIES}")
-
-    @property
-    def tolerates_dropouts(self) -> bool:
-        return self.name in ("ps", "ar")
-
-    @property
-    def peer_to_peer(self) -> bool:
-        """Whether workers exchange updates directly (privacy-relevant)."""
-        return self.name in ("ar", "rar")
 
 
 @dataclass(frozen=True)
@@ -368,10 +347,8 @@ class WallTimeModel(Durable):
             bw = bw * threshold / channels
         return bw
 
-    def comm_s(self, topology: str | CommTopology, clients: int) -> float:
+    def comm_s(self, topology: str, clients: int) -> float:
         """Per-round communication time for ``clients`` participants."""
-        if isinstance(topology, CommTopology):
-            topology = topology.name
         if topology not in VALID_TOPOLOGIES:
             raise ValueError(f"unknown topology {topology!r}")
         if clients < 1:
@@ -389,9 +366,9 @@ class WallTimeModel(Durable):
         return 2.0 * s * (clients - 1) / (clients * b)
 
     # ------------------------------------------------------------------
-    # Equations 5–7
+    # Equations 5 and 6
     # ------------------------------------------------------------------
-    def round_timing(self, topology: str | CommTopology, clients: int,
+    def round_timing(self, topology: str, clients: int,
                      local_steps: int, overlap: bool = False) -> RoundTiming:
         """T_r = T_L + T_C (Eq. 5); ``overlap=True`` applies the
         Appendix B.2 communication-offloading optimization."""
@@ -416,7 +393,7 @@ class WallTimeModel(Durable):
         comm = 2.0 * self.config.model_mb / bw
         return RoundTiming(compute_s=compute, comm_s=comm, overlapped=overlap)
 
-    def cohort_timing(self, topology: str | CommTopology, client_ids: list[str],
+    def cohort_timing(self, topology: str, client_ids: list[str],
                       local_steps: int, overlap: bool = False) -> RoundTiming:
         """Synchronous-barrier timing of a concrete cohort: the compute
         barrier is the *slowest* client's Eq. 1, and the collective is
@@ -429,16 +406,12 @@ class WallTimeModel(Durable):
         comm = self.comm_s(topology, len(client_ids)) * float(bf.max())
         return RoundTiming(compute_s=compute, comm_s=comm, overlapped=overlap)
 
-    def total_wall_time_s(self, topology: str | CommTopology, clients: int,
+    def total_wall_time_s(self, topology: str, clients: int,
                           local_steps: int, rounds: int) -> float:
         """T = R · T_r (Eq. 6)."""
         if rounds < 0:
             raise ValueError("rounds must be non-negative")
         return rounds * self.round_timing(topology, clients, local_steps).total_s
-
-    def aggregation_s(self, clients: int) -> float:
-        """T_agg = K·S / ζ (Eq. 7) — negligible by default."""
-        return clients * self.config.model_mb * 1e6 / self.config.server_capacity
 
     # ------------------------------------------------------------------
     # Centralized DDP baseline (Table 2 comparison)

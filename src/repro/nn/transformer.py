@@ -3,7 +3,7 @@
 Architecture per paper Table 4: pre-norm blocks, ALiBi attention, GELU
 MLP with a configurable expansion ratio, tied input/output embeddings
 and a final layer norm.  The model exposes ``forward`` (logits),
-``loss`` (token cross-entropy) and generation/perplexity helpers.
+``loss`` (token cross-entropy) and ``generate`` (sampling).
 """
 
 from __future__ import annotations
@@ -128,30 +128,6 @@ class DecoderLM(Module):
         weight = self.tok_emb.weight
         return ops.cross_entropy(
             logits, targets, k=weight.shape[0] if weight.ndim == 3 else None)
-
-    # ------------------------------------------------------------------
-    # Evaluation helpers
-    # ------------------------------------------------------------------
-    def perplexity(self, tokens: np.ndarray, targets: np.ndarray) -> float:
-        """exp(loss) on a batch without building a graph."""
-        with no_grad():
-            return math.exp(self.loss(tokens, targets).item())
-
-    def logprobs(self, tokens: np.ndarray) -> np.ndarray:
-        """Per-position log-probabilities of the *next* token.
-
-        Returns an array of shape ``(batch, seq-1)`` with
-        ``log p(tokens[:, t+1] | tokens[:, :t+1])``.
-        """
-        tokens = np.asarray(tokens)
-        if tokens.ndim == 1:
-            tokens = tokens[None, :]
-        with no_grad():
-            logits = self.forward(tokens).data
-        log_probs = kernels.log_softmax_forward(logits)
-        batch_idx = np.arange(tokens.shape[0])[:, None]
-        pos_idx = np.arange(tokens.shape[1] - 1)[None, :]
-        return log_probs[batch_idx, pos_idx, tokens[:, 1:]]
 
     def generate(self, prompt: np.ndarray, max_new_tokens: int,
                  temperature: float = 1.0, rng: np.random.Generator | None = None) -> np.ndarray:

@@ -107,9 +107,6 @@ class Tracer:
         """A completed span on the host clock (seconds since start)."""
         self._span(HOST_PID, track, name, start_s, dur_s, args or None)
 
-    def instant_host(self, track: str, name: str, **args) -> None:
-        self._instant(HOST_PID, track, name, self.now_host(), args or None)
-
     @contextmanager
     def host_span(self, track: str, name: str, **args):
         """Context manager timing a host-side block into a span."""
@@ -212,9 +209,6 @@ class NullTracer:
         pass
 
     def span_host(self, track, name, start_s, dur_s, **args) -> None:
-        pass
-
-    def instant_host(self, track, name, **args) -> None:
         pass
 
     def host_span(self, track, name, **args):

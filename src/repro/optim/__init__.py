@@ -4,7 +4,6 @@ from .clip import clip_grad_norm, global_grad_norm
 from .optimizers import SGD, AdamW, Optimizer
 from .schedules import (
     ConstantLR,
-    LinearDecay,
     LRSchedule,
     WarmupCosine,
     federated_schedule_steps,
@@ -18,7 +17,6 @@ __all__ = [
     "LRSchedule",
     "ConstantLR",
     "WarmupCosine",
-    "LinearDecay",
     "federated_schedule_steps",
     "linear_lr_scaling",
     "clip_grad_norm",

@@ -1,11 +1,13 @@
-"""Optimizers used by the paper: AdamW (ClientOpt) and SGD/Nesterov.
+"""Optimizers: AdamW (the paper's ClientOpt) and plain SGD.
 
-AdamW [41] is the clients' local optimizer; SGD with Nesterov momentum
-is DiLoCo's recommended outer optimizer [9].  Both operate on the
+AdamW [41] is the clients' local optimizer.  It operates on the
 parameter lists produced by :meth:`repro.nn.Module.parameters` and can
-export/import their state (momenta) so tests can verify the paper's
+export/import its state (momenta) so tests can verify the paper's
 "stateless local optimization" choice (Appendix A): Photon *resets*
-optimizer state each round, DiLoCo-style setups may retain it.
+optimizer state each round, DiLoCo-style setups may retain it.  Plain
+SGD is the linear step the data-parallel engines of
+:mod:`repro.parallel` are checked with.  DiLoCo's outer optimizer
+(Nesterov momentum [9]) is :class:`repro.fed.server_opt.NesterovOuter`.
 """
 
 from __future__ import annotations
@@ -121,36 +123,14 @@ class AdamW(Optimizer):
 
 
 class SGD(Optimizer):
-    """SGD with optional (Nesterov) momentum.
-
-    Used as DiLoCo's outer optimizer (Nesterov, momentum 0.9) in the
-    Table 3 / Figure 8 comparisons.
-    """
-
-    _STATE = (Field("buf", List(Array(), counted=True)),)
-
-    def __init__(self, params: list[Parameter], lr: float,
-                 momentum: float = 0.0, nesterov: bool = False,
-                 weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        if nesterov and momentum <= 0.0:
-            raise ValueError("nesterov momentum requires momentum > 0")
-        self.momentum = momentum
-        self.nesterov = nesterov
-        self.weight_decay = weight_decay
-        self.buf = [np.zeros_like(p.data) for p in self.params]
+    """Plain SGD, ``p -= lr * g``.  It is linear in the gradient, so a
+    data-parallel step over summed worker gradients must move the
+    weights exactly as one step over the whole batch does."""
 
     def step(self) -> None:
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            if self.momentum > 0.0:
-                self.buf[i] = self.momentum * self.buf[i] + g
-                g = g + self.momentum * self.buf[i] if self.nesterov else self.buf[i]
-            p.data -= self.lr * g
+        for p in self.params:
+            if p.grad is not None:
+                p.data -= self.lr * p.grad
 
     def reset_state(self) -> None:
-        self.buf = [np.zeros_like(p.data) for p in self.params]
+        """Plain SGD keeps no state."""

@@ -16,7 +16,6 @@ __all__ = [
     "LRSchedule",
     "ConstantLR",
     "WarmupCosine",
-    "LinearDecay",
     "federated_schedule_steps",
     "linear_lr_scaling",
 ]
@@ -80,23 +79,6 @@ class WarmupCosine(LRSchedule):
         progress = (step - self.warmup_steps) / (self.total_steps - self.warmup_steps)
         cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
         return self.min_lr + (self.max_lr - self.min_lr) * cosine
-
-
-class LinearDecay(LRSchedule):
-    """Linear decay from ``max_lr`` to ``min_lr`` over ``total_steps``."""
-
-    def __init__(self, max_lr: float, total_steps: int, min_lr: float = 0.0):
-        if total_steps <= 0:
-            raise ValueError("total_steps must be positive")
-        self.max_lr = max_lr
-        self.min_lr = min_lr
-        self.total_steps = total_steps
-
-    def lr_at(self, step: int) -> float:
-        if step >= self.total_steps:
-            return self.min_lr
-        frac = step / self.total_steps
-        return self.max_lr + (self.min_lr - self.max_lr) * frac
 
 
 def federated_schedule_steps(centralized_steps: int, centralized_batch: int,

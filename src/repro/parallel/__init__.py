@@ -5,7 +5,6 @@ from .fsdp import FSDPEngine, ShardLayout
 from .hardware import (
     A100_40GB,
     H100,
-    RTX4090,
     GPUSpec,
     NodeSpec,
     SiloSpec,
@@ -20,7 +19,6 @@ __all__ = [
     "SiloSpec",
     "H100",
     "A100_40GB",
-    "RTX4090",
     "calc_batch_size",
     "activation_bytes_per_sample",
     "ExecutionPlan",

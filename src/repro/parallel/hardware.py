@@ -19,7 +19,6 @@ __all__ = [
     "SiloSpec",
     "H100",
     "A100_40GB",
-    "RTX4090",
     "calc_batch_size",
     "activation_bytes_per_sample",
 ]
@@ -44,7 +43,6 @@ class GPUSpec:
 
 H100 = GPUSpec("H100", vram_gb=80.0, bf16_tflops=989.0)
 A100_40GB = GPUSpec("A100-40GB", vram_gb=40.0, bf16_tflops=312.0)
-RTX4090 = GPUSpec("RTX4090", vram_gb=24.0, bf16_tflops=165.0)
 
 
 @dataclass(frozen=True)

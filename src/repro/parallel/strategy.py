@@ -32,11 +32,6 @@ class ExecutionPlan:
     n_workers: int
     per_worker_batch: int
 
-    @property
-    def client_batch(self) -> int:
-        """Samples processed per local step by the whole client."""
-        return self.n_workers * self.per_worker_batch
-
 
 def _gpu_batch(model: ModelConfig, vram_bytes: int) -> int:
     return calc_batch_size(

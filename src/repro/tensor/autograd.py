@@ -139,10 +139,6 @@ class Tensor:
         """Return the underlying array (no copy)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """Return a view of the data cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
@@ -421,12 +417,6 @@ class Tensor:
             count = int(np.prod([self.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        out = (centered * centered).mean(axis=axis, keepdims=keepdims)
-        return out
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
@@ -459,15 +449,6 @@ class Tensor:
 
         def backward(grad):
             return (grad * (1.0 - out_data**2),)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
-
-        def backward(grad):
-            return (grad * mask,)
 
         return Tensor._make(out_data, (self,), backward)
 

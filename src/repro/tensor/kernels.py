@@ -10,8 +10,8 @@ the gradient it is handed.
 
 Training binds each pair once (``tensor/ops.py``, :meth:`Tensor.gelu`);
 the incremental decoder of ``nn/inference.py`` — the one forward behind
-``InferenceEngine`` and the serving engine — ``DecoderLM.logprobs`` and
-``sample_token`` call the same forwards as they stand, so training and
+``InferenceEngine`` and the serving engine — and ``sample_token`` call
+the same forwards as they stand, so training and
 serving cannot disagree on the arithmetic.  Shape conventions that are
 not arithmetic (packed QKV, the model axis, broadcast affines) belong
 to the bindings.

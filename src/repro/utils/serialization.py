@@ -29,6 +29,7 @@ __all__ = [
     "PayloadError",
     "pack_tree",
     "unpack_tree",
+    "deflate",
     "encode_state",
     "decode_state",
     "tree_add",
@@ -290,13 +291,23 @@ def unpack_tree(payload) -> object:
     return tree
 
 
+def deflate(container: bytes) -> bytes:
+    """The wire's one deflate: a zlib stream at :data:`ZLIB_LEVEL`.
+    Every deflated payload (state broadcasts, codec payloads, replica
+    snapshots) goes through here; :func:`unpack_tree` inflates any of
+    them.  Calls ``zlib.compress`` through the module attribute, so a
+    profiler that rebinds it sees every call."""
+    return zlib.compress(container, ZLIB_LEVEL)
+
+
 def encode_state(state: StateDict, compress: bool = True) -> bytes:
     """Serialize a state dict for the Link: cast to float32 (the wire
     contract — the container itself is dtype-exact), pack, and apply
     the paper's lossless zlib unless ``compress`` is off."""
     raw = pack_tree({k: np.asarray(v, dtype=np.float32)
                      for k, v in state.items()})
-    return zlib.compress(raw, ZLIB_LEVEL) if compress else raw
+    return deflate(raw) if compress else raw
+
 
 
 def decode_state(payload: bytes) -> StateDict:

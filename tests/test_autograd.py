@@ -145,9 +145,8 @@ class TestReductionsAndNonlinearities:
         check_gradients(lambda x: x.sqrt(), [a])
         check_gradients(lambda x: x.tanh(), [a])
 
-    def test_relu_gelu(self, rng):
-        a = rng.normal(size=(8,)) + 0.1  # keep away from the ReLU kink
-        check_gradients(lambda x: x.relu(), [a])
+    def test_gelu(self, rng):
+        a = rng.normal(size=(8,))
         check_gradients(lambda x: x.gelu(), [a])
 
     def test_where(self, rng):
@@ -193,11 +192,6 @@ class TestGraphMechanics:
             y = y + 1.0
         y.sum().backward()
         np.testing.assert_allclose(x.grad, [1.0])
-
-    def test_detach_cuts_graph(self):
-        x = tensor([1.0], requires_grad=True)
-        y = (x * 2).detach()
-        assert not y.requires_grad
 
     def test_grad_not_required_stays_none(self):
         x = tensor([1.0])

@@ -106,10 +106,6 @@ class TestCodecRoundTrip:
         with pytest.raises(ValueError):
             make_codec("fp16").decode(b"ZLB0garbage")
 
-    def test_lossless_flag(self):
-        assert Codec("empty", []).lossless
-        assert not make_codec("int8").lossless
-
 
 class TestRegistry:
     def test_none_returns_none(self):
@@ -315,13 +311,6 @@ class TestLinkCodecs:
         assert unpack_tree(down.payload)["t0"].dtype == np.float16
         assert unpack_tree(up.payload)["t0"].dtype == np.float32
         assert link.downlink_wire_bytes < link.uplink_wire_bytes
-
-    def test_reset_counters_clears_direction_meters(self):
-        link = Link()
-        link.send_state(make_state(), sender="c0", receiver="agg")
-        link.reset_counters()
-        assert link.uplink_wire_bytes == link.uplink_raw_bytes == 0
-        assert link.raw_bytes_sent == link.bytes_sent == 0
 
 
 class TestFedConfigCompression:

@@ -146,7 +146,6 @@ class TestConfigBehaviour:
 
     def test_fed_config_properties(self):
         fed = FedConfig(population=8, clients_per_round=4, local_steps=64, rounds=10)
-        assert fed.participation == 0.5
         assert fed.total_client_steps == 640
 
     def test_tiny_models_are_small(self):

@@ -19,13 +19,11 @@ from repro.data import (
     SyntheticC4,
     SyntheticPile,
     TokenStream,
-    WordTokenizer,
     assign_shards,
     kernel_divergence,
     make_source,
     mixed_kernel,
     partition_stream,
-    shards_per_client,
 )
 from repro.data.synthetic import (
     _LANE_TOKENS,
@@ -74,27 +72,6 @@ class TestCharTokenizer:
     def test_roundtrip_property(self, text):
         tok = CharTokenizer()
         assert tok.decode(tok.encode(text)) == text
-
-
-class TestWordTokenizer:
-    def test_fit_and_encode(self):
-        tok = WordTokenizer(max_vocab=10).fit("the cat sat on the mat the end")
-        ids = tok.encode("the cat")
-        assert ids.shape == (2,)
-        assert (ids >= 2).all()
-
-    def test_unknown_word(self):
-        tok = WordTokenizer(max_vocab=4).fit("a a b b c")
-        assert tok.encode("zebra")[0] == WordTokenizer.UNK
-
-    def test_encode_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            WordTokenizer().encode("hi")
-
-    def test_vocab_capped(self):
-        corpus = " ".join(f"w{i}" for i in range(100))
-        tok = WordTokenizer(max_vocab=10).fit(corpus)
-        assert tok.vocab_size == 10
 
 
 class TestMarkovSource:
@@ -507,10 +484,6 @@ class TestSharding:
     def test_too_many_clients_rejected(self):
         with pytest.raises(ValueError):
             assign_shards(4, 8)
-
-    def test_shards_per_client(self):
-        assert shards_per_client(64, 16) == 4
-        assert shards_per_client(64, 64) == 1
 
     def test_deterministic_given_seed(self):
         assert assign_shards(16, 4, seed=3) == assign_shards(16, 4, seed=3)

@@ -1,5 +1,5 @@
 """Extension features: proximal clients, comm overlap, int8 codec,
-parallel aggregation, hyperopt, repetition source, cross-perplexity."""
+parallel aggregation, hyperopt, cross-perplexity."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.compress import make_codec
 from repro.config import FedConfig, ModelConfig, OptimConfig, WallTimeConfig
 from repro.data import CachedTokenStream, SyntheticC4, make_source
 from repro.data.synthetic import (
-    RepetitionSource,
     cross_perplexity,
     make_kernel,
     stationary_distribution,
@@ -189,37 +188,6 @@ class TestHyperopt:
                                [Candidate(1e-3), Candidate(1e-3)])
 
 
-class TestRepetitionSource:
-    def test_spans_repeat(self):
-        base = make_source("c4", vocab=32)
-        rep = RepetitionSource(base, span=5, seed=0)
-        tokens = rep.sample_tokens(200, rng=np.random.default_rng(1))
-        # With repeat_prob=1 every 10-token block is span+copy.
-        blocks = tokens[: (tokens.size // 10) * 10].reshape(-1, 10)
-        matches = (blocks[:, :5] == blocks[:, 5:]).all(axis=1)
-        assert matches.mean() > 0.9
-
-    def test_length_exact(self):
-        base = make_source("c4", vocab=32)
-        rep = RepetitionSource(base, span=7, seed=0)
-        assert rep.sample_tokens(123).size == 123
-
-    def test_zero_repeat_prob_is_plain_markov(self):
-        base = make_source("c4", vocab=32)
-        rep = RepetitionSource(base, span=5, repeat_prob=0.0, seed=0)
-        tokens = rep.sample_tokens(100, rng=np.random.default_rng(1))
-        blocks = tokens[:100].reshape(-1, 10)
-        matches = (blocks[:, :5] == blocks[:, 5:]).all(axis=1)
-        assert matches.mean() < 0.5
-
-    def test_validation(self):
-        base = make_source("c4", vocab=32)
-        with pytest.raises(ValueError):
-            RepetitionSource(base, span=0)
-        with pytest.raises(ValueError):
-            RepetitionSource(base, span=4, repeat_prob=2.0)
-
-
 class TestCrossPerplexity:
     def test_self_cross_is_optimal(self):
         source = make_source("c4", vocab=32)
@@ -251,23 +219,6 @@ class TestHardTasks:
             ex = task.make_example()
             row = source.kernel[int(ex.prompt[-1])]
             assert row[ex.correct] >= row[ex.distractor] > 0
-
-    def test_markov_copy_distractor_is_bigram_plausible(self):
-        from repro.eval import MarkovCopyTask
-
-        source = make_source("c4", vocab=32)
-        task = MarkovCopyTask(source, seed=0, span=6)
-        for _ in range(10):
-            ex = task.make_example()
-            row = source.kernel[int(ex.prompt[-1])]
-            assert row[ex.distractor] > 0
-            assert ex.correct != ex.distractor
-
-    def test_markov_copy_span_validation(self):
-        from repro.eval import MarkovCopyTask
-
-        with pytest.raises(ValueError):
-            MarkovCopyTask(make_source("c4", vocab=32), span=2)
 
 
 class TestPhotonWithExtensions:

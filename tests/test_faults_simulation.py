@@ -1,5 +1,4 @@
-"""Fault injection, dropout policies, the federation simulator,
-async checkpoints."""
+"""Fault injection, dropout policies, the federation simulator."""
 
 from __future__ import annotations
 
@@ -10,7 +9,6 @@ from repro.config import ModelConfig, OptimConfig
 from repro.data import CachedTokenStream, SyntheticC4
 from repro.fed import (
     Aggregator,
-    CheckpointManager,
     ClientFailure,
     FailureModel,
     FaultPolicy,
@@ -215,30 +213,3 @@ class TestFederationSimulator:
         sim = FederationSimulator(self.profiles(), 10.0, 100.0)
         with pytest.raises(ValueError):
             sim.simulate(0, 1)
-
-
-class TestAsyncCheckpointing:
-    def test_async_save_visible_after_wait(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        state = {"w": np.arange(4, dtype=np.float32)}
-        manager.save_async(0, state)
-        manager.wait()
-        step, loaded, _ = manager.load()
-        assert step == 0
-        np.testing.assert_array_equal(loaded["w"], state["w"])
-
-    def test_snapshot_isolated_from_mutation(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        state = {"w": np.zeros(4, dtype=np.float32)}
-        manager.save_async(0, state)
-        state["w"] += 99.0  # mutate the live model immediately
-        manager.wait()
-        _, loaded, _ = manager.load()
-        np.testing.assert_array_equal(loaded["w"], np.zeros(4))
-
-    def test_many_async_saves_rotate(self, tmp_path):
-        manager = CheckpointManager(tmp_path, keep=2)
-        for step in range(5):
-            manager.save_async(step, {"w": np.full(2, float(step), dtype=np.float32)})
-        manager.wait()
-        assert manager.list_checkpoints() == [3, 4]

@@ -26,7 +26,7 @@ from repro.data import CachedTokenStream, SyntheticC4
 from repro.fed import FailureModel, Photon, RunStateCheckpointer
 from repro.fed import link as link_module
 from repro.fed.link import Link, Message
-from repro.utils import pack_tree
+from repro.utils import pack_tree, serialization
 from repro.utils.serialization import decode_state, encode_state, state_bytes
 
 from helpers import assert_states_equal
@@ -297,7 +297,7 @@ class TestLevelSixStillDecodes:
         trees = {}
         for level in (6, 1):
             with monkeypatch.context() as patch:
-                patch.setattr(codec_module, "ZLIB_LEVEL", level)
+                patch.setattr(serialization, "ZLIB_LEVEL", level)
                 RunStateCheckpointer(tmp_path / str(level), codec="int8").save(
                     photon.aggregator, 1)
             trees[level] = RunStateCheckpointer(

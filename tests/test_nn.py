@@ -250,21 +250,6 @@ class TestDecoderLM:
         b = model.generate(prompt, 4, temperature=0.0)
         np.testing.assert_array_equal(a, b)
 
-    def test_logprobs_shape_and_validity(self, micro_model_config, rng):
-        model = DecoderLM(micro_model_config)
-        tokens = rng.integers(0, micro_model_config.vocab_size, size=(2, 6))
-        lp = model.logprobs(tokens)
-        assert lp.shape == (2, 5)
-        assert (lp <= 0).all()
-
-    def test_perplexity_is_exp_loss(self, micro_model_config, rng):
-        model = DecoderLM(micro_model_config)
-        tokens = rng.integers(0, micro_model_config.vocab_size, size=(2, 8))
-        x, y = tokens[:, :-1], tokens[:, 1:]
-        np.testing.assert_allclose(
-            model.perplexity(x, y), np.exp(model.loss(x, y).item()), rtol=1e-5
-        )
-
 
 class TestModelConfig:
     def test_param_count_close_to_actual(self, micro_model_config):

@@ -13,7 +13,6 @@ from repro.optim import (
     SGD,
     AdamW,
     ConstantLR,
-    LinearDecay,
     WarmupCosine,
     clip_grad_norm,
     federated_schedule_steps,
@@ -93,36 +92,6 @@ class TestSGD:
         SGD([p], lr=0.2).step()
         np.testing.assert_allclose(p.data, [0.9])
 
-    def test_momentum_accumulates(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0, momentum=0.9)
-        for _ in range(2):
-            p.grad = np.array([1.0], dtype=np.float32)
-            opt.step()
-        # Step 1: buf=1, move 1. Step 2: buf=1.9, move 1.9.
-        np.testing.assert_allclose(p.data, [-2.9], rtol=1e-6)
-
-    def test_nesterov_differs_from_heavy_ball(self):
-        p1, p2 = make_param([0.0]), make_param([0.0])
-        heavy = SGD([p1], lr=1.0, momentum=0.9)
-        nesterov = SGD([p2], lr=1.0, momentum=0.9, nesterov=True)
-        for _ in range(2):
-            p1.grad = np.array([1.0], dtype=np.float32)
-            p2.grad = np.array([1.0], dtype=np.float32)
-            heavy.step()
-            nesterov.step()
-        assert p1.data[0] != p2.data[0]
-
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([make_param([1.0])], lr=0.1, nesterov=True)
-
-    def test_weight_decay_coupled(self):
-        p = make_param([2.0])
-        p.grad = np.zeros(1, dtype=np.float32)
-        SGD([p], lr=0.1, weight_decay=0.5).step()
-        np.testing.assert_allclose(p.data, [2.0 - 0.1 * 0.5 * 2.0])
-
 
 class TestSchedules:
     def test_warmup_is_linear(self):
@@ -157,13 +126,6 @@ class TestSchedules:
 
     def test_constant(self):
         assert ConstantLR(0.3)(12345) == 0.3
-
-    def test_linear_decay(self):
-        sched = LinearDecay(1.0, total_steps=10, min_lr=0.0)
-        assert sched(0) == pytest.approx(1.0)
-        assert sched(5) == pytest.approx(0.5)
-        assert sched(10) == pytest.approx(0.0)
-        assert sched(20) == pytest.approx(0.0)
 
     def test_federated_schedule_stretch_matches_table5(self):
         # Table 5, 125M row: 5 120 centralized steps at batch 256

@@ -123,11 +123,6 @@ class TestStrategySelection:
         with pytest.raises(ValueError):
             select_strategy(silo, PAPER_MODELS["7B"])
 
-    def test_client_batch_product(self):
-        plan = select_strategy(SiloSpec.multi_gpu(4), PAPER_MODELS["125M"],
-                               target_batch=8)
-        assert plan.client_batch == 32
-
 
 def _train_setup(seed=0, batch=8):
     cfg = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2,
