@@ -15,9 +15,9 @@ beats the *untuned median* DiLoCo run out of the box.
 from __future__ import annotations
 
 from repro.config import FedConfig, OptimConfig
-from repro.fed import DILOCO_SERVER_LRS, Photon, build_diloco
+from repro.fed import DILOCO_SERVER_LRS, Photon, diloco
 
-from common import MICRO, make_client_streams, make_val_stream, print_table
+from common import MICRO, print_table
 
 N_CLIENTS = 4
 LOCAL_STEPS = 8
@@ -32,17 +32,15 @@ def run_sweep() -> dict[str, list[float]]:
     fed = FedConfig(population=N_CLIENTS, clients_per_round=N_CLIENTS,
                     local_steps=LOCAL_STEPS, rounds=ROUNDS)
 
+    # Both arms train and evaluate on the same data: they differ only
+    # in the three values the diloco preset sets.
     curves: dict[str, list[float]] = {}
     photon = Photon(MICRO, fed, optim, data_seed=3)
     curves["Photon"] = photon.train().val_perplexities
 
     for eta in DILOCO_SERVER_LRS:
-        diloco = build_diloco(
-            MICRO, make_client_streams(MICRO, N_CLIENTS, LOCAL_BATCH),
-            optim, fed, val_stream=make_val_stream(MICRO), server_lr=eta,
-        )
-        curves[f"DiLoCo eta={eta}"] = diloco.run(
-            ROUNDS, LOCAL_STEPS).val_perplexities
+        run = Photon(MICRO, diloco(fed, eta), optim, data_seed=3)
+        curves[f"DiLoCo eta={eta}"] = run.train().val_perplexities
     return curves
 
 

@@ -4,8 +4,9 @@ The paper trains a 125M model with N ∈ {2,4,8} clients and reports
 that Photon reaches both targets roughly twice as fast as DiLoCo with
 its tuned outer learning rate ηs = 0.1 (the only stable value in the
 Figure 8 sweep).  We run both algorithms on identical data/model/local
-recipes at miniature scale and convert rounds-to-target into wall time
-with the Appendix B.1 model.
+recipes at miniature scale (one ``Photon`` each, the DiLoCo arm under
+the ``diloco`` FedConfig preset) and convert rounds-to-target into
+wall time with the Appendix B.1 model.
 
 Shape asserted: Photon's wall-time ratio vs DiLoCo is below 0.75× at
 every N for the easy target (paper: 0.47×–0.54×).
@@ -14,17 +15,9 @@ every N for the easy target (paper: 0.47×–0.54×).
 from __future__ import annotations
 
 from repro.config import FedConfig, OptimConfig
-from repro.fed import Photon, build_diloco
+from repro.fed import Photon, diloco
 
-from common import (
-    MICRO,
-    TARGET_HIGH,
-    TARGET_LOW,
-    make_client_streams,
-    make_val_stream,
-    print_table,
-    walltime_125m,
-)
+from common import MICRO, TARGET_HIGH, TARGET_LOW, print_table, walltime_125m
 
 CLIENT_COUNTS = [2, 4, 8]
 LOCAL_STEPS = 8
@@ -53,12 +46,8 @@ def run_comparison() -> dict[int, dict]:
         photon = Photon(MICRO, fed, optim, data_seed=3)
         photon_history = photon.train(target_perplexity=TARGET_LOW)
 
-        diloco = build_diloco(
-            MICRO, make_client_streams(MICRO, n, LOCAL_BATCH, data_seed=1),
-            optim, fed, val_stream=make_val_stream(MICRO), server_lr=0.1,
-        )
-        diloco_history = diloco.run(MAX_ROUNDS, LOCAL_STEPS,
-                                    target_perplexity=TARGET_LOW)
+        diloco_run = Photon(MICRO, diloco(fed, 0.1), optim, data_seed=3)
+        diloco_history = diloco_run.train(target_perplexity=TARGET_LOW)
 
         cell = {}
         for label, target in (("high", TARGET_HIGH), ("low", TARGET_LOW)):

@@ -64,19 +64,6 @@ def walltime_125m(topology: str) -> WallTimeModel:
     ))
 
 
-def make_client_streams(model: ModelConfig, n_clients: int, batch: int,
-                        data_seed: int = 1) -> dict[str, CachedTokenStream]:
-    """IID C4-style client streams (one shard per client)."""
-    c4 = SyntheticC4(num_shards=max(n_clients, 2), vocab=model.vocab_size,
-                     seed=data_seed)
-    return {
-        f"c{i}": CachedTokenStream(c4.shard(i), batch_size=batch,
-                                   seq_len=model.seq_len, cache_tokens=4096,
-                                   seed=100 + i)
-        for i in range(n_clients)
-    }
-
-
 def make_val_stream(model: ModelConfig, batch: int = 8,
                     data_seed: int = 1) -> CachedTokenStream:
     c4 = SyntheticC4(num_shards=2, vocab=model.vocab_size, seed=data_seed)

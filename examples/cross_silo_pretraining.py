@@ -7,9 +7,9 @@ Demonstrates the pieces a real deployment would touch:
   heuristic;
 * the analytic wall-time model attached to the aggregator, so every
   round reports simulated wall-clock for the paper's 125M setup;
-* checkpointing with recovery, update clipping, one silo releasing
-  its updates with Gaussian noise (clip, then noise), and intermittent
-  client availability;
+* run-state checkpointing with recovery, update clipping, one silo
+  releasing its updates with Gaussian noise (clip, then noise), and
+  intermittent client availability;
 * downstream evaluation of the final global model.
 
 Run:
@@ -25,13 +25,13 @@ from repro.data import SyntheticC4, CachedTokenStream, partition_stream
 from repro.eval import default_suite, run_suite
 from repro.fed import (
     Aggregator,
-    CheckpointManager,
     ClipUpdate,
     Compose,
     DPGaussianNoise,
     FedAvg,
     LLMClient,
     Link,
+    RunStateCheckpointer,
 )
 from repro.net import WallTimeModel, gbps_to_mbps
 from repro.nn import DecoderLM
@@ -104,7 +104,7 @@ def main() -> None:
             server_opt=FedAvg(lr=1.0),
             val_stream=val,
             link=Link(compress=True),
-            checkpointer=CheckpointManager(ckpt_dir, keep=3),
+            run_checkpointer=RunStateCheckpointer(ckpt_dir),
             walltime=walltime,
             comm_topology="rar",
         )
@@ -115,11 +115,12 @@ def main() -> None:
             print(f"{record.round_idx:>5}  {record.val_perplexity:>7.2f}  "
                   f"{record.wall_time_s:>18.1f}")
 
-        # Recover the final model from the checkpoint and evaluate it
-        # on the downstream suite.
-        step, state, _ = CheckpointManager(ckpt_dir).load()
+        # Recover the final model from the latest run-state checkpoint
+        # (its step counts completed server updates) and evaluate it on
+        # the downstream suite.
+        step, tree = RunStateCheckpointer(ckpt_dir).load_tree()
         model = DecoderLM(MODEL, seed=0)
-        model.load_state_dict(state)
+        model.load_state_dict(tree["global_state"])
         tasks = default_suite(c4.shard(0), MODEL.vocab_size, seed=5)
         scores = run_suite(model, tasks, n_examples=30)
         print(f"\ndownstream accuracy (chance 0.5), from checkpoint {step}:")

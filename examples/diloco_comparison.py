@@ -1,9 +1,11 @@
 """Photon vs DiLoCo head-to-head (the Table 3 / Figure 8 scenario).
 
 Runs both algorithms on identical models, data shards and local
-recipes, sweeping DiLoCo's outer learning rate.  Photon needs no
-outer-optimizer tuning (FedAvg, server lr 1.0) and converges roughly
-twice as fast as the paper-selected DiLoCo(ηs = 0.1).
+recipes, sweeping DiLoCo's outer learning rate: each arm is one
+``Photon`` run, the DiLoCo arms under the ``diloco`` FedConfig preset
+(Nesterov outer SGD at server lr ηs, stateful clients).  Photon needs
+no outer-optimizer tuning (FedAvg, server lr 1.0) and converges
+roughly twice as fast as the paper-selected DiLoCo(ηs = 0.1).
 
 Run:
     python examples/diloco_comparison.py
@@ -13,8 +15,7 @@ from __future__ import annotations
 
 from repro import Photon
 from repro.config import FedConfig, ModelConfig, OptimConfig
-from repro.data import CachedTokenStream, SyntheticC4
-from repro.fed import DILOCO_SERVER_LRS, build_diloco
+from repro.fed import DILOCO_SERVER_LRS, diloco
 
 MODEL = ModelConfig("diloco-demo", n_blocks=1, d_model=16, n_heads=2,
                     vocab_size=32, seq_len=16)
@@ -30,21 +31,6 @@ FED = FedConfig(population=N_CLIENTS, clients_per_round=N_CLIENTS,
                 local_steps=LOCAL_STEPS, rounds=ROUNDS)
 
 
-def client_streams():
-    c4 = SyntheticC4(num_shards=N_CLIENTS, vocab=MODEL.vocab_size, seed=1)
-    return {
-        f"c{i}": CachedTokenStream(c4.shard(i), batch_size=4,
-                                   seq_len=MODEL.seq_len, seed=100 + i)
-        for i in range(N_CLIENTS)
-    }
-
-
-def val_stream():
-    c4 = SyntheticC4(num_shards=N_CLIENTS, vocab=MODEL.vocab_size, seed=1)
-    return CachedTokenStream(c4.validation(), batch_size=8,
-                             seq_len=MODEL.seq_len, seed=999)
-
-
 def main() -> None:
     curves: dict[str, list[float]] = {}
 
@@ -52,10 +38,8 @@ def main() -> None:
     curves["Photon (no outer tuning)"] = photon.train().val_perplexities
 
     for eta in DILOCO_SERVER_LRS:
-        diloco = build_diloco(MODEL, client_streams(), OPTIM, FED,
-                              val_stream=val_stream(), server_lr=eta)
-        curves[f"DiLoCo eta_s={eta}"] = diloco.run(
-            ROUNDS, LOCAL_STEPS).val_perplexities
+        run = Photon(MODEL, diloco(FED, eta), OPTIM, data_seed=3)
+        curves[f"DiLoCo eta_s={eta}"] = run.train().val_perplexities
 
     print("validation perplexity by round:")
     header = "round  " + "  ".join(f"{name:>24}" for name in curves)

@@ -15,7 +15,9 @@ The package builds every layer the paper depends on:
 * :mod:`repro.compress` — lossy update codecs (quantization,
   sparsification) with error feedback for the Link;
 * :mod:`repro.fed` — Photon itself (aggregator, clients, Link,
-  server optimizers) plus the centralized and DiLoCo baselines;
+  server optimizers) plus the centralized baseline; the DiLoCo
+  baseline is a ``FedConfig`` preset (:func:`repro.fed.diloco`) that
+  Photon runs;
 * :mod:`repro.eval` — perplexity and synthetic downstream tasks.
 
 Quickstart::
@@ -47,7 +49,7 @@ from .fed import (
     LLMClient,
     Photon,
     PhotonResult,
-    build_diloco,
+    diloco,
 )
 from .nn import DecoderLM
 
@@ -59,7 +61,7 @@ __all__ = [
     "Aggregator",
     "LLMClient",
     "CentralizedTrainer",
-    "build_diloco",
+    "diloco",
     "DecoderLM",
     "ModelConfig",
     "OptimConfig",

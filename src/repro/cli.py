@@ -3,7 +3,8 @@
 Commands
 --------
 ``train``     run a federated (Photon) pre-training job
-``diloco``    run the DiLoCo baseline on the same plumbing
+``diloco``    run the DiLoCo baseline: ``repro train``'s federation and
+              data under the ``diloco`` FedConfig preset
 ``serve``     replay multi-tenant LoRA traffic over the global model
 ``walltime``  evaluate the Appendix B.1 wall-time model
 ``topology``  analyze the Figure 2 federation topology
@@ -178,16 +179,22 @@ def _fed_config(args) -> FedConfig:
     return FedConfig(**values)
 
 
+def _optim_config(args, fed: FedConfig) -> OptimConfig:
+    """The local recipe of ``repro train`` and ``repro diloco``: the
+    cosine spans the run's client steps."""
+    return OptimConfig(max_lr=args.max_lr,
+                       warmup_steps=_warmup_for(fed.total_client_steps),
+                       schedule_steps=fed.total_client_steps,
+                       batch_size=args.batch_size, weight_decay=0.0)
+
+
 def _cmd_train(args) -> int:
     from .fed import FailureModel, Photon
     from .net import gbps_to_mbps
 
     model = model_config(args.model)
     fed = _fed_config(args)
-    optim = OptimConfig(max_lr=args.max_lr,
-                        warmup_steps=_warmup_for(fed.total_client_steps),
-                        schedule_steps=fed.total_client_steps,
-                        batch_size=args.batch_size, weight_decay=0.0)
+    optim = _optim_config(args, fed)
     walltime_config = None
     if args.walltime or args.straggler_spread > 1.0:
         nu = PAPER_THROUGHPUTS.get(args.model, {}).get("federated", 2.0)
@@ -281,27 +288,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_diloco(args) -> int:
-    from .data import CachedTokenStream, SyntheticC4
-    from .fed import build_diloco
+    from .fed import Photon, diloco
 
     model = model_config(args.model)
-    c4 = SyntheticC4(num_shards=max(args.clients, 2), vocab=model.vocab_size)
-    streams = {
-        f"c{i}": CachedTokenStream(c4.shard(i), batch_size=args.batch_size,
-                                   seq_len=model.seq_len, seed=i)
-        for i in range(args.clients)
-    }
-    val = CachedTokenStream(c4.validation(), batch_size=8,
-                            seq_len=model.seq_len, seed=999)
-    fed = FedConfig(population=args.clients, clients_per_round=args.clients,
-                    local_steps=args.local_steps, rounds=args.rounds)
-    optim = OptimConfig(max_lr=args.max_lr,
-                        warmup_steps=_warmup_for(fed.total_client_steps),
-                        schedule_steps=fed.total_client_steps,
-                        batch_size=args.batch_size, weight_decay=0.0)
-    agg = build_diloco(model, streams, optim, fed, val_stream=val,
-                       server_lr=args.server_lr)
-    history = agg.run(args.rounds, args.local_steps)
+    fed = diloco(
+        FedConfig(population=args.clients, clients_per_round=args.clients,
+                  local_steps=args.local_steps, rounds=args.rounds),
+        args.server_lr)
+    history = Photon(model, fed, _optim_config(args, fed)).train()
     print("round  val_ppl")
     for record in history:
         print(f"{record.round_idx:>5}  {record.val_perplexity:>7.2f}")

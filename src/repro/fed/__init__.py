@@ -20,7 +20,6 @@ from .faults import (
     FailureModel,
     FaultPolicy,
 )
-from .diloco import DILOCO_SERVER_LRS, build_diloco
 from .hyperopt import Candidate, TrialResult, successive_halving
 from .link import Link, Message, SecureAggregator
 from .photon import Photon, PhotonResult
@@ -41,11 +40,13 @@ from .sampler import (
 )
 from .scheduler import SELECTION_POLICIES, ClientScheduler, normal_quantile
 from .server_opt import (
+    DILOCO_SERVER_LRS,
     FedAdam,
     FedAvg,
     FedMom,
     NesterovOuter,
     ServerOpt,
+    diloco,
     make_server_opt,
 )
 from .types import ClientUpdate, RoundInfo
@@ -76,6 +77,8 @@ __all__ = [
     "FedMom",
     "FedAdam",
     "NesterovOuter",
+    "DILOCO_SERVER_LRS",
+    "diloco",
     "make_server_opt",
     "ClientSampler",
     "UniformSampler",
@@ -93,8 +96,6 @@ __all__ = [
     "DPGaussianNoise",
     "CentralizedTrainer",
     "CentralizedResult",
-    "build_diloco",
-    "DILOCO_SERVER_LRS",
     "Candidate",
     "TrialResult",
     "successive_halving",

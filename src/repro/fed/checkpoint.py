@@ -1,7 +1,9 @@
 """Checkpointing for fast recovery (Algorithm 1 L.11 and L.26).
 
-The aggregator checkpoints the global model every round; clients may
-checkpoint their local state for quick recovery.  A checkpoint is one
+The rotating writer under
+:class:`~repro.fed.runstate.RunStateCheckpointer`, the engine's one
+checkpoint path: the run state it snapshots holds the global model
+and every client's durable state.  A checkpoint is one
 ``{state, metadata}`` tree container
 (:func:`~repro.utils.serialization.pack_tree`) per step, written to a
 temporary file and renamed into place, and the manager keeps a bounded

@@ -17,8 +17,8 @@ Mechanisms (``RoundEngine``):
   once; the async engine's in-flight cycles join it, trained ahead
   and cached until they arrive;
 * **one server-update path** — :meth:`RoundEngine._server_update`
-  merges, steps ``ServerOpt``, saves the weights checkpoint, builds
-  the one :class:`~repro.utils.metrics.RoundRecord` (Link byte window,
+  merges, steps ``ServerOpt``, builds the one
+  :class:`~repro.utils.metrics.RoundRecord` (Link byte window,
   deadline ledger window, edge-tier report, simulated wall time) and
   appends it to the history;
 * **one round loop** — :meth:`RoundEngine.run` numbers rounds from the
@@ -96,7 +96,6 @@ from ..utils.durable import (
 from ..utils.metrics import History, RoundRecord, aggregate_metrics
 from ..utils.serialization import StateDict, state_bytes, tree_mean, tree_norm
 from .batched import stack_plan, train_clients_batched
-from .checkpoint import CheckpointManager
 from .client import LLMClient
 from .faults import ClientFailure, DeadlinePolicy, DropLedger, FailureModel, FaultPolicy
 from .link import Link, Message
@@ -361,8 +360,6 @@ class RoundEngine(Durable):
         results — they differ only in throughput and memory.
     failure_model / fault_policy:
         Client crash injection and the reaction to it.
-    checkpointer:
-        Weights-only :class:`CheckpointManager`, saved every update.
     run_checkpointer / checkpoint_every:
         Full-run durability (:mod:`repro.fed.runstate`): the ENTIRE
         federation — weights, ServerOpt moments, event queue,
@@ -406,7 +403,6 @@ class RoundEngine(Durable):
                  val_stream: BatchStream | None = None,
                  link: Link | None = None,
                  availability: AvailabilityModel | None = None,
-                 checkpointer: CheckpointManager | None = None,
                  walltime: WallTimeModel | None = None,
                  comm_topology: str = "rar",
                  eval_batches: int = 4,
@@ -443,7 +439,6 @@ class RoundEngine(Durable):
         self.val_stream = val_stream
         self.link = link or Link()
         self.availability = availability
-        self.checkpointer = checkpointer
         self.walltime = walltime
         self.comm_topology = comm_topology
         self.eval_batches = eval_batches
@@ -833,8 +828,9 @@ class RoundEngine(Durable):
                        metrics: list[dict] | None = None,
                        cohort: list[str] | None = None) -> RoundRecord:
         """Fold client updates into the global model and record the
-        round (Algorithm 1 L.8–11): merge, ``ServerOpt``, weights
-        checkpoint, the ``RoundRecord``, history.
+        round (Algorithm 1 L.8–11): merge, ``ServerOpt``, the
+        ``RoundRecord``, history (the run state is checkpointed at the
+        update boundary, by :meth:`run`).
 
         The policy supplies what only it knows: ``deltas`` override
         the updates' own (the async engine passes staleness-scaled
@@ -856,10 +852,6 @@ class RoundEngine(Durable):
             pseudo_grad = tree_mean(deltas, weights)
         self.global_state = self.server_opt.step(self.global_state, pseudo_grad)
         self.total_steps_done += local_steps
-        if self.checkpointer is not None:
-            self.checkpointer.save(
-                round_idx, self.global_state,
-                metadata={"clients": clients if cohort is None else cohort})
 
         record = RoundRecord(
             round_idx=round_idx,

@@ -5,7 +5,9 @@ mean pseudo-gradient ``Δ_t = mean_k(θ_t − θ_t^k)``.  The paper's
 defaults (Appendix A): FedAvg with server LR 1.0 and momentum 0.0 for
 Photon; SGD with Nesterov momentum 0.9 as DiLoCo's outer optimizer;
 FedMom [83] and FedAdam are provided as the pluggable alternatives
-Section 6 discusses.
+Section 6 discusses.  :func:`diloco` is the one definition of the
+DiLoCo baseline: a :class:`~repro.config.FedConfig` that Photon runs
+like any other.
 
 All optimizers operate on state dicts of NumPy arrays — the global
 model never needs to be materialized as a live module on the server.
@@ -13,8 +15,11 @@ model never needs to be materialized as a live module on the server.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from ..config import FedConfig
 from ..utils.durable import INT, MODEL_TREE, Durable, Field, Opt
 from ..utils.serialization import StateDict, tree_zeros_like
 
@@ -24,6 +29,8 @@ __all__ = [
     "FedMom",
     "FedAdam",
     "NesterovOuter",
+    "DILOCO_SERVER_LRS",
+    "diloco",
     "make_server_opt",
 ]
 
@@ -156,6 +163,20 @@ class NesterovOuter(_MomentumOpt):
             step_dir = pseudo_grad[k] + self.momentum * self._velocity[k]
             out[k] = global_state[k] - self.lr * step_dir
         return out
+
+
+#: The ηs sweep of Figure 8.
+DILOCO_SERVER_LRS = (0.1, 0.3, 0.5, 0.7)
+
+
+def diloco(fed: FedConfig, server_lr: float = 0.1) -> FedConfig:
+    """DiLoCo (Douillard et al. [9]) as a federation: ``fed`` with
+    :class:`NesterovOuter` at ``server_lr`` (momentum 0.9) as the outer
+    optimizer and stateful clients, which keep their inner AdamW
+    moments across rounds.  Photon differs only in these three values:
+    FedAvg at server lr 1.0 and stateless clients."""
+    return replace(fed, server_opt="nesterov", server_lr=server_lr,
+                   stateless_clients=False)
 
 
 def make_server_opt(name: str, lr: float = 1.0, momentum: float = 0.0) -> ServerOpt:

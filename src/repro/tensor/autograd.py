@@ -135,10 +135,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
@@ -409,49 +405,9 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
     # ------------------------------------------------------------------
     # Elementwise nonlinearities
     # ------------------------------------------------------------------
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad):
-            return (grad * out_data,)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad):
-            return (grad / self.data,)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def backward(grad):
-            return (grad * 0.5 / out_data,)
-
-        return Tensor._make(out_data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(grad):
-            return (grad * (1.0 - out_data**2),)
-
-        return Tensor._make(out_data, (self,), backward)
-
     def gelu(self) -> "Tensor":
         """GELU with the tanh approximation used by MPT/GPT models."""
         x = self.data

@@ -17,6 +17,7 @@ from repro.fed import (
     FedAvg,
     LazyClientPool,
     LLMClient,
+    RunStateCheckpointer,
     UniformSampler,
 )
 from repro.fed.types import RoundInfo
@@ -231,25 +232,26 @@ class TestAggregator:
         assert any(s < 4 for s in sizes)
 
     def test_checkpointing_each_round(self, tmp_path):
-        manager = CheckpointManager(tmp_path, keep=10)
-        agg = self.make_aggregator(checkpointer=manager)
+        """The engine's one checkpoint path is the run state: one
+        artifact per completed update, holding the global weights and
+        the history of who trained."""
+        checkpointer = RunStateCheckpointer(tmp_path, keep=10)
+        agg = self.make_aggregator(run_checkpointer=checkpointer)
         agg.run(rounds=3, local_steps=1)
-        assert manager.list_checkpoints() == [0, 1, 2]
-        _, state, meta = manager.load()
-        assert set(state) == set(agg.global_state)
-        assert meta["clients"] == ["c0", "c1"]
+        assert checkpointer.manager.list_checkpoints() == [1, 2, 3]
+        step, tree = checkpointer.load_tree()
+        assert step == 3
+        assert set(tree["global_state"]) == set(agg.global_state)
+        assert tree["history"][-1]["clients"] == ["c0", "c1"]
 
     def test_resume_from_checkpoint_state(self, tmp_path):
-        manager = CheckpointManager(tmp_path)
-        agg = self.make_aggregator(checkpointer=manager)
+        checkpointer = RunStateCheckpointer(tmp_path)
+        agg = self.make_aggregator(run_checkpointer=checkpointer)
         agg.run(rounds=2, local_steps=1)
-        _, state, _ = manager.load()
         resumed = self.make_aggregator()
-        resumed.global_state = state
-        np.testing.assert_allclose(
-            state_to_vector(resumed.global_state),
-            state_to_vector(agg.global_state),
-        )
+        assert checkpointer.restore(resumed) == 2
+        for key, value in agg.global_state.items():
+            np.testing.assert_array_equal(resumed.global_state[key], value)
 
     def test_walltime_accrues(self):
         wt = WallTimeModel(WallTimeConfig(throughput=2.0, bandwidth_mbps=1250.0,

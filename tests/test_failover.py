@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.config import FedConfig, ModelConfig, OptimConfig
-from repro.fed import CheckpointManager, FailureModel, Photon, ReplicaSet
+from repro.fed import FailureModel, Photon, ReplicaSet
 from repro.fed.link import Link
 
 from repro.utils import pack_tree, unpack_tree
@@ -52,14 +52,15 @@ class TestRepeatedTrain:
     @pytest.mark.parametrize("mode", ["sync", "async"])
     @pytest.mark.parametrize("replicas", [0, 1])
     def test_second_call_continues_round_indices(self, tmp_path, mode, replicas):
-        photon = make_photon(mode, replicas=replicas)
-        photon.aggregator.checkpointer = CheckpointManager(tmp_path, keep=3)
+        photon = make_photon(mode, replicas=replicas,
+                             checkpoint_dir=str(tmp_path))
         photon.train(2)
         photon.train(2)
         assert [r.round_idx for r in photon.history] == [0, 1, 2, 3]
-        # Both calls' weights checkpoints live inside the keep budget;
-        # the second call must not overwrite step 0.
-        assert photon.aggregator.checkpointer.list_checkpoints() == [1, 2, 3]
+        # Both calls' run-state checkpoints (steps count completed
+        # updates) live inside the keep budget of 3: the second call
+        # continues at step 3 instead of overwriting steps 1 and 2.
+        assert photon.run_checkpointer.manager.list_checkpoints() == [2, 3, 4]
 
 
 class TestSerializeTree:

@@ -15,7 +15,6 @@ from repro.data import CachedTokenStream, MixedStream, SyntheticC4, SyntheticPil
 from repro.eval import BigramTask, score_task
 from repro.fed import (
     Aggregator,
-    CheckpointManager,
     ClipUpdate,
     Compose,
     DPGaussianNoise,
@@ -24,6 +23,7 @@ from repro.fed import (
     LLMClient,
     Link,
     Photon,
+    RunStateCheckpointer,
     UniformSampler,
     personalize,
 )
@@ -42,21 +42,21 @@ class TestFullLifecycle:
     def test_pretrain_checkpoint_recover_serve(self, tmp_path):
         """Pre-train -> crash -> recover from checkpoint -> evaluate
         downstream -> serve via the inference engine."""
-        manager = CheckpointManager(tmp_path, keep=3)
         photon = Photon(
             CFG,
-            FedConfig(population=2, clients_per_round=2, local_steps=8, rounds=3),
+            FedConfig(population=2, clients_per_round=2, local_steps=8, rounds=3,
+                      checkpoint_dir=str(tmp_path)),
             OPTIM, data_seed=3,
         )
-        photon.aggregator.checkpointer = manager
         history = photon.train()
         assert history.val_perplexities[-1] < history.val_perplexities[0]
 
-        # "Crash": rebuild everything from disk only.
-        step, state, _ = manager.load()
-        assert step == 2
+        # "Crash": rebuild everything from disk only.  A run-state
+        # step counts completed server updates.
+        step, tree = RunStateCheckpointer(tmp_path).load_tree()
+        assert step == 3
         model = DecoderLM(CFG, seed=0)
-        model.load_state_dict(state)
+        model.load_state_dict(tree["global_state"])
         np.testing.assert_allclose(
             state_to_vector(model.state_dict()),
             state_to_vector(photon.aggregator.global_state), rtol=1e-6,

@@ -267,6 +267,28 @@ def test_one_client_control_plane():
     assert not forked, f"each has exactly one home, but: {forked}"
 
 
+def construction_sites(*classes: str) -> set[str]:
+    """Modules under ``src/`` that call one of ``classes``."""
+    return {str(path.relative_to(SRC / "repro"))
+            for path in SRC.rglob("*.py")
+            for node in ast.walk(parse(path))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in classes}
+
+
+def test_one_run_assembly():
+    """``Photon`` is the one place a run is put together: a baseline
+    (DiLoCo is a ``FedConfig`` preset) cannot quietly grow a second
+    place that assembles clients and an engine beside it."""
+    assert construction_sites("SyncAggregator", "AsyncAggregator",
+                              "Aggregator") == {"fed/photon.py"}
+
+
+def test_one_checkpoint_writer():
+    """The engine checkpoints one way, the run state: only
+    ``RunStateCheckpointer`` builds the rotating writer under it."""
+    assert construction_sites("CheckpointManager") == {"fed/runstate.py"}
+
 
 def test_one_training_decoder_and_one_incremental():
     """A decoder forward is where attention is called from.  The shared

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,14 @@ from repro.data import CachedTokenStream, SyntheticC4
 from repro.fed import (
     CentralizedTrainer,
     DILOCO_SERVER_LRS,
+    FullParticipation,
+    LLMClient,
+    NesterovOuter,
     Photon,
-    build_diloco,
+    SyncAggregator,
+    diloco,
 )
-from repro.optim import ConstantLR
+from repro.optim import ConstantLR, WarmupCosine
 
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32, seq_len=16)
 OPTIM = OptimConfig(max_lr=3e-3, warmup_steps=4, schedule_steps=128, batch_size=4,
@@ -73,37 +79,66 @@ class TestCentralizedTrainer:
 
 
 class TestDiLoCo:
+    """DiLoCo is the ``diloco`` FedConfig preset, run by Photon."""
+
+    FED = FedConfig(population=2, clients_per_round=2, local_steps=8, rounds=3)
+
     def test_builds_and_trains(self):
-        agg = build_diloco(CFG, streams(2), OPTIM, FedConfig(population=2,
-                           clients_per_round=2, local_steps=4, rounds=2),
-                           val_stream=val_stream(), server_lr=0.1)
-        history = agg.run(rounds=3, local_steps=8)
+        photon = Photon(CFG, diloco(self.FED, 0.1), OPTIM, corpus=streams(2))
+        history = photon.train()
         assert history.val_perplexities[-1] < history.val_perplexities[0]
 
+    def test_preset_sets_only_the_three_values(self):
+        preset = diloco(self.FED, 0.7)
+        changed = {f.name for f in fields(FedConfig)
+                   if getattr(preset, f.name) != getattr(self.FED, f.name)}
+        assert changed == {"server_opt", "server_lr", "stateless_clients"}
+        assert (preset.server_opt, preset.server_lr, preset.stateless_clients) \
+            == ("nesterov", 0.7, False)
+        assert diloco(self.FED).server_lr == 0.1
+
     def test_clients_are_stateful(self):
-        agg = build_diloco(CFG, streams(2), OPTIM,
-                           FedConfig(population=2, clients_per_round=2,
-                                     local_steps=2, rounds=1),
-                           server_lr=0.1)
-        for client in agg.clients.values():
-            assert not client.stateless
+        photon = Photon(CFG, diloco(self.FED), OPTIM, corpus=streams(2))
+        for cid in photon.clients:
+            assert not photon.clients[cid].stateless
 
     def test_outer_optimizer_is_nesterov(self):
-        from repro.fed import NesterovOuter
-
-        agg = build_diloco(CFG, streams(2), OPTIM,
-                           FedConfig(population=2, clients_per_round=2,
-                                     local_steps=2, rounds=1))
-        assert isinstance(agg.server_opt, NesterovOuter)
-        assert agg.server_opt.momentum == 0.9
+        photon = Photon(CFG, diloco(self.FED), OPTIM, corpus=streams(2))
+        assert isinstance(photon.aggregator.server_opt, NesterovOuter)
+        assert photon.aggregator.server_opt.momentum == 0.9
+        assert photon.aggregator.server_opt.lr == 0.1
 
     def test_lr_sweep_constants(self):
         assert DILOCO_SERVER_LRS == (0.1, 0.3, 0.5, 0.7)
 
-    def test_empty_streams_rejected(self):
-        with pytest.raises(ValueError):
-            build_diloco(CFG, {}, OPTIM, FedConfig(population=1,
-                         clients_per_round=1, local_steps=1, rounds=1))
+    @pytest.mark.parametrize("eta", [0.1, 0.7])
+    @pytest.mark.parametrize("plane", ["batched", "sequential"])
+    def test_photon_equals_a_hand_built_diloco(self, plane, eta):
+        """The preset run by Photon is bit for bit the federation the
+        DiLoCo paper describes, assembled by hand: stateful clients
+        under Photon's schedule and Nesterov(0.9) outer SGD at ηs over
+        full participation."""
+        fed = FedConfig(population=3, clients_per_round=3, local_steps=4,
+                        rounds=3, local_plane=plane)
+        photon = Photon(CFG, diloco(fed, eta), OPTIM, corpus=streams(3))
+        photon.train()
+
+        schedule = WarmupCosine(OPTIM.max_lr, OPTIM.warmup_steps,
+                                OPTIM.schedule_steps, OPTIM.alpha_min)
+        reference = SyncAggregator(
+            CFG,
+            {cid: LLMClient(cid, CFG, stream, OPTIM, schedule,
+                            stateless=False, seed=0)
+             for cid, stream in streams(3).items()},
+            server_opt=NesterovOuter(eta, 0.9),
+            sampler=FullParticipation(),
+        )
+        reference.run(3, 4)
+
+        assert photon.aggregator.global_state.keys() == reference.global_state.keys()
+        for key, value in reference.global_state.items():
+            np.testing.assert_array_equal(photon.aggregator.global_state[key], value)
+        assert photon.history.train_losses == reference.history.train_losses
 
 
 class TestPhotonFacade:
@@ -231,9 +266,8 @@ class TestPhotonVsBaselines:
         photon = Photon(CFG, fed, OPTIM, data_seed=7)
         photon_history = photon.train()
 
-        diloco = build_diloco(CFG, streams(2), OPTIM, fed,
-                              val_stream=val_stream(), server_lr=0.1)
-        diloco_history = diloco.run(rounds=6, local_steps=8)
+        diloco_run = Photon(CFG, diloco(fed, 0.1), OPTIM, data_seed=7)
+        diloco_history = diloco_run.train()
 
         target = 22.0  # reachable by both within the budget
         photon_rounds = photon_history.rounds_to_target(target)
