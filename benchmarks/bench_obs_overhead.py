@@ -10,18 +10,26 @@ client cycle emits a cycle span with two children and every server
 update emits a flush span plus a meters sample.
 
 Both arms run the identical federation (same seed, same math — the
-histories are bit-identical by the tentpole guarantee); wall time is
-the min over ``REPS`` runs, construction excluded, trace export
-included (the recorder is not cheap if the flush isn't).  The gate is
-the in-bench assert ``overhead_frac <= MAX_OVERHEAD``: a ratio of two
-arms run alternately in one process, so host speed cancels out.  The
-absolute wall times are reported in the artifact but compared against
-no baseline (the perf ledger measures host speed).
+histories are bit-identical by the tentpole guarantee); a run's wall
+time excludes construction and includes trace export (the recorder is
+not cheap if the flush isn't).  The arms run as ``PAIRS`` back-to-back
+pairs in one process, the order alternating from pair to pair, and
+``overhead_frac`` is the median over pairs of traced / untraced - 1:
+each ratio compares two runs a fraction of a second apart, so host
+drift cancels within a pair, and the median drops the pairs a burst
+of host load hit.  The gate is the in-bench assert
+``overhead_frac <= MAX_OVERHEAD``.  On a 2-core host the same harness
+run untraced against untraced read -1.7 % to +0.7 % (6 runs), where
+the earlier statistic, the ratio of the two arms' minimums over 5
+pairs, read -21.5 % to +13.6 % (30 five-pair blocks).  The absolute
+wall times (per-arm medians) are reported in the artifact but compared
+against no baseline (the perf ledger measures host speed).
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import tempfile
 import time
 from pathlib import Path
@@ -39,7 +47,7 @@ LOCAL_STEPS = 2
 ROUNDS = 6
 SPREAD = 4.0
 JITTER = 0.2
-REPS = 5
+PAIRS = 25
 MAX_OVERHEAD = 0.05
 
 WALLTIME = WallTimeConfig(
@@ -82,24 +90,24 @@ def run_overhead() -> dict:
         _train_s(None)
         untraced = []
         traced = []
-        for rep in range(REPS):
+        for pair in range(PAIRS):
             # Alternate pair order so slow drift (CPU frequency,
             # shared-box load) hits both arms symmetrically.
             arms = [(untraced, None),
-                    (traced, str(Path(tmp) / f"trace_{rep}.json"))]
-            for bucket, path in (arms if rep % 2 == 0 else arms[::-1]):
+                    (traced, str(Path(tmp) / f"trace_{pair}.json"))]
+            for bucket, path in (arms if pair % 2 == 0 else arms[::-1]):
                 bucket.append(_train_s(path))
-    untraced_s = min(s for s, _ in untraced)
-    traced_s = min(s for s, _ in traced)
-    cycles = untraced[0][1]
+    untraced_s = statistics.median(s for s, _ in untraced)
+    traced_s = statistics.median(s for s, _ in traced)
+    ratio = statistics.median(t / u for (u, _), (t, _) in zip(untraced, traced))
     return {
         "server_updates": ROUNDS,
-        "client_cycles": cycles,
-        "reps": REPS,
+        "client_cycles": untraced[0][1],
+        "pairs": PAIRS,
         "untraced_s": round(untraced_s, 4),
         "traced_s": round(traced_s, 4),
         "overhead_s": round(traced_s - untraced_s, 4),
-        "overhead_frac": round(traced_s / untraced_s - 1.0, 4),
+        "overhead_frac": round(ratio - 1.0, 4),
     }
 
 
@@ -109,7 +117,7 @@ def test_obs_overhead():
 
     print_table(
         f"Flight-recorder overhead: {POPULATION:,} clients, {COHORT} in "
-        f"flight, buffer {BUFFER}, jitter {JITTER}, min of {REPS}",
+        f"flight, buffer {BUFFER}, jitter {JITTER}, median of {PAIRS} pairs",
         ["Arm", "Updates", "Cycles", "Untraced (s)", "Traced (s)",
          "Overhead"],
         [["async-10k", r["server_updates"], r["client_cycles"],
@@ -123,7 +131,7 @@ def test_obs_overhead():
             "population": POPULATION, "cohort": COHORT, "buffer": BUFFER,
             "cohorts": COHORTS, "local_steps": LOCAL_STEPS,
             "rounds": ROUNDS, "spread": SPREAD, "jitter": JITTER,
-            "reps": REPS,
+            "pairs": PAIRS,
         },
         "results": results,
     }, indent=2))

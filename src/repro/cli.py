@@ -55,6 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--crash-prob", type=float, default=0.0,
                        help="per-(client, round) crash probability "
                             "(seeded fault injection)")
+    train.add_argument("--server-crash-prob", type=float, default=0.0,
+                       help="per-(server, round) probability that the seeded "
+                            "crash model kills the root or an edge server")
     train.add_argument("--max-workers", type=int, default=1,
                        help="worker processes of --local-plane procpool "
                             "(any other plane takes 1)")
@@ -202,13 +205,19 @@ def _cmd_train(args) -> int:
             throughput=nu, bandwidth_mbps=gbps_to_mbps(2.5),
             model_mb=model.param_bytes / 2**20,
         )
-    failure_model = None
-    if args.crash_prob > 0.0:
+    # A non-zero probability builds its model, which refuses one
+    # outside [0, 1); the server stream is offset off the clients'.
+    failure_model = server_failure_model = None
+    if args.crash_prob:
         failure_model = FailureModel(crash_prob=args.crash_prob, seed=args.seed)
+    if args.server_crash_prob:
+        server_failure_model = FailureModel(crash_prob=args.server_crash_prob,
+                                            seed=args.seed + 7919)
     photon = Photon(model, fed, optim, corpus=args.corpus,
                     heterogeneity=args.heterogeneity,
                     walltime_config=walltime_config,
                     failure_model=failure_model,
+                    server_failure_model=server_failure_model,
                     max_workers=args.max_workers,
                     client_speed_spread=args.straggler_spread)
     history = photon.train()
@@ -233,7 +242,7 @@ def _cmd_train(args) -> int:
         print(f"local plane     : {fed.local_plane}{workers}")
     if fed.selection != "random" or fed.jitter > 0:
         print(f"scheduling      : selection={fed.selection} "
-              f"jitter={fed.jitter:g} exploration={fed.exploration:g}")
+              f"jitter={fed.jitter:g}")
     print(f"best perplexity : {result.best_perplexity:.2f}")
     print(f"comm bytes      : {result.total_comm_bytes:,}")
     if fed.compression != "none":

@@ -273,6 +273,13 @@ class FedConfig:
     recorder (:mod:`repro.obs`), which touches no RNG, so a traced and
     an untraced run produce bit-identical histories.  Every default
     keeps the legacy behaviour bit-exactly.
+
+    A field is here because a run sets it (``src/``, an example or a
+    benchmark; ``tests/test_reachability.py`` checks).  A feature only
+    tests turn on stays a parameter of its component: the scheduler's
+    ``exploration`` and ``stat_utility_weight``, error feedback's
+    ``staleness_gamma``, a lossy ``Link(downlink_codec=...)`` and a root
+    crash model (``Photon(server_failure_model=...)``).
     """
 
     population: int = knob(8, POSITIVE_INT, "--clients", "clients in the federation")
@@ -313,21 +320,12 @@ class FedConfig:
     jitter: "float | dict[str, float]" = knob(
         0.0, NON_NEGATIVE, "--jitter", "async: scale of seeded lognormal per-cycle duration "
         "noise, or a client_id -> scale dict (0 = deterministic clock)")
-    exploration: float = knob(
-        1.0, NON_NEGATIVE, "--exploration", "utility selection: weight of the recency bonus "
-        "that keeps slow clients from starving")
-    stat_utility_weight: float = knob(
-        0.0, NON_NEGATIVE, "--stat-utility-weight", "utility selection: weight of the "
-        "recent loss-improvement term (true Oort; 0 = off)")
     compression: str = knob(
         "none", _check_compression_spec, "--compression", "lossy codec for client uploads: "
         "none, fp16, int8, int4, topk:<frac>, randk:<frac>, chained with '+'")
     error_feedback: bool = knob(
         False, None, "--error-feedback",
         "keep a per-client EF residual so lossy compression stays convergent")
-    compress_broadcast: bool = knob(
-        False, None, "--compress-broadcast",
-        "also run the server broadcast through the compression codec")
     checkpoint_dir: str | None = knob(
         None, PATH, "--checkpoint-dir DIR", "write rotating full-run-state checkpoints "
         "(weights, ServerOpt moments, event queue, RNG streams) under DIR")
@@ -349,12 +347,6 @@ class FedConfig:
     max_live_clients: int | None = knob(
         None, POSITIVE_INT, "--max-live-clients",
         "vector plane: cap on live client objects (default max(64, 2x sampled cohort))")
-    ef_staleness_gamma: float = knob(
-        1.0, Span(0.0, 1.0, lo_open=True, hi_open=False), "--ef-staleness-gamma",
-        "decay an EF residual banked s server versions ago by gamma^s (1 = no decay)")
-    feasibility_quantile: float | None = knob(
-        None, Span(0.0, 1.0, lo_open=True), "--feasibility-quantile", "fastest/utility "
-        "selection: plan deadline feasibility at this quantile of the jittered cycle")
     local_plane: str = knob(
         "batched", LOCAL_PLANES, "--local-plane", "how a wave trains, never what it "
         "computes: stacked in fused steps sized from each client's widest activation "
@@ -368,9 +360,6 @@ class FedConfig:
     replicas: int = knob(
         0, COUNT, "--replicas", "standby servers receiving versioned RunState snapshots; "
         "a crashed root promotes the newest one")
-    server_crash_prob: float = knob(
-        0.0, Span(0.0, 1.0), "--server-crash-prob", "per-(server, round) probability that "
-        "the seeded crash model kills the root or an edge server")
     replicate_every: int = knob(
         1, POSITIVE_INT, "--replicate-every N",
         "replication cadence in server updates (the staleness bound per crash)")
@@ -400,9 +389,6 @@ class FedConfig:
                                  "sync barrier has no per-cycle clock)")
         if self.drop_policy is not None and self.deadline is None:
             raise ValueError("drop_policy needs a deadline to enforce")
-        if self.compress_broadcast and self.compression == "none":
-            raise ValueError("compress_broadcast needs a lossy compression spec "
-                             "(compression='none' already runs the lossless default)")
         if self.checkpoint_dir is None:
             if self.checkpoint_every is not None:
                 raise ValueError("checkpoint_every needs a checkpoint_dir")
@@ -410,11 +396,6 @@ class FedConfig:
                 raise ValueError("resume needs a checkpoint_dir to load from")
             if self.checkpoint_codec != "none":
                 raise ValueError("checkpoint_codec needs a checkpoint_dir")
-        if self.local_plane == "procpool" and self.compress_broadcast:
-            raise ValueError(
-                "local_plane='procpool' is incompatible with compress_broadcast (each "
-                "client's lossy downlink decode is distinct, which defeats the "
-                "shared-memory broadcast buffer)")
         if self.client_plane != "vector":
             for name in ("cohorts", "max_live_clients"):
                 if getattr(self, name) is not None:
@@ -424,10 +405,6 @@ class FedConfig:
                              "dicts defeat the O(cohorts) memory model)")
         if self.cohorts is not None and self.cohorts > self.population:
             raise ValueError(f"cohorts must be in [1, population], got {self.cohorts}")
-        if (self.feasibility_quantile is not None
-                and self.selection not in ("fastest", "utility")):
-            raise ValueError("feasibility_quantile needs a ranked selection policy "
-                             "('fastest' or 'utility')")
         if self.tier_compression != "none" and self.tiers is None:
             raise ValueError("tier_compression needs tiers (it is the "
                              "edge→root backhaul codec)")

@@ -193,8 +193,7 @@ class MixedStream(Durable):
 
 
 def partition_stream(source: MarkovSource, n_parts: int, batch_size: int,
-                     seq_len: int, seed: int = 0,
-                     cached: bool = True) -> list[BatchStream]:
+                     seq_len: int, seed: int = 0) -> list[BatchStream]:
     """Split one client's stream across sub-federated nodes.
 
     Algorithm 1 L.22 (``PartitionStream``): the default policy is IID —
@@ -202,12 +201,7 @@ def partition_stream(source: MarkovSource, n_parts: int, batch_size: int,
     """
     if n_parts < 1:
         raise ValueError("n_parts must be >= 1")
-    parts: list[BatchStream] = []
-    for i in range(n_parts):
-        node_source = source.spawn(seed=seed * 1009 + i,
-                                   name=f"{source.name}/node{i}")
-        if cached:
-            parts.append(CachedTokenStream(node_source, batch_size, seq_len, seed=seed + i))
-        else:
-            parts.append(TokenStream(node_source, batch_size, seq_len, seed=seed + i))
-    return parts
+    return [CachedTokenStream(source.spawn(seed=seed * 1009 + i,
+                                           name=f"{source.name}/node{i}"),
+                              batch_size, seq_len, seed=seed + i)
+            for i in range(n_parts)]

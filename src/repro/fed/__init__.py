@@ -38,7 +38,7 @@ from .sampler import (
     FullParticipation,
     UniformSampler,
 )
-from .scheduler import SELECTION_POLICIES, ClientScheduler, normal_quantile
+from .scheduler import SELECTION_POLICIES, ClientScheduler
 from .server_opt import (
     DILOCO_SERVER_LRS,
     FedAdam,
@@ -86,7 +86,6 @@ __all__ = [
     "AvailabilityModel",
     "ClientScheduler",
     "SELECTION_POLICIES",
-    "normal_quantile",
     "ClientPopulation",
     "LazyClientPool",
     "PostProcessor",

@@ -127,11 +127,17 @@ class Photon:
         federation equipollent).  This is what makes the async engine's
         event clock interesting — stragglers no longer pace a barrier.
 
-    Scheduling, update compression, hierarchy and failover all ride on
-    ``fed_config``; :class:`~repro.config.FedConfig` documents each
-    knob.  ``server_failure_model`` injects a scripted root-crash model
-    instead of the one ``server_crash_prob`` builds (deterministic
-    failover tests/benchmarks).
+    server_failure_model:
+        The seeded crash model of the root and edge servers (``None``:
+        servers never crash); with it, or with ``fed_config.replicas``,
+        the run is wrapped in a
+        :class:`~repro.fed.failover.FailoverController`.
+        ``repro train --server-crash-prob P`` builds
+        ``FailureModel(crash_prob=P, seed=seed + 7919)``.
+
+    Scheduling, update compression, hierarchy and replication all ride
+    on ``fed_config``; :class:`~repro.config.FedConfig` documents each
+    knob.
     """
 
     def __init__(self, model_config: ModelConfig, fed_config: FedConfig,
@@ -280,42 +286,27 @@ class Photon:
         availability = (
             AvailabilityModel(uptime, seed=fed_config.seed) if uptime < 1.0 else None
         )
-        # Built once, shared between the scheduler (feasibility margin
-        # — reads scales, never the RNG) and the async engine (per-
-        # dispatch draws), so the draw stream stays engine-only.
+        # Per-dispatch cycle noise: the async engine's alone (a sync
+        # FedConfig refuses jitter), so the draw stream stays
+        # engine-only.
         jitter_model = (
             JitterModel(fed_config.jitter, seed=fed_config.seed)
             if fed_config.jitter_active else None
         )
-        scheduler = ClientScheduler(
-            self.population, fed_config.selection,
-            deadline_s=fed_config.deadline,
-            exploration=fed_config.exploration,
-            stat_utility_weight=fed_config.stat_utility_weight,
-            feasibility_quantile=fed_config.feasibility_quantile,
-            jitter=jitter_model,
-        )
-        # Lossy update transport (repro.compress): uploads always ride
-        # the codec, the broadcast only when asked; "none" keeps the
-        # legacy lossless Link byte-exactly (codec is None).
+        scheduler = ClientScheduler(self.population, fed_config.selection,
+                                    deadline_s=fed_config.deadline)
+        # Lossy update transport (repro.compress): uploads ride the
+        # codec, the broadcast stays lossless; "none" keeps the legacy
+        # lossless Link byte-exactly (codec is None).
         codec = make_codec(fed_config.compression, seed=fed_config.seed)
-        error_feedback = (
-            ErrorFeedback(staleness_gamma=fed_config.ef_staleness_gamma)
-            if fed_config.error_feedback and codec is not None else None
-        )
-        # ONE seeded server-crash model (injected, or built from
-        # server_crash_prob) shared by the edge tier and the failover
-        # controller, so root, edge and replica draws all come from a
-        # single deterministic stream.  Crash keys are namespaced by
-        # server id ("root", "edge:<region>", "root/replica<i>"), so
+        error_feedback = (ErrorFeedback()
+                          if fed_config.error_feedback and codec is not None else None)
+        # ONE seeded server-crash model shared by the edge tier and the
+        # failover controller, so root, edge and replica draws all come
+        # from a single deterministic stream.  Crash keys are namespaced
+        # by server id ("root", "edge:<region>", "root/replica<i>"), so
         # sharing never aliases two servers' draws.
         self.server_failure_model = server_failure_model
-        if (self.server_failure_model is None
-                and fed_config.server_crash_prob > 0.0):
-            self.server_failure_model = FailureModel(
-                crash_prob=fed_config.server_crash_prob,
-                seed=fed_config.seed + 7919,  # offset off the client stream
-            )
         # Hierarchical edge tier (repro.fed.edge): region 0 is the
         # root site (loopback); further regions pay the paper
         # topology's England backhaul through their own codec channel.
@@ -329,11 +320,9 @@ class Photon:
                 round_robin_assign(self.population.sorted_ids,
                                    fed_config.tiers),
                 backhaul=Link(uplink_codec=tier_codec),
-                error_feedback=(
-                    ErrorFeedback(staleness_gamma=fed_config.ef_staleness_gamma)
-                    if fed_config.error_feedback and tier_codec is not None
-                    else None
-                ),
+                error_feedback=(ErrorFeedback()
+                                if fed_config.error_feedback and tier_codec is not None
+                                else None),
                 failure_model=self.server_failure_model,
                 replicated=fed_config.replicas > 0,
             )
@@ -345,10 +334,7 @@ class Photon:
             ),
             sampler=sampler,
             val_stream=val_stream,
-            link=Link(
-                uplink_codec=codec,
-                downlink_codec=codec if fed_config.compress_broadcast else None,
-            ),
+            link=Link(uplink_codec=codec),
             availability=availability,
             walltime=walltime,
             comm_topology=comm_topology,

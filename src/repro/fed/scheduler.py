@@ -43,15 +43,14 @@ of the simulation maintains.
 Clients are population indices here, not id strings: the async idle
 pool, ``select_async`` and ``_rank`` take and return int64 index
 arrays, so a ranking resolves no id at all (ids are formatted only at
-the edges — ``note_selected``/``selection_log``, a per-client jitter
-dict, the sync engine's cohort).  A ranking reaches its first ``k``
+the edges — ``note_selected``/``selection_log`` and the sync
+engine's cohort).  A ranking reaches its first ``k``
 by partition, then sort (:func:`_first`): with finite keys that head
 is exactly the full stable sort's, ties at the cut included.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Callable, Sequence
 
@@ -60,7 +59,7 @@ import numpy as np
 from ..config import SELECTION_POLICIES
 from ..utils.durable import ID, INT, Array, Durable, Field, List, Row
 
-__all__ = ["ClientScheduler", "SELECTION_POLICIES", "normal_quantile"]
+__all__ = ["ClientScheduler", "SELECTION_POLICIES"]
 
 #: Recency normalizer when the fairness floor is disabled.
 _DEFAULT_HORIZON = 8
@@ -75,38 +74,6 @@ _SELECTION_LOG_MAXLEN = 65_536
 #: The scheduler asks by the population index array its ranking has
 #: already resolved.
 DurationsOf = Callable[[np.ndarray], np.ndarray]
-
-
-def normal_quantile(p: float) -> float:
-    """Inverse standard-normal CDF (Acklam's rational approximation,
-    |relative error| < 1.15e-9 — scipy-free on purpose: the container
-    ships only numpy)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"quantile probability must be in (0, 1), got {p}")
-    a = (-3.969683028665376e+01, 2.209460984245205e+02,
-         -2.759285104469687e+02, 1.383577518672690e+02,
-         -3.066479806614716e+01, 2.506628277459239e+00)
-    b = (-5.447609879822406e+01, 1.615858368580409e+02,
-         -1.556989798598866e+02, 6.680131188771972e+01,
-         -1.328068155288572e+01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01,
-         -2.400758277161838e+00, -2.549732539343734e+00,
-         4.374664141464968e+00, 2.938163982698783e+00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01,
-         2.445134137142996e+00, 3.754408661907416e+00)
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    if p > p_high:
-        q = math.sqrt(-2 * math.log(1 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1)
 
 
 def _first(positions: np.ndarray, key: np.ndarray, lex: np.ndarray,
@@ -162,31 +129,19 @@ class ClientScheduler(Durable):
         Hard floor: a client unselected for this many server versions
         is selected ahead of any scoring.  ``None`` disables the
         floor (useful to demonstrate starvation).
-    feasibility_quantile:
-        Jitter-aware feasibility margin (PR 3 bugfix): the mean
-        predicted cycle alone admits high-jitter clients into deadline
-        slots they routinely miss, because the lognormal noise is
-        applied *after* selection.  With a quantile ``q`` the ranked
-        policies inflate each candidate's predicted duration to its
-        q-th jitter quantile — ``duration * exp(z_q * scale)`` where
-        ``z_q`` is the standard-normal quantile and ``scale`` the
-        client's jitter scale — before the feasibility check and the
-        speed score.  ``None`` (default) keeps the legacy mean-only
-        prediction bit-exactly.
-    jitter:
-        The :class:`~repro.net.walltime.JitterModel` supplying
-        per-client scales for the margin (only ``scales_for`` is
-        consulted — the margin never draws from the model's RNG).
-        Ignored unless ``feasibility_quantile`` is set.
+
+    ``Photon`` builds the scheduler from ``FedConfig.selection`` and
+    ``deadline`` and leaves ``exploration``, ``stat_utility_weight``
+    and ``fairness_every_k`` at their defaults; a caller that wants
+    other weights sets them on ``photon.aggregator.scheduler`` before
+    training.
     """
 
     def __init__(self, population, policy: str = "random", *,
                  deadline_s: float | None = None,
                  exploration: float = 1.0,
                  stat_utility_weight: float = 0.0,
-                 fairness_every_k: int | None = 8,
-                 feasibility_quantile: float | None = None,
-                 jitter=None):
+                 fairness_every_k: int | None = 8):
         if policy not in SELECTION_POLICIES:
             raise ValueError(
                 f"selection policy must be one of {SELECTION_POLICIES}, "
@@ -205,20 +160,12 @@ class ClientScheduler(Durable):
             raise ValueError(
                 f"fairness_every_k must be >= 1 or None, got {fairness_every_k}"
             )
-        if feasibility_quantile is not None and not 0.0 < feasibility_quantile < 1.0:
-            raise ValueError(
-                f"feasibility_quantile must be in (0, 1), got {feasibility_quantile}"
-            )
         self.population = population
         self.policy = policy
         self.deadline_s = deadline_s
         self.exploration = exploration
         self.stat_utility_weight = stat_utility_weight
         self.fairness_every_k = fairness_every_k
-        self.feasibility_quantile = feasibility_quantile
-        self.jitter = jitter
-        self._margin_z = (normal_quantile(feasibility_quantile)
-                          if feasibility_quantile is not None else 0.0)
         n = population.n
         #: server version at each client's most recent selection (-1:
         #: never — waiting since before version 0).
@@ -305,21 +252,9 @@ class ClientScheduler(Durable):
         idx = np.asarray(idx, dtype=np.int64)
         if not len(idx):
             return idx
-        pop = self.population
         # No id is resolved here: the clock is asked by index.
-        lex = pop.lex_rank[idx]
+        lex = self.population.lex_rank[idx]
         durations = np.asarray(durations_of(idx), dtype=np.float64)
-        if self.feasibility_quantile is not None and self.jitter is not None:
-            # Inflate each prediction to its jitter quantile:
-            # ``exp(z_q * scale)``, 1.0 for jitter-free clients.  A
-            # per-client scale dict is keyed by id: the edge.
-            scales = np.asarray(self.jitter.scales_for(
-                [pop.ids[i] for i in idx.tolist()]), dtype=np.float64)
-            nz = scales > 0
-            if nz.any():
-                margins = np.ones(len(idx), dtype=np.float64)
-                margins[nz] = np.exp(self._margin_z * scales[nz])
-                durations = durations * margins
         k = len(idx) if k is None else k
         if self.policy == "fastest":
             return _first(np.arange(len(idx)), durations, lex, k)

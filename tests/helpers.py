@@ -47,6 +47,15 @@ def run_crash_resume(build_photon, rounds: int, kill_at: int, **checkpoint_overr
     return full, resumed
 
 
+def compress_broadcast(photon):
+    """Run ``photon``'s broadcast through its upload codec too (a lossy
+    ``Link(downlink_codec=...)``); call before ``train()``.  Returns
+    ``photon``."""
+    link = photon.aggregator.link
+    link.downlink_codec = link.uplink_codec
+    return photon
+
+
 def per_client(fn, population):
     """Adapt a per-client ``fn(client_id) -> seconds`` to the
     ``durations_of`` callback, which the product scheduler calls with
@@ -88,8 +97,6 @@ def reference_rank(scheduler, candidates, version, durations_of, deadline_s,
     array ranking must match winner for winner, tie-breaks included.
     Reads ``scheduler``'s configuration and counters, moves nothing."""
     index_of = scheduler.population.index_of
-    margin_active = (scheduler.feasibility_quantile is not None
-                     and scheduler.jitter is not None)
 
     def waited(client_id: str) -> int:
         """Server versions since the client was last selected (clients
@@ -120,19 +127,7 @@ def reference_rank(scheduler, candidates, version, durations_of, deadline_s,
                       * max(0.0, improvement(client_id)) / stat_norm)
         return score
 
-    def margin(client_id: str) -> float:
-        """Multiplicative jitter-quantile inflation of a predicted
-        duration: ``exp(z_q * scale)`` (1.0 for jitter-free clients)."""
-        scale = scheduler.jitter.scale_for(client_id)
-        if scale <= 0:
-            return 1.0
-        # np.exp, not math.exp: whole-array np.exp is bit-identical to
-        # scalar np.exp but NOT to libm's math.exp.
-        return float(np.exp(scheduler._margin_z * scale))
-
     durations = dict(zip(candidates, durations_of(candidates).tolist()))
-    if margin_active:
-        durations = {c: d * margin(c) for c, d in durations.items()}
     if scheduler.policy == "fastest":
         return sorted(candidates, key=lambda c: (durations[c], c))[:k]
     # utility: fairness-floor clients first, then feasible clients by

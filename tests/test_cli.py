@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _fed_config, _warmup_for, build_parser, main
-from repro.config import FedConfig
+import repro.fed
+from repro.cli import _fed_config, _optim_config, _warmup_for, build_parser, main
+from repro.config import FedConfig, model_config
+from repro.fed import FailureModel, Photon
 
 DATA = Path(__file__).parent / "data"
 CONFIGS = DATA / "cli_train_configs.json"
@@ -55,18 +57,14 @@ class TestParser:
 
     def test_compression_flags(self):
         args = build_parser().parse_args(
-            ["train", "--compression", "topk:0.1+fp16", "--error-feedback",
-             "--compress-broadcast", "--stat-utility-weight", "1.5"])
+            ["train", "--compression", "topk:0.1+fp16", "--error-feedback"])
         assert args.compression == "topk:0.1+fp16"
-        assert args.error_feedback and args.compress_broadcast
-        assert args.stat_utility_weight == 1.5
+        assert args.error_feedback
         assert build_parser().parse_args(["train"]).compression == "none"
 
     def test_bad_compression_spec_is_usage_error(self, capsys):
         assert main(["train", "--compression", "int7"]) == 2
         assert "compression" in capsys.readouterr().err
-        assert main(["train", "--compress-broadcast"]) == 2
-        assert "compress_broadcast" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_fault_abort_is_one_line_not_a_traceback(self, capsys):
@@ -315,6 +313,41 @@ class TestCommands:
         assert sequential == default
         assert main(argv + ["--local-plane", "procpool", "--max-workers", "2"]) == 0
         assert "local plane     : procpool (max_workers=2)" in capsys.readouterr().out
+
+    def test_server_crash_prob_is_the_photon_server_crash_model(self, monkeypatch):
+        """``--server-crash-prob P`` runs ``Photon(server_failure_model=
+        FailureModel(crash_prob=P, seed=seed + 7919))``: the same history
+        and failover counters (seed 17 crashes the root and an edge).  At
+        0 no crash model, and without replicas no failover controller,
+        is built."""
+        built = []
+
+        class Recorded(Photon):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.fed, "Photon", Recorded)
+        argv = ["train", "--model", "tiny", "--clients", "4", "--local-steps", "1",
+                "--rounds", "6", "--batch-size", "2", "--tiers", "3", "--seed", "17"]
+        assert main(argv + ["--replicas", "1", "--server-crash-prob", "0.05"]) == 0
+        args = build_parser().parse_args(argv + ["--replicas", "1"])
+        fed = _fed_config(args)
+        direct = Photon(model_config("tiny"), fed, _optim_config(args, fed),
+                        server_failure_model=FailureModel(crash_prob=0.05,
+                                                          seed=17 + 7919))
+        direct.train()
+        cli = built.pop()
+        assert [asdict(r) for r in cli.history] == [asdict(r) for r in direct.history]
+        counters = ("server_crashes", "server_updates_lost", "edge_crashes",
+                    "edge_updates_lost", "replication_wire_bytes")
+        ours, theirs = cli.result(), direct.result()
+        assert ([getattr(ours, c) for c in counters]
+                == [getattr(theirs, c) for c in counters])
+        assert ours.server_crashes and ours.edge_crashes
+        assert main(argv + ["--server-crash-prob", "0"]) == 0
+        off = built.pop()
+        assert off.server_failure_model is None and off.failover is None
 
     def test_diloco_micro(self, capsys):
         assert main(["diloco", "--model", "tiny", "--clients", "2",

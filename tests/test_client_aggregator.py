@@ -311,14 +311,14 @@ class TestAggregator:
 
 
 class TestClientCheckpointing:
-    def test_client_level_checkpointer_retired(self):
+    def test_client_level_checkpointer_retired(self, tmp_path):
         """The weights-only per-client checkpointer is gone: RunState
         (PR 5) snapshots the entire federation crash-consistently, and
         the dual path could silently resurrect stale weights on
         resume.  Engine-level checkpointing (``Aggregator`` /
         ``RunStateCheckpointer``) is the one remaining path."""
         with pytest.raises(TypeError):
-            make_client(checkpointer=CheckpointManager("/tmp/unused"))
+            make_client(checkpointer=CheckpointManager(tmp_path))
 
     def test_client_state_survives_roundtrip(self):
         """What RunState persists per client — counters, stream RNG

@@ -23,6 +23,8 @@ from repro.fed import Photon
 from repro.fed.link import Link
 from repro.utils.serialization import state_bytes, unpack_tree
 
+from helpers import compress_broadcast
+
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32,
                   seq_len=16)
 OPTIM = OptimConfig(max_lr=3e-3, warmup_steps=2, schedule_steps=64,
@@ -41,8 +43,7 @@ def make_state(seed=0, shapes=((24, 16), (17,), ())):
 
 
 def make_photon(**kwargs):
-    fed_keys = ("compression", "error_feedback", "compress_broadcast",
-                "mode", "seed")
+    fed_keys = ("compression", "error_feedback", "mode", "seed")
     fk = {k: kwargs.pop(k) for k in fed_keys if k in kwargs}
     fed = FedConfig(population=3, clients_per_round=3, local_steps=2,
                     rounds=2, **fk)
@@ -317,21 +318,12 @@ class TestFedConfigCompression:
     def test_defaults_off(self):
         fed = FedConfig()
         assert fed.compression == "none"
-        assert not fed.error_feedback and not fed.compress_broadcast
+        assert not fed.error_feedback
 
     @pytest.mark.parametrize("bad", ["nope", "topk", "topk:2", "none+fp16"])
     def test_bad_spec_rejected(self, bad):
         with pytest.raises(ValueError):
             FedConfig(compression=bad)
-
-    def test_compress_broadcast_needs_codec(self):
-        with pytest.raises(ValueError):
-            FedConfig(compress_broadcast=True)
-        FedConfig(compression="fp16", compress_broadcast=True)
-
-    def test_stat_utility_weight_validation(self):
-        with pytest.raises(ValueError):
-            FedConfig(stat_utility_weight=-1.0)
 
     def test_registered_stages_are_usable_through_config(self):
         """FedConfig validates against the live registry, so an
@@ -407,7 +399,7 @@ class TestEngineCompression:
 
     @pytest.mark.slow
     def test_compressed_broadcast_shrinks_downlink(self):
-        photon = make_photon(compression="fp16", compress_broadcast=True)
+        photon = compress_broadcast(make_photon(compression="fp16"))
         photon.train()
         link = photon.aggregator.link
         assert link.downlink_raw_bytes / link.downlink_wire_bytes > 1.5

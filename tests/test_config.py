@@ -187,13 +187,6 @@ class TestFedConfigDomains:
         self.expect_rejected("jitter", mode="async",
                              jitter={"client0": 0.1, "client1": value})
 
-    def test_exploration_nan(self):
-        self.expect_rejected("exploration", exploration=float("nan"))
-
-    def test_stat_utility_weight_nan(self):
-        self.expect_rejected("stat_utility_weight",
-                             stat_utility_weight=float("nan"))
-
     def test_staleness_alpha_nan(self):
         self.expect_rejected("staleness_alpha", mode="async",
                              staleness_alpha=float("nan"))

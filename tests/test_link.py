@@ -29,7 +29,7 @@ from repro.fed.link import Link, Message
 from repro.utils import pack_tree, serialization
 from repro.utils.serialization import decode_state, encode_state, state_bytes
 
-from helpers import assert_states_equal
+from helpers import assert_states_equal, compress_broadcast
 
 CFG = ModelConfig("micro", n_blocks=1, d_model=16, n_heads=2, vocab_size=32,
                   seq_len=16)
@@ -40,8 +40,7 @@ K, R = 4, 3  # clients, server updates
 WIRES = {
     "lossless": {},
     "int8+ef": dict(compression="int8", error_feedback=True),
-    "int8+compress_broadcast": dict(compression="int8",
-                                    compress_broadcast=True),
+    "int8+compress_broadcast": dict(compression="int8", broadcast_codec=True),
 }
 
 
@@ -55,7 +54,7 @@ def client_streams():
         seed=11 + i) for i in range(K)}
 
 
-def make_photon(mode="sync", **overrides):
+def make_photon(mode="sync", broadcast_codec=False, **overrides):
     fed = dict(population=K, clients_per_round=K, local_steps=2, rounds=R,
                mode=mode)
     if mode == "async":
@@ -64,8 +63,9 @@ def make_photon(mode="sync", **overrides):
                      if k in ("failure_model", "server_failure_model",
                               "initial_state", "init_seed")}
     fed.update(overrides)
-    return Photon(CFG, FedConfig(**fed), OPTIM, val_batches=2,
-                  corpus=copy.deepcopy(client_streams()), **photon_kwargs)
+    photon = Photon(CFG, FedConfig(**fed), OPTIM, val_batches=2,
+                    corpus=copy.deepcopy(client_streams()), **photon_kwargs)
+    return compress_broadcast(photon) if broadcast_codec else photon
 
 
 class PerReceiverLink(Link):

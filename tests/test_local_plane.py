@@ -824,11 +824,6 @@ class TestPlaneValidation:
         with pytest.raises(ValueError, match="local_plane"):
             FedConfig(local_plane="vectorized")
 
-    def test_fed_config_rejects_procpool_with_compressed_broadcast(self):
-        with pytest.raises(ValueError, match="compress_broadcast"):
-            FedConfig(local_plane="procpool", compression="int8",
-                      compress_broadcast=True)
-
     def test_engine_rejects_unknown_plane(self):
         clients = {c.client_id: c for c in make_clients(CFG, OPTIM, 1)}
         with pytest.raises(ValueError, match="local_plane"):

@@ -37,7 +37,7 @@ from repro.obs import Tracer
 from repro.obs.observer import engine_observer
 from repro.utils.serialization import state_bytes
 
-from helpers import assert_bit_exact_resume
+from helpers import assert_bit_exact_resume, compress_broadcast
 from test_local_plane import (
     CFG,
     OPTIM,
@@ -258,12 +258,11 @@ class TestHazards:
         """A compressed broadcast decodes the same bytes whenever it is
         decoded; the int8 uplink and its error-feedback residuals run at
         arrival, against the version the server holds then."""
-        lossy = dict(compression="int8", error_feedback=True,
-                     compress_broadcast=True, crash_prob=0.1)
+        lossy = dict(compression="int8", error_feedback=True, crash_prob=0.1)
         tracer = Tracer()
-        run = fleet("batched", tracer=tracer, **lossy)
+        run = compress_broadcast(fleet("batched", tracer=tracer, **lossy))
         run.train()
-        ref = fleet("sequential", **lossy)
+        ref = compress_broadcast(fleet("sequential", **lossy))
         ref.train()
         assert_same_fleet(ref, run)
         assert meters(tracer)["lookahead/trained"] > 0

@@ -23,7 +23,6 @@ from repro.fed import (
     ClientScheduler,
     LazyClientPool,
     Photon,
-    normal_quantile,
 )
 from repro.net.walltime import JitterModel, WallTimeModel, slowdown_factors
 
@@ -191,72 +190,17 @@ class TestClientPopulation:
 
 
 # ----------------------------------------------------------------------
-# S2: jitter-aware feasibility margin
-# ----------------------------------------------------------------------
-class TestFeasibilityMargin:
-    def test_normal_quantile_accuracy(self):
-        # Reference values (scipy.stats.norm.ppf); Acklam's
-        # approximation is good to ~1e-9 relative error.
-        for p, z in ((0.5, 0.0), (0.95, 1.6448536269514722),
-                     (0.975, 1.959963984540054), (0.99, 2.3263478740408408),
-                     (0.05, -1.6448536269514722)):
-            assert normal_quantile(p) == pytest.approx(z, abs=1e-8)
-        # Symmetry across the tail branches.
-        for p in (0.001, 0.01, 0.2, 0.4):
-            assert normal_quantile(p) == pytest.approx(-normal_quantile(1 - p),
-                                                       abs=1e-12)
-
-    def test_margin_flips_borderline_feasibility(self):
-        """A client whose mean cycle fits the deadline but whose
-        95th-percentile cycle does not must lose the slot once the
-        quantile margin is active."""
-        durations = {"a": 9.5, "b": 9.9}
-        jitter = JitterModel({"a": 0.5, "b": 0.0}, seed=0)
-        pop = ClientPopulation(["a", "b"])
-
-        def rank(fq):
-            sched = ClientScheduler(pop, "utility", deadline_s=10.0,
-                                    feasibility_quantile=fq, jitter=jitter)
-            return rank_ids(sched, ["a", "b"], 0,
-                            per_client(durations.__getitem__, pop), 10.0)
-
-        assert rank(None) == ["a", "b"]   # a is faster, both feasible
-        assert rank(0.95) == ["b", "a"]   # a's q95 cycle misses the deadline
-
-    def test_margin_requires_quantile_in_unit_interval(self):
-        for bad in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                ClientScheduler(ClientPopulation(2), "fastest",
-                                feasibility_quantile=bad)
-
-    def test_no_jitter_means_no_margin(self):
-        """A quantile without a jitter model has no scales to inflate
-        by: the ranking is the plain one."""
-        pop = ClientPopulation(["a", "b"])
-        sched = ClientScheduler(pop, "fastest", feasibility_quantile=0.95)
-        durations = {"a": 1.0, "b": 1.0 + 1e-9}
-        assert rank_ids(sched, ["b", "a"], 0,
-                        per_client(durations.__getitem__, pop),
-                        None) == ["a", "b"]
-
-
-# ----------------------------------------------------------------------
 # S4: the array scheduler == its scalar definition, property-tested
 # ----------------------------------------------------------------------
-def _build(ids, policy, seed, fairness, exploration, stat_w, fq):
+def _build(ids, policy, seed, fairness, exploration, stat_w):
     """A scheduler over ``ids`` with a drawn selection/result history,
     and a per-client duration table."""
     pop = ClientPopulation(ids)
     n = pop.n
     rng = np.random.default_rng(seed)
-    jitter = None
-    if fq is not None:
-        jitter = JitterModel(
-            0.4 if seed % 2 else {c: float(rng.choice([0.0, 0.2, 0.6]))
-                                  for c in ids}, seed=seed)
     scheduler = ClientScheduler(
         pop, policy, fairness_every_k=fairness, exploration=exploration,
-        stat_utility_weight=stat_w, feasibility_quantile=fq, jitter=jitter)
+        stat_utility_weight=stat_w)
     # Few distinct durations, so ties (broken by id) are common.
     durations = rng.choice(rng.uniform(0.5, 20.0, size=4), size=n)
     dur = dict(zip(pop.ids, durations.tolist()))
@@ -274,16 +218,15 @@ def _build(ids, policy, seed, fairness, exploration, stat_w, fq):
     fairness=st.sampled_from([None, 2, 8]),
     exploration=st.sampled_from([0.0, 1.0]),
     stat_w=st.sampled_from([0.0, 0.5]),
-    fq=st.sampled_from([None, 0.95]),
     everyone=st.booleans(),
     winners=st.sampled_from(["one", "slots", "all", None]),
 )
 @settings(max_examples=60, deadline=None)
 def test_select_async_vector_equals_scalar(ids, policy, seed, fairness,
-                                           exploration, stat_w, fq,
+                                           exploration, stat_w,
                                            everyone, winners):
     pop, scheduler, durations_of, rng = _build(
-        ids, policy, seed, fairness, exploration, stat_w, fq)
+        ids, policy, seed, fairness, exploration, stat_w)
     n = pop.n
     idle = [pop.ids[i] for i in rng.permutation(n)]
     reachable = {pop.ids[i]
@@ -429,12 +372,10 @@ def test_async_run_resolves_ids_only_at_the_edges(monkeypatch):
     ids=client_ids(),
     policy=st.sampled_from(["random", "fastest", "utility"]),
     seed=st.integers(0, 10_000),
-    fq=st.sampled_from([None, 0.9]),
 )
 @settings(max_examples=40, deadline=None)
-def test_select_cohort_vector_equals_scalar(ids, policy, seed, fq):
-    pop, scheduler, durations_of, rng = _build(
-        ids, policy, seed, 8, 1.0, 0.0, fq)
+def test_select_cohort_vector_equals_scalar(ids, policy, seed):
+    pop, scheduler, durations_of, rng = _build(ids, policy, seed, 8, 1.0, 0.0)
     n = pop.n
     default = sorted(pop.ids[i] for i in rng.choice(
         n, size=rng.integers(1, n), replace=False))
@@ -651,9 +592,7 @@ def vector_photon(population=8, rounds=2, plane="vector", mode="async",
                       client_plane=plane)
     if mode == "async":
         fed_kwargs.update(buffer_size=2, deadline=60.0,
-                          drop_policy="requeue", jitter=0.3,
-                          feasibility_quantile=(0.95 if selection != "random"
-                                                else None))
+                          drop_policy="requeue", jitter=0.3)
     fed_kwargs.update(overrides)
     fed = FedConfig(**fed_kwargs)
     return Photon(CFG, fed, OPTIM, corpus="pile", val_batches=2,
@@ -673,8 +612,8 @@ def _assert_same_run(pe, pv):
 
 class TestEagerVectorEquivalence:
     def test_async_utility_full_stack(self):
-        """The headline anchor: deadline + requeue + jitter + quantile
-        margin + availability + heterogeneous clock, utility policy."""
+        """The headline anchor: deadline + requeue + jitter +
+        availability + heterogeneous clock, utility policy."""
         pe = vector_photon(plane="eager")
         pv = vector_photon(plane="vector")
         # The one difference: every client built up front, or none yet.

@@ -11,6 +11,7 @@ Photon`` reaches the module that *defines* ``Photon``, not everything
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 from functools import cache
 from pathlib import Path
@@ -239,6 +240,75 @@ def test_sweep_reports_a_planted_def_and_a_stale_entry(tmp_path):
     unreached, stale = surface_report(tmp_path, {"pkg.mod.Box.open": "stale"})
     assert unreached == ["pkg.mod.planted"]
     assert stale == ["pkg.mod.Box.open"]
+
+
+#: ``FedConfig`` fields the field sweep finds unset that stay on purpose,
+#: as ``{field: reason}``.  An entry the sweep no longer reports fails.
+ALLOWED_FIELDS: dict[str, str] = {}
+
+#: The modules that pass every field through generically: they set a
+#: field whenever anything sets it, so they say nothing.
+GENERIC = ("config.py", "cli.py")
+
+
+def unset_fields(root: Path, flags: dict[str, str | None]) -> set[str]:
+    """The names in ``flags`` (field -> ``repro train`` option, or None)
+    that no code in ``src/`` (except :data:`GENERIC`), ``examples/`` or
+    ``benchmarks/`` sets.  A keyword argument of the field's name sets
+    it unless its value reads the attribute of the same name (that only
+    passes a value through); so does a dict-literal key of that name or
+    a string constant equal to its option.  Tests do not count."""
+    paths = [p for p in (root / "src").rglob("*.py") if p.name not in GENERIC]
+    paths += [p for p in [*root.glob("examples/*.py"), *root.glob("benchmarks/**/*.py")]
+              if "tests" not in p.relative_to(root).parts]
+    options = {option: name for name, option in flags.items() if option}
+    reached = set()
+    for path in paths:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.keyword) and node.arg in flags:
+                if getattr(node.value, "attr", None) != node.arg:
+                    reached.add(node.arg)
+            elif isinstance(node, ast.Dict):
+                reached.update(k.value for k in node.keys
+                               if isinstance(k, ast.Constant) and k.value in flags)
+            elif isinstance(node, ast.Constant) and node.value in options:
+                reached.add(options[node.value])
+    return set(flags) - reached
+
+
+def test_every_config_field_is_set():
+    """The field-level rule: each :class:`FedConfig` field is set by the
+    code a user reaches, or is in :data:`ALLOWED_FIELDS`.  A field that
+    only tests set is one more axis of every config lattice for nothing:
+    delete it, and keep the feature on the component that still has a
+    caller."""
+    from repro.config import FedConfig
+
+    flags = {f.name: f.metadata["flag"] and f.metadata["flag"].split()[0]
+             for f in dataclasses.fields(FedConfig)}
+    unset = unset_fields(ROOT, flags)
+    unreached, stale = sorted(unset - set(ALLOWED_FIELDS)), sorted(set(ALLOWED_FIELDS) - unset)
+    assert not unreached, f"set only by tests — delete or wire in: {unreached}"
+    assert not stale, f"stale ALLOWED_FIELDS entries — remove them: {stale}"
+
+
+def test_field_sweep_reports_an_unset_and_a_passed_through_field(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    # The generic layer names every field; it sets none of them.
+    (package / "cli.py").write_text(
+        "def build(args):\n"
+        "    return dict(planted=args.planted, by_key=0, by_flag='--by-flag')\n")
+    (package / "engine.py").write_text(
+        "def make(cfg, Engine):\n    return Engine(passed=cfg.passed)\n")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "cfg = Config(by_kwarg=2)\n"
+        "overrides = {'by_key': 3}\n"
+        "argv = ['train', '--by-flag', '4']\n")
+    flags = {"planted": "--planted", "passed": None, "by_kwarg": None,
+             "by_key": "--by-key", "by_flag": "--by-flag"}
+    assert unset_fields(tmp_path, flags) == {"planted", "passed"}
 
 
 def test_one_tree_serializer():

@@ -38,8 +38,7 @@ WALLTIME = WallTimeConfig(throughput=2.0, bandwidth_mbps=312.5, model_mb=0.05)
 def make_photon(*, population=4, rounds=2, local_steps=2, spread=4.0,
                 staleness_alpha=0.5, walltime_config=WALLTIME, **kwargs):
     fed_keys = ("deadline", "drop_policy", "adaptive_local_steps",
-                "buffer_size", "seed", "selection", "jitter", "exploration",
-                "stat_utility_weight", "local_plane")
+                "buffer_size", "seed", "selection", "jitter", "local_plane")
     fed_kwargs = {k: kwargs.pop(k) for k in fed_keys if k in kwargs}
     fed = FedConfig(population=population, clients_per_round=population,
                     local_steps=local_steps, rounds=rounds, mode="async",
@@ -273,8 +272,7 @@ class TestEngineIntegration:
             fed = FedConfig(population=4, clients_per_round=2,
                             local_steps=2, rounds=10, mode="async",
                             staleness_alpha=0.5, deadline=2.0,
-                            drop_policy="drop", selection="utility",
-                            exploration=0.0)
+                            drop_policy="drop", selection="utility")
             photon = Photon(CFG, fed, OPTIM, num_shards=4, val_batches=2,
                             walltime_config=WALLTIME,
                             client_speed_spread=4.0)
@@ -374,8 +372,6 @@ class TestConfigAndCLI:
         with pytest.raises(ValueError):
             FedConfig(jitter=0.1)  # sync mode has no per-cycle clock
         with pytest.raises(ValueError):
-            FedConfig(exploration=-1.0)
-        with pytest.raises(ValueError):
             FedConfig(mode="async", deadline=2.0, drop_policy="admit_half")
         # admit_partial is a legal drop policy now.
         FedConfig(mode="async", deadline=2.0, drop_policy="admit_partial")
@@ -383,11 +379,10 @@ class TestConfigAndCLI:
     def test_parser_accepts_scheduling_flags(self):
         args = build_parser().parse_args(
             ["train", "--mode", "async", "--selection", "utility",
-             "--jitter", "0.2", "--exploration", "0.5",
+             "--jitter", "0.2",
              "--deadline", "6", "--drop-policy", "admit_partial"])
         assert args.selection == "utility"
         assert args.jitter == 0.2
-        assert args.exploration == 0.5
         assert args.drop_policy == "admit_partial"
 
     def test_parser_rejects_unknown_selection(self):
@@ -485,8 +480,6 @@ class TestStatUtility:
         with pytest.raises(ValueError):
             ClientScheduler(ClientPopulation(2), "utility",
                             stat_utility_weight=-0.1)
-        with pytest.raises(ValueError):
-            FedConfig(stat_utility_weight=-1.0)
 
     def test_note_result_tracks_improvement(self):
         sched, _ = scheduler_over(["b", "a"], "utility",
@@ -518,7 +511,8 @@ class TestStatUtility:
         """The default keeps utility selection untouched — the engines
         feed note_result either way, so the score must not move."""
         base = make_photon(selection="utility")
-        explicit = make_photon(selection="utility", stat_utility_weight=0.0)
+        explicit = make_photon(selection="utility")
+        explicit.aggregator.scheduler.stat_utility_weight = 0.0
         assert trace(base.train()) == trace(explicit.train())
         # Feedback was recorded even at weight 0 (pure bookkeeping).
         assert not np.isnan(base.aggregator.scheduler.last_loss).all()
